@@ -13,6 +13,7 @@ from .chevalley import BudgetExceeded, ce_h2
 from .cyclic import hc1
 from .lie import (
     LieSuperAlgebra,
+    StructureError,
     build_q,
     build_sq_by_characterization,
     induced_lie,
@@ -31,6 +32,47 @@ def build_sq_lie(n: int, R: SuperAlgebra, q: LieSuperAlgebra = None):
     sub = build_sq_by_characterization(n, R, q)
     sq = induced_lie(q, sub, name="sq(%d;%s)" % (n, R.name))
     return q, sq
+
+
+def diagonal_torus(q: LieSuperAlgebra) -> list:
+    """h_k = u_kk(1) for k = 1..n in the coordinates of q = q_n(R)."""
+    unit = q.coord.unit
+    return [{q.qindex.u(k, k, r): v for r, v in unit.items()} for k in range(1, q.block_n + 1)]
+
+
+def _coords_in(sub: Subspace, vec: dict) -> dict:
+    coords = sub.coords_of(vec)
+    if coords is None:
+        raise StructureError("torus element lies outside the algebra")
+    return coords
+
+
+def sq_torus(sq: LieSuperAlgebra):
+    """The diagonal torus of q_n(R) in the basis of sq = build_sq_lie(n, R)[1].
+
+    Like psq_torus and block_torus this is a generator, so a run that ends
+    in a budget SKIP computes none of it.
+    """
+    return (_coords_in(sq.subspace, h) for h in diagonal_torus(sq.ambient))
+
+
+def psq_torus(psq: LieSuperAlgebra):
+    """The diagonal torus in the basis of psq = build_psq_lie(n, R)."""
+    return (psq.quotient.project(h) for h in sq_torus(psq.ambient))
+
+
+def build_block_lie(hom) -> LieSuperAlgebra:
+    """The traceless block algebra over S: the image of sq_n(S(x)Q1) under
+    hom = iso_qQ1_to_glnn(n, S)."""
+    q, gl = hom.source, hom.target
+    n = q.block_n
+    sq_sub = build_sq_by_characterization(n, q.coord, q=q)
+    return induced_lie(gl, hom.map_subspace(sq_sub), name="sl(%d|%d;%s)" % (n, n, gl.coord.name))
+
+
+def block_torus(sl: LieSuperAlgebra, hom):
+    """The diagonal torus of hom.source mapped into the basis of sl = build_block_lie(hom)."""
+    return (_coords_in(sl.subspace, hom.apply(h)) for h in diagonal_torus(hom.source))
 
 
 def build_psq_lie(n: int, R: SuperAlgebra):
@@ -53,13 +95,21 @@ def build_psq_lie(n: int, R: SuperAlgebra):
 
 
 def _ranks_note(stats: dict) -> str:
-    return "lam2=%d lam3=%d ker=(%d|%d) im=(%d|%d)" % (
-        stats["lam2_dim"],
-        stats["lam3_dim"],
-        stats.get("ker_rank_parity0", 0),
-        stats.get("ker_rank_parity1", 0),
-        stats.get("im_rank_parity0", 0),
-        stats.get("im_rank_parity1", 0),
+    """Chain dimensions and ranks; ker and im are for the weight-zero subcomplex."""
+    return (
+        "weight-zero subcomplex of a rank-%d torus: lam2=%d of %d lam3=%d of %d "
+        "ker=(%d|%d) im=(%d|%d)"
+        % (
+            stats["torus_rank"],
+            stats["lam2_weight0_dim"],
+            stats["lam2_dim"],
+            stats["lam3_weight0_dim"],
+            stats["lam3_dim"],
+            stats.get("ker_rank_parity0", 0),
+            stats.get("ker_rank_parity1", 0),
+            stats.get("im_rank_parity0", 0),
+            stats.get("im_rank_parity1", 0),
+        )
     )
 
 
@@ -82,7 +132,7 @@ def verify_main_theorem(R: SuperAlgebra, n: int, budget=None) -> Report:
     report.timings["build"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     try:
-        h2 = ce_h2(sq, budget=budget)
+        h2 = ce_h2(sq, budget=budget, torus=sq_torus(sq))
     except BudgetExceeded as e:
         report.skip("h2-equals-shifted-cyclic", str(e))
         return report
@@ -121,7 +171,7 @@ def verify_psq_formula(R: SuperAlgebra, n: int, budget=None) -> Report:
     report.timings["build"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     try:
-        h2 = ce_h2(psq, budget=budget)
+        h2 = ce_h2(psq, budget=budget, torus=psq_torus(psq))
     except BudgetExceeded as e:
         report.skip("h2-equals-coords-plus-shifted-cyclic", str(e))
         return report
@@ -167,13 +217,11 @@ def verify_slnn_identity(S: SuperAlgebra, n: int, budget=None) -> Report:
         report.skip("h2-equals-cyclic", str(e))
         return report
     report.add_flag("block-map-is-isomorphism", hom.is_isomorphism, hom.name)
-    sq_sub = build_sq_by_characterization(n, T, q=hom.source)
-    image = hom.map_subspace(sq_sub)
-    sl = induced_lie(hom.target, image, name="sl(%d|%d;%s)" % (n, n, S.name))
+    sl = build_block_lie(hom)
     report.timings["build"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     try:
-        h2 = ce_h2(sl, budget=budget)
+        h2 = ce_h2(sl, budget=budget, torus=block_torus(sl, hom))
     except BudgetExceeded as e:
         report.skip("h2-equals-cyclic", str(e))
         return report

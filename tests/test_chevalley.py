@@ -14,14 +14,24 @@ from queerhom.chevalley import (
 )
 from queerhom.lie import (
     LieSuperAlgebra,
+    StructureError,
     build_gl,
     build_q,
     build_sl,
     build_sq_by_characterization,
     induced_lie,
+    iso_qQ1_to_glnn,
 )
 from queerhom.linalg import GradedDim, GradedSpace, vec_add_scaled
-from queerhom.scalars import QQ
+from queerhom.scalars import QQ, parse_field_flag
+from queerhom.theorems import (
+    block_torus,
+    build_block_lie,
+    build_psq_lie,
+    build_sq_lie,
+    psq_torus,
+    sq_torus,
+)
 
 BASE = build_builtin("base-field", QQ)
 G1 = build_grassmann(QQ, 1)
@@ -206,3 +216,116 @@ def test_basis_vectors_are_homogeneous_cycles():
         assert vec
         assert all(cx.lam2.parities[k] == p for k in vec)
         assert d2.apply(vec) == {}
+
+
+# ------------------------------------------------- weight-zero subcomplex
+
+
+def heisenberg():
+    one = QQ.one
+    space = GradedSpace(("x", "y", "z"), (0, 0, 0))
+    return LieSuperAlgebra(QQ, space, {(0, 1): {2: one}, (1, 0): {2: -one}})
+
+
+def sq3_with_torus(tag, field):
+    _, sq = build_sq_lie(3, build_builtin(tag, parse_field_flag(field)))
+    return sq, list(sq_torus(sq))
+
+
+def assert_weight_zero_matches_full(g, torus):
+    full = ce_h2(g)
+    w0 = ce_h2(g, torus=torus)
+    assert w0.dims == full.dims
+    assert [(p, sorted(v.items())) for p, v in w0.basis] == [
+        (p, sorted(v.items())) for p, v in full.basis
+    ]
+    assert full.stats["lam3_weight0_dim"] == full.stats["lam3_dim"]
+    assert w0.stats["lam3_dim"] == full.stats["lam3_dim"]
+    assert w0.stats["lam3_weight0_dim"] < full.stats["lam3_dim"]
+    assert w0.stats["lam2_weight0_dim"] < full.stats["lam2_dim"]
+    return w0
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:3"])
+@pytest.mark.parametrize("tag", ["base-field", "grassmann(1)", "matrix(2)"])
+def test_weight_zero_h2_of_sq3_equals_full_complex(tag, field):
+    sq, torus = sq3_with_torus(tag, field)
+    r = assert_weight_zero_matches_full(sq, torus)
+    assert r.stats["torus_rank"] == 3
+
+
+def test_weight_zero_h2_of_psq3_equals_full_complex():
+    psq = build_psq_lie(3, G1)
+    r = assert_weight_zero_matches_full(psq, list(psq_torus(psq)))
+    # h_1 + h_2 + h_3 is the identity block, which the quotient kills
+    assert r.stats["torus_rank"] == 2
+
+
+def test_weight_zero_h2_of_block_algebra_equals_full_complex():
+    hom = iso_qQ1_to_glnn(3, build_builtin("base-field", parse_field_flag("Qi")))
+    sl = build_block_lie(hom)
+    r = assert_weight_zero_matches_full(sl, list(block_torus(sl, hom)))
+    assert r.stats["torus_rank"] == 3
+
+
+def test_empty_torus_streams_every_triple_in_order(monkeypatch):
+    g = sq_algebra(2, G1)
+    cx = CEComplex(g)
+    assert list(cx.iter_lam3_weight0()) == list(cx.iter_lam3())
+    streamed = []
+    d3_column = CEComplex.d3_column
+
+    def recording(self, t):
+        streamed.append(t)
+        return d3_column(self, t)
+
+    monkeypatch.setattr(CEComplex, "d3_column", recording)
+    ce_h2(g)
+    want = [t for p in (0, 1) for t in cx.iter_lam3() if cx.lam3_parity(t) == p]
+    assert streamed == want
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:3"])
+def test_weight_zero_triples_are_the_filtered_full_list(field):
+    sq, torus = sq3_with_torus("grassmann(1)", field)
+    cx = CEComplex(sq, torus)
+    zero = tuple(sq.field.zero for _ in torus)
+
+    def weight(t):
+        return tuple(sum(col, sq.field.zero) for col in zip(*(cx.weights[i] for i in t)))
+
+    want = [t for t in cx.iter_lam3() if weight(t) == zero]
+    assert list(cx.iter_lam3_weight0()) == want
+    assert cx.lam2_weight0 == [
+        k for k, t in enumerate(cx.pairs) if weight(t) == zero
+    ]
+
+
+def test_weights_are_compared_in_the_field():
+    # 3 (e_1 - e_2) vanishes in characteristic 3: S^3 of an odd root vector
+    # has weight zero there, so F_3 keeps strictly more triples than Q
+    counts = {}
+    for field in ("Q", "Fp:3"):
+        sq, torus = sq3_with_torus("grassmann(1)", field)
+        counts[field] = ce_h2(sq, torus=torus).stats["lam3_weight0_dim"]
+    assert counts["Fp:3"] > counts["Q"]
+
+
+def test_odd_torus_element_is_rejected():
+    g = build_q(1, G1)  # parities (0, 1, 1, 0)
+    with pytest.raises(StructureError, match="not even"):
+        ce_h2(g, torus=[{1: QQ.one}])
+
+
+def test_non_diagonal_torus_element_is_rejected():
+    with pytest.raises(StructureError, match="diagonal"):
+        ce_h2(heisenberg(), torus=[{0: QQ.one}])
+
+
+def test_budget_is_decided_before_the_torus_is_read():
+    def torus():
+        raise AssertionError("torus read before the budget check")
+        yield
+
+    with pytest.raises(BudgetExceeded):
+        ce_h2(sq_algebra(3, BASE), budget=100, torus=torus())

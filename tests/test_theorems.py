@@ -53,6 +53,14 @@ def test_main_verification_passes_at_n3():
     assert row.computed == "(0|0)"
 
 
+def test_main_verification_note_says_ranks_are_weight_zero():
+    report = verify_main_theorem(G1, 3)
+    (row,) = report.rows
+    assert row.status == "PASS"
+    assert row.note.startswith("weight-zero subcomplex of a rank-3 torus:")
+    assert " of 578 " in row.note and " of 6562 " in row.note
+
+
 def test_main_verification_marks_small_n_exploratory():
     report = verify_main_theorem(G1, 2)
     (row,) = report.rows
