@@ -54,6 +54,18 @@ def lam3_dim_formula(gd: GradedDim) -> int:
     return comb(a, 3) + comb(a, 2) * b + a * comb(b + 1, 2) + comb(b + 2, 3)
 
 
+def check_budget(gd: GradedDim, budget=None) -> int:
+    """lam3_dim_formula(gd); BudgetExceeded if it is above budget (None: no cap).
+
+    It needs only the graded dimension, so callers can decide the budget
+    before the algebra is built.
+    """
+    lam3_dim = lam3_dim_formula(gd)
+    if budget is not None and lam3_dim > budget:
+        raise BudgetExceeded(lam3_dim, budget)
+    return lam3_dim
+
+
 def torus_weights(g: LieSuperAlgebra, torus) -> list:
     """Weight of each basis vector of g: its ad-eigenvalues on the torus.
 
@@ -232,9 +244,7 @@ def ce_h2(g: LieSuperAlgebra, budget=None, torus=(), check_d2d3=True) -> H2Resul
     BudgetExceeded is raised before any work.  d2 o d3 = 0 is asserted
     column by column unless check_d2d3 is false.
     """
-    lam3_dim = lam3_dim_formula(g.space.graded_dim)
-    if budget is not None and lam3_dim > budget:
-        raise BudgetExceeded(lam3_dim, budget)
+    lam3_dim = check_budget(g.space.graded_dim, budget)
     torus = list(torus)
     cx = CEComplex(g, torus)
     torus_span = Echelon()

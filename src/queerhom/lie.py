@@ -20,6 +20,7 @@ from __future__ import annotations
 from .algebras import SuperAlgebra, build_q1, commutator_subspace, tensor
 from .linalg import (
     Echelon,
+    GradedDim,
     GradedSpace,
     GradingError,
     SparseMatrix,
@@ -172,6 +173,8 @@ def build_gl(m: int, n: int, R: SuperAlgebra) -> LieSuperAlgebra:
     def idx(i, j, r):
         return ((i - 1) * N + (j - 1)) * dR + r
 
+    # [E_ij(a), E_kl(b)] vanishes unless j == k or l == i, so only those
+    # partners are visited, in the same (k, l, b) order as a full scan
     brackets = {}
     for i in range(1, N + 1):
         for j in range(1, N + 1):
@@ -179,7 +182,7 @@ def build_gl(m: int, n: int, R: SuperAlgebra) -> LieSuperAlgebra:
                 pa = (pos_par(i) + pos_par(j) + rpar[a]) % 2
                 x = idx(i, j, a)
                 for k in range(1, N + 1):
-                    for l in range(1, N + 1):
+                    for l in range(1, N + 1) if k == j else (i,):
                         for b in range(dR):
                             pb = (pos_par(k) + pos_par(l) + rpar[b]) % 2
                             out = {}
@@ -492,6 +495,19 @@ def build_sq_by_characterization(n: int, R: SuperAlgebra, q: LieSuperAlgebra = N
         if sub != derived_subalgebra(q):
             raise StructureError("trace characterization differs from the derived subalgebra")
     return sub
+
+
+def sq_graded_dim(n: int, R: SuperAlgebra) -> GradedDim:
+    """Graded dimension of sq_n(R), from n and R alone.
+
+    The u-block is all of gl_n(R).  The w-block has parity shifted by one:
+    its n^2 - n off-diagonal entries are free, and its diagonal is n copies
+    of R with trace in [R,R], which leaves (n - 1) copies plus [R,R].
+    """
+    a, b = R.space.graded_dim
+    c, d = commutator_subspace(R).graded_dim
+    w = GradedDim((n * n - 1) * a + c, (n * n - 1) * b + d)
+    return GradedDim(n * n * a, n * n * b) + w.swap()
 
 
 def build_sl(n: int, S: SuperAlgebra) -> Subspace:

@@ -9,12 +9,20 @@ blockwise automatically; that is what keeps the large boundary-rank
 computations fast without any randomness or parallelism.
 
 Subspaces are stored as canonical RREF rows sorted by pivot column, so
-subspace equality is literal equality of the stored data.
+subspace equality is literal equality of the stored data.  Because each
+row is zero at every other pivot, reducing a vector modulo a subspace only
+visits the pivot columns in the vector's own support.
+
+Every division between scalars goes through :func:`scalars.inverse`, so
+integer entries over Q never turn into floats.
 """
 from __future__ import annotations
 
 import heapq
+from fractions import Fraction
 from typing import NamedTuple
+
+from .scalars import inverse
 
 
 class GradingError(ValueError):
@@ -151,8 +159,8 @@ class Echelon:
             if row is None:
                 # strip zeros the early return would otherwise freeze in
                 if val != 1:
-                    inv = val
-                    work = {k: v / inv for k, v in work.items() if v}
+                    s = inverse(val)
+                    work = {k: v * s for k, v in work.items() if v}
                 else:
                     work = {k: v for k, v in work.items() if v}
                 pivots[c] = work
@@ -212,18 +220,19 @@ class Echelon:
         """Canonical rows: monic, back-reduced, sorted by pivot column."""
         if self._rref is not None:
             return self._rref
-        cols = sorted(self.pivots)
-        rows = {c: dict(self.pivots[c]) for c in cols}
-        # eliminate later pivots from earlier rows, highest pivot first
+        pivots = self.pivots
+        cols = sorted(pivots)
+        rows = {}
+        # Back-substitute from the highest pivot: each row is reduced once,
+        # over its own support, by rows that are already reduced.  Those are
+        # zero at every other pivot, so the row's values at its later pivot
+        # columns stay as stored while it is being reduced.
         for c in reversed(cols):
-            row = rows[c]
-            for c2 in cols:
-                if c2 >= c:
-                    break
-                r2 = rows[c2]
-                val = r2.get(c)
-                if val:
-                    vec_add_scaled(r2, row, -val)
+            row = dict(pivots[c])
+            later = sorted((k for k in row if k != c and k in pivots), reverse=True)
+            for c2 in later:
+                vec_add_scaled(row, rows[c2], -row[c2])
+            rows[c] = row
         self._rref = [rows[c] for c in cols]
         return self._rref
 
@@ -232,9 +241,25 @@ class Subspace:
     """Canonical row space inside a graded ambient space."""
 
     def __init__(self, space: GradedSpace, rows):
+        """rows must be canonical RREF, as Echelon.rref_rows returns them:
+        nonzero, sorted by pivot column, monic, and zero at every other
+        pivot.  This is checked in O(nnz); ValueError if it fails."""
         self.space = space
         self.rows = tuple(dict(r) for r in rows)
+        if not all(self.rows):
+            raise ValueError("subspace rows must be nonzero")
         self.pivot_cols = tuple(min(r) for r in self.rows)
+        self._by_pivot = {pc: (i, r) for i, (pc, r) in enumerate(zip(self.pivot_cols, self.rows))}
+        prev = -1
+        for idx, (pc, row) in enumerate(zip(self.pivot_cols, self.rows)):
+            lead = row[pc]
+            # in a field, x * x == x only for 0 and 1
+            if pc <= prev or not lead or lead * lead != lead:
+                raise ValueError("subspace rows are not sorted, monic RREF rows")
+            prev = pc
+            for c in row:
+                if c != pc and c in self._by_pivot:
+                    raise ValueError("subspace row %d is nonzero at pivot column %d" % (idx, c))
 
     @classmethod
     def from_vectors(cls, space: GradedSpace, vectors) -> "Subspace":
@@ -265,13 +290,23 @@ class Subspace:
                 even += 1
         return GradedDim(even, odd)
 
+    def _pivots_in(self, vec: dict):
+        """Pivot columns in the support of vec, increasing.
+
+        Subtracting a multiple of one canonical row changes no other pivot
+        column, so these are all the rows a reduction of vec needs, and
+        vec's own values there are the multiples.
+        """
+        by_pivot = self._by_pivot
+        return sorted(c for c in vec if c in by_pivot)
+
     def reduce(self, vec: dict) -> dict:
         """Residue modulo the subspace; support avoids all pivot columns."""
         out = dict(vec)
-        for pc, row in zip(self.pivot_cols, self.rows):
-            val = out.get(pc)
+        for pc in self._pivots_in(vec):
+            val = vec[pc]
             if val:
-                vec_add_scaled(out, row, -val)
+                vec_add_scaled(out, self._by_pivot[pc][1], -val)
         return out
 
     def contains(self, vec: dict) -> bool:
@@ -281,9 +316,10 @@ class Subspace:
         """Coefficients of vec over the canonical rows, or None if outside."""
         coeffs = {}
         out = dict(vec)
-        for idx, (pc, row) in enumerate(zip(self.pivot_cols, self.rows)):
-            val = out.get(pc)
+        for pc in self._pivots_in(vec):
+            val = vec[pc]
             if val:
+                idx, row = self._by_pivot[pc]
                 coeffs[idx] = val
                 vec_add_scaled(out, row, -val)
         if out:
@@ -411,7 +447,8 @@ class SparseMatrix:
 def _check_one_field(entries):
     kinds = set()
     for v in entries:
-        kinds.add(type(v))
+        # int and Fraction are the two representations of one field, Q
+        kinds.add(Fraction if type(v) is int else type(v))
         if len(kinds) > 1:
             raise ValueError("matrix mixes scalar types: %s" % kinds)
 
@@ -436,24 +473,29 @@ def kernel(m: SparseMatrix, domain: GradedSpace, field=None) -> Subspace:
         if row:
             ech.insert(row)
     rows = ech.rref_rows()
-    pivot_cols = [min(r) for r in rows]
-    pivot_set = set(pivot_cols)
     if field is not None:
         one = field.one
     else:
         one = 1
         for v in m.entries.values():
-            one = v / v
+            one = v * inverse(v)
             break
+    # free column f -> [(pivot column, entry)] over the rows, in pivot order
+    free_entries = {}
+    pivot_set = set()
+    for row in rows:
+        pc = min(row)
+        pivot_set.add(pc)
+        for c, v in row.items():
+            if c != pc:
+                free_entries.setdefault(c, []).append((pc, v))
     out = Echelon()
     for f in range(m.ncols):
         if f in pivot_set:
             continue
         vec = {f: one}
-        for pc, row in zip(pivot_cols, rows):
-            c = row.get(f)
-            if c:
-                vec[pc] = -c
+        for pc, c in free_entries.get(f, ()):
+            vec[pc] = -c
         out.insert(vec)
     return Subspace(domain, out.rref_rows())
 
@@ -495,9 +537,9 @@ class AugmentedSpan:
                 continue
             hit = self.pivots.get(c)
             if hit is None:
-                inv = val
-                work = {k: v / inv for k, v in work.items() if v}
-                tg = {k: v / inv for k, v in tg.items() if v}
+                s = inverse(val)
+                work = {k: v * s for k, v in work.items() if v}
+                tg = {k: v * s for k, v in tg.items() if v}
                 self.pivots[c] = (work, tg)
                 return True
             row, rtag = hit

@@ -1,16 +1,25 @@
 """Exact scalar arithmetic over the three admissible coefficient fields.
 
-Values are lightweight: plain ``fractions.Fraction`` for the rationals,
-:class:`GaussianRational` (a pair of Fractions) for Q(i), and :class:`ModP`
-residues for odd prime fields.  A :class:`Field` object interprets, parses
-and formats values; arithmetic goes through the ordinary operators so the
-linear-algebra layer never needs to know which field it is working over.
+Values are lightweight and integer-first.  A rational is a plain ``int``
+whenever it is integral and becomes a ``fractions.Fraction`` only when a
+division gives a non-integer.  Nothing is normalized after the fact: an
+integral ``Fraction`` may stay one, which is harmless because
+``Fraction(3, 1) == 3``, their hashes agree and ``str`` prints both as
+``3``.  :class:`GaussianRational` holds two such rationals for Q(i), and
+:class:`ModP` residues serve odd prime fields.  A :class:`Field` object
+interprets, parses and formats values; arithmetic goes through the ordinary
+operators so the linear-algebra layer never needs to know which field it is
+working over.
+
+Division is exact: every division between scalars goes through
+:func:`inverse`, never through ``a / b``, because ``int / int`` is a float.
 
 Characteristic 2 is rejected everywhere: 2 must be invertible (nu^2 = 1
 forces [nu, nu] = 2).  Floating point never appears.
 """
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 
@@ -19,14 +28,32 @@ class ScalarError(ValueError):
     """Malformed scalar text or an operation outside the field."""
 
 
+_RATIONAL_TYPES = (int, Fraction)
+
+
+def inverse(x):
+    """Exact 1/x for a nonzero scalar of any field; ZeroDivisionError for 0.
+
+    Plus and minus 1 stay ints and any other int n becomes Fraction(1, n).
+    Every other type uses its own division: x / x is the unit of x's field.
+    """
+    if type(x) is int:
+        if x == 1 or x == -1:
+            return x
+        return Fraction(1, x)
+    return (x / x) / x
+
+
 class GaussianRational:
-    """a + b*i with exact rational a, b."""
+    """a + b*i with exact rational a, b (each an int or a Fraction)."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        if type(re) not in _RATIONAL_TYPES or type(im) not in _RATIONAL_TYPES:
+            raise TypeError("Q(i) parts must be int or Fraction, got %r and %r" % (re, im))
+        self.re = re
+        self.im = im
 
     def __add__(self, other):
         return GaussianRational(self.re + other.re, self.im + other.im)
@@ -49,12 +76,13 @@ class GaussianRational:
     def __truediv__(self, other):
         if not other.re and not other.im:
             raise ZeroDivisionError("division by zero in Q(i)")
-        if not self.im and not other.im:
-            return GaussianRational(self.re / other.re, 0)
-        n = other.re * other.re + other.im * other.im
+        if not other.im:
+            s = inverse(other.re)
+            return GaussianRational(self.re * s, self.im * s)
+        s = inverse(other.re * other.re + other.im * other.im)
         return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
+            (self.re * other.re + self.im * other.im) * s,
+            (self.im * other.re - self.re * other.im) * s,
         )
 
     def __eq__(self, other):
@@ -127,7 +155,8 @@ _RAT_RE = re.compile(r"^(%s)$" % _RAT)
 _GAUSS_RE = re.compile(r"^(?P<re>%s)?(?P<im>[+-](?:\d+(?:/\d+)?)?|(?:\d+(?:/\d+)?))?i$" % _RAT)
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_rational(text: str):
+    """An int for integral text such as "4/2", else a Fraction."""
     m = _RAT_RE.match(text)
     if not m:
         raise ScalarError("not a rational: %r" % text)
@@ -135,18 +164,42 @@ def _parse_fraction(text: str) -> Fraction:
         num, den = text.split("/")
         if int(den) == 0:
             raise ScalarError("zero denominator: %r" % text)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+        q = Fraction(int(num), int(den))
+        return q.numerator if q.denominator == 1 else q
+    return int(text)
+
+
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic primality test; ScalarError for n it cannot decide exactly."""
+    if n >= _MR_BOUND:
+        raise ScalarError(
+            "modulus %d is too large: primality is decided only below %d" % (n, _MR_BOUND)
+        )
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -166,7 +219,7 @@ class Field:
         raise NotImplementedError
 
     def invert(self, x):
-        return self.one / x
+        return inverse(x)
 
     def sqrt_minus_one(self):
         """A value i with i*i = -1, or None if the field has none."""
@@ -197,17 +250,17 @@ class RationalField(Field):
     characteristic = 0
 
     def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+        self.zero = 0
+        self.one = 1
 
     def parse(self, text):
-        return _parse_fraction(text.strip())
+        return _parse_rational(text.strip())
 
     def format(self, x):
         return str(x)
 
     def from_int(self, n):
-        return Fraction(n)
+        return operator.index(n)
 
 
 class GaussianRationalField(Field):
@@ -222,7 +275,7 @@ class GaussianRationalField(Field):
     def parse(self, text):
         text = text.strip()
         if "i" not in text:
-            return GaussianRational(_parse_fraction(text), 0)
+            return GaussianRational(_parse_rational(text), 0)
         m = _GAUSS_RE.match(text)
         if not m:
             raise ScalarError("not a gaussian rational: %r" % text)
@@ -231,13 +284,13 @@ class GaussianRationalField(Field):
         if re_part is not None and im_part is None:
             # e.g. "3/2i": the regex can eat the whole coefficient as re
             re_part, im_part = None, re_part
-        re_val = _parse_fraction(re_part) if re_part is not None else Fraction(0)
+        re_val = _parse_rational(re_part) if re_part is not None else 0
         if im_part is None or im_part == "+":
-            im_val = Fraction(1)
+            im_val = 1
         elif im_part == "-":
-            im_val = Fraction(-1)
+            im_val = -1
         else:
-            im_val = _parse_fraction(im_part)
+            im_val = _parse_rational(im_part)
         return GaussianRational(re_val, im_val)
 
     def format(self, x):
@@ -275,7 +328,7 @@ class PrimeField(Field):
 
     def parse(self, text):
         text = text.strip()
-        q = _parse_fraction(text)
+        q = _parse_rational(text)
         if q.denominator % self.p == 0:
             raise ScalarError("denominator of %r vanishes in F_%d" % (text, self.p))
         return ModP(q.numerator * pow(q.denominator, -1, self.p), self.p)

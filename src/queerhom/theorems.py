@@ -9,7 +9,7 @@ from __future__ import annotations
 import time
 
 from .algebras import SuperAlgebra, build_q1, commutator_subspace, tensor
-from .chevalley import BudgetExceeded, ce_h2
+from .chevalley import BudgetExceeded, ce_h2, check_budget
 from .cyclic import hc1
 from .lie import (
     LieSuperAlgebra,
@@ -19,6 +19,7 @@ from .lie import (
     induced_lie,
     iso_qQ1_to_glnn,
     quotient_lie,
+    sq_graded_dim,
 )
 from .linalg import GradedDim, Subspace
 from .report import Report, SKIP
@@ -94,6 +95,31 @@ def build_psq_lie(n: int, R: SuperAlgebra):
     return psq
 
 
+def psq_graded_dim(n: int, R: SuperAlgebra) -> GradedDim:
+    """Graded dimension of psq_n(R): sq_n(R) minus the identity block R."""
+    sq, r = sq_graded_dim(n, R), R.space.graded_dim
+    return GradedDim(sq.even - r.even, sq.odd - r.odd)
+
+
+def _over_budget(report: Report, check: str, gd: GradedDim, budget) -> bool:
+    """Decide the budget from the graded dimension alone, before anything is
+    built; over budget, add the SKIP row for check."""
+    try:
+        check_budget(gd, budget)
+    except BudgetExceeded as e:
+        report.skip(check, str(e))
+        return True
+    return False
+
+
+def _check_graded_dim(g: LieSuperAlgebra, gd: GradedDim):
+    """The budget was decided on gd before g was built; g must have it."""
+    if g.space.graded_dim != gd:
+        raise StructureError(
+            "%s has graded dimension %s, the formula gives %s" % (g.name, g.space.graded_dim, gd)
+        )
+
+
 def _ranks_note(stats: dict) -> str:
     """Chain dimensions and ranks; ker and im are for the weight-zero subcomplex."""
     return (
@@ -127,15 +153,15 @@ def verify_main_theorem(R: SuperAlgebra, n: int, budget=None) -> Report:
     hc = hc1(R)
     report.timings["hc1"] = time.perf_counter() - t0
     expected = hc.graded_dim.swap()
+    gd = sq_graded_dim(n, R)
+    if _over_budget(report, "h2-equals-shifted-cyclic", gd, budget):
+        return report
     t0 = time.perf_counter()
     q, sq = build_sq_lie(n, R)
+    _check_graded_dim(sq, gd)
     report.timings["build"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    try:
-        h2 = ce_h2(sq, budget=budget, torus=sq_torus(sq))
-    except BudgetExceeded as e:
-        report.skip("h2-equals-shifted-cyclic", str(e))
-        return report
+    h2 = ce_h2(sq, torus=sq_torus(sq))
     report.timings["h2"] = time.perf_counter() - t0
     _merge_h2_timings(report, h2.stats, "h2.")
     note = _ranks_note(h2.stats)
@@ -166,15 +192,15 @@ def verify_psq_formula(R: SuperAlgebra, n: int, budget=None) -> Report:
     hc = hc1(R)
     expected = R.space.graded_dim + hc.graded_dim.swap()
     report.timings["hc1"] = time.perf_counter() - t0
+    gd = psq_graded_dim(n, R)
+    if _over_budget(report, "h2-equals-coords-plus-shifted-cyclic", gd, budget):
+        return report
     t0 = time.perf_counter()
     psq = build_psq_lie(n, R)
+    _check_graded_dim(psq, gd)
     report.timings["build"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    try:
-        h2 = ce_h2(psq, budget=budget, torus=psq_torus(psq))
-    except BudgetExceeded as e:
-        report.skip("h2-equals-coords-plus-shifted-cyclic", str(e))
-        return report
+    h2 = ce_h2(psq, torus=psq_torus(psq))
     report.timings["h2"] = time.perf_counter() - t0
     _merge_h2_timings(report, h2.stats, "h2.")
     report.add_cmp(
@@ -210,6 +236,10 @@ def verify_slnn_identity(S: SuperAlgebra, n: int, budget=None) -> Report:
         hc_T.graded_dim.swap(),
         "double parity shift returns the cyclic side",
     )
+    # the block algebra is the image of sq_n(T) under an isomorphism
+    gd = sq_graded_dim(n, T)
+    if _over_budget(report, "h2-equals-cyclic", gd, budget):
+        return report
     t0 = time.perf_counter()
     try:
         hom = iso_qQ1_to_glnn(n, S)
@@ -218,13 +248,10 @@ def verify_slnn_identity(S: SuperAlgebra, n: int, budget=None) -> Report:
         return report
     report.add_flag("block-map-is-isomorphism", hom.is_isomorphism, hom.name)
     sl = build_block_lie(hom)
+    _check_graded_dim(sl, gd)
     report.timings["build"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    try:
-        h2 = ce_h2(sl, budget=budget, torus=block_torus(sl, hom))
-    except BudgetExceeded as e:
-        report.skip("h2-equals-cyclic", str(e))
-        return report
+    h2 = ce_h2(sl, torus=block_torus(sl, hom))
     report.timings["h2"] = time.perf_counter() - t0
     _merge_h2_timings(report, h2.stats, "h2.")
     report.add_cmp("h2-equals-cyclic", hc_S.graded_dim, h2.dims, _ranks_note(h2.stats))

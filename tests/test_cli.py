@@ -54,6 +54,23 @@ def test_skip_rows_do_not_gate(capsys):
 # ------------------------------------------------------------------- exit 2
 
 
+def test_mersenne_prime_field_flag_runs(capsys):
+    # 2^61 - 1 once hung in trial division
+    code, out, _ = run_main(
+        ["hc1-shift", "--algebra", "builtin:grassmann(1)", "--field", "Fp:%d" % (2**61 - 1)],
+        capsys,
+    )
+    assert code == 0
+    assert "scenario hc1-shift: PASS" in out
+
+
+@pytest.mark.parametrize("modulus", ["561", str(2**89 - 1)])
+def test_bad_or_undecidable_prime_modulus_exits_two(modulus, capsys):
+    code, _, err = run_main(["hc1-shift", "--field", "Fp:" + modulus], capsys)
+    assert code == 2
+    assert err.startswith("error: modulus")
+
+
 def test_unknown_scenario_exits_two(capsys):
     code, out, err = run_main(["does-not-exist"], capsys)
     assert code == 2

@@ -119,6 +119,56 @@ def test_gl_matrix_unit_brackets():
     }
 
 
+def _full_scan_gl_brackets(m, n, R):
+    """build_gl's table as it was: every pair of basis vectors, O(N^4 dR^2)."""
+    N = m + n
+    dR = R.dim
+    rpar = R.space.parities
+
+    def pos_par(i):
+        return 0 if i <= m else 1
+
+    def idx(i, j, r):
+        return ((i - 1) * N + (j - 1)) * dR + r
+
+    brackets = {}
+    for i in range(1, N + 1):
+        for j in range(1, N + 1):
+            for a in range(dR):
+                pa = (pos_par(i) + pos_par(j) + rpar[a]) % 2
+                for k in range(1, N + 1):
+                    for l in range(1, N + 1):
+                        for b in range(dR):
+                            pb = (pos_par(k) + pos_par(l) + rpar[b]) % 2
+                            out = {}
+                            if j == k:
+                                for t, c in R.products.get((a, b), {}).items():
+                                    key = idx(i, l, t)
+                                    out[key] = out.get(key, R.field.zero) + c
+                            if l == i:
+                                sgn = -1 if (pa and pb) else 1
+                                for t, c in R.products.get((b, a), {}).items():
+                                    key = idx(k, j, t)
+                                    cur = out.get(key, R.field.zero)
+                                    out[key] = cur - c if sgn > 0 else cur + c
+                            out = {t: v for t, v in out.items() if v}
+                            if out:
+                                brackets[(idx(i, j, a), idx(k, l, b))] = out
+    return brackets
+
+
+@pytest.mark.parametrize("flag", ["Q", "Qi"])
+@pytest.mark.parametrize(
+    "m,n,tag", [(2, 0, "grassmann(1)"), (1, 1, "grassmann(2)"), (2, 1, "matrix(2)")]
+)
+def test_gl_brackets_match_the_full_pair_scan(m, n, tag, flag):
+    R = build_builtin(tag, parse_field_flag(flag))
+    want = _full_scan_gl_brackets(m, n, R)
+    got = build_gl(m, n, R).brackets
+    assert got == want
+    assert list(got) == list(want)
+
+
 def test_q2_frozen_brackets():
     g = build_q(2, BASE)
     qi = g.qindex

@@ -19,7 +19,7 @@ from queerhom.linalg import (
     rref,
     vec_add_scaled,
 )
-from queerhom.scalars import QQ, parse_field_flag
+from queerhom.scalars import QQ, GaussianRational, parse_field_flag
 
 F = Fraction
 
@@ -257,3 +257,206 @@ def test_echelon_rank_matches_rref():
         m = SparseMatrix.from_rows(rows, 5)
         if m.entries:
             assert ech.rank == rref(m)[1]
+
+
+# -------------------------------------------- exact division with int inputs
+
+
+def test_echelon_insert_scales_an_int_row_to_an_exact_fraction():
+    ech = Echelon()
+    assert ech.insert({0: 2, 1: 3})
+    row = ech.pivots[0]
+    assert row == {0: 1, 1: Fraction(3, 2)}
+    assert type(row[1]) is Fraction
+    assert ech.rref_rows() == [{0: 1, 1: Fraction(3, 2)}]
+
+
+def test_echelon_insert_keeps_unit_led_int_rows_as_ints():
+    ech = Echelon()
+    ech.insert({0: -1, 2: 4})
+    assert all(type(v) is int for v in ech.pivots[0].values())
+    assert ech.pivots[0] == {0: 1, 2: -4}
+
+
+def test_augmented_span_scales_int_rows_and_tags_exactly():
+    span = AugmentedSpan()
+    span.insert({0: 2, 1: 4}, {0: 1})
+    row, tag = span.pivots[0]
+    assert row == {0: 1, 1: 2}
+    assert tag == {0: Fraction(1, 2)} and type(tag[0]) is Fraction
+    assert span.solve({0: 3, 1: 6}) == {0: Fraction(3, 2)}
+
+
+def test_kernel_without_a_field_takes_an_exact_unit_from_int_entries():
+    space = GradedSpace(["x", "y"], [0, 0])
+    m = SparseMatrix.from_rows([{0: 2, 1: 3}], 2)
+    ker = kernel(m, space)
+    assert list(ker.rows) == [{0: 1, 1: Fraction(-2, 3)}]
+    assert all(type(v) in (int, Fraction) for r in ker.rows for v in r.values())
+    assert m.apply(ker.rows[0]) == {}
+
+
+def test_rref_accepts_int_and_fraction_entries_together():
+    m = SparseMatrix.from_rows([{0: 2, 1: Fraction(1, 2)}, {1: 1}], 2)
+    r, rank = rref(m)
+    assert rank == 2
+    assert r.rows_as_dicts() == [{0: 1}, {1: 1}]
+
+
+def _walk_scalars(obj, seen):
+    """Every scalar reachable from dicts, lists and tuples, Q(i) parts included."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            _walk_scalars(k, seen)
+            _walk_scalars(v, seen)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            _walk_scalars(v, seen)
+    elif isinstance(obj, GaussianRational):
+        seen.extend((obj.re, obj.im))
+    else:
+        seen.append(obj)
+
+
+@pytest.mark.parametrize("flag", ["Q", "Qi"])
+def test_no_float_in_hc1_or_h2_results(flag):
+    from queerhom.algebras import build_builtin
+    from queerhom.chevalley import ce_h2
+    from queerhom.cyclic import hc1
+    from queerhom.theorems import build_psq_lie, build_sq_lie, psq_torus, sq_torus
+
+    field = parse_field_flag(flag)
+    seen = []
+    for tag in ("grassmann(1)", "square-zero-plane", "monogenic(x^2-2)", "q1"):
+        R = build_builtin(tag, field)
+        h = hc1(R)
+        _walk_scalars(h.subspace.rows, seen)
+        _walk_scalars(h.pair.relations.rows, seen)
+    for tag in ("grassmann(1)", "square-zero-plane"):
+        R = build_builtin(tag, field)
+        _, sq = build_sq_lie(3, R)
+        r = ce_h2(sq, torus=sq_torus(sq))
+        _walk_scalars([v for _, v in r.basis], seen)
+        psq = build_psq_lie(3, R)
+        r = ce_h2(psq, torus=psq_torus(psq))
+        _walk_scalars([v for _, v in r.basis], seen)
+        _walk_scalars(psq.brackets, seen)
+    assert seen
+    assert not [v for v in seen if isinstance(v, float)]
+    assert {type(v) for v in seen} <= {int, Fraction}
+
+
+# ------------------------------ support-driven reduction against full scans
+
+
+def _full_scan_reduce(sub, vec):
+    """Subspace.reduce as it was: scan every canonical row."""
+    out = dict(vec)
+    for pc, row in zip(sub.pivot_cols, sub.rows):
+        val = out.get(pc)
+        if val:
+            vec_add_scaled(out, row, -val)
+    return out
+
+
+def _full_scan_coords_of(sub, vec):
+    coeffs = {}
+    out = dict(vec)
+    for idx, (pc, row) in enumerate(zip(sub.pivot_cols, sub.rows)):
+        val = out.get(pc)
+        if val:
+            coeffs[idx] = val
+            vec_add_scaled(out, row, -val)
+    if out:
+        return None
+    return coeffs
+
+
+def _full_scan_rref_rows(ech):
+    """Echelon.rref_rows as it was: every row against every later pivot."""
+    cols = sorted(ech.pivots)
+    rows = {c: dict(ech.pivots[c]) for c in cols}
+    for c in reversed(cols):
+        row = rows[c]
+        for c2 in cols:
+            if c2 >= c:
+                break
+            r2 = rows[c2]
+            val = r2.get(c)
+            if val:
+                vec_add_scaled(r2, row, -val)
+    return [rows[c] for c in cols]
+
+
+def _random_scalar(rng, field):
+    if field.kind == "gaussian-rationals":
+        return GaussianRational(rng.randint(-3, 3), rng.choice([0, 0, rng.randint(-2, 2)]))
+    return field.from_int(rng.randint(-4, 4))
+
+
+def _random_vectors(rng, field, count, ncols, density):
+    vecs = []
+    for _ in range(count):
+        vec = {}
+        for c in range(ncols):
+            if rng.random() < density:
+                v = _random_scalar(rng, field)
+                if v:
+                    vec[c] = v
+        vecs.append(vec)
+    return vecs
+
+
+@pytest.mark.parametrize("flag", ["Q", "Qi", "Fp:5"])
+def test_support_driven_reduction_matches_full_scans(flag):
+    field = parse_field_flag(flag)
+    rng = random.Random(1009)
+    for trial in range(60):
+        ncols = rng.randint(1, 14)
+        density = rng.choice([0.1, 0.25, 0.5])
+        space = GradedSpace(["e%d" % k for k in range(ncols)], [0] * ncols)
+        ech = Echelon()
+        for v in _random_vectors(rng, field, rng.randint(0, ncols), ncols, density):
+            if v:
+                ech.insert(v)
+        rows = ech.rref_rows()
+        want = _full_scan_rref_rows(ech)
+        assert rows == want
+        # same rows in the same key order, so downstream iteration is unchanged
+        assert [list(r) for r in rows] == [list(r) for r in want]
+        sub = Subspace(space, rows)
+        probes = _random_vectors(rng, field, 8, ncols, density)
+        probes += [dict(r) for r in rows[:3]]
+        for v in probes:
+            # callers' vectors need not list their support in column order
+            keys = list(v)
+            rng.shuffle(keys)
+            v.update((k, v.pop(k)) for k in keys)
+        for v in probes:
+            got = sub.reduce(v)
+            assert got == _full_scan_reduce(sub, v)
+            assert list(got) == list(_full_scan_reduce(sub, v))
+            assert sub.coords_of(v) == _full_scan_coords_of(sub, v)
+        for v in probes:
+            mixed = {}
+            for r in rows:
+                vec_add_scaled(mixed, r, _random_scalar(rng, field))
+            assert sub.coords_of(mixed) == _full_scan_coords_of(sub, mixed)
+            assert sub.contains(mixed)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [{1: F(1)}, {0: F(1)}],  # pivots out of order
+        [{0: F(2), 1: F(1)}],  # not monic
+        [{0: F(1), 1: F(3)}, {1: F(1)}],  # nonzero at a later pivot
+        [{0: F(1)}, {0: F(1), 1: F(1)}],  # repeated pivot
+        [{0: F(1)}, {}],  # zero row
+    ],
+    ids=["unsorted", "not-monic", "not-reduced", "repeated-pivot", "zero-row"],
+)
+def test_subspace_rejects_rows_that_are_not_canonical_rref(rows):
+    space = GradedSpace(["a", "b"], [0, 0])
+    with pytest.raises(ValueError):
+        Subspace(space, rows)

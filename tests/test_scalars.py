@@ -9,8 +9,11 @@ from queerhom.scalars import (
     QQ,
     QI,
     GaussianRational,
+    ModP,
     ScalarError,
     field_from_spec,
+    inverse,
+    is_prime,
     parse_field_flag,
 )
 
@@ -111,3 +114,128 @@ def test_format_parse_round_trip_across_fields():
         for _ in range(20):
             x = field.from_int(rng.randint(-40, 40))
             assert field.parse(field.format(x)) == x
+
+
+# ------------------------------------------------- integer-first rationals
+
+
+def test_rational_field_values_are_ints_until_a_division():
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert type(QQ.from_int(-7)) is int
+    for text, want in [("0", 0), ("-3", -3), ("4/2", 2), ("-6/3", -2)]:
+        x = QQ.parse(text)
+        assert type(x) is int and x == want
+    assert type(QQ.parse("2/3")) is Fraction
+
+
+def test_integral_fraction_and_int_are_interchangeable():
+    # the reason nothing is normalized after the fact
+    x, y = Fraction(3, 1), 3
+    assert x == y and hash(x) == hash(y) and str(x) == str(y)
+    assert QQ.format(x) == QQ.format(y)
+    assert GaussianRational(x, 0) == GaussianRational(y, 0)
+    assert hash(GaussianRational(x, 0)) == hash(GaussianRational(y, 0))
+
+
+def test_inverse_keeps_units_as_ints_and_is_exact_elsewhere():
+    for u in (1, -1):
+        assert type(inverse(u)) is int and inverse(u) == u
+    assert type(inverse(2)) is Fraction and inverse(2) == Fraction(1, 2)
+    assert inverse(-3) == Fraction(-1, 3)
+    assert inverse(Fraction(2, 3)) == Fraction(3, 2)
+    assert inverse(Fraction(1, 1)) == 1
+    f7 = parse_field_flag("Fp:7")
+    assert inverse(f7.from_int(3)) == f7.from_int(5)
+    z = inverse(GaussianRational(0, 2))
+    assert z == GaussianRational(0, Fraction(-1, 2))
+    for zero in (0, Fraction(0), QI.zero, f7.zero):
+        with pytest.raises(ZeroDivisionError):
+            inverse(zero)
+
+
+def test_rational_invert_of_an_int_is_a_fraction():
+    x = QQ.invert(2)
+    assert type(x) is Fraction and x == Fraction(1, 2)
+    assert QQ.invert(QQ.from_int(-1)) == -1
+
+
+def test_gaussian_parts_keep_their_type():
+    x = GaussianRational(2, Fraction(1, 3))
+    assert type(x.re) is int and type(x.im) is Fraction
+    assert type(QI.one.re) is int and type(QI.parse("3-4i").im) is int
+    assert QI.parse("1/2+3/4i") == GaussianRational(Fraction(1, 2), Fraction(3, 4))
+
+
+def test_gaussian_parts_must_be_exact():
+    for bad in (0.5, "1/2"):
+        with pytest.raises(TypeError):
+            GaussianRational(bad, 0)
+        with pytest.raises(TypeError):
+            GaussianRational(0, bad)
+
+
+def test_gaussian_division_with_int_parts_is_exact():
+    half = GaussianRational(1, 0) / GaussianRational(2, 0)
+    assert half == GaussianRational(Fraction(1, 2), 0)
+    assert type(half.re) is Fraction
+    third = GaussianRational(1, 2) / GaussianRational(3, 0)
+    assert third == GaussianRational(Fraction(1, 3), Fraction(2, 3))
+    q = GaussianRational(1, 1) / GaussianRational(1, -1)
+    assert q == GaussianRational(0, 1)
+    q = GaussianRational(3, 4) / GaussianRational(0, 2)
+    assert q == GaussianRational(2, Fraction(-3, 2))
+    for part in (q.re, q.im):
+        assert type(part) in (int, Fraction)
+    with pytest.raises(ZeroDivisionError):
+        GaussianRational(1, 2) / QI.zero
+
+
+def test_mod_p_still_rejects_mixed_primes():
+    with pytest.raises(ScalarError):
+        ModP(1, 5) + ModP(1, 7)
+    with pytest.raises(ScalarError):
+        ModP(1, 5) / ModP(2, 7)
+
+
+# ------------------------------------------------------------- primality
+
+
+def _trial_division(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division_on_small_numbers():
+    assert [n for n in range(5000) if is_prime(n)] == [
+        n for n in range(5000) if _trial_division(n)
+    ]
+
+
+def test_is_prime_rejects_carmichael_numbers():
+    # 561 = 3 * 11 * 17 passes Fermat's test to every base coprime to it
+    for n in (561, 1105, 1729, 3215031751):
+        assert not is_prime(n)
+    with pytest.raises(ScalarError):
+        parse_field_flag("Fp:561")
+
+
+def test_mersenne_prime_modulus_is_accepted():
+    p = 2**61 - 1
+    assert is_prime(p)
+    f = parse_field_flag("Fp:%d" % p)
+    assert f.characteristic == p
+    assert f.invert(f.from_int(2)) * f.from_int(2) == f.one
+
+
+def test_modulus_beyond_the_exact_range_is_rejected():
+    big = 2**89 - 1  # prime, but above the range the test decides exactly
+    with pytest.raises(ScalarError):
+        is_prime(big)
+    with pytest.raises(ScalarError):
+        parse_field_flag("Fp:%d" % big)

@@ -2,13 +2,17 @@
 
 import pytest
 
-from queerhom.algebras import build_builtin, build_grassmann, build_matrix
+from queerhom import theorems
+from queerhom.algebras import build_builtin, build_grassmann, build_matrix, build_q1, tensor
+from queerhom.lie import StructureError, iso_qQ1_to_glnn, sq_graded_dim
 from queerhom.linalg import GradedDim, graded_dim
-from queerhom.scalars import QQ
+from queerhom.scalars import QQ, parse_field_flag
 from queerhom.theorems import (
+    build_block_lie,
     build_psq_lie,
     build_sq_lie,
     expected_psq_dims,
+    psq_graded_dim,
     verify_main_theorem,
     verify_psq_formula,
     verify_slnn_identity,
@@ -97,3 +101,66 @@ def test_slnn_verification_skips_without_sqrt_minus_one():
     assert row.status == "SKIP"
     assert "square root of -1" in row.note
     assert report.exit_code == 0
+
+
+# ------------------------------------------- budget decided before building
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize(
+    "tag", ["base-field", "grassmann(1)", "grassmann(2)", "matrix(2)", "q1", "square-zero-plane"]
+)
+def test_sq_graded_dim_formula_matches_the_built_algebra(tag, n):
+    R = build_builtin(tag, QQ)
+    _, sq = build_sq_lie(n, R)
+    assert sq_graded_dim(n, R) == sq.space.graded_dim
+
+
+@pytest.mark.parametrize("tag", ["base-field", "grassmann(1)", "square-zero-plane"])
+def test_psq_graded_dim_formula_matches_the_built_algebra(tag):
+    R = build_builtin(tag, QQ)
+    assert psq_graded_dim(3, R) == build_psq_lie(3, R).space.graded_dim
+
+
+@pytest.mark.parametrize("tag", ["base-field", "grassmann(1)"])
+def test_block_algebra_has_the_dimension_of_sq_over_s_tensor_q1(tag):
+    S = build_builtin(tag, parse_field_flag("Qi"))
+    sl = build_block_lie(iso_qQ1_to_glnn(3, S))
+    assert sl.space.graded_dim == sq_graded_dim(3, tensor(S, build_q1(S.field)))
+
+
+def test_budget_skip_text_for_grassmann2_at_n6_is_unchanged():
+    R = build_grassmann(QQ, 2)
+    assert sq_graded_dim(6, R) == GradedDim(142, 142)
+    report = verify_main_theorem(R, 6, budget=10000)
+    (row,) = report.rows
+    assert row.status == "SKIP"
+    assert row.note == "degree-3 chain space dimension 3817812 exceeds budget 10000"
+
+
+def _no_build(*args, **kwargs):
+    raise AssertionError("built an algebra before the budget check")
+
+
+def test_budget_skips_come_before_anything_is_built(monkeypatch):
+    for name in ("build_sq_lie", "build_psq_lie", "iso_qQ1_to_glnn", "build_q"):
+        monkeypatch.setattr(theorems, name, _no_build)
+    G2 = build_grassmann(QQ, 2)
+    checks = [
+        (verify_main_theorem(G2, 6, budget=10), "h2-equals-shifted-cyclic"),
+        (verify_psq_formula(G2, 6, budget=10), "h2-equals-coords-plus-shifted-cyclic"),
+        (
+            verify_slnn_identity(build_grassmann(parse_field_flag("Qi"), 1), 6, budget=10),
+            "h2-equals-cyclic",
+        ),
+    ]
+    for report, check in checks:
+        row = report.rows[-1]
+        assert (row.check, row.status) == (check, "SKIP")
+        assert "exceeds budget 10" in row.note
+
+
+def test_built_algebra_that_disagrees_with_the_formula_is_an_error(monkeypatch):
+    monkeypatch.setattr(theorems, "sq_graded_dim", lambda n, R: GradedDim(1, 1))
+    with pytest.raises(StructureError):
+        verify_main_theorem(BASE, 3)
