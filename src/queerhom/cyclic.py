@@ -20,7 +20,6 @@ from __future__ import annotations
 from .algebras import SuperAlgebra, build_q1, tensor
 from .linalg import (
     AugmentedSpan,
-    GradedDim,
     GradedSpace,
     QuotientSpace,
     SparseMatrix,
@@ -458,10 +457,3 @@ def build_shift_iso(R: SuperAlgebra, hc_R: HC1Result = None, hc_S: HC1Result = N
     out.phi = phi_cols
     return out
 
-
-def graded_dim_of(x) -> GradedDim:
-    if isinstance(x, HC1Result):
-        return x.graded_dim
-    if isinstance(x, Subspace):
-        return x.graded_dim
-    raise TypeError("no graded dimension for %r" % (x,))

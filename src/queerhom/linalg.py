@@ -1,28 +1,32 @@
 """Sparse exact linear algebra over Z/2-graded spaces.
 
 Vectors are dicts {coordinate index: nonzero scalar}.  All elimination goes
-through :class:`Echelon`, an incremental forward echelon with leading-column
-pivots, back-reduced to a canonical RREF on demand.  Reducing a vector only
-ever touches pivot rows inside the connected component of its support, so
-block-diagonal matrices (e.g. weight-graded differentials) are eliminated
-blockwise automatically; that is what keeps the large boundary-rank
-computations fast without any randomness or parallelism.
+through :class:`Echelon`, an incremental echelon whose rows are kept in
+canonical RREF after every insert: each row is monic at its leading
+(pivot) column and zero at every other pivot.  So a vector is reduced by
+subtracting, for each pivot column in its own support, its value there
+times that pivot's row, and nothing else.  A new pivot clears its column
+from exactly the rows that are nonzero there, which a column index lists.
+Block-diagonal matrices (e.g. weight-graded differentials) are therefore
+eliminated blockwise automatically; that is what keeps the large
+boundary-rank computations fast without any randomness or parallelism.
 
-Subspaces are stored as canonical RREF rows sorted by pivot column, so
-subspace equality is literal equality of the stored data.  Because each
-row is zero at every other pivot, reducing a vector modulo a subspace only
-visits the pivot columns in the vector's own support.
+Subspaces are stored as the same canonical rows sorted by pivot column, so
+subspace equality is literal equality of the stored data, and reduction
+modulo a subspace is the same walk over the vector's own support.
 
 Every division between scalars goes through :func:`scalars.inverse`, so
-integer entries over Q never turn into floats.
+integer entries over Q never turn into floats, and stored rows keep an
+integral value as an int, so the rows every reduction reads stay on int
+arithmetic.
 """
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left
 from fractions import Fraction
 from typing import NamedTuple
 
-from .scalars import inverse
+from .scalars import as_int_if_integral, inverse
 
 
 class GradingError(ValueError):
@@ -127,11 +131,83 @@ def vec_add_scaled(dst: dict, src: dict, c) -> None:
                 del dst[k]
 
 
+def _residue(vec: dict, rows: dict):
+    """Split vec over canonical rows {pivot column: row}.
+
+    Returns (residue, cols): cols lists the pivot columns in vec's support,
+    increasing, and residue = vec - sum(vec[c] * rows[c] for c in cols).
+    Each row is monic and zero at every other pivot, so vec's own values are
+    the multiples, and the residue is zero at every pivot column.
+    """
+    out = dict(vec)
+    if not all(out.values()):
+        out = {k: v for k, v in out.items() if v}
+    cols = [c for c in out if c in rows]
+    cols.sort()
+    # vec_add_scaled inlined for the hot path, the row's value on the left:
+    # Fraction * int takes Fraction's fast path, int * Fraction does not.
+    for c in cols:
+        neg = -vec[c]
+        for k, x in rows[c].items():
+            cur = out.get(k)
+            if cur is None:
+                out[k] = x * neg
+            else:
+                nv = x * neg + cur
+                if nv:
+                    out[k] = nv
+                else:
+                    del out[k]
+    return out, cols
+
+
+def _store(rows: dict, index: dict, row: dict):
+    """Keep a nonzero residue as a new canonical row, in place.
+
+    row is zero at every stored pivot; it is scaled to be monic at its
+    leading column p, and p is cleared from every stored row that is
+    nonzero there.  index maps each non-pivot column to the set of pivot
+    columns whose rows are nonzero at it, and is kept exact.  Returns
+    (p, s, cleared): row was multiplied by s, and cleared lists (q, x) for
+    each stored row q from which x times the new row was subtracted.
+    """
+    p = min(row)
+    s = inverse(row[p])
+    for k, v in row.items():
+        row[k] = as_int_if_integral(v * s)
+    hits = index.pop(p, ())
+    for c in row:
+        if c != p:
+            index.setdefault(c, set()).add(p)
+    cleared = []
+    for q in hits:
+        target = rows[q]
+        x = target.pop(p)
+        cleared.append((q, x))
+        for c, v in row.items():
+            if c == p:
+                continue
+            cur = target.get(c)
+            if cur is None:
+                target[c] = as_int_if_integral(-x * v)
+                index[c].add(q)
+            else:
+                nv = cur - x * v
+                if nv:
+                    target[c] = as_int_if_integral(nv)
+                else:
+                    del target[c]
+                    index[c].discard(q)
+    rows[p] = row
+    return p, s, cleared
+
+
 class Echelon:
-    """Incremental forward echelon; rows are monic with minimal leading column."""
+    """Incremental echelon whose rows are canonical RREF after every insert."""
 
     def __init__(self):
-        self.pivots = {}  # leading column -> row dict (monic, support >= lead)
+        self.pivots = {}  # pivot column -> row dict (monic, zero at other pivots)
+        self._cols = {}  # non-pivot column -> pivot columns of rows nonzero there
         self._rref = None
 
     @property
@@ -141,99 +217,24 @@ class Echelon:
     def insert(self, vec: dict) -> bool:
         """Reduce vec against the stored rows; keep the residue as a new row.
 
-        Returns True when vec enlarged the span.  The reduction walks the
-        support in increasing column order with a heap so each cancelled
-        column is paid for once.
+        Returns True when vec enlarged the span.  vec itself is not changed.
         """
-        work = dict(vec)
-        heap = list(work)
-        heapq.heapify(heap)
-        pivots = self.pivots
-        while heap:
-            c = heapq.heappop(heap)
-            val = work.get(c)
-            if not val:
-                work.pop(c, None)
-                continue
-            row = pivots.get(c)
-            if row is None:
-                # strip zeros the early return would otherwise freeze in
-                if val != 1:
-                    s = inverse(val)
-                    work = {k: v * s for k, v in work.items() if v}
-                else:
-                    work = {k: v for k, v in work.items() if v}
-                pivots[c] = work
-                self._rref = None
-                return True
-            del work[c]
-            # row is monic: subtract val * row on the tail (all columns > c)
-            for cc, x in row.items():
-                if cc == c:
-                    continue
-                cur = work.get(cc)
-                if cur is None:
-                    work[cc] = -val * x
-                    heapq.heappush(heap, cc)
-                else:
-                    nv = cur - val * x
-                    if nv:
-                        work[cc] = nv
-                    else:
-                        del work[cc]
-        return False
+        work, _ = _residue(vec, self.pivots)
+        if not work:
+            return False
+        _store(self.pivots, self._cols, work)
+        self._rref = None
+        return True
 
     def reduce(self, vec: dict) -> dict:
-        """Residue of vec modulo the current span (same walk as insert)."""
-        work = dict(vec)
-        heap = list(work)
-        heapq.heapify(heap)
-        out = {}
-        while heap:
-            c = heapq.heappop(heap)
-            val = work.get(c)
-            if not val:
-                work.pop(c, None)
-                continue
-            row = self.pivots.get(c)
-            if row is None:
-                out[c] = val
-                del work[c]
-                continue
-            del work[c]
-            for cc, x in row.items():
-                if cc == c:
-                    continue
-                cur = work.get(cc)
-                if cur is None:
-                    work[cc] = -val * x
-                    heapq.heappush(heap, cc)
-                else:
-                    nv = cur - val * x
-                    if nv:
-                        work[cc] = nv
-                    else:
-                        del work[cc]
-        return out
+        """Residue of vec modulo the current span; zero at every pivot column."""
+        return _residue(vec, self.pivots)[0]
 
     def rref_rows(self):
-        """Canonical rows: monic, back-reduced, sorted by pivot column."""
-        if self._rref is not None:
-            return self._rref
-        pivots = self.pivots
-        cols = sorted(pivots)
-        rows = {}
-        # Back-substitute from the highest pivot: each row is reduced once,
-        # over its own support, by rows that are already reduced.  Those are
-        # zero at every other pivot, so the row's values at its later pivot
-        # columns stay as stored while it is being reduced.
-        for c in reversed(cols):
-            row = dict(pivots[c])
-            later = sorted((k for k in row if k != c and k in pivots), reverse=True)
-            for c2 in later:
-                vec_add_scaled(row, rows[c2], -row[c2])
-            rows[c] = row
-        self._rref = [rows[c] for c in cols]
+        """Canonical rows, sorted by pivot column: copies of the stored rows."""
+        if self._rref is None:
+            pivots = self.pivots
+            self._rref = [dict(pivots[c]) for c in sorted(pivots)]
         return self._rref
 
 
@@ -249,7 +250,7 @@ class Subspace:
         if not all(self.rows):
             raise ValueError("subspace rows must be nonzero")
         self.pivot_cols = tuple(min(r) for r in self.rows)
-        self._by_pivot = {pc: (i, r) for i, (pc, r) in enumerate(zip(self.pivot_cols, self.rows))}
+        self._by_pivot = dict(zip(self.pivot_cols, self.rows))
         prev = -1
         for idx, (pc, row) in enumerate(zip(self.pivot_cols, self.rows)):
             lead = row[pc]
@@ -290,41 +291,20 @@ class Subspace:
                 even += 1
         return GradedDim(even, odd)
 
-    def _pivots_in(self, vec: dict):
-        """Pivot columns in the support of vec, increasing.
-
-        Subtracting a multiple of one canonical row changes no other pivot
-        column, so these are all the rows a reduction of vec needs, and
-        vec's own values there are the multiples.
-        """
-        by_pivot = self._by_pivot
-        return sorted(c for c in vec if c in by_pivot)
-
     def reduce(self, vec: dict) -> dict:
         """Residue modulo the subspace; support avoids all pivot columns."""
-        out = dict(vec)
-        for pc in self._pivots_in(vec):
-            val = vec[pc]
-            if val:
-                vec_add_scaled(out, self._by_pivot[pc][1], -val)
-        return out
+        return _residue(vec, self._by_pivot)[0]
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
 
     def coords_of(self, vec: dict):
         """Coefficients of vec over the canonical rows, or None if outside."""
-        coeffs = {}
-        out = dict(vec)
-        for pc in self._pivots_in(vec):
-            val = vec[pc]
-            if val:
-                idx, row = self._by_pivot[pc]
-                coeffs[idx] = val
-                vec_add_scaled(out, row, -val)
+        out, cols = _residue(vec, self._by_pivot)
         if out:
             return None
-        return coeffs
+        pivot_cols = self.pivot_cols
+        return {bisect_left(pivot_cols, c): vec[c] for c in cols}
 
     def __eq__(self, other):
         return (
@@ -395,14 +375,6 @@ class SparseMatrix:
                 entries[(r, c)] = v
         return cls(len(rows), ncols, entries)
 
-    @classmethod
-    def from_columns(cls, cols, nrows):
-        entries = {}
-        for c, col in enumerate(cols):
-            for r, v in col.items():
-                entries[(r, c)] = v
-        return cls(nrows, len(cols), entries)
-
     def rows_as_dicts(self):
         rows = [dict() for _ in range(self.nrows)]
         for (r, c), v in self.entries.items():
@@ -414,11 +386,6 @@ class SparseMatrix:
         for (r, c), v in self.entries.items():
             cols[c][r] = v
         return cols
-
-    def transpose(self):
-        return SparseMatrix(
-            self.ncols, self.nrows, {(c, r): v for (r, c), v in self.entries.items()}
-        )
 
     def apply(self, vec: dict) -> dict:
         """Matrix times a coordinate vector (vec indexed by columns)."""
@@ -507,8 +474,6 @@ def quotient(ambient: GradedSpace, sub: Subspace) -> QuotientSpace:
 def graded_dim(obj) -> GradedDim:
     """Graded dimension of a space, subspace or quotient."""
     if isinstance(obj, (Subspace, QuotientSpace, GradedSpace)):
-        if isinstance(obj, GradedSpace):
-            return obj.graded_dim
         return obj.graded_dim
     raise TypeError("no graded dimension for %r" % (obj,))
 
@@ -516,81 +481,39 @@ def graded_dim(obj) -> GradedDim:
 class AugmentedSpan:
     """Echelon that tracks preimages: solve M t = v and read off ker M.
 
-    Columns of M are inserted with unit tags; tags accumulate so that for
-    every stored row  row = sum_j tag_j * (original column j).
+    Columns of M are inserted with unit tags.  The rows are kept canonical
+    as in Echelon, and each carries a tag with  row = sum_j tag_j *
+    (original column j); clearing a column from a row updates its tag alike.
     """
 
     def __init__(self):
-        self.pivots = {}  # lead col -> (row, tag)
+        self.pivots = {}  # pivot col -> (row, tag)
         self.kernel_tags = []
+        self._rows = {}  # pivot col -> row, the dicts held in pivots
+        self._cols = {}  # non-pivot column -> pivot columns of rows nonzero there
 
     def insert(self, vec: dict, tag: dict) -> bool:
-        work = dict(vec)
-        tg = dict(tag)
-        heap = list(work)
-        heapq.heapify(heap)
-        while heap:
-            c = heapq.heappop(heap)
-            val = work.get(c)
-            if not val:
-                work.pop(c, None)
-                continue
-            hit = self.pivots.get(c)
-            if hit is None:
-                s = inverse(val)
-                work = {k: v * s for k, v in work.items() if v}
-                tg = {k: v * s for k, v in tg.items() if v}
-                self.pivots[c] = (work, tg)
-                return True
-            row, rtag = hit
-            del work[c]
-            for cc, x in row.items():
-                if cc == c:
-                    continue
-                cur = work.get(cc)
-                if cur is None:
-                    work[cc] = -val * x
-                    heapq.heappush(heap, cc)
-                else:
-                    nv = cur - val * x
-                    if nv:
-                        work[cc] = nv
-                    else:
-                        del work[cc]
-            vec_add_scaled(tg, rtag, -val)
-        if tg:
-            self.kernel_tags.append(tg)
-        return False
+        work, cols = _residue(vec, self._rows)
+        tg = {k: v for k, v in tag.items() if v}
+        for c in cols:
+            vec_add_scaled(tg, self.pivots[c][1], -vec[c])
+        if not work:
+            if tg:
+                self.kernel_tags.append(tg)
+            return False
+        p, s, cleared = _store(self._rows, self._cols, work)
+        tg = {k: v * s for k, v in tg.items()}
+        for q, x in cleared:
+            vec_add_scaled(self.pivots[q][1], tg, -x)
+        self.pivots[p] = (work, tg)
+        return True
 
     def solve(self, target: dict):
         """Tag combination t with columns(t) = target, or None."""
-        work = dict(target)
+        work, cols = _residue(target, self._rows)
+        if work:
+            return None
         tg = {}
-        heap = list(work)
-        heapq.heapify(heap)
-        while heap:
-            c = heapq.heappop(heap)
-            val = work.get(c)
-            if not val:
-                work.pop(c, None)
-                continue
-            hit = self.pivots.get(c)
-            if hit is None:
-                return None
-            row, rtag = hit
-            del work[c]
-            for cc, x in row.items():
-                if cc == c:
-                    continue
-                cur = work.get(cc)
-                if cur is None:
-                    work[cc] = -val * x
-                    heapq.heappush(heap, cc)
-                else:
-                    nv = cur - val * x
-                    if nv:
-                        work[cc] = nv
-                    else:
-                        del work[cc]
-            vec_add_scaled(tg, rtag, val)
+        for c in cols:
+            vec_add_scaled(tg, self.pivots[c][1], target[c])
         return tg

@@ -2,10 +2,12 @@
 
 Values are lightweight and integer-first.  A rational is a plain ``int``
 whenever it is integral and becomes a ``fractions.Fraction`` only when a
-division gives a non-integer.  Nothing is normalized after the fact: an
-integral ``Fraction`` may stay one, which is harmless because
-``Fraction(3, 1) == 3``, their hashes agree and ``str`` prints both as
-``3``.  :class:`GaussianRational` holds two such rationals for Q(i), and
+division gives a non-integer.  Arithmetic may still leave an integral
+``Fraction``, which is harmless for results because ``Fraction(3, 1) == 3``,
+their hashes agree and ``str`` prints both as ``3``.  Only the rows an
+echelon stores are normalized, with :func:`as_int_if_integral`, because
+every later reduction reads them and ``int`` arithmetic is the fast path.
+:class:`GaussianRational` holds two such rationals for Q(i), and
 :class:`ModP` residues serve odd prime fields.  A :class:`Field` object
 interprets, parses and formats values; arithmetic goes through the ordinary
 operators so the linear-algebra layer never needs to know which field it is
@@ -42,6 +44,13 @@ def inverse(x):
             return x
         return Fraction(1, x)
     return (x / x) / x
+
+
+def as_int_if_integral(x):
+    """An integral Fraction as its int; every other value unchanged."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
 
 
 class GaussianRational:

@@ -1,5 +1,6 @@
 """Sparse exact linear algebra: echelon forms, kernels, graded quotients."""
 
+import heapq
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from queerhom.linalg import (
     rref,
     vec_add_scaled,
 )
-from queerhom.scalars import QQ, GaussianRational, parse_field_flag
+from queerhom.scalars import QQ, GaussianRational, inverse, parse_field_flag
 
 F = Fraction
 
@@ -460,3 +461,246 @@ def test_subspace_rejects_rows_that_are_not_canonical_rref(rows):
     space = GradedSpace(["a", "b"], [0, 0])
     with pytest.raises(ValueError):
         Subspace(space, rows)
+
+
+# ------------------------- canonical echelon against the heap forward echelon
+
+
+def _heap_walk(pivots, vec, on_pivot):
+    """The old forward reduction: pop the lowest column, subtract the monic
+    row stored there, push fill-in.  Returns (residue so far, first column
+    without a stored row or None); on_pivot(row, multiple) sees every step."""
+    work = dict(vec)
+    heap = list(work)
+    heapq.heapify(heap)
+    while heap:
+        c = heapq.heappop(heap)
+        val = work.get(c)
+        if not val:
+            work.pop(c, None)
+            continue
+        row = pivots.get(c)
+        if row is None:
+            return work, c
+        del work[c]
+        for cc, x in row.items():
+            if cc == c:
+                continue
+            cur = work.get(cc)
+            if cur is None:
+                work[cc] = -val * x
+                heapq.heappush(heap, cc)
+            else:
+                nv = cur - val * x
+                if nv:
+                    work[cc] = nv
+                else:
+                    del work[cc]
+        on_pivot(c, val)
+    return work, None
+
+
+class _HeapEchelon:
+    """Echelon as it was: forward rows, a heap walk per vector, and
+    back-substitution from the highest pivot in rref_rows."""
+
+    def __init__(self):
+        self.pivots = {}
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+    def insert(self, vec):
+        work, c = _heap_walk(self.pivots, vec, lambda c, val: None)
+        if c is None:
+            return False
+        s = inverse(work[c])
+        self.pivots[c] = {k: v * s for k, v in work.items() if v}
+        return True
+
+    def reduce(self, vec):
+        out = {}
+        work = dict(vec)
+        while True:
+            work, c = _heap_walk(self.pivots, work, lambda c, val: None)
+            if c is None:
+                return out
+            out[c] = work.pop(c)
+
+    def rref_rows(self):
+        cols = sorted(self.pivots)
+        rows = {}
+        for c in reversed(cols):
+            row = dict(self.pivots[c])
+            later = sorted((k for k in row if k != c and k in self.pivots), reverse=True)
+            for c2 in later:
+                vec_add_scaled(row, rows[c2], -row[c2])
+            rows[c] = row
+        return [rows[c] for c in cols]
+
+
+class _HeapAugmentedSpan:
+    """AugmentedSpan as it was: forward rows with tags and a heap walk."""
+
+    def __init__(self):
+        self.pivots = {}
+        self.kernel_tags = []
+
+    def _rows(self):
+        return {c: row for c, (row, _) in self.pivots.items()}
+
+    def insert(self, vec, tag):
+        tg = dict(tag)
+
+        def step(c, val):
+            vec_add_scaled(tg, self.pivots[c][1], -val)
+
+        work, c = _heap_walk(self._rows(), vec, step)
+        if c is None:
+            if tg:
+                self.kernel_tags.append(tg)
+            return False
+        s = inverse(work[c])
+        self.pivots[c] = (
+            {k: v * s for k, v in work.items() if v},
+            {k: v * s for k, v in tg.items() if v},
+        )
+        return True
+
+    def solve(self, target):
+        tg = {}
+
+        def step(c, val):
+            vec_add_scaled(tg, self.pivots[c][1], val)
+
+        _, c = _heap_walk(self._rows(), target, step)
+        return None if c is not None else tg
+
+
+def _column_index(ech):
+    """Non-pivot column -> pivot columns of the rows nonzero there."""
+    index = {}
+    for p, row in ech.pivots.items():
+        for c in row:
+            if c != p:
+                index.setdefault(c, set()).add(p)
+    return index
+
+
+@pytest.mark.parametrize("flag", ["Q", "Qi", "Fp:5"])
+def test_canonical_echelon_matches_the_heap_forward_echelon(flag):
+    field = parse_field_flag(flag)
+    rng = random.Random(2027)
+    for trial in range(40):
+        ncols = rng.randint(1, 16)
+        density = rng.choice([0.1, 0.2, 0.35, 0.6])
+        space = GradedSpace(["e%d" % k for k in range(ncols)], [0] * ncols)
+        vecs = [v for v in _random_vectors(rng, field, rng.randint(1, ncols + 4), ncols, density) if v]
+        # dependent vectors too, so that some inserts return False
+        for _ in range(rng.randint(0, 4)):
+            mixed = {}
+            for v in rng.sample(vecs, min(len(vecs), 3)):
+                vec_add_scaled(mixed, v, _random_scalar(rng, field))
+            if mixed:
+                vecs.append(mixed)
+        probes = _random_vectors(rng, field, 6, ncols, density)
+        for order in range(3):
+            rng.shuffle(vecs)
+            ech, oracle = Echelon(), _HeapEchelon()
+            got, want = [], []
+            for v in vecs:
+                got.append(ech.insert(v))
+                want.append(oracle.insert(v))
+                assert ech.rank == oracle.rank
+                assert ech.rref_rows() == oracle.rref_rows()
+                # the stored rows are canonical after every single insert
+                assert Subspace(space, ech.rref_rows()).dim == ech.rank
+                assert {c: s for c, s in ech._cols.items() if s} == _column_index(ech)
+            assert got == want
+            assert sorted(ech.pivots) == sorted(oracle.pivots)
+            for p in probes + vecs[:2]:
+                assert ech.reduce(p) == oracle.reduce(p)
+
+
+@pytest.mark.parametrize("flag", ["Q", "Qi", "Fp:5"])
+def test_augmented_span_matches_the_heap_forward_span(flag):
+    field = parse_field_flag(flag)
+    rng = random.Random(77)
+    for trial in range(40):
+        ncols = rng.randint(1, 10)
+        cols = [c for c in _random_vectors(rng, field, rng.randint(1, 12), ncols, 0.3) if c]
+        span, oracle = AugmentedSpan(), _HeapAugmentedSpan()
+        for j, col in enumerate(cols):
+            assert span.insert(col, {j: field.one}) == oracle.insert(col, {j: field.one})
+        assert span.kernel_tags == oracle.kernel_tags
+        assert sorted(span.pivots) == sorted(oracle.pivots)
+        targets = cols + _random_vectors(rng, field, 5, ncols, 0.3)
+        for t in targets:
+            assert span.solve(t) == oracle.solve(t)
+
+
+def test_later_inserts_do_not_change_earlier_inputs_or_outputs():
+    space = GradedSpace(["a", "b", "c", "d"], [0] * 4)
+    first = {0: F(1), 1: F(2), 2: F(3)}
+    ech = Echelon()
+    ech.insert(first)
+    rows_before = ech.rref_rows()
+    sub_before = Subspace(space, rows_before)
+    # each of these clears a column from the stored row
+    ech.insert({1: F(1), 3: F(1)})
+    ech.insert({2: F(1)})
+    assert first == {0: F(1), 1: F(2), 2: F(3)}
+    assert rows_before == [{0: F(1), 1: F(2), 2: F(3)}]
+    assert sub_before.rows == ({0: F(1), 1: F(2), 2: F(3)},)
+    assert ech.rref_rows() == [{0: F(1), 3: F(-2)}, {1: F(1), 3: F(1)}, {2: F(1)}]
+
+    rng = random.Random(3)
+    space8 = GradedSpace(["x%d" % k for k in range(8)], [0] * 8)
+    for _ in range(30):
+        ech = Echelon()
+        snapshots = []  # (object handed out or in, a deep copy taken then)
+        for v in _random_sparse_rows(rng, 8, 8, density=0.35):
+            if not v:
+                continue
+            ech.insert(v)
+            rows = ech.rref_rows()
+            sub = Subspace(space8, rows)
+            snapshots.append((v, dict(v)))
+            snapshots.append((rows, [dict(r) for r in rows]))
+            snapshots.append((sub.rows, tuple(dict(r) for r in sub.rows)))
+        for obj, copy in snapshots:
+            assert obj == copy
+
+
+def test_insert_does_not_go_through_the_public_reduce(monkeypatch):
+    def refuse(self, vec):
+        raise AssertionError("insert called Echelon.reduce")
+
+    monkeypatch.setattr(Echelon, "reduce", refuse)
+    ech = Echelon()
+    assert ech.insert({0: 1, 1: 2})
+    assert not ech.insert({0: 2, 1: 4})
+    assert ech.insert({1: 1})
+
+
+def test_stored_rows_hold_ints_where_the_value_is_integral():
+    ech = Echelon()
+    ech.insert({0: 2, 1: 4, 2: 3})
+    ech.insert({1: F(1, 2), 2: 1})
+    for row in ech.pivots.values():
+        for v in row.values():
+            assert type(v) is int or v.denominator != 1
+    assert ech.rref_rows() == [{0: 1, 2: F(-5, 2)}, {1: 1, 2: 2}]
+
+
+def test_explicit_zero_entries_are_ignored():
+    space = GradedSpace(["a", "b"], [0, 0])
+    sub = Subspace.from_vectors(space, [{0: 1}])
+    assert sub.contains({0: 1, 1: 0})
+    assert sub.coords_of({0: 1, 1: 0}) == {0: 1}
+    assert sub.reduce({0: 0, 1: 2}) == {1: 2}
+    ech = Echelon()
+    assert not ech.insert({0: 0})
+    assert ech.insert({0: 0, 1: 3})
+    assert ech.pivots == {1: {1: 1}}

@@ -11,6 +11,7 @@ from queerhom.scalars import (
     GaussianRational,
     ModP,
     ScalarError,
+    as_int_if_integral,
     field_from_spec,
     inverse,
     is_prime,
@@ -129,12 +130,23 @@ def test_rational_field_values_are_ints_until_a_division():
 
 
 def test_integral_fraction_and_int_are_interchangeable():
-    # the reason nothing is normalized after the fact
+    # why an integral Fraction left by arithmetic changes no result
     x, y = Fraction(3, 1), 3
     assert x == y and hash(x) == hash(y) and str(x) == str(y)
     assert QQ.format(x) == QQ.format(y)
     assert GaussianRational(x, 0) == GaussianRational(y, 0)
     assert hash(GaussianRational(x, 0)) == hash(GaussianRational(y, 0))
+
+
+def test_as_int_if_integral_only_turns_integral_fractions_into_ints():
+    for x, want in [(Fraction(6, 2), 3), (Fraction(-4, 1), -4), (Fraction(0), 0)]:
+        got = as_int_if_integral(x)
+        assert type(got) is int and got == want
+    half = Fraction(1, 2)
+    assert as_int_if_integral(half) is half
+    f5 = parse_field_flag("Fp:5")
+    for x in (7, f5.from_int(3), GaussianRational(Fraction(2, 1), 0)):
+        assert as_int_if_integral(x) is x
 
 
 def test_inverse_keeps_units_as_ints_and_is_exact_elsewhere():
