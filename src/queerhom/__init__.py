@@ -5,101 +5,4 @@ odd prime fields) from explicit structure constants; every claimed
 identity is re-verified on the spot rather than assumed.
 """
 
-from .scalars import (
-    QQ,
-    QI,
-    Field,
-    GaussianRational,
-    ModP,
-    PrimeField,
-    RationalField,
-    GaussianRationalField,
-    ScalarError,
-    field_from_spec,
-    parse_field_flag,
-)
-from .linalg import (
-    AugmentedSpan,
-    Echelon,
-    GradedDim,
-    GradedSpace,
-    GradingError,
-    QuotientSpace,
-    SparseMatrix,
-    Subspace,
-    graded_dim,
-    kernel,
-    quotient,
-    rref,
-)
-from .algebras import (
-    BUILTIN_FAMILIES,
-    AlgebraElement,
-    SuperAlgebra,
-    ValidationReport,
-    an_vanishing_check,
-    build_builtin,
-    build_base_field,
-    build_grassmann,
-    build_group_algebra,
-    build_matrix,
-    build_monogenic,
-    build_q1,
-    build_square_zero_plane,
-    build_truncated_poly,
-    commutator,
-    anticommutator,
-    commutator_subspace,
-    tensor,
-    two_sided_ideal,
-    validate,
-)
-from .lie import (
-    LieSuperAlgebra,
-    StructureError,
-    VerifiedHomomorphism,
-    build_gl,
-    build_q,
-    build_sl,
-    build_sq_by_characterization,
-    center,
-    check_lie,
-    derived_subalgebra,
-    induced_lie,
-    is_perfect,
-    iso_q_to_gl,
-    iso_qQ1_to_glnn,
-    lie_from_assoc,
-    lie_tensor,
-    quotient_lie,
-)
-from .cyclic import (
-    HC1Result,
-    OddIsoPair,
-    PairSpace,
-    RelationReport,
-    build_shift_iso,
-    check_h_relations,
-    hc1,
-)
-from .chevalley import (
-    BudgetExceeded,
-    CEComplex,
-    H2Result,
-    ce_h2,
-    lam2_dim_formula,
-    lam3_dim_formula,
-)
-from .kahler import kahler_hc1_oracle
-from .loader import LoadError, load_algebra
-from .report import Report, emit_report
-from .scenarios import SCENARIOS, ScenarioOptions, UsageError, run_scenario
-from .theorems import (
-    build_psq_lie,
-    build_sq_lie,
-    verify_main_theorem,
-    verify_psq_formula,
-    verify_slnn_identity,
-)
-
 __version__ = "0.1.0"

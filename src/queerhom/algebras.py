@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 
-from .linalg import Echelon, GradedDim, GradedSpace, GradingError, Subspace, vec_add_scaled
+from .linalg import Echelon, GradedDim, GradedSpace, Subspace, vec_add_scaled
 from .scalars import Field, ScalarError
 
 
@@ -125,9 +125,6 @@ class AlgebraElement:
 
     def parity(self):
         return self.parent.space.parity_of_vec(self.coords)
-
-    def is_zero(self):
-        return not self.coords
 
     def __eq__(self, other):
         return (
@@ -238,10 +235,6 @@ def commutator(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     if sign < 0:
         return xy + yx
     return xy - yx
-
-
-def anticommutator(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    return x * y + y * x
 
 
 def commutator_subspace(A: SuperAlgebra) -> Subspace:

@@ -33,7 +33,7 @@ from bisect import bisect_left
 from math import comb
 
 from .lie import LieSuperAlgebra, StructureError
-from .linalg import Echelon, GradedDim, GradedSpace, SparseMatrix, kernel, vec_add_scaled
+from .linalg import Echelon, GradedDim, GradedSpace, kernel, vec_add_scaled
 
 
 class BudgetExceeded(Exception):
@@ -41,12 +41,6 @@ class BudgetExceeded(Exception):
         super().__init__("degree-3 chain space dimension %d exceeds budget %d" % (lam3_dim, budget))
         self.lam3_dim = lam3_dim
         self.budget = budget
-
-
-def lam2_dim_formula(gd: GradedDim) -> GradedDim:
-    """Graded dimension of L2 for any g of graded dimension gd."""
-    a, b = gd.even, gd.odd
-    return GradedDim(comb(a, 2) + comb(b + 1, 2), a * b)
 
 
 def lam3_dim_formula(gd: GradedDim) -> int:
@@ -140,21 +134,9 @@ class CEComplex:
         i, j = self.pairs[k]
         return dict(self.g.bracket_basis(i, j))
 
-    def iter_lam3(self):
-        """Sorted triples (i, j, k); equalities only at odd indices."""
-        par = self.g.space.parities
-        n = self.g.dim
-        for i in range(n):
-            for j in range(i, n):
-                if i == j and par[i] == 0:
-                    continue
-                for k in range(j, n):
-                    if j == k and par[j] == 0:
-                        continue
-                    yield (i, j, k)
-
     def iter_lam3_weight0(self):
-        """The weight-zero triples in iter_lam3 order; all of them for an empty torus."""
+        """Sorted weight-zero triples (i, j, k), equalities only at odd indices;
+        every triple of L3 for an empty torus."""
         par = self.g.space.parities
         n = self.g.dim
         wid = self.weight_id
@@ -209,20 +191,6 @@ class CEComplex:
         add_wedge_scaled(g.bracket_basis(j, k), i, c)
         return out
 
-    def d2_matrix(self) -> SparseMatrix:
-        entries = {}
-        for k in range(self.lam2.dim):
-            for r, v in self.d2_column(k).items():
-                entries[(r, k)] = v
-        return SparseMatrix(self.g.dim, self.lam2.dim, entries)
-
-    def d3_matrix(self) -> SparseMatrix:
-        entries = {}
-        for k, t in enumerate(self.iter_lam3()):
-            for r, v in self.d3_column(t).items():
-                entries[(r, k)] = v
-        return SparseMatrix(self.lam2.dim, self.lam3_dim, entries)
-
 
 class H2Result:
     def __init__(self, dims: GradedDim, basis, stats: dict):
@@ -234,7 +202,7 @@ class H2Result:
         return "<H2 %s>" % (self.dims,)
 
 
-def ce_h2(g: LieSuperAlgebra, budget=None, torus=(), check_d2d3=True) -> H2Result:
+def ce_h2(g: LieSuperAlgebra, budget=None, torus=()) -> H2Result:
     """H2(g) = ker d2 / im d3 with a canonical cycle basis per parity.
 
     Only the weight-zero subcomplex of `torus` is built (see the module
@@ -242,7 +210,7 @@ def ce_h2(g: LieSuperAlgebra, budget=None, torus=(), check_d2d3=True) -> H2Resul
     an iterable of coordinate vectors of g, read after the budget check.
     budget caps the dimension of the full degree-3 chain space;
     BudgetExceeded is raised before any work.  d2 o d3 = 0 is asserted
-    column by column unless check_d2d3 is false.
+    column by column.
     """
     lam3_dim = check_budget(g.space.graded_dim, budget)
     torus = list(torus)
@@ -266,15 +234,14 @@ def ce_h2(g: LieSuperAlgebra, budget=None, torus=(), check_d2d3=True) -> H2Resul
         t0 = time.perf_counter()
         cols_p = [k for k in cx.lam2_weight0 if cx.lam2.parities[k] == p]
         pos_p = {k: c for c, k in enumerate(cols_p)}
-        entries = {}
+        rows = [{} for _ in range(g.dim)]
         for c, k in enumerate(cols_p):
             for r, v in cx.d2_column(k).items():
-                entries[(r, c)] = v
-        mat = SparseMatrix(g.dim, len(cols_p), entries)
+                rows[r][c] = v
         space_p = GradedSpace(
             tuple(cx.lam2.labels[k] for k in cols_p), tuple(p for _ in cols_p)
         )
-        ker = kernel(mat, space_p, field)
+        ker = kernel(rows, space_p, field)
         timings["kernel_parity%d" % p] = time.perf_counter() - t0
         t0 = time.perf_counter()
         ech = Echelon()
@@ -286,12 +253,11 @@ def ce_h2(g: LieSuperAlgebra, budget=None, torus=(), check_d2d3=True) -> H2Resul
             col = cx.d3_column(t)
             if not col:
                 continue
-            if check_d2d3:
-                acc = {}
-                for k, v in col.items():
-                    vec_add_scaled(acc, cx.d2_column(k), v)
-                if acc:
-                    raise AssertionError("d2 o d3 != 0 at triple %r" % (t,))
+            acc = {}
+            for k, v in col.items():
+                vec_add_scaled(acc, cx.d2_column(k), v)
+            if acc:
+                raise AssertionError("d2 o d3 != 0 at triple %r" % (t,))
             try:
                 col = {pos_p[k]: v for k, v in col.items()}
             except KeyError:

@@ -18,15 +18,7 @@ HC1(S) and HC1(R) on canonical bases.
 from __future__ import annotations
 
 from .algebras import SuperAlgebra, build_q1, tensor
-from .linalg import (
-    AugmentedSpan,
-    GradedSpace,
-    QuotientSpace,
-    SparseMatrix,
-    Subspace,
-    kernel,
-    vec_add_scaled,
-)
+from .linalg import AugmentedSpan, GradedSpace, QuotientSpace, Subspace, kernel, vec_add_scaled
 from .lie import StructureError
 
 
@@ -81,13 +73,6 @@ class PairSpace:
         if not self.relations.is_homogeneous():
             raise StructureError("relation subspace of %s mixes parities" % R.name)
         self.quot = QuotientSpace(self.space, self.relations)
-
-    @property
-    def quot_dim(self):
-        return self.quot.dim
-
-    def pair_index(self, a: int, b: int) -> int:
-        return a * self.R.dim + b
 
     def tensor_vec(self, x: dict, y: dict) -> dict:
         """Coordinates of x(x)y in the ambient R(x)R (no sign: it is a pair,
@@ -153,14 +138,13 @@ def _commutator_of_pair_vec(R: SuperAlgebra, vec: dict) -> dict:
     return out
 
 
-def hc1(R: SuperAlgebra, pair: PairSpace = None) -> HC1Result:
+def hc1(R: SuperAlgebra) -> HC1Result:
     """Kernel of the induced commutator map on <R,R>.
 
     Raises StructureError if the ambient commutator map fails to kill the
     relation subspace (which would make the induced map ill-defined).
     """
-    if pair is None:
-        pair = PairSpace(R)
+    pair = PairSpace(R)
     for row in pair.relations.rows:
         img = _commutator_of_pair_vec(R, dict(row))
         if img:
@@ -168,15 +152,13 @@ def hc1(R: SuperAlgebra, pair: PairSpace = None) -> HC1Result:
                 "commutator map is not well-defined on <%s,%s>: relation row "
                 "with leading %s has nonzero image" % (R.name, R.name, min(row))
             )
-    qdim = pair.quot.dim
-    entries = {}
-    for col in range(qdim):
+    rows = [{} for _ in range(R.dim)]
+    for col in range(pair.quot.dim):
         rep = pair.quot.section({col: R.field.one})
         img = _commutator_of_pair_vec(R, rep)
         for r, v in img.items():
-            entries[(r, col)] = v
-    m = SparseMatrix(R.dim, qdim, entries)
-    sub = kernel(m, pair.quot.space, R.field)
+            rows[r][col] = v
+    sub = kernel(rows, pair.quot.space, R.field)
     return HC1Result(pair, sub)
 
 

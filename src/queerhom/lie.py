@@ -23,7 +23,6 @@ from .linalg import (
     GradedDim,
     GradedSpace,
     GradingError,
-    SparseMatrix,
     Subspace,
     kernel,
     QuotientSpace,
@@ -61,88 +60,6 @@ class LieSuperAlgebra:
 
     def __repr__(self):
         return "<LieSuperAlgebra %s %s>" % (self.name, self.space.graded_dim)
-
-
-def check_lie(g: LieSuperAlgebra, max_failures=20):
-    """Exact grading, super antisymmetry and super Jacobi on basis tuples.
-
-    Jacobi is evaluated on sorted triples only: given antisymmetry, the
-    Jacobi expression for a permuted triple differs by an overall sign.
-    Raises StructureError listing the first failures.
-    """
-    par = g.space.parities
-    n = g.dim
-    failures = []
-
-    def sgn(p):
-        return -1 if p else 1
-
-    for (i, j), tbl in g.brackets.items():
-        want = (par[i] + par[j]) % 2
-        for k, v in tbl.items():
-            if v and par[k] != want:
-                failures.append("grading: [e%d,e%d] has parity-%d component e%d" % (i, j, par[k], k))
-    for i in range(n):
-        for j in range(i, n):
-            bij = g.bracket_basis(i, j)
-            bji = g.bracket_basis(j, i)
-            s = sgn(par[i] * par[j])
-            want = {k: -v if s > 0 else v for k, v in bij.items()}
-            if bji != want:
-                failures.append("antisymmetry fails on (e%d,e%d)" % (i, j))
-        if par[i] == 0 and g.bracket_basis(i, i):
-            failures.append("[e%d,e%d] != 0 for even e%d" % (i, i, i))
-    for j in range(n):
-        for k in range(j, n):
-            bjk = g.bracket_basis(j, k)
-            for i in range(j + 1):
-                # sorted triple (i, j, k)
-                acc = {}
-                if bjk:
-                    s1 = sgn(par[i] * par[k])
-                    for t, v in bjk.items():
-                        tb = g.brackets.get((i, t))
-                        if tb:
-                            vec_add_scaled(acc, tb, v if s1 > 0 else -v)
-                bki = g.bracket_basis(k, i)
-                if bki:
-                    s2 = sgn(par[j] * par[i])
-                    for t, v in bki.items():
-                        tb = g.brackets.get((j, t))
-                        if tb:
-                            vec_add_scaled(acc, tb, v if s2 > 0 else -v)
-                bij = g.bracket_basis(i, j)
-                if bij:
-                    s3 = sgn(par[k] * par[j])
-                    for t, v in bij.items():
-                        tb = g.brackets.get((k, t))
-                        if tb:
-                            vec_add_scaled(acc, tb, v if s3 > 0 else -v)
-                if acc:
-                    failures.append("jacobi fails on (e%d,e%d,e%d)" % (i, j, k))
-                if len(failures) >= max_failures:
-                    raise StructureError("; ".join(failures))
-    if failures:
-        raise StructureError("; ".join(failures))
-    return True
-
-
-def lie_from_assoc(A: SuperAlgebra) -> LieSuperAlgebra:
-    """Supercommutator Lie structure on an associative superalgebra."""
-    par = A.space.parities
-    brackets = {}
-    for i in range(A.dim):
-        ei = A.basis_vec(i)
-        for j in range(A.dim):
-            ej = A.basis_vec(j)
-            xy = A.mul_coords(ei, ej)
-            yx = A.mul_coords(ej, ei)
-            sign = -1 if (par[i] and par[j]) else 1
-            out = dict(xy)
-            vec_add_scaled(out, yx, A.field.from_int(-sign))
-            if out:
-                brackets[(i, j)] = out
-    return LieSuperAlgebra(A.field, A.space, brackets, name="Lie(%s)" % A.name)
 
 
 # ------------------------------------------------------------------ gl and q
@@ -307,12 +224,12 @@ def _q_formula_brackets(n: int, R: SuperAlgebra, qi: _QIndex) -> dict:
     return brackets
 
 
-def build_q(n: int, R: SuperAlgebra, verify=True) -> LieSuperAlgebra:
+def build_q(n: int, R: SuperAlgebra) -> LieSuperAlgebra:
     """q_n(R) with basis u_ij(a), w_ij(a).
 
-    With verify=True (default) the formula table is compared entry by entry
-    against the supercommutator table of the block realization inside
-    gl_{n|n}(R); any mismatch raises StructureError.
+    The formula table is compared entry by entry against the
+    supercommutator table of the block realization inside gl_{n|n}(R); any
+    mismatch raises StructureError.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -334,8 +251,7 @@ def build_q(n: int, R: SuperAlgebra, verify=True) -> LieSuperAlgebra:
     g.block_n = n
     g.coord = R
     g.qindex = qi
-    if verify:
-        _verify_q_against_block_realization(g)
+    _verify_q_against_block_realization(g)
     return g
 
 
@@ -452,17 +368,16 @@ def _trace_constrained_diagonal(field, R, n, entry_index, allowed: Subspace):
     for i in range(1, n + 1):
         for r in range(R.dim):
             cols.append((i, r))
-    entries = {}
+    rows = [{} for _ in range(comm_q.dim)]
     for cidx, (i, r) in enumerate(cols):
         pr = comm_q.project({r: field.one})
         for qrow, v in pr.items():
-            entries[(qrow, cidx)] = v
-    m = SparseMatrix(comm_q.dim, len(cols), entries)
+            rows[qrow][cidx] = v
     kspace = GradedSpace(
         tuple("d%d" % t for t in range(len(cols))),
         tuple(R.space.parities[r] for (_, r) in cols),
     )
-    ker = kernel(m, kspace, field)
+    ker = kernel(rows, kspace, field)
     out = []
     for row in ker.rows:
         vec = {}
@@ -473,10 +388,12 @@ def _trace_constrained_diagonal(field, R, n, entry_index, allowed: Subspace):
     return out
 
 
-def build_sq_by_characterization(n: int, R: SuperAlgebra, q: LieSuperAlgebra = None) -> Subspace:
-    """{(A,B) in q_n(R) : tr B in [R,R]} as a canonical subspace of q_n(R)."""
-    if q is None:
-        q = build_q(n, R, verify=False)
+def build_sq_by_characterization(n: int, R: SuperAlgebra, q: LieSuperAlgebra) -> Subspace:
+    """{(A,B) in q = q_n(R) : tr B in [R,R]} as a canonical subspace of q.
+
+    For n >= 2 it is compared with the derived subalgebra of q, as
+    canonical subspaces; StructureError if they differ.
+    """
     qi = q.qindex
     field = q.field
     vecs = []
@@ -510,9 +427,83 @@ def sq_graded_dim(n: int, R: SuperAlgebra) -> GradedDim:
     return GradedDim(n * n * a, n * n * b) + w.swap()
 
 
-def build_sl(n: int, S: SuperAlgebra) -> Subspace:
-    """{X in gl_n(S) : tr X in [S,S]} as a canonical subspace of gl_n(S)."""
-    gl = build_gl(n, 0, S)
+def build_sq_lie(n: int, R: SuperAlgebra):
+    """(q_n(R), sq_n(R) as an algebra in its canonical basis)."""
+    q = build_q(n, R)
+    sub = build_sq_by_characterization(n, R, q)
+    sq = induced_lie(q, sub, name="sq(%d;%s)" % (n, R.name))
+    return q, sq
+
+
+def build_psq_lie(n: int, R: SuperAlgebra):
+    """sq_n(R) / (scalar multiples of the identity block), for
+    supercommutative R."""
+    if commutator_subspace(R).dim != 0:
+        raise ValueError("the central quotient needs supercommutative coordinates")
+    q, sq = build_sq_lie(n, R)
+    one = R.field.one
+    ideal_vecs = []
+    for r in range(R.dim):
+        vec = {q.qindex.u(i, i, r): one for i in range(1, n + 1)}
+        coords = sq.subspace.coords_of(vec)
+        if coords is None:
+            raise ValueError("identity block is not inside the derived algebra")
+        ideal_vecs.append(coords)
+    ideal = Subspace.from_vectors(sq.space, ideal_vecs)
+    psq = quotient_lie(sq, ideal, name="psq(%d;%s)" % (n, R.name))
+    return psq
+
+
+def psq_graded_dim(n: int, R: SuperAlgebra) -> GradedDim:
+    """Graded dimension of psq_n(R): sq_n(R) minus the identity block R."""
+    sq, r = sq_graded_dim(n, R), R.space.graded_dim
+    return GradedDim(sq.even - r.even, sq.odd - r.odd)
+
+
+def build_block_lie(hom) -> LieSuperAlgebra:
+    """The traceless block algebra over S: the image of sq_n(S(x)Q1) under
+    hom = iso_qQ1_to_glnn(n, S)."""
+    q, gl = hom.source, hom.target
+    n = q.block_n
+    sq_sub = build_sq_by_characterization(n, q.coord, q)
+    return induced_lie(gl, hom.map_subspace(sq_sub), name="sl(%d|%d;%s)" % (n, n, gl.coord.name))
+
+
+def diagonal_torus(q: LieSuperAlgebra) -> list:
+    """h_k = u_kk(1) for k = 1..n in the coordinates of q = q_n(R)."""
+    unit = q.coord.unit
+    return [{q.qindex.u(k, k, r): v for r, v in unit.items()} for k in range(1, q.block_n + 1)]
+
+
+def _coords_in(sub: Subspace, vec: dict) -> dict:
+    coords = sub.coords_of(vec)
+    if coords is None:
+        raise StructureError("torus element lies outside the algebra")
+    return coords
+
+
+def sq_torus(sq: LieSuperAlgebra):
+    """The diagonal torus of q_n(R) in the basis of sq = build_sq_lie(n, R)[1].
+
+    Like psq_torus and block_torus this is a generator, so a run that ends
+    in a budget SKIP computes none of it.
+    """
+    return (_coords_in(sq.subspace, h) for h in diagonal_torus(sq.ambient))
+
+
+def psq_torus(psq: LieSuperAlgebra):
+    """The diagonal torus in the basis of psq = build_psq_lie(n, R)."""
+    return (psq.quotient.project(h) for h in sq_torus(psq.ambient))
+
+
+def block_torus(sl: LieSuperAlgebra, hom):
+    """The diagonal torus of hom.source mapped into the basis of sl = build_block_lie(hom)."""
+    return (_coords_in(sl.subspace, hom.apply(h)) for h in diagonal_torus(hom.source))
+
+
+def build_sl(gl: LieSuperAlgebra) -> Subspace:
+    """{X in gl : tr X in [S,S]} as a canonical subspace of gl = gl_n(S)."""
+    n, S = gl.block_sizes[0], gl.coord
     field = S.field
     dS = S.dim
     vecs = []
@@ -698,21 +689,6 @@ def lie_tensor(g: LieSuperAlgebra, R: SuperAlgebra) -> LieSuperAlgebra:
                 if out:
                     brackets[(i * dR + a, j * dR + b)] = out
     return LieSuperAlgebra(g.field, space, brackets, name="%s⊗%s" % (g.name, R.name))
-
-
-def center(g: LieSuperAlgebra) -> Subspace:
-    """{x : [x, g] = 0} with canonical homogeneous basis."""
-    entries = {}
-    row_index = {}
-    for j in range(g.dim):
-        for i in range(g.dim):
-            tbl = g.bracket_basis(j, i)
-            for k, v in tbl.items():
-                key = (i, k)
-                r = row_index.setdefault(key, len(row_index))
-                entries[(r, j)] = v
-    m = SparseMatrix(len(row_index), g.dim, entries)
-    return kernel(m, g.space, g.field)
 
 
 def quotient_lie(g: LieSuperAlgebra, ideal: Subspace, name=""):

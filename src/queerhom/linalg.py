@@ -23,7 +23,6 @@ arithmetic.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from typing import NamedTuple
 
 from .scalars import as_int_if_integral, inverse
@@ -45,10 +44,6 @@ class GradedDim(NamedTuple):
 
     def __str__(self):
         return "(%d|%d)" % (self.even, self.odd)
-
-    @property
-    def total(self):
-        return self.even + self.odd
 
 
 class GradedSpace:
@@ -359,105 +354,36 @@ class QuotientSpace:
         return "<QuotientSpace %s>" % (self.graded_dim,)
 
 
-class SparseMatrix:
-    """Immutable-by-convention sparse matrix, entries keyed by (row, col)."""
+def kernel(rows, domain: GradedSpace, field=None) -> Subspace:
+    """Null space {v : M v = 0} as a canonical subspace of the domain.
 
-    def __init__(self, nrows: int, ncols: int, entries: dict):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.entries = {k: v for k, v in entries.items() if v}
-
-    @classmethod
-    def from_rows(cls, rows, ncols):
-        entries = {}
-        for r, row in enumerate(rows):
-            for c, v in row.items():
-                entries[(r, c)] = v
-        return cls(len(rows), ncols, entries)
-
-    def rows_as_dicts(self):
-        rows = [dict() for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
-
-    def cols_as_dicts(self):
-        cols = [dict() for _ in range(self.ncols)]
-        for (r, c), v in self.entries.items():
-            cols[c][r] = v
-        return cols
-
-    def apply(self, vec: dict) -> dict:
-        """Matrix times a coordinate vector (vec indexed by columns)."""
-        out = {}
-        cols = self.cols_as_dicts()
-        for c, x in vec.items():
-            vec_add_scaled(out, cols[c], x)
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SparseMatrix)
-            and self.nrows == other.nrows
-            and self.ncols == other.ncols
-            and self.entries == other.entries
-        )
-
-    def __repr__(self):
-        return "<SparseMatrix %dx%d, %d nonzero>" % (
-            self.nrows,
-            self.ncols,
-            len(self.entries),
-        )
-
-
-def _check_one_field(entries):
-    kinds = set()
-    for v in entries:
-        # int and Fraction are the two representations of one field, Q
-        kinds.add(Fraction if type(v) is int else type(v))
-        if len(kinds) > 1:
-            raise ValueError("matrix mixes scalar types: %s" % kinds)
-
-
-def rref(m: SparseMatrix):
-    """Canonical reduced row echelon form and rank; row space is preserved."""
-    _check_one_field(m.entries.values())
+    rows are the rows of M as vectors on the domain's coordinates; the
+    result is canonical, so their order does not matter.
+    """
     ech = Echelon()
-    for row in m.rows_as_dicts():
+    for row in rows:
         if row:
             ech.insert(row)
-    rows = ech.rref_rows()
-    return SparseMatrix.from_rows(rows, m.ncols), ech.rank
-
-
-def kernel(m: SparseMatrix, domain: GradedSpace, field=None) -> Subspace:
-    """Null space {v : m v = 0} as a canonical subspace of the domain."""
-    if domain.dim != m.ncols:
-        raise ValueError("domain dimension %d != ncols %d" % (domain.dim, m.ncols))
-    ech = Echelon()
-    for row in m.rows_as_dicts():
-        if row:
-            ech.insert(row)
-    rows = ech.rref_rows()
+    reduced = ech.rref_rows()
     if field is not None:
         one = field.one
     else:
+        # reduced rows are monic, so a pivot entry is the unit of their field
         one = 1
-        for v in m.entries.values():
-            one = v * inverse(v)
+        for row in reduced:
+            one = row[min(row)]
             break
     # free column f -> [(pivot column, entry)] over the rows, in pivot order
     free_entries = {}
     pivot_set = set()
-    for row in rows:
+    for row in reduced:
         pc = min(row)
         pivot_set.add(pc)
         for c, v in row.items():
             if c != pc:
                 free_entries.setdefault(c, []).append((pc, v))
     out = Echelon()
-    for f in range(m.ncols):
+    for f in range(domain.dim):
         if f in pivot_set:
             continue
         vec = {f: one}
@@ -465,17 +391,6 @@ def kernel(m: SparseMatrix, domain: GradedSpace, field=None) -> Subspace:
             vec[pc] = -c
         out.insert(vec)
     return Subspace(domain, out.rref_rows())
-
-
-def quotient(ambient: GradedSpace, sub: Subspace) -> QuotientSpace:
-    return QuotientSpace(ambient, sub)
-
-
-def graded_dim(obj) -> GradedDim:
-    """Graded dimension of a space, subspace or quotient."""
-    if isinstance(obj, (Subspace, QuotientSpace, GradedSpace)):
-        return obj.graded_dim
-    raise TypeError("no graded dimension for %r" % (obj,))
 
 
 class AugmentedSpan:

@@ -1,0 +1,230 @@
+"""Reference routes that only the tests use.
+
+The program never calls these.  They are the independent or brute-force
+second routes the tests compare it against: the full Chevalley-Eilenberg
+matrices, a standalone sparse-matrix rref, the Lie axioms on basis tuples,
+the center by a kernel, the supercommutator algebra of an associative
+algebra, and the cyclic side of the psq formula.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from math import comb
+
+from queerhom.algebras import SuperAlgebra
+from queerhom.cyclic import hc1
+from queerhom.lie import LieSuperAlgebra, StructureError
+from queerhom.linalg import Echelon, GradedDim, Subspace, kernel, vec_add_scaled
+
+
+# ------------------------------------------------------- sparse matrices
+
+class SparseMatrix:
+    """Immutable-by-convention sparse matrix, entries keyed by (row, col)."""
+
+    def __init__(self, nrows: int, ncols: int, entries: dict):
+        self.nrows = nrows
+        self.ncols = ncols
+        self.entries = {k: v for k, v in entries.items() if v}
+
+    @classmethod
+    def from_rows(cls, rows, ncols):
+        entries = {}
+        for r, row in enumerate(rows):
+            for c, v in row.items():
+                entries[(r, c)] = v
+        return cls(len(rows), ncols, entries)
+
+    def rows_as_dicts(self):
+        rows = [dict() for _ in range(self.nrows)]
+        for (r, c), v in self.entries.items():
+            rows[r][c] = v
+        return rows
+
+    def cols_as_dicts(self):
+        cols = [dict() for _ in range(self.ncols)]
+        for (r, c), v in self.entries.items():
+            cols[c][r] = v
+        return cols
+
+    def apply(self, vec: dict) -> dict:
+        """Matrix times a coordinate vector (vec indexed by columns)."""
+        out = {}
+        cols = self.cols_as_dicts()
+        for c, x in vec.items():
+            vec_add_scaled(out, cols[c], x)
+        return out
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, SparseMatrix)
+            and self.nrows == other.nrows
+            and self.ncols == other.ncols
+            and self.entries == other.entries
+        )
+
+    def __repr__(self):
+        return "<SparseMatrix %dx%d, %d nonzero>" % (self.nrows, self.ncols, len(self.entries))
+
+
+def _check_one_field(entries):
+    kinds = set()
+    for v in entries:
+        # int and Fraction are the two representations of one field, Q
+        kinds.add(Fraction if type(v) is int else type(v))
+        if len(kinds) > 1:
+            raise ValueError("matrix mixes scalar types: %s" % kinds)
+
+
+def rref(m: SparseMatrix):
+    """Canonical reduced row echelon form and rank; row space is preserved."""
+    _check_one_field(m.entries.values())
+    ech = Echelon()
+    for row in m.rows_as_dicts():
+        if row:
+            ech.insert(row)
+    rows = ech.rref_rows()
+    return SparseMatrix.from_rows(rows, m.ncols), ech.rank
+
+
+# ------------------------------------------- the full exterior complex
+
+def lam2_dim_formula(gd: GradedDim) -> GradedDim:
+    """Graded dimension of L2 for any g of graded dimension gd."""
+    a, b = gd.even, gd.odd
+    return GradedDim(comb(a, 2) + comb(b + 1, 2), a * b)
+
+
+def iter_lam3(cx):
+    """Every sorted triple (i, j, k) of L3 of cx.g; equalities only at odd indices."""
+    par = cx.g.space.parities
+    n = cx.g.dim
+    for i in range(n):
+        for j in range(i, n):
+            if i == j and par[i] == 0:
+                continue
+            for k in range(j, n):
+                if j == k and par[j] == 0:
+                    continue
+                yield (i, j, k)
+
+
+def d2_matrix(cx) -> SparseMatrix:
+    entries = {}
+    for k in range(cx.lam2.dim):
+        for r, v in cx.d2_column(k).items():
+            entries[(r, k)] = v
+    return SparseMatrix(cx.g.dim, cx.lam2.dim, entries)
+
+
+def d3_matrix(cx) -> SparseMatrix:
+    entries = {}
+    for k, t in enumerate(iter_lam3(cx)):
+        for r, v in cx.d3_column(t).items():
+            entries[(r, k)] = v
+    return SparseMatrix(cx.lam2.dim, cx.lam3_dim, entries)
+
+
+# ------------------------------------------------------- Lie structure
+
+def check_lie(g: LieSuperAlgebra, max_failures=20):
+    """Exact grading, super antisymmetry and super Jacobi on basis tuples.
+
+    Jacobi is evaluated on sorted triples only: given antisymmetry, the
+    Jacobi expression for a permuted triple differs by an overall sign.
+    Raises StructureError listing the first failures.
+    """
+    par = g.space.parities
+    n = g.dim
+    failures = []
+
+    def sgn(p):
+        return -1 if p else 1
+
+    for (i, j), tbl in g.brackets.items():
+        want = (par[i] + par[j]) % 2
+        for k, v in tbl.items():
+            if v and par[k] != want:
+                failures.append("grading: [e%d,e%d] has parity-%d component e%d" % (i, j, par[k], k))
+    for i in range(n):
+        for j in range(i, n):
+            bij = g.bracket_basis(i, j)
+            bji = g.bracket_basis(j, i)
+            s = sgn(par[i] * par[j])
+            want = {k: -v if s > 0 else v for k, v in bij.items()}
+            if bji != want:
+                failures.append("antisymmetry fails on (e%d,e%d)" % (i, j))
+        if par[i] == 0 and g.bracket_basis(i, i):
+            failures.append("[e%d,e%d] != 0 for even e%d" % (i, i, i))
+    for j in range(n):
+        for k in range(j, n):
+            bjk = g.bracket_basis(j, k)
+            for i in range(j + 1):
+                # sorted triple (i, j, k)
+                acc = {}
+                if bjk:
+                    s1 = sgn(par[i] * par[k])
+                    for t, v in bjk.items():
+                        tb = g.brackets.get((i, t))
+                        if tb:
+                            vec_add_scaled(acc, tb, v if s1 > 0 else -v)
+                bki = g.bracket_basis(k, i)
+                if bki:
+                    s2 = sgn(par[j] * par[i])
+                    for t, v in bki.items():
+                        tb = g.brackets.get((j, t))
+                        if tb:
+                            vec_add_scaled(acc, tb, v if s2 > 0 else -v)
+                bij = g.bracket_basis(i, j)
+                if bij:
+                    s3 = sgn(par[k] * par[j])
+                    for t, v in bij.items():
+                        tb = g.brackets.get((k, t))
+                        if tb:
+                            vec_add_scaled(acc, tb, v if s3 > 0 else -v)
+                if acc:
+                    failures.append("jacobi fails on (e%d,e%d,e%d)" % (i, j, k))
+                if len(failures) >= max_failures:
+                    raise StructureError("; ".join(failures))
+    if failures:
+        raise StructureError("; ".join(failures))
+    return True
+
+
+def lie_from_assoc(A: SuperAlgebra) -> LieSuperAlgebra:
+    """Supercommutator Lie structure on an associative superalgebra."""
+    par = A.space.parities
+    brackets = {}
+    for i in range(A.dim):
+        ei = A.basis_vec(i)
+        for j in range(A.dim):
+            ej = A.basis_vec(j)
+            xy = A.mul_coords(ei, ej)
+            yx = A.mul_coords(ej, ei)
+            sign = -1 if (par[i] and par[j]) else 1
+            out = dict(xy)
+            vec_add_scaled(out, yx, A.field.from_int(-sign))
+            if out:
+                brackets[(i, j)] = out
+    return LieSuperAlgebra(A.field, A.space, brackets, name="Lie(%s)" % A.name)
+
+
+def center(g: LieSuperAlgebra) -> Subspace:
+    """{x : [x, g] = 0} with canonical homogeneous basis."""
+    rows = []
+    row_index = {}
+    for j in range(g.dim):
+        for i in range(g.dim):
+            for k, v in g.bracket_basis(j, i).items():
+                r = row_index.setdefault((i, k), len(row_index))
+                if r == len(rows):
+                    rows.append({})
+                rows[r][j] = v
+    return kernel(rows, g.space, g.field)
+
+
+# ------------------------------------------------------- cyclic side
+
+def expected_psq_dims(R: SuperAlgebra) -> GradedDim:
+    """R plus the parity-shifted HC1(R): the cyclic side of psq-central."""
+    return R.space.graded_dim + hc1(R).graded_dim.swap()

@@ -6,7 +6,6 @@ import pytest
 
 from queerhom.algebras import (
     BUILTIN_FAMILIES,
-    anticommutator,
     an_vanishing_check,
     build_builtin,
     build_base_field,
@@ -77,16 +76,16 @@ def test_q1_generator_squares_to_one():
 def test_grassmann_signs_and_nilpotence():
     A = build_grassmann(QQ, 2)
     x1, x2 = A.el("x1"), A.el("x2")
-    assert (x1 * x1).is_zero()
+    assert not (x1 * x1).coords
     assert x1 * x2 == -(x2 * x1)
-    assert not (x1 * x2).is_zero()
+    assert (x1 * x2).coords
     assert A.space.graded_dim == GradedDim(2, 2)
 
 
 def test_truncated_poly_truncates():
     A = build_truncated_poly(QQ, 2)
     x = A.el("x")
-    assert (x * x).is_zero()
+    assert not (x * x).coords
     assert A.dim == 2
 
 
@@ -113,7 +112,7 @@ def test_square_zero_plane_products_vanish():
     A = build_square_zero_plane(QQ)
     x, y = A.el("x"), A.el("y")
     for p in [x * x, x * y, y * x, y * y]:
-        assert p.is_zero()
+        assert not p.coords
 
 
 def test_matrix_units_compose():
@@ -121,9 +120,9 @@ def test_matrix_units_compose():
     e12, e21, e11, e22 = A.el("E12"), A.el("E21"), A.el("E11"), A.el("E22")
     assert e12 * e21 == e11
     assert e21 * e12 == e22
-    assert (e12 * e12).is_zero()
+    assert not (e12 * e12).coords
     assert commutator(e12, e21) == e11 - e22
-    assert anticommutator(e12, e21) == e11 + e22
+    assert e12 * e21 + e21 * e12 == e11 + e22
     assert A.one == e11 + e22
 
 

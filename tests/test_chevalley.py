@@ -5,33 +5,27 @@ import random
 import pytest
 
 from queerhom.algebras import build_builtin, build_grassmann
-from queerhom.chevalley import (
-    BudgetExceeded,
-    CEComplex,
-    ce_h2,
-    lam2_dim_formula,
-    lam3_dim_formula,
-)
+from queerhom.chevalley import BudgetExceeded, CEComplex, ce_h2, lam3_dim_formula
 from queerhom.lie import (
     LieSuperAlgebra,
     StructureError,
+    block_torus,
+    build_block_lie,
     build_gl,
+    build_psq_lie,
     build_q,
     build_sl,
     build_sq_by_characterization,
+    build_sq_lie,
     induced_lie,
     iso_qQ1_to_glnn,
-)
-from queerhom.linalg import GradedDim, GradedSpace, vec_add_scaled
-from queerhom.scalars import QQ, parse_field_flag
-from queerhom.theorems import (
-    block_torus,
-    build_block_lie,
-    build_psq_lie,
-    build_sq_lie,
     psq_torus,
     sq_torus,
 )
+from queerhom.linalg import GradedDim, GradedSpace, vec_add_scaled
+from queerhom.scalars import QQ, parse_field_flag
+
+from oracles import d2_matrix, d3_matrix, iter_lam3, lam2_dim_formula
 
 BASE = build_builtin("base-field", QQ)
 G1 = build_grassmann(QQ, 1)
@@ -68,7 +62,7 @@ def test_lam2_formula_matches_enumerated_basis(g):
 )
 def test_lam3_formula_matches_iteration_count(g):
     cx = CEComplex(g)
-    triples = list(cx.iter_lam3())
+    triples = list(iter_lam3(cx))
     assert len(triples) == cx.lam3_dim == lam3_dim_formula(g.space.graded_dim)
     assert len(set(triples)) == len(triples)
 
@@ -107,8 +101,8 @@ def test_wedge_positions_cover_basis_once():
 def test_d2_composed_with_d3_is_zero_as_matrices():
     g = sq_algebra(2, BASE)
     cx = CEComplex(g)
-    d2 = cx.d2_matrix()
-    d3 = cx.d3_matrix()
+    d2 = d2_matrix(cx)
+    d3 = d3_matrix(cx)
     assert d2.nrows == g.dim and d2.ncols == cx.lam2.dim
     assert d3.nrows == cx.lam2.dim and d3.ncols == cx.lam3_dim
     cols = {}
@@ -150,7 +144,7 @@ def test_abelian_h2_is_the_whole_degree_two_space():
         assert r.dims == lam2_dim_formula(GradedDim(even, odd))
         assert r.stats["im_rank_parity0"] == 0
         assert r.stats["im_rank_parity1"] == 0
-        assert len(r.basis) == r.dims.total
+        assert len(r.basis) == r.dims.even + r.dims.odd
 
 
 def test_abelian_two_one_frozen():
@@ -173,7 +167,7 @@ def test_h2_frozen_values(g, expect):
 
 def test_h2_of_traceless_two_by_two_vanishes():
     gl = build_gl(2, 0, BASE)
-    sl2 = induced_lie(gl, build_sl(2, BASE), name="sl2")
+    sl2 = induced_lie(gl, build_sl(gl), name="sl2")
     assert ce_h2(sl2).dims == GradedDim(0, 0)
 
 
@@ -210,8 +204,8 @@ def test_basis_vectors_are_homogeneous_cycles():
     g = sq_algebra(2, G1)
     r = ce_h2(g)
     cx = CEComplex(g)
-    d2 = cx.d2_matrix()
-    assert len(r.basis) == r.dims.total
+    d2 = d2_matrix(cx)
+    assert len(r.basis) == r.dims.even + r.dims.odd
     for p, vec in r.basis:
         assert vec
         assert all(cx.lam2.parities[k] == p for k in vec)
@@ -271,7 +265,7 @@ def test_weight_zero_h2_of_block_algebra_equals_full_complex():
 def test_empty_torus_streams_every_triple_in_order(monkeypatch):
     g = sq_algebra(2, G1)
     cx = CEComplex(g)
-    assert list(cx.iter_lam3_weight0()) == list(cx.iter_lam3())
+    assert list(cx.iter_lam3_weight0()) == list(iter_lam3(cx))
     streamed = []
     d3_column = CEComplex.d3_column
 
@@ -281,7 +275,7 @@ def test_empty_torus_streams_every_triple_in_order(monkeypatch):
 
     monkeypatch.setattr(CEComplex, "d3_column", recording)
     ce_h2(g)
-    want = [t for p in (0, 1) for t in cx.iter_lam3() if cx.lam3_parity(t) == p]
+    want = [t for p in (0, 1) for t in iter_lam3(cx) if cx.lam3_parity(t) == p]
     assert streamed == want
 
 
@@ -294,7 +288,7 @@ def test_weight_zero_triples_are_the_filtered_full_list(field):
     def weight(t):
         return tuple(sum(col, sq.field.zero) for col in zip(*(cx.weights[i] for i in t)))
 
-    want = [t for t in cx.iter_lam3() if weight(t) == zero]
+    want = [t for t in iter_lam3(cx) if weight(t) == zero]
     assert list(cx.iter_lam3_weight0()) == want
     assert cx.lam2_weight0 == [
         k for k, t in enumerate(cx.pairs) if weight(t) == zero

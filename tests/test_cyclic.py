@@ -36,7 +36,7 @@ HC1_TABLE = [
 @pytest.mark.parametrize("tag,_,quot_dim", HC1_TABLE, ids=[t for t, _, _ in HC1_TABLE])
 def test_pair_space_quotient_dims(tag, _, quot_dim):
     pair = PairSpace(build_builtin(tag, QQ))
-    assert pair.quot_dim == quot_dim
+    assert pair.quot.dim == quot_dim
 
 
 def test_lambda_classes_on_grassmann_line():

@@ -12,15 +12,14 @@ from queerhom.linalg import (
     GradedDim,
     GradedSpace,
     GradingError,
-    SparseMatrix,
+    QuotientSpace,
     Subspace,
-    graded_dim,
     kernel,
-    quotient,
-    rref,
     vec_add_scaled,
 )
 from queerhom.scalars import QQ, GaussianRational, inverse, parse_field_flag
+
+from oracles import SparseMatrix, rref
 
 F = Fraction
 
@@ -41,7 +40,7 @@ def test_graded_dim_arithmetic_and_rendering():
     assert d.swap() == GradedDim(2, 3)
     assert d + GradedDim(1, 1) == GradedDim(4, 3)
     assert str(d) == "(3|2)"
-    assert d.total == 5
+    assert d.even + d.odd == 5
 
 
 def test_graded_space_rejects_bad_input():
@@ -128,7 +127,7 @@ def test_rank_nullity_on_random_matrices():
         m = SparseMatrix.from_rows(rows, ncols)
         domain = GradedSpace(["x%d" % k for k in range(ncols)], [0] * ncols)
         _, rank = rref(m) if m.entries else (m, 0)
-        ker = kernel(m, domain, field=QQ)
+        ker = kernel(rows, domain, field=QQ)
         assert ker.dim + rank == ncols
         for row in ker.rows:
             assert m.apply(row) == {}
@@ -137,23 +136,21 @@ def test_rank_nullity_on_random_matrices():
 def test_kernel_of_zero_and_identity_maps():
     space = GradedSpace(["a", "b", "c", "d"], [0, 0, 1, 1])
     zero = SparseMatrix(4, 4, {})
-    assert kernel(zero, space, field=QQ).graded_dim == GradedDim(2, 2)
+    assert kernel(zero.rows_as_dicts(), space, field=QQ).graded_dim == GradedDim(2, 2)
     ident = SparseMatrix(4, 4, {(i, i): F(1) for i in range(4)})
-    assert kernel(ident, space, field=QQ).dim == 0
+    assert kernel(ident.rows_as_dicts(), space, field=QQ).dim == 0
 
 
 def test_kernel_of_sum_map_is_the_antidiagonal():
     space = GradedSpace(["x", "y"], [0, 0])
-    m = SparseMatrix.from_rows([{0: F(1), 1: F(1)}], 2)
-    ker = kernel(m, space, field=QQ)
+    ker = kernel([{0: F(1), 1: F(1)}], space, field=QQ)
     assert list(ker.rows) == [{0: F(1), 1: F(-1)}]
 
 
 def test_supertrace_kernel_on_two_by_two_blocks():
     # basis E11, E22 (even), E12, E21 (odd); supertrace is a11 - a22
     space = GradedSpace(["E11", "E22", "E12", "E21"], [0, 0, 1, 1])
-    m = SparseMatrix.from_rows([{0: F(1), 1: F(-1)}], 4)
-    assert kernel(m, space, field=QQ).graded_dim == GradedDim(1, 2)
+    assert kernel([{0: F(1), 1: F(-1)}], space, field=QQ).graded_dim == GradedDim(1, 2)
 
 
 def test_quotient_additivity_random():
@@ -170,14 +167,14 @@ def test_quotient_additivity_random():
             vec = {i: F(rng.randint(-4, 4)) for i in idxs if rng.random() < 0.6}
             vecs.append({k: v for k, v in vec.items() if v})
         sub = Subspace.from_vectors(space, vecs)
-        q = quotient(space, sub)
+        q = QuotientSpace(space, sub)
         assert sub.graded_dim + q.graded_dim == space.graded_dim
 
 
 def test_quotient_project_kills_sub_and_section_lifts():
     space = GradedSpace(["a", "b", "c"], [0, 0, 0])
     sub = Subspace.from_vectors(space, [{0: F(1), 1: F(1)}])
-    q = quotient(space, sub)
+    q = QuotientSpace(space, sub)
     assert q.project({0: F(1), 1: F(1)}) == {}
     v = {0: F(2), 2: F(5)}
     lifted = q.section(q.project(v))
@@ -191,7 +188,7 @@ def test_quotient_rejects_inhomogeneous_subspace():
     space = GradedSpace(["a", "b"], [0, 1])
     sub = Subspace.from_vectors(space, [{0: F(1), 1: F(1)}])
     with pytest.raises(GradingError):
-        quotient(space, sub)
+        QuotientSpace(space, sub)
 
 
 def test_subspace_membership_and_coordinates():
@@ -209,12 +206,10 @@ def test_subspace_membership_and_coordinates():
 
 def test_graded_dim_dispatch():
     space = GradedSpace(["a", "b"], [0, 1])
-    assert graded_dim(space) == GradedDim(1, 1)
+    assert space.graded_dim == GradedDim(1, 1)
     sub = Subspace.from_vectors(space, [{1: F(1)}])
-    assert graded_dim(sub) == GradedDim(0, 1)
-    assert graded_dim(quotient(space, sub)) == GradedDim(1, 0)
-    with pytest.raises(TypeError):
-        graded_dim([1, 2])
+    assert sub.graded_dim == GradedDim(0, 1)
+    assert QuotientSpace(space, sub).graded_dim == GradedDim(1, 0)
 
 
 def test_augmented_span_solves_and_reports_kernel_tags():
@@ -291,7 +286,7 @@ def test_augmented_span_scales_int_rows_and_tags_exactly():
 def test_kernel_without_a_field_takes_an_exact_unit_from_int_entries():
     space = GradedSpace(["x", "y"], [0, 0])
     m = SparseMatrix.from_rows([{0: 2, 1: 3}], 2)
-    ker = kernel(m, space)
+    ker = kernel(m.rows_as_dicts(), space)
     assert list(ker.rows) == [{0: 1, 1: Fraction(-2, 3)}]
     assert all(type(v) in (int, Fraction) for r in ker.rows for v in r.values())
     assert m.apply(ker.rows[0]) == {}
@@ -324,7 +319,7 @@ def test_no_float_in_hc1_or_h2_results(flag):
     from queerhom.algebras import build_builtin
     from queerhom.chevalley import ce_h2
     from queerhom.cyclic import hc1
-    from queerhom.theorems import build_psq_lie, build_sq_lie, psq_torus, sq_torus
+    from queerhom.lie import build_psq_lie, build_sq_lie, psq_torus, sq_torus
 
     field = parse_field_flag(flag)
     seen = []

@@ -1,22 +1,29 @@
-"""Report-producing verification drivers: gating, skips, expected sides."""
+"""The homology scenarios (h2-main, psq-central, slnn-identity): gating,
+skips, expected sides, and the sq/psq/block algebras they build."""
 
 import pytest
 
-from queerhom import theorems
+from queerhom import scenarios
 from queerhom.algebras import build_builtin, build_grassmann, build_matrix, build_q1, tensor
-from queerhom.lie import StructureError, iso_qQ1_to_glnn, sq_graded_dim
-from queerhom.linalg import GradedDim, graded_dim
-from queerhom.scalars import QQ, parse_field_flag
-from queerhom.theorems import (
+from queerhom.lie import (
+    StructureError,
     build_block_lie,
     build_psq_lie,
     build_sq_lie,
-    expected_psq_dims,
+    iso_qQ1_to_glnn,
     psq_graded_dim,
-    verify_main_theorem,
-    verify_psq_formula,
-    verify_slnn_identity,
+    sq_graded_dim,
 )
+from queerhom.linalg import GradedDim
+from queerhom.scalars import QQ, parse_field_flag
+from queerhom.scenarios import (
+    ScenarioOptions,
+    scenario_h2_main,
+    scenario_psq_central,
+    scenario_slnn_identity,
+)
+
+from oracles import expected_psq_dims
 
 BASE = build_builtin("base-field", QQ)
 G1 = build_grassmann(QQ, 1)
@@ -24,14 +31,14 @@ G1 = build_grassmann(QQ, 1)
 
 def test_build_sq_lie_returns_algebra_in_canonical_basis():
     q, sq = build_sq_lie(2, G1)
-    assert graded_dim(q.space) == GradedDim(8, 8)
-    assert graded_dim(sq.space) == GradedDim(7, 7)
+    assert q.space.graded_dim == GradedDim(8, 8)
+    assert sq.space.graded_dim == GradedDim(7, 7)
     assert sq.ambient is q
 
 
 def test_build_psq_lie_dims():
     psq = build_psq_lie(3, BASE)
-    assert graded_dim(psq.space) == GradedDim(8, 8)
+    assert psq.space.graded_dim == GradedDim(8, 8)
 
 
 def test_build_psq_lie_rejects_noncommutative_coordinates():
@@ -50,7 +57,7 @@ def test_expected_psq_dims(R, expect):
 
 
 def test_main_verification_passes_at_n3():
-    report = verify_main_theorem(BASE, 3)
+    report = scenario_h2_main(ScenarioOptions("builtin:base-field", n=3))
     assert report.status == "PASS"
     (row,) = report.rows
     assert row.check == "h2-equals-shifted-cyclic"
@@ -58,7 +65,7 @@ def test_main_verification_passes_at_n3():
 
 
 def test_main_verification_note_says_ranks_are_weight_zero():
-    report = verify_main_theorem(G1, 3)
+    report = scenario_h2_main(ScenarioOptions("builtin:grassmann(1)", n=3))
     (row,) = report.rows
     assert row.status == "PASS"
     assert row.note.startswith("weight-zero subcomplex of a rank-3 torus:")
@@ -66,7 +73,7 @@ def test_main_verification_note_says_ranks_are_weight_zero():
 
 
 def test_main_verification_marks_small_n_exploratory():
-    report = verify_main_theorem(G1, 2)
+    report = scenario_h2_main(ScenarioOptions("builtin:grassmann(1)", n=2))
     (row,) = report.rows
     assert row.status == "SKIP"
     assert "exploratory" in row.note
@@ -75,28 +82,28 @@ def test_main_verification_marks_small_n_exploratory():
 
 
 def test_main_verification_budget_skip_names_the_dimension():
-    report = verify_main_theorem(G1, 3, budget=100)
+    report = scenario_h2_main(ScenarioOptions("builtin:grassmann(1)", n=3, budget=100))
     (row,) = report.rows
     assert row.status == "SKIP"
     assert "6562" in row.note and "exceeds budget" in row.note
 
 
 def test_psq_verification_skips_noncommutative_coordinates():
-    report = verify_psq_formula(build_matrix(QQ, 2), 3)
+    report = scenario_psq_central(ScenarioOptions("builtin:matrix(2)", n=3))
     (row,) = report.rows
     assert row.status == "SKIP"
     assert "supercommutative" in row.note
 
 
 def test_psq_verification_skips_small_n():
-    report = verify_psq_formula(BASE, 2)
+    report = scenario_psq_central(ScenarioOptions("builtin:base-field", n=2))
     (row,) = report.rows
     assert row.status == "SKIP"
     assert "n >= 3" in row.note
 
 
 def test_slnn_verification_skips_without_sqrt_minus_one():
-    report = verify_slnn_identity(BASE, 3)
+    report = scenario_slnn_identity(ScenarioOptions("builtin:base-field", n=3))
     (row,) = report.rows
     assert row.status == "SKIP"
     assert "square root of -1" in row.note
@@ -132,7 +139,7 @@ def test_block_algebra_has_the_dimension_of_sq_over_s_tensor_q1(tag):
 def test_budget_skip_text_for_grassmann2_at_n6_is_unchanged():
     R = build_grassmann(QQ, 2)
     assert sq_graded_dim(6, R) == GradedDim(142, 142)
-    report = verify_main_theorem(R, 6, budget=10000)
+    report = scenario_h2_main(ScenarioOptions("builtin:grassmann(2)", n=6, budget=10000))
     (row,) = report.rows
     assert row.status == "SKIP"
     assert row.note == "degree-3 chain space dimension 3817812 exceeds budget 10000"
@@ -144,15 +151,13 @@ def _no_build(*args, **kwargs):
 
 def test_budget_skips_come_before_anything_is_built(monkeypatch):
     for name in ("build_sq_lie", "build_psq_lie", "iso_qQ1_to_glnn", "build_q"):
-        monkeypatch.setattr(theorems, name, _no_build)
-    G2 = build_grassmann(QQ, 2)
+        monkeypatch.setattr(scenarios, name, _no_build)
+    G2 = ScenarioOptions("builtin:grassmann(2)", n=6, budget=10)
+    G1_QI = ScenarioOptions("builtin:grassmann(1)", n=6, field=parse_field_flag("Qi"), budget=10)
     checks = [
-        (verify_main_theorem(G2, 6, budget=10), "h2-equals-shifted-cyclic"),
-        (verify_psq_formula(G2, 6, budget=10), "h2-equals-coords-plus-shifted-cyclic"),
-        (
-            verify_slnn_identity(build_grassmann(parse_field_flag("Qi"), 1), 6, budget=10),
-            "h2-equals-cyclic",
-        ),
+        (scenario_h2_main(G2), "h2-equals-shifted-cyclic"),
+        (scenario_psq_central(G2), "h2-equals-coords-plus-shifted-cyclic"),
+        (scenario_slnn_identity(G1_QI), "h2-equals-cyclic"),
     ]
     for report, check in checks:
         row = report.rows[-1]
@@ -161,6 +166,6 @@ def test_budget_skips_come_before_anything_is_built(monkeypatch):
 
 
 def test_built_algebra_that_disagrees_with_the_formula_is_an_error(monkeypatch):
-    monkeypatch.setattr(theorems, "sq_graded_dim", lambda n, R: GradedDim(1, 1))
+    monkeypatch.setattr(scenarios, "sq_graded_dim", lambda n, R: GradedDim(1, 1))
     with pytest.raises(StructureError):
-        verify_main_theorem(BASE, 3)
+        scenario_h2_main(ScenarioOptions("builtin:base-field", n=3))
