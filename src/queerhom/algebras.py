@@ -36,7 +36,7 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def summary(self, limit=20) -> str:
+    def summary(self, limit) -> str:
         if self.ok:
             return "valid"
         lines = [

@@ -116,7 +116,6 @@ class CEComplex:
         parities = tuple((par[i] + par[j]) % 2 for (i, j) in pairs)
         self.lam2 = GradedSpace(labels, parities)
         self.lam2_weight0 = [k for k, (i, j) in enumerate(pairs) if pair_zero[wid[i]][wid[j]]]
-        self.lam3_dim = lam3_dim_formula(g.space.graded_dim)
 
     def wedge(self, t: int, c: int):
         """(index, sign) of e_t ^ e_c in the L2 basis, or None if zero."""

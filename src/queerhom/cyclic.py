@@ -179,13 +179,6 @@ class RelationReport:
         self.R = R
         self.rows = rows
 
-    @property
-    def ok(self):
-        return all(r.ok for r in self.rows)
-
-    def failures(self):
-        return [r for r in self.rows if not r.ok]
-
 
 def check_h_relations(R: SuperAlgebra) -> RelationReport:
     """Mixing identities for h on S = R(x)Q1, each reduced to canonical form.
@@ -274,28 +267,10 @@ class OddIsoPair:
         self.dims_swap = None
         self.failures = []
 
-    @property
-    def ok(self):
-        flags = (
-            self.psi_kills_relations,
-            self.psi_image_in_hc1,
-            self.phi_solvable,
-            self.phi_well_defined,
-            self.phi_image_in_hc1,
-            self.mutually_inverse,
-            self.parity_flip,
-            self.dims_swap,
-        )
-        return all(f is True for f in flags)
 
-
-def build_shift_iso(R: SuperAlgebra, hc_R: HC1Result = None, hc_S: HC1Result = None) -> OddIsoPair:
+def build_shift_iso(R: SuperAlgebra, hc_R: HC1Result, hc_S: HC1Result) -> OddIsoPair:
     field = R.field
     S = tensor(R, build_q1(field))
-    if hc_R is None:
-        hc_R = hc1(R)
-    if hc_S is None:
-        hc_S = hc1(S)
     pair_R = hc_R.pair
     pair_S = hc_S.pair
     d = R.dim
@@ -435,7 +410,5 @@ def build_shift_iso(R: SuperAlgebra, hc_R: HC1Result = None, hc_S: HC1Result = N
             "graded dimension %s is not the swap of %s"
             % (hc_S.graded_dim, hc_R.graded_dim)
         )
-    out.psi = psi_cols
-    out.phi = phi_cols
     return out
 

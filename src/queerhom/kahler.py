@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from .algebras import build_monogenic, build_square_zero_plane, parse_poly
 from .linalg import Echelon, GradedDim
-from .scalars import QQ
 
 
 def _monogenic_quotient_dim(field, coeffs) -> int:
@@ -45,10 +44,8 @@ def _monogenic_quotient_dim(field, coeffs) -> int:
     return d - rank
 
 
-def kahler_hc1_oracle(tag: str, field=None) -> GradedDim:
+def kahler_hc1_oracle(tag: str, field) -> GradedDim:
     """Graded dimension of Omega^1/dR for a supported commutative builtin."""
-    if field is None:
-        field = QQ
     tag = tag.strip()
     name, _, arg = tag.partition("(")
     arg = arg[:-1] if arg.endswith(")") else arg

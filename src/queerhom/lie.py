@@ -2,14 +2,16 @@
 
 Brackets are sparse tables brackets[(i, j)] = coordinates of [e_i, e_j].
 The queer Lie superalgebra q_n(R) over a coordinate superalgebra R is built
-twice: once from the closed bracket formulas on the generators u_ij(a)
-(parity |a|) and w_ij(a) (parity |a|+1), and once inside gl_{n|n}(R) via
+from the closed bracket formulas on the generators u_ij(a) (parity |a|) and
+w_ij(a) (parity |a|+1), and checked against its block realization in
+gl_{n|n}(R),
 
     u_ij(a) = E_ij(a) + (-1)^{|a|} E_{n+i,n+j}(a)
-    w_ij(a) = E_{i,n+j}(a) + (-1)^{|a|} E_{n+i,j}(a)
+    w_ij(a) = E_{i,n+j}(a) + (-1)^{|a|} E_{n+i,j}(a),
 
-and the two structure-constant tables must agree exactly, otherwise the
-construction aborts.  sq_n(R) is characterized as {(A,B) : tr B in [R,R]}
+as a VerifiedHomomorphism: unless it preserves every bracket exactly, the
+construction aborts.  VerifiedHomomorphism.verify is the one place that
+compares a linear map with two bracket tables.  sq_n(R) is characterized as {(A,B) : tr B in [R,R]}
 and must coincide with the derived subalgebra of q_n(R) for n >= 2.
 
 The super Jacobi convention used throughout:
@@ -150,6 +152,13 @@ class _QIndex:
 
 
 def _q_formula_brackets(n: int, R: SuperAlgebra, qi: _QIndex) -> dict:
+    """The closed bracket formulas of q_n(R) as one matrix-unit rule.
+
+    [x_ij(a), y_kl(b)] = s1 d_jk z_il(ab) + s2 d_il z_kj(ba) with (z, s1, s2)
+    = (u, 1, -e) for [u,u], (w, 1, -e) for [u,w] and (u, f, fe) for [w,w],
+    where e = (-1)^{|a||b|} and f = (-1)^{|b|}.  Only partners with j == k
+    or l == i are visited, in full-scan order; [w,u] comes from [u,w].
+    """
     dR = R.dim
     rpar = R.space.parities
     brackets = {}
@@ -165,71 +174,47 @@ def _q_formula_brackets(n: int, R: SuperAlgebra, qi: _QIndex) -> dict:
             else:
                 del tbl[key]
 
+    u, w = qi.u, qi.w
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             for a in range(dR):
                 for k in range(1, n + 1):
-                    for l in range(1, n + 1):
+                    for l in range(1, n + 1) if k == j else (i,):
                         for b in range(dR):
                             ab = R.products.get((a, b), {})
                             ba = R.products.get((b, a), {})
-                            s_ab = -1 if (rpar[a] and rpar[b]) else 1
-                            # [u,u] -> u
-                            out = {}
-                            if j == k:
-                                for t, c in ab.items():
-                                    put(out, qi.u(i, l, t), c)
-                            if i == l:
-                                for t, c in ba.items():
-                                    put(out, qi.u(k, j, t), -c if s_ab > 0 else c)
-                            if out:
-                                brackets[(qi.u(i, j, a), qi.u(k, l, b))] = out
-                            # [u,w] -> w
-                            out = {}
-                            if j == k:
-                                for t, c in ab.items():
-                                    put(out, qi.w(i, l, t), c)
-                            if i == l:
-                                for t, c in ba.items():
-                                    put(out, qi.w(k, j, t), -c if s_ab > 0 else c)
-                            if out:
-                                brackets[(qi.u(i, j, a), qi.w(k, l, b))] = out
-                            # [w,w] -> (-1)^{|b|} (delta_jk u_il(ab) + (-1)^{|a||b|} delta_il u_kj(ba))
-                            out = {}
-                            lead = -1 if rpar[b] else 1
-                            if j == k:
-                                for t, c in ab.items():
-                                    put(out, qi.u(i, l, t), c if lead > 0 else -c)
-                            if i == l:
-                                sgn = lead * s_ab
-                                for t, c in ba.items():
-                                    put(out, qi.u(k, j, t), c if sgn > 0 else -c)
-                            if out:
-                                brackets[(qi.w(i, j, a), qi.w(k, l, b))] = out
-    # [w,u] from super antisymmetry
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for a in range(dR):
-                pu = rpar[a]
-                for k in range(1, n + 1):
-                    for l in range(1, n + 1):
-                        for b in range(dR):
-                            pw = (rpar[b] + 1) % 2
-                            tbl = brackets.get((qi.u(i, j, a), qi.w(k, l, b)))
-                            if not tbl:
-                                continue
-                            sgn = -1 if (pu and pw) else 1
-                            flipped = {t: (v if sgn < 0 else -v) for t, v in tbl.items()}
-                            brackets[(qi.w(k, l, b), qi.u(i, j, a))] = flipped
+                            e = -1 if (rpar[a] and rpar[b]) else 1
+                            f = -1 if rpar[b] else 1
+                            for x, y, z, s1, s2 in (
+                                (u, u, u, 1, -e),
+                                (u, w, w, 1, -e),
+                                (w, w, u, f, f * e),
+                            ):
+                                out = {}
+                                if j == k:
+                                    for t, c in ab.items():
+                                        put(out, z(i, l, t), c if s1 > 0 else -c)
+                                if i == l:
+                                    for t, c in ba.items():
+                                        put(out, z(k, j, t), c if s2 > 0 else -c)
+                                if out:
+                                    brackets[(x(i, j, a), y(k, l, b))] = out
+    # [w,u] from the stored [u,w] entries by super antisymmetry
+    block = n * n * dR
+    for (x, y), tbl in list(brackets.items()):
+        if x < block <= y:
+            sgn = -1 if (rpar[x % dR] and not rpar[y % dR]) else 1
+            brackets[(y, x)] = {t: (v if sgn < 0 else -v) for t, v in tbl.items()}
     return brackets
 
 
 def build_q(n: int, R: SuperAlgebra) -> LieSuperAlgebra:
     """q_n(R) with basis u_ij(a), w_ij(a).
 
-    The formula table is compared entry by entry against the
-    supercommutator table of the block realization inside gl_{n|n}(R); any
-    mismatch raises StructureError.
+    The formula table is checked as a VerifiedHomomorphism into gl_{n|n}(R)
+    along the block realization (module docstring).  The map is injective,
+    so it preserves every bracket exactly when the two tables agree;
+    otherwise StructureError names the first pair where they differ.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -251,74 +236,23 @@ def build_q(n: int, R: SuperAlgebra) -> LieSuperAlgebra:
     g.block_n = n
     g.coord = R
     g.qindex = qi
-    _verify_q_against_block_realization(g)
+    gl = build_gl(n, n, R)
+    idx = gl.entry_index
+    one = R.field.one
+    cols = []
+    for t in range(g.dim):
+        kind, i, j, r = qi.unpack(t)
+        sgn = R.field.from_int(-1 if rpar[r] else 1)
+        if kind == "u":
+            cols.append({idx(i, j, r): one, idx(n + i, n + j, r): sgn})
+        else:
+            cols.append({idx(i, n + j, r): one, idx(n + i, j, r): sgn})
+    hom = VerifiedHomomorphism(g, gl, cols)
+    if not hom.bracket_preserving:
+        raise StructureError(
+            "structure constants disagree with the block realization: %s" % hom.failures[0]
+        )
     return g
-
-
-def _q_embed_column(g, t):
-    """Block image of the t-th q-basis vector inside gl_{n|n}(R)."""
-    n = g.block_n
-    R = g.coord
-    dR = R.dim
-    N = 2 * n
-
-    def gidx(i, j, r):
-        return ((i - 1) * N + (j - 1)) * dR + r
-
-    kind, i, j, r = g.qindex.unpack(t)
-    sgn = g.field.from_int(-1 if R.space.parities[r] else 1)
-    one = g.field.one
-    if kind == "u":
-        return {gidx(i, j, r): one, gidx(n + i, n + j, r): sgn}
-    return {gidx(i, n + j, r): one, gidx(n + i, j, r): sgn}
-
-
-def _verify_q_against_block_realization(g):
-    n = g.block_n
-    R = g.coord
-    glnn = build_gl(n, n, R)
-    cols = [_q_embed_column(g, t) for t in range(g.dim)]
-    dR = R.dim
-    N = 2 * n
-
-    def gidx(i, j, r):
-        return ((i - 1) * N + (j - 1)) * dR + r
-
-    def to_q_coords(vec):
-        """Invert the embedding; StructureError if vec is not in the image."""
-        out = {}
-        work = dict(vec)
-        for key in sorted(work):
-            val = work.get(key)
-            if not val:
-                continue
-            pos, r = divmod(key, dR)
-            i, j = divmod(pos, N)
-            i += 1
-            j += 1
-            if i <= n and j <= n:
-                t = g.qindex.u(i, j, r)
-            elif i <= n < j:
-                t = g.qindex.w(i, j - n, r)
-            else:
-                raise StructureError("block image leaks outside the queer pattern")
-            out[t] = val
-            vec_add_scaled(work, _q_embed_column(g, t), -val)
-        if any(work.values()):
-            raise StructureError("vector is not in the image of the queer embedding")
-        return out
-
-    for x in range(g.dim):
-        cx = cols[x]
-        for y in range(g.dim):
-            img = glnn.bracket_coords(cx, cols[y])
-            expect = g.bracket_basis(x, y)
-            got = to_q_coords(img)
-            if got != expect:
-                raise StructureError(
-                    "structure constants disagree with the block realization at (%s, %s)"
-                    % (g.space.labels[x], g.space.labels[y])
-                )
 
 
 # --------------------------------------------------------- derived pieces
@@ -522,6 +456,9 @@ def build_sl(gl: LieSuperAlgebra) -> Subspace:
 
 # ------------------------------------------------------------ homomorphisms
 
+MAX_FAILURES = 20  # bracket failure messages kept; bracket_preserving sees every pair
+
+
 class VerifiedHomomorphism:
     """A graded linear map between Lie superalgebras with recomputed flags."""
 
@@ -543,7 +480,7 @@ class VerifiedHomomorphism:
             vec_add_scaled(out, self.columns[i], v)
         return out
 
-    def verify(self, max_failures=20):
+    def verify(self):
         src, tgt = self.source, self.target
         self.failures = []
         ok_par = True
@@ -568,7 +505,7 @@ class VerifiedHomomorphism:
                 rhs = tgt.bracket_coords(ci, self.columns[j])
                 if lhs != rhs:
                     ok_br = False
-                    if len(self.failures) < max_failures:
+                    if len(self.failures) < MAX_FAILURES:
                         self.failures.append(
                             "bracket not preserved on (%s, %s)"
                             % (src.space.labels[i], src.space.labels[j])

@@ -354,7 +354,7 @@ class QuotientSpace:
         return "<QuotientSpace %s>" % (self.graded_dim,)
 
 
-def kernel(rows, domain: GradedSpace, field=None) -> Subspace:
+def kernel(rows, domain: GradedSpace, field) -> Subspace:
     """Null space {v : M v = 0} as a canonical subspace of the domain.
 
     rows are the rows of M as vectors on the domain's coordinates; the
@@ -365,14 +365,7 @@ def kernel(rows, domain: GradedSpace, field=None) -> Subspace:
         if row:
             ech.insert(row)
     reduced = ech.rref_rows()
-    if field is not None:
-        one = field.one
-    else:
-        # reduced rows are monic, so a pivot entry is the unit of their field
-        one = 1
-        for row in reduced:
-            one = row[min(row)]
-            break
+    one = field.one
     # free column f -> [(pivot column, entry)] over the rows, in pivot order
     free_entries = {}
     pivot_set = set()

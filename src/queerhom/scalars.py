@@ -5,8 +5,9 @@ whenever it is integral and becomes a ``fractions.Fraction`` only when a
 division gives a non-integer.  Arithmetic may still leave an integral
 ``Fraction``, which is harmless for results because ``Fraction(3, 1) == 3``,
 their hashes agree and ``str`` prints both as ``3``.  Only the rows an
-echelon stores are normalized, with :func:`as_int_if_integral`, because
-every later reduction reads them and ``int`` arithmetic is the fast path.
+echelon stores are normalized, with :func:`as_int_if_integral` (over Q(i)
+part by part), because every later reduction reads them and ``int``
+arithmetic is the fast path.
 :class:`GaussianRational` holds two such rationals for Q(i), and
 :class:`ModP` residues serve odd prime fields.  A :class:`Field` object
 interprets, parses and formats values; arithmetic goes through the ordinary
@@ -47,9 +48,13 @@ def inverse(x):
 
 
 def as_int_if_integral(x):
-    """An integral Fraction as its int; every other value unchanged."""
-    if type(x) is Fraction and x.denominator == 1:
-        return x.numerator
+    """An integral Fraction as its int, and a Q(i) value with each integral
+    Fraction part as an int; every other value unchanged."""
+    t = type(x)
+    if t is Fraction:
+        return x.numerator if x.denominator == 1 else x
+    if t is GaussianRational:
+        return GaussianRational(as_int_if_integral(x.re), as_int_if_integral(x.im))
     return x
 
 

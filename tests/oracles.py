@@ -4,7 +4,8 @@ The program never calls these.  They are the independent or brute-force
 second routes the tests compare it against: the full Chevalley-Eilenberg
 matrices, a standalone sparse-matrix rref, the Lie axioms on basis tuples,
 the center by a kernel, the supercommutator algebra of an associative
-algebra, and the cyclic side of the psq formula.
+algebra, the q_n(R) formula table by a full index scan, and the cyclic side
+of the psq formula.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ from fractions import Fraction
 from math import comb
 
 from queerhom.algebras import SuperAlgebra
+from queerhom.chevalley import lam3_dim_formula
 from queerhom.cyclic import hc1
 from queerhom.lie import LieSuperAlgebra, StructureError
 from queerhom.linalg import Echelon, GradedDim, Subspace, kernel, vec_add_scaled
@@ -122,7 +124,89 @@ def d3_matrix(cx) -> SparseMatrix:
     for k, t in enumerate(iter_lam3(cx)):
         for r, v in cx.d3_column(t).items():
             entries[(r, k)] = v
-    return SparseMatrix(cx.lam2.dim, cx.lam3_dim, entries)
+    return SparseMatrix(cx.lam2.dim, lam3_dim_formula(cx.g.space.graded_dim), entries)
+
+
+# ------------------------------------------------------- queer formulas
+
+def q_formula_brackets_full_scan(n: int, R: SuperAlgebra, qi) -> dict:
+    """The q_n(R) formula table by a scan of every (i, j, a, k, l, b).
+
+    Reference for lie._q_formula_brackets, which must give the same table,
+    key order included.
+    """
+    dR = R.dim
+    rpar = R.space.parities
+    brackets = {}
+
+    def put(tbl, key, val):
+        cur = tbl.get(key)
+        if cur is None:
+            tbl[key] = val
+        else:
+            nv = cur + val
+            if nv:
+                tbl[key] = nv
+            else:
+                del tbl[key]
+
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for a in range(dR):
+                for k in range(1, n + 1):
+                    for l in range(1, n + 1):
+                        for b in range(dR):
+                            ab = R.products.get((a, b), {})
+                            ba = R.products.get((b, a), {})
+                            s_ab = -1 if (rpar[a] and rpar[b]) else 1
+                            # [u,u] -> u
+                            out = {}
+                            if j == k:
+                                for t, c in ab.items():
+                                    put(out, qi.u(i, l, t), c)
+                            if i == l:
+                                for t, c in ba.items():
+                                    put(out, qi.u(k, j, t), -c if s_ab > 0 else c)
+                            if out:
+                                brackets[(qi.u(i, j, a), qi.u(k, l, b))] = out
+                            # [u,w] -> w
+                            out = {}
+                            if j == k:
+                                for t, c in ab.items():
+                                    put(out, qi.w(i, l, t), c)
+                            if i == l:
+                                for t, c in ba.items():
+                                    put(out, qi.w(k, j, t), -c if s_ab > 0 else c)
+                            if out:
+                                brackets[(qi.u(i, j, a), qi.w(k, l, b))] = out
+                            # [w,w] -> (-1)^{|b|} (delta_jk u_il(ab) + (-1)^{|a||b|} delta_il u_kj(ba))
+                            out = {}
+                            lead = -1 if rpar[b] else 1
+                            if j == k:
+                                for t, c in ab.items():
+                                    put(out, qi.u(i, l, t), c if lead > 0 else -c)
+                            if i == l:
+                                sgn = lead * s_ab
+                                for t, c in ba.items():
+                                    put(out, qi.u(k, j, t), c if sgn > 0 else -c)
+                            if out:
+                                brackets[(qi.w(i, j, a), qi.w(k, l, b))] = out
+    # [w,u] from super antisymmetry
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            for a in range(dR):
+                pu = rpar[a]
+                for k in range(1, n + 1):
+                    for l in range(1, n + 1):
+                        for b in range(dR):
+                            pw = (rpar[b] + 1) % 2
+                            tbl = brackets.get((qi.u(i, j, a), qi.w(k, l, b)))
+                            if not tbl:
+                                continue
+                            sgn = -1 if (pu and pw) else 1
+                            flipped = {t: (v if sgn < 0 else -v) for t, v in tbl.items()}
+                            brackets[(qi.w(k, l, b), qi.u(i, j, a))] = flipped
+    return brackets
 
 
 # ------------------------------------------------------- Lie structure

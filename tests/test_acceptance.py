@@ -168,7 +168,7 @@ KAHLER_EXPECT = [
 
 @pytest.mark.parametrize("tag,expect", KAHLER_EXPECT, ids=[t for t, _ in KAHLER_EXPECT])
 def test_cyclic_matches_differential_forms(tag, expect, capsys):
-    assert kahler_hc1_oracle(tag) == expect
+    assert kahler_hc1_oracle(tag, QQ) == expect
     code = main(["kahler-oracle", "--algebra", "builtin:%s" % tag])
     assert code == 0, capsys.readouterr().out
 

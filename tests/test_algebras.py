@@ -45,7 +45,7 @@ ALL_TAGS = [
 def test_builtins_validate(tag):
     R = build_builtin(tag, QQ)
     rep = validate(R)
-    assert rep.ok, rep.summary()
+    assert rep.ok, rep.summary(20)
 
 
 def test_builtin_registry_is_complete():

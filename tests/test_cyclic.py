@@ -132,6 +132,10 @@ def test_hc1_of_grassmann_line_is_spanned_by_lam_x_x():
 # ------------------------------------------------------------ relation rows
 
 
+def failed_rows(rep):
+    return [r for r in rep.rows if not r.ok]
+
+
 @pytest.mark.parametrize(
     "tag,n_rows",
     [("base-field", 4), ("truncated-poly(2)", 14), ("matrix(2)", 52)],
@@ -140,14 +144,14 @@ def test_hc1_of_grassmann_line_is_spanned_by_lam_x_x():
 def test_relation_rows_all_pass_without_odd_coordinates(tag, n_rows):
     rep = check_h_relations(build_builtin(tag, QQ))
     assert len(rep.rows) == n_rows
-    assert rep.ok
-    assert rep.failures() == []
+    assert all(r.ok for r in rep.rows)
+    assert failed_rows(rep) == []
 
 
 def test_relation_rows_on_grassmann_line_fail_only_on_nu_pairs():
     rep = check_h_relations(G1)
-    assert not rep.ok
-    fails = rep.failures()
+    assert not all(r.ok for r in rep.rows)
+    fails = failed_rows(rep)
     assert len(fails) == 2
     assert all(r.check == "odd-pair-vanishes[nu]" for r in fails)
     by_inputs = {r.inputs: r.note for r in fails}
@@ -161,7 +165,7 @@ def test_relation_rows_on_grassmann_line_fail_only_on_nu_pairs():
 
 def test_relation_rows_on_grassmann_plane_fail_only_on_nu_pairs():
     rep = check_h_relations(build_builtin("grassmann(2)", QQ))
-    fails = rep.failures()
+    fails = failed_rows(rep)
     assert len(fails) == 6
     assert all(r.check == "odd-pair-vanishes[nu]" for r in fails)
 
@@ -210,6 +214,22 @@ def test_nu_pair_reduction_with_explicit_signs_always_holds(tag):
 # ------------------------------------------------------------ the odd shift
 
 
+SHIFT_FLAGS = (
+    "psi_kills_relations",
+    "psi_image_in_hc1",
+    "phi_solvable",
+    "phi_well_defined",
+    "phi_image_in_hc1",
+    "mutually_inverse",
+    "parity_flip",
+    "dims_swap",
+)
+
+
+def all_flags_hold(iso):
+    return all(getattr(iso, f) is True for f in SHIFT_FLAGS)
+
+
 SHIFT_TAGS = [
     ("base-field", GradedDim(0, 0)),
     ("grassmann(1)", GradedDim(1, 0)),
@@ -224,8 +244,8 @@ SHIFT_TAGS = [
 @pytest.mark.parametrize("tag,dim_R", SHIFT_TAGS, ids=[t for t, _ in SHIFT_TAGS])
 def test_shift_iso_flags_and_swapped_dims(tag, dim_R):
     R = build_builtin(tag, QQ)
-    iso = build_shift_iso(R)
-    assert iso.ok, iso.failures
+    iso = build_shift_iso(R, hc1(R), hc1(tensor(R, build_q1(QQ))))
+    assert all_flags_hold(iso), iso.failures
     assert iso.hc_R.graded_dim == dim_R
     assert iso.hc_S.graded_dim == GradedDim(dim_R.odd, dim_R.even)
     assert iso.parity_flip is True
@@ -236,6 +256,7 @@ def test_shift_iso_flags_and_swapped_dims(tag, dim_R):
 def test_shift_iso_reuses_supplied_homology():
     R = G1
     h = hc1(R)
-    iso = build_shift_iso(R, hc_R=h)
-    assert iso.hc_R is h
-    assert iso.ok
+    h_S = hc1(tensor(R, build_q1(QQ)))
+    iso = build_shift_iso(R, h, h_S)
+    assert iso.hc_R is h and iso.hc_S is h_S
+    assert all_flags_hold(iso)

@@ -18,7 +18,7 @@ FROZEN = [
 
 @pytest.mark.parametrize("tag,expect", FROZEN, ids=[t for t, _ in FROZEN])
 def test_oracle_frozen_values(tag, expect):
-    assert kahler_hc1_oracle(tag) == expect
+    assert kahler_hc1_oracle(tag, QQ) == expect
 
 
 @pytest.mark.parametrize(
@@ -28,7 +28,7 @@ def test_oracle_frozen_values(tag, expect):
      "monogenic(x^3-1)"],
 )
 def test_oracle_agrees_with_commutator_kernel(tag):
-    assert kahler_hc1_oracle(tag) == hc1(build_builtin(tag, QQ)).graded_dim
+    assert kahler_hc1_oracle(tag, QQ) == hc1(build_builtin(tag, QQ)).graded_dim
 
 
 def test_oracle_agrees_in_degenerate_characteristic():
@@ -44,4 +44,4 @@ def test_oracle_agrees_in_degenerate_characteristic():
 @pytest.mark.parametrize("tag", ["grassmann(1)", "matrix(2)", "q1", "nonsense"])
 def test_oracle_rejects_unsupported_presentations(tag):
     with pytest.raises(ValueError):
-        kahler_hc1_oracle(tag)
+        kahler_hc1_oracle(tag, QQ)

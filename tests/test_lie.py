@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from queerhom import lie
 from queerhom.algebras import (
     build_builtin,
     build_grassmann,
@@ -11,6 +12,7 @@ from queerhom.algebras import (
     build_q1,
     tensor,
 )
+from queerhom.cli import main
 from queerhom.lie import (
     LieSuperAlgebra,
     StructureError,
@@ -30,7 +32,7 @@ from queerhom.lie import (
 from queerhom.linalg import GradedDim
 from queerhom.scalars import QQ, ScalarError, parse_field_flag
 
-from oracles import center, check_lie, lie_from_assoc
+from oracles import center, check_lie, lie_from_assoc, q_formula_brackets_full_scan
 
 QI = parse_field_flag("Qi")
 
@@ -97,6 +99,71 @@ def test_bracket_antisymmetry_on_random_homogeneous_pairs():
         sign = -1 if (px and py) else 1
         flipped = {k: -v if sign > 0 else v for k, v in rhs.items()}
         assert lhs == flipped
+
+
+# ------------------------------------------ formula vs block realization
+
+FORMULA_INPUTS = [
+    (n, tag, field)
+    for field in ("Q", "Qi", "Fp:5")
+    for n, tag in [(1, "grassmann(1)"), (2, "grassmann(1)"), (1, "grassmann(2)"),
+                   (2, "q1"), (2, "matrix(2)"), (3, "base-field")]
+]
+
+
+@pytest.mark.parametrize("n,tag,field", FORMULA_INPUTS)
+def test_q_formula_table_equals_the_full_scan_in_key_order(n, tag, field):
+    R = build_builtin(tag, parse_field_flag(field))
+    qi = lie._QIndex(n, R.dim)
+    got = lie._q_formula_brackets(n, R, qi)
+    want = q_formula_brackets_full_scan(n, R, qi)
+    assert [(k, list(v.items())) for k, v in got.items()] == [
+        (k, list(v.items())) for k, v in want.items()
+    ]
+
+
+def drop_entry(table, qi):
+    del table[(qi.u(1, 2, 0), qi.u(2, 1, 0))]
+
+
+def add_spurious_entry(table, qi):
+    # [u_11(1), u_22(1)] = 0: no matrix units meet
+    table[(qi.u(1, 1, 0), qi.u(2, 2, 0))] = {qi.u(1, 2, 0): QQ.one}
+
+
+def flip_sign(table, qi):
+    tbl = table[(qi.u(1, 2, 0), qi.u(2, 1, 0))]
+    k = next(iter(tbl))
+    tbl[k] = -tbl[k]
+
+
+@pytest.mark.parametrize(
+    "mutate,pair",
+    [
+        (drop_entry, "(u[1,2](1), u[2,1](1))"),
+        (add_spurious_entry, "(u[1,1](1), u[2,2](1))"),
+        (flip_sign, "(u[1,2](1), u[2,1](1))"),
+    ],
+    ids=["dropped", "spurious", "sign-flipped"],
+)
+def test_corrupted_formula_table_fails_the_block_realization(monkeypatch, capsys, mutate, pair):
+    formula = lie._q_formula_brackets
+
+    def corrupted(n, R, qi):
+        table = formula(n, R, qi)
+        mutate(table, qi)
+        return table
+
+    monkeypatch.setattr(lie, "_q_formula_brackets", corrupted)
+    with pytest.raises(StructureError) as err:
+        build_q(2, G1)
+    msg = str(err.value)
+    assert msg.startswith("structure constants disagree with the block realization")
+    assert pair in msg
+    code = main(["iso-queer-gl", "--algebra", "builtin:grassmann(1)", "--n", "2"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "[FAIL] block-table-matches-formula" in out
 
 
 # ---------------------------------------------------------- frozen brackets

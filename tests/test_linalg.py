@@ -283,10 +283,10 @@ def test_augmented_span_scales_int_rows_and_tags_exactly():
     assert span.solve({0: 3, 1: 6}) == {0: Fraction(3, 2)}
 
 
-def test_kernel_without_a_field_takes_an_exact_unit_from_int_entries():
+def test_kernel_over_q_keeps_int_entries_exact():
     space = GradedSpace(["x", "y"], [0, 0])
     m = SparseMatrix.from_rows([{0: 2, 1: 3}], 2)
-    ker = kernel(m.rows_as_dicts(), space)
+    ker = kernel(m.rows_as_dicts(), space, QQ)
     assert list(ker.rows) == [{0: 1, 1: Fraction(-2, 3)}]
     assert all(type(v) in (int, Fraction) for r in ker.rows for v in r.values())
     assert m.apply(ker.rows[0]) == {}

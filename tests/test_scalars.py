@@ -145,8 +145,11 @@ def test_as_int_if_integral_only_turns_integral_fractions_into_ints():
     half = Fraction(1, 2)
     assert as_int_if_integral(half) is half
     f5 = parse_field_flag("Fp:5")
-    for x in (7, f5.from_int(3), GaussianRational(Fraction(2, 1), 0)):
+    for x in (7, f5.from_int(3)):
         assert as_int_if_integral(x) is x
+    z = as_int_if_integral(GaussianRational(Fraction(2, 1), Fraction(-3, 2)))
+    assert z == GaussianRational(2, Fraction(-3, 2))
+    assert type(z.re) is int and type(z.im) is Fraction
 
 
 def test_inverse_keeps_units_as_ints_and_is_exact_elsewhere():
