@@ -6,7 +6,10 @@ by the graded antisymmetry and cyclicity relations
     a(x)b + (-1)^{|a||b|} b(x)a
     (-1)^{|a||c|} ab(x)c + (-1)^{|b||a|} bc(x)a + (-1)^{|c||b|} ca(x)b
 
-over homogeneous basis triples.  lam(a, b) is the class of a(x)b.
+over homogeneous basis triples.  The cyclicity relation r(a,b,c) equals
+r(b,c,a) term by term, signs included, so it is generated once per rotation
+orbit, from the triples with a <= b and a <= c.  lam(a, b) is the class of
+a(x)b.
 HC1(R) is the kernel of the induced map lam(a,b) -> [a,b]; its
 well-definedness on the relation subspace is re-checked every time.
 
@@ -23,7 +26,12 @@ from .lie import StructureError
 
 
 class PairSpace:
-    """R(x)R modulo the graded antisymmetry and cyclicity relations."""
+    """R(x)R modulo the graded antisymmetry and cyclicity relations.
+
+    Each cyclicity relation is invariant under rotating (a, b, c), so only
+    the triples whose first index is smallest are generated; the relation
+    subspace is the one the full d^3 scan spans.
+    """
 
     def __init__(self, R: SuperAlgebra):
         self.R = R
@@ -52,9 +60,9 @@ class PairSpace:
                 if vec:
                     rel.append(vec)
         for a in range(d):
-            for b in range(d):
+            for b in range(a, d):
                 ab = R.products.get((a, b), {})
-                for c in range(d):
+                for c in range(a, d):
                     vec = {}
                     s1 = -one if (par[a] and par[c]) else one
                     for t, v in ab.items():
@@ -175,8 +183,7 @@ class RelationRow:
 
 
 class RelationReport:
-    def __init__(self, R, rows):
-        self.R = R
+    def __init__(self, rows):
         self.rows = rows
 
 
@@ -241,7 +248,7 @@ def check_h_relations(R: SuperAlgebra) -> RelationReport:
                 vec_add_scaled(amb, pair.tensor_vec(elem(anti, 1), unit_nu), -half)
                 residue_row("even-anticommutator-half", (labels[a], labels[b]), amb)
         residue_row("unit-nu", (labels[a], "1"), pair.tensor_vec(elem({a: one}, 0), unit_nu))
-    return RelationReport(R, rows)
+    return RelationReport(rows)
 
 
 # -------------------------------------------------- the odd shift maps
@@ -253,8 +260,7 @@ class OddIsoPair:
     lam(a_i, b_i); psi is the reverse.  All flags are recomputed exactly.
     """
 
-    def __init__(self, R, hc_R: HC1Result, hc_S: HC1Result):
-        self.R = R
+    def __init__(self, hc_R: HC1Result, hc_S: HC1Result):
         self.hc_R = hc_R
         self.hc_S = hc_S
         self.psi_kills_relations = None
@@ -269,13 +275,19 @@ class OddIsoPair:
 
 
 def build_shift_iso(R: SuperAlgebra, hc_R: HC1Result, hc_S: HC1Result) -> OddIsoPair:
-    field = R.field
-    S = tensor(R, build_q1(field))
+    """The odd maps between HC1(R) = hc_R and HC1(S) = hc_S, S = R(x)Q1.
+
+    S is read from hc_S, so it is not built again; ValueError unless
+    dim S = 2 dim R.
+    """
     pair_R = hc_R.pair
     pair_S = hc_S.pair
+    S = pair_S.R
     d = R.dim
-    one = field.one
-    out = OddIsoPair(R, hc_R, hc_S)
+    if S.dim != 2 * d:
+        raise ValueError("HC1 of %s is not over R(x)Q1 for R = %s" % (S.name, R.name))
+    one = R.field.one
+    out = OddIsoPair(hc_R, hc_S)
 
     def h_col(a: int, b: int) -> dict:
         """Class of (a(x)1)(x)(b(x)nu) in <S,S>."""

@@ -14,6 +14,12 @@ construction aborts.  VerifiedHomomorphism.verify is the one place that
 compares a linear map with two bracket tables.  sq_n(R) is characterized as {(A,B) : tr B in [R,R]}
 and must coincide with the derived subalgebra of q_n(R) for n >= 2.
 
+Every bilinear scan visits only the pairs that can have a nonzero bracket.
+_partners reads them off the keys of a bracket table: [x, y] can be nonzero
+only if some (s, t) with s in supp x and t in supp y is a key.  Skipped
+pairs have an empty bracket on every side, so results, failure lists and
+the key order of every table are those of the all-pairs scan.
+
 The super Jacobi convention used throughout:
 (-1)^{|x||z|}[x,[y,z]] + (-1)^{|y||x|}[y,[z,x]] + (-1)^{|z||y|}[z,[x,y]] = 0.
 """
@@ -64,6 +70,35 @@ class LieSuperAlgebra:
         return "<LieSuperAlgebra %s %s>" % (self.name, self.space.graded_dim)
 
 
+def _partners(keys, lefts, rights) -> list:
+    """For each left support, the sorted indices of the right supports it
+    can bracket nontrivially with: some x in the left and y in the right
+    support with (x, y) in keys.  Supports are iterables of coordinates."""
+    holders = {}
+    for j, supp in enumerate(rights):
+        for y in supp:
+            holders.setdefault(y, []).append(j)
+    reach = {}
+    for x, y in keys:
+        js = holders.get(y)
+        if js:
+            reach.setdefault(x, set()).update(js)
+    out = []
+    for supp in lefts:
+        cand = set()
+        for x in supp:
+            cand.update(reach.get(x, ()))
+        out.append(sorted(cand))
+    return out
+
+
+def _product_partners(R: SuperAlgebra) -> list:
+    """For each a, the sorted b with (a, b) or (b, a) a key of R.products."""
+    units = [(a,) for a in range(R.dim)]
+    keys = list(R.products)
+    return _partners(keys + [(b, a) for a, b in keys], units, units)
+
+
 # ------------------------------------------------------------------ gl and q
 
 def build_gl(m: int, n: int, R: SuperAlgebra) -> LieSuperAlgebra:
@@ -92,8 +127,10 @@ def build_gl(m: int, n: int, R: SuperAlgebra) -> LieSuperAlgebra:
     def idx(i, j, r):
         return ((i - 1) * N + (j - 1)) * dR + r
 
-    # [E_ij(a), E_kl(b)] vanishes unless j == k or l == i, so only those
-    # partners are visited, in the same (k, l, b) order as a full scan
+    # [E_ij(a), E_kl(b)] vanishes unless j == k or l == i, and unless ab or
+    # ba is a product key, so only those partners are visited, in the same
+    # (k, l, b) order as a full scan
+    r_partners = _product_partners(R)
     brackets = {}
     for i in range(1, N + 1):
         for j in range(1, N + 1):
@@ -102,7 +139,7 @@ def build_gl(m: int, n: int, R: SuperAlgebra) -> LieSuperAlgebra:
                 x = idx(i, j, a)
                 for k in range(1, N + 1):
                     for l in range(1, N + 1) if k == j else (i,):
-                        for b in range(dR):
+                        for b in r_partners[a]:
                             pb = (pos_par(k) + pos_par(l) + rpar[b]) % 2
                             out = {}
                             if j == k:
@@ -157,10 +194,12 @@ def _q_formula_brackets(n: int, R: SuperAlgebra, qi: _QIndex) -> dict:
     [x_ij(a), y_kl(b)] = s1 d_jk z_il(ab) + s2 d_il z_kj(ba) with (z, s1, s2)
     = (u, 1, -e) for [u,u], (w, 1, -e) for [u,w] and (u, f, fe) for [w,w],
     where e = (-1)^{|a||b|} and f = (-1)^{|b|}.  Only partners with j == k
-    or l == i are visited, in full-scan order; [w,u] comes from [u,w].
+    or l == i, and b with ab or ba a product key, are visited, in full-scan
+    order; [w,u] comes from [u,w].
     """
     dR = R.dim
     rpar = R.space.parities
+    r_partners = _product_partners(R)
     brackets = {}
 
     def put(tbl, key, val):
@@ -180,7 +219,7 @@ def _q_formula_brackets(n: int, R: SuperAlgebra, qi: _QIndex) -> dict:
             for a in range(dR):
                 for k in range(1, n + 1):
                     for l in range(1, n + 1) if k == j else (i,):
-                        for b in range(dR):
+                        for b in r_partners[a]:
                             ab = R.products.get((a, b), {})
                             ba = R.products.get((b, a), {})
                             e = -1 if (rpar[a] and rpar[b]) else 1
@@ -267,17 +306,20 @@ def derived_subalgebra(g: LieSuperAlgebra) -> Subspace:
 
 
 def induced_lie(g: LieSuperAlgebra, sub: Subspace, name="") -> LieSuperAlgebra:
-    """Lie structure on a bracket-closed subspace, in its canonical basis."""
+    """Lie structure on a bracket-closed subspace, in its canonical basis.
+
+    Only the pairs of basis rows that _partners finds in g's table are
+    bracketed; every other pair has an empty bracket.
+    """
     if sub.space != g.space:
         raise ValueError("subspace is not inside the algebra")
     rows = sub.rows
-    dim = len(rows)
     labels = tuple(g.space.labels[pc] for pc in sub.pivot_cols)
     parities = tuple(g.space.parity_of_vec(r) for r in rows)
     space = GradedSpace(labels, parities)
     brackets = {}
-    for a in range(dim):
-        for b in range(dim):
+    for a, partners in enumerate(_partners(g.brackets, rows, rows)):
+        for b in partners:
             vec = g.bracket_coords(rows[a], rows[b])
             if not vec:
                 continue
@@ -481,6 +523,13 @@ class VerifiedHomomorphism:
         return out
 
     def verify(self):
+        """Recompute the four flags, listing failures in (i, j) order.
+
+        The bracket check visits, for each i, the union of e_i's partners
+        in the source table and col_i's partners among the columns in the
+        target table.  Outside that union apply([e_i, e_j]) and
+        [col_i, col_j] are both empty, so the check is exact.
+        """
         src, tgt = self.source, self.target
         self.failures = []
         ok_par = True
@@ -498,9 +547,12 @@ class VerifiedHomomorphism:
                 self.failures.append("image of %s flips parity" % src.space.labels[i])
         self.parity_preserving = ok_par
         ok_br = True
+        units = [(i,) for i in range(src.dim)]
+        src_partners = _partners(src.brackets, units, units)
+        tgt_partners = _partners(tgt.brackets, self.columns, self.columns)
         for i in range(src.dim):
             ci = self.columns[i]
-            for j in range(src.dim):
+            for j in sorted(set(src_partners[i]).union(tgt_partners[i])):
                 lhs = self.apply(src.bracket_basis(i, j))
                 rhs = tgt.bracket_coords(ci, self.columns[j])
                 if lhs != rhs:
@@ -631,22 +683,24 @@ def lie_tensor(g: LieSuperAlgebra, R: SuperAlgebra) -> LieSuperAlgebra:
 def quotient_lie(g: LieSuperAlgebra, ideal: Subspace, name=""):
     """Quotient by a graded ideal; returns the quotient algebra.
 
-    The ideal property [g, ideal] <= ideal is checked exactly first.
-    The returned algebra carries .quotient (the QuotientSpace).
+    The ideal property [g, ideal] <= ideal is checked exactly first, on the
+    basis vectors e_i with some key (i, y), y in the row's support.  The
+    returned algebra carries .quotient (the QuotientSpace).
     """
-    for row in ideal.rows:
-        for i in range(g.dim):
-            out = g.bracket_coords({i: g.field.one}, dict(row))
+    one = g.field.one
+    units = [(i,) for i in range(g.dim)]
+    flipped = ((y, x) for x, y in g.brackets)
+    for row, partners in zip(ideal.rows, _partners(flipped, ideal.rows, units)):
+        for i in partners:
+            out = g.bracket_coords({i: one}, dict(row))
             if out and not ideal.contains(out):
                 raise StructureError("subspace is not an ideal: fails at basis %d" % i)
     quot = QuotientSpace(g.space, ideal)
-    dim = quot.dim
+    sections = [quot.section({a: one}) for a in range(quot.dim)]
     brackets = {}
-    for a in range(dim):
-        va = quot.section({a: g.field.one})
-        for b in range(dim):
-            vb = quot.section({b: g.field.one})
-            out = g.bracket_coords(va, vb)
+    for a, partners in enumerate(_partners(g.brackets, sections, sections)):
+        for b in partners:
+            out = g.bracket_coords(sections[a], sections[b])
             pr = quot.project(out)
             if pr:
                 brackets[(a, b)] = pr

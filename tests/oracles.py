@@ -4,8 +4,10 @@ The program never calls these.  They are the independent or brute-force
 second routes the tests compare it against: the full Chevalley-Eilenberg
 matrices, a standalone sparse-matrix rref, the Lie axioms on basis tuples,
 the center by a kernel, the supercommutator algebra of an associative
-algebra, the q_n(R) formula table by a full index scan, and the cyclic side
-of the psq formula.
+algebra, the q_n(R) formula table by a full index scan, the all-pairs
+bracket scans of VerifiedHomomorphism.verify, induced_lie and quotient_lie,
+the pair-space relations from every triple, and the cyclic side of the psq
+formula.
 """
 from __future__ import annotations
 
@@ -15,8 +17,16 @@ from math import comb
 from queerhom.algebras import SuperAlgebra
 from queerhom.chevalley import lam3_dim_formula
 from queerhom.cyclic import hc1
-from queerhom.lie import LieSuperAlgebra, StructureError
-from queerhom.linalg import Echelon, GradedDim, Subspace, kernel, vec_add_scaled
+from queerhom.lie import MAX_FAILURES, LieSuperAlgebra, StructureError
+from queerhom.linalg import (
+    Echelon,
+    GradedDim,
+    GradingError,
+    QuotientSpace,
+    Subspace,
+    kernel,
+    vec_add_scaled,
+)
 
 
 # ------------------------------------------------------- sparse matrices
@@ -207,6 +217,132 @@ def q_formula_brackets_full_scan(n: int, R: SuperAlgebra, qi) -> dict:
                             flipped = {t: (v if sgn < 0 else -v) for t, v in tbl.items()}
                             brackets[(qi.w(k, l, b), qi.u(i, j, a))] = flipped
     return brackets
+
+
+# ------------------------------------------------ all-pairs bracket scans
+
+def verify_full_scan(source, target, columns) -> dict:
+    """The flags and failure list of VerifiedHomomorphism(source, target,
+    columns), from a bracket comparison on every pair of basis vectors."""
+    columns = [dict(c) for c in columns]
+
+    def apply(vec):
+        out = {}
+        for i, v in vec.items():
+            vec_add_scaled(out, columns[i], v)
+        return out
+
+    failures = []
+    ok_par = True
+    for i, col in enumerate(columns):
+        if not col:
+            continue
+        try:
+            p = target.space.parity_of_vec(col)
+        except GradingError:
+            ok_par = False
+            failures.append("image of %s mixes parities" % source.space.labels[i])
+            continue
+        if p != source.space.parities[i]:
+            ok_par = False
+            failures.append("image of %s flips parity" % source.space.labels[i])
+    ok_br = True
+    for i in range(source.dim):
+        for j in range(source.dim):
+            lhs = apply(source.bracket_basis(i, j))
+            rhs = target.bracket_coords(columns[i], columns[j])
+            if lhs != rhs:
+                ok_br = False
+                if len(failures) < MAX_FAILURES:
+                    failures.append(
+                        "bracket not preserved on (%s, %s)"
+                        % (source.space.labels[i], source.space.labels[j])
+                    )
+    ech = Echelon()
+    for col in columns:
+        if col:
+            ech.insert(dict(col))
+    return {
+        "parity_preserving": ok_par,
+        "bracket_preserving": ok_br,
+        "injective": ech.rank == source.dim,
+        "surjective": ech.rank == target.dim,
+        "failures": failures,
+    }
+
+
+def induced_lie_full_scan(g: LieSuperAlgebra, sub: Subspace) -> dict:
+    """induced_lie's bracket table from every pair of basis rows."""
+    rows = sub.rows
+    brackets = {}
+    for a in range(len(rows)):
+        for b in range(len(rows)):
+            vec = g.bracket_coords(rows[a], rows[b])
+            if not vec:
+                continue
+            coords = sub.coords_of(vec)
+            if coords is None:
+                raise StructureError("subspace is not closed under the bracket")
+            brackets[(a, b)] = coords
+    return brackets
+
+
+def quotient_lie_full_scan(g: LieSuperAlgebra, ideal: Subspace) -> dict:
+    """quotient_lie's ideal check on every basis vector and its bracket
+    table from every pair of quotient basis vectors."""
+    for row in ideal.rows:
+        for i in range(g.dim):
+            out = g.bracket_coords({i: g.field.one}, dict(row))
+            if out and not ideal.contains(out):
+                raise StructureError("subspace is not an ideal: fails at basis %d" % i)
+    quot = QuotientSpace(g.space, ideal)
+    brackets = {}
+    for a in range(quot.dim):
+        va = quot.section({a: g.field.one})
+        for b in range(quot.dim):
+            vb = quot.section({b: g.field.one})
+            pr = quot.project(g.bracket_coords(va, vb))
+            if pr:
+                brackets[(a, b)] = pr
+    return brackets
+
+
+# ------------------------------------------------------- pair relations
+
+def cyclic_relation(R: SuperAlgebra, a: int, b: int, c: int) -> dict:
+    """(-1)^{|a||c|} ab(x)c + (-1)^{|b||a|} bc(x)a + (-1)^{|c||b|} ca(x)b in R(x)R."""
+    d = R.dim
+    par = R.space.parities
+    one = R.field.one
+    vec = {}
+    for (x, y), z, s in (((a, b), c, par[a] and par[c]),
+                         ((b, c), a, par[b] and par[a]),
+                         ((c, a), b, par[c] and par[b])):
+        for t, v in R.products.get((x, y), {}).items():
+            vec_add_scaled(vec, {t * d + z: v}, -one if s else one)
+    return vec
+
+
+def pair_relations_full_scan(R: SuperAlgebra, space) -> Subspace:
+    """The relation subspace of <R,R> from antisymmetry on every pair and
+    cyclicity on every triple (a, b, c), all d^3 of them."""
+    d = R.dim
+    par = R.space.parities
+    one = R.field.one
+    rel = []
+    for a in range(d):
+        for b in range(a, d):
+            vec = {a * d + b: one}
+            vec_add_scaled(vec, {b * d + a: one}, -one if (par[a] and par[b]) else one)
+            if vec:
+                rel.append(vec)
+    for a in range(d):
+        for b in range(d):
+            for c in range(d):
+                vec = cyclic_relation(R, a, b, c)
+                if vec:
+                    rel.append(vec)
+    return Subspace.from_vectors(space, rel)
 
 
 # ------------------------------------------------------- Lie structure

@@ -12,7 +12,9 @@ from queerhom.cyclic import (
     hc1,
 )
 from queerhom.linalg import GradedDim, vec_add_scaled
-from queerhom.scalars import QQ
+from queerhom.scalars import QQ, parse_field_flag
+
+from oracles import cyclic_relation, pair_relations_full_scan
 
 G1 = build_grassmann(QQ, 1)
 
@@ -37,6 +39,34 @@ HC1_TABLE = [
 def test_pair_space_quotient_dims(tag, _, quot_dim):
     pair = PairSpace(build_builtin(tag, QQ))
     assert pair.quot.dim == quot_dim
+
+
+def _with_tensor(tag, field):
+    R = build_builtin(tag, field)
+    return R, tensor(R, build_q1(field))
+
+
+def _typed(rows):
+    return [[(k, type(v), v) for k, v in row.items()] for row in rows]
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:3"])
+@pytest.mark.parametrize("tag", [t for t, _, _ in HC1_TABLE])
+def test_relation_subspace_equals_the_full_triple_scan(tag, field):
+    for A in _with_tensor(tag, parse_field_flag(field)):
+        pair = PairSpace(A)
+        want = pair_relations_full_scan(A, pair.space)
+        assert _typed(pair.relations.rows) == _typed(want.rows)
+
+
+@pytest.mark.parametrize("tag", [t for t, _, _ in HC1_TABLE])
+def test_cyclic_relation_is_rotation_invariant(tag):
+    for A in _with_tensor(tag, QQ):
+        d = A.dim
+        for a in range(d):
+            for b in range(d):
+                for c in range(d):
+                    assert cyclic_relation(A, a, b, c) == cyclic_relation(A, b, c, a)
 
 
 def test_lambda_classes_on_grassmann_line():
@@ -260,3 +290,9 @@ def test_shift_iso_reuses_supplied_homology():
     iso = build_shift_iso(R, h, h_S)
     assert iso.hc_R is h and iso.hc_S is h_S
     assert all_flags_hold(iso)
+
+
+def test_shift_iso_rejects_homology_not_over_the_tensor_algebra():
+    h = hc1(G1)
+    with pytest.raises(ValueError):
+        build_shift_iso(G1, h, h)

@@ -17,9 +17,12 @@ from queerhom.lie import (
     LieSuperAlgebra,
     StructureError,
     VerifiedHomomorphism,
+    build_block_lie,
     build_gl,
+    build_psq_lie,
     build_q,
     build_sl,
+    build_sq_lie,
     build_sq_by_characterization,
     derived_subalgebra,
     induced_lie,
@@ -29,10 +32,18 @@ from queerhom.lie import (
     lie_tensor,
     quotient_lie,
 )
-from queerhom.linalg import GradedDim
+from queerhom.linalg import GradedDim, GradedSpace, Subspace
 from queerhom.scalars import QQ, ScalarError, parse_field_flag
 
-from oracles import center, check_lie, lie_from_assoc, q_formula_brackets_full_scan
+from oracles import (
+    center,
+    check_lie,
+    induced_lie_full_scan,
+    lie_from_assoc,
+    q_formula_brackets_full_scan,
+    quotient_lie_full_scan,
+    verify_full_scan,
+)
 
 QI = parse_field_flag("Qi")
 
@@ -225,7 +236,9 @@ def _full_scan_gl_brackets(m, n, R):
 
 @pytest.mark.parametrize("flag", ["Q", "Qi"])
 @pytest.mark.parametrize(
-    "m,n,tag", [(2, 0, "grassmann(1)"), (1, 1, "grassmann(2)"), (2, 1, "matrix(2)")]
+    "m,n,tag",
+    [(2, 0, "grassmann(1)"), (1, 1, "grassmann(2)"), (2, 1, "matrix(2)"),
+     (1, 1, "square-zero-plane")],
 )
 def test_gl_brackets_match_the_full_pair_scan(m, n, tag, flag):
     R = build_builtin(tag, parse_field_flag(flag))
@@ -351,8 +364,6 @@ def test_quotient_by_center_gives_psq3():
 def test_quotient_rejects_non_ideal():
     g = build_q(2, BASE)
     qi = g.qindex
-    from queerhom.linalg import Subspace
-
     line = Subspace.from_vectors(g.space, [{qi.u(1, 2, 0): QQ.one}])
     with pytest.raises(StructureError):
         quotient_lie(g, line)
@@ -416,6 +427,126 @@ def test_verified_homomorphism_flags_corrupted_column():
     assert not bad.bracket_preserving
     assert bad.failures
     assert not bad.is_isomorphism
+
+
+def _flags(hom):
+    names = ("parity_preserving", "bracket_preserving", "injective", "surjective")
+    out = {k: getattr(hom, k) for k in names}
+    out["failures"] = hom.failures
+    return out
+
+
+def _scaled(cols, src):
+    # column x of a bracket [e_x, e_y] whose value has no e_x term, times 2:
+    # the source table is untouched, only the target side goes wrong
+    x = next(x for (x, y), tbl in src.brackets.items() if x != y and x not in tbl)
+    cols[x] = {k: v + v for k, v in cols[x].items()}
+    return cols
+
+
+def _moved(cols, src):
+    # column x takes the image of another basis vector of its parity, so
+    # the supports and with them the target-side partners change
+    par = src.space.parities
+    x = next(x for x, _ in src.brackets)
+    y = next(y for y in range(src.dim) if y != x and par[y] == par[x] and cols[y] != cols[x])
+    cols[x] = dict(cols[y])
+    return cols
+
+
+def _dropped(cols, src):
+    x = next(x for x, _ in src.brackets)
+    cols[x] = {}
+    return cols
+
+
+HOM_INPUTS = [
+    (builder, field, n, tag)
+    for builder in ("build_q", "iso_q_to_gl", "iso_qQ1_to_glnn")
+    for field in ("Q", "Qi", "Fp:5")
+    for n, tag in [(2, "grassmann(1)"), (1, "matrix(2)")]
+    if not (builder == "iso_qQ1_to_glnn" and field == "Q")  # Q has no sqrt(-1)
+]
+
+
+@pytest.mark.parametrize("builder,field,n,tag", HOM_INPUTS)
+def test_verify_matches_the_all_pairs_scan(monkeypatch, builder, field, n, tag):
+    made = []
+
+    class Recording(VerifiedHomomorphism):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(lie, "VerifiedHomomorphism", Recording)
+    R = build_builtin(tag, parse_field_flag(field))
+    getattr(lie, builder)(n, R)
+    assert made
+    for hom in made:
+        src, tgt = hom.source, hom.target
+        assert _flags(hom) == verify_full_scan(src, tgt, hom.columns)
+        for corrupt in (_scaled, _moved, _dropped):
+            cols = corrupt([dict(c) for c in hom.columns], src)
+            bad = VerifiedHomomorphism(src, tgt, cols)
+            assert not bad.bracket_preserving
+            assert _flags(bad) == verify_full_scan(src, tgt, cols)
+
+
+def _typed_table(brackets):
+    return [(k, [(t, type(c), c) for t, c in v.items()]) for k, v in brackets.items()]
+
+
+TABLE_INPUTS = [
+    (field, n, tag)
+    for field in ("Q", "Qi", "Fp:5")
+    for n, tag in [(2, "grassmann(1)"), (3, "grassmann(1)"), (2, "grassmann(2)"),
+                   (3, "base-field")]
+]
+
+
+@pytest.mark.parametrize("field,n,tag", TABLE_INPUTS)
+def test_sq_and_psq_tables_equal_the_all_pairs_scan(field, n, tag):
+    R = build_builtin(tag, parse_field_flag(field))
+    psq = build_psq_lie(n, R)
+    sq = psq.ambient
+    want = induced_lie_full_scan(sq.ambient, sq.subspace)
+    assert _typed_table(sq.brackets) == _typed_table(want)
+    want = quotient_lie_full_scan(sq, psq.quotient.sub)
+    assert _typed_table(psq.brackets) == _typed_table(want)
+
+
+@pytest.mark.parametrize("field,n,tag", [t for t in TABLE_INPUTS if t[0] != "Q"])
+def test_block_algebra_table_equals_the_all_pairs_scan(field, n, tag):
+    R = build_builtin(tag, parse_field_flag(field))
+    sl = build_block_lie(iso_qQ1_to_glnn(n, R))
+    want = induced_lie_full_scan(sl.ambient, sl.subspace)
+    assert _typed_table(sl.brackets) == _typed_table(want)
+
+
+def test_non_ideal_and_unclosed_subspace_fail_as_in_the_all_pairs_scan():
+    _, sq = build_sq_lie(2, G1)
+    q = sq.ambient
+    line = Subspace.from_vectors(sq.space, [{3: QQ.one}])
+    with pytest.raises(StructureError) as got:
+        quotient_lie(sq, line)
+    with pytest.raises(StructureError) as want:
+        quotient_lie_full_scan(sq, line)
+    assert str(got.value) == str(want.value)
+    # a table that only has the key (0, 1): the ideal check must find e_0
+    # from the row's support {1}, through the key's right-hand index
+    g = LieSuperAlgebra(QQ, GradedSpace(("a", "b"), (0, 0)), {(0, 1): {0: QQ.one}})
+    line = Subspace.from_vectors(g.space, [{1: QQ.one}])
+    with pytest.raises(StructureError, match="fails at basis 0"):
+        quotient_lie(g, line)
+    with pytest.raises(StructureError, match="fails at basis 0"):
+        quotient_lie_full_scan(g, line)
+    u12 = Subspace.from_vectors(q.space, [{q.qindex.u(1, 2, 0): QQ.one},
+                                          {q.qindex.u(2, 1, 0): QQ.one}])
+    with pytest.raises(StructureError) as got:
+        induced_lie(q, u12)
+    with pytest.raises(StructureError) as want:
+        induced_lie_full_scan(q, u12)
+    assert str(got.value) == str(want.value)
 
 
 def test_verified_homomorphism_zero_map_is_not_surjective():
