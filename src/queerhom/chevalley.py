@@ -8,8 +8,10 @@ The complex is  L3 --d3--> L2 --d2--> g  with the super exterior powers
     d2(x^y)   = [x, y]
     d3(x^y^z) = [x,y]^z - (-1)^{|y||z|}[x,z]^y + (-1)^{|x|(|y|+|z|)}[y,z]^x
 
-with x^y = -(-1)^{|x||y|} y^x.  H2 = ker d2 / im d3 is computed per parity
-block; d2 o d3 = 0 is checked on every streamed d3 column.
+with x^y = -(-1)^{|x||y|} y^x.  H2 = ker d2 / im d3 is computed by one
+elimination for both parities: d2 and d3 preserve parity, so every
+canonical row lies in the parity of its pivot column.  d2 o d3 = 0 is
+checked on every streamed d3 column.
 
 Weight-zero reduction.  ce_h2 takes a torus: even elements h_1..h_r whose
 adjoint action is diagonal on g's basis, checked exactly.  The weight of
@@ -19,12 +21,13 @@ differentials preserve weight, and with e_h(c) = h ^ c the Cartan
 homotopy d e_h + e_h d = ad h holds on chains, so ad h acts as zero on
 homology.  On the weight-w block ad h is the scalar w(h); wherever that
 is nonzero in the field, the block is acyclic.  So H2 is the homology of
-the weight-zero subcomplex, and only that is built.  In characteristic p
-a weight that is nonzero over Z may vanish, which keeps more chains and
-is still exact.  Its H2 basis is the one of the full complex: the
-canonical complement of the image inside the kernel splits by weight,
-and the blocks of nonzero weight contribute nothing.  An empty torus
-gives the full complex.
+the weight-zero subcomplex, and only that is built: CEComplex lists only
+the weight-zero pairs of L2 and streams only the weight-zero triples.  In
+characteristic p a weight that is nonzero over Z may vanish, which keeps
+more chains and is still exact.  Its H2 basis is the one of the full
+complex: the canonical complement of the image inside the kernel splits
+by weight, and the blocks of nonzero weight contribute nothing.  An
+empty torus gives the full complex.
 """
 from __future__ import annotations
 
@@ -41,6 +44,12 @@ class BudgetExceeded(Exception):
         super().__init__("degree-3 chain space dimension %d exceeds budget %d" % (lam3_dim, budget))
         self.lam3_dim = lam3_dim
         self.budget = budget
+
+
+def lam2_dim_formula(gd: GradedDim) -> GradedDim:
+    """Graded dimension of L2 for any g of graded dimension gd."""
+    a, b = gd.even, gd.odd
+    return GradedDim(comb(a, 2) + comb(b + 1, 2), a * b)
 
 
 def lam3_dim_formula(gd: GradedDim) -> int:
@@ -97,13 +106,15 @@ class CEComplex:
         self._third = [
             [ids.get(tuple(-(x + y) for x, y in zip(wa, wb))) for wb in ids] for wa in ids
         ]
-        pair_zero = [[not any(x + y for x, y in zip(wa, wb)) for wb in ids] for wa in ids]
-        wid = self.weight_id
+        # the weight-zero pairs: partner j >= i in the bucket of -w_i
+        neg = [ids.get(tuple(-x for x in w)) for w in ids]
         par = g.space.parities
-        n = g.dim
         pairs = []
-        for i in range(n):
-            for j in range(i, n):
+        for i, a in enumerate(self.weight_id):
+            if neg[a] is None:
+                continue
+            js = self._buckets[neg[a]]
+            for j in js[bisect_left(js, i):]:
                 if i == j and par[i] == 0:
                     continue
                 pairs.append((i, j))
@@ -115,10 +126,10 @@ class CEComplex:
         )
         parities = tuple((par[i] + par[j]) % 2 for (i, j) in pairs)
         self.lam2 = GradedSpace(labels, parities)
-        self.lam2_weight0 = [k for k, (i, j) in enumerate(pairs) if pair_zero[wid[i]][wid[j]]]
 
     def wedge(self, t: int, c: int):
-        """(index, sign) of e_t ^ e_c in the L2 basis, or None if zero."""
+        """(index, sign) of e_t ^ e_c in the L2 basis, or None if zero;
+        KeyError if the pair has nonzero weight."""
         par = self.g.space.parities
         if t == c:
             if par[t] == 0:
@@ -152,10 +163,6 @@ class CEComplex:
                     if j == k and par[j] == 0:
                         continue
                     yield (i, j, k)
-
-    def lam3_parity(self, t) -> int:
-        par = self.g.space.parities
-        return (par[t[0]] + par[t[1]] + par[t[2]]) % 2
 
     def d3_column(self, t) -> dict:
         i, j, k = t
@@ -194,7 +201,8 @@ class CEComplex:
 class H2Result:
     def __init__(self, dims: GradedDim, basis, stats: dict):
         self.dims = dims
-        self.basis = basis  # list of (parity, vector in L2 coordinates)
+        # (parity, vector keyed by L2 pairs (i, j)), even classes first
+        self.basis = basis
         self.stats = stats
 
     def __repr__(self):
@@ -202,12 +210,12 @@ class H2Result:
 
 
 def ce_h2(g: LieSuperAlgebra, budget=None, torus=()) -> H2Result:
-    """H2(g) = ker d2 / im d3 with a canonical cycle basis per parity.
+    """H2(g) = ker d2 / im d3 with a canonical cycle basis, even classes first.
 
     Only the weight-zero subcomplex of `torus` is built (see the module
-    docstring); the basis is in full L2 coordinates either way.  torus is
-    an iterable of coordinate vectors of g, read after the budget check.
-    budget caps the dimension of the full degree-3 chain space;
+    docstring); basis vectors are keyed by L2 pairs (i, j) either way.
+    torus is an iterable of coordinate vectors of g, read after the budget
+    check.  budget caps the dimension of the full degree-3 chain space;
     BudgetExceeded is raised before any work.  d2 o d3 = 0 is asserted
     column by column.
     """
@@ -217,78 +225,69 @@ def ce_h2(g: LieSuperAlgebra, budget=None, torus=()) -> H2Result:
     torus_span = Echelon()
     for h in torus:
         torus_span.insert(h)
-    field = g.field
     stats = {
-        "lam2_dim": cx.lam2.dim,
+        "lam2_dim": sum(lam2_dim_formula(g.space.graded_dim)),
         "lam3_dim": lam3_dim,
-        "lam2_weight0_dim": len(cx.lam2_weight0),
+        "lam2_weight0_dim": cx.lam2.dim,
         "torus_rank": torus_span.rank,
         "algebra_dim": [g.space.graded_dim.even, g.space.graded_dim.odd],
     }
+    # one elimination for both parities; a canonical row's parity is its
+    # pivot column's (see the module docstring)
+    lam2_par = cx.lam2.parities
     timings = {}
-    h2_dims = []
-    basis = []
+    t0 = time.perf_counter()
+    rows = [{} for _ in range(g.dim)]
+    for k in range(cx.lam2.dim):
+        for r, v in cx.d2_column(k).items():
+            rows[r][k] = v
+    ker = kernel(rows, cx.lam2, g.field)
+    timings["kernel_parity01"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    ech = Echelon()
     lam3_weight0_dim = 0
-    for p in (0, 1):
-        t0 = time.perf_counter()
-        cols_p = [k for k in cx.lam2_weight0 if cx.lam2.parities[k] == p]
-        pos_p = {k: c for c, k in enumerate(cols_p)}
-        rows = [{} for _ in range(g.dim)]
-        for c, k in enumerate(cols_p):
-            for r, v in cx.d2_column(k).items():
-                rows[r][c] = v
-        space_p = GradedSpace(
-            tuple(cx.lam2.labels[k] for k in cols_p), tuple(p for _ in cols_p)
-        )
-        ker = kernel(rows, space_p, field)
-        timings["kernel_parity%d" % p] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        ech = Echelon()
-        im_rank = 0
-        for t in cx.iter_lam3_weight0():
-            if cx.lam3_parity(t) != p:
-                continue
-            lam3_weight0_dim += 1
+    for t in cx.iter_lam3_weight0():
+        lam3_weight0_dim += 1
+        try:
             col = cx.d3_column(t)
-            if not col:
-                continue
-            acc = {}
-            for k, v in col.items():
-                vec_add_scaled(acc, cx.d2_column(k), v)
-            if acc:
-                raise AssertionError("d2 o d3 != 0 at triple %r" % (t,))
-            try:
-                col = {pos_p[k]: v for k, v in col.items()}
-            except KeyError:
-                raise AssertionError(
-                    "d3 leaves the weight-zero subcomplex at triple %r" % (t,)
-                ) from None
-            if ech.insert(col):
-                im_rank += 1
-        timings["boundaries_parity%d" % p] = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        residues = []
-        for row in ker.rows:
-            res = ech.reduce(dict(row))
-            if res:
-                residues.append(dict(res))
-                ech.insert(res)
-        rep_ech = Echelon()
-        for res in residues:
-            rep_ech.insert(res)
-        reps = rep_ech.rref_rows()
-        h2_dims.append(len(reps))
-        if len(reps) != ker.dim - im_rank:
+        except KeyError:  # a wedge with no weight-zero pair
             raise AssertionError(
-                "rank bookkeeping broke: %d homology classes vs kernel %d minus image %d"
-                % (len(reps), ker.dim, im_rank)
-            )
-        stats["ker_rank_parity%d" % p] = ker.dim
-        stats["im_rank_parity%d" % p] = im_rank
-        for rep in reps:
-            basis.append((p, {cols_p[c]: v for c, v in rep.items()}))
-        timings["quotient_parity%d" % p] = time.perf_counter() - t0
-    dims = GradedDim(h2_dims[0], h2_dims[1])
+                "d3 leaves the weight-zero subcomplex at triple %r" % (t,)
+            ) from None
+        if not col:
+            continue
+        acc = {}
+        for k, v in col.items():
+            vec_add_scaled(acc, cx.d2_column(k), v)
+        if acc:
+            raise AssertionError("d2 o d3 != 0 at triple %r" % (t,))
+        ech.insert(col)
+    odd = sum(lam2_par[c] for c in ech.pivots)
+    im = GradedDim(ech.rank - odd, odd)
+    timings["boundaries_parity01"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    rep_ech = Echelon()
+    for row in ker.rows:
+        res = ech.reduce(row)
+        if res:
+            ech.insert(res)
+            rep_ech.insert(res)
+    # L2 is ordered L²g0, g0(x)g1, S²g1, so the parities interleave; the
+    # stable sort lists the even classes first, each parity in pivot order
+    reps = sorted(rep_ech.rref_rows(), key=lambda rep: lam2_par[min(rep)])
+    basis = [(lam2_par[min(rep)], {cx.pairs[c]: v for c, v in rep.items()}) for rep in reps]
+    odd = sum(p for p, _ in basis)
+    dims = GradedDim(len(basis) - odd, odd)
+    kd = ker.graded_dim
+    if dims != GradedDim(kd.even - im.even, kd.odd - im.odd):
+        raise AssertionError(
+            "rank bookkeeping broke: %s homology classes vs kernel %s minus image %s"
+            % (dims, kd, im)
+        )
+    timings["quotient_parity01"] = time.perf_counter() - t0
+    for p in (0, 1):
+        stats["ker_rank_parity%d" % p] = kd[p]
+        stats["im_rank_parity%d" % p] = im[p]
     stats["lam3_weight0_dim"] = lam3_weight0_dim
     stats["h2"] = [dims.even, dims.odd]
     stats["timings"] = timings

@@ -182,13 +182,9 @@ class RelationRow:
         self.note = note
 
 
-class RelationReport:
-    def __init__(self, rows):
-        self.rows = rows
-
-
-def check_h_relations(R: SuperAlgebra) -> RelationReport:
-    """Mixing identities for h on S = R(x)Q1, each reduced to canonical form.
+def check_h_relations(R: SuperAlgebra) -> list:
+    """Mixing identities for h on S = R(x)Q1, each reduced to canonical form;
+    one RelationRow per identity.
 
     Row families, over homogeneous basis elements a, b of R:
       swap-odd                h(a(x)1, b(x)nu) + (-1)^{|a||b|} h(b(x)1, a(x)nu) = 0
@@ -248,7 +244,7 @@ def check_h_relations(R: SuperAlgebra) -> RelationReport:
                 vec_add_scaled(amb, pair.tensor_vec(elem(anti, 1), unit_nu), -half)
                 residue_row("even-anticommutator-half", (labels[a], labels[b]), amb)
         residue_row("unit-nu", (labels[a], "1"), pair.tensor_vec(elem({a: one}, 0), unit_nu))
-    return RelationReport(rows)
+    return rows
 
 
 # -------------------------------------------------- the odd shift maps

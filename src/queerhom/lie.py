@@ -651,10 +651,13 @@ def lie_tensor(g: LieSuperAlgebra, R: SuperAlgebra) -> LieSuperAlgebra:
             labels.append("%s⊗%s" % (g.space.labels[i], R.space.labels[a]))
             parities.append((g.space.parities[i] + R.space.parities[a]) % 2)
     space = GradedSpace(labels, parities)
+    # only b with (a, b) a product key can contribute; the partner lists are
+    # increasing, so the key order is that of a full (a, b) scan
+    r_partners = _product_partners(R)
     brackets = {}
     for (i, j), tbl in g.brackets.items():
         for a in range(dR):
-            for b in range(dR):
+            for b in r_partners[a]:
                 ab = R.products.get((a, b))
                 if not ab:
                     continue

@@ -233,8 +233,7 @@ def scenario_qtogl_sqrt_minus_one(opts: ScenarioOptions) -> Report:
 def scenario_pair_relations(opts: ScenarioOptions) -> Report:
     R, _ = resolve_algebra(opts)
     report = Report("pair-relations", _inputs(opts, R, with_n=False))
-    rel = check_h_relations(R)
-    for row in rel.rows:
+    for row in check_h_relations(R):
         report.add_cmp(
             "%s(%s)" % (row.check, ",".join(row.inputs)),
             "0",

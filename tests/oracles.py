@@ -1,21 +1,21 @@
 """Reference routes that only the tests use.
 
 The program never calls these.  They are the independent or brute-force
-second routes the tests compare it against: the full Chevalley-Eilenberg
-matrices, a standalone sparse-matrix rref, the Lie axioms on basis tuples,
-the center by a kernel, the supercommutator algebra of an associative
-algebra, the q_n(R) formula table by a full index scan, the all-pairs
-bracket scans of VerifiedHomomorphism.verify, induced_lie and quotient_lie,
-the pair-space relations from every triple, and the cyclic side of the psq
-formula.
+second routes the tests compare it against: the full L2 pair list and
+Chevalley-Eilenberg matrices, a standalone sparse-matrix rref, the Lie
+axioms on basis tuples, the center by a kernel, the supercommutator
+algebra of an associative algebra, the q_n(R) formula table by a full
+index scan, the all-pairs bracket scans of VerifiedHomomorphism.verify,
+induced_lie and quotient_lie, the pair-space relations from every triple,
+and the cyclic side of the psq formula.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from queerhom.algebras import SuperAlgebra
-from queerhom.chevalley import lam3_dim_formula
+# lam2_dim_formula is imported for the tests that read it from here
+from queerhom.chevalley import lam2_dim_formula, lam3_dim_formula
 from queerhom.cyclic import hc1
 from queerhom.lie import MAX_FAILURES, LieSuperAlgebra, StructureError
 from queerhom.linalg import (
@@ -101,10 +101,15 @@ def rref(m: SparseMatrix):
 
 # ------------------------------------------- the full exterior complex
 
-def lam2_dim_formula(gd: GradedDim) -> GradedDim:
-    """Graded dimension of L2 for any g of graded dimension gd."""
-    a, b = gd.even, gd.odd
-    return GradedDim(comb(a, 2) + comb(b + 1, 2), a * b)
+def lam2_pairs(g: LieSuperAlgebra) -> list:
+    """Every pair (i, j) of L2 of g, i <= j, i = j only odd, in the order
+    (|i| + |j|, i, j) of CEComplex's basis."""
+    par = g.space.parities
+    pairs = [
+        (i, j) for i in range(g.dim) for j in range(i, g.dim) if i != j or par[i]
+    ]
+    pairs.sort(key=lambda t: (par[t[0]] + par[t[1]], t))
+    return pairs
 
 
 def iter_lam3(cx):

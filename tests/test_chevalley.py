@@ -27,7 +27,7 @@ from queerhom.lie import (
 from queerhom.linalg import GradedDim, GradedSpace, vec_add_scaled
 from queerhom.scalars import QQ, parse_field_flag
 
-from oracles import d2_matrix, d3_matrix, iter_lam3, lam2_dim_formula
+from oracles import d2_matrix, d3_matrix, iter_lam3, lam2_dim_formula, lam2_pairs
 
 BASE = build_builtin("base-field", QQ)
 G1 = build_grassmann(QQ, 1)
@@ -55,6 +55,7 @@ def abelian(even, odd):
 def test_lam2_formula_matches_enumerated_basis(g):
     cx = CEComplex(g)
     assert cx.lam2.graded_dim == lam2_dim_formula(g.space.graded_dim)
+    assert cx.pairs == lam2_pairs(g)  # an empty torus gives all of L2
 
 
 @pytest.mark.parametrize(
@@ -198,7 +199,7 @@ def test_stats_account_for_kernel_minus_image():
     assert s["ker_rank_parity0"] - s["im_rank_parity0"] == r.dims.even
     assert s["ker_rank_parity1"] - s["im_rank_parity1"] == r.dims.odd
     assert s["h2"] == [r.dims.even, r.dims.odd]
-    for key in ("kernel_parity0", "boundaries_parity0", "quotient_parity1"):
+    for key in ("kernel_parity01", "boundaries_parity01", "quotient_parity01"):
         assert key in s["timings"]
 
 
@@ -208,10 +209,11 @@ def test_basis_vectors_are_homogeneous_cycles():
     cx = CEComplex(g)
     d2 = d2_matrix(cx)
     assert len(r.basis) == r.dims.even + r.dims.odd
+    assert [p for p, _ in r.basis] == [0] * r.dims.even + [1] * r.dims.odd
     for p, vec in r.basis:
         assert vec
-        assert all(cx.lam2.parities[k] == p for k in vec)
-        assert d2.apply(vec) == {}
+        assert all(cx.lam2.parities[cx.pair_pos[t]] == p for t in vec)
+        assert d2.apply({cx.pair_pos[t]: v for t, v in vec.items()}) == {}
 
 
 # ------------------------------------------------- weight-zero subcomplex
@@ -277,8 +279,7 @@ def test_empty_torus_streams_every_triple_in_order(monkeypatch):
 
     monkeypatch.setattr(CEComplex, "d3_column", recording)
     ce_h2(g)
-    want = [t for p in (0, 1) for t in iter_lam3(cx) if cx.lam3_parity(t) == p]
-    assert streamed == want
+    assert streamed == list(iter_lam3(cx))
 
 
 @pytest.mark.parametrize("field", ["Q", "Fp:3"])
@@ -292,9 +293,23 @@ def test_weight_zero_triples_are_the_filtered_full_list(field):
 
     want = [t for t in iter_lam3(cx) if weight(t) == zero]
     assert list(cx.iter_lam3_weight0()) == want
-    assert cx.lam2_weight0 == [
-        k for k, t in enumerate(cx.pairs) if weight(t) == zero
-    ]
+    assert cx.pairs == [t for t in lam2_pairs(sq) if weight(t) == zero]
+
+
+def test_d3_leaving_the_weight_zero_subcomplex_is_caught():
+    # h, x, y, w, z even; h has weights x:1, w:-1, y:0, z:0, but [x, y] = z
+    # breaks the weight, so d3(x^y^w) = z^w lands on a pair of weight -1
+    one = QQ.one
+    space = GradedSpace(("h", "x", "y", "w", "z"), (0, 0, 0, 0, 0))
+    brackets = {
+        (0, 1): {1: one}, (1, 0): {1: -one},
+        (0, 3): {3: -one}, (3, 0): {3: one},
+        (1, 2): {4: one}, (2, 1): {4: -one},
+    }
+    g = LieSuperAlgebra(QQ, space, brackets)
+    msg = r"d3 leaves the weight-zero subcomplex at triple \(1, 2, 3\)"
+    with pytest.raises(AssertionError, match=msg):
+        ce_h2(g, torus=[{0: one}])
 
 
 def test_qi_echelon_rows_hold_int_parts_where_integral(monkeypatch):

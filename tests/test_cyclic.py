@@ -162,8 +162,8 @@ def test_hc1_of_grassmann_line_is_spanned_by_lam_x_x():
 # ------------------------------------------------------------ relation rows
 
 
-def failed_rows(rep):
-    return [r for r in rep.rows if not r.ok]
+def failed_rows(rows):
+    return [r for r in rows if not r.ok]
 
 
 @pytest.mark.parametrize(
@@ -172,30 +172,29 @@ def failed_rows(rep):
     ids=["base", "tp2", "mat2"],
 )
 def test_relation_rows_all_pass_without_odd_coordinates(tag, n_rows):
-    rep = check_h_relations(build_builtin(tag, QQ))
-    assert len(rep.rows) == n_rows
-    assert all(r.ok for r in rep.rows)
-    assert failed_rows(rep) == []
+    rows = check_h_relations(build_builtin(tag, QQ))
+    assert len(rows) == n_rows
+    assert all(r.ok for r in rows)
+    assert failed_rows(rows) == []
 
 
 def test_relation_rows_on_grassmann_line_fail_only_on_nu_pairs():
-    rep = check_h_relations(G1)
-    assert not all(r.ok for r in rep.rows)
-    fails = failed_rows(rep)
+    rows = check_h_relations(G1)
+    assert not all(r.ok for r in rows)
+    fails = failed_rows(rows)
     assert len(fails) == 2
     assert all(r.check == "odd-pair-vanishes[nu]" for r in fails)
     by_inputs = {r.inputs: r.note for r in fails}
     assert by_inputs[("1", "x1")] == "residue -1*x1⊗nu⊗1⊗nu"
     assert by_inputs[("x1", "1")] == "residue 1*x1⊗nu⊗1⊗nu"
     # every other row family is clean
-    for r in rep.rows:
+    for r in rows:
         if r.check != "odd-pair-vanishes[nu]":
             assert r.ok, (r.check, r.inputs, r.note)
 
 
 def test_relation_rows_on_grassmann_plane_fail_only_on_nu_pairs():
-    rep = check_h_relations(build_builtin("grassmann(2)", QQ))
-    fails = failed_rows(rep)
+    fails = failed_rows(check_h_relations(build_builtin("grassmann(2)", QQ)))
     assert len(fails) == 6
     assert all(r.check == "odd-pair-vanishes[nu]" for r in fails)
 
