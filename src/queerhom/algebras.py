@@ -2,15 +2,23 @@
 
 An algebra is a graded basis, a unit vector and a sparse product table
 products[(i, j)] = coordinates of e_i e_j.  Missing (i, j) entries mean the
-product is zero.  ``validate`` checks grading compatibility, associativity
-on all basis triples and the two-sided unit law, exactly.
+product is zero.  Elements are plain coordinate dicts {basis index: scalar};
+mul_coords multiplies them and unit is the unit's coordinates.
+``validate`` checks grading compatibility, associativity on all basis
+triples and the two-sided unit law, exactly.
 
 The builtin catalog covers the coordinate algebras used by the verification
 scenarios: the base field, the two-dimensional algebra Q1 = k + k*nu with nu
 odd and nu^2 = 1, Grassmann algebras, truncated polynomials, monogenic
 algebras k[x]/(f), cyclic group algebras, matrix algebras and the square-zero
-plane k[x,y]/(x,y)^2.  Tensor products carry the Koszul sign
-(a1 (x) b1)(a2 (x) b2) = (-1)^{|a2||b1|} (a1 a2) (x) (b1 b2).
+plane k[x,y]/(x,y)^2.
+
+Two derived structure tables have one rule each.  koszul_tensor writes the
+table of a tensor product with the Koszul sign
+(x (x) a)(y (x) b) = (-1)^{|a||y|} xy (x) ab; tensor uses it for products
+and lie.lie_tensor for brackets.  SuperAlgebra.supercommutator gives
+[e_a, e_b] = e_a e_b - (-1)^{|a||b|} e_b e_a; the commutator subspace
+[R, R] and the commutator map of cyclic.hc1 are built from it.
 """
 from __future__ import annotations
 
@@ -76,68 +84,16 @@ class SuperAlgebra:
     def basis_vec(self, i: int) -> dict:
         return {i: self.field.one}
 
-    def el(self, spec) -> "AlgebraElement":
-        """Element from a basis label, index, or coordinate dict."""
-        if isinstance(spec, str):
-            return AlgebraElement(self, {self.space.index(spec): self.field.one})
-        if isinstance(spec, int):
-            return AlgebraElement(self, {spec: self.field.one})
-        return AlgebraElement(self, dict(spec))
-
-    @property
-    def one(self) -> "AlgebraElement":
-        return AlgebraElement(self, dict(self.unit))
+    def supercommutator(self, a: int, b: int) -> dict:
+        """e_a e_b - (-1)^{|a||b|} e_b e_a, as coordinates."""
+        par = self.space.parities
+        one = self.field.one
+        out = dict(self.products.get((a, b), {}))
+        vec_add_scaled(out, self.products.get((b, a), {}), one if par[a] and par[b] else -one)
+        return out
 
     def __repr__(self):
         return "<SuperAlgebra %s %s>" % (self.name, self.space.graded_dim)
-
-
-class AlgebraElement:
-    """Coordinate vector bound to its algebra; supports +, -, * and scaling."""
-
-    __slots__ = ("parent", "coords")
-
-    def __init__(self, parent: SuperAlgebra, coords: dict):
-        self.parent = parent
-        self.coords = {k: v for k, v in coords.items() if v}
-
-    def __add__(self, other):
-        out = dict(self.coords)
-        vec_add_scaled(out, other.coords, self.parent.field.one)
-        return AlgebraElement(self.parent, out)
-
-    def __sub__(self, other):
-        out = dict(self.coords)
-        neg = -self.parent.field.one
-        vec_add_scaled(out, other.coords, neg)
-        return AlgebraElement(self.parent, out)
-
-    def __neg__(self):
-        return self.scale(-self.parent.field.one)
-
-    def __mul__(self, other):
-        return AlgebraElement(self.parent, self.parent.mul_coords(self.coords, other.coords))
-
-    def scale(self, c) -> "AlgebraElement":
-        if isinstance(c, int):
-            c = self.parent.field.from_int(c)
-        return AlgebraElement(self.parent, {k: c * v for k, v in self.coords.items()})
-
-    def parity(self):
-        return self.parent.space.parity_of_vec(self.coords)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlgebraElement)
-            and self.parent is other.parent
-            and self.coords == other.coords
-        )
-
-    def __repr__(self):
-        return "<%s in %s>" % (
-            self.parent.space.describe(self.coords, self.parent.field),
-            self.parent.name,
-        )
 
 
 def validate(A: SuperAlgebra) -> ValidationReport:
@@ -181,60 +137,47 @@ def validate(A: SuperAlgebra) -> ValidationReport:
     return rep
 
 
+def koszul_tensor(A_space: GradedSpace, A_table: dict, B_space: GradedSpace, B_table: dict):
+    """(space, table) of the tensor product of two bilinear tables.
+
+    Basis x(x)a has key x*dim B + a and parity |x| + |a|, and
+    (x(x)a)(y(x)b) = (-1)^{|a||y|} xy(x)ab.  Keys follow A_table's order,
+    then B's keys in increasing order.  Each target key t*dim B + s comes
+    from one (t, s), and a product of nonzero scalars is nonzero, so no
+    entry is accumulated or tested for zero.
+    """
+    db = B_space.dim
+    apar, bpar = A_space.parities, B_space.parities
+    labels = []
+    parities = []
+    for x, lx in enumerate(A_space.labels):
+        for a, la in enumerate(B_space.labels):
+            labels.append("%s⊗%s" % (lx, la))
+            parities.append((apar[x] + bpar[a]) % 2)
+    b_items = sorted(B_table.items())
+    table = {}
+    for (x, y), txy in A_table.items():
+        for (a, b), tab in b_items:
+            neg = bpar[a] and apar[y]
+            out = {}
+            for t, c in txy.items():
+                for s, d in tab.items():
+                    out[t * db + s] = -(c * d) if neg else c * d
+            table[(x * db + a, y * db + b)] = out
+    return GradedSpace(labels, parities), table
+
+
 def tensor(A: SuperAlgebra, B: SuperAlgebra) -> SuperAlgebra:
     """Graded tensor product with the Koszul sign rule."""
     if A.field != B.field:
         raise ValueError("tensor factors over different fields")
-    field = A.field
+    space, products = koszul_tensor(A.space, A.products, B.space, B.products)
     db = B.dim
-    labels = []
-    parities = []
-    for i, la in enumerate(A.space.labels):
-        for j, lb in enumerate(B.space.labels):
-            labels.append("%s⊗%s" % (la, lb))
-            parities.append((A.space.parities[i] + B.space.parities[j]) % 2)
-    space = GradedSpace(labels, parities)
-    products = {}
-    for (i1, j1) in ((i, j) for i in range(A.dim) for j in range(B.dim)):
-        for (i2, j2) in ((i, j) for i in range(A.dim) for j in range(B.dim)):
-            ta = A.products.get((i1, i2))
-            tb = B.products.get((j1, j2))
-            if not ta or not tb:
-                continue
-            sign = -1 if (A.space.parities[i2] and B.space.parities[j1]) else 1
-            tbl = {}
-            for t, ca in ta.items():
-                for s, cb in tb.items():
-                    v = ca * cb
-                    if sign < 0:
-                        v = -v
-                    key = t * db + s
-                    cur = tbl.get(key)
-                    if cur is None:
-                        tbl[key] = v
-                    else:
-                        nv = cur + v
-                        if nv:
-                            tbl[key] = nv
-                        else:
-                            del tbl[key]
-            if tbl:
-                products[(i1 * db + j1, i2 * db + j2)] = tbl
     unit = {}
     for i, va in A.unit.items():
         for j, vb in B.unit.items():
             unit[i * db + j] = va * vb
-    return SuperAlgebra(field, space, products, unit, name="%s⊗%s" % (A.name, B.name))
-
-
-def commutator(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Supercommutator xy - (-1)^{|x||y|} yx of homogeneous elements."""
-    sign = -1 if (x.parity() and y.parity()) else 1
-    xy = x * y
-    yx = y * x
-    if sign < 0:
-        return xy + yx
-    return xy - yx
+    return SuperAlgebra(A.field, space, products, unit, name="%s⊗%s" % (A.name, B.name))
 
 
 def commutator_subspace(A: SuperAlgebra) -> Subspace:
@@ -242,9 +185,9 @@ def commutator_subspace(A: SuperAlgebra) -> Subspace:
     ech = Echelon()
     for i in range(A.dim):
         for j in range(i, A.dim):
-            c = commutator(A.el(i), A.el(j)).coords
+            c = A.supercommutator(i, j)
             if c:
-                ech.insert(dict(c))
+                ech.insert(c)
     return Subspace(A.space, ech.rref_rows())
 
 
@@ -254,9 +197,8 @@ def two_sided_ideal(A: SuperAlgebra, generators) -> Subspace:
     ech = Echelon()
     queue = []
     for g in generators:
-        coords = g.coords if isinstance(g, AlgebraElement) else dict(g)
-        if coords and ech.insert(dict(coords)):
-            queue.append(dict(coords))
+        if g and ech.insert(dict(g)):
+            queue.append(dict(g))
     while queue:
         v = queue.pop()
         for i in range(A.dim):

@@ -39,13 +39,6 @@ from .lie import LieSuperAlgebra, StructureError
 from .linalg import Echelon, GradedDim, GradedSpace, kernel, vec_add_scaled
 
 
-class BudgetExceeded(Exception):
-    def __init__(self, lam3_dim, budget):
-        super().__init__("degree-3 chain space dimension %d exceeds budget %d" % (lam3_dim, budget))
-        self.lam3_dim = lam3_dim
-        self.budget = budget
-
-
 def lam2_dim_formula(gd: GradedDim) -> GradedDim:
     """Graded dimension of L2 for any g of graded dimension gd."""
     a, b = gd.even, gd.odd
@@ -55,18 +48,6 @@ def lam2_dim_formula(gd: GradedDim) -> GradedDim:
 def lam3_dim_formula(gd: GradedDim) -> int:
     a, b = gd.even, gd.odd
     return comb(a, 3) + comb(a, 2) * b + a * comb(b + 1, 2) + comb(b + 2, 3)
-
-
-def check_budget(gd: GradedDim, budget=None) -> int:
-    """lam3_dim_formula(gd); BudgetExceeded if it is above budget (None: no cap).
-
-    It needs only the graded dimension, so callers can decide the budget
-    before the algebra is built.
-    """
-    lam3_dim = lam3_dim_formula(gd)
-    if budget is not None and lam3_dim > budget:
-        raise BudgetExceeded(lam3_dim, budget)
-    return lam3_dim
 
 
 def torus_weights(g: LieSuperAlgebra, torus) -> list:
@@ -209,17 +190,14 @@ class H2Result:
         return "<H2 %s>" % (self.dims,)
 
 
-def ce_h2(g: LieSuperAlgebra, budget=None, torus=()) -> H2Result:
+def ce_h2(g: LieSuperAlgebra, torus=()) -> H2Result:
     """H2(g) = ker d2 / im d3 with a canonical cycle basis, even classes first.
 
     Only the weight-zero subcomplex of `torus` is built (see the module
     docstring); basis vectors are keyed by L2 pairs (i, j) either way.
-    torus is an iterable of coordinate vectors of g, read after the budget
-    check.  budget caps the dimension of the full degree-3 chain space;
-    BudgetExceeded is raised before any work.  d2 o d3 = 0 is asserted
-    column by column.
+    torus is an iterable of coordinate vectors of g.  d2 o d3 = 0 is
+    asserted column by column.
     """
-    lam3_dim = check_budget(g.space.graded_dim, budget)
     torus = list(torus)
     cx = CEComplex(g, torus)
     torus_span = Echelon()
@@ -227,7 +205,7 @@ def ce_h2(g: LieSuperAlgebra, budget=None, torus=()) -> H2Result:
         torus_span.insert(h)
     stats = {
         "lam2_dim": sum(lam2_dim_formula(g.space.graded_dim)),
-        "lam3_dim": lam3_dim,
+        "lam3_dim": lam3_dim_formula(g.space.graded_dim),
         "lam2_weight0_dim": cx.lam2.dim,
         "torus_rank": torus_span.rank,
         "algebra_dim": [g.space.graded_dim.even, g.space.graded_dim.odd],

@@ -10,8 +10,9 @@ over homogeneous basis triples.  The cyclicity relation r(a,b,c) equals
 r(b,c,a) term by term, signs included, so it is generated once per rotation
 orbit, from the triples with a <= b and a <= c.  lam(a, b) is the class of
 a(x)b.
-HC1(R) is the kernel of the induced map lam(a,b) -> [a,b]; its
-well-definedness on the relation subspace is re-checked every time.
+HC1(R) is the kernel of the induced map lam(a,b) -> [a,b], the
+supercommutator of SuperAlgebra.supercommutator; its well-definedness on
+the relation subspace is re-checked every time.
 
 For S = R(x)Q1 the class map is written h(x, y); check_h_relations
 verifies the mixing identities between h on S and lam on R, and
@@ -104,12 +105,8 @@ class PairSpace:
                         del out[key]
         return out
 
-    def lam(self, x, y) -> dict:
+    def lam(self, x: dict, y: dict) -> dict:
         """Class of x(x)y in <R,R>, as coordinates on the quotient basis."""
-        if hasattr(x, "coords"):
-            x = x.coords
-        if hasattr(y, "coords"):
-            y = y.coords
         return self.quot.project(self.tensor_vec(x, y))
 
     def class_of(self, ambient_vec: dict) -> dict:
@@ -129,20 +126,12 @@ class HC1Result:
         return "<HC1 %s %s>" % (self.pair.R.name, self.graded_dim)
 
 
-def _commutator_of_pair_vec(R: SuperAlgebra, vec: dict) -> dict:
-    """Apply a(x)b -> ab - (-1)^{|a||b|} ba linearly to an R(x)R vector."""
-    d = R.dim
-    par = R.space.parities
+def _commutator_of_pair_vec(comm: list, vec: dict) -> dict:
+    """Apply a(x)b -> [a, b] linearly to an R(x)R vector; comm[key] is the
+    supercommutator of the pair with that ambient key."""
     out = {}
     for key, v in vec.items():
-        a, b = divmod(key, d)
-        ab = R.products.get((a, b))
-        if ab:
-            vec_add_scaled(out, ab, v)
-        ba = R.products.get((b, a))
-        if ba:
-            sgn = R.field.from_int(-1 if not (par[a] and par[b]) else 1)
-            vec_add_scaled(out, ba, sgn * v)
+        vec_add_scaled(out, comm[key], v)
     return out
 
 
@@ -153,8 +142,9 @@ def hc1(R: SuperAlgebra) -> HC1Result:
     relation subspace (which would make the induced map ill-defined).
     """
     pair = PairSpace(R)
+    comm = [R.supercommutator(a, b) for a in range(R.dim) for b in range(R.dim)]
     for row in pair.relations.rows:
-        img = _commutator_of_pair_vec(R, dict(row))
+        img = _commutator_of_pair_vec(comm, row)
         if img:
             raise StructureError(
                 "commutator map is not well-defined on <%s,%s>: relation row "
@@ -163,7 +153,7 @@ def hc1(R: SuperAlgebra) -> HC1Result:
     rows = [{} for _ in range(R.dim)]
     for col in range(pair.quot.dim):
         rep = pair.quot.section({col: R.field.one})
-        img = _commutator_of_pair_vec(R, rep)
+        img = _commutator_of_pair_vec(comm, rep)
         for r, v in img.items():
             rows[r][col] = v
     sub = kernel(rows, pair.quot.space, R.field)
@@ -232,13 +222,11 @@ def check_h_relations(R: SuperAlgebra) -> list:
                     "odd-pair-vanishes[nu]", (labels[a], labels[b]), pair.tensor_vec(xanu, xbnu)
                 )
             else:
-                ab = dict(R.products.get((a, b), {}))
-                comm = dict(ab)
-                vec_add_scaled(comm, R.products.get((b, a), {}), -one)
                 amb = pair.tensor_vec(xa1, xb1)
+                comm = R.supercommutator(a, b)
                 vec_add_scaled(amb, pair.tensor_vec(elem(comm, 1), unit_nu), -half)
                 residue_row("even-commutator-half", (labels[a], labels[b]), amb)
-                anti = dict(ab)
+                anti = dict(R.products.get((a, b), {}))
                 vec_add_scaled(anti, R.products.get((b, a), {}), one)
                 amb = pair.tensor_vec(xanu, xbnu)
                 vec_add_scaled(amb, pair.tensor_vec(elem(anti, 1), unit_nu), -half)
@@ -256,9 +244,7 @@ class OddIsoPair:
     lam(a_i, b_i); psi is the reverse.  All flags are recomputed exactly.
     """
 
-    def __init__(self, hc_R: HC1Result, hc_S: HC1Result):
-        self.hc_R = hc_R
-        self.hc_S = hc_S
+    def __init__(self):
         self.psi_kills_relations = None
         self.psi_image_in_hc1 = None
         self.phi_solvable = None
@@ -270,20 +256,21 @@ class OddIsoPair:
         self.failures = []
 
 
-def build_shift_iso(R: SuperAlgebra, hc_R: HC1Result, hc_S: HC1Result) -> OddIsoPair:
+def build_shift_iso(hc_R: HC1Result, hc_S: HC1Result) -> OddIsoPair:
     """The odd maps between HC1(R) = hc_R and HC1(S) = hc_S, S = R(x)Q1.
 
-    S is read from hc_S, so it is not built again; ValueError unless
-    dim S = 2 dim R.
+    R and S are read from hc_R and hc_S, so neither is built again;
+    ValueError unless dim S = 2 dim R.
     """
     pair_R = hc_R.pair
     pair_S = hc_S.pair
+    R = pair_R.R
     S = pair_S.R
     d = R.dim
     if S.dim != 2 * d:
         raise ValueError("HC1 of %s is not over R(x)Q1 for R = %s" % (S.name, R.name))
     one = R.field.one
-    out = OddIsoPair(hc_R, hc_S)
+    out = OddIsoPair()
 
     def h_col(a: int, b: int) -> dict:
         """Class of (a(x)1)(x)(b(x)nu) in <S,S>."""

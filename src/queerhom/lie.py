@@ -18,14 +18,15 @@ Every bilinear scan visits only the pairs that can have a nonzero bracket.
 _partners reads them off the keys of a bracket table: [x, y] can be nonzero
 only if some (s, t) with s in supp x and t in supp y is a key.  Skipped
 pairs have an empty bracket on every side, so results, failure lists and
-the key order of every table are those of the all-pairs scan.
+the key order of every table are those of the all-pairs scan.  lie_tensor
+takes its table from algebras.koszul_tensor, the one Koszul sign rule.
 
 The super Jacobi convention used throughout:
 (-1)^{|x||z|}[x,[y,z]] + (-1)^{|y||x|}[y,[z,x]] + (-1)^{|z||y|}[z,[x,y]] = 0.
 """
 from __future__ import annotations
 
-from .algebras import SuperAlgebra, build_q1, commutator_subspace, tensor
+from .algebras import SuperAlgebra, build_q1, commutator_subspace, koszul_tensor, tensor
 from .linalg import (
     Echelon,
     GradedDim,
@@ -459,11 +460,7 @@ def _coords_in(sub: Subspace, vec: dict) -> dict:
 
 
 def sq_torus(sq: LieSuperAlgebra):
-    """The diagonal torus of q_n(R) in the basis of sq = build_sq_lie(n, R)[1].
-
-    Like psq_torus and block_torus this is a generator, so a run that ends
-    in a budget SKIP computes none of it.
-    """
+    """The diagonal torus of q_n(R) in the basis of sq = build_sq_lie(n, R)[1]."""
     return (_coords_in(sq.subspace, h) for h in diagonal_torus(sq.ambient))
 
 
@@ -643,43 +640,7 @@ def lie_tensor(g: LieSuperAlgebra, R: SuperAlgebra) -> LieSuperAlgebra:
         raise ValueError("lie_tensor needs supercommutative coordinates")
     if g.field != R.field:
         raise ValueError("mixed fields")
-    dR = R.dim
-    labels = []
-    parities = []
-    for i in range(g.dim):
-        for a in range(dR):
-            labels.append("%s⊗%s" % (g.space.labels[i], R.space.labels[a]))
-            parities.append((g.space.parities[i] + R.space.parities[a]) % 2)
-    space = GradedSpace(labels, parities)
-    # only b with (a, b) a product key can contribute; the partner lists are
-    # increasing, so the key order is that of a full (a, b) scan
-    r_partners = _product_partners(R)
-    brackets = {}
-    for (i, j), tbl in g.brackets.items():
-        for a in range(dR):
-            for b in r_partners[a]:
-                ab = R.products.get((a, b))
-                if not ab:
-                    continue
-                sign = -1 if (R.space.parities[a] and g.space.parities[j]) else 1
-                out = {}
-                for t, c in tbl.items():
-                    for s, cr in ab.items():
-                        v = c * cr
-                        if sign < 0:
-                            v = -v
-                        key = t * dR + s
-                        cur = out.get(key)
-                        if cur is None:
-                            out[key] = v
-                        else:
-                            nv = cur + v
-                            if nv:
-                                out[key] = nv
-                            else:
-                                del out[key]
-                if out:
-                    brackets[(i * dR + a, j * dR + b)] = out
+    space, brackets = koszul_tensor(g.space, g.brackets, R.space, R.products)
     return LieSuperAlgebra(g.field, space, brackets, name="%s⊗%s" % (g.name, R.name))
 
 

@@ -23,7 +23,7 @@ from .algebras import (
     commutator_subspace,
     tensor,
 )
-from .chevalley import BudgetExceeded, ce_h2, check_budget
+from .chevalley import ce_h2, lam3_dim_formula
 from .cyclic import build_shift_iso, check_h_relations, hc1
 from .kahler import kahler_hc1_oracle
 from .lie import (
@@ -255,7 +255,7 @@ def scenario_hc1_shift(opts: ScenarioOptions) -> Report:
         hc_S.graded_dim,
         "independent eliminations on both sides",
     )
-    iso = build_shift_iso(R, hc_R, hc_S)
+    iso = build_shift_iso(hc_R, hc_S)
     note = "; ".join(iso.failures[:3])
     report.add_flag(
         "maps-well-defined",
@@ -298,14 +298,16 @@ def scenario_kahler_oracle(opts: ScenarioOptions) -> Report:
 
 
 def _over_budget(report: Report, check: str, gd: GradedDim, budget) -> bool:
-    """Decide the budget from the graded dimension alone, before anything is
-    built; over budget, add the SKIP row for check."""
-    try:
-        check_budget(gd, budget)
-    except BudgetExceeded as e:
-        report.skip(check, str(e))
-        return True
-    return False
+    """Decide the budget (None: no cap) on the dimension of the degree-3
+    chains, from the graded dimension alone, before anything is built; over
+    budget, add the SKIP row for check."""
+    lam3_dim = lam3_dim_formula(gd)
+    if budget is None or lam3_dim <= budget:
+        return False
+    report.skip(
+        check, "degree-3 chain space dimension %d exceeds budget %d" % (lam3_dim, budget)
+    )
+    return True
 
 
 def _check_graded_dim(g: LieSuperAlgebra, gd: GradedDim):

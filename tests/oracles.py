@@ -7,7 +7,8 @@ axioms on basis tuples, the center by a kernel, the supercommutator
 algebra of an associative algebra, the q_n(R) formula table by a full
 index scan, the all-pairs bracket scans of VerifiedHomomorphism.verify,
 induced_lie and quotient_lie, the pair-space relations from every triple,
-and the cyclic side of the psq formula.
+the tensor product tables by a scan of every index quadruple, and the
+cyclic side of the psq formula.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from queerhom.lie import MAX_FAILURES, LieSuperAlgebra, StructureError
 from queerhom.linalg import (
     Echelon,
     GradedDim,
+    GradedSpace,
     GradingError,
     QuotientSpace,
     Subspace,
@@ -446,6 +448,89 @@ def center(g: LieSuperAlgebra) -> Subspace:
                     rows.append({})
                 rows[r][j] = v
     return kernel(rows, g.space, g.field)
+
+
+# ------------------------------------------------------- tensor products
+
+def tensor_quadruple_scan(A: SuperAlgebra, B: SuperAlgebra) -> SuperAlgebra:
+    """A(x)B with the Koszul sign, every index quadruple visited and
+    products accumulated into their target keys."""
+    if A.field != B.field:
+        raise ValueError("tensor factors over different fields")
+    field = A.field
+    db = B.dim
+    labels = []
+    parities = []
+    for i, la in enumerate(A.space.labels):
+        for j, lb in enumerate(B.space.labels):
+            labels.append("%s⊗%s" % (la, lb))
+            parities.append((A.space.parities[i] + B.space.parities[j]) % 2)
+    space = GradedSpace(labels, parities)
+    products = {}
+    for (i1, j1) in ((i, j) for i in range(A.dim) for j in range(B.dim)):
+        for (i2, j2) in ((i, j) for i in range(A.dim) for j in range(B.dim)):
+            ta = A.products.get((i1, i2))
+            tb = B.products.get((j1, j2))
+            if not ta or not tb:
+                continue
+            sign = -1 if (A.space.parities[i2] and B.space.parities[j1]) else 1
+            tbl = {}
+            for t, ca in ta.items():
+                for s, cb in tb.items():
+                    v = ca * cb
+                    if sign < 0:
+                        v = -v
+                    key = t * db + s
+                    cur = tbl.get(key)
+                    if cur is None:
+                        tbl[key] = v
+                    else:
+                        nv = cur + v
+                        if nv:
+                            tbl[key] = nv
+                        else:
+                            del tbl[key]
+            if tbl:
+                products[(i1 * db + j1, i2 * db + j2)] = tbl
+    unit = {}
+    for i, va in A.unit.items():
+        for j, vb in B.unit.items():
+            unit[i * db + j] = va * vb
+    return SuperAlgebra(field, space, products, unit, name="%s⊗%s" % (A.name, B.name))
+
+
+def lie_tensor_pair_scan(g: LieSuperAlgebra, R: SuperAlgebra) -> dict:
+    """Bracket table of g(x)R, [x(x)a, y(x)b] = (-1)^{|a||y|}[x,y](x)ab,
+    every coordinate pair (a, b) visited for each key of g's table and
+    products accumulated into their target keys."""
+    dR = R.dim
+    brackets = {}
+    for (i, j), tbl in g.brackets.items():
+        for a in range(dR):
+            for b in range(dR):
+                ab = R.products.get((a, b))
+                if not ab:
+                    continue
+                sign = -1 if (R.space.parities[a] and g.space.parities[j]) else 1
+                out = {}
+                for t, c in tbl.items():
+                    for s, cr in ab.items():
+                        v = c * cr
+                        if sign < 0:
+                            v = -v
+                        key = t * dR + s
+                        cur = out.get(key)
+                        if cur is None:
+                            out[key] = v
+                        else:
+                            nv = cur + v
+                            if nv:
+                                out[key] = nv
+                            else:
+                                del out[key]
+                if out:
+                    brackets[(i * dR + a, j * dR + b)] = out
+    return brackets
 
 
 # ------------------------------------------------------- cyclic side

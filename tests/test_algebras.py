@@ -16,7 +16,6 @@ from queerhom.algebras import (
     build_q1,
     build_square_zero_plane,
     build_truncated_poly,
-    commutator,
     commutator_subspace,
     format_poly,
     parse_poly,
@@ -24,8 +23,10 @@ from queerhom.algebras import (
     two_sided_ideal,
     validate,
 )
-from queerhom.linalg import GradedDim
+from queerhom.linalg import GradedDim, vec_add_scaled
 from queerhom.scalars import QQ, ScalarError, parse_field_flag
+
+from oracles import lie_from_assoc, tensor_quadruple_scan
 
 ALL_TAGS = [
     "base-field",
@@ -39,6 +40,22 @@ ALL_TAGS = [
     "matrix(2)",
     "square-zero-plane",
 ]
+FIELDS = ["Q", "Qi", "Fp:3", "Fp:5"]
+
+
+def basis(A, label):
+    return A.basis_vec(A.space.index(label))
+
+
+def vec(coords):
+    return {k: v for k, v in coords.items() if v}
+
+
+def add(x, y, c=QQ.one):
+    """x + c*y as a new coordinate dict."""
+    out = dict(x)
+    vec_add_scaled(out, y, c)
+    return out
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS)
@@ -67,63 +84,64 @@ def test_builtin_registry_is_complete():
 
 def test_q1_generator_squares_to_one():
     A = build_q1(QQ)
-    nu = A.el("nu")
-    assert nu.parity() == 1
-    assert nu * nu == A.one
+    nu = basis(A, "nu")
+    assert A.space.parity_of_vec(nu) == 1
+    assert A.mul_coords(nu, nu) == A.unit
     assert A.space.graded_dim == GradedDim(1, 1)
 
 
 def test_grassmann_signs_and_nilpotence():
     A = build_grassmann(QQ, 2)
-    x1, x2 = A.el("x1"), A.el("x2")
-    assert not (x1 * x1).coords
-    assert x1 * x2 == -(x2 * x1)
-    assert (x1 * x2).coords
+    x1, x2 = basis(A, "x1"), basis(A, "x2")
+    assert not A.mul_coords(x1, x1)
+    assert A.mul_coords(x1, x2) == add({}, A.mul_coords(x2, x1), -QQ.one)
+    assert A.mul_coords(x1, x2)
     assert A.space.graded_dim == GradedDim(2, 2)
 
 
 def test_truncated_poly_truncates():
     A = build_truncated_poly(QQ, 2)
-    x = A.el("x")
-    assert not (x * x).coords
+    x = basis(A, "x")
+    assert not A.mul_coords(x, x)
     assert A.dim == 2
 
 
 def test_group_algebra_wraps_around():
     A = build_group_algebra(QQ, 3)
-    t = A.el("t")
-    assert t * t * t == A.one
+    t = basis(A, "t")
+    assert A.mul_coords(A.mul_coords(t, t), t) == A.unit
     assert A.dim == 3
 
 
 def test_monogenic_reduction_matches_modulus():
     # x^2 = 2 in k[x]/(x^2-2)
     A = build_monogenic(QQ, parse_poly("x^2-2"))
-    x = A.el("x")
-    assert x * x == A.one.scale(QQ.from_int(2))
+    x = basis(A, "x")
+    assert A.mul_coords(x, x) == add({}, A.unit, QQ.from_int(2))
     # x^3 = 1 makes the power basis a cyclic group algebra
     B = build_monogenic(QQ, parse_poly("x^3-1"))
-    y = B.el("x")
-    assert y * y * y == B.one
+    y = basis(B, "x")
+    assert B.mul_coords(B.mul_coords(y, y), y) == B.unit
     assert B.dim == 3
 
 
 def test_square_zero_plane_products_vanish():
     A = build_square_zero_plane(QQ)
-    x, y = A.el("x"), A.el("y")
-    for p in [x * x, x * y, y * x, y * y]:
-        assert not p.coords
+    x, y = basis(A, "x"), basis(A, "y")
+    for u, v in [(x, x), (x, y), (y, x), (y, y)]:
+        assert not A.mul_coords(u, v)
 
 
 def test_matrix_units_compose():
     A = build_matrix(QQ, 2)
-    e12, e21, e11, e22 = A.el("E12"), A.el("E21"), A.el("E11"), A.el("E22")
-    assert e12 * e21 == e11
-    assert e21 * e12 == e22
-    assert not (e12 * e12).coords
-    assert commutator(e12, e21) == e11 - e22
-    assert e12 * e21 + e21 * e12 == e11 + e22
-    assert A.one == e11 + e22
+    e12, e21, e11, e22 = (basis(A, lab) for lab in ("E12", "E21", "E11", "E22"))
+    assert A.mul_coords(e12, e21) == e11
+    assert A.mul_coords(e21, e12) == e22
+    assert not A.mul_coords(e12, e12)
+    i12, i21 = A.space.index("E12"), A.space.index("E21")
+    assert A.supercommutator(i12, i21) == add(e11, e22, -QQ.one)
+    assert add(A.mul_coords(e12, e21), A.mul_coords(e21, e12)) == add(e11, e22)
+    assert A.unit == add(e11, e22)
 
 
 def test_validate_flags_nonassociative_table():
@@ -173,9 +191,9 @@ def test_tensor_of_builtins_stays_associative():
         els = []
         for _ in range(3):
             coords = {rng.randrange(S.dim): QQ.from_int(rng.randint(-3, 3)) for _ in range(3)}
-            els.append(S.el(coords))
+            els.append(vec(coords))
         a, b, c = els
-        assert (a * b) * c == a * (b * c)
+        assert S.mul_coords(S.mul_coords(a, b), c) == S.mul_coords(a, S.mul_coords(b, c))
 
 
 def test_commutator_subspace_detects_supercommutativity():
@@ -226,9 +244,9 @@ def test_unit_acts_trivially_on_random_elements(tag):
     rng = random.Random(13)
     for _ in range(10):
         coords = {rng.randrange(R.dim): QQ.from_int(rng.randint(-4, 4)) for _ in range(2)}
-        v = R.el(coords)
-        assert R.one * v == v
-        assert v * R.one == v
+        v = vec(coords)
+        assert R.mul_coords(R.unit, v) == v
+        assert R.mul_coords(v, R.unit) == v
 
 
 def test_element_arithmetic_distributes():
@@ -236,7 +254,32 @@ def test_element_arithmetic_distributes():
     rng = random.Random(29)
     for _ in range(15):
         a, b, c = (
-            R.el({rng.randrange(R.dim): QQ.from_int(rng.randint(-3, 3))}) for _ in range(3)
+            vec({rng.randrange(R.dim): QQ.from_int(rng.randint(-3, 3))}) for _ in range(3)
         )
-        assert (a + b) * c == a * c + b * c
-        assert c * (a - b) == c * a - c * b
+        mul = R.mul_coords
+        assert mul(add(a, b), c) == add(mul(a, c), mul(b, c))
+        assert mul(c, add(a, b, -QQ.one)) == add(mul(c, a), mul(c, b), -QQ.one)
+
+
+@pytest.mark.parametrize("flag", FIELDS)
+def test_tensor_equals_the_quadruple_scan_on_all_builtin_pairs(flag):
+    field = parse_field_flag(flag)
+    algebras = [build_builtin(tag, field) for tag in ALL_TAGS]
+    for A in algebras:
+        for B in algebras:
+            T, O = tensor(A, B), tensor_quadruple_scan(A, B)
+            assert T.products == O.products, (A.name, B.name)
+            assert T.unit == O.unit
+            assert (T.space.labels, T.space.parities) == (O.space.labels, O.space.parities)
+
+
+@pytest.mark.parametrize("flag", FIELDS)
+def test_supercommutator_is_the_bracket_of_lie_from_assoc(flag):
+    field = parse_field_flag(flag)
+    for tag in ALL_TAGS:
+        R = build_builtin(tag, field)
+        for A in (R, tensor(R, build_q1(field))):
+            L = lie_from_assoc(A)
+            for i in range(A.dim):
+                for j in range(A.dim):
+                    assert A.supercommutator(i, j) == L.bracket_basis(i, j), (A.name, i, j)

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from queerhom import chevalley, linalg
+from queerhom import chevalley, linalg, scenarios
 from queerhom.algebras import build_builtin, build_grassmann
-from queerhom.chevalley import BudgetExceeded, CEComplex, ce_h2, lam3_dim_formula
+from queerhom.chevalley import CEComplex, ce_h2, lam3_dim_formula
 from queerhom.lie import (
     LieSuperAlgebra,
     StructureError,
@@ -22,10 +22,12 @@ from queerhom.lie import (
     induced_lie,
     iso_qQ1_to_glnn,
     psq_torus,
+    sq_graded_dim,
     sq_torus,
 )
 from queerhom.linalg import GradedDim, GradedSpace, vec_add_scaled
 from queerhom.scalars import QQ, parse_field_flag
+from queerhom.scenarios import ScenarioOptions, scenario_h2_main
 
 from oracles import d2_matrix, d3_matrix, iter_lam3, lam2_dim_formula, lam2_pairs
 
@@ -175,21 +177,43 @@ def test_h2_of_traceless_two_by_two_vanishes():
 
 
 # ------------------------------------------------------- budget and stats
+# The budget caps the degree-3 chain space; the h2 scenarios decide it from
+# the graded dimension alone, before any algebra, torus or complex exists.
 
 
-def test_budget_rejects_large_chain_space_before_work():
-    g = sq_algebra(3, BASE)
-    with pytest.raises(BudgetExceeded) as err:
-        ce_h2(g, budget=100)
-    assert err.value.lam3_dim == 816
-    assert err.value.budget == 100
-    assert "exceeds budget" in str(err.value)
+def _h2_main_row(budget):
+    (row,) = scenario_h2_main(ScenarioOptions("builtin:base-field", n=3, budget=budget)).rows
+    assert row.check == "h2-equals-shifted-cyclic"
+    return row
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work done before the budget check")
+
+
+def test_budget_rejects_large_chain_space_before_work(monkeypatch):
+    assert lam3_dim_formula(sq_algebra(3, BASE).space.graded_dim) == 816
+    assert lam3_dim_formula(sq_graded_dim(3, BASE)) == 816
+    for name in ("build_sq_lie", "ce_h2"):
+        monkeypatch.setattr(scenarios, name, _no_work)
+    row = _h2_main_row(100)
+    assert row.status == "SKIP"
+    assert row.note == "degree-3 chain space dimension 816 exceeds budget 100"
 
 
 def test_budget_allows_exact_fit():
-    g = build_q(1, BASE)
-    r = ce_h2(g, budget=lam3_dim_formula(g.space.graded_dim))
-    assert r.dims == GradedDim(0, 0)
+    row = _h2_main_row(816)
+    assert row.status == "PASS"
+    assert " of 816 " in row.note
+    assert _h2_main_row(815).status == "SKIP"
+
+
+def test_budget_is_decided_before_the_torus_is_read(monkeypatch):
+    monkeypatch.setattr(scenarios, "sq_torus", _no_work)
+    row = _h2_main_row(100)
+    assert row.status == "SKIP"
+    assert "exceeds budget 100" in row.note
+
 
 
 def test_stats_account_for_kernel_minus_image():
@@ -354,12 +378,3 @@ def test_odd_torus_element_is_rejected():
 def test_non_diagonal_torus_element_is_rejected():
     with pytest.raises(StructureError, match="diagonal"):
         ce_h2(heisenberg(), torus=[{0: QQ.one}])
-
-
-def test_budget_is_decided_before_the_torus_is_read():
-    def torus():
-        raise AssertionError("torus read before the budget check")
-        yield
-
-    with pytest.raises(BudgetExceeded):
-        ce_h2(sq_algebra(3, BASE), budget=100, torus=torus())

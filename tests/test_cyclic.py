@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from queerhom import cyclic
 from queerhom.algebras import build_builtin, build_grassmann, build_q1, tensor
 from queerhom.cyclic import (
     PairSpace,
@@ -273,25 +274,31 @@ SHIFT_TAGS = [
 @pytest.mark.parametrize("tag,dim_R", SHIFT_TAGS, ids=[t for t, _ in SHIFT_TAGS])
 def test_shift_iso_flags_and_swapped_dims(tag, dim_R):
     R = build_builtin(tag, QQ)
-    iso = build_shift_iso(R, hc1(R), hc1(tensor(R, build_q1(QQ))))
+    hc_R, hc_S = hc1(R), hc1(tensor(R, build_q1(QQ)))
+    iso = build_shift_iso(hc_R, hc_S)
     assert all_flags_hold(iso), iso.failures
-    assert iso.hc_R.graded_dim == dim_R
-    assert iso.hc_S.graded_dim == GradedDim(dim_R.odd, dim_R.even)
+    assert hc_R.graded_dim == dim_R
+    assert hc_S.graded_dim == GradedDim(dim_R.odd, dim_R.even)
     assert iso.parity_flip is True
     assert iso.dims_swap is True
     assert iso.mutually_inverse is True
 
 
-def test_shift_iso_reuses_supplied_homology():
+def test_shift_iso_reuses_supplied_homology(monkeypatch):
     R = G1
     h = hc1(R)
     h_S = hc1(tensor(R, build_q1(QQ)))
-    iso = build_shift_iso(R, h, h_S)
-    assert iso.hc_R is h and iso.hc_S is h_S
+
+    def recompute(*args, **kwargs):
+        raise AssertionError("build_shift_iso recomputed what it was given")
+
+    monkeypatch.setattr(cyclic, "hc1", recompute)
+    monkeypatch.setattr(cyclic, "PairSpace", recompute)
+    iso = build_shift_iso(h, h_S)
     assert all_flags_hold(iso)
 
 
 def test_shift_iso_rejects_homology_not_over_the_tensor_algebra():
     h = hc1(G1)
     with pytest.raises(ValueError):
-        build_shift_iso(G1, h, h)
+        build_shift_iso(h, h)

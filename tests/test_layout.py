@@ -1,9 +1,11 @@
 """Layout guard for src/queerhom, by static reading of its sources.
 
-No name may be imported into a module without being used there, and every
+No name may be imported into a module without being used there, every
 top-level function, class and method must be referenced by name from
-src/queerhom outside its own definition.  Whatever only the tests call
-belongs in tests/ (see tests/oracles.py), not in the package.
+src/queerhom outside its own definition, and every attribute a module
+stores (x.attr = ...) must be read by name somewhere in src/queerhom.
+Whatever only the tests call or read belongs in tests/ (see
+tests/oracles.py), not in the package.
 """
 
 import ast
@@ -17,6 +19,15 @@ ALLOWED_UNREFERENCED = {
     "cyclic.PairSpace.lam": (
         "the pairing <x, y> that the planned trace map H2(sl_n(S)) -> HC1(S) "
         "(ROADMAP item 3) evaluates"
+    ),
+}
+
+# "module.Class.attr" (or "module.attr" outside a class): why it may be
+# stored without a reader in src/.
+ALLOWED_UNREAD_ATTRIBUTES = {
+    "chevalley.H2Result.basis": (
+        "the canonical H2 cycle basis: the tests compare it, and the planned "
+        "trace map H2(sl_n(S)) -> HC1(S) (ROADMAP item 3) reads it"
     ),
 }
 
@@ -88,3 +99,40 @@ def test_every_definition_has_a_caller_in_the_package():
 def test_allowlisted_names_still_exist():
     defined = {"%s.%s" % (mod, q) for mod, q, _ in _definitions(_modules())}
     assert set(ALLOWED_UNREFERENCED) <= defined
+
+
+def _stored_attributes(modules):
+    """(key, attribute name) for each attribute assignment target; key is
+    "module.Class.attr" inside a top-level class, "module.attr" elsewhere."""
+    for mod, tree in modules.items():
+        for node in tree.body:
+            owner = "%s.%s" % (mod, node.name) if isinstance(node, ast.ClassDef) else mod
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store):
+                    yield "%s.%s" % (owner, sub.attr), sub.attr
+
+
+def _read_attributes(modules):
+    return {
+        sub.attr
+        for tree in modules.values()
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+
+
+def test_every_stored_attribute_is_read_in_the_package():
+    modules = _modules()
+    read = _read_attributes(modules)
+    unread = sorted(
+        {key for key, attr in _stored_attributes(modules) if attr not in read}
+        - set(ALLOWED_UNREAD_ATTRIBUTES)
+    )
+    assert unread == []
+
+
+def test_allowlisted_attributes_are_still_stored_and_unread():
+    modules = _modules()
+    read = _read_attributes(modules)
+    stored_unread = {key for key, attr in _stored_attributes(modules) if attr not in read}
+    assert set(ALLOWED_UNREAD_ATTRIBUTES) <= stored_unread

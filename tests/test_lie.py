@@ -40,6 +40,7 @@ from oracles import (
     check_lie,
     induced_lie_full_scan,
     lie_from_assoc,
+    lie_tensor_pair_scan,
     q_formula_brackets_full_scan,
     quotient_lie_full_scan,
     verify_full_scan,
@@ -574,6 +575,35 @@ def test_lie_tensor_with_grassmann_satisfies_axioms():
     gt = lie_tensor(g, G1)
     assert gt.space.graded_dim == GradedDim(8, 8)
     assert check_lie(gt) is True
+
+
+def _items_in_order(table):
+    return [(k, list(v.items())) for k, v in table.items()]
+
+
+SUPERCOMMUTATIVE_TAGS = [
+    "base-field",
+    "grassmann(1)",
+    "grassmann(2)",
+    "truncated-poly(2)",
+    "monogenic(x^2-2)",
+    "group-algebra(2)",
+    "group-algebra(3)",
+    "square-zero-plane",
+]
+
+
+@pytest.mark.parametrize("flag", ["Q", "Qi", "Fp:3", "Fp:5"])
+def test_lie_tensor_equals_the_pair_scan_in_key_order(flag):
+    field = parse_field_flag(flag)
+    base = build_builtin("base-field", field)
+    for n in (1, 2, 3):
+        qk = build_q(n, base)
+        for tag in SUPERCOMMUTATIVE_TAGS:
+            R = build_builtin(tag, field)
+            got = lie_tensor(qk, R).brackets
+            want = lie_tensor_pair_scan(qk, R)
+            assert _items_in_order(got) == _items_in_order(want), (n, tag)
 
 
 def test_lie_tensor_rejects_noncommutative_coordinates():

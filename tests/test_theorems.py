@@ -82,10 +82,16 @@ def test_main_verification_marks_small_n_exploratory():
 
 
 def test_main_verification_budget_skip_names_the_dimension():
-    report = scenario_h2_main(ScenarioOptions("builtin:grassmann(1)", n=3, budget=100))
+    # lam3 of sq_3(grassmann(1)) is 6562: one below SKIPs, an exact fit runs
+    for budget in (100, 6561):
+        report = scenario_h2_main(ScenarioOptions("builtin:grassmann(1)", n=3, budget=budget))
+        (row,) = report.rows
+        assert row.status == "SKIP"
+        assert row.note == "degree-3 chain space dimension 6562 exceeds budget %d" % budget
+    report = scenario_h2_main(ScenarioOptions("builtin:grassmann(1)", n=3, budget=6562))
     (row,) = report.rows
-    assert row.status == "SKIP"
-    assert "6562" in row.note and "exceeds budget" in row.note
+    assert row.status == "PASS"
+    assert " of 6562 " in row.note
 
 
 def test_psq_verification_skips_noncommutative_coordinates():
@@ -146,11 +152,14 @@ def test_budget_skip_text_for_grassmann2_at_n6_is_unchanged():
 
 
 def _no_build(*args, **kwargs):
-    raise AssertionError("built an algebra before the budget check")
+    raise AssertionError("built an algebra or a torus before the budget check")
 
 
 def test_budget_skips_come_before_anything_is_built(monkeypatch):
-    for name in ("build_sq_lie", "build_psq_lie", "iso_qQ1_to_glnn", "build_q"):
+    for name in (
+        "build_sq_lie", "build_psq_lie", "iso_qQ1_to_glnn", "build_q",
+        "sq_torus", "psq_torus", "block_torus", "ce_h2",
+    ):
         monkeypatch.setattr(scenarios, name, _no_build)
     G2 = ScenarioOptions("builtin:grassmann(2)", n=6, budget=10)
     G1_QI = ScenarioOptions("builtin:grassmann(1)", n=6, field=parse_field_flag("Qi"), budget=10)
