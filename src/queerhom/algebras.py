@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 
-from .linalg import Echelon, GradedDim, GradedSpace, Subspace, vec_add_scaled
+from .linalg import Echelon, GradedDim, GradedSpace, Subspace, in_field, vec_add_scaled
 from .scalars import Field, ScalarError
 
 
@@ -78,7 +78,7 @@ class SuperAlgebra:
             for j, yj in y.items():
                 tbl = products.get((i, j))
                 if tbl:
-                    vec_add_scaled(out, tbl, xi * yj)
+                    vec_add_scaled(out, tbl, xi * yj, self.field)
         return out
 
     def basis_vec(self, i: int) -> dict:
@@ -89,7 +89,9 @@ class SuperAlgebra:
         par = self.space.parities
         one = self.field.one
         out = dict(self.products.get((a, b), {}))
-        vec_add_scaled(out, self.products.get((b, a), {}), one if par[a] and par[b] else -one)
+        vec_add_scaled(
+            out, self.products.get((b, a), {}), one if par[a] and par[b] else -one, self.field
+        )
         return out
 
     def __repr__(self):
@@ -137,15 +139,18 @@ def validate(A: SuperAlgebra) -> ValidationReport:
     return rep
 
 
-def koszul_tensor(A_space: GradedSpace, A_table: dict, B_space: GradedSpace, B_table: dict):
-    """(space, table) of the tensor product of two bilinear tables.
+def koszul_tensor(
+    A_space: GradedSpace, A_table: dict, B_space: GradedSpace, B_table: dict, field
+):
+    """(space, table) of the tensor product of two bilinear tables over field.
 
     Basis x(x)a has key x*dim B + a and parity |x| + |a|, and
     (x(x)a)(y(x)b) = (-1)^{|a||y|} xy(x)ab.  Keys follow A_table's order,
     then B's keys in increasing order.  Each target key t*dim B + s comes
     from one (t, s), and a product of nonzero scalars is nonzero, so no
-    entry is accumulated or tested for zero.
+    entry is accumulated or tested for zero; over F_p it is only reduced.
     """
+    p = field.characteristic
     db = B_space.dim
     apar, bpar = A_space.parities, B_space.parities
     labels = []
@@ -162,7 +167,8 @@ def koszul_tensor(A_space: GradedSpace, A_table: dict, B_space: GradedSpace, B_t
             out = {}
             for t, c in txy.items():
                 for s, d in tab.items():
-                    out[t * db + s] = -(c * d) if neg else c * d
+                    v = -(c * d) if neg else c * d
+                    out[t * db + s] = v % p if p else v
             table[(x * db + a, y * db + b)] = out
     return GradedSpace(labels, parities), table
 
@@ -171,30 +177,31 @@ def tensor(A: SuperAlgebra, B: SuperAlgebra) -> SuperAlgebra:
     """Graded tensor product with the Koszul sign rule."""
     if A.field != B.field:
         raise ValueError("tensor factors over different fields")
-    space, products = koszul_tensor(A.space, A.products, B.space, B.products)
+    space, products = koszul_tensor(A.space, A.products, B.space, B.products, A.field)
     db = B.dim
     unit = {}
     for i, va in A.unit.items():
         for j, vb in B.unit.items():
             unit[i * db + j] = va * vb
+    unit = in_field(unit, A.field)
     return SuperAlgebra(A.field, space, products, unit, name="%s⊗%s" % (A.name, B.name))
 
 
 def commutator_subspace(A: SuperAlgebra) -> Subspace:
     """Span of all supercommutators of basis elements, canonical form [A, A]."""
-    ech = Echelon()
+    ech = Echelon(A.field)
     for i in range(A.dim):
         for j in range(i, A.dim):
             c = A.supercommutator(i, j)
             if c:
                 ech.insert(c)
-    return Subspace(A.space, ech.rref_rows())
+    return Subspace(A.space, ech.rref_rows(), A.field)
 
 
 def two_sided_ideal(A: SuperAlgebra, generators) -> Subspace:
     """Smallest subspace containing the generators and closed under both
     multiplications by basis elements."""
-    ech = Echelon()
+    ech = Echelon(A.field)
     queue = []
     for g in generators:
         if g and ech.insert(dict(g)):
@@ -206,7 +213,7 @@ def two_sided_ideal(A: SuperAlgebra, generators) -> Subspace:
             for prod in (A.mul_coords(e, v), A.mul_coords(v, e)):
                 if prod and ech.insert(dict(prod)):
                     queue.append(prod)
-    return Subspace(A.space, ech.rref_rows())
+    return Subspace(A.space, ech.rref_rows(), A.field)
 
 
 def an_vanishing_check(R: SuperAlgebra, n: int) -> GradedDim:
@@ -219,7 +226,7 @@ def an_vanishing_check(R: SuperAlgebra, n: int) -> GradedDim:
     if p and n % p == 0:
         raise ScalarError("characteristic %d divides n=%d" % (p, n))
     S = tensor(R, build_q1(R.field))
-    gens = [dict((k, R.field.from_int(n) * v) for k, v in S.unit.items())]
+    gens = [in_field({k: R.field.from_int(n) * v for k, v in S.unit.items()}, R.field)]
     comm = commutator_subspace(S)
     gens.extend(dict(r) for r in comm.rows)
     ideal = two_sided_ideal(S, gens)
@@ -273,7 +280,7 @@ def build_grassmann(field: Field, k: int) -> SuperAlgebra:
                 for j in range(i + 1, len(seq)):
                     if seq[i] > seq[j]:
                         sign = -sign
-            products[(index[a], index[b])] = {index[merged]: one if sign > 0 else -one}
+            products[(index[a], index[b])] = {index[merged]: field.from_int(sign)}
     return SuperAlgebra(field, space, products, {0: one}, name="grassmann(%d)" % k)
 
 
@@ -315,7 +322,7 @@ def build_monogenic(field: Field, coeffs) -> SuperAlgebra:
             else:
                 for t, c in top.items():
                     nxt[t] = nxt.get(t, field.zero) + v * c
-        powers[e] = {k: v for k, v in nxt.items() if v}
+        powers[e] = in_field(nxt, field)
     labels = ["1"] + ["x^%d" % i if i > 1 else "x" for i in range(1, d)]
     space = GradedSpace(labels, (0,) * d)
     products = {}

@@ -24,10 +24,11 @@ is nonzero in the field, the block is acyclic.  So H2 is the homology of
 the weight-zero subcomplex, and only that is built: CEComplex lists only
 the weight-zero pairs of L2 and streams only the weight-zero triples.  In
 characteristic p a weight that is nonzero over Z may vanish, which keeps
-more chains and is still exact.  Its H2 basis is the one of the full
-complex: the canonical complement of the image inside the kernel splits
-by weight, and the blocks of nonzero weight contribute nothing.  An
-empty torus gives the full complex.
+more chains and is still exact; weights are field values, so each sum and
+negation of weights is reduced mod p before it is compared.  Its H2 basis
+is the one of the full complex: the canonical complement of the image
+inside the kernel splits by weight, and the blocks of nonzero weight
+contribute nothing.  An empty torus gives the full complex.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ from bisect import bisect_left
 from math import comb
 
 from .lie import LieSuperAlgebra, StructureError
-from .linalg import Echelon, GradedDim, GradedSpace, kernel, vec_add_scaled
+from .linalg import Echelon, GradedDim, GradedSpace, in_field, kernel, vec_add_scaled
 
 
 def lam2_dim_formula(gd: GradedDim) -> GradedDim:
@@ -77,6 +78,7 @@ class CEComplex:
     def __init__(self, g: LieSuperAlgebra, torus=()):
         self.g = g
         self.weights = torus_weights(g, torus)
+        p = g.field.characteristic
         # Weights interned as small ids: _buckets[a] lists the basis indices
         # of weight a, _third[a][b] is the id of -(w_a + w_b) or None.
         ids = {}
@@ -84,11 +86,13 @@ class CEComplex:
         self._buckets = [[] for _ in ids]
         for b, a in enumerate(self.weight_id):
             self._buckets[a].append(b)
-        self._third = [
-            [ids.get(tuple(-(x + y) for x, y in zip(wa, wb))) for wb in ids] for wa in ids
-        ]
+
+        def neg_id(w):  # id of -w, reduced into the field, or None
+            return ids.get(tuple(-x % p if p else -x for x in w))
+
+        self._third = [[neg_id(tuple(x + y for x, y in zip(wa, wb))) for wb in ids] for wa in ids]
         # the weight-zero pairs: partner j >= i in the bucket of -w_i
-        neg = [ids.get(tuple(-x for x in w)) for w in ids]
+        neg = [neg_id(w) for w in ids]
         par = g.space.parities
         pairs = []
         for i, a in enumerate(self.weight_id):
@@ -146,21 +150,21 @@ class CEComplex:
                     yield (i, j, k)
 
     def d3_column(self, t) -> dict:
+        """d3 of the triple t; over F_p the column is summed in Z and
+        reduced once."""
         i, j, k = t
         g = self.g
         par = g.space.parities
-        one = g.field.one
         out = {}
 
-        def add_wedge_scaled(tbl: dict, other: int, coeff):
+        def add_wedge(tbl: dict, other: int, sign: int):
+            # sign (+1 or -1) and the wedge's own sign fold into one negation
             for s, v in tbl.items():
                 w = self.wedge(s, other)
                 if w is None:
                     continue
                 pos, sgn = w
-                val = v * coeff
-                if sgn < 0:
-                    val = -val
+                val = v if sgn == sign else -v
                 cur = out.get(pos)
                 if cur is None:
                     out[pos] = val
@@ -171,11 +175,11 @@ class CEComplex:
                     else:
                         del out[pos]
 
-        add_wedge_scaled(g.bracket_basis(i, j), k, one)
-        c = -one if (par[j] and par[k]) else one
-        add_wedge_scaled(g.bracket_basis(i, k), j, -c)
-        c = -one if (par[i] and ((par[j] + par[k]) % 2)) else one
-        add_wedge_scaled(g.bracket_basis(j, k), i, c)
+        add_wedge(g.bracket_basis(i, j), k, 1)
+        add_wedge(g.bracket_basis(i, k), j, 1 if (par[j] and par[k]) else -1)
+        add_wedge(g.bracket_basis(j, k), i, -1 if (par[i] and ((par[j] + par[k]) % 2)) else 1)
+        if g.field.characteristic:
+            out = in_field(out, g.field)
         return out
 
 
@@ -200,7 +204,7 @@ def ce_h2(g: LieSuperAlgebra, torus=()) -> H2Result:
     """
     torus = list(torus)
     cx = CEComplex(g, torus)
-    torus_span = Echelon()
+    torus_span = Echelon(g.field)
     for h in torus:
         torus_span.insert(h)
     stats = {
@@ -222,7 +226,7 @@ def ce_h2(g: LieSuperAlgebra, torus=()) -> H2Result:
     ker = kernel(rows, cx.lam2, g.field)
     timings["kernel_parity01"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    ech = Echelon()
+    ech = Echelon(g.field)
     lam3_weight0_dim = 0
     for t in cx.iter_lam3_weight0():
         lam3_weight0_dim += 1
@@ -236,7 +240,7 @@ def ce_h2(g: LieSuperAlgebra, torus=()) -> H2Result:
             continue
         acc = {}
         for k, v in col.items():
-            vec_add_scaled(acc, cx.d2_column(k), v)
+            vec_add_scaled(acc, cx.d2_column(k), v, g.field)
         if acc:
             raise AssertionError("d2 o d3 != 0 at triple %r" % (t,))
         ech.insert(col)
@@ -244,7 +248,7 @@ def ce_h2(g: LieSuperAlgebra, torus=()) -> H2Result:
     im = GradedDim(ech.rank - odd, odd)
     timings["boundaries_parity01"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    rep_ech = Echelon()
+    rep_ech = Echelon(g.field)
     for row in ker.rows:
         res = ech.reduce(row)
         if res:

@@ -46,18 +46,14 @@ class PairSpace:
                 labels.append("%s⊗%s" % (R.space.labels[a], R.space.labels[b]))
                 parities.append((par[a] + par[b]) % 2)
         self.space = GradedSpace(labels, parities)
-        one = self.field.one
+        field = self.field
+        one = field.one
         rel = []
         for a in range(d):
             for b in range(a, d):
-                vec = {}
-                vec[a * d + b] = one
+                vec = {a * d + b: one}
                 sgn = -one if (par[a] and par[b]) else one
-                cur = vec.get(b * d + a, self.field.zero) + sgn
-                if cur:
-                    vec[b * d + a] = cur
-                else:
-                    vec.pop(b * d + a, None)
+                vec_add_scaled(vec, {b * d + a: one}, sgn, field)
                 if vec:
                     rel.append(vec)
         for a in range(d):
@@ -67,43 +63,33 @@ class PairSpace:
                     vec = {}
                     s1 = -one if (par[a] and par[c]) else one
                     for t, v in ab.items():
-                        vec_add_scaled(vec, {t * d + c: v}, s1)
+                        vec_add_scaled(vec, {t * d + c: v}, s1, field)
                     bc = R.products.get((b, c), {})
                     s2 = -one if (par[b] and par[a]) else one
                     for t, v in bc.items():
-                        vec_add_scaled(vec, {t * d + a: v}, s2)
+                        vec_add_scaled(vec, {t * d + a: v}, s2, field)
                     ca = R.products.get((c, a), {})
                     s3 = -one if (par[c] and par[b]) else one
                     for t, v in ca.items():
-                        vec_add_scaled(vec, {t * d + b: v}, s3)
+                        vec_add_scaled(vec, {t * d + b: v}, s3, field)
                     if vec:
                         rel.append(vec)
-        self.relations = Subspace.from_vectors(self.space, rel)
+        self.relations = Subspace.from_vectors(self.space, rel, field)
         if not self.relations.is_homogeneous():
             raise StructureError("relation subspace of %s mixes parities" % R.name)
         self.quot = QuotientSpace(self.space, self.relations)
 
     def tensor_vec(self, x: dict, y: dict) -> dict:
         """Coordinates of x(x)y in the ambient R(x)R (no sign: it is a pair,
-        not a product)."""
+        not a product).  Each key a*d + b comes from one pair (a, b), and a
+        product of nonzero scalars is nonzero, so entries are only reduced."""
         d = self.R.dim
-        out = {}
-        for a, xa in x.items():
-            for b, yb in y.items():
-                v = xa * yb
-                if not v:
-                    continue
-                key = a * d + b
-                cur = out.get(key)
-                if cur is None:
-                    out[key] = v
-                else:
-                    nv = cur + v
-                    if nv:
-                        out[key] = nv
-                    else:
-                        del out[key]
-        return out
+        p = self.field.characteristic
+        return {
+            a * d + b: xa * yb % p if p else xa * yb
+            for a, xa in x.items()
+            for b, yb in y.items()
+        }
 
     def lam(self, x: dict, y: dict) -> dict:
         """Class of x(x)y in <R,R>, as coordinates on the quotient basis."""
@@ -126,12 +112,12 @@ class HC1Result:
         return "<HC1 %s %s>" % (self.pair.R.name, self.graded_dim)
 
 
-def _commutator_of_pair_vec(comm: list, vec: dict) -> dict:
+def _commutator_of_pair_vec(comm: list, vec: dict, field) -> dict:
     """Apply a(x)b -> [a, b] linearly to an R(x)R vector; comm[key] is the
     supercommutator of the pair with that ambient key."""
     out = {}
     for key, v in vec.items():
-        vec_add_scaled(out, comm[key], v)
+        vec_add_scaled(out, comm[key], v, field)
     return out
 
 
@@ -144,7 +130,7 @@ def hc1(R: SuperAlgebra) -> HC1Result:
     pair = PairSpace(R)
     comm = [R.supercommutator(a, b) for a in range(R.dim) for b in range(R.dim)]
     for row in pair.relations.rows:
-        img = _commutator_of_pair_vec(comm, row)
+        img = _commutator_of_pair_vec(comm, row, R.field)
         if img:
             raise StructureError(
                 "commutator map is not well-defined on <%s,%s>: relation row "
@@ -153,7 +139,7 @@ def hc1(R: SuperAlgebra) -> HC1Result:
     rows = [{} for _ in range(R.dim)]
     for col in range(pair.quot.dim):
         rep = pair.quot.section({col: R.field.one})
-        img = _commutator_of_pair_vec(comm, rep)
+        img = _commutator_of_pair_vec(comm, rep, R.field)
         for r, v in img.items():
             rows[r][col] = v
     sub = kernel(rows, pair.quot.space, R.field)
@@ -212,7 +198,7 @@ def check_h_relations(R: SuperAlgebra) -> list:
             xbnu = elem({b: one}, 1)
             sgn = -one if (par[a] and par[b]) else one
             amb = pair.tensor_vec(xa1, xbnu)
-            vec_add_scaled(amb, pair.tensor_vec(xb1, xanu), sgn)
+            vec_add_scaled(amb, pair.tensor_vec(xb1, xanu), sgn, field)
             residue_row("swap-odd", (labels[a], labels[b]), amb)
             if par[a] or par[b]:
                 residue_row(
@@ -224,12 +210,12 @@ def check_h_relations(R: SuperAlgebra) -> list:
             else:
                 amb = pair.tensor_vec(xa1, xb1)
                 comm = R.supercommutator(a, b)
-                vec_add_scaled(amb, pair.tensor_vec(elem(comm, 1), unit_nu), -half)
+                vec_add_scaled(amb, pair.tensor_vec(elem(comm, 1), unit_nu), -half, field)
                 residue_row("even-commutator-half", (labels[a], labels[b]), amb)
                 anti = dict(R.products.get((a, b), {}))
-                vec_add_scaled(anti, R.products.get((b, a), {}), one)
+                vec_add_scaled(anti, R.products.get((b, a), {}), one, field)
                 amb = pair.tensor_vec(xanu, xbnu)
-                vec_add_scaled(amb, pair.tensor_vec(elem(anti, 1), unit_nu), -half)
+                vec_add_scaled(amb, pair.tensor_vec(elem(anti, 1), unit_nu), -half, field)
                 residue_row("even-anticommutator-half", (labels[a], labels[b]), amb)
         residue_row("unit-nu", (labels[a], "1"), pair.tensor_vec(elem({a: one}, 0), unit_nu))
     return rows
@@ -269,7 +255,8 @@ def build_shift_iso(hc_R: HC1Result, hc_S: HC1Result) -> OddIsoPair:
     d = R.dim
     if S.dim != 2 * d:
         raise ValueError("HC1 of %s is not over R(x)Q1 for R = %s" % (S.name, R.name))
-    one = R.field.one
+    field = R.field
+    one = field.one
     out = OddIsoPair()
 
     def h_col(a: int, b: int) -> dict:
@@ -285,7 +272,7 @@ def build_shift_iso(hc_R: HC1Result, hc_S: HC1Result) -> OddIsoPair:
         img = {}
         for key, v in row.items():
             a, b = divmod(key, d)
-            vec_add_scaled(img, h_col(a, b), v)
+            vec_add_scaled(img, h_col(a, b), v, field)
         if img:
             ok = False
             out.failures.append("psi does not kill a relation row (leading %d)" % min(row))
@@ -300,7 +287,7 @@ def build_shift_iso(hc_R: HC1Result, hc_S: HC1Result) -> OddIsoPair:
             rep = pair_R.quot.section({qcol: one})
             for key, cv in rep.items():
                 a, b = divmod(key, d)
-                vec_add_scaled(img, h_col(a, b), cv * v)
+                vec_add_scaled(img, h_col(a, b), cv * v, field)
         psi_cols.append(img)
         if not hc_S.subspace.contains(img):
             ok = False
@@ -308,7 +295,7 @@ def build_shift_iso(hc_R: HC1Result, hc_S: HC1Result) -> OddIsoPair:
     out.psi_image_in_hc1 = ok
 
     # phi: solve each HC1(S) basis vector as a combination of h-columns.
-    span = AugmentedSpan()
+    span = AugmentedSpan(field)
     pairs_order = [(a, b) for a in range(d) for b in range(d)]
     for (a, b) in pairs_order:
         col = h_col(a, b)
@@ -318,7 +305,7 @@ def build_shift_iso(hc_R: HC1Result, hc_S: HC1Result) -> OddIsoPair:
     for tag in span.kernel_tags:
         img = {}
         for (a, b), v in tag.items():
-            vec_add_scaled(img, lam_col(a, b), v)
+            vec_add_scaled(img, lam_col(a, b), v, field)
         if img:
             ok_wd = False
             out.failures.append("phi is ill-defined on a kernel combination of h-columns")
@@ -336,7 +323,7 @@ def build_shift_iso(hc_R: HC1Result, hc_S: HC1Result) -> OddIsoPair:
             continue
         img = {}
         for (a, b), v in tags.items():
-            vec_add_scaled(img, lam_col(a, b), v)
+            vec_add_scaled(img, lam_col(a, b), v, field)
         phi_cols.append(img)
         if not hc_R.subspace.contains(img):
             ok_image = False
@@ -359,7 +346,7 @@ def build_shift_iso(hc_R: HC1Result, hc_S: HC1Result) -> OddIsoPair:
                 if phi_cols[j] is None:
                     ok_inv = False
                     break
-                vec_add_scaled(back, phi_cols[j], v)
+                vec_add_scaled(back, phi_cols[j], v, field)
             expect = {k: v for k, v in hc_R.subspace.rows[i].items()}
             if back != expect:
                 ok_inv = False
@@ -374,7 +361,7 @@ def build_shift_iso(hc_R: HC1Result, hc_S: HC1Result) -> OddIsoPair:
                 continue
             back = {}
             for i, v in coords.items():
-                vec_add_scaled(back, psi_cols[i], v)
+                vec_add_scaled(back, psi_cols[i], v, field)
             expect = {k: v for k, v in hc_S.subspace.rows[j].items()}
             if back != expect:
                 ok_inv = False

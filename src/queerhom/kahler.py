@@ -18,7 +18,7 @@ Supported presentations (by builtin tag):
 from __future__ import annotations
 
 from .algebras import build_monogenic, build_square_zero_plane, parse_poly
-from .linalg import Echelon, GradedDim
+from .linalg import Echelon, GradedDim, vec_add_scaled
 
 
 def _monogenic_quotient_dim(field, coeffs) -> int:
@@ -31,7 +31,7 @@ def _monogenic_quotient_dim(field, coeffs) -> int:
         c = field.from_int(e * int(coeffs[e]))
         if c:
             fprime[e - 1] = c
-    ech = Echelon()
+    ech = Echelon(field)
     rank = 0
     for r in range(d):
         vec = R.mul_coords({r: one}, dict(fprime))
@@ -74,20 +74,14 @@ def kahler_hc1_oracle(tag: str, field) -> GradedDim:
             {(0, y): one, (1, x): one},  # d(xy) = y dx + x dy
             {(1, y): two},            # d(y^2)   = 2y dy
         ]
-        ech = Echelon()
+        ech = Echelon(field)
         rank = 0
         for df in rel_diffs:
             for r in range(3):
                 vec = {}
                 for (gidx, coefidx), c in df.items():
                     prod = R.mul_coords({r: one}, {coefidx: c})
-                    for t, v in prod.items():
-                        key = gidx * 3 + t
-                        cur = vec.get(key, field.zero) + v
-                        if cur:
-                            vec[key] = cur
-                        else:
-                            vec.pop(key, None)
+                    vec_add_scaled(vec, {gidx * 3 + t: v for t, v in prod.items()}, one, field)
                 if vec and ech.insert(vec):
                     rank += 1
         for exact in ({0 * 3 + 0: one}, {1 * 3 + 0: one}):  # dx, dy

@@ -33,6 +33,7 @@ from .linalg import (
     GradedSpace,
     GradingError,
     Subspace,
+    in_field,
     kernel,
     QuotientSpace,
     vec_add_scaled,
@@ -64,7 +65,7 @@ class LieSuperAlgebra:
             for j, yj in y.items():
                 tbl = self.brackets.get((i, j))
                 if tbl:
-                    vec_add_scaled(out, tbl, xi * yj)
+                    vec_add_scaled(out, tbl, xi * yj, self.field)
         return out
 
     def __repr__(self):
@@ -112,6 +113,7 @@ def build_gl(m: int, n: int, R: SuperAlgebra) -> LieSuperAlgebra:
     N = m + n
     dR = R.dim
     rpar = R.space.parities
+    p = R.field.characteristic
 
     def pos_par(i):  # 1-based
         return 0 if i <= m else 1
@@ -130,7 +132,8 @@ def build_gl(m: int, n: int, R: SuperAlgebra) -> LieSuperAlgebra:
 
     # [E_ij(a), E_kl(b)] vanishes unless j == k or l == i, and unless ab or
     # ba is a product key, so only those partners are visited, in the same
-    # (k, l, b) order as a full scan
+    # (k, l, b) order as a full scan.  The j == k entries are single products
+    # of R, already reduced; an l == i entry may add to one and is reduced.
     r_partners = _product_partners(R)
     brackets = {}
     for i in range(1, N + 1):
@@ -156,7 +159,8 @@ def build_gl(m: int, n: int, R: SuperAlgebra) -> LieSuperAlgebra:
                                     for t, c in tbl.items():
                                         key = idx(k, j, t)
                                         cur = out.get(key, R.field.zero)
-                                        out[key] = cur - c if sgn > 0 else cur + c
+                                        nv = cur - c if sgn > 0 else cur + c
+                                        out[key] = nv % p if p else nv
                             out = {t: v for t, v in out.items() if v}
                             if out:
                                 brackets[(x, idx(k, l, b))] = out
@@ -196,10 +200,11 @@ def _q_formula_brackets(n: int, R: SuperAlgebra, qi: _QIndex) -> dict:
     = (u, 1, -e) for [u,u], (w, 1, -e) for [u,w] and (u, f, fe) for [w,w],
     where e = (-1)^{|a||b|} and f = (-1)^{|b|}.  Only partners with j == k
     or l == i, and b with ab or ba a product key, are visited, in full-scan
-    order; [w,u] comes from [u,w].
+    order; [w,u] comes from [u,w].  Each entry is summed in Z, then reduced.
     """
     dR = R.dim
     rpar = R.space.parities
+    p = R.field.characteristic
     r_partners = _product_partners(R)
     brackets = {}
 
@@ -237,6 +242,8 @@ def _q_formula_brackets(n: int, R: SuperAlgebra, qi: _QIndex) -> dict:
                                 if i == l:
                                     for t, c in ba.items():
                                         put(out, z(k, j, t), c if s2 > 0 else -c)
+                                if p:
+                                    out = in_field(out, R.field)
                                 if out:
                                     brackets[(x(i, j, a), y(k, l, b))] = out
     # [w,u] from the stored [u,w] entries by super antisymmetry
@@ -244,7 +251,8 @@ def _q_formula_brackets(n: int, R: SuperAlgebra, qi: _QIndex) -> dict:
     for (x, y), tbl in list(brackets.items()):
         if x < block <= y:
             sgn = -1 if (rpar[x % dR] and not rpar[y % dR]) else 1
-            brackets[(y, x)] = {t: (v if sgn < 0 else -v) for t, v in tbl.items()}
+            flipped = {t: (v if sgn < 0 else -v) for t, v in tbl.items()}
+            brackets[(y, x)] = in_field(flipped, R.field) if p else flipped
     return brackets
 
 
@@ -299,11 +307,11 @@ def build_q(n: int, R: SuperAlgebra) -> LieSuperAlgebra:
 
 def derived_subalgebra(g: LieSuperAlgebra) -> Subspace:
     """Canonical span of all brackets [g, g]."""
-    ech = Echelon()
+    ech = Echelon(g.field)
     for (i, j), tbl in sorted(g.brackets.items()):
         if i <= j and tbl:
             ech.insert(dict(tbl))
-    return Subspace(g.space, ech.rref_rows())
+    return Subspace(g.space, ech.rref_rows(), g.field)
 
 
 def induced_lie(g: LieSuperAlgebra, sub: Subspace, name="") -> LieSuperAlgebra:
@@ -384,7 +392,7 @@ def build_sq_by_characterization(n: int, R: SuperAlgebra, q: LieSuperAlgebra) ->
     vecs.extend(
         _trace_constrained_diagonal(field, R, n, lambda i, r: qi.w(i, i, r), comm)
     )
-    sub = Subspace.from_vectors(q.space, vecs)
+    sub = Subspace.from_vectors(q.space, vecs, field)
     if n >= 2:
         if sub != derived_subalgebra(q):
             raise StructureError("trace characterization differs from the derived subalgebra")
@@ -426,7 +434,7 @@ def build_psq_lie(n: int, R: SuperAlgebra):
         if coords is None:
             raise ValueError("identity block is not inside the derived algebra")
         ideal_vecs.append(coords)
-    ideal = Subspace.from_vectors(sq.space, ideal_vecs)
+    ideal = Subspace.from_vectors(sq.space, ideal_vecs, sq.field)
     psq = quotient_lie(sq, ideal, name="psq(%d;%s)" % (n, R.name))
     return psq
 
@@ -490,7 +498,7 @@ def build_sl(gl: LieSuperAlgebra) -> Subspace:
     vecs.extend(
         _trace_constrained_diagonal(field, S, n, lambda i, s: gl.entry_index(i, i, s), comm)
     )
-    return Subspace.from_vectors(gl.space, vecs)
+    return Subspace.from_vectors(gl.space, vecs, field)
 
 
 # ------------------------------------------------------------ homomorphisms
@@ -499,9 +507,12 @@ MAX_FAILURES = 20  # bracket failure messages kept; bracket_preserving sees ever
 
 
 class VerifiedHomomorphism:
-    """A graded linear map between Lie superalgebras with recomputed flags."""
+    """A graded linear map between Lie superalgebras over one field, with
+    recomputed flags."""
 
     def __init__(self, source: LieSuperAlgebra, target: LieSuperAlgebra, columns, name=""):
+        if source.field != target.field:
+            raise ValueError("mixed fields")
         self.source = source
         self.target = target
         self.columns = [dict(c) for c in columns]
@@ -516,7 +527,7 @@ class VerifiedHomomorphism:
     def apply(self, vec: dict) -> dict:
         out = {}
         for i, v in vec.items():
-            vec_add_scaled(out, self.columns[i], v)
+            vec_add_scaled(out, self.columns[i], v, self.target.field)
         return out
 
     def verify(self):
@@ -560,7 +571,7 @@ class VerifiedHomomorphism:
                             % (src.space.labels[i], src.space.labels[j])
                         )
         self.bracket_preserving = ok_br
-        ech = Echelon()
+        ech = Echelon(tgt.field)
         rank = 0
         for col in self.columns:
             if col and ech.insert(dict(col)):
@@ -580,7 +591,7 @@ class VerifiedHomomorphism:
 
     def map_subspace(self, sub: Subspace) -> Subspace:
         vecs = [self.apply(dict(r)) for r in sub.rows]
-        return Subspace.from_vectors(self.target.space, vecs)
+        return Subspace.from_vectors(self.target.space, vecs, self.target.field)
 
     def __repr__(self):
         return "<VerifiedHomomorphism %s: iso=%s>" % (self.name, self.is_isomorphism)
@@ -630,7 +641,7 @@ def iso_qQ1_to_glnn(n: int, R: SuperAlgebra) -> VerifiedHomomorphism:
                 gl.entry_index(i, j, r): i_val,
                 gl.entry_index(n + i, n + j, r): -(i_val * sgn),
             }
-        cols.append({k: v for k, v in col.items() if v})
+        cols.append(in_field(col, field))
     return VerifiedHomomorphism(q, gl, cols, name="q%d(%s)->gl(%d|%d;%s)" % (n, S.name, n, n, R.name))
 
 
@@ -640,7 +651,7 @@ def lie_tensor(g: LieSuperAlgebra, R: SuperAlgebra) -> LieSuperAlgebra:
         raise ValueError("lie_tensor needs supercommutative coordinates")
     if g.field != R.field:
         raise ValueError("mixed fields")
-    space, brackets = koszul_tensor(g.space, g.brackets, R.space, R.products)
+    space, brackets = koszul_tensor(g.space, g.brackets, R.space, R.products, g.field)
     return LieSuperAlgebra(g.field, space, brackets, name="%s⊗%s" % (g.name, R.name))
 
 

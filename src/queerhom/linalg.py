@@ -15,17 +15,21 @@ Subspaces are stored as the same canonical rows sorted by pivot column, so
 subspace equality is literal equality of the stored data, and reduction
 modulo a subspace is the same walk over the vector's own support.
 
-Every division between scalars goes through :func:`scalars.inverse`, so
-integer entries over Q never turn into floats, and stored rows keep an
-integral value as an int, so the rows every reduction reads stay on int
-arithmetic.
+Every kernel takes the field its scalars live in and applies its
+characteristic: over F_p the values are ints in [0, p), combined in Z and
+reduced mod p (``_residue`` and ``in_field`` reduce once, after the sums);
+in characteristic 0 nothing is reduced.  Each kernel has one loop for all
+three fields, with that reduction as a step.  Every division goes through
+``field.invert``, so integer entries over Q never turn into floats, and
+stored rows keep an integral rational as an int, so the rows every
+reduction reads stay on int arithmetic.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from typing import NamedTuple
 
-from .scalars import as_int_if_integral, inverse
+from .scalars import as_int_if_integral
 
 
 class GradingError(ValueError):
@@ -110,29 +114,50 @@ class GradedSpace:
         return "<GradedSpace dim %s>" % (self.graded_dim,)
 
 
-def vec_add_scaled(dst: dict, src: dict, c) -> None:
-    """dst += c*src in place."""
+def in_field(vec: dict, field) -> dict:
+    """vec with its values reduced into field and its zeros dropped.
+
+    Over F_p the values may be any ints, as sums and products taken in Z
+    leave them, and come out in [1, p); in characteristic 0 only the zeros
+    are dropped.  Key order is kept.
+    """
+    p = field.characteristic
+    return {k: r for k, v in vec.items() if (r := v % p if p else v)}
+
+
+def vec_add_scaled(dst: dict, src: dict, c, field) -> None:
+    """dst += c*src in place, over field.
+
+    Over F_p, c may be any int (a product or a negation left unreduced);
+    every value stored in dst is reduced.
+    """
+    p = field.characteristic
     for k, v in src.items():
         cur = dst.get(k)
         if cur is None:
             nv = c * v
+            if p:
+                nv %= p
             if nv:
                 dst[k] = nv
         else:
             nv = cur + c * v
+            if p:
+                nv %= p
             if nv:
                 dst[k] = nv
             else:
                 del dst[k]
 
 
-def _residue(vec: dict, rows: dict):
+def _residue(vec: dict, rows: dict, field):
     """Split vec over canonical rows {pivot column: row}.
 
     Returns (residue, cols): cols lists the pivot columns in vec's support,
     increasing, and residue = vec - sum(vec[c] * rows[c] for c in cols).
     Each row is monic and zero at every other pivot, so vec's own values are
-    the multiples, and the residue is zero at every pivot column.
+    the multiples, and the residue is zero at every pivot column.  Over F_p
+    the sum is taken in Z and reduced once at the end.
     """
     out = dict(vec)
     if not all(out.values()):
@@ -153,54 +178,59 @@ def _residue(vec: dict, rows: dict):
                     out[k] = nv
                 else:
                     del out[k]
+    if field.characteristic:
+        out = in_field(out, field)
     return out, cols
 
 
-def _store(rows: dict, index: dict, row: dict):
+def _store(rows: dict, index: dict, row: dict, field):
     """Keep a nonzero residue as a new canonical row, in place.
 
     row is zero at every stored pivot; it is scaled to be monic at its
-    leading column p, and p is cleared from every stored row that is
+    leading column lead, and lead is cleared from every stored row that is
     nonzero there.  index maps each non-pivot column to the set of pivot
     columns whose rows are nonzero at it, and is kept exact.  Returns
-    (p, s, cleared): row was multiplied by s, and cleared lists (q, x) for
+    (lead, s, cleared): row was multiplied by s, and cleared lists (q, x) for
     each stored row q from which x times the new row was subtracted.
     """
-    p = min(row)
-    s = inverse(row[p])
+    p = field.characteristic
+    lead = min(row)
+    s = field.invert(row[lead])
     for k, v in row.items():
-        row[k] = as_int_if_integral(v * s)
-    hits = index.pop(p, ())
+        v *= s
+        row[k] = v % p if p else as_int_if_integral(v)
+    hits = index.pop(lead, ())
     for c in row:
-        if c != p:
-            index.setdefault(c, set()).add(p)
+        if c != lead:
+            index.setdefault(c, set()).add(lead)
     cleared = []
     for q in hits:
         target = rows[q]
-        x = target.pop(p)
+        x = target.pop(lead)
         cleared.append((q, x))
         for c, v in row.items():
-            if c == p:
+            if c == lead:
                 continue
             cur = target.get(c)
-            if cur is None:
-                target[c] = as_int_if_integral(-x * v)
-                index[c].add(q)
-            else:
-                nv = cur - x * v
-                if nv:
-                    target[c] = as_int_if_integral(nv)
-                else:
-                    del target[c]
-                    index[c].discard(q)
-    rows[p] = row
-    return p, s, cleared
+            nv = -x * v if cur is None else cur - x * v
+            nv = nv % p if p else as_int_if_integral(nv)
+            if nv:
+                if cur is None:
+                    index[c].add(q)
+                target[c] = nv
+            elif cur is not None:
+                del target[c]
+                index[c].discard(q)
+    rows[lead] = row
+    return lead, s, cleared
 
 
 class Echelon:
-    """Incremental echelon whose rows are canonical RREF after every insert."""
+    """Incremental echelon over field whose rows are canonical RREF after
+    every insert."""
 
-    def __init__(self):
+    def __init__(self, field):
+        self.field = field
         self.pivots = {}  # pivot column -> row dict (monic, zero at other pivots)
         self._cols = {}  # non-pivot column -> pivot columns of rows nonzero there
         self._rref = None
@@ -214,16 +244,16 @@ class Echelon:
 
         Returns True when vec enlarged the span.  vec itself is not changed.
         """
-        work, _ = _residue(vec, self.pivots)
+        work, _ = _residue(vec, self.pivots, self.field)
         if not work:
             return False
-        _store(self.pivots, self._cols, work)
+        _store(self.pivots, self._cols, work, self.field)
         self._rref = None
         return True
 
     def reduce(self, vec: dict) -> dict:
         """Residue of vec modulo the current span; zero at every pivot column."""
-        return _residue(vec, self.pivots)[0]
+        return _residue(vec, self.pivots, self.field)[0]
 
     def rref_rows(self):
         """Canonical rows, sorted by pivot column: copies of the stored rows."""
@@ -234,13 +264,14 @@ class Echelon:
 
 
 class Subspace:
-    """Canonical row space inside a graded ambient space."""
+    """Canonical row space over field inside a graded ambient space."""
 
-    def __init__(self, space: GradedSpace, rows):
+    def __init__(self, space: GradedSpace, rows, field):
         """rows must be canonical RREF, as Echelon.rref_rows returns them:
         nonzero, sorted by pivot column, monic, and zero at every other
         pivot.  This is checked in O(nnz); ValueError if it fails."""
         self.space = space
+        self.field = field
         self.rows = tuple(dict(r) for r in rows)
         if not all(self.rows):
             raise ValueError("subspace rows must be nonzero")
@@ -258,11 +289,11 @@ class Subspace:
                     raise ValueError("subspace row %d is nonzero at pivot column %d" % (idx, c))
 
     @classmethod
-    def from_vectors(cls, space: GradedSpace, vectors) -> "Subspace":
-        ech = Echelon()
+    def from_vectors(cls, space: GradedSpace, vectors, field) -> "Subspace":
+        ech = Echelon(field)
         for v in vectors:
             ech.insert(v)
-        return cls(space, ech.rref_rows())
+        return cls(space, ech.rref_rows(), field)
 
     @property
     def dim(self):
@@ -288,14 +319,14 @@ class Subspace:
 
     def reduce(self, vec: dict) -> dict:
         """Residue modulo the subspace; support avoids all pivot columns."""
-        return _residue(vec, self._by_pivot)[0]
+        return _residue(vec, self._by_pivot, self.field)[0]
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
 
     def coords_of(self, vec: dict):
         """Coefficients of vec over the canonical rows, or None if outside."""
-        out, cols = _residue(vec, self._by_pivot)
+        out, cols = _residue(vec, self._by_pivot, self.field)
         if out:
             return None
         pivot_cols = self.pivot_cols
@@ -304,6 +335,7 @@ class Subspace:
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
+            and self.field == other.field
             and self.space == other.space
             and self.rows == other.rows
         )
@@ -360,12 +392,13 @@ def kernel(rows, domain: GradedSpace, field) -> Subspace:
     rows are the rows of M as vectors on the domain's coordinates; the
     result is canonical, so their order does not matter.
     """
-    ech = Echelon()
+    ech = Echelon(field)
     for row in rows:
         if row:
             ech.insert(row)
     reduced = ech.rref_rows()
     one = field.one
+    p = field.characteristic
     # free column f -> [(pivot column, entry)] over the rows, in pivot order
     free_entries = {}
     pivot_set = set()
@@ -375,15 +408,15 @@ def kernel(rows, domain: GradedSpace, field) -> Subspace:
         for c, v in row.items():
             if c != pc:
                 free_entries.setdefault(c, []).append((pc, v))
-    out = Echelon()
+    out = Echelon(field)
     for f in range(domain.dim):
         if f in pivot_set:
             continue
         vec = {f: one}
         for pc, c in free_entries.get(f, ()):
-            vec[pc] = -c
+            vec[pc] = -c % p if p else -c
         out.insert(vec)
-    return Subspace(domain, out.rref_rows())
+    return Subspace(domain, out.rref_rows(), field)
 
 
 class AugmentedSpan:
@@ -394,34 +427,37 @@ class AugmentedSpan:
     (original column j); clearing a column from a row updates its tag alike.
     """
 
-    def __init__(self):
+    def __init__(self, field):
+        self.field = field
         self.pivots = {}  # pivot col -> (row, tag)
         self.kernel_tags = []
         self._rows = {}  # pivot col -> row, the dicts held in pivots
         self._cols = {}  # non-pivot column -> pivot columns of rows nonzero there
 
     def insert(self, vec: dict, tag: dict) -> bool:
-        work, cols = _residue(vec, self._rows)
+        field = self.field
+        work, cols = _residue(vec, self._rows, field)
         tg = {k: v for k, v in tag.items() if v}
         for c in cols:
-            vec_add_scaled(tg, self.pivots[c][1], -vec[c])
+            vec_add_scaled(tg, self.pivots[c][1], -vec[c], field)
         if not work:
             if tg:
                 self.kernel_tags.append(tg)
             return False
-        p, s, cleared = _store(self._rows, self._cols, work)
-        tg = {k: v * s for k, v in tg.items()}
+        lead, s, cleared = _store(self._rows, self._cols, work, field)
+        scaled = {}
+        vec_add_scaled(scaled, tg, s, field)
         for q, x in cleared:
-            vec_add_scaled(self.pivots[q][1], tg, -x)
-        self.pivots[p] = (work, tg)
+            vec_add_scaled(self.pivots[q][1], scaled, -x, field)
+        self.pivots[lead] = (work, scaled)
         return True
 
     def solve(self, target: dict):
         """Tag combination t with columns(t) = target, or None."""
-        work, cols = _residue(target, self._rows)
+        work, cols = _residue(target, self._rows, self.field)
         if work:
             return None
         tg = {}
         for c in cols:
-            vec_add_scaled(tg, self.pivots[c][1], target[c])
+            vec_add_scaled(tg, self.pivots[c][1], target[c], self.field)
         return tg

@@ -8,14 +8,19 @@ their hashes agree and ``str`` prints both as ``3``.  Only the rows an
 echelon stores are normalized, with :func:`as_int_if_integral` (over Q(i)
 part by part), because every later reduction reads them and ``int``
 arithmetic is the fast path.
-:class:`GaussianRational` holds two such rationals for Q(i), and
-:class:`ModP` residues serve odd prime fields.  A :class:`Field` object
-interprets, parses and formats values; arithmetic goes through the ordinary
-operators so the linear-algebra layer never needs to know which field it is
-working over.
+:class:`GaussianRational` holds two such rationals for Q(i).
+
+An element of F_p is a plain ``int`` in [0, p), owned by its
+:class:`PrimeField`: nothing in the value records p.  Sums and products of
+such ints are computed in Z, and every layer that combines scalars reduces
+them with the field's ``characteristic``, which is p for F_p and 0 for Q
+and Q(i), where nothing is reduced.  A :class:`Field` object interprets,
+parses, formats and inverts values, so the code that combines scalars takes
+the field along with them.
 
 Division is exact: every division between scalars goes through
-:func:`inverse`, never through ``a / b``, because ``int / int`` is a float.
+:meth:`Field.invert` (over Q and Q(i), :func:`inverse`), never through
+``a / b``, because ``int / int`` is a float.
 
 Characteristic 2 is rejected everywhere: 2 must be invertible (nu^2 = 1
 forces [nu, nu] = 2).  Floating point never appears.
@@ -35,10 +40,11 @@ _RATIONAL_TYPES = (int, Fraction)
 
 
 def inverse(x):
-    """Exact 1/x for a nonzero scalar of any field; ZeroDivisionError for 0.
+    """Exact 1/x for a nonzero scalar of Q or Q(i); ZeroDivisionError for 0.
 
     Plus and minus 1 stay ints and any other int n becomes Fraction(1, n).
-    Every other type uses its own division: x / x is the unit of x's field.
+    A Fraction or GaussianRational uses its own division: x / x is the unit
+    of x's field.  An F_p value is an int, so it is inverted by its field.
     """
     if type(x) is int:
         if x == 1 or x == -1:
@@ -114,53 +120,6 @@ class GaussianRational:
 
     def __repr__(self):
         return "GaussianRational(%s, %s)" % (self.re, self.im)
-
-
-class ModP:
-    """Canonical residue in [0, p-1], p an odd prime."""
-
-    __slots__ = ("val", "p")
-
-    def __init__(self, val, p):
-        self.val = val % p
-        self.p = p
-
-    def _check(self, other):
-        if self.p != other.p:
-            raise ScalarError("mixed prime fields: p=%d vs p=%d" % (self.p, other.p))
-
-    def __add__(self, other):
-        self._check(other)
-        return ModP(self.val + other.val, self.p)
-
-    def __sub__(self, other):
-        self._check(other)
-        return ModP(self.val - other.val, self.p)
-
-    def __neg__(self):
-        return ModP(-self.val, self.p)
-
-    def __mul__(self, other):
-        self._check(other)
-        return ModP(self.val * other.val, self.p)
-
-    def __truediv__(self, other):
-        self._check(other)
-        if other.val == 0:
-            raise ZeroDivisionError("division by zero in F_%d" % self.p)
-        return ModP(self.val * pow(other.val, -1, self.p), self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, ModP) and self.p == other.p and self.val == other.val
-
-    def __hash__(self):
-        return hash((self.val, self.p))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def __repr__(self):
-        return "ModP(%d, %d)" % (self.val, self.p)
 
 
 _RAT = r"[+-]?\d+(?:/\d+)?"
@@ -261,9 +220,11 @@ class Field:
 
 class RationalField(Field):
     kind = "rationals"
-    characteristic = 0
 
     def __init__(self):
+        # set on the instance, as in every field: the kernels read it on
+        # every call, and an instance attribute is the fast lookup
+        self.characteristic = 0
         self.zero = 0
         self.one = 1
 
@@ -279,9 +240,9 @@ class RationalField(Field):
 
 class GaussianRationalField(Field):
     kind = "gaussian-rationals"
-    characteristic = 0
 
     def __init__(self):
+        self.characteristic = 0
         self.zero = GaussianRational(0, 0)
         self.one = GaussianRational(1, 0)
         self.i = GaussianRational(0, 1)
@@ -328,6 +289,8 @@ class GaussianRationalField(Field):
 
 
 class PrimeField(Field):
+    """F_p for an odd prime p; its values are the ints 0, 1, ..., p - 1."""
+
     kind = "prime-field"
 
     def __init__(self, p: int):
@@ -336,30 +299,37 @@ class PrimeField(Field):
         if p == 2:
             raise ScalarError("characteristic 2 is not admissible (2 must be invertible)")
         self.characteristic = p
-        self.p = p
-        self.zero = ModP(0, p)
-        self.one = ModP(1, p)
+        self.zero = 0
+        self.one = 1
 
     def parse(self, text):
         text = text.strip()
+        p = self.characteristic
         q = _parse_rational(text)
-        if q.denominator % self.p == 0:
-            raise ScalarError("denominator of %r vanishes in F_%d" % (text, self.p))
-        return ModP(q.numerator * pow(q.denominator, -1, self.p), self.p)
+        if q.denominator % p == 0:
+            raise ScalarError("denominator of %r vanishes in F_%d" % (text, p))
+        return q.numerator * pow(q.denominator, -1, p) % p
 
     def format(self, x):
-        return str(x.val)
+        return str(x)
 
     def from_int(self, n):
-        return ModP(n, self.p)
+        return operator.index(n) % self.characteristic
+
+    def invert(self, x):
+        p = self.characteristic
+        if x % p == 0:
+            raise ZeroDivisionError("division by zero in F_%d" % p)
+        return pow(x, -1, p)
 
     def sqrt_minus_one(self):
-        if self.p % 4 != 1:
+        p = self.characteristic
+        if p % 4 != 1:
             return None
         a = 2
-        while pow(a, (self.p - 1) // 2, self.p) != self.p - 1:
+        while pow(a, (p - 1) // 2, p) != p - 1:
             a += 1
-        return ModP(pow(a, (self.p - 1) // 4, self.p), self.p)
+        return pow(a, (p - 1) // 4, p)
 
 
 QQ = RationalField()

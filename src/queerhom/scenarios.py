@@ -188,6 +188,7 @@ def scenario_loop_iso(opts: ScenarioOptions) -> Report:
         gT.space.parities[t] == qR.space.parities[translate(t)[0]] for t in range(gT.dim)
     )
     report.add_flag("relabeling-preserves-parity", par_ok)
+    p = R.field.characteristic  # a sign flip is reduced into F_p
     relabeled = {}
     for (x, y), tbl in gT.brackets.items():
         tx, sx = translate(x)
@@ -195,7 +196,7 @@ def scenario_loop_iso(opts: ScenarioOptions) -> Report:
         row = {}
         for k, v in tbl.items():
             tk, sk = translate(k)
-            row[tk] = v if sx * sy * sk == 1 else -v
+            row[tk] = v if sx * sy * sk == 1 else (-v % p if p else -v)
         relabeled[(tx, ty)] = row
     report.add_flag(
         "structure-constants-identical",

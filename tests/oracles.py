@@ -26,9 +26,11 @@ from queerhom.linalg import (
     GradingError,
     QuotientSpace,
     Subspace,
+    in_field,
     kernel,
     vec_add_scaled,
 )
+from queerhom.scalars import GaussianRational
 
 
 # ------------------------------------------------------- sparse matrices
@@ -61,12 +63,12 @@ class SparseMatrix:
             cols[c][r] = v
         return cols
 
-    def apply(self, vec: dict) -> dict:
-        """Matrix times a coordinate vector (vec indexed by columns)."""
+    def apply(self, vec: dict, field) -> dict:
+        """Matrix times a coordinate vector (vec indexed by columns), over field."""
         out = {}
         cols = self.cols_as_dicts()
         for c, x in vec.items():
-            vec_add_scaled(out, cols[c], x)
+            vec_add_scaled(out, cols[c], x, field)
         return out
 
     def __eq__(self, other):
@@ -81,19 +83,24 @@ class SparseMatrix:
         return "<SparseMatrix %dx%d, %d nonzero>" % (self.nrows, self.ncols, len(self.entries))
 
 
-def _check_one_field(entries):
-    kinds = set()
-    for v in entries:
-        # int and Fraction are the two representations of one field, Q
-        kinds.add(Fraction if type(v) is int else type(v))
-        if len(kinds) > 1:
-            raise ValueError("matrix mixes scalar types: %s" % kinds)
+def is_canonical(v, field) -> bool:
+    """Whether v is a nonzero value of field in its canonical form: an int in
+    [1, p) over F_p, an int or Fraction over Q, a GaussianRational over Q(i)."""
+    p = field.characteristic
+    if p:
+        return type(v) is int and 0 < v < p
+    if field.kind == "rationals":
+        return type(v) in (int, Fraction) and v != 0
+    return type(v) is GaussianRational and bool(v)
 
 
-def rref(m: SparseMatrix):
-    """Canonical reduced row echelon form and rank; row space is preserved."""
-    _check_one_field(m.entries.values())
-    ech = Echelon()
+def rref(m: SparseMatrix, field):
+    """Canonical reduced row echelon form and rank over field; row space is
+    preserved.  ValueError for an entry that is not a canonical value of field."""
+    for v in m.entries.values():
+        if not is_canonical(v, field):
+            raise ValueError("entry %r is not a canonical value of %s" % (v, field.name))
+    ech = Echelon(field)
     for row in m.rows_as_dicts():
         if row:
             ech.insert(row)
@@ -184,6 +191,7 @@ def q_formula_brackets_full_scan(n: int, R: SuperAlgebra, qi) -> dict:
                             if i == l:
                                 for t, c in ba.items():
                                     put(out, qi.u(k, j, t), -c if s_ab > 0 else c)
+                            out = in_field(out, R.field)
                             if out:
                                 brackets[(qi.u(i, j, a), qi.u(k, l, b))] = out
                             # [u,w] -> w
@@ -194,6 +202,7 @@ def q_formula_brackets_full_scan(n: int, R: SuperAlgebra, qi) -> dict:
                             if i == l:
                                 for t, c in ba.items():
                                     put(out, qi.w(k, j, t), -c if s_ab > 0 else c)
+                            out = in_field(out, R.field)
                             if out:
                                 brackets[(qi.u(i, j, a), qi.w(k, l, b))] = out
                             # [w,w] -> (-1)^{|b|} (delta_jk u_il(ab) + (-1)^{|a||b|} delta_il u_kj(ba))
@@ -206,6 +215,7 @@ def q_formula_brackets_full_scan(n: int, R: SuperAlgebra, qi) -> dict:
                                 sgn = lead * s_ab
                                 for t, c in ba.items():
                                     put(out, qi.u(k, j, t), c if sgn > 0 else -c)
+                            out = in_field(out, R.field)
                             if out:
                                 brackets[(qi.w(i, j, a), qi.w(k, l, b))] = out
     # [w,u] from super antisymmetry
@@ -221,7 +231,9 @@ def q_formula_brackets_full_scan(n: int, R: SuperAlgebra, qi) -> dict:
                             if not tbl:
                                 continue
                             sgn = -1 if (pu and pw) else 1
-                            flipped = {t: (v if sgn < 0 else -v) for t, v in tbl.items()}
+                            flipped = in_field(
+                                {t: (v if sgn < 0 else -v) for t, v in tbl.items()}, R.field
+                            )
                             brackets[(qi.w(k, l, b), qi.u(i, j, a))] = flipped
     return brackets
 
@@ -232,11 +244,12 @@ def verify_full_scan(source, target, columns) -> dict:
     """The flags and failure list of VerifiedHomomorphism(source, target,
     columns), from a bracket comparison on every pair of basis vectors."""
     columns = [dict(c) for c in columns]
+    field = target.field
 
     def apply(vec):
         out = {}
         for i, v in vec.items():
-            vec_add_scaled(out, columns[i], v)
+            vec_add_scaled(out, columns[i], v, field)
         return out
 
     failures = []
@@ -265,7 +278,7 @@ def verify_full_scan(source, target, columns) -> dict:
                         "bracket not preserved on (%s, %s)"
                         % (source.space.labels[i], source.space.labels[j])
                     )
-    ech = Echelon()
+    ech = Echelon(field)
     for col in columns:
         if col:
             ech.insert(dict(col))
@@ -326,7 +339,7 @@ def cyclic_relation(R: SuperAlgebra, a: int, b: int, c: int) -> dict:
                          ((b, c), a, par[b] and par[a]),
                          ((c, a), b, par[c] and par[b])):
         for t, v in R.products.get((x, y), {}).items():
-            vec_add_scaled(vec, {t * d + z: v}, -one if s else one)
+            vec_add_scaled(vec, {t * d + z: v}, -one if s else one, R.field)
     return vec
 
 
@@ -340,7 +353,7 @@ def pair_relations_full_scan(R: SuperAlgebra, space) -> Subspace:
     for a in range(d):
         for b in range(a, d):
             vec = {a * d + b: one}
-            vec_add_scaled(vec, {b * d + a: one}, -one if (par[a] and par[b]) else one)
+            vec_add_scaled(vec, {b * d + a: one}, -one if (par[a] and par[b]) else one, R.field)
             if vec:
                 rel.append(vec)
     for a in range(d):
@@ -349,7 +362,7 @@ def pair_relations_full_scan(R: SuperAlgebra, space) -> Subspace:
                 vec = cyclic_relation(R, a, b, c)
                 if vec:
                     rel.append(vec)
-    return Subspace.from_vectors(space, rel)
+    return Subspace.from_vectors(space, rel, R.field)
 
 
 # ------------------------------------------------------- Lie structure
@@ -378,7 +391,7 @@ def check_lie(g: LieSuperAlgebra, max_failures=20):
             bij = g.bracket_basis(i, j)
             bji = g.bracket_basis(j, i)
             s = sgn(par[i] * par[j])
-            want = {k: -v if s > 0 else v for k, v in bij.items()}
+            want = in_field({k: -v if s > 0 else v for k, v in bij.items()}, g.field)
             if bji != want:
                 failures.append("antisymmetry fails on (e%d,e%d)" % (i, j))
         if par[i] == 0 and g.bracket_basis(i, i):
@@ -394,21 +407,21 @@ def check_lie(g: LieSuperAlgebra, max_failures=20):
                     for t, v in bjk.items():
                         tb = g.brackets.get((i, t))
                         if tb:
-                            vec_add_scaled(acc, tb, v if s1 > 0 else -v)
+                            vec_add_scaled(acc, tb, v if s1 > 0 else -v, g.field)
                 bki = g.bracket_basis(k, i)
                 if bki:
                     s2 = sgn(par[j] * par[i])
                     for t, v in bki.items():
                         tb = g.brackets.get((j, t))
                         if tb:
-                            vec_add_scaled(acc, tb, v if s2 > 0 else -v)
+                            vec_add_scaled(acc, tb, v if s2 > 0 else -v, g.field)
                 bij = g.bracket_basis(i, j)
                 if bij:
                     s3 = sgn(par[k] * par[j])
                     for t, v in bij.items():
                         tb = g.brackets.get((k, t))
                         if tb:
-                            vec_add_scaled(acc, tb, v if s3 > 0 else -v)
+                            vec_add_scaled(acc, tb, v if s3 > 0 else -v, g.field)
                 if acc:
                     failures.append("jacobi fails on (e%d,e%d,e%d)" % (i, j, k))
                 if len(failures) >= max_failures:
@@ -430,7 +443,7 @@ def lie_from_assoc(A: SuperAlgebra) -> LieSuperAlgebra:
             yx = A.mul_coords(ej, ei)
             sign = -1 if (par[i] and par[j]) else 1
             out = dict(xy)
-            vec_add_scaled(out, yx, A.field.from_int(-sign))
+            vec_add_scaled(out, yx, A.field.from_int(-sign), A.field)
             if out:
                 brackets[(i, j)] = out
     return LieSuperAlgebra(A.field, A.space, brackets, name="Lie(%s)" % A.name)
@@ -490,12 +503,14 @@ def tensor_quadruple_scan(A: SuperAlgebra, B: SuperAlgebra) -> SuperAlgebra:
                             tbl[key] = nv
                         else:
                             del tbl[key]
+            tbl = in_field(tbl, field)
             if tbl:
                 products[(i1 * db + j1, i2 * db + j2)] = tbl
     unit = {}
     for i, va in A.unit.items():
         for j, vb in B.unit.items():
             unit[i * db + j] = va * vb
+    unit = in_field(unit, field)
     return SuperAlgebra(field, space, products, unit, name="%s⊗%s" % (A.name, B.name))
 
 
@@ -528,6 +543,7 @@ def lie_tensor_pair_scan(g: LieSuperAlgebra, R: SuperAlgebra) -> dict:
                                 out[key] = nv
                             else:
                                 del out[key]
+                out = in_field(out, g.field)
                 if out:
                     brackets[(i * dR + a, j * dR + b)] = out
     return brackets

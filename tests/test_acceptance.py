@@ -286,7 +286,7 @@ def invariant_boundary_composition():
         for (r, c), v in d3_matrix(cx).entries.items():
             cols.setdefault(c, {})[r] = v
         for col in cols.values():
-            assert d2.apply(col) == {}
+            assert d2.apply(col, g.field) == {}
 
 
 def invariant_abelian_h2_closed_form():
@@ -312,7 +312,7 @@ def invariant_quotient_additivity():
             vec = {i: v for i, v in vec.items() if v}
             if vec:
                 vecs.append(vec)
-        sub = Subspace.from_vectors(space, vecs)
+        sub = Subspace.from_vectors(space, vecs, QQ)
         quot = QuotientSpace(space, sub)
         assert sub.graded_dim + quot.graded_dim == space.graded_dim
 
@@ -329,8 +329,8 @@ def invariant_echelon_idempotence():
                     if v:
                         entries[(r, c)] = v
         m = SparseMatrix(nrows, ncols, entries)
-        once, rank_once = rref(m)
-        twice, rank_twice = rref(once)
+        once, rank_once = rref(m, QQ)
+        twice, rank_twice = rref(once, QQ)
         assert once.entries == twice.entries
         assert rank_once == rank_twice
         rows = [dict() for _ in range(nrows)]
@@ -341,7 +341,7 @@ def invariant_echelon_idempotence():
         spans = []
         for _ in range(3):
             rng.shuffle(rows)
-            ech = Echelon()
+            ech = Echelon(QQ)
             for row in rows:
                 ech.insert(dict(row))
             spans.append(ech.rref_rows())

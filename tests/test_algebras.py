@@ -52,9 +52,9 @@ def vec(coords):
 
 
 def add(x, y, c=QQ.one):
-    """x + c*y as a new coordinate dict."""
+    """x + c*y over Q as a new coordinate dict."""
     out = dict(x)
-    vec_add_scaled(out, y, c)
+    vec_add_scaled(out, y, c, QQ)
     return out
 
 

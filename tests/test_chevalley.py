@@ -114,7 +114,7 @@ def test_d2_composed_with_d3_is_zero_as_matrices():
     for (r, c), v in d3.entries.items():
         cols.setdefault(c, {})[r] = v
     for c, col in cols.items():
-        assert d2.apply(col) == {}, "triple column %d survives d2" % c
+        assert d2.apply(col, g.field) == {}, "triple column %d survives d2" % c
 
 
 def test_d3_column_on_three_even_generators():
@@ -237,7 +237,7 @@ def test_basis_vectors_are_homogeneous_cycles():
     for p, vec in r.basis:
         assert vec
         assert all(cx.lam2.parities[cx.pair_pos[t]] == p for t in vec)
-        assert d2.apply({cx.pair_pos[t]: v for t, v in vec.items()}) == {}
+        assert d2.apply({cx.pair_pos[t]: v for t, v in vec.items()}, g.field) == {}
 
 
 # ------------------------------------------------- weight-zero subcomplex
@@ -311,9 +311,12 @@ def test_weight_zero_triples_are_the_filtered_full_list(field):
     sq, torus = sq3_with_torus("grassmann(1)", field)
     cx = CEComplex(sq, torus)
     zero = tuple(sq.field.zero for _ in torus)
+    p = sq.field.characteristic
 
     def weight(t):
-        return tuple(sum(col, sq.field.zero) for col in zip(*(cx.weights[i] for i in t)))
+        # summed in Z over F_p, then reduced by the field's modulus
+        sums = (sum(col, sq.field.zero) for col in zip(*(cx.weights[i] for i in t)))
+        return tuple(x % p if p else x for x in sums)
 
     want = [t for t in iter_lam3(cx) if weight(t) == zero]
     assert list(cx.iter_lam3_weight0()) == want
@@ -340,8 +343,8 @@ def test_qi_echelon_rows_hold_int_parts_where_integral(monkeypatch):
     made = []
 
     class Recording(linalg.Echelon):
-        def __init__(self):
-            super().__init__()
+        def __init__(self, field):
+            super().__init__(field)
             made.append(self)
 
     monkeypatch.setattr(chevalley, "Echelon", Recording)

@@ -111,9 +111,9 @@ def test_lambda_cyclic_relation_on_random_triples():
     for _ in range(20):
         a, b, c = rand_vec(), rand_vec(), rand_vec()
         amb = {}
-        vec_add_scaled(amb, pair.tensor_vec(R.mul_coords(a, b), c), QQ.one)
-        vec_add_scaled(amb, pair.tensor_vec(R.mul_coords(b, c), a), QQ.one)
-        vec_add_scaled(amb, pair.tensor_vec(R.mul_coords(c, a), b), QQ.one)
+        vec_add_scaled(amb, pair.tensor_vec(R.mul_coords(a, b), c), QQ.one, QQ)
+        vec_add_scaled(amb, pair.tensor_vec(R.mul_coords(b, c), a), QQ.one, QQ)
+        vec_add_scaled(amb, pair.tensor_vec(R.mul_coords(c, a), b), QQ.one, QQ)
         assert pair.class_of(amb) == {}
 
 
@@ -137,9 +137,9 @@ def test_lambda_cyclic_relation_with_koszul_signs():
         s1 = QQ.from_int(-1 if pa and pc else 1)
         s2 = QQ.from_int(-1 if pb and pa else 1)
         s3 = QQ.from_int(-1 if pc and pb else 1)
-        vec_add_scaled(amb, pair.tensor_vec(R.mul_coords(a, b), c), s1)
-        vec_add_scaled(amb, pair.tensor_vec(R.mul_coords(b, c), a), s2)
-        vec_add_scaled(amb, pair.tensor_vec(R.mul_coords(c, a), b), s3)
+        vec_add_scaled(amb, pair.tensor_vec(R.mul_coords(a, b), c), s1, QQ)
+        vec_add_scaled(amb, pair.tensor_vec(R.mul_coords(b, c), a), s2, QQ)
+        vec_add_scaled(amb, pair.tensor_vec(R.mul_coords(c, a), b), s3, QQ)
         assert pair.class_of(amb) == {}
 
 
@@ -229,15 +229,15 @@ def test_nu_pair_reduction_with_explicit_signs_always_holds(tag):
             sgn = -one if (par[a] and par[b]) else one
             ab = dict(R.products.get((a, b), {}))
             comm = dict(ab)
-            vec_add_scaled(comm, R.products.get((b, a), {}), -sgn)
+            vec_add_scaled(comm, R.products.get((b, a), {}), -sgn, QQ)
             anti = dict(ab)
-            vec_add_scaled(anti, R.products.get((b, a), {}), sgn)
+            vec_add_scaled(anti, R.products.get((b, a), {}), sgn, QQ)
             amb = pair.tensor_vec(elem({a: one}, 0), elem({b: one}, 0))
-            vec_add_scaled(amb, pair.tensor_vec(elem(comm, 1), unit_nu), -half)
+            vec_add_scaled(amb, pair.tensor_vec(elem(comm, 1), unit_nu), -half, QQ)
             assert pair.class_of(amb) == {}, (tag, a, b, "even-style")
             amb = pair.tensor_vec(elem({a: one}, 1), elem({b: one}, 1))
             c = half if par[b] else -half
-            vec_add_scaled(amb, pair.tensor_vec(elem(anti, 1), unit_nu), c)
+            vec_add_scaled(amb, pair.tensor_vec(elem(anti, 1), unit_nu), c, QQ)
             assert pair.class_of(amb) == {}, (tag, a, b, "nu-style")
 
 

@@ -365,7 +365,7 @@ def test_quotient_by_center_gives_psq3():
 def test_quotient_rejects_non_ideal():
     g = build_q(2, BASE)
     qi = g.qindex
-    line = Subspace.from_vectors(g.space, [{qi.u(1, 2, 0): QQ.one}])
+    line = Subspace.from_vectors(g.space, [{qi.u(1, 2, 0): QQ.one}], QQ)
     with pytest.raises(StructureError):
         quotient_lie(g, line)
 
@@ -527,7 +527,7 @@ def test_block_algebra_table_equals_the_all_pairs_scan(field, n, tag):
 def test_non_ideal_and_unclosed_subspace_fail_as_in_the_all_pairs_scan():
     _, sq = build_sq_lie(2, G1)
     q = sq.ambient
-    line = Subspace.from_vectors(sq.space, [{3: QQ.one}])
+    line = Subspace.from_vectors(sq.space, [{3: QQ.one}], QQ)
     with pytest.raises(StructureError) as got:
         quotient_lie(sq, line)
     with pytest.raises(StructureError) as want:
@@ -536,13 +536,13 @@ def test_non_ideal_and_unclosed_subspace_fail_as_in_the_all_pairs_scan():
     # a table that only has the key (0, 1): the ideal check must find e_0
     # from the row's support {1}, through the key's right-hand index
     g = LieSuperAlgebra(QQ, GradedSpace(("a", "b"), (0, 0)), {(0, 1): {0: QQ.one}})
-    line = Subspace.from_vectors(g.space, [{1: QQ.one}])
+    line = Subspace.from_vectors(g.space, [{1: QQ.one}], QQ)
     with pytest.raises(StructureError, match="fails at basis 0"):
         quotient_lie(g, line)
     with pytest.raises(StructureError, match="fails at basis 0"):
         quotient_lie_full_scan(g, line)
     u12 = Subspace.from_vectors(q.space, [{q.qindex.u(1, 2, 0): QQ.one},
-                                          {q.qindex.u(2, 1, 0): QQ.one}])
+                                          {q.qindex.u(2, 1, 0): QQ.one}], QQ)
     with pytest.raises(StructureError) as got:
         induced_lie(q, u12)
     with pytest.raises(StructureError) as want:

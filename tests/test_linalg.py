@@ -14,10 +14,11 @@ from queerhom.linalg import (
     GradingError,
     QuotientSpace,
     Subspace,
+    in_field,
     kernel,
     vec_add_scaled,
 )
-from queerhom.scalars import QQ, GaussianRational, inverse, parse_field_flag
+from queerhom.scalars import QI, QQ, GaussianRational, parse_field_flag
 
 from oracles import SparseMatrix, rref
 
@@ -54,20 +55,20 @@ def test_graded_space_rejects_bad_input():
 
 def test_vec_add_scaled_drops_cancelled_entries():
     dst = {0: F(1), 1: F(2)}
-    vec_add_scaled(dst, {0: F(-1), 2: F(3)}, F(1))
+    vec_add_scaled(dst, {0: F(-1), 2: F(3)}, F(1), QQ)
     assert dst == {1: F(2), 2: F(3)}
 
 
 def test_rref_identity_is_fixed_point():
     m = SparseMatrix.from_rows([{0: F(1)}, {1: F(1)}, {2: F(1)}], 3)
-    r, rank = rref(m)
+    r, rank = rref(m, QQ)
     assert rank == 3
     assert r == m
 
 
 def test_rref_proportional_rows_collapse():
     m = SparseMatrix.from_rows([{0: F(1), 1: F(2)}, {0: F(2), 1: F(4)}], 2)
-    r, rank = rref(m)
+    r, rank = rref(m, QQ)
     assert rank == 1
     assert r.rows_as_dicts()[0] == {0: F(1), 1: F(2)}
 
@@ -77,14 +78,64 @@ def test_rref_over_prime_field_scales_to_monic():
     m = SparseMatrix.from_rows(
         [{0: f5.from_int(2)}, {1: f5.from_int(3)}], 2
     )
-    r, rank = rref(m)
+    r, rank = rref(m, f5)
     assert rank == 2
     assert r.rows_as_dicts() == [{0: f5.one}, {1: f5.one}]
 
 
 def test_rref_rejects_mixed_scalar_types():
+    # F_p values are plain ints, so rref refuses what is not a canonical
+    # value of the field it is given
+    f5 = parse_field_flag("Fp:5")
+    for entry in (F(1), F(1, 2), 5, 7, -1, GaussianRational(1, 0)):
+        with pytest.raises(ValueError):
+            rref(SparseMatrix.from_rows([{0: 1}, {1: entry}], 2), f5)
+    for entry in (GaussianRational(1, 0), 0.5):
+        with pytest.raises(ValueError):
+            rref(SparseMatrix.from_rows([{0: F(1)}, {1: entry}], 2), QQ)
     with pytest.raises(ValueError):
-        rref(SparseMatrix.from_rows([{0: F(1)}, {1: parse_field_flag("Fp:5").one}], 2))
+        rref(SparseMatrix.from_rows([{0: 1}], 1), QI)
+    assert rref(SparseMatrix.from_rows([{0: 4}, {1: 1}], 2), f5)[1] == 2
+
+
+def test_the_modulus_is_applied_in_every_kernel():
+    # 2 * (1, 3) = (2, 6) = (2, 1) in F_5: the two rows are proportional there
+    # and independent over Q, so a kernel that forgot the modulus shows rank 2
+    f5 = parse_field_flag("Fp:5")
+    rows = [{0: 1, 1: 3}, {0: 2, 1: 1}]
+    space = GradedSpace(["a", "b"], [0, 0])
+    ech = Echelon(f5)
+    assert ech.insert(dict(rows[0])) and not ech.insert(dict(rows[1]))
+    assert ech.rank == 1 and ech.rref_rows() == [{0: 1, 1: 3}]
+    # clearing a new pivot from a stored row: 1 - 3*4 = -11 = 4
+    ech3 = Echelon(f5)
+    ech3.insert({0: 1, 1: 3, 2: 1})
+    ech3.insert({1: 1, 2: 4})
+    assert ech3.rref_rows() == [{0: 1, 2: 4}, {1: 1, 2: 4}]
+    assert list(kernel(rows, space, f5).rows) == [{0: 1, 1: 3}]  # 1 + 3*3 = 10
+    line = Subspace.from_vectors(space, rows[:1], f5)
+    assert line.coords_of(rows[1]) == {0: 2}
+    span = AugmentedSpan(f5)
+    span.insert(dict(rows[0]), {0: 1})
+    assert span.solve(rows[1]) == {0: 2}
+    assert not span.insert(dict(rows[1]), {1: 1})
+    assert span.kernel_tags == [{0: 3, 1: 1}]  # 3*(1, 3) + (2, 1) = (5, 10)
+    diff = dict(rows[1])
+    vec_add_scaled(diff, rows[0], -2, f5)
+    assert diff == {}
+    vec_add_scaled(diff, rows[0], 7, f5)
+    assert diff == {0: 2, 1: 1}
+    # over Q the same rows are independent
+    ech = Echelon(QQ)
+    assert ech.insert(dict(rows[0])) and ech.insert(dict(rows[1]))
+    assert kernel(rows, space, QQ).dim == 0
+    assert Subspace.from_vectors(space, rows[:1], QQ).coords_of(rows[1]) is None
+    span = AugmentedSpan(QQ)
+    span.insert(dict(rows[0]), {0: 1})
+    assert span.solve(rows[1]) is None
+    diff = dict(rows[1])
+    vec_add_scaled(diff, rows[0], -2, QQ)
+    assert diff == {1: -5}
 
 
 def test_rref_is_idempotent_on_random_matrices():
@@ -94,8 +145,8 @@ def test_rref_is_idempotent_on_random_matrices():
         if not any(rows):
             continue
         ncols = 6
-        r1, rank1 = rref(SparseMatrix.from_rows(rows, ncols))
-        r2, rank2 = rref(r1)
+        r1, rank1 = rref(SparseMatrix.from_rows(rows, ncols), QQ)
+        r2, rank2 = rref(r1, QQ)
         assert (r1, rank1) == (r2, rank2)
 
 
@@ -104,17 +155,17 @@ def test_echelon_canonical_under_spanning_set_shuffles():
     space = GradedSpace(["e%d" % k for k in range(7)], [0] * 7)
     for _ in range(20):
         vecs = _random_sparse_rows(rng, 4, 7)
-        base = Subspace.from_vectors(space, vecs)
+        base = Subspace.from_vectors(space, vecs, QQ)
         # random invertible recombinations span the same subspace
         mixed = []
         for _ in range(6):
             out = {}
             for v in vecs:
-                vec_add_scaled(out, v, F(rng.randint(-3, 3)))
+                vec_add_scaled(out, v, F(rng.randint(-3, 3)), QQ)
             mixed.append(out)
         mixed.extend(vecs)
         rng.shuffle(mixed)
-        again = Subspace.from_vectors(space, mixed)
+        again = Subspace.from_vectors(space, mixed, QQ)
         assert base == again
         assert base.rows == again.rows
 
@@ -126,11 +177,11 @@ def test_rank_nullity_on_random_matrices():
         rows = _random_sparse_rows(rng, rng.randint(1, 8), ncols)
         m = SparseMatrix.from_rows(rows, ncols)
         domain = GradedSpace(["x%d" % k for k in range(ncols)], [0] * ncols)
-        _, rank = rref(m) if m.entries else (m, 0)
+        _, rank = rref(m, QQ) if m.entries else (m, 0)
         ker = kernel(rows, domain, field=QQ)
         assert ker.dim + rank == ncols
         for row in ker.rows:
-            assert m.apply(row) == {}
+            assert m.apply(row, QQ) == {}
 
 
 def test_kernel_of_zero_and_identity_maps():
@@ -166,40 +217,40 @@ def test_quotient_additivity_random():
             idxs = [i for i in range(n) if parities[i] == p]
             vec = {i: F(rng.randint(-4, 4)) for i in idxs if rng.random() < 0.6}
             vecs.append({k: v for k, v in vec.items() if v})
-        sub = Subspace.from_vectors(space, vecs)
+        sub = Subspace.from_vectors(space, vecs, QQ)
         q = QuotientSpace(space, sub)
         assert sub.graded_dim + q.graded_dim == space.graded_dim
 
 
 def test_quotient_project_kills_sub_and_section_lifts():
     space = GradedSpace(["a", "b", "c"], [0, 0, 0])
-    sub = Subspace.from_vectors(space, [{0: F(1), 1: F(1)}])
+    sub = Subspace.from_vectors(space, [{0: F(1), 1: F(1)}], QQ)
     q = QuotientSpace(space, sub)
     assert q.project({0: F(1), 1: F(1)}) == {}
     v = {0: F(2), 2: F(5)}
     lifted = q.section(q.project(v))
     assert q.project(lifted) == q.project(v)
     diff = dict(lifted)
-    vec_add_scaled(diff, v, F(-1))
+    vec_add_scaled(diff, v, F(-1), QQ)
     assert sub.contains(diff)
 
 
 def test_quotient_rejects_inhomogeneous_subspace():
     space = GradedSpace(["a", "b"], [0, 1])
-    sub = Subspace.from_vectors(space, [{0: F(1), 1: F(1)}])
+    sub = Subspace.from_vectors(space, [{0: F(1), 1: F(1)}], QQ)
     with pytest.raises(GradingError):
         QuotientSpace(space, sub)
 
 
 def test_subspace_membership_and_coordinates():
     space = GradedSpace(["a", "b", "c"], [0] * 3)
-    sub = Subspace.from_vectors(space, [{0: F(1), 1: F(2)}, {2: F(1)}])
+    sub = Subspace.from_vectors(space, [{0: F(1), 1: F(2)}, {2: F(1)}], QQ)
     v = {0: F(3), 1: F(6), 2: F(-1)}
     assert sub.contains(v)
     coords = sub.coords_of(v)
     rebuilt = {}
     for idx, c in coords.items():
-        vec_add_scaled(rebuilt, sub.rows[idx], c)
+        vec_add_scaled(rebuilt, sub.rows[idx], c, QQ)
     assert rebuilt == v
     assert sub.coords_of({0: F(1)}) is None
 
@@ -207,7 +258,7 @@ def test_subspace_membership_and_coordinates():
 def test_graded_dim_dispatch():
     space = GradedSpace(["a", "b"], [0, 1])
     assert space.graded_dim == GradedDim(1, 1)
-    sub = Subspace.from_vectors(space, [{1: F(1)}])
+    sub = Subspace.from_vectors(space, [{1: F(1)}], QQ)
     assert sub.graded_dim == GradedDim(0, 1)
     assert QuotientSpace(space, sub).graded_dim == GradedDim(1, 0)
 
@@ -218,7 +269,7 @@ def test_augmented_span_solves_and_reports_kernel_tags():
         cols = [c for c in _random_sparse_rows(rng, rng.randint(1, 8), 6) if c]
         if not cols:
             continue
-        span = AugmentedSpan()
+        span = AugmentedSpan(QQ)
         for j, col in enumerate(cols):
             span.insert(dict(col), {j: F(1)})
         # any inserted column must be solvable, and the tags must rebuild it
@@ -227,17 +278,17 @@ def test_augmented_span_solves_and_reports_kernel_tags():
         assert tags is not None
         rebuilt = {}
         for t, c in tags.items():
-            vec_add_scaled(rebuilt, cols[t], c)
+            vec_add_scaled(rebuilt, cols[t], c, QQ)
         assert rebuilt == cols[j]
         for ktag in span.kernel_tags:
             combo = {}
             for t, c in ktag.items():
-                vec_add_scaled(combo, cols[t], c)
+                vec_add_scaled(combo, cols[t], c, QQ)
             assert combo == {}
 
 
 def test_augmented_span_reports_unsolvable_targets():
-    span = AugmentedSpan()
+    span = AugmentedSpan(QQ)
     span.insert({0: F(1)}, {0: F(1)})
     assert span.solve({1: F(1)}) is None
 
@@ -246,20 +297,20 @@ def test_echelon_rank_matches_rref():
     rng = random.Random(31)
     for _ in range(20):
         rows = _random_sparse_rows(rng, 5, 5)
-        ech = Echelon()
+        ech = Echelon(QQ)
         for row in rows:
             if row:
                 ech.insert(dict(row))
         m = SparseMatrix.from_rows(rows, 5)
         if m.entries:
-            assert ech.rank == rref(m)[1]
+            assert ech.rank == rref(m, QQ)[1]
 
 
 # -------------------------------------------- exact division with int inputs
 
 
 def test_echelon_insert_scales_an_int_row_to_an_exact_fraction():
-    ech = Echelon()
+    ech = Echelon(QQ)
     assert ech.insert({0: 2, 1: 3})
     row = ech.pivots[0]
     assert row == {0: 1, 1: Fraction(3, 2)}
@@ -268,14 +319,14 @@ def test_echelon_insert_scales_an_int_row_to_an_exact_fraction():
 
 
 def test_echelon_insert_keeps_unit_led_int_rows_as_ints():
-    ech = Echelon()
+    ech = Echelon(QQ)
     ech.insert({0: -1, 2: 4})
     assert all(type(v) is int for v in ech.pivots[0].values())
     assert ech.pivots[0] == {0: 1, 2: -4}
 
 
 def test_augmented_span_scales_int_rows_and_tags_exactly():
-    span = AugmentedSpan()
+    span = AugmentedSpan(QQ)
     span.insert({0: 2, 1: 4}, {0: 1})
     row, tag = span.pivots[0]
     assert row == {0: 1, 1: 2}
@@ -289,12 +340,12 @@ def test_kernel_over_q_keeps_int_entries_exact():
     ker = kernel(m.rows_as_dicts(), space, QQ)
     assert list(ker.rows) == [{0: 1, 1: Fraction(-2, 3)}]
     assert all(type(v) in (int, Fraction) for r in ker.rows for v in r.values())
-    assert m.apply(ker.rows[0]) == {}
+    assert m.apply(ker.rows[0], QQ) == {}
 
 
 def test_rref_accepts_int_and_fraction_entries_together():
     m = SparseMatrix.from_rows([{0: 2, 1: Fraction(1, 2)}, {1: 1}], 2)
-    r, rank = rref(m)
+    r, rank = rref(m, QQ)
     assert rank == 2
     assert r.rows_as_dicts() == [{0: 1}, {1: 1}]
 
@@ -346,13 +397,15 @@ def test_no_float_in_hc1_or_h2_results(flag):
 
 
 def _full_scan_reduce(sub, vec):
-    """Subspace.reduce as it was: scan every canonical row."""
+    """Subspace.reduce as it was: scan every canonical row.  Over F_p the
+    sum is taken in Z (QQ reduces nothing) and reduced once, as the kernel
+    does, so a key that cancels mod p midway keeps its place."""
     out = dict(vec)
     for pc, row in zip(sub.pivot_cols, sub.rows):
         val = out.get(pc)
         if val:
-            vec_add_scaled(out, row, -val)
-    return out
+            vec_add_scaled(out, row, -val, QQ if sub.field.characteristic else sub.field)
+    return in_field(out, sub.field)
 
 
 def _full_scan_coords_of(sub, vec):
@@ -362,7 +415,7 @@ def _full_scan_coords_of(sub, vec):
         val = out.get(pc)
         if val:
             coeffs[idx] = val
-            vec_add_scaled(out, row, -val)
+            vec_add_scaled(out, row, -val, sub.field)
     if out:
         return None
     return coeffs
@@ -380,7 +433,7 @@ def _full_scan_rref_rows(ech):
             r2 = rows[c2]
             val = r2.get(c)
             if val:
-                vec_add_scaled(r2, row, -val)
+                vec_add_scaled(r2, row, -val, ech.field)
     return [rows[c] for c in cols]
 
 
@@ -411,7 +464,7 @@ def test_support_driven_reduction_matches_full_scans(flag):
         ncols = rng.randint(1, 14)
         density = rng.choice([0.1, 0.25, 0.5])
         space = GradedSpace(["e%d" % k for k in range(ncols)], [0] * ncols)
-        ech = Echelon()
+        ech = Echelon(field)
         for v in _random_vectors(rng, field, rng.randint(0, ncols), ncols, density):
             if v:
                 ech.insert(v)
@@ -420,7 +473,7 @@ def test_support_driven_reduction_matches_full_scans(flag):
         assert rows == want
         # same rows in the same key order, so downstream iteration is unchanged
         assert [list(r) for r in rows] == [list(r) for r in want]
-        sub = Subspace(space, rows)
+        sub = Subspace(space, rows, field)
         probes = _random_vectors(rng, field, 8, ncols, density)
         probes += [dict(r) for r in rows[:3]]
         for v in probes:
@@ -436,7 +489,7 @@ def test_support_driven_reduction_matches_full_scans(flag):
         for v in probes:
             mixed = {}
             for r in rows:
-                vec_add_scaled(mixed, r, _random_scalar(rng, field))
+                vec_add_scaled(mixed, r, _random_scalar(rng, field), field)
             assert sub.coords_of(mixed) == _full_scan_coords_of(sub, mixed)
             assert sub.contains(mixed)
 
@@ -455,16 +508,18 @@ def test_support_driven_reduction_matches_full_scans(flag):
 def test_subspace_rejects_rows_that_are_not_canonical_rref(rows):
     space = GradedSpace(["a", "b"], [0, 0])
     with pytest.raises(ValueError):
-        Subspace(space, rows)
+        Subspace(space, rows, QQ)
 
 
 # ------------------------- canonical echelon against the heap forward echelon
 
 
-def _heap_walk(pivots, vec, on_pivot):
-    """The old forward reduction: pop the lowest column, subtract the monic
-    row stored there, push fill-in.  Returns (residue so far, first column
-    without a stored row or None); on_pivot(row, multiple) sees every step."""
+def _heap_walk(pivots, vec, on_pivot, field):
+    """The old forward reduction over field: pop the lowest column, subtract
+    the monic row stored there, push fill-in.  Returns (residue so far, first
+    column without a stored row or None); on_pivot(row, multiple) sees every
+    step."""
+    p = field.characteristic
     work = dict(vec)
     heap = list(work)
     heapq.heapify(heap)
@@ -483,10 +538,12 @@ def _heap_walk(pivots, vec, on_pivot):
                 continue
             cur = work.get(cc)
             if cur is None:
-                work[cc] = -val * x
+                work[cc] = -val * x % p if p else -val * x
                 heapq.heappush(heap, cc)
             else:
                 nv = cur - val * x
+                if p:
+                    nv %= p
                 if nv:
                     work[cc] = nv
                 else:
@@ -499,7 +556,8 @@ class _HeapEchelon:
     """Echelon as it was: forward rows, a heap walk per vector, and
     back-substitution from the highest pivot in rref_rows."""
 
-    def __init__(self):
+    def __init__(self, field):
+        self.field = field
         self.pivots = {}
 
     @property
@@ -507,18 +565,18 @@ class _HeapEchelon:
         return len(self.pivots)
 
     def insert(self, vec):
-        work, c = _heap_walk(self.pivots, vec, lambda c, val: None)
+        work, c = _heap_walk(self.pivots, vec, lambda c, val: None, self.field)
         if c is None:
             return False
-        s = inverse(work[c])
-        self.pivots[c] = {k: v * s for k, v in work.items() if v}
+        s = self.field.invert(work[c])
+        self.pivots[c] = in_field({k: v * s for k, v in work.items()}, self.field)
         return True
 
     def reduce(self, vec):
         out = {}
         work = dict(vec)
         while True:
-            work, c = _heap_walk(self.pivots, work, lambda c, val: None)
+            work, c = _heap_walk(self.pivots, work, lambda c, val: None, self.field)
             if c is None:
                 return out
             out[c] = work.pop(c)
@@ -530,7 +588,7 @@ class _HeapEchelon:
             row = dict(self.pivots[c])
             later = sorted((k for k in row if k != c and k in self.pivots), reverse=True)
             for c2 in later:
-                vec_add_scaled(row, rows[c2], -row[c2])
+                vec_add_scaled(row, rows[c2], -row[c2], self.field)
             rows[c] = row
         return [rows[c] for c in cols]
 
@@ -538,7 +596,8 @@ class _HeapEchelon:
 class _HeapAugmentedSpan:
     """AugmentedSpan as it was: forward rows with tags and a heap walk."""
 
-    def __init__(self):
+    def __init__(self, field):
+        self.field = field
         self.pivots = {}
         self.kernel_tags = []
 
@@ -549,17 +608,17 @@ class _HeapAugmentedSpan:
         tg = dict(tag)
 
         def step(c, val):
-            vec_add_scaled(tg, self.pivots[c][1], -val)
+            vec_add_scaled(tg, self.pivots[c][1], -val, self.field)
 
-        work, c = _heap_walk(self._rows(), vec, step)
+        work, c = _heap_walk(self._rows(), vec, step, self.field)
         if c is None:
             if tg:
                 self.kernel_tags.append(tg)
             return False
-        s = inverse(work[c])
+        s = self.field.invert(work[c])
         self.pivots[c] = (
-            {k: v * s for k, v in work.items() if v},
-            {k: v * s for k, v in tg.items() if v},
+            in_field({k: v * s for k, v in work.items()}, self.field),
+            in_field({k: v * s for k, v in tg.items()}, self.field),
         )
         return True
 
@@ -567,9 +626,9 @@ class _HeapAugmentedSpan:
         tg = {}
 
         def step(c, val):
-            vec_add_scaled(tg, self.pivots[c][1], val)
+            vec_add_scaled(tg, self.pivots[c][1], val, self.field)
 
-        _, c = _heap_walk(self._rows(), target, step)
+        _, c = _heap_walk(self._rows(), target, step, self.field)
         return None if c is not None else tg
 
 
@@ -596,13 +655,13 @@ def test_canonical_echelon_matches_the_heap_forward_echelon(flag):
         for _ in range(rng.randint(0, 4)):
             mixed = {}
             for v in rng.sample(vecs, min(len(vecs), 3)):
-                vec_add_scaled(mixed, v, _random_scalar(rng, field))
+                vec_add_scaled(mixed, v, _random_scalar(rng, field), field)
             if mixed:
                 vecs.append(mixed)
         probes = _random_vectors(rng, field, 6, ncols, density)
         for order in range(3):
             rng.shuffle(vecs)
-            ech, oracle = Echelon(), _HeapEchelon()
+            ech, oracle = Echelon(field), _HeapEchelon(field)
             got, want = [], []
             for v in vecs:
                 got.append(ech.insert(v))
@@ -610,7 +669,7 @@ def test_canonical_echelon_matches_the_heap_forward_echelon(flag):
                 assert ech.rank == oracle.rank
                 assert ech.rref_rows() == oracle.rref_rows()
                 # the stored rows are canonical after every single insert
-                assert Subspace(space, ech.rref_rows()).dim == ech.rank
+                assert Subspace(space, ech.rref_rows(), field).dim == ech.rank
                 assert {c: s for c, s in ech._cols.items() if s} == _column_index(ech)
             assert got == want
             assert sorted(ech.pivots) == sorted(oracle.pivots)
@@ -625,7 +684,7 @@ def test_augmented_span_matches_the_heap_forward_span(flag):
     for trial in range(40):
         ncols = rng.randint(1, 10)
         cols = [c for c in _random_vectors(rng, field, rng.randint(1, 12), ncols, 0.3) if c]
-        span, oracle = AugmentedSpan(), _HeapAugmentedSpan()
+        span, oracle = AugmentedSpan(field), _HeapAugmentedSpan(field)
         for j, col in enumerate(cols):
             assert span.insert(col, {j: field.one}) == oracle.insert(col, {j: field.one})
         assert span.kernel_tags == oracle.kernel_tags
@@ -638,10 +697,10 @@ def test_augmented_span_matches_the_heap_forward_span(flag):
 def test_later_inserts_do_not_change_earlier_inputs_or_outputs():
     space = GradedSpace(["a", "b", "c", "d"], [0] * 4)
     first = {0: F(1), 1: F(2), 2: F(3)}
-    ech = Echelon()
+    ech = Echelon(QQ)
     ech.insert(first)
     rows_before = ech.rref_rows()
-    sub_before = Subspace(space, rows_before)
+    sub_before = Subspace(space, rows_before, QQ)
     # each of these clears a column from the stored row
     ech.insert({1: F(1), 3: F(1)})
     ech.insert({2: F(1)})
@@ -653,14 +712,14 @@ def test_later_inserts_do_not_change_earlier_inputs_or_outputs():
     rng = random.Random(3)
     space8 = GradedSpace(["x%d" % k for k in range(8)], [0] * 8)
     for _ in range(30):
-        ech = Echelon()
+        ech = Echelon(QQ)
         snapshots = []  # (object handed out or in, a deep copy taken then)
         for v in _random_sparse_rows(rng, 8, 8, density=0.35):
             if not v:
                 continue
             ech.insert(v)
             rows = ech.rref_rows()
-            sub = Subspace(space8, rows)
+            sub = Subspace(space8, rows, QQ)
             snapshots.append((v, dict(v)))
             snapshots.append((rows, [dict(r) for r in rows]))
             snapshots.append((sub.rows, tuple(dict(r) for r in sub.rows)))
@@ -673,14 +732,14 @@ def test_insert_does_not_go_through_the_public_reduce(monkeypatch):
         raise AssertionError("insert called Echelon.reduce")
 
     monkeypatch.setattr(Echelon, "reduce", refuse)
-    ech = Echelon()
+    ech = Echelon(QQ)
     assert ech.insert({0: 1, 1: 2})
     assert not ech.insert({0: 2, 1: 4})
     assert ech.insert({1: 1})
 
 
 def test_stored_rows_hold_ints_where_the_value_is_integral():
-    ech = Echelon()
+    ech = Echelon(QQ)
     ech.insert({0: 2, 1: 4, 2: 3})
     ech.insert({1: F(1, 2), 2: 1})
     for row in ech.pivots.values():
@@ -691,11 +750,11 @@ def test_stored_rows_hold_ints_where_the_value_is_integral():
 
 def test_explicit_zero_entries_are_ignored():
     space = GradedSpace(["a", "b"], [0, 0])
-    sub = Subspace.from_vectors(space, [{0: 1}])
+    sub = Subspace.from_vectors(space, [{0: 1}], QQ)
     assert sub.contains({0: 1, 1: 0})
     assert sub.coords_of({0: 1, 1: 0}) == {0: 1}
     assert sub.reduce({0: 0, 1: 2}) == {1: 2}
-    ech = Echelon()
+    ech = Echelon(QQ)
     assert not ech.insert({0: 0})
     assert ech.insert({0: 0, 1: 3})
     assert ech.pivots == {1: {1: 1}}

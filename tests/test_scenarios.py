@@ -1,8 +1,14 @@
-"""Scenarios: each structure is built and verified once, and report inputs."""
+"""Scenarios: each structure is built and verified once, report inputs, and
+every F_p value they store is reduced."""
+
+import pytest
 
 from queerhom import lie
+from queerhom.algebras import SuperAlgebra
+from queerhom.chevalley import CEComplex, H2Result
 from queerhom.cli import main
-from queerhom.linalg import Subspace
+from queerhom.lie import LieSuperAlgebra, VerifiedHomomorphism
+from queerhom.linalg import AugmentedSpan, Echelon, Subspace
 from queerhom.scenarios import ScenarioOptions, run_scenario, scenario_iso_queer_gl
 
 
@@ -26,7 +32,7 @@ def test_perfectness_fails_when_the_derived_subalgebra_disagrees(monkeypatch, ca
 
     def one_row_short(g):
         der = derived_subalgebra(g)
-        return Subspace(der.space, der.rows[:-1])
+        return Subspace(der.space, der.rows[:-1], der.field)
 
     monkeypatch.setattr(lie, "derived_subalgebra", one_row_short)
     code = main(["perfectness", "--algebra", "builtin:grassmann(1)", "--n", "3"])
@@ -45,3 +51,65 @@ def test_homology_scenarios_always_list_the_budget_and_the_others_only_when_set(
     assert inputs == {"algebra": "base-field", "n": "2", "field": "Q"}
     with_budget = ScenarioOptions("builtin:base-field", n=2, budget=7)
     assert run_scenario("perfectness", with_budget).to_dict()["inputs"]["budget"] == "7"
+
+
+def _stored_scalars(obj):
+    """The nonzero scalars an object keeps: table entries, rows, tags,
+    columns and basis vectors."""
+    if isinstance(obj, SuperAlgebra):
+        vecs = list(obj.products.values()) + [obj.unit]
+    elif isinstance(obj, LieSuperAlgebra):
+        vecs = list(obj.brackets.values())
+    elif isinstance(obj, Subspace):
+        vecs = list(obj.rows)
+    elif isinstance(obj, Echelon):
+        vecs = list(obj.pivots.values())
+    elif isinstance(obj, AugmentedSpan):
+        vecs = [v for pair in obj.pivots.values() for v in pair] + obj.kernel_tags
+    elif isinstance(obj, VerifiedHomomorphism):
+        vecs = obj.columns
+    else:
+        vecs = [v for _, v in obj.basis]
+    return [x for v in vecs for x in v.values()]
+
+
+@pytest.mark.parametrize("flag", ["Fp:3", "Fp:5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["h2-main", "--algebra", "builtin:grassmann(1)", "--n", "3"],
+        ["psq-central", "--algebra", "builtin:grassmann(1)", "--n", "3"],
+        ["hc1-shift", "--algebra", "builtin:grassmann(2)"],
+    ],
+    ids=["h2-main", "psq-central", "hc1-shift"],
+)
+def test_every_stored_prime_field_value_is_a_reduced_int(argv, flag, monkeypatch, capsys):
+    # an arithmetic site that forgot the modulus leaves a negative or >= p int
+    # in some table, row or basis vector, whichever layer it is in
+    made = []
+    kinds = (
+        SuperAlgebra, LieSuperAlgebra, Subspace, Echelon, AugmentedSpan,
+        VerifiedHomomorphism, CEComplex, H2Result,
+    )
+    for cls in kinds:
+        def init(self, *args, _orig=cls.__init__, **kwargs):
+            _orig(self, *args, **kwargs)
+            made.append(self)
+
+        monkeypatch.setattr(cls, "__init__", init)
+    assert main(argv + ["--field", flag]) == 0
+    assert "PASS" in capsys.readouterr().out
+    p = int(flag[3:])
+    seen = {type(obj) for obj in made}
+    assert {SuperAlgebra, Subspace, Echelon} <= seen
+    if argv[0] == "hc1-shift":
+        assert AugmentedSpan in seen
+    else:
+        assert {LieSuperAlgebra, VerifiedHomomorphism, CEComplex, H2Result} <= seen
+    values = [x for obj in made if not isinstance(obj, CEComplex) for x in _stored_scalars(obj)]
+    assert len(values) > 200
+    bad = [x for x in values if type(x) is not int or not 0 < x < p]
+    assert not bad, bad[:10]
+    # a torus weight may vanish, but is reduced all the same
+    weights = [x for obj in made if isinstance(obj, CEComplex) for x in obj.weights]
+    assert all(type(x) is int and 0 <= x < p for w in weights for x in w)
