@@ -8,7 +8,9 @@ malformed invocations raise UsageError, which the CLI maps to exit 2.
 The three homology scenarios (h2-main, psq-central, slnn-identity) compute
 both sides of one identity with independent machinery (Chevalley-Eilenberg
 on the Lie side, pair-space elimination on the cyclic side) and report
-agreement; nothing is taken on faith from the other side.
+agreement; nothing is taken on faith from the other side.  They share one
+H2 pipeline, _h2_side: budget check, build, graded-dimension check and
+ce_h2; each keeps only its own guards and its cyclic side.
 """
 from __future__ import annotations
 
@@ -27,7 +29,6 @@ from .chevalley import ce_h2, lam3_dim_formula
 from .cyclic import build_shift_iso, check_h_relations, hc1
 from .kahler import kahler_hc1_oracle
 from .lie import (
-    LieSuperAlgebra,
     StructureError,
     block_torus,
     build_block_lie,
@@ -93,14 +94,15 @@ def _inputs(opts: ScenarioOptions, R: SuperAlgebra, with_n=True):
     return out
 
 
-def scenario_iso_queer_gl(opts: ScenarioOptions) -> Report:
-    R, _ = resolve_algebra(opts)
-    report = Report("iso-queer-gl", _inputs(opts, R))
+def _hom_rows(report: Report, iso, n: int, R: SuperAlgebra):
+    """Build iso(n, R) and add its four homomorphism flags; returns the
+    homomorphism, or None after one FAIL row when its block table disagrees
+    with the formula."""
     try:
-        hom = iso_q_to_gl(opts.n, R)
+        hom = iso(n, R)
     except StructureError as e:
         report.add_flag("block-table-matches-formula", False, str(e))
-        return report
+        return None
     report.add_flag("block-table-matches-formula", True)
     report.add_flag("parity-preserving", hom.parity_preserving)
     report.add_flag(
@@ -109,6 +111,15 @@ def scenario_iso_queer_gl(opts: ScenarioOptions) -> Report:
         "; ".join(hom.failures[:3]),
     )
     report.add_flag("bijective", bool(hom.injective and hom.surjective))
+    return hom
+
+
+def scenario_iso_queer_gl(opts: ScenarioOptions) -> Report:
+    R, _ = resolve_algebra(opts)
+    report = Report("iso-queer-gl", _inputs(opts, R))
+    hom = _hom_rows(report, iso_q_to_gl, opts.n, R)
+    if hom is None:
+        return report
     sq_sub = build_sq_by_characterization(opts.n, R, hom.source)
     sl_sub = build_sl(hom.target)
     image = hom.map_subspace(sq_sub)
@@ -215,19 +226,7 @@ def scenario_qtogl_sqrt_minus_one(opts: ScenarioOptions) -> Report:
             "field %s has no square root of -1; rerun with --field Qi" % R.field.name,
         )
         return report
-    try:
-        hom = iso_qQ1_to_glnn(opts.n, R)
-    except StructureError as e:
-        report.add_flag("block-table-matches-formula", False, str(e))
-        return report
-    report.add_flag("block-table-matches-formula", True)
-    report.add_flag("parity-preserving", hom.parity_preserving)
-    report.add_flag(
-        "bracket-preserving-all-pairs",
-        hom.bracket_preserving,
-        "; ".join(hom.failures[:3]),
-    )
-    report.add_flag("bijective", bool(hom.injective and hom.surjective))
+    _hom_rows(report, iso_qQ1_to_glnn, opts.n, R)
     return report
 
 
@@ -298,49 +297,41 @@ def scenario_kahler_oracle(opts: ScenarioOptions) -> Report:
     return report
 
 
-def _over_budget(report: Report, check: str, gd: GradedDim, budget) -> bool:
-    """Decide the budget (None: no cap) on the dimension of the degree-3
-    chains, from the graded dimension alone, before anything is built; over
-    budget, add the SKIP row for check."""
+def _h2_side(report: Report, check: str, gd: GradedDim, budget, build):
+    """The Lie side of a homology scenario: (H2 dims, ranks note), or None.
+
+    The budget (None: no cap) is decided on the dimension of the degree-3
+    chains, from the graded dimension gd alone, before anything is built;
+    over budget, the SKIP row for check is added and None returned.
+    Otherwise build() returns (algebra, torus), the algebra must have
+    graded dimension gd, and ce_h2 runs on it with that torus.  In the
+    note, ker and im are ranks in the weight-zero subcomplex.
+    """
     lam3_dim = lam3_dim_formula(gd)
-    if budget is None or lam3_dim <= budget:
-        return False
-    report.skip(
-        check, "degree-3 chain space dimension %d exceeds budget %d" % (lam3_dim, budget)
-    )
-    return True
-
-
-def _check_graded_dim(g: LieSuperAlgebra, gd: GradedDim):
-    """The budget was decided on gd before g was built; g must have it."""
+    if budget is not None and lam3_dim > budget:
+        report.skip(
+            check, "degree-3 chain space dimension %d exceeds budget %d" % (lam3_dim, budget)
+        )
+        return None
+    t0 = time.perf_counter()
+    g, torus = build()
     if g.space.graded_dim != gd:
         raise StructureError(
             "%s has graded dimension %s, the formula gives %s" % (g.name, g.space.graded_dim, gd)
         )
-
-
-def _ranks_note(stats: dict) -> str:
-    """Chain dimensions and ranks; ker and im are for the weight-zero subcomplex."""
-    return (
-        "weight-zero subcomplex of a rank-%d torus: lam2=%d of %d lam3=%d of %d "
-        "ker=(%d|%d) im=(%d|%d)"
-        % (
-            stats["torus_rank"],
-            stats["lam2_weight0_dim"],
-            stats["lam2_dim"],
-            stats["lam3_weight0_dim"],
-            stats["lam3_dim"],
-            stats.get("ker_rank_parity0", 0),
-            stats.get("ker_rank_parity1", 0),
-            stats.get("im_rank_parity0", 0),
-            stats.get("im_rank_parity1", 0),
-        )
-    )
-
-
-def _merge_h2_timings(report: Report, stats: dict):
-    for k, v in stats.get("timings", {}).items():
+    report.timings["build"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    h2 = ce_h2(g, torus=torus)
+    report.timings["h2"] = time.perf_counter() - t0
+    for k, v in h2.stats["timings"].items():
         report.timings["h2." + k] = v
+    note = (
+        "weight-zero subcomplex of a rank-%(torus_rank)d torus: "
+        "lam2=%(lam2_weight0_dim)d of %(lam2_dim)d lam3=%(lam3_weight0_dim)d of %(lam3_dim)d "
+        "ker=(%(ker_rank_parity0)d|%(ker_rank_parity1)d) "
+        "im=(%(im_rank_parity0)d|%(im_rank_parity1)d)" % h2.stats
+    )
+    return h2.dims, note
 
 
 def _homology_inputs(opts: ScenarioOptions, R: SuperAlgebra):
@@ -358,26 +349,24 @@ def scenario_h2_main(opts: ScenarioOptions) -> Report:
     hc = hc1(R)
     report.timings["hc1"] = time.perf_counter() - t0
     expected = hc.graded_dim.swap()
-    gd = sq_graded_dim(n, R)
-    if _over_budget(report, "h2-equals-shifted-cyclic", gd, opts.budget):
+
+    def build():
+        _, sq = build_sq_lie(n, R)
+        return sq, sq_torus(sq)
+
+    check = "h2-equals-shifted-cyclic"
+    side = _h2_side(report, check, sq_graded_dim(n, R), opts.budget, build)
+    if side is None:
         return report
-    t0 = time.perf_counter()
-    _, sq = build_sq_lie(n, R)
-    _check_graded_dim(sq, gd)
-    report.timings["build"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    h2 = ce_h2(sq, torus=sq_torus(sq))
-    report.timings["h2"] = time.perf_counter() - t0
-    _merge_h2_timings(report, h2.stats)
-    note = _ranks_note(h2.stats)
+    dims, note = side
     if n >= 3:
-        report.add_cmp("h2-equals-shifted-cyclic", expected, h2.dims, note)
+        report.add_cmp(check, expected, dims, note)
     else:
         report.add(
-            "h2-equals-shifted-cyclic",
+            check,
             SKIP,
             note="exploratory: n=%d is outside the stated range; computed H2=%s, "
-            "shifted cyclic side=%s; %s" % (n, h2.dims, expected, note),
+            "shifted cyclic side=%s; %s" % (n, dims, expected, note),
         )
     return report
 
@@ -387,30 +376,25 @@ def scenario_psq_central(opts: ScenarioOptions) -> Report:
     R, _ = resolve_algebra(opts)
     n = opts.n
     report = Report("psq-central", _homology_inputs(opts, R))
+    check = "h2-equals-coords-plus-shifted-cyclic"
     if commutator_subspace(R).dim != 0:
-        report.skip("h2-equals-coords-plus-shifted-cyclic", "needs supercommutative coordinates")
+        report.skip(check, "needs supercommutative coordinates")
         return report
     if n < 3:
-        report.skip("h2-equals-coords-plus-shifted-cyclic", "stated for n >= 3 only")
+        report.skip(check, "stated for n >= 3 only")
         return report
     t0 = time.perf_counter()
     hc = hc1(R)
     expected = R.space.graded_dim + hc.graded_dim.swap()
     report.timings["hc1"] = time.perf_counter() - t0
-    gd = psq_graded_dim(n, R)
-    if _over_budget(report, "h2-equals-coords-plus-shifted-cyclic", gd, opts.budget):
-        return report
-    t0 = time.perf_counter()
-    psq = build_psq_lie(n, R)
-    _check_graded_dim(psq, gd)
-    report.timings["build"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    h2 = ce_h2(psq, torus=psq_torus(psq))
-    report.timings["h2"] = time.perf_counter() - t0
-    _merge_h2_timings(report, h2.stats)
-    report.add_cmp(
-        "h2-equals-coords-plus-shifted-cyclic", expected, h2.dims, _ranks_note(h2.stats)
-    )
+
+    def build():
+        psq = build_psq_lie(n, R)
+        return psq, psq_torus(psq)
+
+    side = _h2_side(report, check, psq_graded_dim(n, R), opts.budget, build)
+    if side is not None:
+        report.add_cmp(check, expected, *side)
     return report
 
 
@@ -424,11 +408,12 @@ def scenario_slnn_identity(opts: ScenarioOptions) -> Report:
     S, _ = resolve_algebra(opts)
     n = opts.n
     report = Report("slnn-identity", _homology_inputs(opts, S))
+    check = "h2-equals-cyclic"
     if S.field.sqrt_minus_one() is None:
-        report.skip("h2-equals-cyclic", "field %s has no square root of -1" % S.field.name)
+        report.skip(check, "field %s has no square root of -1" % S.field.name)
         return report
     if n < 3:
-        report.skip("h2-equals-cyclic", "stated for n >= 3 only")
+        report.skip(check, "stated for n >= 3 only")
         return report
     t0 = time.perf_counter()
     hc_S = hc1(S)
@@ -441,25 +426,17 @@ def scenario_slnn_identity(opts: ScenarioOptions) -> Report:
         hc_T.graded_dim.swap(),
         "double parity shift returns the cyclic side",
     )
-    # the block algebra is the image of sq_n(T) under an isomorphism
-    gd = sq_graded_dim(n, T)
-    if _over_budget(report, "h2-equals-cyclic", gd, opts.budget):
-        return report
-    t0 = time.perf_counter()
-    try:
+
+    def build():
         hom = iso_qQ1_to_glnn(n, S)
-    except ScalarError as e:
-        report.skip("h2-equals-cyclic", str(e))
-        return report
-    report.add_flag("block-map-is-isomorphism", hom.is_isomorphism, hom.name)
-    sl = build_block_lie(hom)
-    _check_graded_dim(sl, gd)
-    report.timings["build"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    h2 = ce_h2(sl, torus=block_torus(sl, hom))
-    report.timings["h2"] = time.perf_counter() - t0
-    _merge_h2_timings(report, h2.stats)
-    report.add_cmp("h2-equals-cyclic", hc_S.graded_dim, h2.dims, _ranks_note(h2.stats))
+        report.add_flag("block-map-is-isomorphism", hom.is_isomorphism, hom.name)
+        sl = build_block_lie(hom)
+        return sl, block_torus(sl, hom)
+
+    # the block algebra is the image of sq_n(T) under an isomorphism
+    side = _h2_side(report, check, sq_graded_dim(n, T), opts.budget, build)
+    if side is not None:
+        report.add_cmp(check, hc_S.graded_dim, *side)
     return report
 
 

@@ -1,5 +1,6 @@
-"""Scenarios: each structure is built and verified once, report inputs, and
-every F_p value they store is reduced."""
+"""Scenarios: each structure is built and verified once, report inputs, the
+rows and timing keys of every H2 path, and every F_p value they store is
+reduced."""
 
 import pytest
 
@@ -9,6 +10,7 @@ from queerhom.chevalley import CEComplex, H2Result
 from queerhom.cli import main
 from queerhom.lie import LieSuperAlgebra, VerifiedHomomorphism
 from queerhom.linalg import AugmentedSpan, Echelon, Subspace
+from queerhom.scalars import QQ, parse_field_flag
 from queerhom.scenarios import ScenarioOptions, run_scenario, scenario_iso_queer_gl
 
 
@@ -51,6 +53,48 @@ def test_homology_scenarios_always_list_the_budget_and_the_others_only_when_set(
     assert inputs == {"algebra": "base-field", "n": "2", "field": "Q"}
     with_budget = ScenarioOptions("builtin:base-field", n=2, budget=7)
     assert run_scenario("perfectness", with_budget).to_dict()["inputs"]["budget"] == "7"
+
+
+QI = parse_field_flag("Qi")
+H2_TIMINGS = [
+    "hc1", "build", "h2",
+    "h2.kernel_parity01", "h2.boundaries_parity01", "h2.quotient_parity01",
+]
+SHIFTED = "h2-equals-shifted-cyclic"
+COORDS = "h2-equals-coords-plus-shifted-cyclic"
+CYCLIC = "h2-equals-cyclic"
+SLNN_ROWS = [("shift-chain-consistent", "PASS"), ("block-map-is-isomorphism", "PASS")]
+
+
+@pytest.mark.parametrize(
+    "name, algebra, n, field, budget, rows, timings",
+    [
+        ("h2-main", "grassmann(1)", 3, QQ, None, [(SHIFTED, "PASS")], H2_TIMINGS),
+        ("psq-central", "grassmann(1)", 3, QQ, None, [(COORDS, "PASS")], H2_TIMINGS),
+        ("slnn-identity", "base-field", 3, QI, None, SLNN_ROWS + [(CYCLIC, "PASS")], H2_TIMINGS),
+        ("h2-main", "grassmann(1)", 2, QQ, None, [(SHIFTED, "SKIP")], H2_TIMINGS),
+        ("h2-main", "grassmann(1)", 3, QQ, 10, [(SHIFTED, "SKIP")], ["hc1"]),
+        ("psq-central", "grassmann(1)", 3, QQ, 10, [(COORDS, "SKIP")], ["hc1"]),
+        ("slnn-identity", "base-field", 3, QI, 10, SLNN_ROWS[:1] + [(CYCLIC, "SKIP")], ["hc1"]),
+        ("psq-central", "matrix(2)", 3, QQ, None, [(COORDS, "SKIP")], []),
+        ("psq-central", "grassmann(1)", 2, QQ, None, [(COORDS, "SKIP")], []),
+        ("slnn-identity", "base-field", 2, QI, None, [(CYCLIC, "SKIP")], []),
+        ("slnn-identity", "base-field", 2, QQ, None, [(CYCLIC, "SKIP")], []),
+    ],
+    ids=[
+        "h2-main-pass", "psq-central-pass", "slnn-identity-pass", "h2-main-exploratory",
+        "h2-main-budget", "psq-central-budget", "slnn-identity-budget",
+        "psq-central-noncommutative", "psq-central-n2", "slnn-identity-n2", "slnn-identity-no-i",
+    ],
+)
+def test_every_h2_path_pins_its_rows_and_timing_keys(
+    name, algebra, n, field, budget, rows, timings
+):
+    # perfbench reads the h2.* keys of every scenario that runs ce_h2
+    opts = ScenarioOptions("builtin:" + algebra, n=n, field=field, budget=budget)
+    report = run_scenario(name, opts)
+    assert [(r.check, r.status) for r in report.rows] == rows
+    assert list(report.timings) == timings
 
 
 def _stored_scalars(obj):
