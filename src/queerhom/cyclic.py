@@ -17,12 +17,13 @@ the relation subspace is re-checked every time.
 For S = R(x)Q1 the class map is written h(x, y); check_h_relations
 verifies the mixing identities between h on S and lam on R, and
 build_shift_iso constructs the mutually inverse odd maps between
-HC1(S) and HC1(R) on canonical bases.
+HC1(S) and HC1(R) on canonical bases: psi directly, and phi, known only on
+the h-columns, as its graph in one linalg.Echelon over <S,S> (+) <R,R>.
 """
 from __future__ import annotations
 
 from .algebras import SuperAlgebra, build_q1, tensor
-from .linalg import AugmentedSpan, GradedSpace, QuotientSpace, Subspace, kernel, vec_add_scaled
+from .linalg import Echelon, GradedSpace, QuotientSpace, Subspace, in_field, kernel, vec_add_scaled
 from .lie import StructureError
 
 
@@ -245,6 +246,10 @@ class OddIsoPair:
 def build_shift_iso(hc_R: HC1Result, hc_S: HC1Result) -> OddIsoPair:
     """The odd maps between HC1(R) = hc_R and HC1(S) = hc_S, S = R(x)Q1.
 
+    psi sends lam(a, b) to h(a(x)1, b(x)nu).  phi is found as the graph of
+    the reverse assignment: every h(a(x)1, b(x)nu) (+) lam(a, b) goes into one
+    Echelon, and phi is well defined exactly when no pivot lies in the <R,R>
+    part (so a zero h-column with a nonzero lam(a, b) makes it ill-defined).
     R and S are read from hc_R and hc_S, so neither is built again;
     ValueError unless dim S = 2 dim R.
     """
@@ -262,9 +267,6 @@ def build_shift_iso(hc_R: HC1Result, hc_S: HC1Result) -> OddIsoPair:
     def h_col(a: int, b: int) -> dict:
         """Class of (a(x)1)(x)(b(x)nu) in <S,S>."""
         return pair_S.class_of({(2 * a) * S.dim + (2 * b + 1): one})
-
-    def lam_col(a: int, b: int) -> dict:
-        return pair_R.class_of({a * d + b: one})
 
     # psi on the ambient R(x)R: a(x)b -> h(a(x)1, b(x)nu); must kill I_R.
     ok = True
@@ -294,36 +296,33 @@ def build_shift_iso(hc_R: HC1Result, hc_S: HC1Result) -> OddIsoPair:
             out.failures.append("psi image leaves HC1 of the tensor algebra")
     out.psi_image_in_hc1 = ok
 
-    # phi: solve each HC1(S) basis vector as a combination of h-columns.
-    span = AugmentedSpan(field)
-    pairs_order = [(a, b) for a in range(d) for b in range(d)]
-    for (a, b) in pairs_order:
-        col = h_col(a, b)
-        if col:
-            span.insert(col, {(a, b): one})
-    ok_wd = True
-    for tag in span.kernel_tags:
-        img = {}
-        for (a, b), v in tag.items():
-            vec_add_scaled(img, lam_col(a, b), v, field)
-        if img:
-            ok_wd = False
-            out.failures.append("phi is ill-defined on a kernel combination of h-columns")
-    out.phi_well_defined = ok_wd
+    # phi as its graph; the <R,R> coordinates start at dim <S,S>, so that
+    # <S,S> columns pivot first.
+    off = pair_S.quot.dim
+    graph = Echelon(field)
+    for a in range(d):
+        for b in range(d):
+            vec = h_col(a, b)
+            for k, v in pair_R.class_of({a * d + b: one}).items():
+                vec[off + k] = v
+            graph.insert(vec)
+    out.phi_well_defined = all(c < off for c in graph.pivots)
+    if not out.phi_well_defined:
+        out.failures.append("phi is ill-defined on a kernel combination of h-columns")
 
+    # phi(y) is minus the <R,R> part of y (+) 0 reduced along the graph; an
+    # <S,S> column left in the residue means y is no combination of h-columns.
     phi_cols = []
     ok_solve = True
     ok_image = True
     for row in hc_S.subspace.rows:
-        tags = span.solve(dict(row))
-        if tags is None:
+        res = graph.reduce(row)
+        if any(c < off for c in res):
             ok_solve = False
             out.failures.append("an HC1 class of the tensor algebra has no h-normal form")
             phi_cols.append(None)
             continue
-        img = {}
-        for (a, b), v in tags.items():
-            vec_add_scaled(img, lam_col(a, b), v, field)
+        img = in_field({c - off: -v for c, v in res.items()}, field)
         phi_cols.append(img)
         if not hc_R.subspace.contains(img):
             ok_image = False
@@ -331,39 +330,22 @@ def build_shift_iso(hc_R: HC1Result, hc_S: HC1Result) -> OddIsoPair:
     out.phi_solvable = ok_solve
     out.phi_image_in_hc1 = ok_image
 
-    # mutual inverse on the canonical bases, via subspace coordinates.
+    # mutual inverse on the canonical bases, via subspace coordinates; phi
+    # is solvable and both images lie in HC1, so no coords_of is None.
     ok_inv = ok_solve and ok_image and out.psi_image_in_hc1
     if ok_inv:
-        nR = len(hc_R.subspace.rows)
-        nS = len(hc_S.subspace.rows)
-        for i in range(nR):
+        for i, row in enumerate(hc_R.subspace.rows):
             back = {}
-            coords = hc_S.subspace.coords_of(psi_cols[i])
-            if coords is None:
-                ok_inv = False
-                break
-            for j, v in coords.items():
-                if phi_cols[j] is None:
-                    ok_inv = False
-                    break
+            for j, v in hc_S.subspace.coords_of(psi_cols[i]).items():
                 vec_add_scaled(back, phi_cols[j], v, field)
-            expect = {k: v for k, v in hc_R.subspace.rows[i].items()}
-            if back != expect:
+            if back != row:
                 ok_inv = False
                 out.failures.append("phi(psi(x)) != x on basis vector %d" % i)
-        for j in range(nS):
-            if phi_cols[j] is None:
-                ok_inv = False
-                continue
-            coords = hc_R.subspace.coords_of(phi_cols[j])
-            if coords is None:
-                ok_inv = False
-                continue
+        for j, row in enumerate(hc_S.subspace.rows):
             back = {}
-            for i, v in coords.items():
+            for i, v in hc_R.subspace.coords_of(phi_cols[j]).items():
                 vec_add_scaled(back, psi_cols[i], v, field)
-            expect = {k: v for k, v in hc_S.subspace.rows[j].items()}
-            if back != expect:
+            if back != row:
                 ok_inv = False
                 out.failures.append("psi(phi(y)) != y on basis vector %d" % j)
     out.mutually_inverse = ok_inv

@@ -15,6 +15,13 @@ Subspaces are stored as the same canonical rows sorted by pivot column, so
 subspace equality is literal equality of the stored data, and reduction
 modulo a subspace is the same walk over the vector's own support.
 
+A linear map known only on a spanning set is solved as its graph in one
+Echelon: each input (+) its image is inserted with the image coordinates
+offset past the input coordinates, so input columns pivot first; the map
+is well defined exactly when no pivot falls among the image coordinates,
+and reducing x (+) 0 leaves minus its image there (see
+cyclic.build_shift_iso).
+
 Every kernel takes the field its scalars live in and applies its
 characteristic: over F_p the values are ints in [0, p), combined in Z and
 reduced mod p (``_residue`` and ``in_field`` reduce once, after the sums);
@@ -189,9 +196,7 @@ def _store(rows: dict, index: dict, row: dict, field):
     row is zero at every stored pivot; it is scaled to be monic at its
     leading column lead, and lead is cleared from every stored row that is
     nonzero there.  index maps each non-pivot column to the set of pivot
-    columns whose rows are nonzero at it, and is kept exact.  Returns
-    (lead, s, cleared): row was multiplied by s, and cleared lists (q, x) for
-    each stored row q from which x times the new row was subtracted.
+    columns whose rows are nonzero at it, and is kept exact.
     """
     p = field.characteristic
     lead = min(row)
@@ -203,11 +208,9 @@ def _store(rows: dict, index: dict, row: dict, field):
     for c in row:
         if c != lead:
             index.setdefault(c, set()).add(lead)
-    cleared = []
     for q in hits:
         target = rows[q]
         x = target.pop(lead)
-        cleared.append((q, x))
         for c, v in row.items():
             if c == lead:
                 continue
@@ -222,7 +225,6 @@ def _store(rows: dict, index: dict, row: dict, field):
                 del target[c]
                 index[c].discard(q)
     rows[lead] = row
-    return lead, s, cleared
 
 
 class Echelon:
@@ -418,46 +420,3 @@ def kernel(rows, domain: GradedSpace, field) -> Subspace:
         out.insert(vec)
     return Subspace(domain, out.rref_rows(), field)
 
-
-class AugmentedSpan:
-    """Echelon that tracks preimages: solve M t = v and read off ker M.
-
-    Columns of M are inserted with unit tags.  The rows are kept canonical
-    as in Echelon, and each carries a tag with  row = sum_j tag_j *
-    (original column j); clearing a column from a row updates its tag alike.
-    """
-
-    def __init__(self, field):
-        self.field = field
-        self.pivots = {}  # pivot col -> (row, tag)
-        self.kernel_tags = []
-        self._rows = {}  # pivot col -> row, the dicts held in pivots
-        self._cols = {}  # non-pivot column -> pivot columns of rows nonzero there
-
-    def insert(self, vec: dict, tag: dict) -> bool:
-        field = self.field
-        work, cols = _residue(vec, self._rows, field)
-        tg = {k: v for k, v in tag.items() if v}
-        for c in cols:
-            vec_add_scaled(tg, self.pivots[c][1], -vec[c], field)
-        if not work:
-            if tg:
-                self.kernel_tags.append(tg)
-            return False
-        lead, s, cleared = _store(self._rows, self._cols, work, field)
-        scaled = {}
-        vec_add_scaled(scaled, tg, s, field)
-        for q, x in cleared:
-            vec_add_scaled(self.pivots[q][1], scaled, -x, field)
-        self.pivots[lead] = (work, scaled)
-        return True
-
-    def solve(self, target: dict):
-        """Tag combination t with columns(t) = target, or None."""
-        work, cols = _residue(target, self._rows, self.field)
-        if work:
-            return None
-        tg = {}
-        for c in cols:
-            vec_add_scaled(tg, self.pivots[c][1], target[c], self.field)
-        return tg

@@ -30,6 +30,7 @@ from .cyclic import build_shift_iso, check_h_relations, hc1
 from .kahler import kahler_hc1_oracle
 from .lie import (
     StructureError,
+    VerifiedHomomorphism,
     block_torus,
     build_block_lie,
     build_psq_lie,
@@ -195,23 +196,14 @@ def scenario_loop_iso(opts: ScenarioOptions) -> Report:
             return qR.qindex.u(i, j, a), 1
         return qR.qindex.w(i, j, a), -1 if R.space.parities[a] else 1
 
-    par_ok = all(
-        gT.space.parities[t] == qR.space.parities[translate(t)[0]] for t in range(gT.dim)
-    )
-    report.add_flag("relabeling-preserves-parity", par_ok)
-    p = R.field.characteristic  # a sign flip is reduced into F_p
-    relabeled = {}
-    for (x, y), tbl in gT.brackets.items():
-        tx, sx = translate(x)
-        ty, sy = translate(y)
-        row = {}
-        for k, v in tbl.items():
-            tk, sk = translate(k)
-            row[tk] = v if sx * sy * sk == 1 else (-v % p if p else -v)
-        relabeled[(tx, ty)] = row
+    cols = [{tk: R.field.from_int(sk)} for tk, sk in map(translate, range(gT.dim))]
+    hom = VerifiedHomomorphism(gT, qR, cols, name="%s->%s" % (gT.name, qR.name))
+    report.add_flag("relabeling-preserves-parity", hom.parity_preserving)
+    # a signed bijection of bases preserves brackets exactly when the
+    # relabeled tables are equal
     report.add_flag(
         "structure-constants-identical",
-        relabeled == qR.brackets,
+        hom.bracket_preserving and hom.injective and hom.surjective,
         "bracket tables compared exactly under the signed index bijection",
     )
     return report

@@ -111,9 +111,20 @@ def test_sq1_abelian_on_supercommutative_coordinates(tag, capsys):
 # ------------------------------------------------------- coordinate change
 
 
-@pytest.mark.parametrize("tag", ["grassmann(1)", "truncated-poly(2)"])
-def test_tensoring_base_q2_matches_q2_of_coordinates(tag, capsys):
-    code = main(["loop-iso", "--algebra", "builtin:%s" % tag, "--n", "2"])
+LOOP_ISO_INPUTS = [
+    (tag, field)
+    for field in ("Q", "Fp:3", "Qi")
+    for tag in ("grassmann(1)", "truncated-poly(2)")
+]
+
+
+@pytest.mark.parametrize(
+    "tag, field",
+    LOOP_ISO_INPUTS,
+    ids=[tag if field == "Q" else "%s-%s" % (tag, field) for tag, field in LOOP_ISO_INPUTS],
+)
+def test_tensoring_base_q2_matches_q2_of_coordinates(tag, field, capsys):
+    code = main(["loop-iso", "--algebra", "builtin:%s" % tag, "--n", "2", "--field", field])
     assert code == 0, capsys.readouterr().out
 
 

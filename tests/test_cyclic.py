@@ -302,3 +302,34 @@ def test_shift_iso_rejects_homology_not_over_the_tensor_algebra():
     h = hc1(G1)
     with pytest.raises(ValueError):
         build_shift_iso(h, h)
+
+
+@pytest.mark.parametrize("tag", ["grassmann(1)", "grassmann(2)"])
+def test_shift_flags_fail_over_a_tensor_factor_that_is_not_q1(tag):
+    # R(x)truncated-poly(2) has dimension 2 dim R, so it passes the size
+    # guard, but its second factor is even: psi, phi and the parities break
+    R = build_builtin(tag, QQ)
+    T = tensor(R, build_builtin("truncated-poly(2)", QQ))
+    iso = build_shift_iso(hc1(R), hc1(T))
+    broken = {"psi_kills_relations", "phi_solvable", "mutually_inverse", "parity_flip", "dims_swap"}
+    assert {f: getattr(iso, f) for f in SHIFT_FLAGS} == {f: f not in broken for f in SHIFT_FLAGS}
+    assert iso.failures
+
+
+@pytest.mark.parametrize("tag", ["grassmann(1)", "grassmann(2)", "matrix(2)", "square-zero-plane"])
+def test_phi_is_ill_defined_when_a_zero_h_column_has_a_nonzero_lam(tag, monkeypatch):
+    # h(e_0(x)1, e_0(x)nu) = 0 on these algebras; giving lam(e_0, e_0) a
+    # nonzero class makes phi send 0 to a nonzero class
+    R = build_builtin(tag, QQ)
+    hc_R, hc_S = hc1(R), hc1(tensor(R, build_q1(QQ)))
+    assert hc_S.pair.class_of({1: 1}) == {}  # key 1 is (e_0(x)1)(x)(e_0(x)nu)
+    class_of = hc_R.pair.class_of
+
+    def corrupted(vec):
+        return {0: 1} if vec == {0: 1} else class_of(vec)
+
+    assert class_of({0: 1}) == {}
+    monkeypatch.setattr(hc_R.pair, "class_of", corrupted)
+    iso = build_shift_iso(hc_R, hc_S)
+    assert iso.phi_well_defined is False
+    assert "phi is ill-defined on a kernel combination of h-columns" in iso.failures

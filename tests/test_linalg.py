@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from queerhom.linalg import (
-    AugmentedSpan,
     Echelon,
     GradedDim,
     GradedSpace,
@@ -115,11 +114,6 @@ def test_the_modulus_is_applied_in_every_kernel():
     assert list(kernel(rows, space, f5).rows) == [{0: 1, 1: 3}]  # 1 + 3*3 = 10
     line = Subspace.from_vectors(space, rows[:1], f5)
     assert line.coords_of(rows[1]) == {0: 2}
-    span = AugmentedSpan(f5)
-    span.insert(dict(rows[0]), {0: 1})
-    assert span.solve(rows[1]) == {0: 2}
-    assert not span.insert(dict(rows[1]), {1: 1})
-    assert span.kernel_tags == [{0: 3, 1: 1}]  # 3*(1, 3) + (2, 1) = (5, 10)
     diff = dict(rows[1])
     vec_add_scaled(diff, rows[0], -2, f5)
     assert diff == {}
@@ -130,9 +124,6 @@ def test_the_modulus_is_applied_in_every_kernel():
     assert ech.insert(dict(rows[0])) and ech.insert(dict(rows[1]))
     assert kernel(rows, space, QQ).dim == 0
     assert Subspace.from_vectors(space, rows[:1], QQ).coords_of(rows[1]) is None
-    span = AugmentedSpan(QQ)
-    span.insert(dict(rows[0]), {0: 1})
-    assert span.solve(rows[1]) is None
     diff = dict(rows[1])
     vec_add_scaled(diff, rows[0], -2, QQ)
     assert diff == {1: -5}
@@ -263,36 +254,6 @@ def test_graded_dim_dispatch():
     assert QuotientSpace(space, sub).graded_dim == GradedDim(1, 0)
 
 
-def test_augmented_span_solves_and_reports_kernel_tags():
-    rng = random.Random(9)
-    for _ in range(20):
-        cols = [c for c in _random_sparse_rows(rng, rng.randint(1, 8), 6) if c]
-        if not cols:
-            continue
-        span = AugmentedSpan(QQ)
-        for j, col in enumerate(cols):
-            span.insert(dict(col), {j: F(1)})
-        # any inserted column must be solvable, and the tags must rebuild it
-        j = rng.randrange(len(cols))
-        tags = span.solve(dict(cols[j]))
-        assert tags is not None
-        rebuilt = {}
-        for t, c in tags.items():
-            vec_add_scaled(rebuilt, cols[t], c, QQ)
-        assert rebuilt == cols[j]
-        for ktag in span.kernel_tags:
-            combo = {}
-            for t, c in ktag.items():
-                vec_add_scaled(combo, cols[t], c, QQ)
-            assert combo == {}
-
-
-def test_augmented_span_reports_unsolvable_targets():
-    span = AugmentedSpan(QQ)
-    span.insert({0: F(1)}, {0: F(1)})
-    assert span.solve({1: F(1)}) is None
-
-
 def test_echelon_rank_matches_rref():
     rng = random.Random(31)
     for _ in range(20):
@@ -323,15 +284,6 @@ def test_echelon_insert_keeps_unit_led_int_rows_as_ints():
     ech.insert({0: -1, 2: 4})
     assert all(type(v) is int for v in ech.pivots[0].values())
     assert ech.pivots[0] == {0: 1, 2: -4}
-
-
-def test_augmented_span_scales_int_rows_and_tags_exactly():
-    span = AugmentedSpan(QQ)
-    span.insert({0: 2, 1: 4}, {0: 1})
-    row, tag = span.pivots[0]
-    assert row == {0: 1, 1: 2}
-    assert tag == {0: Fraction(1, 2)} and type(tag[0]) is Fraction
-    assert span.solve({0: 3, 1: 6}) == {0: Fraction(3, 2)}
 
 
 def test_kernel_over_q_keeps_int_entries_exact():
@@ -514,11 +466,10 @@ def test_subspace_rejects_rows_that_are_not_canonical_rref(rows):
 # ------------------------- canonical echelon against the heap forward echelon
 
 
-def _heap_walk(pivots, vec, on_pivot, field):
+def _heap_walk(pivots, vec, field):
     """The old forward reduction over field: pop the lowest column, subtract
     the monic row stored there, push fill-in.  Returns (residue so far, first
-    column without a stored row or None); on_pivot(row, multiple) sees every
-    step."""
+    column without a stored row or None)."""
     p = field.characteristic
     work = dict(vec)
     heap = list(work)
@@ -548,7 +499,6 @@ def _heap_walk(pivots, vec, on_pivot, field):
                     work[cc] = nv
                 else:
                     del work[cc]
-        on_pivot(c, val)
     return work, None
 
 
@@ -565,7 +515,7 @@ class _HeapEchelon:
         return len(self.pivots)
 
     def insert(self, vec):
-        work, c = _heap_walk(self.pivots, vec, lambda c, val: None, self.field)
+        work, c = _heap_walk(self.pivots, vec, self.field)
         if c is None:
             return False
         s = self.field.invert(work[c])
@@ -576,7 +526,7 @@ class _HeapEchelon:
         out = {}
         work = dict(vec)
         while True:
-            work, c = _heap_walk(self.pivots, work, lambda c, val: None, self.field)
+            work, c = _heap_walk(self.pivots, work, self.field)
             if c is None:
                 return out
             out[c] = work.pop(c)
@@ -591,45 +541,6 @@ class _HeapEchelon:
                 vec_add_scaled(row, rows[c2], -row[c2], self.field)
             rows[c] = row
         return [rows[c] for c in cols]
-
-
-class _HeapAugmentedSpan:
-    """AugmentedSpan as it was: forward rows with tags and a heap walk."""
-
-    def __init__(self, field):
-        self.field = field
-        self.pivots = {}
-        self.kernel_tags = []
-
-    def _rows(self):
-        return {c: row for c, (row, _) in self.pivots.items()}
-
-    def insert(self, vec, tag):
-        tg = dict(tag)
-
-        def step(c, val):
-            vec_add_scaled(tg, self.pivots[c][1], -val, self.field)
-
-        work, c = _heap_walk(self._rows(), vec, step, self.field)
-        if c is None:
-            if tg:
-                self.kernel_tags.append(tg)
-            return False
-        s = self.field.invert(work[c])
-        self.pivots[c] = (
-            in_field({k: v * s for k, v in work.items()}, self.field),
-            in_field({k: v * s for k, v in tg.items()}, self.field),
-        )
-        return True
-
-    def solve(self, target):
-        tg = {}
-
-        def step(c, val):
-            vec_add_scaled(tg, self.pivots[c][1], val, self.field)
-
-        _, c = _heap_walk(self._rows(), target, step, self.field)
-        return None if c is not None else tg
 
 
 def _column_index(ech):
@@ -675,23 +586,6 @@ def test_canonical_echelon_matches_the_heap_forward_echelon(flag):
             assert sorted(ech.pivots) == sorted(oracle.pivots)
             for p in probes + vecs[:2]:
                 assert ech.reduce(p) == oracle.reduce(p)
-
-
-@pytest.mark.parametrize("flag", ["Q", "Qi", "Fp:5"])
-def test_augmented_span_matches_the_heap_forward_span(flag):
-    field = parse_field_flag(flag)
-    rng = random.Random(77)
-    for trial in range(40):
-        ncols = rng.randint(1, 10)
-        cols = [c for c in _random_vectors(rng, field, rng.randint(1, 12), ncols, 0.3) if c]
-        span, oracle = AugmentedSpan(field), _HeapAugmentedSpan(field)
-        for j, col in enumerate(cols):
-            assert span.insert(col, {j: field.one}) == oracle.insert(col, {j: field.one})
-        assert span.kernel_tags == oracle.kernel_tags
-        assert sorted(span.pivots) == sorted(oracle.pivots)
-        targets = cols + _random_vectors(rng, field, 5, ncols, 0.3)
-        for t in targets:
-            assert span.solve(t) == oracle.solve(t)
 
 
 def test_later_inserts_do_not_change_earlier_inputs_or_outputs():

@@ -4,12 +4,12 @@ reduced."""
 
 import pytest
 
-from queerhom import lie
+from queerhom import lie, scenarios
 from queerhom.algebras import SuperAlgebra
 from queerhom.chevalley import CEComplex, H2Result
 from queerhom.cli import main
 from queerhom.lie import LieSuperAlgebra, VerifiedHomomorphism
-from queerhom.linalg import AugmentedSpan, Echelon, Subspace
+from queerhom.linalg import Echelon, Subspace
 from queerhom.scalars import QQ, parse_field_flag
 from queerhom.scenarios import ScenarioOptions, run_scenario, scenario_iso_queer_gl
 
@@ -98,8 +98,8 @@ def test_every_h2_path_pins_its_rows_and_timing_keys(
 
 
 def _stored_scalars(obj):
-    """The nonzero scalars an object keeps: table entries, rows, tags,
-    columns and basis vectors."""
+    """The nonzero scalars an object keeps: table entries, rows, columns and
+    basis vectors."""
     if isinstance(obj, SuperAlgebra):
         vecs = list(obj.products.values()) + [obj.unit]
     elif isinstance(obj, LieSuperAlgebra):
@@ -108,8 +108,6 @@ def _stored_scalars(obj):
         vecs = list(obj.rows)
     elif isinstance(obj, Echelon):
         vecs = list(obj.pivots.values())
-    elif isinstance(obj, AugmentedSpan):
-        vecs = [v for pair in obj.pivots.values() for v in pair] + obj.kernel_tags
     elif isinstance(obj, VerifiedHomomorphism):
         vecs = obj.columns
     else:
@@ -124,15 +122,16 @@ def _stored_scalars(obj):
         ["h2-main", "--algebra", "builtin:grassmann(1)", "--n", "3"],
         ["psq-central", "--algebra", "builtin:grassmann(1)", "--n", "3"],
         ["hc1-shift", "--algebra", "builtin:grassmann(2)"],
+        ["loop-iso", "--algebra", "builtin:grassmann(1)", "--n", "2"],
     ],
-    ids=["h2-main", "psq-central", "hc1-shift"],
+    ids=["h2-main", "psq-central", "hc1-shift", "loop-iso"],
 )
 def test_every_stored_prime_field_value_is_a_reduced_int(argv, flag, monkeypatch, capsys):
     # an arithmetic site that forgot the modulus leaves a negative or >= p int
     # in some table, row or basis vector, whichever layer it is in
     made = []
     kinds = (
-        SuperAlgebra, LieSuperAlgebra, Subspace, Echelon, AugmentedSpan,
+        SuperAlgebra, LieSuperAlgebra, Subspace, Echelon,
         VerifiedHomomorphism, CEComplex, H2Result,
     )
     for cls in kinds:
@@ -141,13 +140,31 @@ def test_every_stored_prime_field_value_is_a_reduced_int(argv, flag, monkeypatch
             made.append(self)
 
         monkeypatch.setattr(cls, "__init__", init)
+    graphs = []  # (Echelons made inside build_shift_iso, dim <S,S>)
+    build_shift_iso = scenarios.build_shift_iso
+
+    def recording(hc_R, hc_S):
+        start = len(made)
+        iso = build_shift_iso(hc_R, hc_S)
+        graphs.extend((o, hc_S.pair.quot.dim) for o in made[start:] if isinstance(o, Echelon))
+        return iso
+
+    monkeypatch.setattr(scenarios, "build_shift_iso", recording)
     assert main(argv + ["--field", flag]) == 0
     assert "PASS" in capsys.readouterr().out
     p = int(flag[3:])
     seen = {type(obj) for obj in made}
     assert {SuperAlgebra, Subspace, Echelon} <= seen
     if argv[0] == "hc1-shift":
-        assert AugmentedSpan in seen
+        # phi's graph: its rows hold phi's values past the <S,S> coordinates
+        ((graph, off),) = graphs
+        assert any(c >= off for row in graph.pivots.values() for c in row)
+    elif argv[0] == "loop-iso":
+        assert {LieSuperAlgebra, VerifiedHomomorphism} <= seen
+        assert not {CEComplex, H2Result} & seen
+        (hom,) = [o for o in made if isinstance(o, VerifiedHomomorphism) and "⊗" in o.source.name]
+        # the w-legs of odd coordinates carry the sign -1, stored as p - 1
+        assert p - 1 in {x for col in hom.columns for x in col.values()}
     else:
         assert {LieSuperAlgebra, VerifiedHomomorphism, CEComplex, H2Result} <= seen
     values = [x for obj in made if not isinstance(obj, CEComplex) for x in _stored_scalars(obj)]
@@ -157,3 +174,26 @@ def test_every_stored_prime_field_value_is_a_reduced_int(argv, flag, monkeypatch
     # a torus weight may vanish, but is reduced all the same
     weights = [x for obj in made if isinstance(obj, CEComplex) for x in obj.weights]
     assert all(type(x) is int and 0 <= x < p for w in weights for x in w)
+
+
+@pytest.mark.parametrize("mutate", ["sign-flip", "spurious-key"])
+def test_loop_iso_fails_on_a_corrupted_tensor_table(mutate, monkeypatch, capsys):
+    lie_tensor = scenarios.lie_tensor
+
+    def corrupted(g, R):
+        gT = lie_tensor(g, R)
+        if mutate == "sign-flip":
+            row = gT.brackets[min(gT.brackets)]
+            row[min(row)] = -row[min(row)]
+        else:
+            key = next(
+                (i, j) for i in range(gT.dim) for j in range(gT.dim) if (i, j) not in gT.brackets
+            )
+            gT.brackets[key] = {0: 1}
+        return gT
+
+    monkeypatch.setattr(scenarios, "lie_tensor", corrupted)
+    code = main(["loop-iso", "--algebra", "builtin:grassmann(1)", "--n", "2"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "[FAIL] structure-constants-identical expected=yes computed=no" in out
