@@ -10,16 +10,21 @@ gl_{n|n}(R),
     w_ij(a) = E_{i,n+j}(a) + (-1)^{|a|} E_{n+i,j}(a),
 
 as a VerifiedHomomorphism: unless it preserves every bracket exactly, the
-construction aborts.  VerifiedHomomorphism.verify is the one place that
-compares a linear map with two bracket tables.  sq_n(R) is characterized as {(A,B) : tr B in [R,R]}
-and must coincide with the derived subalgebra of q_n(R) for n >= 2.
+construction aborts.  The target of that check is GlRule, the matrix-unit
+rule of gl_{m|n}(R) evaluated from R's products; a gl table is built, by
+build_gl from the same rule, only where gl is used as an algebra.
+VerifiedHomomorphism.verify is the one place that compares a linear map
+with two bracket tables or rules.  sq_n(R) is characterized as
+{(A,B) : tr B in [R,R]} and must coincide with the derived subalgebra of
+q_n(R) for n >= 2.
 
 Every bilinear scan visits only the pairs that can have a nonzero bracket.
-_partners reads them off the keys of a bracket table: [x, y] can be nonzero
-only if some (s, t) with s in supp x and t in supp y is a key.  Skipped
-pairs have an empty bracket on every side, so results, failure lists and
-the key order of every table are those of the all-pairs scan.  lie_tensor
-takes its table from algebras.koszul_tensor, the one Koszul sign rule.
+_partners reads them off the keys of a bracket table, or of GlRule.keys:
+[x, y] can be nonzero only if some (s, t) with s in supp x and t in supp y
+is a key.  Skipped pairs have an empty bracket on every side, so results,
+failure lists and the key order of every table are those of the all-pairs
+scan.  lie_tensor takes its table from algebras.koszul_tensor, the one
+Koszul sign rule.
 
 The super Jacobi convention used throughout:
 (-1)^{|x||z|}[x,[y,z]] + (-1)^{|y||x|}[y,[z,x]] + (-1)^{|z||y|}[z,[x,y]] = 0.
@@ -68,6 +73,9 @@ class LieSuperAlgebra:
                     vec_add_scaled(out, tbl, xi * yj, self.field)
         return out
 
+    def partners(self, lefts, rights) -> list:
+        return _partners(self.brackets, lefts, rights)
+
     def __repr__(self):
         return "<LieSuperAlgebra %s %s>" % (self.name, self.space.graded_dim)
 
@@ -103,71 +111,132 @@ def _product_partners(R: SuperAlgebra) -> list:
 
 # ------------------------------------------------------------------ gl and q
 
-def build_gl(m: int, n: int, R: SuperAlgebra) -> LieSuperAlgebra:
-    """gl_{m|n}(R): matrix positions graded by blocks, entries graded by R.
+class GlRule:
+    """The matrix-unit rule of gl_{m|n}(R), answered from R's products and
+    the block parities without a bracket table:
 
-    |E_ij(a)| = |i| + |j| + |a| where |i| = 0 for i <= m.
+        [E_ij(a), E_kl(b)] = d_jk E_il(ab) - (-1)^{|E_ij(a)||E_kl(b)|} d_li E_kj(ba),
+
+    with |E_ij(a)| = |i| + |j| + |a| and |i| = 0 for i <= m.  It serves
+    where a table would be read only once, as the target of build_q's check;
+    build_gl fills gl's table from it.
     """
-    if m < 0 or n < 0 or m + n < 1:
-        raise ValueError("need m + n >= 1")
-    N = m + n
-    dR = R.dim
-    rpar = R.space.parities
-    p = R.field.characteristic
 
-    def pos_par(i):  # 1-based
-        return 0 if i <= m else 1
+    def __init__(self, m: int, n: int, R: SuperAlgebra):
+        if m < 0 or n < 0 or m + n < 1:
+            raise ValueError("need m + n >= 1")
+        N = m + n
+        dR = R.dim
+        rpar = R.space.parities
+        labels = []
+        parities = []
+        self.entries = []  # index -> (i, j, a), positions 0-based
+        for i in range(N):
+            for j in range(N):
+                for a in range(dR):
+                    labels.append("E[%d,%d](%s)" % (i + 1, j + 1, R.space.labels[a]))
+                    parities.append(((i >= m) + (j >= m) + rpar[a]) % 2)
+                    self.entries.append((i, j, a))
+        self.space = GradedSpace(labels, parities)
+        self.parities = self.space.parities
+        self.field = R.field
+        self.products = R.products
+        self.size = N
+        self.coord_dim = dR
+        # b with E_ij(a) meeting E_kl(b) nontrivially: (a, b) a product key
+        # when only j == k, (b, a) when only l == i, either when both with
+        # i != j, and [a, b] != 0 in R when i == j == k == l
+        self.right = [[] for _ in range(dR)]
+        self.left = [[] for _ in range(dR)]
+        for a, b in sorted(R.products):
+            self.right[a].append(b)
+            self.left[b].append(a)
+        self.either = _product_partners(R)
+        self.commuting = [
+            [b for b in bs if R.supercommutator(a, b)] for a, bs in enumerate(self.either)
+        ]
 
-    labels = []
-    parities = []
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            for r in range(dR):
-                labels.append("E[%d,%d](%s)" % (i, j, R.space.labels[r]))
-                parities.append((pos_par(i) + pos_par(j) + rpar[r]) % 2)
-    space = GradedSpace(labels, parities)
+    @property
+    def dim(self):
+        return self.space.dim
 
-    def idx(i, j, r):
-        return ((i - 1) * N + (j - 1)) * dR + r
+    def entry_index(self, i: int, j: int, r: int) -> int:
+        """The index of E_ij(e_r), positions 1-based."""
+        return ((i - 1) * self.size + (j - 1)) * self.coord_dim + r
 
-    # [E_ij(a), E_kl(b)] vanishes unless j == k or l == i, and unless ab or
-    # ba is a product key, so only those partners are visited, in the same
-    # (k, l, b) order as a full scan.  The j == k entries are single products
-    # of R, already reduced; an l == i entry may add to one and is reduced.
-    r_partners = _product_partners(R)
-    brackets = {}
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            for a in range(dR):
-                pa = (pos_par(i) + pos_par(j) + rpar[a]) % 2
-                x = idx(i, j, a)
-                for k in range(1, N + 1):
-                    for l in range(1, N + 1) if k == j else (i,):
-                        for b in r_partners[a]:
-                            pb = (pos_par(k) + pos_par(l) + rpar[b]) % 2
-                            out = {}
-                            if j == k:
-                                tbl = R.products.get((a, b))
-                                if tbl:
-                                    for t, c in tbl.items():
-                                        key = idx(i, l, t)
-                                        out[key] = out.get(key, R.field.zero) + c
-                            if l == i:
-                                tbl = R.products.get((b, a))
-                                if tbl:
-                                    sgn = -1 if (pa and pb) else 1
-                                    for t, c in tbl.items():
-                                        key = idx(k, j, t)
-                                        cur = out.get(key, R.field.zero)
-                                        nv = cur - c if sgn > 0 else cur + c
-                                        out[key] = nv % p if p else nv
-                            out = {t: v for t, v in out.items() if v}
-                            if out:
-                                brackets[(x, idx(k, l, b))] = out
-    g = LieSuperAlgebra(R.field, space, brackets, name="gl(%d|%d;%s)" % (m, n, R.name))
+    def keys(self):
+        """The pairs (x, y) with [e_x, e_y] != 0, in ascending order: the
+        keys of gl's bracket table."""
+        N, dR = self.size, self.coord_dim
+        for x, (i, j, a) in enumerate(self.entries):
+            for k in range(N):
+                if k != j:
+                    base = (k * N + i) * dR
+                    for b in self.left[a]:
+                        yield x, base + b
+                    continue
+                for l in range(N):
+                    if l != i:
+                        bs = self.right[a]
+                    else:
+                        bs = self.commuting[a] if i == j else self.either[a]
+                    base = (k * N + l) * dR
+                    for b in bs:
+                        yield x, base + b
+
+    def partners(self, lefts, rights) -> list:
+        return _partners(self.keys(), lefts, rights)
+
+    def bracket_basis(self, x: int, y: int) -> dict:
+        i, j, a = self.entries[x]
+        k, l, b = self.entries[y]
+        if j != k and l != i:
+            return {}
+        N, dR = self.size, self.coord_dim
+        out = {}
+        if j == k:
+            tbl = self.products.get((a, b))
+            if tbl:
+                base = (i * N + l) * dR
+                for t, c in tbl.items():
+                    out[base + t] = c  # one product of R, already reduced
+        if l == i:
+            tbl = self.products.get((b, a))
+            if tbl:
+                odd = self.parities[x] and self.parities[y]
+                zero, p = self.field.zero, self.field.characteristic
+                base = (k * N + j) * dR
+                for t, c in tbl.items():
+                    key = base + t
+                    cur = out.get(key, zero)
+                    nv = cur + c if odd else cur - c
+                    if p:
+                        nv %= p
+                    if nv:
+                        out[key] = nv
+                    else:
+                        del out[key]
+        return out
+
+    def bracket_coords(self, x: dict, y: dict) -> dict:
+        out = {}
+        for i, xi in x.items():
+            for j, yj in y.items():
+                tbl = self.bracket_basis(i, j)
+                if tbl:
+                    vec_add_scaled(out, tbl, xi * yj, self.field)
+        return out
+
+
+def build_gl(m: int, n: int, R: SuperAlgebra) -> LieSuperAlgebra:
+    """gl_{m|n}(R) as a bracket table, filled from GlRule(m, n, R) in its
+    key order, for where gl is used as an algebra."""
+    rule = GlRule(m, n, R)
+    brackets = {key: rule.bracket_basis(*key) for key in rule.keys()}
+    g = LieSuperAlgebra(R.field, rule.space, brackets, name="gl(%d|%d;%s)" % (m, n, R.name))
     g.block_sizes = (m, n)
     g.coord = R
-    g.entry_index = idx
+    g.entry_index = rule.entry_index
     return g
 
 
@@ -260,9 +329,11 @@ def build_q(n: int, R: SuperAlgebra) -> LieSuperAlgebra:
     """q_n(R) with basis u_ij(a), w_ij(a).
 
     The formula table is checked as a VerifiedHomomorphism into gl_{n|n}(R)
-    along the block realization (module docstring).  The map is injective,
-    so it preserves every bracket exactly when the two tables agree;
-    otherwise StructureError names the first pair where they differ.
+    along the block realization (module docstring), with GlRule(n, n, R) as
+    the target: the check reads only the formula table and R's products,
+    and no gl table is built.  The map is injective, so it preserves every
+    bracket exactly when the two sides agree; otherwise StructureError
+    names the first pair where they differ.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -284,8 +355,8 @@ def build_q(n: int, R: SuperAlgebra) -> LieSuperAlgebra:
     g.block_n = n
     g.coord = R
     g.qindex = qi
-    gl = build_gl(n, n, R)
-    idx = gl.entry_index
+    rule = GlRule(n, n, R)
+    idx = rule.entry_index
     one = R.field.one
     cols = []
     for t in range(g.dim):
@@ -295,7 +366,7 @@ def build_q(n: int, R: SuperAlgebra) -> LieSuperAlgebra:
             cols.append({idx(i, j, r): one, idx(n + i, n + j, r): sgn})
         else:
             cols.append({idx(i, n + j, r): one, idx(n + i, j, r): sgn})
-    hom = VerifiedHomomorphism(g, gl, cols)
+    hom = VerifiedHomomorphism(g, rule, cols)
     if not hom.bracket_preserving:
         raise StructureError(
             "structure constants disagree with the block realization: %s" % hom.failures[0]
@@ -327,7 +398,7 @@ def induced_lie(g: LieSuperAlgebra, sub: Subspace, name="") -> LieSuperAlgebra:
     parities = tuple(g.space.parity_of_vec(r) for r in rows)
     space = GradedSpace(labels, parities)
     brackets = {}
-    for a, partners in enumerate(_partners(g.brackets, rows, rows)):
+    for a, partners in enumerate(g.partners(rows, rows)):
         for b in partners:
             vec = g.bracket_coords(rows[a], rows[b])
             if not vec:
@@ -508,9 +579,9 @@ MAX_FAILURES = 20  # bracket failure messages kept; bracket_preserving sees ever
 
 class VerifiedHomomorphism:
     """A graded linear map between Lie superalgebras over one field, with
-    recomputed flags."""
+    recomputed flags.  The target is a LieSuperAlgebra or a GlRule."""
 
-    def __init__(self, source: LieSuperAlgebra, target: LieSuperAlgebra, columns, name=""):
+    def __init__(self, source: LieSuperAlgebra, target, columns, name=""):
         if source.field != target.field:
             raise ValueError("mixed fields")
         self.source = source
@@ -535,7 +606,7 @@ class VerifiedHomomorphism:
 
         The bracket check visits, for each i, the union of e_i's partners
         in the source table and col_i's partners among the columns in the
-        target table.  Outside that union apply([e_i, e_j]) and
+        target's table or rule.  Outside that union apply([e_i, e_j]) and
         [col_i, col_j] are both empty, so the check is exact.
         """
         src, tgt = self.source, self.target
@@ -556,8 +627,8 @@ class VerifiedHomomorphism:
         self.parity_preserving = ok_par
         ok_br = True
         units = [(i,) for i in range(src.dim)]
-        src_partners = _partners(src.brackets, units, units)
-        tgt_partners = _partners(tgt.brackets, self.columns, self.columns)
+        src_partners = src.partners(units, units)
+        tgt_partners = tgt.partners(self.columns, self.columns)
         for i in range(src.dim):
             ci = self.columns[i]
             for j in sorted(set(src_partners[i]).union(tgt_partners[i])):
@@ -673,7 +744,7 @@ def quotient_lie(g: LieSuperAlgebra, ideal: Subspace, name=""):
     quot = QuotientSpace(g.space, ideal)
     sections = [quot.section({a: one}) for a in range(quot.dim)]
     brackets = {}
-    for a, partners in enumerate(_partners(g.brackets, sections, sections)):
+    for a, partners in enumerate(g.partners(sections, sections)):
         for b in partners:
             out = g.bracket_coords(sections[a], sections[b])
             pr = quot.project(out)

@@ -5,7 +5,8 @@ second routes the tests compare it against: the full L2 pair list and
 Chevalley-Eilenberg matrices, a standalone sparse-matrix rref, the Lie
 axioms on basis tuples, the center by a kernel, the supercommutator
 algebra of an associative algebra, the q_n(R) formula table by a full
-index scan, the all-pairs bracket scans of VerifiedHomomorphism.verify,
+index scan, build_q's block-realization check against a full gl bracket
+table, the all-pairs bracket scans of VerifiedHomomorphism.verify,
 induced_lie and quotient_lie, the pair-space relations from every triple,
 the tensor product tables by a scan of every index quadruple, and the
 cyclic side of the psq formula.
@@ -18,7 +19,13 @@ from queerhom.algebras import SuperAlgebra
 # lam2_dim_formula is imported for the tests that read it from here
 from queerhom.chevalley import lam2_dim_formula, lam3_dim_formula
 from queerhom.cyclic import hc1
-from queerhom.lie import MAX_FAILURES, LieSuperAlgebra, StructureError
+from queerhom.lie import (
+    MAX_FAILURES,
+    LieSuperAlgebra,
+    StructureError,
+    VerifiedHomomorphism,
+    build_gl,
+)
 from queerhom.linalg import (
     Echelon,
     GradedDim,
@@ -236,6 +243,32 @@ def q_formula_brackets_full_scan(n: int, R: SuperAlgebra, qi) -> dict:
                             )
                             brackets[(qi.w(k, l, b), qi.u(i, j, a))] = flipped
     return brackets
+
+
+def block_realization_columns(q: LieSuperAlgebra, entry_index) -> list:
+    """The images of q = q_n(R)'s basis in gl_{n|n}(R), with entry_index
+    giving the index of E_ij(e_r):
+
+        u_ij(a) -> E_ij(a) + (-1)^{|a|} E_{n+i,n+j}(a)
+        w_ij(a) -> E_{i,n+j}(a) + (-1)^{|a|} E_{n+i,j}(a)
+    """
+    n, R = q.block_n, q.coord
+    cols = []
+    for t in range(q.dim):
+        kind, i, j, r = q.qindex.unpack(t)
+        sgn = R.field.from_int(-1 if R.space.parities[r] else 1)
+        if kind == "u":
+            cols.append({entry_index(i, j, r): R.field.one, entry_index(n + i, n + j, r): sgn})
+        else:
+            cols.append({entry_index(i, n + j, r): R.field.one, entry_index(n + i, j, r): sgn})
+    return cols
+
+
+def block_realization_on_table(q: LieSuperAlgebra) -> VerifiedHomomorphism:
+    """build_q's check as it was: q = q_n(R) along the block realization
+    into the full gl_{n|n}(R) bracket table, not the gl rule."""
+    gl = build_gl(q.block_n, q.block_n, q.coord)
+    return VerifiedHomomorphism(q, gl, block_realization_columns(q, gl.entry_index))
 
 
 # ------------------------------------------------ all-pairs bracket scans

@@ -14,6 +14,7 @@ from queerhom.algebras import (
 )
 from queerhom.cli import main
 from queerhom.lie import (
+    GlRule,
     LieSuperAlgebra,
     StructureError,
     VerifiedHomomorphism,
@@ -32,10 +33,12 @@ from queerhom.lie import (
     lie_tensor,
     quotient_lie,
 )
-from queerhom.linalg import GradedDim, GradedSpace, Subspace
+from queerhom.linalg import GradedDim, GradedSpace, Subspace, in_field
 from queerhom.scalars import QQ, ScalarError, parse_field_flag
 
 from oracles import (
+    block_realization_columns,
+    block_realization_on_table,
     center,
     check_lie,
     induced_lie_full_scan,
@@ -134,19 +137,30 @@ def test_q_formula_table_equals_the_full_scan_in_key_order(n, tag, field):
     ]
 
 
-def drop_entry(table, qi):
+def drop_entry(table, qi, field):
     del table[(qi.u(1, 2, 0), qi.u(2, 1, 0))]
 
 
-def add_spurious_entry(table, qi):
+def add_spurious_entry(table, qi, field):
     # [u_11(1), u_22(1)] = 0: no matrix units meet
-    table[(qi.u(1, 1, 0), qi.u(2, 2, 0))] = {qi.u(1, 2, 0): QQ.one}
+    table[(qi.u(1, 1, 0), qi.u(2, 2, 0))] = {qi.u(1, 2, 0): field.one}
 
 
-def flip_sign(table, qi):
+def flip_sign(table, qi, field):
     tbl = table[(qi.u(1, 2, 0), qi.u(2, 1, 0))]
     k = next(iter(tbl))
     tbl[k] = -tbl[k]
+
+
+def _corrupt_formula(monkeypatch, mutate):
+    formula = lie._q_formula_brackets
+
+    def corrupted(n, R, qi):
+        table = formula(n, R, qi)
+        mutate(table, qi, R.field)
+        return table
+
+    monkeypatch.setattr(lie, "_q_formula_brackets", corrupted)
 
 
 @pytest.mark.parametrize(
@@ -159,14 +173,7 @@ def flip_sign(table, qi):
     ids=["dropped", "spurious", "sign-flipped"],
 )
 def test_corrupted_formula_table_fails_the_block_realization(monkeypatch, capsys, mutate, pair):
-    formula = lie._q_formula_brackets
-
-    def corrupted(n, R, qi):
-        table = formula(n, R, qi)
-        mutate(table, qi)
-        return table
-
-    monkeypatch.setattr(lie, "_q_formula_brackets", corrupted)
+    _corrupt_formula(monkeypatch, mutate)
     with pytest.raises(StructureError) as err:
         build_q(2, G1)
     msg = str(err.value)
@@ -176,6 +183,43 @@ def test_corrupted_formula_table_fails_the_block_realization(monkeypatch, capsys
     out = capsys.readouterr().out
     assert code == 1
     assert "[FAIL] block-table-matches-formula" in out
+
+
+MUTATIONS = {
+    "dropped": (drop_entry, (1, 2, 2, 1)),
+    "spurious": (add_spurious_entry, (1, 1, 2, 2)),
+    "sign-flipped": (flip_sign, (1, 2, 2, 1)),
+}
+
+
+@pytest.mark.parametrize(
+    "n,tag,field,mutate",
+    [(n, tag, field, None) for n, tag, field in FORMULA_INPUTS]
+    + [(n, tag, field, m) for n, tag, field in FORMULA_INPUTS if n >= 2 for m in MUTATIONS],
+)
+def test_rule_backed_block_check_equals_the_table_backed_check(
+    monkeypatch, n, tag, field, mutate
+):
+    made = _record_homs(monkeypatch)
+    R = build_builtin(tag, parse_field_flag(field))
+    if mutate is None:
+        build_q(n, R)
+    else:
+        corrupt, (i, j, k, l) = MUTATIONS[mutate]
+        _corrupt_formula(monkeypatch, corrupt)
+        with pytest.raises(StructureError) as err:
+            build_q(n, R)
+    (hom,) = made
+    q = hom.source
+    table = block_realization_on_table(q)
+    assert table.columns == hom.columns
+    assert _flags(table) == _flags(hom)
+    assert hom.bracket_preserving is (mutate is None)
+    if mutate is not None:
+        labels, qi = q.space.labels, q.qindex
+        pair = "(%s, %s)" % (labels[qi.u(i, j, 0)], labels[qi.u(k, l, 0)])
+        assert table.failures[0] == "bracket not preserved on " + pair
+        assert str(err.value).endswith(table.failures[0])
 
 
 # ---------------------------------------------------------- frozen brackets
@@ -247,6 +291,49 @@ def test_gl_brackets_match_the_full_pair_scan(m, n, tag, flag):
     got = build_gl(m, n, R).brackets
     assert got == want
     assert list(got) == list(want)
+
+
+GL_RULE_INPUTS = [
+    (m, n, tag, flag)
+    for flag in ("Q", "Qi")
+    for m, n, tag in [(2, 0, "grassmann(1)"), (1, 1, "grassmann(2)"), (2, 1, "matrix(2)"),
+                      (1, 1, "square-zero-plane")]
+] + [(1, 1, "grassmann(2)", "Fp:3"), (2, 1, "matrix(2)", "Fp:3")]
+
+
+@pytest.mark.parametrize("m,n,tag,flag", GL_RULE_INPUTS)
+def test_gl_rule_answers_as_the_gl_table(m, n, tag, flag):
+    # Fp:3 reduces the l == i branch, where -(-1)^{..} ba is added mod 3
+    R = build_builtin(tag, parse_field_flag(flag))
+    rule, gl = GlRule(m, n, R), build_gl(m, n, R)
+    assert (rule.space, rule.field, rule.dim) == (gl.space, gl.field, gl.dim)
+    scan = _full_scan_gl_brackets(m, n, R)
+    for x in range(gl.dim):
+        for y in range(gl.dim):
+            got = rule.bracket_basis(x, y)
+            assert got == gl.bracket_basis(x, y)
+            assert got == in_field(scan.get((x, y), {}), R.field)
+    assert list(rule.keys()) == list(gl.brackets)
+    rng = random.Random(20261018)
+    vecs = []
+    for _ in range(16):
+        supp = rng.sample(range(gl.dim), rng.randint(1, 3))
+        vecs.append({t: R.field.from_int(rng.randint(1, 2)) for t in supp})
+    assert rule.partners(vecs, vecs) == gl.partners(vecs, vecs)
+    assert rule.partners(vecs[:5], vecs[5:]) == gl.partners(vecs[:5], vecs[5:])
+    for u in vecs[:4]:
+        for v in vecs:
+            assert rule.bracket_coords(u, v) == gl.bracket_coords(u, v)
+
+
+@pytest.mark.parametrize("n,tag,flag", [(2, "grassmann(1)", "Q"), (1, "grassmann(2)", "Qi"),
+                                        (2, "matrix(2)", "Fp:3")])
+def test_gl_rule_partners_of_the_block_realization_columns(n, tag, flag):
+    R = build_builtin(tag, parse_field_flag(flag))
+    rule, gl = GlRule(n, n, R), build_gl(n, n, R)
+    cols = block_realization_columns(build_q(n, R), rule.entry_index)
+    assert cols == block_realization_columns(build_q(n, R), gl.entry_index)
+    assert rule.partners(cols, cols) == gl.partners(cols, cols)
 
 
 def test_q2_frozen_brackets():
@@ -430,6 +517,20 @@ def test_verified_homomorphism_flags_corrupted_column():
     assert not bad.is_isomorphism
 
 
+def _record_homs(monkeypatch):
+    """The list every VerifiedHomomorphism that lie makes is appended to,
+    even one whose check then raises."""
+    made = []
+
+    class Recording(VerifiedHomomorphism):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(lie, "VerifiedHomomorphism", Recording)
+    return made
+
+
 def _flags(hom):
     names = ("parity_preserving", "bracket_preserving", "injective", "surjective")
     out = {k: getattr(hom, k) for k in names}
@@ -472,14 +573,7 @@ HOM_INPUTS = [
 
 @pytest.mark.parametrize("builder,field,n,tag", HOM_INPUTS)
 def test_verify_matches_the_all_pairs_scan(monkeypatch, builder, field, n, tag):
-    made = []
-
-    class Recording(VerifiedHomomorphism):
-        def __init__(self, *args, **kwargs):
-            made.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(lie, "VerifiedHomomorphism", Recording)
+    made = _record_homs(monkeypatch)
     R = build_builtin(tag, parse_field_flag(field))
     getattr(lie, builder)(n, R)
     assert made

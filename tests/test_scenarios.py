@@ -25,8 +25,18 @@ def test_iso_queer_gl_builds_each_gl_once(monkeypatch):
     monkeypatch.setattr(lie, "build_gl", counting)
     report = scenario_iso_queer_gl(ScenarioOptions("builtin:grassmann(1)", n=2))
     assert report.status == "PASS"
-    # gl_{2|2}(R) for the block realization of q_2(R), gl_2(R(x)Q1) as the target
-    assert calls == [(2, 2, "grassmann(1)"), (2, 0, "grassmann(1)⊗q1")]
+    # only gl_2(R(x)Q1), the target: build_q checks q_2(R) against the gl rule
+    assert calls == [(2, 0, "grassmann(1)⊗q1")]
+    # a gl table is built only where gl is used as an algebra
+    for name, field, want in [
+        ("perfectness", QQ, []),
+        ("h2-main", QQ, []),
+        ("qtogl-sqrt-1", QI, [(3, 3, "grassmann(1)")]),
+    ]:
+        calls.clear()
+        report = run_scenario(name, ScenarioOptions("builtin:grassmann(1)", n=3, field=field))
+        assert {r.status for r in report.rows} == {"PASS"}, name
+        assert calls == want, name
 
 
 def test_perfectness_fails_when_the_derived_subalgebra_disagrees(monkeypatch, capsys):
