@@ -32,7 +32,9 @@ class PairSpace:
 
     Each cyclicity relation is invariant under rotating (a, b, c), so only
     the triples whose first index is smallest are generated; the relation
-    subspace is the one the full d^3 scan spans.
+    subspace is the one the full d^3 scan spans.  Each nonzero relation is
+    inserted into one Echelon as soon as it is formed, so no list of
+    relation vectors is held; the canonical RREF is the same either way.
     """
 
     def __init__(self, R: SuperAlgebra):
@@ -49,14 +51,14 @@ class PairSpace:
         self.space = GradedSpace(labels, parities)
         field = self.field
         one = field.one
-        rel = []
+        ech = Echelon(field)
         for a in range(d):
             for b in range(a, d):
                 vec = {a * d + b: one}
                 sgn = -one if (par[a] and par[b]) else one
                 vec_add_scaled(vec, {b * d + a: one}, sgn, field)
                 if vec:
-                    rel.append(vec)
+                    ech.insert(vec)
         for a in range(d):
             for b in range(a, d):
                 ab = R.products.get((a, b), {})
@@ -74,8 +76,8 @@ class PairSpace:
                     for t, v in ca.items():
                         vec_add_scaled(vec, {t * d + b: v}, s3, field)
                     if vec:
-                        rel.append(vec)
-        self.relations = Subspace.from_vectors(self.space, rel, field)
+                        ech.insert(vec)
+        self.relations = Subspace(self.space, ech.rref_rows(), field)
         if not self.relations.is_homogeneous():
             raise StructureError("relation subspace of %s mixes parities" % R.name)
         self.quot = QuotientSpace(self.space, self.relations)

@@ -51,10 +51,19 @@ class StructureError(ValueError):
 
 
 class LieSuperAlgebra:
+    """A Lie superalgebra given by its bracket table over field.
+
+    The algebra takes ownership of the inner dicts of the table it is given:
+    empty values are dropped, the others are kept as they are, not copied,
+    so each table is held once.  Every builder here (build_gl,
+    _q_formula_brackets, induced_lie, quotient_lie, and koszul_tensor
+    through lie_tensor) hands over a freshly built table.
+    """
+
     def __init__(self, field, space: GradedSpace, brackets: dict, name=""):
         self.field = field
         self.space = space
-        self.brackets = {k: dict(v) for k, v in brackets.items() if v}
+        self.brackets = {k: v for k, v in brackets.items() if v}
         self.name = name or "lie"
 
     @property
@@ -381,7 +390,7 @@ def derived_subalgebra(g: LieSuperAlgebra) -> Subspace:
     ech = Echelon(g.field)
     for (i, j), tbl in sorted(g.brackets.items()):
         if i <= j and tbl:
-            ech.insert(dict(tbl))
+            ech.insert(tbl)
     return Subspace(g.space, ech.rref_rows(), g.field)
 
 

@@ -97,6 +97,44 @@ def test_check_lie_flags_grading_violation():
     assert "grading" in str(err.value) or "antisymmetry" in str(err.value)
 
 
+# ------------------------------------------------------------ table ownership
+
+
+def test_lie_algebra_keeps_the_inner_dicts_it_is_given():
+    one = QQ.one
+    t = {(0, 1): {2: one}, (1, 0): {2: -one}}
+    g = LieSuperAlgebra(QQ, GradedSpace(("x", "y", "z"), (0, 0, 0)), t)
+    assert g.brackets == t
+    for k in t:
+        assert g.brackets[k] is t[k]
+
+
+def test_lie_algebra_still_drops_empty_brackets():
+    one = QQ.one
+    t = {(0, 1): {}, (1, 0): {0: one}}
+    g = LieSuperAlgebra(QQ, GradedSpace(("a", "b"), (0, 0)), t)
+    assert (0, 1) not in g.brackets
+    assert g.bracket_basis(0, 1) == {}
+    assert g.brackets[(1, 0)] is t[(1, 0)]
+
+
+def test_build_q_holds_the_formula_table_once(monkeypatch):
+    made = []
+    formula = lie._q_formula_brackets
+
+    def recording(*args):
+        table = formula(*args)
+        made.append(table)
+        return table
+
+    monkeypatch.setattr(lie, "_q_formula_brackets", recording)
+    g = build_q(2, G1)
+    (table,) = made
+    assert g.brackets.keys() == table.keys()
+    for k, v in g.brackets.items():
+        assert v is table[k]
+
+
 def test_bracket_antisymmetry_on_random_homogeneous_pairs():
     rng = random.Random(20260815)
     g = build_q(2, G1)
