@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 
-from .linalg import Echelon, GradedDim, GradedSpace, Subspace, in_field, vec_add_scaled
+from .linalg import GradedDim, GradedSpace, Subspace, bilinear, in_field, vec_add_scaled
 from .scalars import Field, ScalarError
 
 
@@ -72,14 +72,7 @@ class SuperAlgebra:
         return self.space.dim
 
     def mul_coords(self, x: dict, y: dict) -> dict:
-        out = {}
-        products = self.products
-        for i, xi in x.items():
-            for j, yj in y.items():
-                tbl = products.get((i, j))
-                if tbl:
-                    vec_add_scaled(out, tbl, xi * yj, self.field)
-        return out
+        return bilinear(x, y, self.products.get, self.field)
 
     def basis_vec(self, i: int) -> dict:
         return {i: self.field.one}
@@ -189,31 +182,29 @@ def tensor(A: SuperAlgebra, B: SuperAlgebra) -> SuperAlgebra:
 
 def commutator_subspace(A: SuperAlgebra) -> Subspace:
     """Span of all supercommutators of basis elements, canonical form [A, A]."""
-    ech = Echelon(A.field)
-    for i in range(A.dim):
-        for j in range(i, A.dim):
-            c = A.supercommutator(i, j)
-            if c:
-                ech.insert(c)
-    return Subspace(A.space, ech.rref_rows(), A.field)
+    comms = (A.supercommutator(i, j) for i in range(A.dim) for j in range(i, A.dim))
+    return Subspace.from_vectors(A.space, comms, A.field)
 
 
 def two_sided_ideal(A: SuperAlgebra, generators) -> Subspace:
     """Smallest subspace containing the generators and closed under both
-    multiplications by basis elements."""
-    ech = Echelon(A.field)
-    queue = []
-    for g in generators:
-        if g and ech.insert(dict(g)):
-            queue.append(dict(g))
-    while queue:
-        v = queue.pop()
-        for i in range(A.dim):
-            e = A.basis_vec(i)
-            for prod in (A.mul_coords(e, v), A.mul_coords(v, e)):
-                if prod and ech.insert(dict(prod)):
-                    queue.append(prod)
-    return Subspace(A.space, ech.rref_rows(), A.field)
+    multiplications by basis elements.
+
+    By associativity it is J + AJ, where J, the span of the generators
+    and their right multiples, is closed under right multiplication; so J
+    is spanned first, and then its rows with their left multiples.
+    """
+    basis = [A.basis_vec(i) for i in range(A.dim)]
+
+    def with_multiples(vecs, mul):
+        for v in vecs:
+            yield v
+            for e in basis:
+                yield mul(v, e)
+
+    right = Subspace.from_vectors(A.space, with_multiples(generators, A.mul_coords), A.field)
+    left = with_multiples(right.rows, lambda v, e: A.mul_coords(e, v))
+    return Subspace.from_vectors(A.space, left, A.field)
 
 
 def an_vanishing_check(R: SuperAlgebra, n: int) -> GradedDim:
@@ -228,7 +219,7 @@ def an_vanishing_check(R: SuperAlgebra, n: int) -> GradedDim:
     S = tensor(R, build_q1(R.field))
     gens = [in_field({k: R.field.from_int(n) * v for k, v in S.unit.items()}, R.field)]
     comm = commutator_subspace(S)
-    gens.extend(dict(r) for r in comm.rows)
+    gens.extend(comm.rows)
     ideal = two_sided_ideal(S, gens)
     ambient = S.space.graded_dim
     cut = ideal.graded_dim

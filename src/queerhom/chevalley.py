@@ -126,8 +126,9 @@ class CEComplex:
         return self.pair_pos[(c, t)], sign
 
     def d2_column(self, k: int) -> dict:
+        """[e_i, e_j] for the k-th pair (i, j), as g stores it: not a copy."""
         i, j = self.pairs[k]
-        return dict(self.g.bracket_basis(i, j))
+        return self.g.bracket_basis(i, j)
 
     def iter_lam3_weight0(self):
         """Sorted weight-zero triples (i, j, k), equalities only at odd indices;

@@ -23,7 +23,16 @@ the h-columns, as its graph in one linalg.Echelon over <S,S> (+) <R,R>.
 from __future__ import annotations
 
 from .algebras import SuperAlgebra, build_q1, tensor
-from .linalg import Echelon, GradedSpace, QuotientSpace, Subspace, in_field, kernel, vec_add_scaled
+from .linalg import (
+    Echelon,
+    GradedSpace,
+    QuotientSpace,
+    Subspace,
+    in_field,
+    kernel,
+    linear_apply,
+    vec_add_scaled,
+)
 from .lie import StructureError
 
 
@@ -32,9 +41,10 @@ class PairSpace:
 
     Each cyclicity relation is invariant under rotating (a, b, c), so only
     the triples whose first index is smallest are generated; the relation
-    subspace is the one the full d^3 scan spans.  Each nonzero relation is
-    inserted into one Echelon as soon as it is formed, so no list of
-    relation vectors is held; the canonical RREF is the same either way.
+    subspace is the one the full d^3 scan spans.  The relations stream into
+    Subspace.from_vectors, each inserted as soon as it is formed, so no list
+    of relation vectors is held and the echelon's rows become the relation
+    subspace's without a copy.
     """
 
     def __init__(self, R: SuperAlgebra):
@@ -51,33 +61,35 @@ class PairSpace:
         self.space = GradedSpace(labels, parities)
         field = self.field
         one = field.one
-        ech = Echelon(field)
-        for a in range(d):
-            for b in range(a, d):
-                vec = {a * d + b: one}
-                sgn = -one if (par[a] and par[b]) else one
-                vec_add_scaled(vec, {b * d + a: one}, sgn, field)
-                if vec:
-                    ech.insert(vec)
-        for a in range(d):
-            for b in range(a, d):
-                ab = R.products.get((a, b), {})
-                for c in range(a, d):
-                    vec = {}
-                    s1 = -one if (par[a] and par[c]) else one
-                    for t, v in ab.items():
-                        vec_add_scaled(vec, {t * d + c: v}, s1, field)
-                    bc = R.products.get((b, c), {})
-                    s2 = -one if (par[b] and par[a]) else one
-                    for t, v in bc.items():
-                        vec_add_scaled(vec, {t * d + a: v}, s2, field)
-                    ca = R.products.get((c, a), {})
-                    s3 = -one if (par[c] and par[b]) else one
-                    for t, v in ca.items():
-                        vec_add_scaled(vec, {t * d + b: v}, s3, field)
+
+        def relations():
+            for a in range(d):
+                for b in range(a, d):
+                    vec = {a * d + b: one}
+                    sgn = -one if (par[a] and par[b]) else one
+                    vec_add_scaled(vec, {b * d + a: one}, sgn, field)
                     if vec:
-                        ech.insert(vec)
-        self.relations = Subspace(self.space, ech.rref_rows(), field)
+                        yield vec
+            for a in range(d):
+                for b in range(a, d):
+                    ab = R.products.get((a, b), {})
+                    for c in range(a, d):
+                        vec = {}
+                        s1 = -one if (par[a] and par[c]) else one
+                        for t, v in ab.items():
+                            vec_add_scaled(vec, {t * d + c: v}, s1, field)
+                        bc = R.products.get((b, c), {})
+                        s2 = -one if (par[b] and par[a]) else one
+                        for t, v in bc.items():
+                            vec_add_scaled(vec, {t * d + a: v}, s2, field)
+                        ca = R.products.get((c, a), {})
+                        s3 = -one if (par[c] and par[b]) else one
+                        for t, v in ca.items():
+                            vec_add_scaled(vec, {t * d + b: v}, s3, field)
+                        if vec:
+                            yield vec
+
+        self.relations = Subspace.from_vectors(self.space, relations(), field)
         if not self.relations.is_homogeneous():
             raise StructureError("relation subspace of %s mixes parities" % R.name)
         self.quot = QuotientSpace(self.space, self.relations)
@@ -115,15 +127,6 @@ class HC1Result:
         return "<HC1 %s %s>" % (self.pair.R.name, self.graded_dim)
 
 
-def _commutator_of_pair_vec(comm: list, vec: dict, field) -> dict:
-    """Apply a(x)b -> [a, b] linearly to an R(x)R vector; comm[key] is the
-    supercommutator of the pair with that ambient key."""
-    out = {}
-    for key, v in vec.items():
-        vec_add_scaled(out, comm[key], v, field)
-    return out
-
-
 def hc1(R: SuperAlgebra) -> HC1Result:
     """Kernel of the induced commutator map on <R,R>.
 
@@ -131,9 +134,10 @@ def hc1(R: SuperAlgebra) -> HC1Result:
     relation subspace (which would make the induced map ill-defined).
     """
     pair = PairSpace(R)
+    # comm[key] is the supercommutator of the pair with that ambient key
     comm = [R.supercommutator(a, b) for a in range(R.dim) for b in range(R.dim)]
     for row in pair.relations.rows:
-        img = _commutator_of_pair_vec(comm, row, R.field)
+        img = linear_apply(comm, row, R.field)
         if img:
             raise StructureError(
                 "commutator map is not well-defined on <%s,%s>: relation row "
@@ -142,7 +146,7 @@ def hc1(R: SuperAlgebra) -> HC1Result:
     rows = [{} for _ in range(R.dim)]
     for col in range(pair.quot.dim):
         rep = pair.quot.section({col: R.field.one})
-        img = _commutator_of_pair_vec(comm, rep, R.field)
+        img = linear_apply(comm, rep, R.field)
         for r, v in img.items():
             rows[r][col] = v
     sub = kernel(rows, pair.quot.space, R.field)
@@ -266,32 +270,23 @@ def build_shift_iso(hc_R: HC1Result, hc_S: HC1Result) -> OddIsoPair:
     one = field.one
     out = OddIsoPair()
 
-    def h_col(a: int, b: int) -> dict:
-        """Class of (a(x)1)(x)(b(x)nu) in <S,S>."""
-        return pair_S.class_of({(2 * a) * S.dim + (2 * b + 1): one})
-
-    # psi on the ambient R(x)R: a(x)b -> h(a(x)1, b(x)nu); must kill I_R.
+    # psi on the ambient R(x)R: column a*d + b is h(a(x)1, b(x)nu), the class
+    # of (a(x)1)(x)(b(x)nu) in <S,S>; psi must kill I_R.
+    h_cols = [
+        pair_S.class_of({(2 * a) * S.dim + (2 * b + 1): one}) for a in range(d) for b in range(d)
+    ]
     ok = True
     for row in pair_R.relations.rows:
-        img = {}
-        for key, v in row.items():
-            a, b = divmod(key, d)
-            vec_add_scaled(img, h_col(a, b), v, field)
-        if img:
+        if linear_apply(h_cols, row, field):
             ok = False
             out.failures.append("psi does not kill a relation row (leading %d)" % min(row))
     out.psi_kills_relations = ok
 
-    # psi restricted to the canonical HC1(R) basis.
+    # psi restricted to the canonical HC1(R) basis, through its representatives.
     psi_cols = []
     ok = True
     for row in hc_R.subspace.rows:
-        img = {}
-        for qcol, v in row.items():
-            rep = pair_R.quot.section({qcol: one})
-            for key, cv in rep.items():
-                a, b = divmod(key, d)
-                vec_add_scaled(img, h_col(a, b), cv * v, field)
+        img = linear_apply(h_cols, pair_R.quot.section(row), field)
         psi_cols.append(img)
         if not hc_S.subspace.contains(img):
             ok = False
@@ -302,12 +297,11 @@ def build_shift_iso(hc_R: HC1Result, hc_S: HC1Result) -> OddIsoPair:
     # <S,S> columns pivot first.
     off = pair_S.quot.dim
     graph = Echelon(field)
-    for a in range(d):
-        for b in range(d):
-            vec = h_col(a, b)
-            for k, v in pair_R.class_of({a * d + b: one}).items():
-                vec[off + k] = v
-            graph.insert(vec)
+    for key, h in enumerate(h_cols):
+        vec = dict(h)
+        for k, v in pair_R.class_of({key: one}).items():
+            vec[off + k] = v
+        graph.insert(vec)
     out.phi_well_defined = all(c < off for c in graph.pivots)
     if not out.phi_well_defined:
         out.failures.append("phi is ill-defined on a kernel combination of h-columns")
@@ -337,16 +331,12 @@ def build_shift_iso(hc_R: HC1Result, hc_S: HC1Result) -> OddIsoPair:
     ok_inv = ok_solve and ok_image and out.psi_image_in_hc1
     if ok_inv:
         for i, row in enumerate(hc_R.subspace.rows):
-            back = {}
-            for j, v in hc_S.subspace.coords_of(psi_cols[i]).items():
-                vec_add_scaled(back, phi_cols[j], v, field)
+            back = linear_apply(phi_cols, hc_S.subspace.coords_of(psi_cols[i]), field)
             if back != row:
                 ok_inv = False
                 out.failures.append("phi(psi(x)) != x on basis vector %d" % i)
         for j, row in enumerate(hc_S.subspace.rows):
-            back = {}
-            for i, v in hc_R.subspace.coords_of(phi_cols[j]).items():
-                vec_add_scaled(back, psi_cols[i], v, field)
+            back = linear_apply(psi_cols, hc_R.subspace.coords_of(phi_cols[j]), field)
             if back != row:
                 ok_inv = False
                 out.failures.append("psi(phi(y)) != y on basis vector %d" % j)

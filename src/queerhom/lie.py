@@ -10,9 +10,10 @@ gl_{n|n}(R),
     w_ij(a) = E_{i,n+j}(a) + (-1)^{|a|} E_{n+i,j}(a),
 
 as a VerifiedHomomorphism: unless it preserves every bracket exactly, the
-construction aborts.  The target of that check is GlRule, the matrix-unit
-rule of gl_{m|n}(R) evaluated from R's products; a gl table is built, by
-build_gl from the same rule, only where gl is used as an algebra.
+construction aborts.  gl_{m|n}(R) has one form, GlRule, the matrix-unit
+rule evaluated from R's products, which build_gl returns: it is the target
+of that check and of the isomorphisms into gl, and the ambient algebra of
+the traceless block algebra, and no gl bracket table is built.
 VerifiedHomomorphism.verify is the one place that compares a linear map
 with two bracket tables or rules.  sq_n(R) is characterized as
 {(A,B) : tr B in [R,R]} and must coincide with the derived subalgebra of
@@ -39,9 +40,10 @@ from .linalg import (
     GradingError,
     Subspace,
     in_field,
+    bilinear,
     kernel,
+    linear_apply,
     QuotientSpace,
-    vec_add_scaled,
 )
 from .scalars import ScalarError
 
@@ -55,9 +57,9 @@ class LieSuperAlgebra:
 
     The algebra takes ownership of the inner dicts of the table it is given:
     empty values are dropped, the others are kept as they are, not copied,
-    so each table is held once.  Every builder here (build_gl,
-    _q_formula_brackets, induced_lie, quotient_lie, and koszul_tensor
-    through lie_tensor) hands over a freshly built table.
+    so each table is held once.  _q_formula_brackets, induced_lie,
+    quotient_lie, and koszul_tensor through lie_tensor each hand over a
+    freshly built table.
     """
 
     def __init__(self, field, space: GradedSpace, brackets: dict, name=""):
@@ -74,13 +76,7 @@ class LieSuperAlgebra:
         return self.brackets.get((i, j), {})
 
     def bracket_coords(self, x: dict, y: dict) -> dict:
-        out = {}
-        for i, xi in x.items():
-            for j, yj in y.items():
-                tbl = self.brackets.get((i, j))
-                if tbl:
-                    vec_add_scaled(out, tbl, xi * yj, self.field)
-        return out
+        return bilinear(x, y, self.brackets.get, self.field)
 
     def partners(self, lefts, rights) -> list:
         return _partners(self.brackets, lefts, rights)
@@ -121,20 +117,24 @@ def _product_partners(R: SuperAlgebra) -> list:
 # ------------------------------------------------------------------ gl and q
 
 class GlRule:
-    """The matrix-unit rule of gl_{m|n}(R), answered from R's products and
+    """gl_{m|n}(R) as the matrix-unit rule, answered from R's products and
     the block parities without a bracket table:
 
         [E_ij(a), E_kl(b)] = d_jk E_il(ab) - (-1)^{|E_ij(a)||E_kl(b)|} d_li E_kj(ba),
 
-    with |E_ij(a)| = |i| + |j| + |a| and |i| = 0 for i <= m.  It serves
-    where a table would be read only once, as the target of build_q's check;
-    build_gl fills gl's table from it.
+    with |E_ij(a)| = |i| + |j| + |a| and |i| = 0 for i <= m.  get(key) is
+    what a gl table's get would return, and the rule answers where a
+    LieSuperAlgebra is read as a target or an ambient algebra (space, field,
+    bracket_coords, partners).  It carries its name, its coordinate algebra
+    coord and its size m + n.
     """
 
     def __init__(self, m: int, n: int, R: SuperAlgebra):
         if m < 0 or n < 0 or m + n < 1:
             raise ValueError("need m + n >= 1")
         N = m + n
+        self.name = "gl(%d|%d;%s)" % (m, n, R.name)
+        self.coord = R
         dR = R.dim
         rpar = R.space.parities
         labels = []
@@ -149,9 +149,7 @@ class GlRule:
         self.space = GradedSpace(labels, parities)
         self.parities = self.space.parities
         self.field = R.field
-        self.products = R.products
         self.size = N
-        self.coord_dim = dR
         # b with E_ij(a) meeting E_kl(b) nontrivially: (a, b) a product key
         # when only j == k, (b, a) when only l == i, either when both with
         # i != j, and [a, b] != 0 in R when i == j == k == l
@@ -171,12 +169,12 @@ class GlRule:
 
     def entry_index(self, i: int, j: int, r: int) -> int:
         """The index of E_ij(e_r), positions 1-based."""
-        return ((i - 1) * self.size + (j - 1)) * self.coord_dim + r
+        return ((i - 1) * self.size + (j - 1)) * self.coord.dim + r
 
     def keys(self):
         """The pairs (x, y) with [e_x, e_y] != 0, in ascending order: the
-        keys of gl's bracket table."""
-        N, dR = self.size, self.coord_dim
+        keys a gl bracket table would have."""
+        N, dR = self.size, self.coord.dim
         for x, (i, j, a) in enumerate(self.entries):
             for k in range(N):
                 if k != j:
@@ -196,21 +194,25 @@ class GlRule:
     def partners(self, lefts, rights) -> list:
         return _partners(self.keys(), lefts, rights)
 
-    def bracket_basis(self, x: int, y: int) -> dict:
+    def get(self, key) -> dict:
+        """[e_x, e_y] for key = (x, y), as the get of a gl bracket table
+        would return it, {} when it is zero."""
+        x, y = key
         i, j, a = self.entries[x]
         k, l, b = self.entries[y]
         if j != k and l != i:
             return {}
-        N, dR = self.size, self.coord_dim
+        N, dR = self.size, self.coord.dim
+        products = self.coord.products
         out = {}
         if j == k:
-            tbl = self.products.get((a, b))
+            tbl = products.get((a, b))
             if tbl:
                 base = (i * N + l) * dR
                 for t, c in tbl.items():
                     out[base + t] = c  # one product of R, already reduced
         if l == i:
-            tbl = self.products.get((b, a))
+            tbl = products.get((b, a))
             if tbl:
                 odd = self.parities[x] and self.parities[y]
                 zero, p = self.field.zero, self.field.characteristic
@@ -228,25 +230,12 @@ class GlRule:
         return out
 
     def bracket_coords(self, x: dict, y: dict) -> dict:
-        out = {}
-        for i, xi in x.items():
-            for j, yj in y.items():
-                tbl = self.bracket_basis(i, j)
-                if tbl:
-                    vec_add_scaled(out, tbl, xi * yj, self.field)
-        return out
+        return bilinear(x, y, self.get, self.field)
 
 
-def build_gl(m: int, n: int, R: SuperAlgebra) -> LieSuperAlgebra:
-    """gl_{m|n}(R) as a bracket table, filled from GlRule(m, n, R) in its
-    key order, for where gl is used as an algebra."""
-    rule = GlRule(m, n, R)
-    brackets = {key: rule.bracket_basis(*key) for key in rule.keys()}
-    g = LieSuperAlgebra(R.field, rule.space, brackets, name="gl(%d|%d;%s)" % (m, n, R.name))
-    g.block_sizes = (m, n)
-    g.coord = R
-    g.entry_index = rule.entry_index
-    return g
+def build_gl(m: int, n: int, R: SuperAlgebra) -> GlRule:
+    """gl_{m|n}(R), the one constructor of gl: its matrix-unit rule."""
+    return GlRule(m, n, R)
 
 
 class _QIndex:
@@ -338,9 +327,9 @@ def build_q(n: int, R: SuperAlgebra) -> LieSuperAlgebra:
     """q_n(R) with basis u_ij(a), w_ij(a).
 
     The formula table is checked as a VerifiedHomomorphism into gl_{n|n}(R)
-    along the block realization (module docstring), with GlRule(n, n, R) as
-    the target: the check reads only the formula table and R's products,
-    and no gl table is built.  The map is injective, so it preserves every
+    along the block realization (module docstring), with the rule
+    build_gl(n, n, R) as the target: the check reads only the formula table
+    and R's products.  The map is injective, so it preserves every
     bracket exactly when the two sides agree; otherwise StructureError
     names the first pair where they differ.
     """
@@ -364,7 +353,7 @@ def build_q(n: int, R: SuperAlgebra) -> LieSuperAlgebra:
     g.block_n = n
     g.coord = R
     g.qindex = qi
-    rule = GlRule(n, n, R)
+    rule = build_gl(n, n, R)
     idx = rule.entry_index
     one = R.field.one
     cols = []
@@ -387,18 +376,16 @@ def build_q(n: int, R: SuperAlgebra) -> LieSuperAlgebra:
 
 def derived_subalgebra(g: LieSuperAlgebra) -> Subspace:
     """Canonical span of all brackets [g, g]."""
-    ech = Echelon(g.field)
-    for (i, j), tbl in sorted(g.brackets.items()):
-        if i <= j and tbl:
-            ech.insert(tbl)
-    return Subspace(g.space, ech.rref_rows(), g.field)
+    brackets = (tbl for (i, j), tbl in sorted(g.brackets.items()) if i <= j)
+    return Subspace.from_vectors(g.space, brackets, g.field)
 
 
 def induced_lie(g: LieSuperAlgebra, sub: Subspace, name="") -> LieSuperAlgebra:
-    """Lie structure on a bracket-closed subspace, in its canonical basis.
+    """Lie structure on a bracket-closed subspace of g, a LieSuperAlgebra
+    or a GlRule, in the subspace's canonical basis.
 
-    Only the pairs of basis rows that _partners finds in g's table are
-    bracketed; every other pair has an empty bracket.
+    Only the pairs of basis rows that g.partners finds in g's table keys or
+    rule keys are bracketed; every other pair has an empty bracket.
     """
     if sub.space != g.space:
         raise ValueError("subspace is not inside the algebra")
@@ -429,10 +416,7 @@ def is_perfect(g: LieSuperAlgebra) -> bool:
 def _trace_constrained_diagonal(field, R, n, entry_index, allowed: Subspace):
     """Vectors diag(b_1..b_n) (via entry_index(i, r)) with sum b_i in `allowed`."""
     comm_q = QuotientSpace(R.space, allowed)
-    cols = []
-    for i in range(1, n + 1):
-        for r in range(R.dim):
-            cols.append((i, r))
+    cols = [(i, r) for i in range(1, n + 1) for r in range(R.dim)]
     rows = [{} for _ in range(comm_q.dim)]
     for cidx, (i, r) in enumerate(cols):
         pr = comm_q.project({r: field.one})
@@ -562,9 +546,9 @@ def block_torus(sl: LieSuperAlgebra, hom):
     return (_coords_in(sl.subspace, hom.apply(h)) for h in diagonal_torus(hom.source))
 
 
-def build_sl(gl: LieSuperAlgebra) -> Subspace:
-    """{X in gl : tr X in [S,S]} as a canonical subspace of gl = gl_n(S)."""
-    n, S = gl.block_sizes[0], gl.coord
+def build_sl(gl: GlRule) -> Subspace:
+    """{X in gl : tr X in [S,S]} as a canonical subspace of gl = build_gl(n, 0, S)."""
+    n, S = gl.size, gl.coord
     field = S.field
     dS = S.dim
     vecs = []
@@ -605,10 +589,7 @@ class VerifiedHomomorphism:
         self.verify()
 
     def apply(self, vec: dict) -> dict:
-        out = {}
-        for i, v in vec.items():
-            vec_add_scaled(out, self.columns[i], v, self.target.field)
-        return out
+        return linear_apply(self.columns, vec, self.target.field)
 
     def verify(self):
         """Recompute the four flags, listing failures in (i, j) order.
@@ -654,7 +635,7 @@ class VerifiedHomomorphism:
         ech = Echelon(tgt.field)
         rank = 0
         for col in self.columns:
-            if col and ech.insert(dict(col)):
+            if col and ech.insert(col):
                 rank += 1
         self.injective = rank == src.dim
         self.surjective = rank == tgt.dim
@@ -670,7 +651,7 @@ class VerifiedHomomorphism:
         )
 
     def map_subspace(self, sub: Subspace) -> Subspace:
-        vecs = [self.apply(dict(r)) for r in sub.rows]
+        vecs = [self.apply(r) for r in sub.rows]
         return Subspace.from_vectors(self.target.space, vecs, self.target.field)
 
     def __repr__(self):
@@ -747,7 +728,7 @@ def quotient_lie(g: LieSuperAlgebra, ideal: Subspace, name=""):
     flipped = ((y, x) for x, y in g.brackets)
     for row, partners in zip(ideal.rows, _partners(flipped, ideal.rows, units)):
         for i in partners:
-            out = g.bracket_coords({i: one}, dict(row))
+            out = g.bracket_coords({i: one}, row)
             if out and not ideal.contains(out):
                 raise StructureError("subspace is not an ideal: fails at basis %d" % i)
     quot = QuotientSpace(g.space, ideal)

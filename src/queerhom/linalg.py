@@ -13,7 +13,12 @@ boundary-rank computations fast without any randomness or parallelism.
 
 Subspaces are stored as the same canonical rows sorted by pivot column, so
 subspace equality is literal equality of the stored data, and reduction
-modulo a subspace is the same walk over the vector's own support.
+modulo a subspace is the same walk over the vector's own support.  A
+Subspace owns the rows it is given; Subspace.from_vectors, the one place
+where an Echelon becomes a Subspace, hands the echelon's rows over, so each
+row is held once.  ``bilinear`` (tables, products, the gl rule) and
+``linear_apply`` (maps given by columns) are the one bilinear extension and
+the one linear apply.
 
 A linear map known only on a spanning set is solved as its graph in one
 Echelon: each input (+) its image is inserted with the image coordinates
@@ -157,6 +162,29 @@ def vec_add_scaled(dst: dict, src: dict, c, field) -> None:
                 del dst[k]
 
 
+def bilinear(x: dict, y: dict, entry, field) -> dict:
+    """sum x_i y_j entry((i, j)) over field: the bilinear extension of a rule
+    on basis pairs.  entry maps a pair of basis indices to the coordinates
+    of its product, or to None or {} when that is zero: the get of a table
+    keyed by pairs, or a rule evaluated on the spot."""
+    out = {}
+    for i, xi in x.items():
+        for j, yj in y.items():
+            tbl = entry((i, j))
+            if tbl:
+                vec_add_scaled(out, tbl, xi * yj, field)
+    return out
+
+
+def linear_apply(columns, vec: dict, field) -> dict:
+    """sum vec_i columns[i] over field: the linear map with those columns,
+    indexable by the coordinates of vec, applied to vec."""
+    out = {}
+    for i, v in vec.items():
+        vec_add_scaled(out, columns[i], v, field)
+    return out
+
+
 def _residue(vec: dict, rows: dict, field):
     """Split vec over canonical rows {pivot column: row}.
 
@@ -235,7 +263,6 @@ class Echelon:
         self.field = field
         self.pivots = {}  # pivot column -> row dict (monic, zero at other pivots)
         self._cols = {}  # non-pivot column -> pivot columns of rows nonzero there
-        self._rref = None
 
     @property
     def rank(self):
@@ -250,7 +277,6 @@ class Echelon:
         if not work:
             return False
         _store(self.pivots, self._cols, work, self.field)
-        self._rref = None
         return True
 
     def reduce(self, vec: dict) -> dict:
@@ -258,11 +284,10 @@ class Echelon:
         return _residue(vec, self.pivots, self.field)[0]
 
     def rref_rows(self):
-        """Canonical rows, sorted by pivot column: copies of the stored rows."""
-        if self._rref is None:
-            pivots = self.pivots
-            self._rref = [dict(pivots[c]) for c in sorted(pivots)]
-        return self._rref
+        """Canonical rows, sorted by pivot column: copies of the stored rows,
+        which later inserts do not change."""
+        pivots = self.pivots
+        return [dict(pivots[c]) for c in sorted(pivots)]
 
 
 class Subspace:
@@ -271,10 +296,11 @@ class Subspace:
     def __init__(self, space: GradedSpace, rows, field):
         """rows must be canonical RREF, as Echelon.rref_rows returns them:
         nonzero, sorted by pivot column, monic, and zero at every other
-        pivot.  This is checked in O(nnz); ValueError if it fails."""
+        pivot.  This is checked in O(nnz); ValueError if it fails.  The
+        row dicts are kept as they are, not copied."""
         self.space = space
         self.field = field
-        self.rows = tuple(dict(r) for r in rows)
+        self.rows = tuple(rows)
         if not all(self.rows):
             raise ValueError("subspace rows must be nonzero")
         self.pivot_cols = tuple(min(r) for r in self.rows)
@@ -292,10 +318,14 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, space: GradedSpace, vectors, field) -> "Subspace":
+        """The canonical span of any iterable of vectors, each inserted as it
+        comes; the finished echelon's rows are handed over, not copied."""
         ech = Echelon(field)
         for v in vectors:
-            ech.insert(v)
-        return cls(space, ech.rref_rows(), field)
+            if v:
+                ech.insert(v)
+        pivots = ech.pivots
+        return cls(space, [pivots[c] for c in sorted(pivots)], field)
 
     @property
     def dim(self):
@@ -398,25 +428,24 @@ def kernel(rows, domain: GradedSpace, field) -> Subspace:
     for row in rows:
         if row:
             ech.insert(row)
-    reduced = ech.rref_rows()
+    pivots = ech.pivots
     one = field.one
     p = field.characteristic
     # free column f -> [(pivot column, entry)] over the rows, in pivot order
     free_entries = {}
-    pivot_set = set()
-    for row in reduced:
-        pc = min(row)
-        pivot_set.add(pc)
-        for c, v in row.items():
+    for pc in sorted(pivots):
+        for c, v in pivots[pc].items():
             if c != pc:
                 free_entries.setdefault(c, []).append((pc, v))
-    out = Echelon(field)
-    for f in range(domain.dim):
-        if f in pivot_set:
-            continue
-        vec = {f: one}
-        for pc, c in free_entries.get(f, ()):
-            vec[pc] = -c % p if p else -c
-        out.insert(vec)
-    return Subspace(domain, out.rref_rows(), field)
+
+    def null_vectors():
+        for f in range(domain.dim):
+            if f in pivots:
+                continue
+            vec = {f: one}
+            for pc, c in free_entries.get(f, ()):
+                vec[pc] = -c % p if p else -c
+            yield vec
+
+    return Subspace.from_vectors(domain, null_vectors(), field)
 

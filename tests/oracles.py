@@ -5,11 +5,12 @@ second routes the tests compare it against: the full L2 pair list and
 Chevalley-Eilenberg matrices, a standalone sparse-matrix rref, the Lie
 axioms on basis tuples, the center by a kernel, the supercommutator
 algebra of an associative algebra, the q_n(R) formula table by a full
-index scan, build_q's block-realization check against a full gl bracket
-table, the all-pairs bracket scans of VerifiedHomomorphism.verify,
-induced_lie and quotient_lie, the pair-space relations from every triple,
-the tensor product tables by a scan of every index quadruple, and the
-cyclic side of the psq formula.
+index scan, the gl_{m|n}(R) bracket table by a scan of every pair of basis
+vectors (the program has only the rule lie.GlRule), build_q's
+block-realization check against that table, the all-pairs bracket scans of
+VerifiedHomomorphism.verify, induced_lie and quotient_lie, the pair-space
+relations from every triple, the tensor product tables by a scan of every
+index quadruple, and the cyclic side of the psq formula.
 """
 from __future__ import annotations
 
@@ -24,7 +25,6 @@ from queerhom.lie import (
     LieSuperAlgebra,
     StructureError,
     VerifiedHomomorphism,
-    build_gl,
 )
 from queerhom.linalg import (
     Echelon,
@@ -245,6 +245,63 @@ def q_formula_brackets_full_scan(n: int, R: SuperAlgebra, qi) -> dict:
     return brackets
 
 
+def gl_entry_index(m: int, n: int, R: SuperAlgebra):
+    """The index of E_ij(e_r) in gl_{m|n}(R), positions 1-based, as a
+    function of (i, j, r)."""
+    N, dR = m + n, R.dim
+    return lambda i, j, r: ((i - 1) * N + (j - 1)) * dR + r
+
+
+def gl_table(m: int, n: int, R: SuperAlgebra) -> LieSuperAlgebra:
+    """gl_{m|n}(R) as a bracket table, from every pair of basis vectors,
+    O(N^4 dR^2), without lie.GlRule:
+
+        [E_ij(a), E_kl(b)] = d_jk E_il(ab) - (-1)^{|E_ij(a)||E_kl(b)|} d_li E_kj(ba)
+
+    Basis labels and order are GlRule's, and so is the key order.
+    """
+    N = m + n
+    dR = R.dim
+    rpar = R.space.parities
+    idx = gl_entry_index(m, n, R)
+
+    def pos_par(i):
+        return 0 if i <= m else 1
+
+    labels = []
+    parities = []
+    for i in range(1, N + 1):
+        for j in range(1, N + 1):
+            for a in range(dR):
+                labels.append("E[%d,%d](%s)" % (i, j, R.space.labels[a]))
+                parities.append((pos_par(i) + pos_par(j) + rpar[a]) % 2)
+    brackets = {}
+    for i in range(1, N + 1):
+        for j in range(1, N + 1):
+            for a in range(dR):
+                pa = parities[idx(i, j, a)]
+                for k in range(1, N + 1):
+                    for l in range(1, N + 1):
+                        for b in range(dR):
+                            pb = parities[idx(k, l, b)]
+                            out = {}
+                            if j == k:
+                                for t, c in R.products.get((a, b), {}).items():
+                                    key = idx(i, l, t)
+                                    out[key] = out.get(key, R.field.zero) + c
+                            if l == i:
+                                sgn = -1 if (pa and pb) else 1
+                                for t, c in R.products.get((b, a), {}).items():
+                                    key = idx(k, j, t)
+                                    cur = out.get(key, R.field.zero)
+                                    out[key] = cur - c if sgn > 0 else cur + c
+                            out = in_field(out, R.field)
+                            if out:
+                                brackets[(idx(i, j, a), idx(k, l, b))] = out
+    space = GradedSpace(labels, parities)
+    return LieSuperAlgebra(R.field, space, brackets, name="gl(%d|%d;%s)" % (m, n, R.name))
+
+
 def block_realization_columns(q: LieSuperAlgebra, entry_index) -> list:
     """The images of q = q_n(R)'s basis in gl_{n|n}(R), with entry_index
     giving the index of E_ij(e_r):
@@ -266,9 +323,10 @@ def block_realization_columns(q: LieSuperAlgebra, entry_index) -> list:
 
 def block_realization_on_table(q: LieSuperAlgebra) -> VerifiedHomomorphism:
     """build_q's check as it was: q = q_n(R) along the block realization
-    into the full gl_{n|n}(R) bracket table, not the gl rule."""
-    gl = build_gl(q.block_n, q.block_n, q.coord)
-    return VerifiedHomomorphism(q, gl, block_realization_columns(q, gl.entry_index))
+    into the full gl_{n|n}(R) bracket table of gl_table, not the gl rule."""
+    n, R = q.block_n, q.coord
+    cols = block_realization_columns(q, gl_entry_index(n, n, R))
+    return VerifiedHomomorphism(q, gl_table(n, n, R), cols)
 
 
 # ------------------------------------------------ all-pairs bracket scans

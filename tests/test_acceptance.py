@@ -23,7 +23,6 @@ from queerhom.cli import main
 from queerhom.kahler import kahler_hc1_oracle
 from queerhom.lie import (
     LieSuperAlgebra,
-    build_gl,
     build_q,
     build_sq_by_characterization,
     induced_lie,
@@ -33,7 +32,16 @@ from queerhom.lie import (
 from queerhom.linalg import Echelon, GradedDim, GradedSpace, QuotientSpace, Subspace
 from queerhom.scalars import QQ
 
-from oracles import SparseMatrix, center, check_lie, d2_matrix, d3_matrix, lam2_dim_formula, rref
+from oracles import (
+    SparseMatrix,
+    center,
+    check_lie,
+    d2_matrix,
+    d3_matrix,
+    gl_table,
+    lam2_dim_formula,
+    rref,
+)
 
 MAIN_FAMILY = [
     "base-field",
@@ -276,7 +284,7 @@ def _constructed_family():
     yield q3
     yield sq3
     yield quotient_lie(sq3, center(sq3), name="psq3")
-    yield build_gl(2, 1, base)
+    yield gl_table(2, 1, base)
     yield lie_tensor(build_q(2, base), g1)
 
 
@@ -290,7 +298,7 @@ def invariant_boundary_composition():
     g1 = build_grassmann(QQ, 1)
     q2 = build_q(2, base)
     sq2 = induced_lie(q2, build_sq_by_characterization(2, base, q2), name="sq2")
-    for g in (sq2, build_q(1, g1), build_gl(1, 1, base)):
+    for g in (sq2, build_q(1, g1), gl_table(1, 1, base)):
         cx = CEComplex(g)
         d2 = d2_matrix(cx)
         cols = {}

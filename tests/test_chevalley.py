@@ -29,7 +29,7 @@ from queerhom.linalg import GradedDim, GradedSpace, vec_add_scaled
 from queerhom.scalars import QQ, parse_field_flag
 from queerhom.scenarios import ScenarioOptions, scenario_h2_main
 
-from oracles import d2_matrix, d3_matrix, iter_lam3, lam2_dim_formula, lam2_pairs
+from oracles import d2_matrix, d3_matrix, gl_table, iter_lam3, lam2_dim_formula, lam2_pairs
 
 BASE = build_builtin("base-field", QQ)
 G1 = build_grassmann(QQ, 1)
@@ -171,9 +171,12 @@ def test_h2_frozen_values(g, expect):
 
 
 def test_h2_of_traceless_two_by_two_vanishes():
-    gl = build_gl(2, 0, BASE)
-    sl2 = induced_lie(gl, build_sl(gl), name="sl2")
-    assert ce_h2(sl2).dims == GradedDim(0, 0)
+    # sl_2 inside the gl rule and inside the independent gl table
+    rule = build_gl(2, 0, BASE)
+    sl = build_sl(rule)
+    on_rule, on_table = (induced_lie(gl, sl, name="sl2") for gl in (rule, gl_table(2, 0, BASE)))
+    assert on_rule.brackets == on_table.brackets
+    assert ce_h2(on_rule).dims == GradedDim(0, 0)
 
 
 # ------------------------------------------------------- budget and stats

@@ -63,9 +63,11 @@ def test_relation_subspace_equals_the_full_triple_scan(tag, field):
 
 @pytest.mark.parametrize("field", ["Q", "Fp:3", "Qi"])
 def test_pair_space_peaks_under_three_times_what_it_retains(field):
-    # Streaming the relations into one Echelon peaks at about 2.2x what the
-    # pair space retains; holding every relation vector in a list before
-    # eliminating peaks at 5.2x (Q) to 5.5x (Qi) on this input.
+    # Streaming the relations into Subspace.from_vectors, whose echelon hands
+    # its rows over, peaks at 1.24-1.27x what the pair space retains; copying
+    # the rows into the relation subspace peaked at 2.1-2.2x, and holding
+    # every relation vector in a list before eliminating at 5.2x (Q) to
+    # 5.5x (Qi) on this input.
     f = parse_field_flag(field)
     S = tensor(build_grassmann(f, 4), build_q1(f))
     tracemalloc.start()
@@ -76,7 +78,7 @@ def test_pair_space_peaks_under_three_times_what_it_retains(field):
     finally:
         tracemalloc.stop()
     assert pair.quot.dim > 0
-    assert peak - base < 3 * (held - base)
+    assert peak - base < 1.6 * (held - base)
 
 
 @pytest.mark.parametrize("tag", [t for t, _, _ in HC1_TABLE])

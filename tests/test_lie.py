@@ -33,7 +33,7 @@ from queerhom.lie import (
     lie_tensor,
     quotient_lie,
 )
-from queerhom.linalg import GradedDim, GradedSpace, Subspace, in_field
+from queerhom.linalg import GradedDim, GradedSpace, Subspace
 from queerhom.scalars import QQ, ScalarError, parse_field_flag
 
 from oracles import (
@@ -41,6 +41,8 @@ from oracles import (
     block_realization_on_table,
     center,
     check_lie,
+    gl_entry_index,
+    gl_table,
     induced_lie_full_scan,
     lie_from_assoc,
     lie_tensor_pair_scan,
@@ -266,55 +268,17 @@ def test_rule_backed_block_check_equals_the_table_backed_check(
 def test_gl_matrix_unit_brackets():
     gl = build_gl(2, 0, BASE)
     e = gl.entry_index
-    assert gl.bracket_basis(e(1, 2, 0), e(2, 1, 0)) == {
+    assert gl.get((e(1, 2, 0), e(2, 1, 0))) == {
         e(1, 1, 0): QQ.one,
         e(2, 2, 0): -QQ.one,
     }
     # in gl(1|1) both off-diagonal units are odd, so the bracket symmetrizes
     gl11 = build_gl(1, 1, BASE)
     e = gl11.entry_index
-    assert gl11.bracket_basis(e(1, 2, 0), e(2, 1, 0)) == {
+    assert gl11.get((e(1, 2, 0), e(2, 1, 0))) == {
         e(1, 1, 0): QQ.one,
         e(2, 2, 0): QQ.one,
     }
-
-
-def _full_scan_gl_brackets(m, n, R):
-    """build_gl's table as it was: every pair of basis vectors, O(N^4 dR^2)."""
-    N = m + n
-    dR = R.dim
-    rpar = R.space.parities
-
-    def pos_par(i):
-        return 0 if i <= m else 1
-
-    def idx(i, j, r):
-        return ((i - 1) * N + (j - 1)) * dR + r
-
-    brackets = {}
-    for i in range(1, N + 1):
-        for j in range(1, N + 1):
-            for a in range(dR):
-                pa = (pos_par(i) + pos_par(j) + rpar[a]) % 2
-                for k in range(1, N + 1):
-                    for l in range(1, N + 1):
-                        for b in range(dR):
-                            pb = (pos_par(k) + pos_par(l) + rpar[b]) % 2
-                            out = {}
-                            if j == k:
-                                for t, c in R.products.get((a, b), {}).items():
-                                    key = idx(i, l, t)
-                                    out[key] = out.get(key, R.field.zero) + c
-                            if l == i:
-                                sgn = -1 if (pa and pb) else 1
-                                for t, c in R.products.get((b, a), {}).items():
-                                    key = idx(k, j, t)
-                                    cur = out.get(key, R.field.zero)
-                                    out[key] = cur - c if sgn > 0 else cur + c
-                            out = {t: v for t, v in out.items() if v}
-                            if out:
-                                brackets[(idx(i, j, a), idx(k, l, b))] = out
-    return brackets
 
 
 @pytest.mark.parametrize("flag", ["Q", "Qi"])
@@ -324,11 +288,15 @@ def _full_scan_gl_brackets(m, n, R):
      (1, 1, "square-zero-plane")],
 )
 def test_gl_brackets_match_the_full_pair_scan(m, n, tag, flag):
+    # build_gl returns the rule; on its keys it gives the full scan's table
     R = build_builtin(tag, parse_field_flag(flag))
-    want = _full_scan_gl_brackets(m, n, R)
-    got = build_gl(m, n, R).brackets
-    assert got == want
-    assert list(got) == list(want)
+    gl = build_gl(m, n, R)
+    assert isinstance(gl, GlRule)
+    want = gl_table(m, n, R)
+    assert (gl.name, gl.coord, gl.size) == (want.name, R, m + n)
+    got = {key: gl.get(key) for key in gl.keys()}
+    assert got == want.brackets
+    assert list(got) == list(want.brackets)
 
 
 GL_RULE_INPUTS = [
@@ -343,14 +311,14 @@ GL_RULE_INPUTS = [
 def test_gl_rule_answers_as_the_gl_table(m, n, tag, flag):
     # Fp:3 reduces the l == i branch, where -(-1)^{..} ba is added mod 3
     R = build_builtin(tag, parse_field_flag(flag))
-    rule, gl = GlRule(m, n, R), build_gl(m, n, R)
+    rule, gl = GlRule(m, n, R), gl_table(m, n, R)
     assert (rule.space, rule.field, rule.dim) == (gl.space, gl.field, gl.dim)
-    scan = _full_scan_gl_brackets(m, n, R)
+    idx, N = gl_entry_index(m, n, R), m + n
+    positions = [(i, j, r) for i in range(1, N + 1) for j in range(1, N + 1) for r in range(R.dim)]
+    assert [rule.entry_index(*t) for t in positions] == [idx(*t) for t in positions]
     for x in range(gl.dim):
         for y in range(gl.dim):
-            got = rule.bracket_basis(x, y)
-            assert got == gl.bracket_basis(x, y)
-            assert got == in_field(scan.get((x, y), {}), R.field)
+            assert rule.get((x, y)) == gl.bracket_basis(x, y)
     assert list(rule.keys()) == list(gl.brackets)
     rng = random.Random(20261018)
     vecs = []
@@ -368,9 +336,9 @@ def test_gl_rule_answers_as_the_gl_table(m, n, tag, flag):
                                         (2, "matrix(2)", "Fp:3")])
 def test_gl_rule_partners_of_the_block_realization_columns(n, tag, flag):
     R = build_builtin(tag, parse_field_flag(flag))
-    rule, gl = GlRule(n, n, R), build_gl(n, n, R)
+    rule, gl = GlRule(n, n, R), gl_table(n, n, R)
     cols = block_realization_columns(build_q(n, R), rule.entry_index)
-    assert cols == block_realization_columns(build_q(n, R), gl.entry_index)
+    assert cols == block_realization_columns(build_q(n, R), gl_entry_index(n, n, R))
     assert rule.partners(cols, cols) == gl.partners(cols, cols)
 
 
@@ -411,7 +379,7 @@ def test_lie_from_assoc_matches_gl_on_matrices():
     assert g.dim == gl.dim
     for i in range(g.dim):
         for j in range(g.dim):
-            assert g.bracket_basis(i, j) == gl.bracket_basis(i, j)
+            assert g.bracket_basis(i, j) == gl.get((i, j))
 
 
 # ------------------------------------------------- derived and sq subalgebra

@@ -8,35 +8,45 @@ from queerhom import lie, scenarios
 from queerhom.algebras import SuperAlgebra
 from queerhom.chevalley import CEComplex, H2Result
 from queerhom.cli import main
-from queerhom.lie import LieSuperAlgebra, VerifiedHomomorphism
+from queerhom.lie import GlRule, LieSuperAlgebra, VerifiedHomomorphism
 from queerhom.linalg import Echelon, Subspace
 from queerhom.scalars import QQ, parse_field_flag
-from queerhom.scenarios import ScenarioOptions, run_scenario, scenario_iso_queer_gl
+from queerhom.scenarios import ScenarioOptions, run_scenario
 
 
-def test_iso_queer_gl_builds_each_gl_once(monkeypatch):
-    calls = []
+def test_no_scenario_builds_a_gl_table(monkeypatch):
+    # gl_{m|n}(R) has one form, the rule build_gl returns: the target of
+    # build_q's check and of the isomorphisms, and the block algebra's ambient
+    names = []
+    init = LieSuperAlgebra.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        names.append(self.name)
+
+    monkeypatch.setattr(LieSuperAlgebra, "__init__", recording)
+    gls = []
     build_gl = lie.build_gl
 
     def counting(m, n, R):
-        calls.append((m, n, R.name))
-        return build_gl(m, n, R)
+        gls.append(build_gl(m, n, R))
+        return gls[-1]
 
     monkeypatch.setattr(lie, "build_gl", counting)
-    report = scenario_iso_queer_gl(ScenarioOptions("builtin:grassmann(1)", n=2))
-    assert report.status == "PASS"
-    # only gl_2(R(x)Q1), the target: build_q checks q_2(R) against the gl rule
-    assert calls == [(2, 0, "grassmann(1)⊗q1")]
-    # a gl table is built only where gl is used as an algebra
-    for name, field, want in [
-        ("perfectness", QQ, []),
-        ("h2-main", QQ, []),
-        ("qtogl-sqrt-1", QI, [(3, 3, "grassmann(1)")]),
+    for name, algebra, n, field in [
+        ("iso-queer-gl", "grassmann(1)", 2, QQ),
+        ("qtogl-sqrt-1", "grassmann(1)", 3, QI),
+        ("slnn-identity", "base-field", 3, QI),
+        ("perfectness", "grassmann(1)", 3, QQ),
+        ("h2-main", "grassmann(1)", 3, QQ),
     ]:
-        calls.clear()
-        report = run_scenario(name, ScenarioOptions("builtin:grassmann(1)", n=3, field=field))
+        names.clear()
+        gls.clear()
+        report = run_scenario(name, ScenarioOptions("builtin:" + algebra, n=n, field=field))
         assert {r.status for r in report.rows} == {"PASS"}, name
-        assert calls == want, name
+        assert names and not [x for x in names if x.startswith("gl(")], (name, names)
+        # build_q reaches gl through build_gl too
+        assert gls and all(type(gl) is GlRule for gl in gls), name
 
 
 def test_perfectness_fails_when_the_derived_subalgebra_disagrees(monkeypatch, capsys):
