@@ -13,6 +13,16 @@ elimination for both parities: d2 and d3 preserve parity, so every
 canonical row lies in the parity of its pivot column.  d2 o d3 = 0 is
 checked on every streamed d3 column.
 
+The canonical H2 basis is read off one echelon.  Streaming the d3 columns
+into it leaves the RREF of im d3, with pivot columns P.  Inserting any
+basis of ker d2 after them (linalg.kernel's, which is not canonical)
+leaves the RREF of ker d2, in which every column of P is still a pivot.
+Its rows at the other pivots are zero at every column of P and span
+exactly the kernel vectors that are: a complement of im d3 in ker d2 that
+depends only on the two subspaces.  Being rows of one RREF, they are
+already its canonical basis, so neither the kernel nor the complement is
+brought to canonical form a second time.
+
 Weight-zero reduction.  ce_h2 takes a torus: even elements h_1..h_r whose
 adjoint action is diagonal on g's basis, checked exactly.  The weight of
 a basis vector is the tuple of its eigenvalues, compared as field
@@ -198,8 +208,11 @@ class H2Result:
 def ce_h2(g: LieSuperAlgebra, torus=()) -> H2Result:
     """H2(g) = ker d2 / im d3 with a canonical cycle basis, even classes first.
 
-    Only the weight-zero subcomplex of `torus` is built (see the module
-    docstring); basis vectors are keyed by L2 pairs (i, j) either way.
+    The basis is the canonical complement of im d3 inside ker d2: the rows
+    of the RREF of ker d2 at pivots that are not pivots of im d3, read off
+    the image echelon after the kernel basis is inserted into it (see the
+    module docstring).  Only the weight-zero subcomplex of `torus` is built;
+    basis vectors are keyed by L2 pairs (i, j) either way.
     torus is an iterable of coordinate vectors of g.  d2 o d3 = 0 is
     asserted column by column.
     """
@@ -224,7 +237,9 @@ def ce_h2(g: LieSuperAlgebra, torus=()) -> H2Result:
     for k in range(cx.lam2.dim):
         for r, v in cx.d2_column(k).items():
             rows[r][k] = v
-    ker = kernel(rows, cx.lam2, g.field)
+    ker = kernel(rows, cx.lam2.dim, g.field)
+    odd = sum(map(cx.lam2.parity_of_vec, ker))
+    kd = GradedDim(len(ker) - odd, odd)
     timings["kernel_parity01"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     ech = Echelon(g.field)
@@ -245,23 +260,22 @@ def ce_h2(g: LieSuperAlgebra, torus=()) -> H2Result:
         if acc:
             raise AssertionError("d2 o d3 != 0 at triple %r" % (t,))
         ech.insert(col)
-    odd = sum(lam2_par[c] for c in ech.pivots)
-    im = GradedDim(ech.rank - odd, odd)
+    im_pivots = set(ech.pivots)
+    odd = sum(lam2_par[c] for c in im_pivots)
+    im = GradedDim(len(im_pivots) - odd, odd)
     timings["boundaries_parity01"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    rep_ech = Echelon(g.field)
-    for row in ker.rows:
-        res = ech.reduce(row)
-        if res:
-            ech.insert(res)
-            rep_ech.insert(res)
-    # L2 is ordered L²g0, g0(x)g1, S²g1, so the parities interleave; the
-    # stable sort lists the even classes first, each parity in pivot order
-    reps = sorted(rep_ech.rref_rows(), key=lambda rep: lam2_par[min(rep)])
-    basis = [(lam2_par[min(rep)], {cx.pairs[c]: v for c, v in rep.items()}) for rep in reps]
+    # ech ends as the RREF of ker d2, and its rows at pivots the image did
+    # not have are the canonical complement (see the module docstring).  L2
+    # is ordered L²g0, g0(x)g1, S²g1, so the parities interleave: list the
+    # even classes first, each parity in pivot order.
+    for vec in ker:
+        ech.insert(vec)
+    pivots = ech.pivots
+    cols = sorted((c for c in pivots if c not in im_pivots), key=lambda c: (lam2_par[c], c))
+    basis = [(lam2_par[c], {cx.pairs[k]: v for k, v in pivots[c].items()}) for c in cols]
     odd = sum(p for p, _ in basis)
     dims = GradedDim(len(basis) - odd, odd)
-    kd = ker.graded_dim
     if dims != GradedDim(kd.even - im.even, kd.odd - im.odd):
         raise AssertionError(
             "rank bookkeeping broke: %s homology classes vs kernel %s minus image %s"

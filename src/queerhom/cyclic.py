@@ -149,8 +149,8 @@ def hc1(R: SuperAlgebra) -> HC1Result:
         img = linear_apply(comm, rep, R.field)
         for r, v in img.items():
             rows[r][col] = v
-    sub = kernel(rows, pair.quot.space, R.field)
-    return HC1Result(pair, sub)
+    null = kernel(rows, pair.quot.dim, R.field)
+    return HC1Result(pair, Subspace.from_vectors(pair.quot.space, null, R.field))
 
 
 # ----------------------------------------------------------- h relations

@@ -17,7 +17,8 @@ the traceless block algebra, and no gl bracket table is built.
 VerifiedHomomorphism.verify is the one place that compares a linear map
 with two bracket tables or rules.  sq_n(R) is characterized as
 {(A,B) : tr B in [R,R]} and must coincide with the derived subalgebra of
-q_n(R) for n >= 2.
+q_n(R) for n >= 2; that trace condition and build_sl's {X : tr X in [S,S]}
+are one rule, _trace_rule, placed at the w-block or at gl's entries.
 
 Every bilinear scan visits only the pairs that can have a nonzero bracket.
 _partners reads them off the keys of a bracket table, or of GlRule.keys:
@@ -31,6 +32,8 @@ The super Jacobi convention used throughout:
 (-1)^{|x||z|}[x,[y,z]] + (-1)^{|y||x|}[y,[z,x]] + (-1)^{|z||y|}[z,[x,y]] = 0.
 """
 from __future__ import annotations
+
+from itertools import chain
 
 from .algebras import SuperAlgebra, build_q1, commutator_subspace, koszul_tensor, tensor
 from .linalg import (
@@ -413,28 +416,25 @@ def is_perfect(g: LieSuperAlgebra) -> bool:
     return derived_subalgebra(g).dim == g.dim
 
 
-def _trace_constrained_diagonal(field, R, n, entry_index, allowed: Subspace):
-    """Vectors diag(b_1..b_n) (via entry_index(i, r)) with sum b_i in `allowed`."""
-    comm_q = QuotientSpace(R.space, allowed)
-    cols = [(i, r) for i in range(1, n + 1) for r in range(R.dim)]
+def _trace_rule(R: SuperAlgebra, n: int, index):
+    """Vectors spanning {X in gl_n(R) : tr X in [R,R]}, with the entry
+    X_ij = e_r at coordinate index(i, j, r): the off-diagonal units, then a
+    basis of the diagonals diag(b_1..b_n) with sum b_i in [R,R]."""
+    one = R.field.one
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                for r in range(R.dim):
+                    yield {index(i, j, r): one}
+    comm_q = QuotientSpace(R.space, commutator_subspace(R))
+    # the trace map on the diagonal entries X_ii = e_r, taken into R/[R,R]
+    diag = [index(i, i, r) for i in range(1, n + 1) for r in range(R.dim)]
     rows = [{} for _ in range(comm_q.dim)]
-    for cidx, (i, r) in enumerate(cols):
-        pr = comm_q.project({r: field.one})
-        for qrow, v in pr.items():
-            rows[qrow][cidx] = v
-    kspace = GradedSpace(
-        tuple("d%d" % t for t in range(len(cols))),
-        tuple(R.space.parities[r] for (_, r) in cols),
-    )
-    ker = kernel(rows, kspace, field)
-    out = []
-    for row in ker.rows:
-        vec = {}
-        for cidx, v in row.items():
-            i, r = cols[cidx]
-            vec[entry_index(i, r)] = v
-        out.append(vec)
-    return out
+    for d in range(len(diag)):
+        for qrow, v in comm_q.project({d % R.dim: one}).items():
+            rows[qrow][d] = v
+    for vec in kernel(rows, len(diag), R.field):
+        yield {diag[d]: v for d, v in vec.items()}
 
 
 def build_sq_by_characterization(n: int, R: SuperAlgebra, q: LieSuperAlgebra) -> Subspace:
@@ -444,19 +444,10 @@ def build_sq_by_characterization(n: int, R: SuperAlgebra, q: LieSuperAlgebra) ->
     canonical subspaces; StructureError if they differ.
     """
     qi = q.qindex
-    field = q.field
-    vecs = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for r in range(R.dim):
-                vecs.append({qi.u(i, j, r): field.one})
-                if i != j:
-                    vecs.append({qi.w(i, j, r): field.one})
-    comm = commutator_subspace(R)
-    vecs.extend(
-        _trace_constrained_diagonal(field, R, n, lambda i, r: qi.w(i, i, r), comm)
-    )
-    sub = Subspace.from_vectors(q.space, vecs, field)
+    one = q.field.one
+    ij = range(1, n + 1)
+    units = ({qi.u(i, j, r): one} for i in ij for j in ij for r in range(R.dim))
+    sub = Subspace.from_vectors(q.space, chain(units, _trace_rule(R, n, qi.w)), q.field)
     if n >= 2:
         if sub != derived_subalgebra(q):
             raise StructureError("trace characterization differs from the derived subalgebra")
@@ -548,21 +539,8 @@ def block_torus(sl: LieSuperAlgebra, hom):
 
 def build_sl(gl: GlRule) -> Subspace:
     """{X in gl : tr X in [S,S]} as a canonical subspace of gl = build_gl(n, 0, S)."""
-    n, S = gl.size, gl.coord
-    field = S.field
-    dS = S.dim
-    vecs = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                continue
-            for s in range(dS):
-                vecs.append({gl.entry_index(i, j, s): field.one})
-    comm = commutator_subspace(S)
-    vecs.extend(
-        _trace_constrained_diagonal(field, S, n, lambda i, s: gl.entry_index(i, i, s), comm)
-    )
-    return Subspace.from_vectors(gl.space, vecs, field)
+    S = gl.coord
+    return Subspace.from_vectors(gl.space, _trace_rule(S, gl.size, gl.entry_index), S.field)
 
 
 # ------------------------------------------------------------ homomorphisms
@@ -572,14 +550,19 @@ MAX_FAILURES = 20  # bracket failure messages kept; bracket_preserving sees ever
 
 class VerifiedHomomorphism:
     """A graded linear map between Lie superalgebras over one field, with
-    recomputed flags.  The target is a LieSuperAlgebra or a GlRule."""
+    recomputed flags.  The target is a LieSuperAlgebra or a GlRule.
+
+    columns[i] is the image of e_i.  The column dicts are kept as they are,
+    not copied, as LieSuperAlgebra keeps its table: build_q, iso_q_to_gl,
+    iso_qQ1_to_glnn and loop-iso each hand over fresh ones.
+    """
 
     def __init__(self, source: LieSuperAlgebra, target, columns, name=""):
         if source.field != target.field:
             raise ValueError("mixed fields")
         self.source = source
         self.target = target
-        self.columns = [dict(c) for c in columns]
+        self.columns = list(columns)
         self.name = name or "hom"
         self.failures = []
         self.parity_preserving = None

@@ -16,7 +16,11 @@ subspace equality is literal equality of the stored data, and reduction
 modulo a subspace is the same walk over the vector's own support.  A
 Subspace owns the rows it is given; Subspace.from_vectors, the one place
 where an Echelon becomes a Subspace, hands the echelon's rows over, so each
-row is held once.  ``bilinear`` (tables, products, the gl rule) and
+row is held once.  ``kernel`` returns the plain null-space basis read off
+the RREF, one vector per free column: a span is brought to canonical rows
+only where its canonical basis is an output or is compared (cyclic.hc1
+passes it to Subspace.from_vectors; chevalley.ce_h2 inserts it into its
+image echelon).  ``bilinear`` (tables, products, the gl rule) and
 ``linear_apply`` (maps given by columns) are the one bilinear extension and
 the one linear apply.
 
@@ -418,11 +422,15 @@ class QuotientSpace:
         return "<QuotientSpace %s>" % (self.graded_dim,)
 
 
-def kernel(rows, domain: GradedSpace, field) -> Subspace:
-    """Null space {v : M v = 0} as a canonical subspace of the domain.
+def kernel(rows, dim: int, field) -> list:
+    """A basis of the null space {v : M v = 0} of M on coordinates 0..dim-1.
 
-    rows are the rows of M as vectors on the domain's coordinates; the
-    result is canonical, so their order does not matter.
+    rows are the rows of M.  One vector per free column f of M's RREF, in
+    increasing f: 1 at f, 0 at every other free column, and minus each
+    canonical row's entry at f at that row's pivot.  The basis depends only
+    on the row space, so the order of rows does not matter; it is not
+    canonical RREF, so a caller that outputs or compares the span passes it
+    through Subspace.from_vectors.
     """
     ech = Echelon(field)
     for row in rows:
@@ -431,21 +439,10 @@ def kernel(rows, domain: GradedSpace, field) -> Subspace:
     pivots = ech.pivots
     one = field.one
     p = field.characteristic
-    # free column f -> [(pivot column, entry)] over the rows, in pivot order
-    free_entries = {}
-    for pc in sorted(pivots):
-        for c, v in pivots[pc].items():
+    null = {f: {f: one} for f in range(dim) if f not in pivots}
+    for row in ech.rref_rows():
+        pc = min(row)
+        for c, v in row.items():
             if c != pc:
-                free_entries.setdefault(c, []).append((pc, v))
-
-    def null_vectors():
-        for f in range(domain.dim):
-            if f in pivots:
-                continue
-            vec = {f: one}
-            for pc, c in free_entries.get(f, ()):
-                vec[pc] = -c % p if p else -c
-            yield vec
-
-    return Subspace.from_vectors(domain, null_vectors(), field)
-
+                null[c][pc] = -v % p if p else -v
+    return list(null.values())

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from queerhom.algebras import SuperAlgebra
 # lam2_dim_formula is imported for the tests that read it from here
-from queerhom.chevalley import lam2_dim_formula, lam3_dim_formula
+from queerhom.chevalley import CEComplex, lam2_dim_formula, lam3_dim_formula
 from queerhom.cyclic import hc1
 from queerhom.lie import (
     MAX_FAILURES,
@@ -156,6 +156,56 @@ def d3_matrix(cx) -> SparseMatrix:
         for r, v in cx.d3_column(t).items():
             entries[(r, k)] = v
     return SparseMatrix(cx.lam2.dim, lam3_dim_formula(cx.g.space.graded_dim), entries)
+
+
+def h2_by_representatives(g: LieSuperAlgebra, torus=()):
+    """(basis, stats without timings) of ce_h2(g, torus), with the quotient
+    as ce_h2 first computed it: the kernel of d2 brought to canonical rows,
+    each row reduced modulo the image echelon, and every nonzero residue
+    inserted into that echelon and into a second, representative echelon,
+    whose canonical rows are the H2 basis."""
+    torus = list(torus)
+    cx = CEComplex(g, torus)
+    field = g.field
+    torus_span = Echelon(field)
+    for h in torus:
+        torus_span.insert(h)
+    par = cx.lam2.parities
+    null = kernel(d2_matrix(cx).rows_as_dicts(), cx.lam2.dim, field)
+    ker = Subspace.from_vectors(cx.lam2, null, field)
+    ech = Echelon(field)
+    lam3_weight0_dim = 0
+    for t in cx.iter_lam3_weight0():
+        lam3_weight0_dim += 1
+        col = cx.d3_column(t)
+        if col:
+            ech.insert(col)
+    im_odd = sum(par[c] for c in ech.pivots)
+    im = GradedDim(ech.rank - im_odd, im_odd)
+    rep_ech = Echelon(field)
+    for row in ker.rows:
+        res = ech.reduce(row)
+        if res:
+            ech.insert(res)
+            rep_ech.insert(res)
+    reps = sorted(rep_ech.rref_rows(), key=lambda rep: par[min(rep)])
+    basis = [(par[min(rep)], {cx.pairs[c]: v for c, v in rep.items()}) for rep in reps]
+    odd = sum(p for p, _ in basis)
+    gd = g.space.graded_dim
+    stats = {
+        "lam2_dim": sum(lam2_dim_formula(gd)),
+        "lam3_dim": lam3_dim_formula(gd),
+        "lam2_weight0_dim": cx.lam2.dim,
+        "torus_rank": torus_span.rank,
+        "algebra_dim": [gd.even, gd.odd],
+    }
+    kd = ker.graded_dim
+    for p in (0, 1):
+        stats["ker_rank_parity%d" % p] = kd[p]
+        stats["im_rank_parity%d" % p] = im[p]
+    stats["lam3_weight0_dim"] = lam3_weight0_dim
+    stats["h2"] = [len(basis) - odd, odd]
+    return basis, stats
 
 
 # ------------------------------------------------------- queer formulas
@@ -551,7 +601,7 @@ def center(g: LieSuperAlgebra) -> Subspace:
                 if r == len(rows):
                     rows.append({})
                 rows[r][j] = v
-    return kernel(rows, g.space, g.field)
+    return Subspace.from_vectors(g.space, kernel(rows, g.dim, g.field), g.field)
 
 
 # ------------------------------------------------------- tensor products

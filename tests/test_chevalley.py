@@ -29,7 +29,15 @@ from queerhom.linalg import GradedDim, GradedSpace, vec_add_scaled
 from queerhom.scalars import QQ, parse_field_flag
 from queerhom.scenarios import ScenarioOptions, scenario_h2_main
 
-from oracles import d2_matrix, d3_matrix, gl_table, iter_lam3, lam2_dim_formula, lam2_pairs
+from oracles import (
+    d2_matrix,
+    d3_matrix,
+    gl_table,
+    h2_by_representatives,
+    iter_lam3,
+    lam2_dim_formula,
+    lam2_pairs,
+)
 
 BASE = build_builtin("base-field", QQ)
 G1 = build_grassmann(QQ, 1)
@@ -243,6 +251,17 @@ def test_basis_vectors_are_homogeneous_cycles():
         assert d2.apply({cx.pair_pos[t]: v for t, v in vec.items()}, g.field) == {}
 
 
+def test_d2_after_d3_is_checked_on_every_column():
+    # [x, y] = y and [x, z] = x break the Jacobi identity at x, y, z:
+    # d2(d3(x^y^z)) = [[x,y],z] - [[x,z],y] + [[y,z],x] = -y
+    one = QQ.one
+    space = GradedSpace(("x", "y", "z"), (0, 0, 0))
+    brackets = {(0, 1): {1: one}, (1, 0): {1: -one}, (0, 2): {0: one}, (2, 0): {0: -one}}
+    g = LieSuperAlgebra(QQ, space, brackets)
+    with pytest.raises(AssertionError, match=r"^d2 o d3 != 0 at triple \(0, 1, 2\)$"):
+        ce_h2(g)
+
+
 # ------------------------------------------------- weight-zero subcomplex
 
 
@@ -340,6 +359,57 @@ def test_d3_leaving_the_weight_zero_subcomplex_is_caught():
     msg = r"d3 leaves the weight-zero subcomplex at triple \(1, 2, 3\)"
     with pytest.raises(AssertionError, match=msg):
         ce_h2(g, torus=[{0: one}])
+
+
+def _acceptance_h2_input(kind, field):
+    """(algebra, weight-zero torus) of the h2-main, psq-central and
+    slnn-identity paths at n = 3 over grassmann(1)."""
+    R = build_builtin("grassmann(1)", parse_field_flag(field))
+    if kind == "block":
+        hom = iso_qQ1_to_glnn(3, R)
+        sl = build_block_lie(hom)
+        return sl, list(block_torus(sl, hom))
+    if kind == "psq":
+        psq = build_psq_lie(3, R)
+        return psq, list(psq_torus(psq))
+    _, sq = build_sq_lie(3, R)
+    return sq, list(sq_torus(sq))
+
+
+def _typed_basis(basis):
+    return [(p, [(t, type(v), v) for t, v in sorted(vec.items())]) for p, vec in basis]
+
+
+@pytest.mark.parametrize("empty_torus", [False, True], ids=["weight-zero", "empty-torus"])
+@pytest.mark.parametrize(
+    "kind,field",
+    [(k, f) for k in ("sq", "psq") for f in ("Q", "Qi", "Fp:3")] + [("block", "Qi")],
+)
+def test_basis_and_stats_match_the_representative_echelon_oracle(kind, field, empty_torus):
+    g, torus = _acceptance_h2_input(kind, field)
+    if empty_torus:
+        torus = []
+    r = ce_h2(g, torus=torus)
+    basis, stats = h2_by_representatives(g, torus)
+    assert _typed_basis(r.basis) == _typed_basis(basis)
+    assert {k: v for k, v in r.stats.items() if k != "timings"} == stats
+    assert r.dims == GradedDim(*stats["h2"])
+
+
+def test_ce_h2_builds_two_echelons_of_its_own(monkeypatch):
+    # the torus span and the image echelon, which ends as the RREF of the
+    # kernel; linalg.kernel's own echelon is made in linalg, not counted
+    made = []
+
+    class Recording(linalg.Echelon):
+        def __init__(self, field):
+            super().__init__(field)
+            made.append(self)
+
+    monkeypatch.setattr(chevalley, "Echelon", Recording)
+    sq, torus = sq3_with_torus("grassmann(1)", "Q")
+    ce_h2(sq, torus=torus)
+    assert len(made) == 2
 
 
 def test_qi_echelon_rows_hold_int_parts_where_integral(monkeypatch):

@@ -507,6 +507,14 @@ def test_iso_qQ1_to_glnn_needs_sqrt_minus_one():
         iso_qQ1_to_glnn(2, BASE)
 
 
+def test_verified_homomorphism_keeps_the_columns_it_is_given():
+    phi = iso_q_to_gl(2, BASE)
+    cols = [dict(c) for c in phi.columns]
+    hom = VerifiedHomomorphism(phi.source, phi.target, cols)
+    assert hom.is_isomorphism
+    assert all(hom.columns[i] is cols[i] for i in range(len(cols)))
+
+
 def test_verified_homomorphism_flags_corrupted_column():
     phi = iso_q_to_gl(2, BASE)
     cols = [dict(c) for c in phi.columns]

@@ -35,6 +35,18 @@ def _random_sparse_rows(rng, nrows, ncols, density=0.4):
     return rows
 
 
+def _assert_free_column_basis(null, rows, dim, field):
+    """kernel's contract: one vector per free column of the RREF of rows,
+    in increasing order, 1 at its own free column and 0 at every other."""
+    reduced, _ = rref(SparseMatrix.from_rows(rows, dim), field)
+    pivots = {min(r) for r in reduced.rows_as_dicts() if r}
+    free = [c for c in range(dim) if c not in pivots]
+    assert len(null) == len(free)
+    for f, vec in zip(free, null):
+        assert vec[f] == field.one
+        assert [c for c in vec if c not in pivots] == [f]
+
+
 def test_graded_dim_arithmetic_and_rendering():
     d = GradedDim(3, 2)
     assert d.swap() == GradedDim(2, 3)
@@ -111,7 +123,10 @@ def test_the_modulus_is_applied_in_every_kernel():
     ech3.insert({0: 1, 1: 3, 2: 1})
     ech3.insert({1: 1, 2: 4})
     assert ech3.rref_rows() == [{0: 1, 2: 4}, {1: 1, 2: 4}]
-    assert list(kernel(rows, space, f5).rows) == [{0: 1, 1: 3}]  # 1 + 3*3 = 10
+    null = kernel(rows, 2, f5)
+    assert null == [{1: 1, 0: 2}]  # 2 + 3*1 = 5
+    _assert_free_column_basis(null, rows, 2, f5)
+    assert list(Subspace.from_vectors(space, null, f5).rows) == [{0: 1, 1: 3}]  # 1 + 3*3 = 10
     line = Subspace.from_vectors(space, rows[:1], f5)
     assert line.coords_of(rows[1]) == {0: 2}
     diff = dict(rows[1])
@@ -122,7 +137,7 @@ def test_the_modulus_is_applied_in_every_kernel():
     # over Q the same rows are independent
     ech = Echelon(QQ)
     assert ech.insert(dict(rows[0])) and ech.insert(dict(rows[1]))
-    assert kernel(rows, space, QQ).dim == 0
+    assert kernel(rows, 2, QQ) == []
     assert Subspace.from_vectors(space, rows[:1], QQ).coords_of(rows[1]) is None
     diff = dict(rows[1])
     vec_add_scaled(diff, rows[0], -2, QQ)
@@ -169,30 +184,41 @@ def test_rank_nullity_on_random_matrices():
         m = SparseMatrix.from_rows(rows, ncols)
         domain = GradedSpace(["x%d" % k for k in range(ncols)], [0] * ncols)
         _, rank = rref(m, QQ) if m.entries else (m, 0)
-        ker = kernel(rows, domain, field=QQ)
+        null = kernel(rows, ncols, field=QQ)
+        _assert_free_column_basis(null, rows, ncols, QQ)
+        ker = Subspace.from_vectors(domain, null, QQ)
         assert ker.dim + rank == ncols
-        for row in ker.rows:
-            assert m.apply(row, QQ) == {}
+        for vec in null + list(ker.rows):
+            assert m.apply(vec, QQ) == {}
 
 
 def test_kernel_of_zero_and_identity_maps():
     space = GradedSpace(["a", "b", "c", "d"], [0, 0, 1, 1])
     zero = SparseMatrix(4, 4, {})
-    assert kernel(zero.rows_as_dicts(), space, field=QQ).graded_dim == GradedDim(2, 2)
+    null = kernel(zero.rows_as_dicts(), 4, field=QQ)
+    assert null == [{c: 1} for c in range(4)]
+    assert Subspace.from_vectors(space, null, QQ).graded_dim == GradedDim(2, 2)
     ident = SparseMatrix(4, 4, {(i, i): F(1) for i in range(4)})
-    assert kernel(ident.rows_as_dicts(), space, field=QQ).dim == 0
+    assert kernel(ident.rows_as_dicts(), 4, field=QQ) == []
 
 
 def test_kernel_of_sum_map_is_the_antidiagonal():
     space = GradedSpace(["x", "y"], [0, 0])
-    ker = kernel([{0: F(1), 1: F(1)}], space, field=QQ)
+    rows = [{0: F(1), 1: F(1)}]
+    null = kernel(rows, 2, field=QQ)
+    assert null == [{1: 1, 0: -1}]
+    _assert_free_column_basis(null, rows, 2, QQ)
+    ker = Subspace.from_vectors(space, null, QQ)
     assert list(ker.rows) == [{0: F(1), 1: F(-1)}]
 
 
 def test_supertrace_kernel_on_two_by_two_blocks():
     # basis E11, E22 (even), E12, E21 (odd); supertrace is a11 - a22
     space = GradedSpace(["E11", "E22", "E12", "E21"], [0, 0, 1, 1])
-    assert kernel([{0: F(1), 1: F(-1)}], space, field=QQ).graded_dim == GradedDim(1, 2)
+    rows = [{0: F(1), 1: F(-1)}]
+    null = kernel(rows, 4, field=QQ)
+    _assert_free_column_basis(null, rows, 4, QQ)
+    assert Subspace.from_vectors(space, null, QQ).graded_dim == GradedDim(1, 2)
 
 
 def test_quotient_additivity_random():
@@ -289,10 +315,13 @@ def test_echelon_insert_keeps_unit_led_int_rows_as_ints():
 def test_kernel_over_q_keeps_int_entries_exact():
     space = GradedSpace(["x", "y"], [0, 0])
     m = SparseMatrix.from_rows([{0: 2, 1: 3}], 2)
-    ker = kernel(m.rows_as_dicts(), space, QQ)
+    null = kernel(m.rows_as_dicts(), 2, QQ)
+    assert null == [{1: 1, 0: Fraction(-3, 2)}]
+    ker = Subspace.from_vectors(space, null, QQ)
     assert list(ker.rows) == [{0: 1, 1: Fraction(-2, 3)}]
-    assert all(type(v) in (int, Fraction) for r in ker.rows for v in r.values())
-    assert m.apply(ker.rows[0], QQ) == {}
+    for rows in (null, ker.rows):
+        assert all(type(v) in (int, Fraction) for r in rows for v in r.values())
+        assert m.apply(rows[0], QQ) == {}
 
 
 def test_rref_accepts_int_and_fraction_entries_together():
