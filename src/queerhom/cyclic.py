@@ -245,7 +245,6 @@ class OddIsoPair:
         self.phi_image_in_hc1 = None
         self.mutually_inverse = None
         self.parity_flip = None
-        self.dims_swap = None
         self.failures = []
 
 
@@ -360,11 +359,5 @@ def build_shift_iso(hc_R: HC1Result, hc_S: HC1Result) -> OddIsoPair:
             ok_par = False
             out.failures.append("phi does not flip parity on basis vector %d" % j)
     out.parity_flip = ok_par
-    out.dims_swap = hc_S.graded_dim == hc_R.graded_dim.swap()
-    if not out.dims_swap:
-        out.failures.append(
-            "graded dimension %s is not the swap of %s"
-            % (hc_S.graded_dim, hc_R.graded_dim)
-        )
     return out
 

@@ -32,16 +32,11 @@ def _monogenic_quotient_dim(field, coeffs) -> int:
         if c:
             fprime[e - 1] = c
     ech = Echelon(field)
-    rank = 0
     for r in range(d):
-        vec = R.mul_coords({r: one}, dict(fprime))
-        if vec and ech.insert(vec):
-            rank += 1
+        ech.insert(R.mul_coords({r: one}, dict(fprime)))
     for i in range(1, d):
-        vec = {i - 1: field.from_int(i)}
-        if ech.insert(vec):
-            rank += 1
-    return d - rank
+        ech.insert({i - 1: field.from_int(i)})
+    return d - ech.rank
 
 
 def kahler_hc1_oracle(tag: str, field) -> GradedDim:
@@ -75,17 +70,14 @@ def kahler_hc1_oracle(tag: str, field) -> GradedDim:
             {(1, y): two},            # d(y^2)   = 2y dy
         ]
         ech = Echelon(field)
-        rank = 0
         for df in rel_diffs:
             for r in range(3):
                 vec = {}
                 for (gidx, coefidx), c in df.items():
                     prod = R.mul_coords({r: one}, {coefidx: c})
                     vec_add_scaled(vec, {gidx * 3 + t: v for t, v in prod.items()}, one, field)
-                if vec and ech.insert(vec):
-                    rank += 1
+                ech.insert(vec)
         for exact in ({0 * 3 + 0: one}, {1 * 3 + 0: one}):  # dx, dy
-            if ech.insert(dict(exact)):
-                rank += 1
-        return GradedDim(6 - rank, 0)
+            ech.insert(exact)
+        return GradedDim(6 - ech.rank, 0)
     raise ValueError("unsupported presentation: %r" % (tag,))

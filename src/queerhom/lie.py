@@ -44,7 +44,6 @@ from .linalg import (
     Subspace,
     in_field,
     bilinear,
-    kernel,
     linear_apply,
     QuotientSpace,
 )
@@ -418,23 +417,22 @@ def is_perfect(g: LieSuperAlgebra) -> bool:
 
 def _trace_rule(R: SuperAlgebra, n: int, index):
     """Vectors spanning {X in gl_n(R) : tr X in [R,R]}, with the entry
-    X_ij = e_r at coordinate index(i, j, r): the off-diagonal units, then a
-    basis of the diagonals diag(b_1..b_n) with sum b_i in [R,R]."""
+    X_ij = e_r at coordinate index(i, j, r): the off-diagonal units, the
+    differences E_ii(e_r) - E_11(e_r) for i >= 2, and E_11(c) for each row c
+    of [R,R].  They are independent, (n-1) dim R + dim [R,R] of them, and
+    every diagonal with trace in [R,R] is E_11 of its trace plus a sum of
+    the differences, so they span the condition exactly."""
     one = R.field.one
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i != j:
                 for r in range(R.dim):
                     yield {index(i, j, r): one}
-    comm_q = QuotientSpace(R.space, commutator_subspace(R))
-    # the trace map on the diagonal entries X_ii = e_r, taken into R/[R,R]
-    diag = [index(i, i, r) for i in range(1, n + 1) for r in range(R.dim)]
-    rows = [{} for _ in range(comm_q.dim)]
-    for d in range(len(diag)):
-        for qrow, v in comm_q.project({d % R.dim: one}).items():
-            rows[qrow][d] = v
-    for vec in kernel(rows, len(diag), R.field):
-        yield {diag[d]: v for d, v in vec.items()}
+    for i in range(2, n + 1):
+        for r in range(R.dim):
+            yield {index(i, i, r): one, index(1, 1, r): -one}
+    for c in commutator_subspace(R).rows:
+        yield {index(1, 1, r): v for r, v in c.items()}
 
 
 def build_sq_by_characterization(n: int, R: SuperAlgebra, q: LieSuperAlgebra) -> Subspace:
@@ -616,12 +614,10 @@ class VerifiedHomomorphism:
                         )
         self.bracket_preserving = ok_br
         ech = Echelon(tgt.field)
-        rank = 0
         for col in self.columns:
-            if col and ech.insert(col):
-                rank += 1
-        self.injective = rank == src.dim
-        self.surjective = rank == tgt.dim
+            ech.insert(col)
+        self.injective = ech.rank == src.dim
+        self.surjective = ech.rank == tgt.dim
         return self
 
     @property

@@ -14,13 +14,14 @@ boundary-rank computations fast without any randomness or parallelism.
 Subspaces are stored as the same canonical rows sorted by pivot column, so
 subspace equality is literal equality of the stored data, and reduction
 modulo a subspace is the same walk over the vector's own support.  A
-Subspace owns the rows it is given; Subspace.from_vectors, the one place
-where an Echelon becomes a Subspace, hands the echelon's rows over, so each
-row is held once.  ``kernel`` returns the plain null-space basis read off
-the RREF, one vector per free column: a span is brought to canonical rows
-only where its canonical basis is an output or is compared (cyclic.hc1
-passes it to Subspace.from_vectors; chevalley.ce_h2 inserts it into its
-image echelon).  ``bilinear`` (tables, products, the gl rule) and
+Subspace is made only by spanning: Subspace.from_vectors streams vectors
+into one Echelon and the Subspace keeps that finished echelon's rows and
+pivot dict, so each row is held once and is canonical by construction,
+with nothing left to re-check.  ``kernel`` returns the plain null-space
+basis read off the RREF, one vector per free column: a span is brought to
+canonical rows only where its canonical basis is an output or is compared
+(cyclic.hc1 passes it to Subspace.from_vectors; chevalley.ce_h2 inserts it
+into its image echelon).  ``bilinear`` (tables, products, the gl rule) and
 ``linear_apply`` (maps given by columns) are the one bilinear extension and
 the one linear apply.
 
@@ -81,7 +82,6 @@ class GradedSpace:
                 raise GradingError("parity must be 0 or 1, got %r" % (p,))
         self.labels = labels
         self.parities = parities
-        self._index = {lab: i for i, lab in enumerate(labels)}
 
     @property
     def dim(self):
@@ -91,9 +91,6 @@ class GradedSpace:
     def graded_dim(self) -> GradedDim:
         odd = sum(self.parities)
         return GradedDim(len(self.parities) - odd, odd)
-
-    def index(self, label: str) -> int:
-        return self._index[label]
 
     def parity_of_vec(self, vec) -> int:
         """Common parity of a vector's support; GradingError if mixed."""
@@ -297,28 +294,16 @@ class Echelon:
 class Subspace:
     """Canonical row space over field inside a graded ambient space."""
 
-    def __init__(self, space: GradedSpace, rows, field):
-        """rows must be canonical RREF, as Echelon.rref_rows returns them:
-        nonzero, sorted by pivot column, monic, and zero at every other
-        pivot.  This is checked in O(nnz); ValueError if it fails.  The
-        row dicts are kept as they are, not copied."""
+    def __init__(self, space: GradedSpace, ech: Echelon):
+        """The span of a finished Echelon, whose rows are canonical RREF by
+        construction.  Its pivot dict is kept, not copied, so nothing may be
+        inserted into ech afterwards; Subspace.from_vectors is its one
+        caller in the package."""
         self.space = space
-        self.field = field
-        self.rows = tuple(rows)
-        if not all(self.rows):
-            raise ValueError("subspace rows must be nonzero")
-        self.pivot_cols = tuple(min(r) for r in self.rows)
-        self._by_pivot = dict(zip(self.pivot_cols, self.rows))
-        prev = -1
-        for idx, (pc, row) in enumerate(zip(self.pivot_cols, self.rows)):
-            lead = row[pc]
-            # in a field, x * x == x only for 0 and 1
-            if pc <= prev or not lead or lead * lead != lead:
-                raise ValueError("subspace rows are not sorted, monic RREF rows")
-            prev = pc
-            for c in row:
-                if c != pc and c in self._by_pivot:
-                    raise ValueError("subspace row %d is nonzero at pivot column %d" % (idx, c))
+        self.field = ech.field
+        self._by_pivot = ech.pivots
+        self.pivot_cols = tuple(sorted(ech.pivots))
+        self.rows = tuple(ech.pivots[c] for c in self.pivot_cols)
 
     @classmethod
     def from_vectors(cls, space: GradedSpace, vectors, field) -> "Subspace":
@@ -328,8 +313,7 @@ class Subspace:
         for v in vectors:
             if v:
                 ech.insert(v)
-        pivots = ech.pivots
-        return cls(space, [pivots[c] for c in sorted(pivots)], field)
+        return cls(space, ech)
 
     @property
     def dim(self):

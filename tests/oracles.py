@@ -10,13 +10,14 @@ vectors (the program has only the rule lie.GlRule), build_q's
 block-realization check against that table, the all-pairs bracket scans of
 VerifiedHomomorphism.verify, induced_lie and quotient_lie, the pair-space
 relations from every triple, the tensor product tables by a scan of every
-index quadruple, and the cyclic side of the psq formula.
+index quadruple, the trace condition tr X in [R,R] as the kernel of a
+trace map, and the cyclic side of the psq formula.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from queerhom.algebras import SuperAlgebra
+from queerhom.algebras import SuperAlgebra, commutator_subspace
 # lam2_dim_formula is imported for the tests that read it from here
 from queerhom.chevalley import CEComplex, lam2_dim_formula, lam3_dim_formula
 from queerhom.cyclic import hc1
@@ -206,6 +207,27 @@ def h2_by_representatives(g: LieSuperAlgebra, torus=()):
     stats["lam3_weight0_dim"] = lam3_weight0_dim
     stats["h2"] = [len(basis) - odd, odd]
     return basis, stats
+
+
+def trace_rule_by_kernel(R: SuperAlgebra, n: int, index):
+    """Vectors spanning {X in gl_n(R) : tr X in [R,R]}, as lie._trace_rule
+    first found them: the off-diagonal units, then the kernel of the trace
+    map from the diagonal entries X_ii = e_r (at coordinate index(i, i, r))
+    into R/[R,R]."""
+    one = R.field.one
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i != j:
+                for r in range(R.dim):
+                    yield {index(i, j, r): one}
+    comm_q = QuotientSpace(R.space, commutator_subspace(R))
+    diag = [index(i, i, r) for i in range(1, n + 1) for r in range(R.dim)]
+    rows = [{} for _ in range(comm_q.dim)]
+    for d in range(len(diag)):
+        for qrow, v in comm_q.project({d % R.dim: one}).items():
+            rows[qrow][d] = v
+    for vec in kernel(rows, len(diag), R.field):
+        yield {diag[d]: v for d, v in vec.items()}
 
 
 # ------------------------------------------------------- queer formulas

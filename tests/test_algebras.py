@@ -44,7 +44,7 @@ FIELDS = ["Q", "Qi", "Fp:3", "Fp:5"]
 
 
 def basis(A, label):
-    return A.basis_vec(A.space.index(label))
+    return A.basis_vec(A.space.labels.index(label))
 
 
 def vec(coords):
@@ -138,7 +138,7 @@ def test_matrix_units_compose():
     assert A.mul_coords(e12, e21) == e11
     assert A.mul_coords(e21, e12) == e22
     assert not A.mul_coords(e12, e12)
-    i12, i21 = A.space.index("E12"), A.space.index("E21")
+    i12, i21 = A.space.labels.index("E12"), A.space.labels.index("E21")
     assert A.supercommutator(i12, i21) == add(e11, e22, -QQ.one)
     assert add(A.mul_coords(e12, e21), A.mul_coords(e21, e12)) == add(e11, e22)
     assert A.unit == add(e11, e22)

@@ -262,6 +262,19 @@ def test_d2_after_d3_is_checked_on_every_column():
         ce_h2(g)
 
 
+def test_the_rescan_names_the_first_failing_triple_in_stream_order():
+    # [w, z] = x and [x, y] = w: w^x^y and w^x^z are streamed first and
+    # d2 kills their columns; d2(d3(w^y^z)) = -[[w,z],y] = -w and
+    # d2(d3(x^y^z)) = [[x,y],z] = x do not vanish
+    one = QQ.one
+    space = GradedSpace(("w", "x", "y", "z"), (0, 0, 0, 0))
+    brackets = {(0, 3): {1: one}, (3, 0): {1: -one}, (1, 2): {0: one}, (2, 1): {0: -one}}
+    g = LieSuperAlgebra(QQ, space, brackets)
+    assert list(CEComplex(g).iter_lam3_weight0()) == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    with pytest.raises(AssertionError, match=r"^d2 o d3 != 0 at triple \(0, 2, 3\)$"):
+        ce_h2(g)
+
+
 # ------------------------------------------------- weight-zero subcomplex
 
 
@@ -410,6 +423,21 @@ def test_ce_h2_builds_two_echelons_of_its_own(monkeypatch):
     sq, torus = sq3_with_torus("grassmann(1)", "Q")
     ce_h2(sq, torus=torus)
     assert len(made) == 2
+
+
+def test_a_passing_ce_h2_applies_d2_only_to_build_its_kernel(monkeypatch):
+    # d2 o d3 = 0 is decided by the rank equation, so no d3 column meets d2
+    calls = []
+    d2_column = CEComplex.d2_column
+
+    def counting(self, k):
+        calls.append(k)
+        return d2_column(self, k)
+
+    monkeypatch.setattr(CEComplex, "d2_column", counting)
+    sq, torus = sq3_with_torus("grassmann(1)", "Q")
+    r = ce_h2(sq, torus=torus)
+    assert sorted(calls) == list(range(r.stats["lam2_weight0_dim"]))
 
 
 def test_qi_echelon_rows_hold_int_parts_where_integral(monkeypatch):

@@ -273,7 +273,6 @@ SHIFT_FLAGS = (
     "phi_image_in_hc1",
     "mutually_inverse",
     "parity_flip",
-    "dims_swap",
 )
 
 
@@ -301,7 +300,6 @@ def test_shift_iso_flags_and_swapped_dims(tag, dim_R):
     assert hc_R.graded_dim == dim_R
     assert hc_S.graded_dim == GradedDim(dim_R.odd, dim_R.even)
     assert iso.parity_flip is True
-    assert iso.dims_swap is True
     assert iso.mutually_inverse is True
 
 
@@ -332,7 +330,7 @@ def test_shift_flags_fail_over_a_tensor_factor_that_is_not_q1(tag):
     R = build_builtin(tag, QQ)
     T = tensor(R, build_builtin("truncated-poly(2)", QQ))
     iso = build_shift_iso(hc1(R), hc1(T))
-    broken = {"psi_kills_relations", "phi_solvable", "mutually_inverse", "parity_flip", "dims_swap"}
+    broken = {"psi_kills_relations", "phi_solvable", "mutually_inverse", "parity_flip"}
     assert {f: getattr(iso, f) for f in SHIFT_FLAGS} == {f: f not in broken for f in SHIFT_FLAGS}
     assert iso.failures
 

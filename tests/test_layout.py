@@ -18,7 +18,7 @@ ALLOWED_UNREFERENCED = {
     "cli.main": "the console-script entry point named in pyproject.toml",
     "cyclic.PairSpace.lam": (
         "the pairing <x, y> that the planned trace map H2(sl_n(S)) -> HC1(S) "
-        "(ROADMAP item 3) evaluates"
+        "(ROADMAP item 1) evaluates"
     ),
 }
 
@@ -27,7 +27,7 @@ ALLOWED_UNREFERENCED = {
 ALLOWED_UNREAD_ATTRIBUTES = {
     "chevalley.H2Result.basis": (
         "the canonical H2 cycle basis: the tests compare it, and the planned "
-        "trace map H2(sl_n(S)) -> HC1(S) (ROADMAP item 3) reads it"
+        "trace map H2(sl_n(S)) -> HC1(S) (ROADMAP item 1) reads it"
     ),
 }
 

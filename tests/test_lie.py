@@ -48,6 +48,7 @@ from oracles import (
     lie_tensor_pair_scan,
     q_formula_brackets_full_scan,
     quotient_lie_full_scan,
+    trace_rule_by_kernel,
     verify_full_scan,
 )
 
@@ -418,6 +419,26 @@ def test_sq_graded_dims(n, R, expect):
 def test_sq_equals_derived_subalgebra(n, R):
     q = build_q(n, R)
     assert build_sq_by_characterization(n, R, q) == derived_subalgebra(q)
+
+
+@pytest.mark.parametrize("flag", ["Q", "Qi", "Fp:3"])
+@pytest.mark.parametrize(
+    "tag", ["base-field", "grassmann(1)", "grassmann(2)", "matrix(2)", "q1", "truncated-poly(2)"]
+)
+def test_sq_and_sl_equal_the_trace_map_kernel(tag, flag):
+    R = build_builtin(tag, parse_field_flag(flag))
+    one = R.field.one
+    for n in range(1, 5):
+        q = build_q(n, R)
+        qi = q.qindex
+        ij = range(1, n + 1)
+        units = [{qi.u(i, j, r): one} for i in ij for j in ij for r in range(R.dim)]
+        by_kernel = units + list(trace_rule_by_kernel(R, n, qi.w))
+        sq = build_sq_by_characterization(n, R, q)
+        assert sq == Subspace.from_vectors(q.space, by_kernel, R.field), n
+        gl = build_gl(n, 0, R)
+        by_kernel = trace_rule_by_kernel(R, n, gl.entry_index)
+        assert build_sl(gl) == Subspace.from_vectors(gl.space, by_kernel, R.field), n
 
 
 def test_sq1_keeps_only_the_u_block():

@@ -35,6 +35,22 @@ def _random_sparse_rows(rng, nrows, ncols, density=0.4):
     return rows
 
 
+def assert_canonical_rref(rows):
+    """rows are canonical RREF, as Echelon.rref_rows returns them and as a
+    Subspace holds them: nonzero, sorted by pivot column, monic, and zero at
+    every other pivot."""
+    rows = list(rows)
+    assert all(rows), "zero row"
+    pivots = [min(r) for r in rows]
+    assert pivots == sorted(set(pivots)), "pivots not strictly increasing"
+    for idx, (pc, row) in enumerate(zip(pivots, rows)):
+        lead = row[pc]
+        # in a field, x * x == x only for 0 and 1
+        assert lead and lead * lead == lead, "row %d is not monic" % idx
+        others = [c for c in row if c != pc and c in pivots]
+        assert not others, "row %d is nonzero at pivot columns %s" % (idx, others)
+
+
 def _assert_free_column_basis(null, rows, dim, field):
     """kernel's contract: one vector per free column of the RREF of rows,
     in increasing order, 1 at its own free column and 0 at every other."""
@@ -454,7 +470,9 @@ def test_support_driven_reduction_matches_full_scans(flag):
         assert rows == want
         # same rows in the same key order, so downstream iteration is unchanged
         assert [list(r) for r in rows] == [list(r) for r in want]
-        sub = Subspace(space, rows, field)
+        assert_canonical_rref(rows)
+        sub = Subspace(space, ech)
+        assert sub.rows == tuple(rows)
         probes = _random_vectors(rng, field, 8, ncols, density)
         probes += [dict(r) for r in rows[:3]]
         for v in probes:
@@ -487,9 +505,14 @@ def test_support_driven_reduction_matches_full_scans(flag):
     ids=["unsorted", "not-monic", "not-reduced", "repeated-pivot", "zero-row"],
 )
 def test_subspace_rejects_rows_that_are_not_canonical_rref(rows):
+    # a Subspace never holds such rows: spanning them gives other rows, and
+    # those are canonical
     space = GradedSpace(["a", "b"], [0, 0])
-    with pytest.raises(ValueError):
-        Subspace(space, rows, QQ)
+    with pytest.raises(AssertionError):
+        assert_canonical_rref(rows)
+    sub = Subspace.from_vectors(space, rows, QQ)
+    assert sub.rows != tuple(rows)
+    assert_canonical_rref(sub.rows)
 
 
 # ------------------------- canonical echelon against the heap forward echelon
@@ -589,7 +612,6 @@ def test_canonical_echelon_matches_the_heap_forward_echelon(flag):
     for trial in range(40):
         ncols = rng.randint(1, 16)
         density = rng.choice([0.1, 0.2, 0.35, 0.6])
-        space = GradedSpace(["e%d" % k for k in range(ncols)], [0] * ncols)
         vecs = [v for v in _random_vectors(rng, field, rng.randint(1, ncols + 4), ncols, density) if v]
         # dependent vectors too, so that some inserts return False
         for _ in range(rng.randint(0, 4)):
@@ -609,7 +631,8 @@ def test_canonical_echelon_matches_the_heap_forward_echelon(flag):
                 assert ech.rank == oracle.rank
                 assert ech.rref_rows() == oracle.rref_rows()
                 # the stored rows are canonical after every single insert
-                assert Subspace(space, ech.rref_rows(), field).dim == ech.rank
+                assert_canonical_rref(ech.rref_rows())
+                assert len(ech.rref_rows()) == ech.rank
                 assert {c: s for c, s in ech._cols.items() if s} == _column_index(ech)
             assert got == want
             assert sorted(ech.pivots) == sorted(oracle.pivots)
@@ -623,7 +646,7 @@ def test_later_inserts_do_not_change_earlier_inputs_or_outputs():
     ech = Echelon(QQ)
     ech.insert(first)
     rows_before = ech.rref_rows()
-    sub_before = Subspace(space, rows_before, QQ)
+    sub_before = Subspace.from_vectors(space, rows_before, QQ)
     # each of these clears a column from the stored row
     ech.insert({1: F(1), 3: F(1)})
     ech.insert({2: F(1)})
@@ -642,7 +665,8 @@ def test_later_inserts_do_not_change_earlier_inputs_or_outputs():
                 continue
             ech.insert(v)
             rows = ech.rref_rows()
-            sub = Subspace(space8, rows, QQ)
+            assert_canonical_rref(rows)
+            sub = Subspace.from_vectors(space8, rows, QQ)
             snapshots.append((v, dict(v)))
             snapshots.append((rows, [dict(r) for r in rows]))
             snapshots.append((sub.rows, tuple(dict(r) for r in sub.rows)))

@@ -37,7 +37,7 @@ def test_shipped_clifford_file_loads_and_validates():
     assert A.name == "q1"
     assert A.space.graded_dim == GradedDim(1, 1)
     assert validate(A).ok
-    nu = A.basis_vec(A.space.index("nu"))
+    nu = A.basis_vec(A.space.labels.index("nu"))
     assert A.mul_coords(nu, nu) == A.unit
 
 

@@ -54,7 +54,7 @@ def test_perfectness_fails_when_the_derived_subalgebra_disagrees(monkeypatch, ca
 
     def one_row_short(g):
         der = derived_subalgebra(g)
-        return Subspace(der.space, der.rows[:-1], der.field)
+        return Subspace.from_vectors(der.space, der.rows[:-1], der.field)
 
     monkeypatch.setattr(lie, "derived_subalgebra", one_row_short)
     code = main(["perfectness", "--algebra", "builtin:grassmann(1)", "--n", "3"])
