@@ -41,7 +41,8 @@ class PairSpace:
 
     Each cyclicity relation is invariant under rotating (a, b, c), so only
     the triples whose first index is smallest are generated; the relation
-    subspace is the one the full d^3 scan spans.  The relations stream into
+    subspace is the one the full d^3 scan spans.  Each product term is
+    added into its relation vector in place.  The relations stream into
     Subspace.from_vectors, each inserted as soon as it is formed, so no list
     of relation vectors is held and the echelon's rows become the relation
     subspace's without a copy.
@@ -60,32 +61,42 @@ class PairSpace:
                 parities.append((par[a] + par[b]) % 2)
         self.space = GradedSpace(labels, parities)
         field = self.field
-        one = field.one
+        one, zero, p = field.one, field.zero, field.characteristic
+
+        def add_pairs(vec, tbl, last, sgn):
+            # vec += sgn * sum_t tbl[t] e_t(x)e_last, in place
+            for t, v in tbl.items():
+                key = t * d + last
+                nv = vec.get(key, zero) + sgn * v
+                if p:
+                    nv %= p
+                if nv:
+                    vec[key] = nv
+                else:
+                    vec.pop(key, None)
 
         def relations():
             for a in range(d):
                 for b in range(a, d):
                     vec = {a * d + b: one}
                     sgn = -one if (par[a] and par[b]) else one
-                    vec_add_scaled(vec, {b * d + a: one}, sgn, field)
+                    add_pairs(vec, {b: one}, a, sgn)
                     if vec:
                         yield vec
+            products = R.products
             for a in range(d):
                 for b in range(a, d):
-                    ab = R.products.get((a, b), {})
+                    ab = products.get((a, b))
                     for c in range(a, d):
                         vec = {}
-                        s1 = -one if (par[a] and par[c]) else one
-                        for t, v in ab.items():
-                            vec_add_scaled(vec, {t * d + c: v}, s1, field)
-                        bc = R.products.get((b, c), {})
-                        s2 = -one if (par[b] and par[a]) else one
-                        for t, v in bc.items():
-                            vec_add_scaled(vec, {t * d + a: v}, s2, field)
-                        ca = R.products.get((c, a), {})
-                        s3 = -one if (par[c] and par[b]) else one
-                        for t, v in ca.items():
-                            vec_add_scaled(vec, {t * d + b: v}, s3, field)
+                        if ab:
+                            add_pairs(vec, ab, c, -one if (par[a] and par[c]) else one)
+                        bc = products.get((b, c))
+                        if bc:
+                            add_pairs(vec, bc, a, -one if (par[b] and par[a]) else one)
+                        ca = products.get((c, a))
+                        if ca:
+                            add_pairs(vec, ca, b, -one if (par[c] and par[b]) else one)
                         if vec:
                             yield vec
 

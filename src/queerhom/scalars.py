@@ -8,7 +8,13 @@ their hashes agree and ``str`` prints both as ``3``.  Only the rows an
 echelon stores are normalized, with :func:`as_int_if_integral` (over Q(i)
 part by part), because every later reduction reads them and ``int``
 arithmetic is the fast path.
-:class:`GaussianRational` holds two such rationals for Q(i).
+
+A value of Q(i) is a rational exactly when it is real: its zero, its one,
+``from_int`` and ``parse`` of a real number are plain rationals, and the
+rationals of Q and of Q(i) are the same objects.  :class:`GaussianRational`
+holds only the values with a nonzero imaginary part; its arithmetic takes a
+rational on either side and gives a rational back whenever the imaginary
+part cancels.  So most Q(i) work is Q work, with no object per value.
 
 An element of F_p is a plain ``int`` in [0, p), owned by its
 :class:`PrimeField`: nothing in the value records p.  Sums and products of
@@ -43,14 +49,14 @@ def inverse(x):
     """Exact 1/x for a nonzero scalar of Q or Q(i); ZeroDivisionError for 0.
 
     Plus and minus 1 stay ints and any other int n becomes Fraction(1, n).
-    A Fraction or GaussianRational uses its own division: x / x is the unit
-    of x's field.  An F_p value is an int, so it is inverted by its field.
+    A Fraction or GaussianRational divides 1 itself.  An F_p value is an
+    int, so it is inverted by its field.
     """
     if type(x) is int:
         if x == 1 or x == -1:
             return x
         return Fraction(1, x)
-    return (x / x) / x
+    return 1 / x
 
 
 def as_int_if_integral(x):
@@ -64,59 +70,100 @@ def as_int_if_integral(x):
     return x
 
 
+def _gaussian(re, im):
+    """re + im*i: the rational re when im is zero, else a GaussianRational."""
+    return GaussianRational(re, im) if im else re
+
+
 class GaussianRational:
-    """a + b*i with exact rational a, b (each an int or a Fraction)."""
+    """a + b*i with exact rational a, b (each an int or a Fraction) and b != 0.
+
+    A real value of Q(i) is a plain rational, so the other operand of every
+    operator is a GaussianRational or a rational, and a result whose
+    imaginary part cancels is returned as its real part.
+    """
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
+    def __init__(self, re, im):
         if type(re) not in _RATIONAL_TYPES or type(im) not in _RATIONAL_TYPES:
             raise TypeError("Q(i) parts must be int or Fraction, got %r and %r" % (re, im))
+        if not im:
+            raise ValueError("a real value of Q(i) is a plain rational, not %r" % (re,))
         self.re = re
         self.im = im
 
     def __add__(self, other):
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        t = type(other)
+        if t is GaussianRational:
+            return _gaussian(self.re + other.re, self.im + other.im)
+        if t is int or t is Fraction:
+            return GaussianRational(self.re + other, self.im)
+        return NotImplemented
+
+    __radd__ = __add__
 
     def __sub__(self, other):
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        t = type(other)
+        if t is GaussianRational:
+            return _gaussian(self.re - other.re, self.im - other.im)
+        if t is int or t is Fraction:
+            return GaussianRational(self.re - other, self.im)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        t = type(other)
+        if t is int or t is Fraction:
+            return GaussianRational(other - self.re, -self.im)
+        return NotImplemented
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
     def __mul__(self, other):
-        # most values met in practice are real; skip the full product then
-        if not self.im and not other.im:
-            return GaussianRational(self.re * other.re, 0)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        t = type(other)
+        if t is GaussianRational:
+            return _gaussian(
+                self.re * other.re - self.im * other.im,
+                self.re * other.im + self.im * other.re,
+            )
+        if t is int or t is Fraction:
+            return _gaussian(self.re * other, self.im * other)
+        return NotImplemented
+
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if not other.re and not other.im:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        if not other.im:
-            s = inverse(other.re)
+        t = type(other)
+        if t is GaussianRational:
+            s = inverse(other.re * other.re + other.im * other.im)
+            return _gaussian(
+                (self.re * other.re + self.im * other.im) * s,
+                (self.im * other.re - self.re * other.im) * s,
+            )
+        if t is int or t is Fraction:
+            s = inverse(other)
             return GaussianRational(self.re * s, self.im * s)
-        s = inverse(other.re * other.re + other.im * other.im)
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) * s,
-            (self.im * other.re - self.re * other.im) * s,
-        )
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        # other / self = other * conj(self) / |self|^2, which is 0 for other 0
+        t = type(other)
+        if t is int or t is Fraction:
+            s = other * inverse(self.re * self.re + self.im * self.im)
+            return _gaussian(self.re * s, -self.im * s)
+        return NotImplemented
 
     def __eq__(self, other):
+        # a rational is real and self is not, so they are never equal
         return (
-            isinstance(other, GaussianRational)
+            type(other) is GaussianRational
             and self.re == other.re
             and self.im == other.im
         )
 
     def __hash__(self):
         return hash((self.re, self.im))
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
 
     def __repr__(self):
         return "GaussianRational(%s, %s)" % (self.re, self.im)
@@ -239,18 +286,21 @@ class RationalField(Field):
 
 
 class GaussianRationalField(Field):
+    """Q(i): its real values are the rationals of Q, the others are
+    GaussianRationals (module docstring)."""
+
     kind = "gaussian-rationals"
 
     def __init__(self):
         self.characteristic = 0
-        self.zero = GaussianRational(0, 0)
-        self.one = GaussianRational(1, 0)
+        self.zero = 0
+        self.one = 1
         self.i = GaussianRational(0, 1)
 
     def parse(self, text):
         text = text.strip()
         if "i" not in text:
-            return GaussianRational(_parse_rational(text), 0)
+            return _parse_rational(text)
         m = _GAUSS_RE.match(text)
         if not m:
             raise ScalarError("not a gaussian rational: %r" % text)
@@ -266,11 +316,11 @@ class GaussianRationalField(Field):
             im_val = -1
         else:
             im_val = _parse_rational(im_part)
-        return GaussianRational(re_val, im_val)
+        return _gaussian(re_val, im_val)
 
     def format(self, x):
-        if not x.im:
-            return str(x.re)
+        if type(x) is not GaussianRational:
+            return str(x)
         if abs(x.im) == 1:
             tail = "i" if x.im > 0 else "-i"
         else:
@@ -282,7 +332,7 @@ class GaussianRationalField(Field):
         return "%s%s" % (x.re, tail)
 
     def from_int(self, n):
-        return GaussianRational(n, 0)
+        return operator.index(n)
 
     def sqrt_minus_one(self):
         return self.i

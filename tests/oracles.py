@@ -11,7 +11,8 @@ block-realization check against that table, the all-pairs bracket scans of
 VerifiedHomomorphism.verify, induced_lie and quotient_lie, the pair-space
 relations from every triple, the tensor product tables by a scan of every
 index quadruple, the trace condition tr X in [R,R] as the kernel of a
-trace map, and the cyclic side of the psq formula.
+trace map, the cyclic side of the psq formula, and Q(i) arithmetic on
+pairs of rationals.
 """
 from __future__ import annotations
 
@@ -93,13 +94,14 @@ class SparseMatrix:
 
 def is_canonical(v, field) -> bool:
     """Whether v is a nonzero value of field in its canonical form: an int in
-    [1, p) over F_p, an int or Fraction over Q, a GaussianRational over Q(i)."""
+    [1, p) over F_p, an int or Fraction over Q, and over Q(i) an int or
+    Fraction or a GaussianRational (whose imaginary part is nonzero)."""
     p = field.characteristic
     if p:
         return type(v) is int and 0 < v < p
-    if field.kind == "rationals":
-        return type(v) in (int, Fraction) and v != 0
-    return type(v) is GaussianRational and bool(v)
+    if type(v) in (int, Fraction):
+        return v != 0
+    return field.kind == "gaussian-rationals" and type(v) is GaussianRational
 
 
 def rref(m: SparseMatrix, field):
@@ -114,6 +116,30 @@ def rref(m: SparseMatrix, field):
             ech.insert(row)
     rows = ech.rref_rows()
     return SparseMatrix.from_rows(rows, m.ncols), ech.rank
+
+
+# ------------------------------------------- Q(i) as pairs of rationals
+
+def qi_pair(v) -> tuple:
+    """A value of Q(i), rational or GaussianRational, as the pair (re, im)
+    of Fractions."""
+    if type(v) is GaussianRational:
+        return Fraction(v.re), Fraction(v.im)
+    return Fraction(v), Fraction(0)
+
+
+def qi_pair_op(op, x, y) -> tuple:
+    """x op y for pairs x = (a, b), y = (c, d) standing for a + bi and
+    c + di, with op one of "+", "-", "*", "/"."""
+    (a, b), (c, d) = x, y
+    if op == "+":
+        return a + c, b + d
+    if op == "-":
+        return a - c, b - d
+    if op == "*":
+        return a * c - b * d, a * d + b * c
+    n = c * c + d * d
+    return (a * c + b * d) / n, (b * c - a * d) / n
 
 
 # ------------------------------------------- the full exterior complex

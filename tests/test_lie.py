@@ -33,7 +33,7 @@ from queerhom.lie import (
     lie_tensor,
     quotient_lie,
 )
-from queerhom.linalg import GradedDim, GradedSpace, Subspace
+from queerhom.linalg import GradedDim, GradedSpace, Subspace, in_field
 from queerhom.scalars import QQ, ScalarError, parse_field_flag
 
 from oracles import (
@@ -606,6 +606,45 @@ HOM_INPUTS = [
 ]
 
 
+def _with_table(alg, brackets):
+    return LieSuperAlgebra(alg.field, alg.space, brackets, name=alg.name)
+
+
+def _mirror_doubled(src):
+    # the source table changed only at (j, i) for its first key (i, j), i < j
+    i, j = next((i, j) for i, j in src.brackets if i < j)
+    table = dict(src.brackets)
+    table[(j, i)] = in_field({t: v + v for t, v in table[(j, i)].items()}, src.field)
+    return _with_table(src, table)
+
+
+def _even_diagonal(src):
+    # an even x with the key (x, x), [e_x, e_x] = e_x
+    x = next(x for x in range(src.dim) if not src.space.parities[x])
+    return _with_table(src, {**src.brackets, (x, x): {x: src.field.one}})
+
+
+def _rule_table(tgt):
+    # the target rule as a LieSuperAlgebra table, keys in the rule's order
+    return _with_table(tgt, {key: tgt.get(key) for key in tgt.keys()})
+
+
+def _asymmetric(table, cols):
+    # the table with one key (s, t) doubled, s in the support of col_j and
+    # t in that of col_i for some i < j, so [col_j, col_i] changes
+    key = next(
+        (s, t)
+        for j in range(len(cols))
+        for i in range(j)
+        for s in cols[j]
+        for t in cols[i]
+        if (s, t) in table.brackets
+    )
+    brackets = dict(table.brackets)
+    brackets[key] = in_field({t: v + v for t, v in brackets[key].items()}, table.field)
+    return _with_table(table, brackets)
+
+
 @pytest.mark.parametrize("builder,field,n,tag", HOM_INPUTS)
 def test_verify_matches_the_all_pairs_scan(monkeypatch, builder, field, n, tag):
     made = _record_homs(monkeypatch)
@@ -620,6 +659,98 @@ def test_verify_matches_the_all_pairs_scan(monkeypatch, builder, field, n, tag):
             bad = VerifiedHomomorphism(src, tgt, cols)
             assert not bad.bracket_preserving
             assert _flags(bad) == verify_full_scan(src, tgt, cols)
+        # a source table that is not super antisymmetric
+        for bad_src in (_mirror_doubled(src), _even_diagonal(src)):
+            assert not bad_src.is_super_antisymmetric()
+            bad = VerifiedHomomorphism(bad_src, tgt, hom.columns)
+            assert not bad.bracket_preserving
+            assert _flags(bad) == verify_full_scan(bad_src, tgt, hom.columns)
+        # the target as a table, intact and then not super antisymmetric
+        table = _rule_table(tgt)
+        assert table.is_super_antisymmetric()
+        good = VerifiedHomomorphism(src, table, hom.columns)
+        assert good.is_isomorphism or not hom.is_isomorphism
+        assert _flags(good) == _flags(hom) == verify_full_scan(src, table, hom.columns)
+        bad_tgt = _asymmetric(table, hom.columns)
+        assert not bad_tgt.is_super_antisymmetric()
+        bad = VerifiedHomomorphism(src, bad_tgt, hom.columns)
+        assert not bad.bracket_preserving
+        assert _flags(bad) == verify_full_scan(src, bad_tgt, hom.columns)
+
+
+def test_a_passing_check_brackets_columns_only_in_order(monkeypatch):
+    # when both sides are super antisymmetric and the map preserves parity,
+    # the target is asked for [col_i, col_j] only with i <= j
+    made = _record_homs(monkeypatch)
+    asked = []
+    bracket_coords = GlRule.bracket_coords
+
+    def recording(self, x, y):
+        asked.append((id(x), id(y)))
+        return bracket_coords(self, x, y)
+
+    monkeypatch.setattr(GlRule, "bracket_coords", recording)
+    build_q(2, build_builtin("grassmann(1)", QQ))
+    (hom,) = made
+    assert hom.bracket_preserving and asked
+    index = {id(c): i for i, c in enumerate(hom.columns)}
+    pairs = [(index[x], index[y]) for x, y in asked]
+    assert all(i <= j for i, j in pairs)
+    assert len(set(pairs)) == len(pairs)
+
+
+def test_super_antisymmetry_is_read_off_the_table():
+    g = build_q(2, G1)
+    par = g.space.parities
+    # odd diagonal keys are allowed: [x, x] of an odd x need not vanish
+    assert any(i == j and par[i] for i, j in g.brackets)
+    assert g.is_super_antisymmetric()
+    # a pair whose mirror carries the sign -1, and a coordinate off its support
+    (i, j), tbl = next(
+        (k, t) for k, t in g.brackets.items() if k[0] < k[1] and not (par[k[0]] and par[k[1]])
+    )
+    mirror = g.brackets[(j, i)]
+    off = next(t for t in range(g.dim) if t not in mirror)
+    even = next(x for x in range(g.dim) if not par[x])
+    bad_tables = [
+        {k: v for k, v in g.brackets.items() if k != (j, i)},  # mirror missing
+        {k: v for k, v in g.brackets.items() if k != (i, j)},  # a key below only
+        {**g.brackets, (j, i): dict(tbl)},  # mirror without its sign
+        {**g.brackets, (j, i): {**mirror, off: QQ.one}},  # mirror with one more entry
+        {**g.brackets, (even, even): {even: QQ.one}},  # an even diagonal key
+    ]
+    for table in bad_tables:
+        assert not _with_table(g, table).is_super_antisymmetric()
+
+
+GL_ANTISYMMETRY_INPUTS = [
+    (m, n, tag, flag)
+    for flag in ("Q", "Qi", "Fp:3")
+    for m, n, tag in [(2, 0, "grassmann(1)"), (1, 1, "grassmann(2)"), (2, 1, "matrix(2)")]
+]
+
+
+@pytest.mark.parametrize("m,n,tag,flag", GL_ANTISYMMETRY_INPUTS)
+def test_gl_rule_is_super_antisymmetric(m, n, tag, flag):
+    # [v, u] = -(-1)^{|u||v|} [u, v] on seeded homogeneous vectors, and the
+    # rule agrees with the independent gl table, which passes its own check
+    R = build_builtin(tag, parse_field_flag(flag))
+    field = R.field
+    rule, gl = GlRule(m, n, R), gl_table(m, n, R)
+    assert rule.is_super_antisymmetric() and gl.is_super_antisymmetric()
+    by_parity = [[x for x in range(rule.dim) if rule.parities[x] == p] for p in (0, 1)]
+    rng = random.Random(20261019)
+    vecs = []
+    for _ in range(24):
+        par = rng.randint(0, 1)
+        supp = rng.sample(by_parity[par], rng.randint(1, 4))
+        vecs.append((par, {t: field.from_int(rng.choice([-2, -1, 1, 3])) for t in supp}))
+    for pu, u in vecs:
+        for pv, v in vecs[:8]:
+            uv, vu = rule.bracket_coords(u, v), rule.bracket_coords(v, u)
+            assert uv == gl.bracket_coords(u, v)
+            sign = 1 if pu and pv else -1
+            assert vu == in_field({t: sign * c for t, c in uv.items()}, field)
 
 
 def _typed_table(brackets):

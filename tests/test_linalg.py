@@ -114,14 +114,16 @@ def test_rref_rejects_mixed_scalar_types():
     # F_p values are plain ints, so rref refuses what is not a canonical
     # value of the field it is given
     f5 = parse_field_flag("Fp:5")
-    for entry in (F(1), F(1, 2), 5, 7, -1, GaussianRational(1, 0)):
+    for entry in (F(1), F(1, 2), 5, 7, -1, GaussianRational(1, 1)):
         with pytest.raises(ValueError):
             rref(SparseMatrix.from_rows([{0: 1}, {1: entry}], 2), f5)
-    for entry in (GaussianRational(1, 0), 0.5):
+    for entry in (GaussianRational(1, 1), 0.5):
         with pytest.raises(ValueError):
             rref(SparseMatrix.from_rows([{0: F(1)}, {1: entry}], 2), QQ)
+    # a real value of Q(i) is a rational, so only what is no value is refused
     with pytest.raises(ValueError):
-        rref(SparseMatrix.from_rows([{0: 1}], 1), QI)
+        rref(SparseMatrix.from_rows([{0: 1}, {1: 0.5}], 2), QI)
+    assert rref(SparseMatrix.from_rows([{0: 1}, {1: QI.i}], 2), QI)[1] == 2
     assert rref(SparseMatrix.from_rows([{0: 4}, {1: 1}], 2), f5)[1] == 2
 
 
@@ -436,7 +438,7 @@ def _full_scan_rref_rows(ech):
 
 def _random_scalar(rng, field):
     if field.kind == "gaussian-rationals":
-        return GaussianRational(rng.randint(-3, 3), rng.choice([0, 0, rng.randint(-2, 2)]))
+        return rng.randint(-3, 3) + rng.choice([0, 0, rng.randint(-2, 2)]) * field.i
     return field.from_int(rng.randint(-4, 4))
 
 

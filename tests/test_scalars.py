@@ -19,6 +19,8 @@ from queerhom.scalars import (
     parse_field_flag,
 )
 
+from oracles import qi_pair, qi_pair_op
+
 
 def test_rational_parse_and_format_round_trip():
     for text in ["0", "1", "-3", "2/3", "-7/5"]:
@@ -48,8 +50,8 @@ def test_gaussian_i_squared_is_minus_one():
 def test_gaussian_division_round_trip():
     rng = random.Random(11)
     for _ in range(50):
-        a = GaussianRational(Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9)))
-        b = GaussianRational(Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9)))
+        a = Fraction(rng.randint(-9, 9)) + Fraction(rng.randint(-9, 9)) * QI.i
+        b = Fraction(rng.randint(-9, 9)) + Fraction(rng.randint(-9, 9)) * QI.i
         if not b:
             continue
         assert (a / b) * b == a
@@ -142,8 +144,10 @@ def test_integral_fraction_and_int_are_interchangeable():
     x, y = Fraction(3, 1), 3
     assert x == y and hash(x) == hash(y) and str(x) == str(y)
     assert QQ.format(x) == QQ.format(y)
-    assert GaussianRational(x, 0) == GaussianRational(y, 0)
-    assert hash(GaussianRational(x, 0)) == hash(GaussianRational(y, 0))
+    assert GaussianRational(x, 1) == GaussianRational(y, 1)
+    assert hash(GaussianRational(x, 1)) == hash(GaussianRational(y, 1))
+    assert GaussianRational(1, x) == GaussianRational(1, y)
+    assert hash(GaussianRational(1, x)) == hash(GaussianRational(1, y))
 
 
 def test_as_int_if_integral_only_turns_integral_fractions_into_ints():
@@ -188,11 +192,33 @@ def test_rational_invert_of_an_int_is_a_fraction():
     assert QQ.invert(QQ.from_int(-1)) == -1
 
 
+def _is_qi_value(v):
+    """A real value exactly an int or a Fraction, any other a GaussianRational
+    with a nonzero imaginary part."""
+    if type(v) is GaussianRational:
+        return v.im != 0
+    return type(v) in (int, Fraction)
+
+
 def test_gaussian_parts_keep_their_type():
+    # a real value of Q(i) is a plain rational, as over Q
+    for v, want in [(QI.zero, 0), (QI.one, 1), (QI.from_int(-7), -7), (QI.parse("3"), 3),
+                    (QI.parse("4/2"), 2), (QI.parse("3+0i"), 3), (QI.i * QI.i, -1)]:
+        assert type(v) is int and v == want
+    assert type(QI.parse("1/2")) is Fraction and QI.parse("1/2") == Fraction(1, 2)
     x = GaussianRational(2, Fraction(1, 3))
     assert type(x.re) is int and type(x.im) is Fraction
-    assert type(QI.one.re) is int and type(QI.parse("3-4i").im) is int
+    assert type(QI.i.im) is int and type(QI.parse("3-4i").im) is int
     assert QI.parse("1/2+3/4i") == GaussianRational(Fraction(1, 2), Fraction(3, 4))
+    # arithmetic drops a zero imaginary part, on either side of a rational
+    z = QI.parse("1/2+i")
+    for v in (z - QI.i, z + (-QI.i), -QI.i + z, z * GaussianRational(1, -2), 2 * QI.i - QI.i * 2):
+        assert _is_qi_value(v) and type(v) is not GaussianRational
+    assert z - QI.i == Fraction(1, 2)
+    assert QI.parse("1+i") * QI.parse("1-i") == 2
+    for im in (0, Fraction(0)):
+        with pytest.raises(ValueError):
+            GaussianRational(3, im)
 
 
 def test_gaussian_parts_must_be_exact():
@@ -204,19 +230,69 @@ def test_gaussian_parts_must_be_exact():
 
 
 def test_gaussian_division_with_int_parts_is_exact():
-    half = GaussianRational(1, 0) / GaussianRational(2, 0)
-    assert half == GaussianRational(Fraction(1, 2), 0)
-    assert type(half.re) is Fraction
-    third = GaussianRational(1, 2) / GaussianRational(3, 0)
+    third = GaussianRational(1, 2) / 3
     assert third == GaussianRational(Fraction(1, 3), Fraction(2, 3))
+    half = GaussianRational(1, 2) / GaussianRational(2, 4)
+    assert half == Fraction(1, 2) and type(half) is Fraction
+    one = GaussianRational(1, 1) / GaussianRational(1, 1)
+    assert one == 1 and type(one) in (int, Fraction)
     q = GaussianRational(1, 1) / GaussianRational(1, -1)
     assert q == GaussianRational(0, 1)
     q = GaussianRational(3, 4) / GaussianRational(0, 2)
     assert q == GaussianRational(2, Fraction(-3, 2))
-    for part in (q.re, q.im):
-        assert type(part) in (int, Fraction)
+    # a rational divided by a GaussianRational
+    assert 2 / GaussianRational(0, 2) == GaussianRational(0, -1)
+    assert Fraction(1, 2) / GaussianRational(1, 1) == GaussianRational(Fraction(1, 4), Fraction(-1, 4))
+    assert 0 / GaussianRational(1, 1) == 0
+    for v in (third, q, 2 / GaussianRational(0, 2)):
+        assert type(v.re) in (int, Fraction) and type(v.im) in (int, Fraction)
     with pytest.raises(ZeroDivisionError):
         GaussianRational(1, 2) / QI.zero
+    with pytest.raises(ZeroDivisionError):
+        GaussianRational(1, 2) / Fraction(0)
+
+
+def _random_qi_pair(rng):
+    """A pair (re, im) of Fractions, im zero in a third of the draws."""
+    def rat():
+        return Fraction(rng.randint(-6, 6), rng.choice([1, 1, 2, 3]))
+    return rat(), (rat() if rng.random() < 2 / 3 else Fraction(0))
+
+
+def _qi_value(pair):
+    """The Q(i) value of a pair, in the field's canonical form."""
+    re, im = (as_int_if_integral(t) for t in pair)
+    return re + im * QI.i
+
+
+def test_qi_arithmetic_matches_pair_arithmetic():
+    # mixed operands (rational with GaussianRational) and the reflected
+    # operators are all met; division is compared where one side is not a
+    # rational, as int / int is a float, and through inverse everywhere
+    rng = random.Random(20261019)
+    values = []
+    for _ in range(400):
+        x, y = _random_qi_pair(rng), _random_qi_pair(rng)
+        a, b = _qi_value(x), _qi_value(y)
+        assert qi_pair(a) == x and qi_pair(b) == y
+        got = {"+": a + b, "-": a - b, "*": a * b, "neg": -a}
+        if y != (0, 0):
+            got["/"] = a * inverse(b)
+            if type(a) is GaussianRational or type(b) is GaussianRational:
+                assert a / b == got["/"]
+        for op, v in got.items():
+            assert _is_qi_value(v), (op, a, b, v)
+            want = qi_pair_op(op, x, y) if op != "neg" else (-x[0], -x[1])
+            assert qi_pair(v) == want, (op, a, b, v)
+        assert (a == b) == (x == y)
+        values.extend(got.values())
+        values.extend((a, b))
+    for v in values:
+        for w in values[:60]:
+            if v == w:
+                assert hash(v) == hash(w)
+    assert any(type(v) is GaussianRational for v in values)
+    assert any(type(v) is not GaussianRational for v in values)
 
 
 def test_mod_p_still_rejects_mixed_primes():
