@@ -41,9 +41,13 @@ class PairSpace:
 
     Each cyclicity relation is invariant under rotating (a, b, c), so only
     the triples whose first index is smallest are generated; the relation
-    subspace is the one the full d^3 scan spans.  Each product term is
-    added into its relation vector in place.  The relations stream into
-    Subspace.from_vectors, each inserted as soon as it is formed, so no list
+    subspace is the one the full d^3 scan spans.  A triple whose three
+    products are zero is not visited: when ab = 0 only the c with bc or ca
+    a product key are.  Each product term is added into its relation vector
+    in place.  A one-term relation {k: c} at a k where an earlier one-term
+    relation already put e_k in the span is skipped: inserting it would
+    change nothing.  The other relations stream into Subspace.from_vectors
+    in the same order, each inserted as soon as it is formed, so no list
     of relation vectors is held and the echelon's rows become the relation
     subspace's without a copy.
     """
@@ -83,24 +87,44 @@ class PairSpace:
                     add_pairs(vec, {b: one}, a, sgn)
                     if vec:
                         yield vec
-            products = R.products
+            # by_left[x][y] = by_right[y][x] = e_x e_y, for each product key
+            by_left = [{} for _ in range(d)]
+            by_right = [{} for _ in range(d)]
+            for (x, y), tbl in R.products.items():
+                by_left[x][y] = by_right[y][x] = tbl
             for a in range(d):
+                a_right = by_right[a]
                 for b in range(a, d):
-                    ab = products.get((a, b))
-                    for c in range(a, d):
+                    ab = by_left[a].get(b)
+                    b_left = by_left[b]
+                    # when ab = 0, only the c with bc or ca nonzero give a term
+                    cs = range(a, d) if ab else sorted(c for c in {*b_left, *a_right} if c >= a)
+                    for c in cs:
+                        bc = b_left.get(c)
+                        ca = a_right.get(c)
                         vec = {}
                         if ab:
                             add_pairs(vec, ab, c, -one if (par[a] and par[c]) else one)
-                        bc = products.get((b, c))
                         if bc:
                             add_pairs(vec, bc, a, -one if (par[b] and par[a]) else one)
-                        ca = products.get((c, a))
                         if ca:
                             add_pairs(vec, ca, b, -one if (par[c] and par[b]) else one)
                         if vec:
                             yield vec
 
-        self.relations = Subspace.from_vectors(self.space, relations(), field)
+        def spanning(vectors):
+            # a one-term relation {k: c} puts e_k in the span, so a later
+            # one at k is redundant: inserting it would change nothing
+            units = set()
+            for vec in vectors:
+                if len(vec) == 1:
+                    (k,) = vec
+                    if k in units:
+                        continue
+                    units.add(k)
+                yield vec
+
+        self.relations = Subspace.from_vectors(self.space, spanning(relations()), field)
         if not self.relations.is_homogeneous():
             raise StructureError("relation subspace of %s mixes parities" % R.name)
         self.quot = QuotientSpace(self.space, self.relations)

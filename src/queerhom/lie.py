@@ -24,20 +24,24 @@ with the derived subalgebra of q_n(R) for n >= 2; that trace condition
 and build_sl's {X : tr X in [S,S]} are one rule, _trace_rule, placed at
 the w-block or at gl's entries.
 
-Every bilinear scan visits only the pairs that can have a nonzero bracket.
-_partners reads them off the keys of a bracket table, or of GlRule.keys:
-[x, y] can be nonzero only if some (s, t) with s in supp x and t in supp y
-is a key.  Skipped pairs have an empty bracket on every side, so results,
-failure lists and the key order of every table are those of the all-pairs
-scan.  lie_tensor takes its table from algebras.koszul_tensor, the one
-Koszul sign rule.
+Every bilinear scan (verify, induced_lie, quotient_lie) brackets a row
+at a time: bracket_row(x, index, first), one method of LieSuperAlgebra and
+GlRule, gives [x, columns[j]] for every j >= first with a nonzero bracket,
+from one join of x's entries with a column_index of the columns' entries
+built once per scan.  A table joins through its keys grouped by their left
+index; GlRule joins E_ij(a) with the column entries E_jl(b) and E_ki(b)
+for the b that R's product keys pair with a.  No pair is evaluated apart
+and no pair with an empty bracket is visited, so results, failure lists
+and the key order of every table are those of the all-pairs scan.  The q
+formula table visits only the partners with j == k or l == i and the b
+with ab or ba a product key.  lie_tensor takes its table from
+algebras.koszul_tensor, the one Koszul sign rule.
 
 The super Jacobi convention used throughout:
 (-1)^{|x||z|}[x,[y,z]] + (-1)^{|y||x|}[y,[z,x]] + (-1)^{|z||y|}[z,[x,y]] = 0.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import chain
 
 from .algebras import SuperAlgebra, build_q1, commutator_subspace, koszul_tensor, tensor
@@ -85,8 +89,32 @@ class LieSuperAlgebra:
     def bracket_coords(self, x: dict, y: dict) -> dict:
         return bilinear(x, y, self.brackets.get, self.field)
 
-    def partners(self, lefts, rights) -> list:
-        return _partners(self.brackets, lefts, rights)
+    def column_index(self, columns):
+        """The index bracket_row joins against: for each left index r of a
+        table key (r, s) whose s some column has, the pairs (hits, [e_r, e_s])
+        with hits the (j, columns[j][s]) in increasing j."""
+        holders = {}
+        for j, col in enumerate(columns):
+            for s, v in col.items():
+                holders.setdefault(s, []).append((j, v))
+        index = {}
+        for (r, s), tbl in self.brackets.items():
+            hits = holders.get(s)
+            if hits:
+                index.setdefault(r, []).append((hits, tbl))
+        return index
+
+    def bracket_row(self, x: dict, index, first=0) -> dict:
+        """{j: [x, columns[j]]} for each j >= first with a nonzero bracket,
+        index = column_index(columns): one join of x's entries with the
+        table keys and the columns' entries, no pair evaluated apart."""
+        row = {}
+        for r, c in x.items():
+            for hits, tbl in index.get(r, ()):
+                for j, v in hits:
+                    if j >= first:
+                        _add_scaled(row, j, tbl, c * v, 0)
+        return _finish_row(row, self.field)
 
     def is_super_antisymmetric(self) -> bool:
         """Whether [e_j, e_i] = -(-1)^{|i||j|} [e_i, e_j] for all i, j,
@@ -122,33 +150,31 @@ class LieSuperAlgebra:
         return "<LieSuperAlgebra %s %s>" % (self.name, self.space.graded_dim)
 
 
-def _partners(keys, lefts, rights) -> list:
-    """For each left support, the sorted indices of the right supports it
-    can bracket nontrivially with: some x in the left and y in the right
-    support with (x, y) in keys.  Supports are iterables of coordinates."""
-    holders = {}
-    for j, supp in enumerate(rights):
-        for y in supp:
-            holders.setdefault(y, []).append(j)
-    reach = {}
-    for x, y in keys:
-        js = holders.get(y)
-        if js:
-            reach.setdefault(x, set()).update(js)
-    out = []
-    for supp in lefts:
-        cand = set()
-        for x in supp:
-            cand.update(reach.get(x, ()))
-        out.append(sorted(cand))
-    return out
+def _add_scaled(row: dict, j, tbl: dict, s, base) -> None:
+    """row[j][base + t] += s * tbl[t], in place; a sum that is zero in Z
+    (or in Q or Q(i)) is dropped, the rest are reduced by _finish_row."""
+    out = row.get(j)
+    if out is None:
+        out = row[j] = {}
+    for t, w in tbl.items():
+        key = base + t
+        cur = out.get(key)
+        if cur is None:
+            out[key] = s * w
+        else:
+            nv = cur + s * w
+            if nv:
+                out[key] = nv
+            else:
+                del out[key]
 
 
-def _product_partners(R: SuperAlgebra) -> list:
-    """For each a, the sorted b with (a, b) or (b, a) a key of R.products."""
-    units = [(a,) for a in range(R.dim)]
-    keys = list(R.products)
-    return _partners(keys + [(b, a) for a, b in keys], units, units)
+def _finish_row(row: dict, field) -> dict:
+    """The row of a bracket_row join with its values reduced into field and
+    its zero brackets dropped."""
+    if field.characteristic:
+        return {j: vec for j, out in row.items() if (vec := in_field(out, field))}
+    return {j: out for j, out in row.items() if out}
 
 
 # ------------------------------------------------------------------ gl and q
@@ -162,8 +188,8 @@ class GlRule:
     with |E_ij(a)| = |i| + |j| + |a| and |i| = 0 for i <= m.  get(key) is
     what a gl table's get would return, and the rule answers where a
     LieSuperAlgebra is read as a target or an ambient algebra (space, field,
-    bracket_coords, partners).  It carries its name, its coordinate algebra
-    coord with its dimension coord_dim, and its size m + n.
+    column_index and bracket_row).  It carries its name, its coordinate
+    algebra coord with its dimension coord_dim, and its size m + n.
     """
 
     def __init__(self, m: int, n: int, R: SuperAlgebra):
@@ -188,18 +214,13 @@ class GlRule:
         self.field = R.field
         self.size = N
         self.coord_dim = dR
-        # b with E_ij(a) meeting E_kl(b) nontrivially: (a, b) a product key
-        # when only j == k, (b, a) when only l == i, either when both with
-        # i != j, and [a, b] != 0 in R when i == j == k == l
+        # right[a]: the (b, ab) with ab = e_a e_b a product key of R;
+        # left[a]: the (b, ba) with ba = e_b e_a one
         self.right = [[] for _ in range(dR)]
         self.left = [[] for _ in range(dR)]
-        for a, b in sorted(R.products):
-            self.right[a].append(b)
-            self.left[b].append(a)
-        self.either = _product_partners(R)
-        self.commuting = [
-            [b for b in bs if R.supercommutator(a, b)] for a, bs in enumerate(self.either)
-        ]
+        for (a, b), tbl in sorted(R.products.items()):
+            self.right[a].append((b, tbl))
+            self.left[b].append((a, tbl))
 
     @property
     def dim(self):
@@ -209,28 +230,45 @@ class GlRule:
         """The index of E_ij(e_r), positions 1-based."""
         return ((i - 1) * self.size + (j - 1)) * self.coord_dim + r
 
-    def keys(self):
-        """The pairs (x, y) with [e_x, e_y] != 0, in ascending order: the
-        keys a gl bracket table would have."""
+    def column_index(self, columns):
+        """The index bracket_row joins against: each entry E_kl(b) = v of
+        columns[j], as (j, l dR, v) under its (matrix row, R coordinate)
+        (k, b) and as (j, k N dR, v, |E_kl(b)|) under its (matrix column,
+        R coordinate) (l, b), in increasing j; a key (k, b) is k dR + b."""
         N, dR = self.size, self.coord_dim
-        for x, (i, j, a) in enumerate(self.entries):
-            for k in range(N):
-                if k != j:
-                    base = (k * N + i) * dR
-                    for b in self.left[a]:
-                        yield x, base + b
-                    continue
-                for l in range(N):
-                    if l != i:
-                        bs = self.right[a]
-                    else:
-                        bs = self.commuting[a] if i == j else self.either[a]
-                    base = (k * N + l) * dR
-                    for b in bs:
-                        yield x, base + b
+        entries, par = self.entries, self.parities
+        by_row, by_col = {}, {}
+        for j, col in enumerate(columns):
+            for y, v in col.items():
+                k, l, b = entries[y]
+                by_row.setdefault(k * dR + b, []).append((j, l * dR, v))
+                by_col.setdefault(l * dR + b, []).append((j, k * N * dR, v, par[y]))
+        return by_row, by_col
 
-    def partners(self, lefts, rights) -> list:
-        return _partners(self.keys(), lefts, rights)
+    def bracket_row(self, x: dict, index, first=0) -> dict:
+        """{j: [x, columns[j]]} for each j >= first with a nonzero bracket,
+        index = column_index(columns).  An entry E_ij(a) of x meets the
+        entries E_jl(b) with b in right[a] (the d_jk term) and E_ki(b) with
+        b in left[a] (the d_li term), so one join replaces every per-pair
+        evaluation of the rule."""
+        by_row, by_col = index
+        N, dR = self.size, self.coord_dim
+        entries, par = self.entries, self.parities
+        row = {}
+        for e, c in x.items():
+            i, j, a = entries[e]
+            odd = par[e]
+            i_row, j_col = i * N * dR, j * dR
+            for b, ab in self.right[a]:
+                for jj, l_col, v in by_row.get(j * dR + b, ()):
+                    if jj >= first:
+                        _add_scaled(row, jj, ab, c * v, i_row + l_col)
+            for b, ba in self.left[a]:
+                for jj, k_row, v, odd_y in by_col.get(i * dR + b, ()):
+                    if jj >= first:
+                        s = c * v
+                        _add_scaled(row, jj, ba, s if odd and odd_y else -s, k_row + j_col)
+        return _finish_row(row, self.field)
 
     def is_super_antisymmetric(self) -> bool:
         """True, by the rule: under (x, y) <-> (y, x) the two terms of get
@@ -304,19 +342,35 @@ class _QIndex:
         return kind, ij // self.n + 1, ij % self.n + 1, r
 
 
-def _q_formula_brackets(n: int, R: SuperAlgebra, qi: _QIndex) -> dict:
+def _q_formula_brackets(n: int, R: SuperAlgebra) -> dict:
     """The closed bracket formulas of q_n(R) as one matrix-unit rule.
 
     [x_ij(a), y_kl(b)] = s1 d_jk z_il(ab) + s2 d_il z_kj(ba) with (z, s1, s2)
     = (u, 1, -e) for [u,u], (w, 1, -e) for [u,w] and (u, f, fe) for [w,w],
     where e = (-1)^{|a||b|} and f = (-1)^{|b|}.  Only partners with j == k
     or l == i, and b with ab or ba a product key, are visited, in full-scan
-    order; [w,u] comes from [u,w].  Each entry is summed in Z, then reduced.
+    order; ab, ba, e and f are looked up once per (a, b), and indices are
+    0-based, u_ij(r) at (i n + j) dR + r and w_ij(r) one block further.
+    [w,u] comes from [u,w].  Each entry is summed in Z, then reduced.
     """
     dR = R.dim
     rpar = R.space.parities
     p = R.field.characteristic
-    r_partners = _product_partners(R)
+    products = R.products
+    block = n * n * dR
+    partners = [set() for _ in range(dR)]
+    for a, b in products:
+        partners[a].add(b)
+        partners[b].add(a)
+    pairs = []
+    for a in range(dR):
+        row = []
+        for b in sorted(partners[a]):
+            e = -1 if (rpar[a] and rpar[b]) else 1
+            f = -1 if rpar[b] else 1
+            kinds = ((0, 0, 0, 1, -e), (0, block, block, 1, -e), (block, block, 0, f, f * e))
+            row.append((b, products.get((a, b), {}), products.get((b, a), {}), kinds))
+        pairs.append(row)
     brackets = {}
 
     def put(tbl, key, val):
@@ -330,35 +384,29 @@ def _q_formula_brackets(n: int, R: SuperAlgebra, qi: _QIndex) -> dict:
             else:
                 del tbl[key]
 
-    u, w = qi.u, qi.w
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
+    for i in range(n):
+        for j in range(n):
             for a in range(dR):
-                for k in range(1, n + 1):
-                    for l in range(1, n + 1) if k == j else (i,):
-                        for b in r_partners[a]:
-                            ab = R.products.get((a, b), {})
-                            ba = R.products.get((b, a), {})
-                            e = -1 if (rpar[a] and rpar[b]) else 1
-                            f = -1 if rpar[b] else 1
-                            for x, y, z, s1, s2 in (
-                                (u, u, u, 1, -e),
-                                (u, w, w, 1, -e),
-                                (w, w, u, f, f * e),
-                            ):
+                x = (i * n + j) * dR + a
+                for k in range(n):
+                    for l in range(n) if k == j else (i,):
+                        y = (k * n + l) * dR
+                        il = (i * n + l) * dR if j == k else None
+                        kj = (k * n + j) * dR if i == l else None
+                        for b, ab, ba, kinds in pairs[a]:
+                            for dx, dy, dz, s1, s2 in kinds:
                                 out = {}
-                                if j == k:
+                                if il is not None:
                                     for t, c in ab.items():
-                                        put(out, z(i, l, t), c if s1 > 0 else -c)
-                                if i == l:
+                                        put(out, dz + il + t, c if s1 > 0 else -c)
+                                if kj is not None:
                                     for t, c in ba.items():
-                                        put(out, z(k, j, t), c if s2 > 0 else -c)
+                                        put(out, dz + kj + t, c if s2 > 0 else -c)
                                 if p:
                                     out = in_field(out, R.field)
                                 if out:
-                                    brackets[(x(i, j, a), y(k, l, b))] = out
+                                    brackets[(dx + x, dy + y + b)] = out
     # [w,u] from the stored [u,w] entries by super antisymmetry
-    block = n * n * dR
     for (x, y), tbl in list(brackets.items()):
         if x < block <= y:
             sgn = -1 if (rpar[x % dR] and not rpar[y % dR]) else 1
@@ -392,7 +440,7 @@ def build_q(n: int, R: SuperAlgebra) -> LieSuperAlgebra:
                     p = rpar[r] if kind == "u" else (rpar[r] + 1) % 2
                     parities.append(p)
     space = GradedSpace(labels, parities)
-    brackets = _q_formula_brackets(n, R, qi)
+    brackets = _q_formula_brackets(n, R)
     g = LieSuperAlgebra(R.field, space, brackets, name="q(%d;%s)" % (n, R.name))
     g.block_n = n
     g.coord = R
@@ -428,8 +476,9 @@ def induced_lie(g: LieSuperAlgebra, sub: Subspace, name="") -> LieSuperAlgebra:
     """Lie structure on a bracket-closed subspace of g, a LieSuperAlgebra
     or a GlRule, in the subspace's canonical basis.
 
-    Only the pairs of basis rows that g.partners finds in g's table keys or
-    rule keys are bracketed; every other pair has an empty bracket.
+    Each basis row is bracketed with all of them in one g.bracket_row,
+    joined against a column_index of the rows; every pair it leaves out
+    has an empty bracket.
     """
     if sub.space != g.space:
         raise ValueError("subspace is not inside the algebra")
@@ -437,13 +486,12 @@ def induced_lie(g: LieSuperAlgebra, sub: Subspace, name="") -> LieSuperAlgebra:
     labels = tuple(g.space.labels[pc] for pc in sub.pivot_cols)
     parities = tuple(g.space.parity_of_vec(r) for r in rows)
     space = GradedSpace(labels, parities)
+    index = g.column_index(rows)
     brackets = {}
-    for a, partners in enumerate(g.partners(rows, rows)):
-        for b in partners:
-            vec = g.bracket_coords(rows[a], rows[b])
-            if not vec:
-                continue
-            coords = sub.coords_of(vec)
+    for a, x in enumerate(rows):
+        row = g.bracket_row(x, index)
+        for b in sorted(row):
+            coords = sub.coords_of(row[b])
             if coords is None:
                 raise StructureError("subspace is not closed under the bracket")
             brackets[(a, b)] = coords
@@ -617,22 +665,23 @@ class VerifiedHomomorphism:
     def verify(self):
         """Recompute the four flags, listing failures in (i, j) order.
 
-        The bracket check visits, for each i, the union of e_i's partners
-        in the source table and col_i's partners among the columns in the
-        target's table or rule.  Outside that union apply([e_i, e_j]) and
-        [col_i, col_j] are both empty, so the check is exact.
+        The bracket check takes, for each i, the target's bracket_row of
+        col_i against the columns, one join built on one column_index, and
+        compares it with apply([e_i, e_j]) for the j of that row and the j
+        with (i, j) a key of the source table.  Outside them apply([e_i,
+        e_j]) and [col_i, col_j] are both empty, so the check is exact.
 
         When the map preserves parity and both sides are super
-        antisymmetric, the pairs (j, i) with j > i are not compared: both
-        of their sides are those of (i, j) times -(-1)^{|i||j|}, so they
+        antisymmetric, the rows start at j = i: both sides of the pairs
+        (j, i) with j > i are those of (i, j) times -(-1)^{|i||j|}, so they
         agree exactly when the pair (i, j) does.  Otherwise, and whenever a
-        compared pair differs, every pair of the union is compared, and
-        that scan lists the failures.
+        compared pair differs, the rows are taken again from j = 0, and that
+        scan of every pair lists the failures.
         """
-        src, tgt = self.source, self.target
+        src, tgt, cols = self.source, self.target, self.columns
         self.failures = []
         ok_par = True
-        for i, col in enumerate(self.columns):
+        for i, col in enumerate(cols):
             if not col:
                 continue
             try:
@@ -648,14 +697,25 @@ class VerifiedHomomorphism:
         src_partners = [[] for _ in range(src.dim)]
         for x, y in src.brackets:
             src_partners[x].append(y)
-        tgt_partners = tgt.partners(self.columns, self.columns)
+        index = tgt.column_index(cols)
+
+        def differing(upper):
+            # each (i, j) with apply([e_i, e_j]) != [col_i, col_j], in (i, j) order
+            for i in range(src.dim):
+                first = i if upper else 0
+                row = tgt.bracket_row(cols[i], index, first)
+                js = set(row)
+                js.update(j for j in src_partners[i] if j >= first)
+                for j in sorted(js):
+                    if self.apply(src.bracket_basis(i, j)) != row.get(j, {}):
+                        yield i, j
+
         passed = False
         if ok_par and src.is_super_antisymmetric() and tgt.is_super_antisymmetric():
-            pairs = self._differing_pairs(src_partners, tgt_partners, upper=True)
-            passed = next(pairs, None) is None
+            passed = next(differing(upper=True), None) is None
         ok_br = True
         if not passed:
-            for i, j in self._differing_pairs(src_partners, tgt_partners, upper=False):
+            for i, j in differing(upper=False):
                 ok_br = False
                 if len(self.failures) < MAX_FAILURES:
                     self.failures.append(
@@ -664,23 +724,11 @@ class VerifiedHomomorphism:
                     )
         self.bracket_preserving = ok_br
         ech = Echelon(tgt.field)
-        for col in self.columns:
+        for col in cols:
             ech.insert(col)
         self.injective = ech.rank == src.dim
         self.surjective = ech.rank == tgt.dim
         return self
-
-    def _differing_pairs(self, src_partners, tgt_partners, upper):
-        """Each (i, j) with apply([e_i, e_j]) != [col_i, col_j], in (i, j)
-        order, for j among src_partners[i] and tgt_partners[i], and j >= i
-        when upper."""
-        src, tgt, cols = self.source, self.target, self.columns
-        for i in range(src.dim):
-            ci = cols[i]
-            js = sorted(set(src_partners[i]).union(tgt_partners[i]))
-            for j in js[bisect_left(js, i):] if upper else js:
-                if self.apply(src.bracket_basis(i, j)) != tgt.bracket_coords(ci, cols[j]):
-                    yield i, j
 
     @property
     def is_isomorphism(self):
@@ -760,25 +808,30 @@ def lie_tensor(g: LieSuperAlgebra, R: SuperAlgebra) -> LieSuperAlgebra:
 def quotient_lie(g: LieSuperAlgebra, ideal: Subspace, name=""):
     """Quotient by a graded ideal; returns the quotient algebra.
 
-    The ideal property [g, ideal] <= ideal is checked exactly first, on the
-    basis vectors e_i with some key (i, y), y in the row's support.  The
+    The ideal property [g, ideal] <= ideal is checked exactly first: the
+    bracket_row of each basis vector e_i against the ideal's rows, and a
+    failure names the i of the first failing (row, i).  The table comes
+    from the bracket_row of each section against all of them.  The
     returned algebra carries .quotient (the QuotientSpace).
     """
     one = g.field.one
-    units = [(i,) for i in range(g.dim)]
-    flipped = ((y, x) for x, y in g.brackets)
-    for row, partners in zip(ideal.rows, _partners(flipped, ideal.rows, units)):
-        for i in partners:
-            out = g.bracket_coords({i: one}, row)
-            if out and not ideal.contains(out):
-                raise StructureError("subspace is not an ideal: fails at basis %d" % i)
+    index = g.column_index(ideal.rows)
+    fails = [
+        (r, i)
+        for i in range(g.dim)
+        for r, out in g.bracket_row({i: one}, index).items()
+        if not ideal.contains(out)
+    ]
+    if fails:
+        raise StructureError("subspace is not an ideal: fails at basis %d" % min(fails)[1])
     quot = QuotientSpace(g.space, ideal)
     sections = [quot.section({a: one}) for a in range(quot.dim)]
+    index = g.column_index(sections)
     brackets = {}
-    for a, partners in enumerate(g.partners(sections, sections)):
-        for b in partners:
-            out = g.bracket_coords(sections[a], sections[b])
-            pr = quot.project(out)
+    for a, x in enumerate(sections):
+        row = g.bracket_row(x, index)
+        for b in sorted(row):
+            pr = quot.project(row[b])
             if pr:
                 brackets[(a, b)] = pr
     out_alg = LieSuperAlgebra(g.field, quot.space, brackets, name=name or "%s/ideal" % g.name)

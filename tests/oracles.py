@@ -400,6 +400,43 @@ def gl_table(m: int, n: int, R: SuperAlgebra) -> LieSuperAlgebra:
     return LieSuperAlgebra(R.field, space, brackets, name="gl(%d|%d;%s)" % (m, n, R.name))
 
 
+def gl_rule_keys(rule):
+    """The pairs (x, y) with [e_x, e_y] != 0 in gl = rule, a lie.GlRule, in
+    ascending order: the keys a gl bracket table would have, enumerated
+    from R's product keys without evaluating a bracket.
+
+    E_ij(a) meets E_kl(b) nontrivially for b with (a, b) a product key when
+    only j == k, (b, a) when only l == i, either when both with i != j, and
+    [a, b] != 0 in R when i == j == k == l.
+    """
+    R, N, dR = rule.coord, rule.size, rule.coord_dim
+    right = [[] for _ in range(dR)]
+    left = [[] for _ in range(dR)]
+    either = [set() for _ in range(dR)]
+    for a, b in sorted(R.products):
+        right[a].append(b)
+        left[b].append(a)
+        either[a].add(b)
+        either[b].add(a)
+    either = [sorted(bs) for bs in either]
+    commuting = [[b for b in bs if R.supercommutator(a, b)] for a, bs in enumerate(either)]
+    for x, (i, j, a) in enumerate(rule.entries):
+        for k in range(N):
+            if k != j:
+                base = (k * N + i) * dR
+                for b in left[a]:
+                    yield x, base + b
+                continue
+            for l in range(N):
+                if l != i:
+                    bs = right[a]
+                else:
+                    bs = commuting[a] if i == j else either[a]
+                base = (k * N + l) * dR
+                for b in bs:
+                    yield x, base + b
+
+
 def block_realization_columns(q: LieSuperAlgebra, entry_index) -> list:
     """The images of q = q_n(R)'s basis in gl_{n|n}(R), with entry_index
     giving the index of E_ij(e_r):

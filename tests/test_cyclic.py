@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from queerhom import cyclic
+from queerhom import cyclic, linalg
 from queerhom.algebras import build_builtin, build_grassmann, build_q1, tensor
 from queerhom.cyclic import (
     PairSpace,
@@ -59,6 +59,58 @@ def test_relation_subspace_equals_the_full_triple_scan(tag, field):
         pair = PairSpace(A)
         want = pair_relations_full_scan(A, pair.space)
         assert _typed(pair.relations.rows) == _typed(want.rows)
+
+
+def _orbit_relations(R):
+    # the relations PairSpace forms, in its order: antisymmetry for a <= b,
+    # then cyclicity for a <= b, a <= c, each nonzero one
+    d, par, one = R.dim, R.space.parities, R.field.one
+    for a in range(d):
+        for b in range(a, d):
+            vec = {a * d + b: one}
+            vec_add_scaled(vec, {b * d + a: one}, -one if (par[a] and par[b]) else one, R.field)
+            if vec:
+                yield vec
+    for a in range(d):
+        for b in range(a, d):
+            for c in range(a, d):
+                vec = cyclic_relation(R, a, b, c)
+                if vec:
+                    yield vec
+
+
+# Echelon.insert calls for PairSpace(grassmann(4)⊗q1); over Q it was 6 519
+# while every nonzero orbit relation went in, spanned one-term ones included
+PAIR_SPACE_INSERTS = {"Q": 4217, "Fp:3": 4216, "Qi": 4217}
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:3", "Qi"])
+def test_pair_space_skips_only_relations_already_spanned(monkeypatch, field):
+    f = parse_field_flag(field)
+    S = tensor(build_grassmann(f, 4), build_q1(f))
+    inserted = []
+    insert = linalg.Echelon.insert
+
+    def recording(self, vec):
+        inserted.append(dict(vec))
+        return insert(self, vec)
+
+    monkeypatch.setattr(linalg.Echelon, "insert", recording)
+    pair = PairSpace(S)
+    assert len(inserted) == PAIR_SPACE_INSERTS[field]
+    # the inserted relations are the orbit relations in order, less the
+    # skipped ones, and each skipped one is a one-term relation in the span
+    skipped = []
+    pos = 0
+    for vec in _orbit_relations(S):
+        if pos < len(inserted) and inserted[pos] == vec:
+            pos += 1
+        else:
+            skipped.append(vec)
+    assert pos == len(inserted)
+    assert skipped
+    for vec in skipped:
+        assert len(vec) == 1 and pair.relations.contains(vec)
 
 
 @pytest.mark.parametrize("field", ["Q", "Fp:3", "Qi"])

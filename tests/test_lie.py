@@ -42,6 +42,7 @@ from oracles import (
     center,
     check_lie,
     gl_entry_index,
+    gl_rule_keys,
     gl_table,
     induced_lie_full_scan,
     lie_from_assoc,
@@ -171,7 +172,7 @@ FORMULA_INPUTS = [
 def test_q_formula_table_equals_the_full_scan_in_key_order(n, tag, field):
     R = build_builtin(tag, parse_field_flag(field))
     qi = lie._QIndex(n, R.dim)
-    got = lie._q_formula_brackets(n, R, qi)
+    got = lie._q_formula_brackets(n, R)
     want = q_formula_brackets_full_scan(n, R, qi)
     assert [(k, list(v.items())) for k, v in got.items()] == [
         (k, list(v.items())) for k, v in want.items()
@@ -196,9 +197,9 @@ def flip_sign(table, qi, field):
 def _corrupt_formula(monkeypatch, mutate):
     formula = lie._q_formula_brackets
 
-    def corrupted(n, R, qi):
-        table = formula(n, R, qi)
-        mutate(table, qi, R.field)
+    def corrupted(n, R):
+        table = formula(n, R)
+        mutate(table, lie._QIndex(n, R.dim), R.field)
         return table
 
     monkeypatch.setattr(lie, "_q_formula_brackets", corrupted)
@@ -295,7 +296,7 @@ def test_gl_brackets_match_the_full_pair_scan(m, n, tag, flag):
     assert isinstance(gl, GlRule)
     want = gl_table(m, n, R)
     assert (gl.name, gl.coord, gl.size) == (want.name, R, m + n)
-    got = {key: gl.get(key) for key in gl.keys()}
+    got = {key: gl.get(key) for key in gl_rule_keys(gl)}
     assert got == want.brackets
     assert list(got) == list(want.brackets)
 
@@ -320,14 +321,16 @@ def test_gl_rule_answers_as_the_gl_table(m, n, tag, flag):
     for x in range(gl.dim):
         for y in range(gl.dim):
             assert rule.get((x, y)) == gl.bracket_basis(x, y)
-    assert list(rule.keys()) == list(gl.brackets)
+    assert list(gl_rule_keys(rule)) == list(gl.brackets)
     rng = random.Random(20261018)
     vecs = []
     for _ in range(16):
         supp = rng.sample(range(gl.dim), rng.randint(1, 3))
         vecs.append({t: R.field.from_int(rng.randint(1, 2)) for t in supp})
-    assert rule.partners(vecs, vecs) == gl.partners(vecs, vecs)
-    assert rule.partners(vecs[:5], vecs[5:]) == gl.partners(vecs[:5], vecs[5:])
+    for cols in (vecs, vecs[5:]):
+        index, table_index = rule.column_index(cols), gl.column_index(cols)
+        for x in vecs[:5]:
+            assert rule.bracket_row(x, index) == gl.bracket_row(x, table_index)
     for u in vecs[:4]:
         for v in vecs:
             assert rule.bracket_coords(u, v) == gl.bracket_coords(u, v)
@@ -340,7 +343,67 @@ def test_gl_rule_partners_of_the_block_realization_columns(n, tag, flag):
     rule, gl = GlRule(n, n, R), gl_table(n, n, R)
     cols = block_realization_columns(build_q(n, R), rule.entry_index)
     assert cols == block_realization_columns(build_q(n, R), gl_entry_index(n, n, R))
-    assert rule.partners(cols, cols) == gl.partners(cols, cols)
+    index, table_index = rule.column_index(cols), gl.column_index(cols)
+    for x in cols:
+        assert rule.bracket_row(x, index) == gl.bracket_row(x, table_index)
+
+
+def _seeded_vectors(field, dim, rng, count):
+    # supports of one to four coordinates of either parity, so some vectors
+    # are inhomogeneous; over Q and Q(i) some values are not integral
+    scalars = [field.from_int(k) for k in (-2, -1, 1, 3)]
+    if not field.characteristic:
+        half = field.invert(field.from_int(2))
+        scalars += [half, -half * field.from_int(3)]
+    i_val = field.sqrt_minus_one()
+    if i_val is not None and not field.characteristic:
+        scalars += [i_val, i_val * half + field.one]
+    return [
+        {t: rng.choice(scalars) for t in rng.sample(range(dim), rng.randint(1, 4))}
+        for _ in range(count)
+    ]
+
+
+BRACKET_ROW_INPUTS = [
+    (m, n, tag, flag)
+    for m, n, tag in [(1, 1, "grassmann(2)"), (2, 1, "matrix(2)"), (2, None, "grassmann(1)"),
+                      (1, None, "matrix(2)")]
+    for flag in ("Q", "Qi", "Fp:3")
+]
+
+
+@pytest.mark.parametrize("m,n,tag,flag", BRACKET_ROW_INPUTS)
+def test_bracket_row_equals_the_per_pair_brackets(m, n, tag, flag):
+    # the one join against a column index gives, for each j >= first, the
+    # bracket the per-pair oracle gives: gl_table's bracket_coords for
+    # GlRule(m, n, R), bracket_coords for the table of q_m(R) (n is None).
+    # Values are compared, not their types: the join adds the same products
+    # in another order, so over Q(i) an integral value can come out a
+    # Fraction where the pair sum gives an int (a GaussianRational drops a
+    # zero imaginary part as it is)
+    field = parse_field_flag(flag)
+    R = build_builtin(tag, field)
+    if n is None:
+        alg = oracle = build_q(m, R)
+    else:
+        alg, oracle = GlRule(m, n, R), gl_table(m, n, R)
+    rng = random.Random(20261019)
+    cols = _seeded_vectors(field, alg.dim, rng, 24)
+    assert any(len({alg.space.parities[t] for t in c}) == 2 for c in cols)
+    index = alg.column_index(cols)
+    nonzero = 0
+    for first in (0, 1, 7, len(cols) - 1):
+        for x in cols[:10] + _seeded_vectors(field, alg.dim, rng, 4):
+            want = {}
+            for j in range(first, len(cols)):
+                vec = oracle.bracket_coords(x, cols[j])
+                if vec:
+                    want[j] = vec
+            got = alg.bracket_row(x, index, first)
+            assert got == want
+            nonzero += len(got)
+    assert nonzero
+    assert alg.bracket_row({}, index) == {}
 
 
 def test_q2_frozen_brackets():
@@ -626,7 +689,7 @@ def _even_diagonal(src):
 
 def _rule_table(tgt):
     # the target rule as a LieSuperAlgebra table, keys in the rule's order
-    return _with_table(tgt, {key: tgt.get(key) for key in tgt.keys()})
+    return _with_table(tgt, {key: tgt.get(key) for key in gl_rule_keys(tgt)})
 
 
 def _asymmetric(table, cols):
@@ -680,22 +743,26 @@ def test_verify_matches_the_all_pairs_scan(monkeypatch, builder, field, n, tag):
 
 def test_a_passing_check_brackets_columns_only_in_order(monkeypatch):
     # when both sides are super antisymmetric and the map preserves parity,
-    # the target is asked for [col_i, col_j] only with i <= j
+    # row i of the target is asked for [col_i, col_j] only with j >= i, and
+    # each pair only once
     made = _record_homs(monkeypatch)
     asked = []
-    bracket_coords = GlRule.bracket_coords
+    bracket_row = GlRule.bracket_row
 
-    def recording(self, x, y):
-        asked.append((id(x), id(y)))
-        return bracket_coords(self, x, y)
+    def recording(self, x, index, first=0):
+        row = bracket_row(self, x, index, first)
+        asked.append((id(x), first, row))
+        return row
 
-    monkeypatch.setattr(GlRule, "bracket_coords", recording)
+    monkeypatch.setattr(GlRule, "bracket_row", recording)
     build_q(2, build_builtin("grassmann(1)", QQ))
     (hom,) = made
     assert hom.bracket_preserving and asked
     index = {id(c): i for i, c in enumerate(hom.columns)}
-    pairs = [(index[x], index[y]) for x, y in asked]
-    assert all(i <= j for i, j in pairs)
+    assert [index[x] for x, _, _ in asked] == list(range(len(hom.columns)))
+    assert all(first == index[x] for x, first, _ in asked)
+    pairs = [(index[x], j) for x, _, row in asked for j in row]
+    assert pairs and all(i <= j for i, j in pairs)
     assert len(set(pairs)) == len(pairs)
 
 
