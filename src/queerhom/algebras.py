@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 
-from .linalg import GradedDim, GradedSpace, Subspace, bilinear, in_field, vec_add_scaled
+from .linalg import GradedDim, GradedSpace, Subspace, in_field, vec_add_scaled
 from .scalars import Field, ScalarError
 
 
@@ -72,7 +72,14 @@ class SuperAlgebra:
         return self.space.dim
 
     def mul_coords(self, x: dict, y: dict) -> dict:
-        return bilinear(x, y, self.products.get, self.field)
+        """sum x_i y_j e_i e_j over field."""
+        out = {}
+        for i, xi in x.items():
+            for j, yj in y.items():
+                tbl = self.products.get((i, j))
+                if tbl:
+                    vec_add_scaled(out, tbl, xi * yj, self.field)
+        return out
 
     def basis_vec(self, i: int) -> dict:
         return {i: self.field.one}

@@ -73,13 +73,15 @@ def torus_weights(g: LieSuperAlgebra, torus) -> list:
     par = g.space.parities
     zero, one = g.field.zero, g.field.one
     weights = [[] for _ in range(g.dim)]
+    units = g.column_index([{b: one} for b in range(g.dim)])
     for t, h in enumerate(torus):
         if any(par[k] for k in h):
             raise StructureError("torus element %d is not even" % t)
+        row = g.bracket_row(h, units)  # {b: [h, e_b]}
         for b in range(g.dim):
-            img = g.bracket_coords(h, {b: one})
-            weights[b].append(img.pop(b, zero))
-            if img:
+            img = row.get(b, {})
+            weights[b].append(img.get(b, zero))
+            if len(img) > (b in img):
                 raise StructureError(
                     "torus element %d does not act diagonally: [h, %s] leaves the line"
                     % (t, g.space.labels[b])

@@ -5,7 +5,8 @@
 
 Exit codes: 0 all checks passed (SKIP rows do not gate), 1 at least one
 check failed, 2 malformed invocation (unknown scenario, bad flags,
-unreadable algebra file).
+unreadable algebra file, --budget for a scenario other than h2-main,
+psq-central and slnn-identity).
 """
 from __future__ import annotations
 
@@ -44,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="DIM",
-        help="cap on the degree-3 chain space dimension; exceeding it SKIPs",
+        help="cap on the degree-3 chain space dimension; exceeding it SKIPs "
+        "(h2-main, psq-central and slnn-identity only; any other scenario exits 2)",
     )
     return p
 

@@ -1,6 +1,10 @@
 """Lie superalgebras from structure constants, and the queer family.
 
-Brackets are sparse tables brackets[(i, j)] = coordinates of [e_i, e_j].
+Brackets are sparse tables brackets[(i, j)] = coordinates of [e_i, e_j]
+that hold each pair once: only keys with i <= j, and i == j only for an odd
+e_i.  [e_j, e_i] = -(-1)^{|i||j|} [e_i, e_j] is read off the key (i, j),
+reduced mod p over F_p, so every table is super antisymmetric by
+construction, and LieSuperAlgebra raises StructureError on any other key.
 The queer Lie superalgebra q_n(R) over a coordinate superalgebra R is built
 from the closed bracket formulas on the generators u_ij(a) (parity |a|) and
 w_ij(a) (parity |a|+1), and checked against its block realization in
@@ -15,27 +19,27 @@ rule evaluated from R's products, which build_gl returns: it is the target
 of that check and of the isomorphisms into gl, and the ambient algebra of
 the traceless block algebra, and no gl bracket table is built.
 VerifiedHomomorphism.verify is the one place that compares a linear map
-with two bracket tables or rules.  Where the map preserves parity and both
-sides are super antisymmetric (is_super_antisymmetric: read off a table's
-keys, true of GlRule by its rule), it compares each unordered pair once;
-otherwise, or where a pair differs, it compares every ordered pair.
-sq_n(R) is characterized as {(A,B) : tr B in [R,R]} and must coincide
-with the derived subalgebra of q_n(R) for n >= 2; that trace condition
-and build_sl's {X : tr X in [S,S]} are one rule, _trace_rule, placed at
-the w-block or at gl's entries.
+with two bracket tables or rules.  Where the map preserves parity it
+compares each unordered pair once; otherwise, or where a pair differs, it
+compares every ordered pair.  sq_n(R) is characterized as {(A,B) : tr B in
+[R,R]} and must coincide with the derived subalgebra of q_n(R) for n >= 2;
+that trace condition and build_sl's {X : tr X in [S,S]} are one rule,
+_trace_rule, placed at the w-block or at gl's entries.
 
 Every bilinear scan (verify, induced_lie, quotient_lie) brackets a row
 at a time: bracket_row(x, index, first), one method of LieSuperAlgebra and
 GlRule, gives [x, columns[j]] for every j >= first with a nonzero bracket,
 from one join of x's entries with a column_index of the columns' entries
-built once per scan.  A table joins through its keys grouped by their left
-index; GlRule joins E_ij(a) with the column entries E_jl(b) and E_ki(b)
-for the b that R's product keys pair with a.  No pair is evaluated apart
-and no pair with an empty bracket is visited, so results, failure lists
-and the key order of every table are those of the all-pairs scan.  The q
-formula table visits only the partners with j == k or l == i and the b
-with ab or ba a product key.  lie_tensor takes its table from
-algebras.koszul_tensor, the one Koszul sign rule.
+built once per scan.  A table joins through each key (r, s) from both of
+its ends, the mirror with its sign; GlRule joins E_ij(a) with the column
+entries E_jl(b) and E_ki(b) for the b that R's product keys pair with a.
+No pair is evaluated apart and no pair with an empty bracket is visited.
+induced_lie and quotient_lie bracket row a only with the rows b >= a, so
+their tables, like the q formula table, are the i <= j half of the
+all-pairs scan's, key order included.  The q formula table visits only the
+partners with j == k or l == i and the b with ab or ba a product key.
+lie_tensor keeps the i <= j keys of algebras.koszul_tensor, the one Koszul
+sign rule.
 
 The super Jacobi convention used throughout:
 (-1)^{|x||z|}[x,[y,z]] + (-1)^{|y||x|}[y,[z,x]] + (-1)^{|z||y|}[z,[x,y]] = 0.
@@ -52,7 +56,6 @@ from .linalg import (
     GradingError,
     Subspace,
     in_field,
-    bilinear,
     linear_apply,
     QuotientSpace,
 )
@@ -64,7 +67,8 @@ class StructureError(ValueError):
 
 
 class LieSuperAlgebra:
-    """A Lie superalgebra given by its bracket table over field.
+    """A Lie superalgebra given by its bracket table over field, each pair
+    once (module docstring): any other key raises StructureError.
 
     The algebra takes ownership of the inner dicts of the table it is given:
     empty values are dropped, the others are kept as they are, not copied,
@@ -78,30 +82,42 @@ class LieSuperAlgebra:
         self.space = space
         self.brackets = {k: v for k, v in brackets.items() if v}
         self.name = name or "lie"
+        par = space.parities
+        for i, j in self.brackets:
+            if i > j or (i == j and not par[i]):
+                raise StructureError("bracket key (%d, %d): need i < j, or i == j odd" % (i, j))
 
     @property
     def dim(self):
         return self.space.dim
 
     def bracket_basis(self, i: int, j: int) -> dict:
-        return self.brackets.get((i, j), {})
-
-    def bracket_coords(self, x: dict, y: dict) -> dict:
-        return bilinear(x, y, self.brackets.get, self.field)
+        if i <= j:
+            return self.brackets.get((i, j), {})
+        tbl = self.brackets.get((j, i), {})
+        if self.space.parities[i] and self.space.parities[j]:
+            return tbl
+        p = self.field.characteristic
+        return {t: -c % p if p else -c for t, c in tbl.items()}
 
     def column_index(self, columns):
-        """The index bracket_row joins against: for each left index r of a
-        table key (r, s) whose s some column has, the pairs (hits, [e_r, e_s])
-        with hits the (j, columns[j][s]) in increasing j."""
+        """The index bracket_row joins against: for each r, one (hits, tbl,
+        sign) per key (r, s) or (s, r) whose s some column has, with [e_r,
+        e_s] = sign tbl and hits the (j, columns[j][s]) in increasing j."""
         holders = {}
         for j, col in enumerate(columns):
             for s, v in col.items():
                 holders.setdefault(s, []).append((j, v))
+        par = self.space.parities
         index = {}
         for (r, s), tbl in self.brackets.items():
             hits = holders.get(s)
             if hits:
-                index.setdefault(r, []).append((hits, tbl))
+                index.setdefault(r, []).append((hits, tbl, 1))
+            if r != s:
+                hits = holders.get(r)
+                if hits:
+                    index.setdefault(s, []).append((hits, tbl, 1 if par[r] and par[s] else -1))
         return index
 
     def bracket_row(self, x: dict, index, first=0) -> dict:
@@ -110,41 +126,11 @@ class LieSuperAlgebra:
         table keys and the columns' entries, no pair evaluated apart."""
         row = {}
         for r, c in x.items():
-            for hits, tbl in index.get(r, ()):
+            for hits, tbl, sign in index.get(r, ()):
                 for j, v in hits:
                     if j >= first:
-                        _add_scaled(row, j, tbl, c * v, 0)
+                        _add_scaled(row, j, tbl, c * v if sign > 0 else -(c * v), 0)
         return _finish_row(row, self.field)
-
-    def is_super_antisymmetric(self) -> bool:
-        """Whether [e_j, e_i] = -(-1)^{|i||j|} [e_i, e_j] for all i, j,
-        read off the table without evaluating a bracket: each key (i, j)
-        with i < j has that mirror (j, i), reduced, no even basis vector
-        has a diagonal key, and as many keys lie below the diagonal as
-        above it, so the mirrors are all of them."""
-        par = self.space.parities
-        p = self.field.characteristic
-        brackets = self.brackets
-        above = below = 0
-        for (i, j), tbl in brackets.items():
-            if i > j:
-                below += 1
-            elif i == j:
-                if not par[i]:
-                    return False
-            else:
-                above += 1
-                mirror = brackets.get((j, i))
-                if mirror is None or len(mirror) != len(tbl):
-                    return False
-                odd = par[i] and par[j]
-                for t, c in tbl.items():
-                    want = c if odd else -c
-                    if p:
-                        want %= p
-                    if mirror.get(t) != want:
-                        return False
-        return above == below
 
     def __repr__(self):
         return "<LieSuperAlgebra %s %s>" % (self.name, self.space.graded_dim)
@@ -185,11 +171,11 @@ class GlRule:
 
         [E_ij(a), E_kl(b)] = d_jk E_il(ab) - (-1)^{|E_ij(a)||E_kl(b)|} d_li E_kj(ba),
 
-    with |E_ij(a)| = |i| + |j| + |a| and |i| = 0 for i <= m.  get(key) is
-    what a gl table's get would return, and the rule answers where a
-    LieSuperAlgebra is read as a target or an ambient algebra (space, field,
-    column_index and bracket_row).  It carries its name, its coordinate
-    algebra coord with its dimension coord_dim, and its size m + n.
+    with |E_ij(a)| = |i| + |j| + |a| and |i| = 0 for i <= m.  The rule
+    answers where a LieSuperAlgebra is read as a target or an ambient
+    algebra (space, field, column_index and bracket_row).  It carries its
+    name, its coordinate algebra coord with its dimension coord_dim, and
+    its size m + n.
     """
 
     def __init__(self, m: int, n: int, R: SuperAlgebra):
@@ -270,50 +256,6 @@ class GlRule:
                         _add_scaled(row, jj, ba, s if odd and odd_y else -s, k_row + j_col)
         return _finish_row(row, self.field)
 
-    def is_super_antisymmetric(self) -> bool:
-        """True, by the rule: under (x, y) <-> (y, x) the two terms of get
-        swap, d_jk E_il(ab) with d_li E_kj(ba), and the sign
-        -(-1)^{|E_ij(a)||E_kl(b)|} moves from one to the other."""
-        return True
-
-    def get(self, key) -> dict:
-        """[e_x, e_y] for key = (x, y), as the get of a gl bracket table
-        would return it, {} when it is zero."""
-        x, y = key
-        i, j, a = self.entries[x]
-        k, l, b = self.entries[y]
-        if j != k and l != i:
-            return {}
-        N, dR = self.size, self.coord_dim
-        products = self.coord.products
-        out = {}
-        if j == k:
-            tbl = products.get((a, b))
-            if tbl:
-                base = (i * N + l) * dR
-                for t, c in tbl.items():
-                    out[base + t] = c  # one product of R, already reduced
-        if l == i:
-            tbl = products.get((b, a))
-            if tbl:
-                odd = self.parities[x] and self.parities[y]
-                zero, p = self.field.zero, self.field.characteristic
-                base = (k * N + j) * dR
-                for t, c in tbl.items():
-                    key = base + t
-                    cur = out.get(key, zero)
-                    nv = cur + c if odd else cur - c
-                    if p:
-                        nv %= p
-                    if nv:
-                        out[key] = nv
-                    else:
-                        del out[key]
-        return out
-
-    def bracket_coords(self, x: dict, y: dict) -> dict:
-        return bilinear(x, y, self.get, self.field)
-
 
 def build_gl(m: int, n: int, R: SuperAlgebra) -> GlRule:
     """gl_{m|n}(R), the one constructor of gl: its matrix-unit rule."""
@@ -349,9 +291,11 @@ def _q_formula_brackets(n: int, R: SuperAlgebra) -> dict:
     = (u, 1, -e) for [u,u], (w, 1, -e) for [u,w] and (u, f, fe) for [w,w],
     where e = (-1)^{|a||b|} and f = (-1)^{|b|}.  Only partners with j == k
     or l == i, and b with ab or ba a product key, are visited, in full-scan
-    order; ab, ba, e and f are looked up once per (a, b), and indices are
-    0-based, u_ij(r) at (i n + j) dR + r and w_ij(r) one block further.
-    [w,u] comes from [u,w].  Each entry is summed in Z, then reduced.
+    order, and only the keys x <= y are kept: every [u,w], and the [u,u] and
+    [w,w] whose (i, j, a) comes no later than (k, l, b).  ab, ba, e and f are
+    looked up once per (a, b), and indices are 0-based, u_ij(r) at
+    (i n + j) dR + r and w_ij(r) one block further.  Each entry is summed in
+    Z, then reduced.
     """
     dR = R.dim
     rpar = R.space.parities
@@ -368,8 +312,9 @@ def _q_formula_brackets(n: int, R: SuperAlgebra) -> dict:
         for b in sorted(partners[a]):
             e = -1 if (rpar[a] and rpar[b]) else 1
             f = -1 if rpar[b] else 1
-            kinds = ((0, 0, 0, 1, -e), (0, block, block, 1, -e), (block, block, 0, f, f * e))
-            row.append((b, products.get((a, b), {}), products.get((b, a), {}), kinds))
+            uw = ((0, block, block, 1, -e),)
+            kinds = ((0, 0, 0, 1, -e), uw[0], (block, block, 0, f, f * e))
+            row.append((b, products.get((a, b), {}), products.get((b, a), {}), kinds, uw))
         pairs.append(row)
     brackets = {}
 
@@ -393,8 +338,8 @@ def _q_formula_brackets(n: int, R: SuperAlgebra) -> dict:
                         y = (k * n + l) * dR
                         il = (i * n + l) * dR if j == k else None
                         kj = (k * n + j) * dR if i == l else None
-                        for b, ab, ba, kinds in pairs[a]:
-                            for dx, dy, dz, s1, s2 in kinds:
+                        for b, ab, ba, kinds, uw in pairs[a]:
+                            for dx, dy, dz, s1, s2 in kinds if x <= y + b else uw:
                                 out = {}
                                 if il is not None:
                                     for t, c in ab.items():
@@ -406,12 +351,6 @@ def _q_formula_brackets(n: int, R: SuperAlgebra) -> dict:
                                     out = in_field(out, R.field)
                                 if out:
                                     brackets[(dx + x, dy + y + b)] = out
-    # [w,u] from the stored [u,w] entries by super antisymmetry
-    for (x, y), tbl in list(brackets.items()):
-        if x < block <= y:
-            sgn = -1 if (rpar[x % dR] and not rpar[y % dR]) else 1
-            flipped = {t: (v if sgn < 0 else -v) for t, v in tbl.items()}
-            brackets[(y, x)] = in_field(flipped, R.field) if p else flipped
     return brackets
 
 
@@ -468,7 +407,7 @@ def build_q(n: int, R: SuperAlgebra) -> LieSuperAlgebra:
 
 def derived_subalgebra(g: LieSuperAlgebra) -> Subspace:
     """Canonical span of all brackets [g, g]."""
-    brackets = (tbl for (i, j), tbl in sorted(g.brackets.items()) if i <= j)
+    brackets = (tbl for _, tbl in sorted(g.brackets.items()))
     return Subspace.from_vectors(g.space, brackets, g.field)
 
 
@@ -476,9 +415,9 @@ def induced_lie(g: LieSuperAlgebra, sub: Subspace, name="") -> LieSuperAlgebra:
     """Lie structure on a bracket-closed subspace of g, a LieSuperAlgebra
     or a GlRule, in the subspace's canonical basis.
 
-    Each basis row is bracketed with all of them in one g.bracket_row,
-    joined against a column_index of the rows; every pair it leaves out
-    has an empty bracket.
+    Each basis row a is bracketed with the rows b >= a in one
+    g.bracket_row, joined against a column_index of the rows; every pair it
+    leaves out has an empty bracket.
     """
     if sub.space != g.space:
         raise ValueError("subspace is not inside the algebra")
@@ -489,7 +428,7 @@ def induced_lie(g: LieSuperAlgebra, sub: Subspace, name="") -> LieSuperAlgebra:
     index = g.column_index(rows)
     brackets = {}
     for a, x in enumerate(rows):
-        row = g.bracket_row(x, index)
+        row = g.bracket_row(x, index, a)
         for b in sorted(row):
             coords = sub.coords_of(row[b])
             if coords is None:
@@ -668,15 +607,17 @@ class VerifiedHomomorphism:
         The bracket check takes, for each i, the target's bracket_row of
         col_i against the columns, one join built on one column_index, and
         compares it with apply([e_i, e_j]) for the j of that row and the j
-        with (i, j) a key of the source table.  Outside them apply([e_i,
-        e_j]) and [col_i, col_j] are both empty, so the check is exact.
+        with (i, j) or (j, i) a key of the source table.  Outside them
+        apply([e_i, e_j]) and [col_i, col_j] are both empty, so the check is
+        exact.
 
-        When the map preserves parity and both sides are super
-        antisymmetric, the rows start at j = i: both sides of the pairs
-        (j, i) with j > i are those of (i, j) times -(-1)^{|i||j|}, so they
-        agree exactly when the pair (i, j) does.  Otherwise, and whenever a
-        compared pair differs, the rows are taken again from j = 0, and that
-        scan of every pair lists the failures.
+        When the map preserves parity, the rows start at j = i: both sides
+        are super antisymmetric (a table by construction, GlRule by its
+        rule), so both sides of the pairs (j, i) with j > i are those of
+        (i, j) times -(-1)^{|i||j|}, and they agree exactly when the pair
+        (i, j) does.  Otherwise, and whenever a compared pair differs, the
+        rows are taken again from j = 0, and that scan of every pair lists
+        the failures.
         """
         src, tgt, cols = self.source, self.target, self.columns
         self.failures = []
@@ -697,6 +638,8 @@ class VerifiedHomomorphism:
         src_partners = [[] for _ in range(src.dim)]
         for x, y in src.brackets:
             src_partners[x].append(y)
+            if x != y:
+                src_partners[y].append(x)
         index = tgt.column_index(cols)
 
         def differing(upper):
@@ -711,7 +654,7 @@ class VerifiedHomomorphism:
                         yield i, j
 
         passed = False
-        if ok_par and src.is_super_antisymmetric() and tgt.is_super_antisymmetric():
+        if ok_par:
             passed = next(differing(upper=True), None) is None
         ok_br = True
         if not passed:
@@ -802,7 +745,8 @@ def lie_tensor(g: LieSuperAlgebra, R: SuperAlgebra) -> LieSuperAlgebra:
     if g.field != R.field:
         raise ValueError("mixed fields")
     space, brackets = koszul_tensor(g.space, g.brackets, R.space, R.products, g.field)
-    return LieSuperAlgebra(g.field, space, brackets, name="%s⊗%s" % (g.name, R.name))
+    upper = {k: v for k, v in brackets.items() if k[0] <= k[1]}
+    return LieSuperAlgebra(g.field, space, upper, name="%s⊗%s" % (g.name, R.name))
 
 
 def quotient_lie(g: LieSuperAlgebra, ideal: Subspace, name=""):
@@ -811,8 +755,8 @@ def quotient_lie(g: LieSuperAlgebra, ideal: Subspace, name=""):
     The ideal property [g, ideal] <= ideal is checked exactly first: the
     bracket_row of each basis vector e_i against the ideal's rows, and a
     failure names the i of the first failing (row, i).  The table comes
-    from the bracket_row of each section against all of them.  The
-    returned algebra carries .quotient (the QuotientSpace).
+    from the bracket_row of each section a against the sections b >= a.
+    The returned algebra carries .quotient (the QuotientSpace).
     """
     one = g.field.one
     index = g.column_index(ideal.rows)
@@ -829,7 +773,7 @@ def quotient_lie(g: LieSuperAlgebra, ideal: Subspace, name=""):
     index = g.column_index(sections)
     brackets = {}
     for a, x in enumerate(sections):
-        row = g.bracket_row(x, index)
+        row = g.bracket_row(x, index, a)
         for b in sorted(row):
             pr = quot.project(row[b])
             if pr:

@@ -21,9 +21,8 @@ with nothing left to re-check.  ``kernel`` returns the plain null-space
 basis read off the RREF, one vector per free column: a span is brought to
 canonical rows only where its canonical basis is an output or is compared
 (cyclic.hc1 passes it to Subspace.from_vectors; chevalley.ce_h2 inserts it
-into its image echelon).  ``bilinear`` (tables, products, the gl rule) and
-``linear_apply`` (maps given by columns) are the one bilinear extension and
-the one linear apply.
+into its image echelon).  ``linear_apply`` (maps given by columns) is the
+one linear apply.
 
 A linear map known only on a spanning set is solved as its graph in one
 Echelon: each input (+) its image is inserted with the image coordinates
@@ -161,20 +160,6 @@ def vec_add_scaled(dst: dict, src: dict, c, field) -> None:
                 dst[k] = nv
             else:
                 del dst[k]
-
-
-def bilinear(x: dict, y: dict, entry, field) -> dict:
-    """sum x_i y_j entry((i, j)) over field: the bilinear extension of a rule
-    on basis pairs.  entry maps a pair of basis indices to the coordinates
-    of its product, or to None or {} when that is zero: the get of a table
-    keyed by pairs, or a rule evaluated on the spot."""
-    out = {}
-    for i, xi in x.items():
-        for j, yj in y.items():
-            tbl = entry((i, j))
-            if tbl:
-                vec_add_scaled(out, tbl, xi * yj, field)
-    return out
 
 
 def linear_apply(columns, vec: dict, field) -> dict:

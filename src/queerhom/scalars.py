@@ -13,8 +13,9 @@ A value of Q(i) is a rational exactly when it is real: its zero, its one,
 ``from_int`` and ``parse`` of a real number are plain rationals, and the
 rationals of Q and of Q(i) are the same objects.  :class:`GaussianRational`
 holds only the values with a nonzero imaginary part; its arithmetic takes a
-rational on either side and gives a rational back whenever the imaginary
-part cancels.  So most Q(i) work is Q work, with no object per value.
+rational on either side and gives a rational back, an integral one as an
+``int``, whenever the imaginary part cancels.  So most Q(i) work is Q work,
+with no object per value.
 
 An element of F_p is a plain ``int`` in [0, p), owned by its
 :class:`PrimeField`: nothing in the value records p.  Sums and products of
@@ -71,8 +72,9 @@ def as_int_if_integral(x):
 
 
 def _gaussian(re, im):
-    """re + im*i: the rational re when im is zero, else a GaussianRational."""
-    return GaussianRational(re, im) if im else re
+    """re + im*i: the rational re when im is zero, an integral one as its
+    int, else a GaussianRational."""
+    return GaussianRational(re, im) if im else as_int_if_integral(re)
 
 
 class GaussianRational:
@@ -80,7 +82,8 @@ class GaussianRational:
 
     A real value of Q(i) is a plain rational, so the other operand of every
     operator is a GaussianRational or a rational, and a result whose
-    imaginary part cancels is returned as its real part.
+    imaginary part cancels is returned as its real part, an integral one
+    as an int.
     """
 
     __slots__ = ("re", "im")

@@ -3,7 +3,8 @@
 Each scenario builds its inputs, runs one bundle of exact checks and
 returns a Report.  Field or shape preconditions that are not met yield
 SKIP rows with an explanatory note (the run still succeeds); genuinely
-malformed invocations raise UsageError, which the CLI maps to exit 2.
+malformed invocations, a budget for a scenario not in BUDGETED among them,
+raise UsageError, which the CLI maps to exit 2.
 
 The three homology scenarios (h2-main, psq-central, slnn-identity) compute
 both sides of one identity with independent machinery (Chevalley-Eilenberg
@@ -90,8 +91,6 @@ def _inputs(opts: ScenarioOptions, R: SuperAlgebra, with_n=True):
     out = {"algebra": R.name, "field": R.field.name}
     if with_n:
         out["n"] = opts.n
-    if opts.budget is not None:
-        out["budget"] = opts.budget
     return out
 
 
@@ -462,10 +461,17 @@ SCENARIOS = {
 }
 
 
+BUDGETED = ("h2-main", "psq-central", "slnn-identity")  # the users of _h2_side
+
+
 def run_scenario(name: str, opts: ScenarioOptions) -> Report:
     fn = SCENARIOS.get(name)
     if fn is None:
         raise UsageError(
             "unknown scenario %r (known: %s)" % (name, ", ".join(sorted(SCENARIOS)))
+        )
+    if opts.budget is not None and name not in BUDGETED:
+        raise UsageError(
+            "scenario %s takes no --budget (only %s do)" % (name, ", ".join(BUDGETED))
         )
     return fn(opts)

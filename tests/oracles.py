@@ -6,13 +6,21 @@ Chevalley-Eilenberg matrices, a standalone sparse-matrix rref, the Lie
 axioms on basis tuples, the center by a kernel, the supercommutator
 algebra of an associative algebra, the q_n(R) formula table by a full
 index scan, the gl_{m|n}(R) bracket table by a scan of every pair of basis
-vectors (the program has only the rule lie.GlRule), build_q's
-block-realization check against that table, the all-pairs bracket scans of
-VerifiedHomomorphism.verify, induced_lie and quotient_lie, the pair-space
-relations from every triple, the tensor product tables by a scan of every
-index quadruple, the trace condition tr X in [R,R] as the kernel of a
-trace map, the cyclic side of the psq formula, and Q(i) arithmetic on
-pairs of rationals.
+vectors (the program has only the rule lie.GlRule), the rule evaluated on
+one pair (gl_rule_get) and the bilinear extension of a table or a rule
+(bracket_coords), build_q's block-realization check against that table,
+the all-pairs bracket scans of VerifiedHomomorphism.verify, induced_lie
+and quotient_lie, the pair-space relations from every triple, the tensor
+product tables by a scan of every index quadruple, the trace condition
+tr X in [R,R] as the kernel of a trace map, the cyclic side of the psq
+formula, and Q(i) arithmetic on pairs of rationals.
+
+A LieSuperAlgebra table holds each pair once, the keys (i, j) with i <= j.
+Every oracle above that builds a bracket table builds all of it, both
+halves, and hands it through upper_half, which asserts that the lower half
+is the exact signed mirror of the upper one before it returns the upper:
+so the oracles still check super antisymmetry, which the program's tables
+have by construction.
 """
 from __future__ import annotations
 
@@ -24,6 +32,7 @@ from queerhom.chevalley import CEComplex, lam2_dim_formula, lam3_dim_formula
 from queerhom.cyclic import hc1
 from queerhom.lie import (
     MAX_FAILURES,
+    GlRule,
     LieSuperAlgebra,
     StructureError,
     VerifiedHomomorphism,
@@ -256,10 +265,90 @@ def trace_rule_by_kernel(R: SuperAlgebra, n: int, index):
         yield {diag[d]: v for d, v in vec.items()}
 
 
+# ------------------------------------------------------- bracket tables
+
+def upper_half(brackets: dict, parities, field) -> dict:
+    """The keys i <= j of a full bracket table, in its order, once the
+    table is asserted super antisymmetric: each key (i, j) with i < j has
+    the mirror (j, i) = -(-1)^{|i||j|} (i, j) reduced into field, there is
+    no other key below the diagonal, and no even basis vector has a
+    diagonal key.  The half a LieSuperAlgebra holds."""
+    upper = {}
+    below = 0
+    for (i, j), tbl in brackets.items():
+        if not tbl:
+            continue
+        if i > j:
+            below += 1
+            continue
+        assert i < j or parities[i], "even diagonal key %r" % ((i, j),)
+        if i < j:
+            sign = 1 if parities[i] and parities[j] else -1
+            mirror = in_field({t: sign * c for t, c in tbl.items()}, field)
+            assert brackets.get((j, i)) == mirror, "no signed mirror of %r" % ((i, j),)
+        upper[(i, j)] = tbl
+    assert below == sum(i < j for i, j in upper), "a key below the diagonal has no mirror"
+    return upper
+
+
+def gl_rule_get(rule: GlRule, key) -> dict:
+    """[e_x, e_y] for key = (x, y) in gl = rule, evaluated from the
+    matrix-unit rule on this one pair, {} when it is zero."""
+    x, y = key
+    i, j, a = rule.entries[x]
+    k, l, b = rule.entries[y]
+    if j != k and l != i:
+        return {}
+    N, dR = rule.size, rule.coord_dim
+    products = rule.coord.products
+    out = {}
+    if j == k:
+        tbl = products.get((a, b))
+        if tbl:
+            base = (i * N + l) * dR
+            for t, c in tbl.items():
+                out[base + t] = c  # one product of R, already reduced
+    if l == i:
+        tbl = products.get((b, a))
+        if tbl:
+            odd = rule.parities[x] and rule.parities[y]
+            zero, p = rule.field.zero, rule.field.characteristic
+            base = (k * N + j) * dR
+            for t, c in tbl.items():
+                key = base + t
+                cur = out.get(key, zero)
+                nv = cur + c if odd else cur - c
+                if p:
+                    nv %= p
+                if nv:
+                    out[key] = nv
+                else:
+                    del out[key]
+    return out
+
+
+def bracket_coords(alg, x: dict, y: dict) -> dict:
+    """[x, y] in alg, a LieSuperAlgebra or a GlRule, as the sum of
+    x_i y_j [e_i, e_j] over every pair of their entries."""
+    if type(alg) is GlRule:
+        def entry(i, j):
+            return gl_rule_get(alg, (i, j))
+    else:
+        entry = alg.bracket_basis
+    out = {}
+    for i, xi in x.items():
+        for j, yj in y.items():
+            tbl = entry(i, j)
+            if tbl:
+                vec_add_scaled(out, tbl, xi * yj, alg.field)
+    return out
+
+
 # ------------------------------------------------------- queer formulas
 
 def q_formula_brackets_full_scan(n: int, R: SuperAlgebra, qi) -> dict:
-    """The q_n(R) formula table by a scan of every (i, j, a, k, l, b).
+    """The q_n(R) formula table by a scan of every (i, j, a, k, l, b), both
+    halves, [w,u] from [u,w], handed through upper_half.
 
     Reference for lie._q_formula_brackets, which must give the same table,
     key order included.
@@ -340,7 +429,9 @@ def q_formula_brackets_full_scan(n: int, R: SuperAlgebra, qi) -> dict:
                                 {t: (v if sgn < 0 else -v) for t, v in tbl.items()}, R.field
                             )
                             brackets[(qi.w(k, l, b), qi.u(i, j, a))] = flipped
-    return brackets
+    block = n * n * dR
+    parities = [(rpar[t % dR] + (t >= block)) % 2 for t in range(2 * block)]
+    return upper_half(brackets, parities, R.field)
 
 
 def gl_entry_index(m: int, n: int, R: SuperAlgebra):
@@ -356,7 +447,8 @@ def gl_table(m: int, n: int, R: SuperAlgebra) -> LieSuperAlgebra:
 
         [E_ij(a), E_kl(b)] = d_jk E_il(ab) - (-1)^{|E_ij(a)||E_kl(b)|} d_li E_kj(ba)
 
-    Basis labels and order are GlRule's, and so is the key order.
+    Basis labels and order are GlRule's, and so is the key order.  The
+    table is handed through upper_half.
     """
     N = m + n
     dR = R.dim
@@ -397,7 +489,8 @@ def gl_table(m: int, n: int, R: SuperAlgebra) -> LieSuperAlgebra:
                             if out:
                                 brackets[(idx(i, j, a), idx(k, l, b))] = out
     space = GradedSpace(labels, parities)
-    return LieSuperAlgebra(R.field, space, brackets, name="gl(%d|%d;%s)" % (m, n, R.name))
+    upper = upper_half(brackets, parities, R.field)
+    return LieSuperAlgebra(R.field, space, upper, name="gl(%d|%d;%s)" % (m, n, R.name))
 
 
 def gl_rule_keys(rule):
@@ -496,7 +589,7 @@ def verify_full_scan(source, target, columns) -> dict:
     for i in range(source.dim):
         for j in range(source.dim):
             lhs = apply(source.bracket_basis(i, j))
-            rhs = target.bracket_coords(columns[i], columns[j])
+            rhs = bracket_coords(target, columns[i], columns[j])
             if lhs != rhs:
                 ok_br = False
                 if len(failures) < MAX_FAILURES:
@@ -517,28 +610,31 @@ def verify_full_scan(source, target, columns) -> dict:
     }
 
 
-def induced_lie_full_scan(g: LieSuperAlgebra, sub: Subspace) -> dict:
-    """induced_lie's bracket table from every pair of basis rows."""
+def induced_lie_full_scan(g, sub: Subspace) -> dict:
+    """induced_lie's bracket table from every pair of basis rows, handed
+    through upper_half."""
     rows = sub.rows
     brackets = {}
     for a in range(len(rows)):
         for b in range(len(rows)):
-            vec = g.bracket_coords(rows[a], rows[b])
+            vec = bracket_coords(g, rows[a], rows[b])
             if not vec:
                 continue
             coords = sub.coords_of(vec)
             if coords is None:
                 raise StructureError("subspace is not closed under the bracket")
             brackets[(a, b)] = coords
-    return brackets
+    parities = [g.space.parity_of_vec(r) for r in rows]
+    return upper_half(brackets, parities, g.field)
 
 
 def quotient_lie_full_scan(g: LieSuperAlgebra, ideal: Subspace) -> dict:
     """quotient_lie's ideal check on every basis vector and its bracket
-    table from every pair of quotient basis vectors."""
+    table from every pair of quotient basis vectors, handed through
+    upper_half."""
     for row in ideal.rows:
         for i in range(g.dim):
-            out = g.bracket_coords({i: g.field.one}, dict(row))
+            out = bracket_coords(g, {i: g.field.one}, dict(row))
             if out and not ideal.contains(out):
                 raise StructureError("subspace is not an ideal: fails at basis %d" % i)
     quot = QuotientSpace(g.space, ideal)
@@ -547,10 +643,10 @@ def quotient_lie_full_scan(g: LieSuperAlgebra, ideal: Subspace) -> dict:
         va = quot.section({a: g.field.one})
         for b in range(quot.dim):
             vb = quot.section({b: g.field.one})
-            pr = quot.project(g.bracket_coords(va, vb))
+            pr = quot.project(bracket_coords(g, va, vb))
             if pr:
                 brackets[(a, b)] = pr
-    return brackets
+    return upper_half(brackets, quot.space.parities, g.field)
 
 
 # ------------------------------------------------------- pair relations
@@ -596,9 +692,11 @@ def pair_relations_full_scan(R: SuperAlgebra, space) -> Subspace:
 def check_lie(g: LieSuperAlgebra, max_failures=20):
     """Exact grading, super antisymmetry and super Jacobi on basis tuples.
 
-    Jacobi is evaluated on sorted triples only: given antisymmetry, the
-    Jacobi expression for a permuted triple differs by an overall sign.
-    Raises StructureError listing the first failures.
+    Super antisymmetry is checked on the table's keys (only i <= j, and
+    i == j only odd) and on every pair as bracket_basis reads it.  Jacobi
+    is evaluated on sorted triples only: given antisymmetry, the Jacobi
+    expression for a permuted triple differs by an overall sign.  Raises
+    StructureError listing the first failures.
     """
     par = g.space.parities
     n = g.dim
@@ -612,6 +710,8 @@ def check_lie(g: LieSuperAlgebra, max_failures=20):
         for k, v in tbl.items():
             if v and par[k] != want:
                 failures.append("grading: [e%d,e%d] has parity-%d component e%d" % (i, j, par[k], k))
+        if i > j:
+            failures.append("antisymmetry: key (e%d,e%d) below the diagonal" % (i, j))
     for i in range(n):
         for j in range(i, n):
             bij = g.bracket_basis(i, j)
@@ -631,21 +731,21 @@ def check_lie(g: LieSuperAlgebra, max_failures=20):
                 if bjk:
                     s1 = sgn(par[i] * par[k])
                     for t, v in bjk.items():
-                        tb = g.brackets.get((i, t))
+                        tb = g.bracket_basis(i, t)
                         if tb:
                             vec_add_scaled(acc, tb, v if s1 > 0 else -v, g.field)
                 bki = g.bracket_basis(k, i)
                 if bki:
                     s2 = sgn(par[j] * par[i])
                     for t, v in bki.items():
-                        tb = g.brackets.get((j, t))
+                        tb = g.bracket_basis(j, t)
                         if tb:
                             vec_add_scaled(acc, tb, v if s2 > 0 else -v, g.field)
                 bij = g.bracket_basis(i, j)
                 if bij:
                     s3 = sgn(par[k] * par[j])
                     for t, v in bij.items():
-                        tb = g.brackets.get((k, t))
+                        tb = g.bracket_basis(k, t)
                         if tb:
                             vec_add_scaled(acc, tb, v if s3 > 0 else -v, g.field)
                 if acc:
@@ -672,7 +772,8 @@ def lie_from_assoc(A: SuperAlgebra) -> LieSuperAlgebra:
             vec_add_scaled(out, yx, A.field.from_int(-sign), A.field)
             if out:
                 brackets[(i, j)] = out
-    return LieSuperAlgebra(A.field, A.space, brackets, name="Lie(%s)" % A.name)
+    upper = upper_half(brackets, par, A.field)
+    return LieSuperAlgebra(A.field, A.space, upper, name="Lie(%s)" % A.name)
 
 
 def center(g: LieSuperAlgebra) -> Subspace:
@@ -742,11 +843,14 @@ def tensor_quadruple_scan(A: SuperAlgebra, B: SuperAlgebra) -> SuperAlgebra:
 
 def lie_tensor_pair_scan(g: LieSuperAlgebra, R: SuperAlgebra) -> dict:
     """Bracket table of g(x)R, [x(x)a, y(x)b] = (-1)^{|a||y|}[x,y](x)ab,
-    every coordinate pair (a, b) visited for each key of g's table and
-    products accumulated into their target keys."""
+    every coordinate pair (a, b) visited for each key of g's table and for
+    its mirror, products accumulated into their target keys, and the table
+    handed through upper_half."""
     dR = R.dim
     brackets = {}
-    for (i, j), tbl in g.brackets.items():
+    mirrored = (((i, j), (j, i)) if i != j else ((i, j),) for i, j in g.brackets)
+    full = ((k, g.bracket_basis(*k)) for keys in mirrored for k in keys)
+    for (i, j), tbl in full:
         for a in range(dR):
             for b in range(dR):
                 ab = R.products.get((a, b))
@@ -772,7 +876,9 @@ def lie_tensor_pair_scan(g: LieSuperAlgebra, R: SuperAlgebra) -> dict:
                 out = in_field(out, g.field)
                 if out:
                     brackets[(i * dR + a, j * dR + b)] = out
-    return brackets
+    gpar, rpar = g.space.parities, R.space.parities
+    parities = [(gpar[t // dR] + rpar[t % dR]) % 2 for t in range(g.dim * dR)]
+    return upper_half(brackets, parities, g.field)
 
 
 # ------------------------------------------------------- cyclic side

@@ -37,6 +37,7 @@ from oracles import (
     iter_lam3,
     lam2_dim_formula,
     lam2_pairs,
+    upper_half,
 )
 
 BASE = build_builtin("base-field", QQ)
@@ -46,6 +47,11 @@ G1 = build_grassmann(QQ, 1)
 def sq_algebra(n, R):
     q = build_q(n, R)
     return induced_lie(q, build_sq_by_characterization(n, R, q), name="sq%d" % n)
+
+
+def hand_written(space, brackets):
+    """The algebra of a bracket table written out in full, both halves."""
+    return LieSuperAlgebra(QQ, space, upper_half(brackets, space.parities, QQ))
 
 
 def abelian(even, odd):
@@ -130,7 +136,7 @@ def test_d3_column_on_three_even_generators():
     labels = ("x", "y", "z")
     space = GradedSpace(labels, (0, 0, 0))
     one = QQ.one
-    heis = LieSuperAlgebra(QQ, space, {(0, 1): {2: one}, (1, 0): {2: -one}})
+    heis = hand_written(space, {(0, 1): {2: one}, (1, 0): {2: -one}})
     cx = CEComplex(heis)
     assert cx.d3_column((0, 1, 2)) == {}
     assert cx.d2_column(cx.pair_pos[(0, 1)]) == {2: one}
@@ -140,7 +146,7 @@ def test_heisenberg_h2():
     labels = ("x", "y", "z")
     space = GradedSpace(labels, (0, 0, 0))
     one = QQ.one
-    heis = LieSuperAlgebra(QQ, space, {(0, 1): {2: one}, (1, 0): {2: -one}})
+    heis = hand_written(space, {(0, 1): {2: one}, (1, 0): {2: -one}})
     r = ce_h2(heis)
     assert r.dims == GradedDim(2, 0)
 
@@ -257,7 +263,7 @@ def test_d2_after_d3_is_checked_on_every_column():
     one = QQ.one
     space = GradedSpace(("x", "y", "z"), (0, 0, 0))
     brackets = {(0, 1): {1: one}, (1, 0): {1: -one}, (0, 2): {0: one}, (2, 0): {0: -one}}
-    g = LieSuperAlgebra(QQ, space, brackets)
+    g = hand_written(space, brackets)
     with pytest.raises(AssertionError, match=r"^d2 o d3 != 0 at triple \(0, 1, 2\)$"):
         ce_h2(g)
 
@@ -269,7 +275,7 @@ def test_the_rescan_names_the_first_failing_triple_in_stream_order():
     one = QQ.one
     space = GradedSpace(("w", "x", "y", "z"), (0, 0, 0, 0))
     brackets = {(0, 3): {1: one}, (3, 0): {1: -one}, (1, 2): {0: one}, (2, 1): {0: -one}}
-    g = LieSuperAlgebra(QQ, space, brackets)
+    g = hand_written(space, brackets)
     assert list(CEComplex(g).iter_lam3_weight0()) == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
     with pytest.raises(AssertionError, match=r"^d2 o d3 != 0 at triple \(0, 2, 3\)$"):
         ce_h2(g)
@@ -281,7 +287,7 @@ def test_the_rescan_names_the_first_failing_triple_in_stream_order():
 def heisenberg():
     one = QQ.one
     space = GradedSpace(("x", "y", "z"), (0, 0, 0))
-    return LieSuperAlgebra(QQ, space, {(0, 1): {2: one}, (1, 0): {2: -one}})
+    return hand_written(space, {(0, 1): {2: one}, (1, 0): {2: -one}})
 
 
 def sq3_with_torus(tag, field):
@@ -368,7 +374,7 @@ def test_d3_leaving_the_weight_zero_subcomplex_is_caught():
         (0, 3): {3: -one}, (3, 0): {3: one},
         (1, 2): {4: one}, (2, 1): {4: -one},
     }
-    g = LieSuperAlgebra(QQ, space, brackets)
+    g = hand_written(space, brackets)
     msg = r"d3 leaves the weight-zero subcomplex at triple \(1, 2, 3\)"
     with pytest.raises(AssertionError, match=msg):
         ce_h2(g, torus=[{0: one}])

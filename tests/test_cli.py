@@ -54,6 +54,24 @@ def test_skip_rows_do_not_gate(capsys):
 # ------------------------------------------------------------------- exit 2
 
 
+@pytest.mark.parametrize(
+    "scenario",
+    ["iso-queer-gl", "perfectness", "sq1-abelian", "loop-iso", "qtogl-sqrt-1",
+     "pair-relations", "hc1-shift", "kahler-oracle", "an-vanishing"],
+)
+def test_budget_for_a_scenario_without_one_exits_two(scenario, capsys):
+    # these scenarios decide no budget, so one given to them would be ignored
+    code, out, err = run_main(
+        [scenario, "--algebra", "builtin:grassmann(1)", "--n", "2", "--budget", "10"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: scenario %s takes no --budget (only h2-main, psq-central, slnn-identity do)\n"
+        % scenario
+    )
+
+
 def test_mersenne_prime_field_flag_runs(capsys):
     # 2^61 - 1 once hung in trial division
     code, out, _ = run_main(

@@ -39,9 +39,11 @@ from queerhom.scalars import QQ, ScalarError, parse_field_flag
 from oracles import (
     block_realization_columns,
     block_realization_on_table,
+    bracket_coords,
     center,
     check_lie,
     gl_entry_index,
+    gl_rule_get,
     gl_rule_keys,
     gl_table,
     induced_lie_full_scan,
@@ -79,26 +81,26 @@ def test_check_lie_accepts_q_builds(n, R):
 
 
 def test_check_lie_flags_broken_antisymmetry():
+    # the constructor refuses a key below the diagonal, so it is slipped
+    # into the table afterwards: check_lie reads the keys, not the
+    # constructor's word for them
     g = build_q(2, BASE)
-    bad = dict(g.brackets)
-    # make [e0, e1] and [e1, e0] agree, which even parities forbid
-    bad[(0, 1)] = {0: QQ.one}
-    bad[(1, 0)] = {0: QQ.one}
-    broken = LieSuperAlgebra(g.field, g.space, bad, name="broken")
-    with pytest.raises(StructureError):
-        check_lie(broken)
+    g.brackets[(1, 0)] = {0: QQ.one}
+    with pytest.raises(StructureError, match="below the diagonal"):
+        check_lie(g)
 
 
 def test_check_lie_flags_grading_violation():
     g = build_q(1, G1)
     bad = dict(g.brackets)
-    odd = next(i for i, p in enumerate(g.space.parities) if p)
-    even = next(i for i, p in enumerate(g.space.parities) if not p)
-    bad[(even, even)] = {odd: QQ.one}
+    par = g.space.parities
+    odd = next(i for i, p in enumerate(par) if p)
+    x, y = [i for i, p in enumerate(par) if not p][:2]
+    bad[(x, y)] = {odd: QQ.one}
     broken = LieSuperAlgebra(g.field, g.space, bad, name="broken")
     with pytest.raises(StructureError) as err:
         check_lie(broken)
-    assert "grading" in str(err.value) or "antisymmetry" in str(err.value)
+    assert "grading" in str(err.value)
 
 
 # ------------------------------------------------------------ table ownership
@@ -106,7 +108,7 @@ def test_check_lie_flags_grading_violation():
 
 def test_lie_algebra_keeps_the_inner_dicts_it_is_given():
     one = QQ.one
-    t = {(0, 1): {2: one}, (1, 0): {2: -one}}
+    t = {(0, 1): {2: one}, (0, 2): {1: -one}}
     g = LieSuperAlgebra(QQ, GradedSpace(("x", "y", "z"), (0, 0, 0)), t)
     assert g.brackets == t
     for k in t:
@@ -115,11 +117,11 @@ def test_lie_algebra_keeps_the_inner_dicts_it_is_given():
 
 def test_lie_algebra_still_drops_empty_brackets():
     one = QQ.one
-    t = {(0, 1): {}, (1, 0): {0: one}}
-    g = LieSuperAlgebra(QQ, GradedSpace(("a", "b"), (0, 0)), t)
-    assert (0, 1) not in g.brackets
-    assert g.bracket_basis(0, 1) == {}
-    assert g.brackets[(1, 0)] is t[(1, 0)]
+    t = {(0, 1): {}, (1, 2): {0: one}, (2, 1): {}}
+    g = LieSuperAlgebra(QQ, GradedSpace(("a", "b", "c"), (0, 0, 0)), t)
+    assert (0, 1) not in g.brackets and (2, 1) not in g.brackets
+    assert g.bracket_basis(0, 1) == {} == g.bracket_basis(1, 0)
+    assert g.brackets[(1, 2)] is t[(1, 2)]
 
 
 def test_build_q_holds_the_formula_table_once(monkeypatch):
@@ -151,8 +153,8 @@ def test_bracket_antisymmetry_on_random_homogeneous_pairs():
         y = {i: coeff(rng.randint(-3, 3)) for i in rng.sample(by_parity[py], 3)}
         x = {i: v for i, v in x.items() if v}
         y = {i: v for i, v in y.items() if v}
-        lhs = g.bracket_coords(x, y)
-        rhs = g.bracket_coords(y, x)
+        lhs = bracket_coords(g, x, y)
+        rhs = bracket_coords(g, y, x)
         sign = -1 if (px and py) else 1
         flipped = {k: -v if sign > 0 else v for k, v in rhs.items()}
         assert lhs == flipped
@@ -270,14 +272,14 @@ def test_rule_backed_block_check_equals_the_table_backed_check(
 def test_gl_matrix_unit_brackets():
     gl = build_gl(2, 0, BASE)
     e = gl.entry_index
-    assert gl.get((e(1, 2, 0), e(2, 1, 0))) == {
+    assert gl_rule_get(gl, (e(1, 2, 0), e(2, 1, 0))) == {
         e(1, 1, 0): QQ.one,
         e(2, 2, 0): -QQ.one,
     }
     # in gl(1|1) both off-diagonal units are odd, so the bracket symmetrizes
     gl11 = build_gl(1, 1, BASE)
     e = gl11.entry_index
-    assert gl11.get((e(1, 2, 0), e(2, 1, 0))) == {
+    assert gl_rule_get(gl11, (e(1, 2, 0), e(2, 1, 0))) == {
         e(1, 1, 0): QQ.one,
         e(2, 2, 0): QQ.one,
     }
@@ -290,13 +292,14 @@ def test_gl_matrix_unit_brackets():
      (1, 1, "square-zero-plane")],
 )
 def test_gl_brackets_match_the_full_pair_scan(m, n, tag, flag):
-    # build_gl returns the rule; on its keys it gives the full scan's table
+    # build_gl returns the rule; on its keys i <= j it gives the full
+    # scan's table, which holds that half
     R = build_builtin(tag, parse_field_flag(flag))
     gl = build_gl(m, n, R)
     assert isinstance(gl, GlRule)
     want = gl_table(m, n, R)
     assert (gl.name, gl.coord, gl.size) == (want.name, R, m + n)
-    got = {key: gl.get(key) for key in gl_rule_keys(gl)}
+    got = {key: gl_rule_get(gl, key) for key in gl_rule_keys(gl) if key[0] <= key[1]}
     assert got == want.brackets
     assert list(got) == list(want.brackets)
 
@@ -320,8 +323,8 @@ def test_gl_rule_answers_as_the_gl_table(m, n, tag, flag):
     assert [rule.entry_index(*t) for t in positions] == [idx(*t) for t in positions]
     for x in range(gl.dim):
         for y in range(gl.dim):
-            assert rule.get((x, y)) == gl.bracket_basis(x, y)
-    assert list(gl_rule_keys(rule)) == list(gl.brackets)
+            assert gl_rule_get(rule, (x, y)) == gl.bracket_basis(x, y)
+    assert [k for k in gl_rule_keys(rule) if k[0] <= k[1]] == list(gl.brackets)
     rng = random.Random(20261018)
     vecs = []
     for _ in range(16):
@@ -333,7 +336,7 @@ def test_gl_rule_answers_as_the_gl_table(m, n, tag, flag):
             assert rule.bracket_row(x, index) == gl.bracket_row(x, table_index)
     for u in vecs[:4]:
         for v in vecs:
-            assert rule.bracket_coords(u, v) == gl.bracket_coords(u, v)
+            assert bracket_coords(rule, u, v) == bracket_coords(gl, u, v)
 
 
 @pytest.mark.parametrize("n,tag,flag", [(2, "grassmann(1)", "Q"), (1, "grassmann(2)", "Qi"),
@@ -375,12 +378,13 @@ BRACKET_ROW_INPUTS = [
 @pytest.mark.parametrize("m,n,tag,flag", BRACKET_ROW_INPUTS)
 def test_bracket_row_equals_the_per_pair_brackets(m, n, tag, flag):
     # the one join against a column index gives, for each j >= first, the
-    # bracket the per-pair oracle gives: gl_table's bracket_coords for
-    # GlRule(m, n, R), bracket_coords for the table of q_m(R) (n is None).
+    # bracket the per-pair oracle bracket_coords gives on gl_table for
+    # GlRule(m, n, R), and on the table of q_m(R) itself (n is None).
     # Values are compared, not their types: the join adds the same products
     # in another order, so over Q(i) an integral value can come out a
-    # Fraction where the pair sum gives an int (a GaussianRational drops a
-    # zero imaginary part as it is)
+    # Fraction where the pair sum gives an int (real Fractions that add up
+    # to an integer stay a Fraction; only a result whose imaginary part
+    # cancels is made an int)
     field = parse_field_flag(flag)
     R = build_builtin(tag, field)
     if n is None:
@@ -396,7 +400,7 @@ def test_bracket_row_equals_the_per_pair_brackets(m, n, tag, flag):
         for x in cols[:10] + _seeded_vectors(field, alg.dim, rng, 4):
             want = {}
             for j in range(first, len(cols)):
-                vec = oracle.bracket_coords(x, cols[j])
+                vec = bracket_coords(oracle, x, cols[j])
                 if vec:
                     want[j] = vec
             got = alg.bracket_row(x, index, first)
@@ -443,7 +447,7 @@ def test_lie_from_assoc_matches_gl_on_matrices():
     assert g.dim == gl.dim
     for i in range(g.dim):
         for j in range(g.dim):
-            assert g.bracket_basis(i, j) == gl.get((i, j))
+            assert g.bracket_basis(i, j) == gl_rule_get(gl, (i, j))
 
 
 # ------------------------------------------------- derived and sq subalgebra
@@ -673,34 +677,35 @@ def _with_table(alg, brackets):
     return LieSuperAlgebra(alg.field, alg.space, brackets, name=alg.name)
 
 
-def _mirror_doubled(src):
-    # the source table changed only at (j, i) for its first key (i, j), i < j
+def _with_mirror(src):
+    # the source table with the exact signed mirror (j, i) of its first key
+    # (i, j), i < j: right by value, but a key below the diagonal
     i, j = next((i, j) for i, j in src.brackets if i < j)
-    table = dict(src.brackets)
-    table[(j, i)] = in_field({t: v + v for t, v in table[(j, i)].items()}, src.field)
-    return _with_table(src, table)
+    return {**src.brackets, (j, i): src.bracket_basis(j, i)}
 
 
 def _even_diagonal(src):
     # an even x with the key (x, x), [e_x, e_x] = e_x
     x = next(x for x in range(src.dim) if not src.space.parities[x])
-    return _with_table(src, {**src.brackets, (x, x): {x: src.field.one}})
+    return {**src.brackets, (x, x): {x: src.field.one}}
 
 
 def _rule_table(tgt):
-    # the target rule as a LieSuperAlgebra table, keys in the rule's order
-    return _with_table(tgt, {key: tgt.get(key) for key in gl_rule_keys(tgt)})
+    # the target rule as a LieSuperAlgebra table, keys i <= j in the rule's order
+    keys = (key for key in gl_rule_keys(tgt) if key[0] <= key[1])
+    return _with_table(tgt, {key: gl_rule_get(tgt, key) for key in keys})
 
 
-def _asymmetric(table, cols):
-    # the table with one key (s, t) doubled, s in the support of col_j and
-    # t in that of col_i for some i < j, so [col_j, col_i] changes
+def _doubled(table, cols):
+    # the table with one key (s, t) doubled, s in the support of col_i and
+    # t in that of col_j for some i < j, so [col_i, col_j] changes and the
+    # table stays super antisymmetric
     key = next(
         (s, t)
         for j in range(len(cols))
         for i in range(j)
-        for s in cols[j]
-        for t in cols[i]
+        for s in cols[i]
+        for t in cols[j]
         if (s, t) in table.brackets
     )
     brackets = dict(table.brackets)
@@ -722,20 +727,16 @@ def test_verify_matches_the_all_pairs_scan(monkeypatch, builder, field, n, tag):
             bad = VerifiedHomomorphism(src, tgt, cols)
             assert not bad.bracket_preserving
             assert _flags(bad) == verify_full_scan(src, tgt, cols)
-        # a source table that is not super antisymmetric
-        for bad_src in (_mirror_doubled(src), _even_diagonal(src)):
-            assert not bad_src.is_super_antisymmetric()
-            bad = VerifiedHomomorphism(bad_src, tgt, hom.columns)
-            assert not bad.bracket_preserving
-            assert _flags(bad) == verify_full_scan(bad_src, tgt, hom.columns)
-        # the target as a table, intact and then not super antisymmetric
+        # a source table that is not super antisymmetric cannot be built
+        for bad_table in (_with_mirror(src), _even_diagonal(src)):
+            with pytest.raises(StructureError, match="bracket key"):
+                _with_table(src, bad_table)
+        # the target as a table, intact and then with a wrong bracket
         table = _rule_table(tgt)
-        assert table.is_super_antisymmetric()
         good = VerifiedHomomorphism(src, table, hom.columns)
         assert good.is_isomorphism or not hom.is_isomorphism
         assert _flags(good) == _flags(hom) == verify_full_scan(src, table, hom.columns)
-        bad_tgt = _asymmetric(table, hom.columns)
-        assert not bad_tgt.is_super_antisymmetric()
+        bad_tgt = _doubled(table, hom.columns)
         bad = VerifiedHomomorphism(src, bad_tgt, hom.columns)
         assert not bad.bracket_preserving
         assert _flags(bad) == verify_full_scan(src, bad_tgt, hom.columns)
@@ -766,28 +767,87 @@ def test_a_passing_check_brackets_columns_only_in_order(monkeypatch):
     assert len(set(pairs)) == len(pairs)
 
 
-def test_super_antisymmetry_is_read_off_the_table():
+def test_the_constructor_rejects_a_lower_or_even_diagonal_key():
     g = build_q(2, G1)
     par = g.space.parities
     # odd diagonal keys are allowed: [x, x] of an odd x need not vanish
     assert any(i == j and par[i] for i, j in g.brackets)
-    assert g.is_super_antisymmetric()
-    # a pair whose mirror carries the sign -1, and a coordinate off its support
+    assert all(i <= j for i, j in g.brackets)
+    # a pair whose mirror carries the sign -1
     (i, j), tbl = next(
         (k, t) for k, t in g.brackets.items() if k[0] < k[1] and not (par[k[0]] and par[k[1]])
     )
-    mirror = g.brackets[(j, i)]
-    off = next(t for t in range(g.dim) if t not in mirror)
+    mirror = g.bracket_basis(j, i)
+    assert mirror == {t: -c for t, c in tbl.items()}
     even = next(x for x in range(g.dim) if not par[x])
     bad_tables = [
-        {k: v for k, v in g.brackets.items() if k != (j, i)},  # mirror missing
-        {k: v for k, v in g.brackets.items() if k != (i, j)},  # a key below only
-        {**g.brackets, (j, i): dict(tbl)},  # mirror without its sign
-        {**g.brackets, (j, i): {**mirror, off: QQ.one}},  # mirror with one more entry
+        {**g.brackets, (j, i): mirror},  # the exact mirror, stored below
+        {k: v for k, v in g.brackets.items() if k != (i, j)} | {(j, i): mirror},  # below only
+        {**g.brackets, (j, i): dict(tbl)},  # a mirror without its sign
         {**g.brackets, (even, even): {even: QQ.one}},  # an even diagonal key
     ]
     for table in bad_tables:
-        assert not _with_table(g, table).is_super_antisymmetric()
+        with pytest.raises(StructureError, match="bracket key"):
+            _with_table(g, table)
+    # an empty value is dropped before the keys are checked
+    assert _with_table(g, {**g.brackets, (j, i): {}, (even, even): {}}).brackets == g.brackets
+
+
+@pytest.mark.parametrize("flag", ["Q", "Qi", "Fp:3", "Fp:5"])
+def test_bracket_basis_reads_the_signed_mirror(flag):
+    # a table of the upper half only answers [e_j, e_i] for j > i as
+    # -(-1)^{|i||j|} [e_i, e_j], reduced into the field, for every pair
+    field = parse_field_flag(flag)
+    R = build_builtin("grassmann(1)", field)
+    p = field.characteristic
+    signs = set()
+    for n in (1, 2):
+        q = build_q(n, R)
+        upper = q_formula_brackets_full_scan(n, R, q.qindex)
+        g = LieSuperAlgebra(field, q.space, upper)
+        par = g.space.parities
+        for i in range(g.dim):
+            for j in range(g.dim):
+                got = g.bracket_basis(i, j)
+                if i <= j:
+                    assert got == upper.get((i, j), {})
+                    continue
+                sign = 1 if par[i] and par[j] else -1
+                want = in_field({t: sign * c for t, c in upper.get((j, i), {}).items()}, field)
+                assert got == want
+                assert all(0 < c < p for c in got.values()) if p else all(got.values())
+                if got:
+                    signs.add(sign)
+    assert signs == {1, -1}
+
+
+def _built_tables(field):
+    # (table, its oracle's upper half) for each builder of a LieSuperAlgebra
+    R = build_builtin("grassmann(1)", field)
+    q = build_q(2, R)
+    yield q.brackets, q_formula_brackets_full_scan(2, R, q.qindex)
+    psq = build_psq_lie(2, R)
+    sq = psq.ambient
+    yield sq.brackets, induced_lie_full_scan(sq.ambient, sq.subspace)
+    yield psq.brackets, quotient_lie_full_scan(sq, psq.quotient.sub)
+    if field.sqrt_minus_one() is not None:
+        sl = build_block_lie(iso_qQ1_to_glnn(2, R))
+        yield sl.brackets, induced_lie_full_scan(sl.ambient, sl.subspace)
+    base = build_builtin("base-field", field)
+    qk = build_q(2, base)
+    yield lie_tensor(qk, R).brackets, lie_tensor_pair_scan(qk, R)
+
+
+@pytest.mark.parametrize("flag", ["Q", "Qi", "Fp:5"])
+def test_every_built_table_holds_each_pair_once(flag):
+    # only keys i <= j, as many as the oracle's full table has unordered
+    # nonzero pairs (upper_half asserts the other half is their mirror)
+    count = 0
+    for got, want in _built_tables(parse_field_flag(flag)):
+        assert all(i <= j for i, j in got)
+        assert got == want
+        count += 1
+    assert count == (5 if flag != "Q" else 4)
 
 
 GL_ANTISYMMETRY_INPUTS = [
@@ -800,11 +860,11 @@ GL_ANTISYMMETRY_INPUTS = [
 @pytest.mark.parametrize("m,n,tag,flag", GL_ANTISYMMETRY_INPUTS)
 def test_gl_rule_is_super_antisymmetric(m, n, tag, flag):
     # [v, u] = -(-1)^{|u||v|} [u, v] on seeded homogeneous vectors, and the
-    # rule agrees with the independent gl table, which passes its own check
+    # rule agrees with the independent gl table, whose full scan upper_half
+    # checked for super antisymmetry
     R = build_builtin(tag, parse_field_flag(flag))
     field = R.field
     rule, gl = GlRule(m, n, R), gl_table(m, n, R)
-    assert rule.is_super_antisymmetric() and gl.is_super_antisymmetric()
     by_parity = [[x for x in range(rule.dim) if rule.parities[x] == p] for p in (0, 1)]
     rng = random.Random(20261019)
     vecs = []
@@ -814,8 +874,8 @@ def test_gl_rule_is_super_antisymmetric(m, n, tag, flag):
         vecs.append((par, {t: field.from_int(rng.choice([-2, -1, 1, 3])) for t in supp}))
     for pu, u in vecs:
         for pv, v in vecs[:8]:
-            uv, vu = rule.bracket_coords(u, v), rule.bracket_coords(v, u)
-            assert uv == gl.bracket_coords(u, v)
+            uv, vu = bracket_coords(rule, u, v), bracket_coords(rule, v, u)
+            assert uv == bracket_coords(gl, u, v)
             sign = 1 if pu and pv else -1
             assert vu == in_field({t: sign * c for t, c in uv.items()}, field)
 

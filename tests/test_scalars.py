@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -284,6 +285,9 @@ def test_qi_arithmetic_matches_pair_arithmetic():
             assert _is_qi_value(v), (op, a, b, v)
             want = qi_pair_op(op, x, y) if op != "neg" else (-x[0], -x[1])
             assert qi_pair(v) == want, (op, a, b, v)
+            if GaussianRational in (type(a), type(b)) and want[0].denominator == 1:
+                # a cancelled imaginary part leaves an integral real part an int
+                assert type(v) is not Fraction, (op, a, b, v)
         assert (a == b) == (x == y)
         values.extend(got.values())
         values.extend((a, b))
@@ -293,6 +297,18 @@ def test_qi_arithmetic_matches_pair_arithmetic():
                 assert hash(v) == hash(w)
     assert any(type(v) is GaussianRational for v in values)
     assert any(type(v) is not GaussianRational for v in values)
+    # the order case: the same terms summed in every order, a partial sum
+    # that is zero dropped as every sparse accumulation drops it, give one
+    # value of one type, whichever pair of terms cancels first
+    h = GaussianRational(Fraction(1, 2), 1)
+    for terms in ([h, -h, -1], [h, GaussianRational(Fraction(1, 2), -1), -2]):
+        sums = set()
+        for order in permutations(terms):
+            acc = 0
+            for t in order:
+                acc = acc + t if acc else t
+            sums.add((acc, type(acc)))
+        assert sums == {(-1, int)}, terms
 
 
 def test_mod_p_still_rejects_mixed_primes():

@@ -11,7 +11,7 @@ from queerhom.cli import main
 from queerhom.lie import GlRule, LieSuperAlgebra, VerifiedHomomorphism
 from queerhom.linalg import Echelon, Subspace
 from queerhom.scalars import QQ, parse_field_flag
-from queerhom.scenarios import ScenarioOptions, run_scenario
+from queerhom.scenarios import ScenarioOptions, UsageError, run_scenario
 
 
 def test_no_scenario_builds_a_gl_table(monkeypatch):
@@ -64,7 +64,7 @@ def test_perfectness_fails_when_the_derived_subalgebra_disagrees(monkeypatch, ca
     assert "trace characterization differs from the derived subalgebra" in out
 
 
-def test_homology_scenarios_always_list_the_budget_and_the_others_only_when_set():
+def test_homology_scenarios_always_list_the_budget_and_the_others_refuse_one():
     opts = ScenarioOptions("builtin:base-field", n=2)
     for name in ("h2-main", "psq-central", "slnn-identity"):
         inputs = run_scenario(name, opts).to_dict()["inputs"]
@@ -72,7 +72,9 @@ def test_homology_scenarios_always_list_the_budget_and_the_others_only_when_set(
     inputs = run_scenario("perfectness", opts).to_dict()["inputs"]
     assert inputs == {"algebra": "base-field", "n": "2", "field": "Q"}
     with_budget = ScenarioOptions("builtin:base-field", n=2, budget=7)
-    assert run_scenario("perfectness", with_budget).to_dict()["inputs"]["budget"] == "7"
+    assert run_scenario("h2-main", with_budget).to_dict()["inputs"]["budget"] == "7"
+    with pytest.raises(UsageError, match="perfectness takes no --budget"):
+        run_scenario("perfectness", with_budget)
 
 
 QI = parse_field_flag("Qi")
@@ -207,7 +209,8 @@ def test_loop_iso_fails_on_a_corrupted_tensor_table(mutate, monkeypatch, capsys)
             row[min(row)] = -row[min(row)]
         else:
             key = next(
-                (i, j) for i in range(gT.dim) for j in range(gT.dim) if (i, j) not in gT.brackets
+                (i, j) for i in range(gT.dim) for j in range(i + 1, gT.dim)
+                if (i, j) not in gT.brackets
             )
             gT.brackets[key] = {0: 1}
         return gT
