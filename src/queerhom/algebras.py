@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 
-from .linalg import GradedDim, GradedSpace, Subspace, in_field, vec_add_scaled
+from .linalg import GradedDim, GradedSpace, Subspace, add_scaled, in_field
 from .scalars import Field, ScalarError
 
 
@@ -72,27 +72,26 @@ class SuperAlgebra:
         return self.space.dim
 
     def mul_coords(self, x: dict, y: dict) -> dict:
-        """sum x_i y_j e_i e_j over field."""
+        """sum x_i y_j e_i e_j over field, summed exactly and reduced once."""
         out = {}
         for i, xi in x.items():
             for j, yj in y.items():
                 tbl = self.products.get((i, j))
                 if tbl:
-                    vec_add_scaled(out, tbl, xi * yj, self.field)
-        return out
+                    add_scaled(out, tbl, xi * yj)
+        return in_field(out, self.field) if self.field.characteristic else out
 
     def basis_vec(self, i: int) -> dict:
         return {i: self.field.one}
 
     def supercommutator(self, a: int, b: int) -> dict:
-        """e_a e_b - (-1)^{|a||b|} e_b e_a, as coordinates."""
+        """e_a e_b - (-1)^{|a||b|} e_b e_a, as coordinates, summed exactly
+        and reduced once."""
         par = self.space.parities
         one = self.field.one
         out = dict(self.products.get((a, b), {}))
-        vec_add_scaled(
-            out, self.products.get((b, a), {}), one if par[a] and par[b] else -one, self.field
-        )
-        return out
+        add_scaled(out, self.products.get((b, a), {}), one if par[a] and par[b] else -one)
+        return in_field(out, self.field) if self.field.characteristic else out
 
     def __repr__(self):
         return "<SuperAlgebra %s %s>" % (self.name, self.space.graded_dim)
@@ -227,10 +226,7 @@ def an_vanishing_check(R: SuperAlgebra, n: int) -> GradedDim:
     gens = [in_field({k: R.field.from_int(n) * v for k, v in S.unit.items()}, R.field)]
     comm = commutator_subspace(S)
     gens.extend(comm.rows)
-    ideal = two_sided_ideal(S, gens)
-    ambient = S.space.graded_dim
-    cut = ideal.graded_dim
-    return GradedDim(ambient.even - cut.even, ambient.odd - cut.odd)
+    return S.space.graded_dim - two_sided_ideal(S, gens).graded_dim
 
 
 # ---------------------------------------------------------------- builders
@@ -312,14 +308,10 @@ def build_monogenic(field: Field, coeffs) -> SuperAlgebra:
     for i in range(d):
         powers[i] = {i: field.one}
     for e in range(d, 2 * d - 1):
+        # x^e = x * x^(e-1): x^i -> x^(i+1) below d, and x^(d-1) -> x^d = top
         prev = powers[e - 1]
-        nxt = {}
-        for i, v in prev.items():
-            if i + 1 < d:
-                nxt[i + 1] = nxt.get(i + 1, field.zero) + v
-            else:
-                for t, c in top.items():
-                    nxt[t] = nxt.get(t, field.zero) + v * c
+        nxt = {i + 1: v for i, v in prev.items() if i + 1 < d}
+        add_scaled(nxt, top, prev.get(d - 1, 0))
         powers[e] = in_field(nxt, field)
     labels = ["1"] + ["x^%d" % i if i > 1 else "x" for i in range(1, d)]
     space = GradedSpace(labels, (0,) * d)

@@ -245,8 +245,7 @@ def ce_h2(g: LieSuperAlgebra, torus=()) -> H2Result:
         for r, v in cx.d2_column(k).items():
             rows[r][k] = v
     ker = kernel(rows, cx.lam2.dim, g.field)
-    odd = sum(map(cx.lam2.parity_of_vec, ker))
-    kd = GradedDim(len(ker) - odd, odd)
+    kd = GradedDim.from_parities([cx.lam2.parity_of_vec(v) for v in ker])
     timings["kernel_parity01"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     ech = Echelon(g.field)
@@ -262,8 +261,7 @@ def ce_h2(g: LieSuperAlgebra, torus=()) -> H2Result:
         if col:
             ech.insert(col)
     im_pivots = set(ech.pivots)
-    odd = sum(lam2_par[c] for c in im_pivots)
-    im = GradedDim(len(im_pivots) - odd, odd)
+    im = GradedDim.from_parities([lam2_par[c] for c in im_pivots])
     timings["boundaries_parity01"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     # ech ends as the RREF of ker d2, and its rows at pivots the image did
@@ -275,9 +273,8 @@ def ce_h2(g: LieSuperAlgebra, torus=()) -> H2Result:
     pivots = ech.pivots
     cols = sorted((c for c in pivots if c not in im_pivots), key=lambda c: (lam2_par[c], c))
     basis = [(lam2_par[c], {cx.pairs[k]: v for k, v in pivots[c].items()}) for c in cols]
-    odd = sum(p for p, _ in basis)
-    dims = GradedDim(len(basis) - odd, odd)
-    if dims != GradedDim(kd.even - im.even, kd.odd - im.odd):
+    dims = GradedDim.from_parities([p for p, _ in basis])
+    if dims != kd - im:
         # dims counts dim(ker + im) - dim im, which is dim ker - dim im
         # exactly when im d3 lies in ker d2
         d2 = [cx.d2_column(k) for k in range(cx.lam2.dim)]

@@ -28,10 +28,10 @@ from .linalg import (
     GradedSpace,
     QuotientSpace,
     Subspace,
+    add_scaled,
     in_field,
     kernel,
     linear_apply,
-    vec_add_scaled,
 )
 from .lie import StructureError
 
@@ -43,13 +43,16 @@ class PairSpace:
     the triples whose first index is smallest are generated; the relation
     subspace is the one the full d^3 scan spans.  A triple whose three
     products are zero is not visited: when ab = 0 only the c with bc or ca
-    a product key are.  Each product term is added into its relation vector
-    in place.  A one-term relation {k: c} at a k where an earlier one-term
-    relation already put e_k in the span is skipped: inserting it would
-    change nothing.  The other relations stream into Subspace.from_vectors
-    in the same order, each inserted as soon as it is formed, so no list
-    of relation vectors is held and the echelon's rows become the relation
-    subspace's without a copy.
+    a product key are.  Each product table is scaled once to the keys t*d
+    of the pairs e_t(x)e_z, so a relation term is one add_scaled at base
+    z; a relation is summed exactly and reduced once.  A one-term relation
+    {k: c} at a k where an earlier one-term relation already put e_k in the
+    span is skipped: inserting it would change nothing.  The other
+    relations stream into Subspace.from_vectors in the same order, each
+    inserted as soon as it is formed, so no list of relation vectors is
+    held and the echelon's rows become the relation subspace's without a
+    copy.  A relation subspace that mixes parities (only a table that
+    breaks the grading gives one) is refused by QuotientSpace.
     """
 
     def __init__(self, R: SuperAlgebra):
@@ -65,33 +68,23 @@ class PairSpace:
                 parities.append((par[a] + par[b]) % 2)
         self.space = GradedSpace(labels, parities)
         field = self.field
-        one, zero, p = field.one, field.zero, field.characteristic
-
-        def add_pairs(vec, tbl, last, sgn):
-            # vec += sgn * sum_t tbl[t] e_t(x)e_last, in place
-            for t, v in tbl.items():
-                key = t * d + last
-                nv = vec.get(key, zero) + sgn * v
-                if p:
-                    nv %= p
-                if nv:
-                    vec[key] = nv
-                else:
-                    vec.pop(key, None)
+        one, p = field.one, field.characteristic
 
         def relations():
             for a in range(d):
                 for b in range(a, d):
                     vec = {a * d + b: one}
-                    sgn = -one if (par[a] and par[b]) else one
-                    add_pairs(vec, {b: one}, a, sgn)
+                    add_scaled(vec, {b * d + a: one}, -one if (par[a] and par[b]) else one)
+                    if p:
+                        vec = in_field(vec, field)
                     if vec:
                         yield vec
-            # by_left[x][y] = by_right[y][x] = e_x e_y, for each product key
+            # by_left[x][y] = by_right[y][x] = e_x e_y with its keys t scaled
+            # to t*d, for each product key: the pair e_t(x)e_z is at t*d + z
             by_left = [{} for _ in range(d)]
             by_right = [{} for _ in range(d)]
             for (x, y), tbl in R.products.items():
-                by_left[x][y] = by_right[y][x] = tbl
+                by_left[x][y] = by_right[y][x] = {t * d: v for t, v in tbl.items()}
             for a in range(d):
                 a_right = by_right[a]
                 for b in range(a, d):
@@ -104,11 +97,13 @@ class PairSpace:
                         ca = a_right.get(c)
                         vec = {}
                         if ab:
-                            add_pairs(vec, ab, c, -one if (par[a] and par[c]) else one)
+                            add_scaled(vec, ab, -one if (par[a] and par[c]) else one, c)
                         if bc:
-                            add_pairs(vec, bc, a, -one if (par[b] and par[a]) else one)
+                            add_scaled(vec, bc, -one if (par[b] and par[a]) else one, a)
                         if ca:
-                            add_pairs(vec, ca, b, -one if (par[c] and par[b]) else one)
+                            add_scaled(vec, ca, -one if (par[c] and par[b]) else one, b)
+                        if p:
+                            vec = in_field(vec, field)
                         if vec:
                             yield vec
 
@@ -125,8 +120,6 @@ class PairSpace:
                 yield vec
 
         self.relations = Subspace.from_vectors(self.space, spanning(relations()), field)
-        if not self.relations.is_homogeneous():
-            raise StructureError("relation subspace of %s mixes parities" % R.name)
         self.quot = QuotientSpace(self.space, self.relations)
 
     def tensor_vec(self, x: dict, y: dict) -> dict:
@@ -202,7 +195,8 @@ class RelationRow:
 
 def check_h_relations(R: SuperAlgebra) -> list:
     """Mixing identities for h on S = R(x)Q1, each reduced to canonical form;
-    one RelationRow per identity.
+    one RelationRow per identity.  Each side is summed exactly and reduced
+    once, by its projection onto <S,S>.
 
     Row families, over homogeneous basis elements a, b of R:
       swap-odd                h(a(x)1, b(x)nu) + (-1)^{|a||b|} h(b(x)1, a(x)nu) = 0
@@ -240,7 +234,7 @@ def check_h_relations(R: SuperAlgebra) -> list:
             xbnu = elem({b: one}, 1)
             sgn = -one if (par[a] and par[b]) else one
             amb = pair.tensor_vec(xa1, xbnu)
-            vec_add_scaled(amb, pair.tensor_vec(xb1, xanu), sgn, field)
+            add_scaled(amb, pair.tensor_vec(xb1, xanu), sgn)
             residue_row("swap-odd", (labels[a], labels[b]), amb)
             if par[a] or par[b]:
                 residue_row(
@@ -252,12 +246,14 @@ def check_h_relations(R: SuperAlgebra) -> list:
             else:
                 amb = pair.tensor_vec(xa1, xb1)
                 comm = R.supercommutator(a, b)
-                vec_add_scaled(amb, pair.tensor_vec(elem(comm, 1), unit_nu), -half, field)
+                add_scaled(amb, pair.tensor_vec(elem(comm, 1), unit_nu), -half)
                 residue_row("even-commutator-half", (labels[a], labels[b]), amb)
                 anti = dict(R.products.get((a, b), {}))
-                vec_add_scaled(anti, R.products.get((b, a), {}), one, field)
+                add_scaled(anti, R.products.get((b, a), {}), one)
+                if field.characteristic:
+                    anti = in_field(anti, field)
                 amb = pair.tensor_vec(xanu, xbnu)
-                vec_add_scaled(amb, pair.tensor_vec(elem(anti, 1), unit_nu), -half, field)
+                add_scaled(amb, pair.tensor_vec(elem(anti, 1), unit_nu), -half)
                 residue_row("even-anticommutator-half", (labels[a], labels[b]), amb)
         residue_row("unit-nu", (labels[a], "1"), pair.tensor_vec(elem({a: one}, 0), unit_nu))
     return rows

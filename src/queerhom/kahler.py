@@ -18,7 +18,7 @@ Supported presentations (by builtin tag):
 from __future__ import annotations
 
 from .algebras import build_monogenic, build_square_zero_plane, parse_poly
-from .linalg import Echelon, GradedDim, vec_add_scaled
+from .linalg import Echelon, GradedDim, add_scaled
 
 
 def _monogenic_quotient_dim(field, coeffs) -> int:
@@ -75,7 +75,7 @@ def kahler_hc1_oracle(tag: str, field) -> GradedDim:
                 vec = {}
                 for (gidx, coefidx), c in df.items():
                     prod = R.mul_coords({r: one}, {coefidx: c})
-                    vec_add_scaled(vec, {gidx * 3 + t: v for t, v in prod.items()}, one, field)
+                    add_scaled(vec, prod, one, gidx * 3)
                 ech.insert(vec)
         for exact in ({0 * 3 + 0: one}, {1 * 3 + 0: one}):  # dx, dy
             ech.insert(exact)

@@ -46,6 +46,7 @@ The super Jacobi convention used throughout:
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import chain
 
 from .algebras import SuperAlgebra, build_q1, commutator_subspace, koszul_tensor, tensor
@@ -55,6 +56,7 @@ from .linalg import (
     GradedSpace,
     GradingError,
     Subspace,
+    add_scaled,
     in_field,
     linear_apply,
     QuotientSpace,
@@ -124,40 +126,22 @@ class LieSuperAlgebra:
         """{j: [x, columns[j]]} for each j >= first with a nonzero bracket,
         index = column_index(columns): one join of x's entries with the
         table keys and the columns' entries, no pair evaluated apart."""
-        row = {}
+        row = defaultdict(dict)
         for r, c in x.items():
             for hits, tbl, sign in index.get(r, ()):
                 for j, v in hits:
                     if j >= first:
-                        _add_scaled(row, j, tbl, c * v if sign > 0 else -(c * v), 0)
+                        add_scaled(row[j], tbl, c * v if sign > 0 else -(c * v))
         return _finish_row(row, self.field)
 
     def __repr__(self):
         return "<LieSuperAlgebra %s %s>" % (self.name, self.space.graded_dim)
 
 
-def _add_scaled(row: dict, j, tbl: dict, s, base) -> None:
-    """row[j][base + t] += s * tbl[t], in place; a sum that is zero in Z
-    (or in Q or Q(i)) is dropped, the rest are reduced by _finish_row."""
-    out = row.get(j)
-    if out is None:
-        out = row[j] = {}
-    for t, w in tbl.items():
-        key = base + t
-        cur = out.get(key)
-        if cur is None:
-            out[key] = s * w
-        else:
-            nv = cur + s * w
-            if nv:
-                out[key] = nv
-            else:
-                del out[key]
-
-
 def _finish_row(row: dict, field) -> dict:
-    """The row of a bracket_row join with its values reduced into field and
-    its zero brackets dropped."""
+    """The row of a bracket_row join, each bracket summed exactly by
+    add_scaled, with its values reduced into field once and its zero
+    brackets dropped."""
     if field.characteristic:
         return {j: vec for j, out in row.items() if (vec := in_field(out, field))}
     return {j: out for j, out in row.items() if out}
@@ -240,7 +224,7 @@ class GlRule:
         by_row, by_col = index
         N, dR = self.size, self.coord_dim
         entries, par = self.entries, self.parities
-        row = {}
+        row = defaultdict(dict)
         for e, c in x.items():
             i, j, a = entries[e]
             odd = par[e]
@@ -248,12 +232,12 @@ class GlRule:
             for b, ab in self.right[a]:
                 for jj, l_col, v in by_row.get(j * dR + b, ()):
                     if jj >= first:
-                        _add_scaled(row, jj, ab, c * v, i_row + l_col)
+                        add_scaled(row[jj], ab, c * v, i_row + l_col)
             for b, ba in self.left[a]:
                 for jj, k_row, v, odd_y in by_col.get(i * dR + b, ()):
                     if jj >= first:
                         s = c * v
-                        _add_scaled(row, jj, ba, s if odd and odd_y else -s, k_row + j_col)
+                        add_scaled(row[jj], ba, s if odd and odd_y else -s, k_row + j_col)
         return _finish_row(row, self.field)
 
 
@@ -294,8 +278,8 @@ def _q_formula_brackets(n: int, R: SuperAlgebra) -> dict:
     order, and only the keys x <= y are kept: every [u,w], and the [u,u] and
     [w,w] whose (i, j, a) comes no later than (k, l, b).  ab, ba, e and f are
     looked up once per (a, b), and indices are 0-based, u_ij(r) at
-    (i n + j) dR + r and w_ij(r) one block further.  Each entry is summed in
-    Z, then reduced.
+    (i n + j) dR + r and w_ij(r) one block further.  Each bracket is summed
+    exactly by add_scaled, then reduced once.
     """
     dR = R.dim
     rpar = R.space.parities
@@ -317,18 +301,6 @@ def _q_formula_brackets(n: int, R: SuperAlgebra) -> dict:
             row.append((b, products.get((a, b), {}), products.get((b, a), {}), kinds, uw))
         pairs.append(row)
     brackets = {}
-
-    def put(tbl, key, val):
-        cur = tbl.get(key)
-        if cur is None:
-            tbl[key] = val
-        else:
-            nv = cur + val
-            if nv:
-                tbl[key] = nv
-            else:
-                del tbl[key]
-
     for i in range(n):
         for j in range(n):
             for a in range(dR):
@@ -342,11 +314,9 @@ def _q_formula_brackets(n: int, R: SuperAlgebra) -> dict:
                             for dx, dy, dz, s1, s2 in kinds if x <= y + b else uw:
                                 out = {}
                                 if il is not None:
-                                    for t, c in ab.items():
-                                        put(out, dz + il + t, c if s1 > 0 else -c)
+                                    add_scaled(out, ab, s1, dz + il)
                                 if kj is not None:
-                                    for t, c in ba.items():
-                                        put(out, dz + kj + t, c if s2 > 0 else -c)
+                                    add_scaled(out, ba, s2, dz + kj)
                                 if p:
                                     out = in_field(out, R.field)
                                 if out:
@@ -523,8 +493,7 @@ def build_psq_lie(n: int, R: SuperAlgebra):
 
 def psq_graded_dim(n: int, R: SuperAlgebra) -> GradedDim:
     """Graded dimension of psq_n(R): sq_n(R) minus the identity block R."""
-    sq, r = sq_graded_dim(n, R), R.space.graded_dim
-    return GradedDim(sq.even - r.even, sq.odd - r.odd)
+    return sq_graded_dim(n, R) - R.space.graded_dim
 
 
 def build_block_lie(hom) -> LieSuperAlgebra:

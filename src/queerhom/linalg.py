@@ -31,11 +31,14 @@ is well defined exactly when no pivot falls among the image coordinates,
 and reducing x (+) 0 leaves minus its image there (see
 cyclic.build_shift_iso).
 
-Every kernel takes the field its scalars live in and applies its
-characteristic: over F_p the values are ints in [0, p), combined in Z and
-reduced mod p (``_residue`` and ``in_field`` reduce once, after the sums);
-in characteristic 0 nothing is reduced.  Each kernel has one loop for all
-three fields, with that reduction as a step.  Every division goes through
+Vectors are summed by one accumulator, ``add_scaled``, exactly: over F_p
+the values are ints in [0, p) combined in Z, and a vector is reduced mod p
+once, by ``in_field``, where it is handed on (in characteristic 0 nothing
+needs reducing and that step is skipped).  The hot loops of ``_residue``,
+``_store`` and chevalley's ``d3_column`` inline the same accumulation;
+``_store`` reduces every entry it writes, because the rows it keeps are
+read by every later reduction.  Each kernel has one loop for all three
+fields, with that reduction as a step.  Every division goes through
 ``field.invert``, so integer entries over Q never turn into floats, and
 stored rows keep an integral rational as an int, so the rows every
 reduction reads stay on int arithmetic.
@@ -56,11 +59,20 @@ class GradedDim(NamedTuple):
     even: int
     odd: int
 
+    @classmethod
+    def from_parities(cls, parities) -> "GradedDim":
+        """The graded dimension of a basis with this sequence of parities."""
+        odd = sum(parities)
+        return cls(len(parities) - odd, odd)
+
     def swap(self) -> "GradedDim":
         return GradedDim(self.odd, self.even)
 
     def __add__(self, other):
         return GradedDim(self.even + other.even, self.odd + other.odd)
+
+    def __sub__(self, other):
+        return GradedDim(self.even - other.even, self.odd - other.odd)
 
     def __str__(self):
         return "(%d|%d)" % (self.even, self.odd)
@@ -88,8 +100,7 @@ class GradedSpace:
 
     @property
     def graded_dim(self) -> GradedDim:
-        odd = sum(self.parities)
-        return GradedDim(len(self.parities) - odd, odd)
+        return GradedDim.from_parities(self.parities)
 
     def parity_of_vec(self, vec) -> int:
         """Common parity of a vector's support; GradingError if mixed."""
@@ -137,25 +148,23 @@ def in_field(vec: dict, field) -> dict:
     return {k: r for k, v in vec.items() if (r := v % p if p else v)}
 
 
-def vec_add_scaled(dst: dict, src: dict, c, field) -> None:
-    """dst += c*src in place, over field.
+def add_scaled(dst: dict, src: dict, c, base=0) -> None:
+    """dst[base + k] += c*src[k] for each k of src, in place, summed exactly.
 
-    Over F_p, c may be any int (a product or a negation left unreduced);
-    every value stored in dst is reduced.
+    Nothing is reduced: over F_p the values are summed in Z and the vector
+    is reduced once, by in_field, where it is handed on.  An entry whose sum
+    is zero is dropped, and so is a new entry whose product is zero (c may
+    be 0).
     """
-    p = field.characteristic
     for k, v in src.items():
+        k += base
         cur = dst.get(k)
         if cur is None:
             nv = c * v
-            if p:
-                nv %= p
             if nv:
                 dst[k] = nv
         else:
             nv = cur + c * v
-            if p:
-                nv %= p
             if nv:
                 dst[k] = nv
             else:
@@ -164,11 +173,12 @@ def vec_add_scaled(dst: dict, src: dict, c, field) -> None:
 
 def linear_apply(columns, vec: dict, field) -> dict:
     """sum vec_i columns[i] over field: the linear map with those columns,
-    indexable by the coordinates of vec, applied to vec."""
+    indexable by the coordinates of vec, applied to vec; summed exactly and
+    reduced once."""
     out = {}
     for i, v in vec.items():
-        vec_add_scaled(out, columns[i], v, field)
-    return out
+        add_scaled(out, columns[i], v)
+    return in_field(out, field) if field.characteristic else out
 
 
 def _residue(vec: dict, rows: dict, field):
@@ -185,7 +195,7 @@ def _residue(vec: dict, rows: dict, field):
         out = {k: v for k, v in out.items() if v}
     cols = [c for c in out if c in rows]
     cols.sort()
-    # vec_add_scaled inlined for the hot path, the row's value on the left:
+    # add_scaled inlined for the hot path, the row's value on the left:
     # Fraction * int takes Fraction's fast path, int * Fraction does not.
     for c in cols:
         neg = -vec[c]
@@ -314,13 +324,7 @@ class Subspace:
 
     @property
     def graded_dim(self) -> GradedDim:
-        even = odd = 0
-        for r in self.rows:
-            if self.space.parity_of_vec(r):
-                odd += 1
-            else:
-                even += 1
-        return GradedDim(even, odd)
+        return GradedDim.from_parities([self.space.parity_of_vec(r) for r in self.rows])
 
     def reduce(self, vec: dict) -> dict:
         """Residue modulo the subspace; support avoids all pivot columns."""

@@ -44,9 +44,9 @@ from queerhom.linalg import (
     GradingError,
     QuotientSpace,
     Subspace,
+    add_scaled,
     in_field,
     kernel,
-    vec_add_scaled,
 )
 from queerhom.scalars import GaussianRational
 
@@ -86,8 +86,8 @@ class SparseMatrix:
         out = {}
         cols = self.cols_as_dicts()
         for c, x in vec.items():
-            vec_add_scaled(out, cols[c], x, field)
-        return out
+            add_scaled(out, cols[c], x)
+        return in_field(out, field)
 
     def __eq__(self, other):
         return (
@@ -340,8 +340,8 @@ def bracket_coords(alg, x: dict, y: dict) -> dict:
         for j, yj in y.items():
             tbl = entry(i, j)
             if tbl:
-                vec_add_scaled(out, tbl, xi * yj, alg.field)
-    return out
+                add_scaled(out, tbl, xi * yj)
+    return in_field(out, alg.field)
 
 
 # ------------------------------------------------------- queer formulas
@@ -568,8 +568,8 @@ def verify_full_scan(source, target, columns) -> dict:
     def apply(vec):
         out = {}
         for i, v in vec.items():
-            vec_add_scaled(out, columns[i], v, field)
-        return out
+            add_scaled(out, columns[i], v)
+        return in_field(out, field)
 
     failures = []
     ok_par = True
@@ -661,8 +661,8 @@ def cyclic_relation(R: SuperAlgebra, a: int, b: int, c: int) -> dict:
                          ((b, c), a, par[b] and par[a]),
                          ((c, a), b, par[c] and par[b])):
         for t, v in R.products.get((x, y), {}).items():
-            vec_add_scaled(vec, {t * d + z: v}, -one if s else one, R.field)
-    return vec
+            add_scaled(vec, {t * d + z: v}, -one if s else one)
+    return in_field(vec, R.field)
 
 
 def pair_relations_full_scan(R: SuperAlgebra, space) -> Subspace:
@@ -675,7 +675,8 @@ def pair_relations_full_scan(R: SuperAlgebra, space) -> Subspace:
     for a in range(d):
         for b in range(a, d):
             vec = {a * d + b: one}
-            vec_add_scaled(vec, {b * d + a: one}, -one if (par[a] and par[b]) else one, R.field)
+            add_scaled(vec, {b * d + a: one}, -one if (par[a] and par[b]) else one)
+            vec = in_field(vec, R.field)
             if vec:
                 rel.append(vec)
     for a in range(d):
@@ -733,22 +734,22 @@ def check_lie(g: LieSuperAlgebra, max_failures=20):
                     for t, v in bjk.items():
                         tb = g.bracket_basis(i, t)
                         if tb:
-                            vec_add_scaled(acc, tb, v if s1 > 0 else -v, g.field)
+                            add_scaled(acc, tb, v if s1 > 0 else -v)
                 bki = g.bracket_basis(k, i)
                 if bki:
                     s2 = sgn(par[j] * par[i])
                     for t, v in bki.items():
                         tb = g.bracket_basis(j, t)
                         if tb:
-                            vec_add_scaled(acc, tb, v if s2 > 0 else -v, g.field)
+                            add_scaled(acc, tb, v if s2 > 0 else -v)
                 bij = g.bracket_basis(i, j)
                 if bij:
                     s3 = sgn(par[k] * par[j])
                     for t, v in bij.items():
                         tb = g.bracket_basis(k, t)
                         if tb:
-                            vec_add_scaled(acc, tb, v if s3 > 0 else -v, g.field)
-                if acc:
+                            add_scaled(acc, tb, v if s3 > 0 else -v)
+                if in_field(acc, g.field):
                     failures.append("jacobi fails on (e%d,e%d,e%d)" % (i, j, k))
                 if len(failures) >= max_failures:
                     raise StructureError("; ".join(failures))
@@ -769,7 +770,8 @@ def lie_from_assoc(A: SuperAlgebra) -> LieSuperAlgebra:
             yx = A.mul_coords(ej, ei)
             sign = -1 if (par[i] and par[j]) else 1
             out = dict(xy)
-            vec_add_scaled(out, yx, A.field.from_int(-sign), A.field)
+            add_scaled(out, yx, -sign)
+            out = in_field(out, A.field)
             if out:
                 brackets[(i, j)] = out
     upper = upper_half(brackets, par, A.field)

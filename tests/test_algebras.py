@@ -23,7 +23,7 @@ from queerhom.algebras import (
     two_sided_ideal,
     validate,
 )
-from queerhom.linalg import GradedDim, vec_add_scaled
+from queerhom.linalg import GradedDim, add_scaled, in_field, linear_apply
 from queerhom.scalars import QQ, ScalarError, parse_field_flag
 
 from oracles import lie_from_assoc, tensor_quadruple_scan
@@ -54,7 +54,7 @@ def vec(coords):
 def add(x, y, c=QQ.one):
     """x + c*y over Q as a new coordinate dict."""
     out = dict(x)
-    vec_add_scaled(out, y, c, QQ)
+    add_scaled(out, y, c)
     return out
 
 
@@ -283,3 +283,28 @@ def test_supercommutator_is_the_bracket_of_lie_from_assoc(flag):
             for i in range(A.dim):
                 for j in range(A.dim):
                     assert A.supercommutator(i, j) == L.bracket_basis(i, j), (A.name, i, j)
+
+
+@pytest.mark.parametrize("flag", ["Fp:3", "Fp:5"])
+def test_products_and_linear_maps_hand_on_reduced_vectors(flag):
+    # mul_coords, supercommutator and linear_apply sum in Z and reduce once:
+    # each returns its sum over Q taken mod p, every value an int in [1, p)
+    field = parse_field_flag(flag)
+    p = field.characteristic
+    rng = random.Random(23)
+    unreduced = 0
+    for tag in ("grassmann(2)", "matrix(2)"):
+        R, RQ = build_builtin(tag, field), build_builtin(tag, QQ)
+        d = R.dim
+        vecs = [{i: rng.randint(1, p - 1) for i in rng.sample(range(d), 3)} for _ in range(8)]
+        for x, y in zip(vecs, vecs[1:]):
+            got, over_q = R.mul_coords(x, y), RQ.mul_coords(x, y)
+            assert got == in_field(over_q, field)
+            unreduced += any(not 0 < v < p for v in over_q.values())
+            assert linear_apply(vecs, x, field) == in_field(linear_apply(vecs, x, QQ), field)
+        for a in range(d):
+            for b in range(d):
+                got = R.supercommutator(a, b)
+                assert got == in_field(RQ.supercommutator(a, b), field)
+                assert all(type(v) is int and 0 < v < p for v in got.values())
+    assert unreduced

@@ -25,7 +25,7 @@ from queerhom.lie import (
     sq_graded_dim,
     sq_torus,
 )
-from queerhom.linalg import GradedDim, GradedSpace, vec_add_scaled
+from queerhom.linalg import GradedDim, GradedSpace
 from queerhom.scalars import QQ, parse_field_flag
 from queerhom.scenarios import ScenarioOptions, scenario_h2_main
 

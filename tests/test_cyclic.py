@@ -6,14 +6,14 @@ import tracemalloc
 import pytest
 
 from queerhom import cyclic, linalg
-from queerhom.algebras import build_builtin, build_grassmann, build_q1, tensor
+from queerhom.algebras import SuperAlgebra, build_builtin, build_grassmann, build_q1, tensor
 from queerhom.cyclic import (
     PairSpace,
     build_shift_iso,
     check_h_relations,
     hc1,
 )
-from queerhom.linalg import GradedDim, vec_add_scaled
+from queerhom.linalg import GradedDim, GradedSpace, GradingError, add_scaled, in_field
 from queerhom.scalars import QQ, parse_field_flag
 
 from oracles import cyclic_relation, pair_relations_full_scan
@@ -61,6 +61,16 @@ def test_relation_subspace_equals_the_full_triple_scan(tag, field):
         assert _typed(pair.relations.rows) == _typed(want.rows)
 
 
+def test_a_table_that_breaks_the_grading_gives_a_mixed_relation_subspace():
+    # e0 e1 = e2 puts an odd vector in the even product e0 e1; the cyclicity
+    # relations then span a subspace that mixes parities, which the quotient
+    # <R,R> refuses (validate rejects such a table before any scenario runs)
+    space = GradedSpace(["e0", "e1", "e2"], [0, 0, 1])
+    bad = SuperAlgebra(QQ, space, {(0, 1): {2: 1}, (1, 0): {1: 1}}, {0: 1}, name="bad")
+    with pytest.raises(GradingError, match="non-homogeneous"):
+        PairSpace(bad)
+
+
 def _orbit_relations(R):
     # the relations PairSpace forms, in its order: antisymmetry for a <= b,
     # then cyclicity for a <= b, a <= c, each nonzero one
@@ -68,7 +78,8 @@ def _orbit_relations(R):
     for a in range(d):
         for b in range(a, d):
             vec = {a * d + b: one}
-            vec_add_scaled(vec, {b * d + a: one}, -one if (par[a] and par[b]) else one, R.field)
+            add_scaled(vec, {b * d + a: one}, -one if (par[a] and par[b]) else one)
+            vec = in_field(vec, R.field)
             if vec:
                 yield vec
     for a in range(d):
@@ -184,9 +195,9 @@ def test_lambda_cyclic_relation_on_random_triples():
     for _ in range(20):
         a, b, c = rand_vec(), rand_vec(), rand_vec()
         amb = {}
-        vec_add_scaled(amb, pair.tensor_vec(R.mul_coords(a, b), c), QQ.one, QQ)
-        vec_add_scaled(amb, pair.tensor_vec(R.mul_coords(b, c), a), QQ.one, QQ)
-        vec_add_scaled(amb, pair.tensor_vec(R.mul_coords(c, a), b), QQ.one, QQ)
+        add_scaled(amb, pair.tensor_vec(R.mul_coords(a, b), c), QQ.one)
+        add_scaled(amb, pair.tensor_vec(R.mul_coords(b, c), a), QQ.one)
+        add_scaled(amb, pair.tensor_vec(R.mul_coords(c, a), b), QQ.one)
         assert pair.class_of(amb) == {}
 
 
@@ -210,9 +221,9 @@ def test_lambda_cyclic_relation_with_koszul_signs():
         s1 = QQ.from_int(-1 if pa and pc else 1)
         s2 = QQ.from_int(-1 if pb and pa else 1)
         s3 = QQ.from_int(-1 if pc and pb else 1)
-        vec_add_scaled(amb, pair.tensor_vec(R.mul_coords(a, b), c), s1, QQ)
-        vec_add_scaled(amb, pair.tensor_vec(R.mul_coords(b, c), a), s2, QQ)
-        vec_add_scaled(amb, pair.tensor_vec(R.mul_coords(c, a), b), s3, QQ)
+        add_scaled(amb, pair.tensor_vec(R.mul_coords(a, b), c), s1)
+        add_scaled(amb, pair.tensor_vec(R.mul_coords(b, c), a), s2)
+        add_scaled(amb, pair.tensor_vec(R.mul_coords(c, a), b), s3)
         assert pair.class_of(amb) == {}
 
 
@@ -267,6 +278,16 @@ def test_relation_rows_on_grassmann_line_fail_only_on_nu_pairs():
             assert r.ok, (r.check, r.inputs, r.note)
 
 
+def test_relation_residues_over_fp_are_reduced():
+    # the residue is summed in Z and reduced once: -1 is printed as 4 in F_5
+    fails = failed_rows(check_h_relations(build_builtin("grassmann(1)", parse_field_flag("Fp:5"))))
+    by_inputs = {r.inputs: r.note for r in fails}
+    assert by_inputs == {
+        ("1", "x1"): "residue 4*x1⊗nu⊗1⊗nu",
+        ("x1", "1"): "residue 1*x1⊗nu⊗1⊗nu",
+    }
+
+
 def test_relation_rows_on_grassmann_plane_fail_only_on_nu_pairs():
     fails = failed_rows(check_h_relations(build_builtin("grassmann(2)", QQ)))
     assert len(fails) == 6
@@ -302,15 +323,15 @@ def test_nu_pair_reduction_with_explicit_signs_always_holds(tag):
             sgn = -one if (par[a] and par[b]) else one
             ab = dict(R.products.get((a, b), {}))
             comm = dict(ab)
-            vec_add_scaled(comm, R.products.get((b, a), {}), -sgn, QQ)
+            add_scaled(comm, R.products.get((b, a), {}), -sgn)
             anti = dict(ab)
-            vec_add_scaled(anti, R.products.get((b, a), {}), sgn, QQ)
+            add_scaled(anti, R.products.get((b, a), {}), sgn)
             amb = pair.tensor_vec(elem({a: one}, 0), elem({b: one}, 0))
-            vec_add_scaled(amb, pair.tensor_vec(elem(comm, 1), unit_nu), -half, QQ)
+            add_scaled(amb, pair.tensor_vec(elem(comm, 1), unit_nu), -half)
             assert pair.class_of(amb) == {}, (tag, a, b, "even-style")
             amb = pair.tensor_vec(elem({a: one}, 1), elem({b: one}, 1))
             c = half if par[b] else -half
-            vec_add_scaled(amb, pair.tensor_vec(elem(anti, 1), unit_nu), c, QQ)
+            add_scaled(amb, pair.tensor_vec(elem(anti, 1), unit_nu), c)
             assert pair.class_of(amb) == {}, (tag, a, b, "nu-style")
 
 

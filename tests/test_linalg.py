@@ -13,9 +13,9 @@ from queerhom.linalg import (
     GradingError,
     QuotientSpace,
     Subspace,
+    add_scaled,
     in_field,
     kernel,
-    vec_add_scaled,
 )
 from queerhom.scalars import QI, QQ, GaussianRational, parse_field_flag
 
@@ -80,10 +80,22 @@ def test_graded_space_rejects_bad_input():
         GradedSpace(["a"], [2])
 
 
-def test_vec_add_scaled_drops_cancelled_entries():
+def test_add_scaled_drops_cancelled_entries():
     dst = {0: F(1), 1: F(2)}
-    vec_add_scaled(dst, {0: F(-1), 2: F(3)}, F(1), QQ)
+    add_scaled(dst, {0: F(-1), 2: F(3)}, F(1))
     assert dst == {1: F(2), 2: F(3)}
+    # base offsets every key of src: dst[base + k] += c*src[k]
+    add_scaled(dst, {0: F(-2), 3: 1}, 1, base=1)
+    assert dst == {2: F(3), 4: 1}
+    # a zero coefficient adds nothing, and stores no zero entry
+    add_scaled(dst, {2: F(5), 7: F(1)}, 0)
+    assert dst == {2: F(3), 4: 1}
+    # summed exactly: over F_5 nothing is reduced until in_field
+    f5 = parse_field_flag("Fp:5")
+    dst = {0: 4}
+    add_scaled(dst, {0: 3, 1: 2}, 2)
+    assert dst == {0: 10, 1: 4}
+    assert in_field(dst, f5) == {1: 4}
 
 
 def test_rref_identity_is_fixed_point():
@@ -148,17 +160,17 @@ def test_the_modulus_is_applied_in_every_kernel():
     line = Subspace.from_vectors(space, rows[:1], f5)
     assert line.coords_of(rows[1]) == {0: 2}
     diff = dict(rows[1])
-    vec_add_scaled(diff, rows[0], -2, f5)
-    assert diff == {}
-    vec_add_scaled(diff, rows[0], 7, f5)
-    assert diff == {0: 2, 1: 1}
+    add_scaled(diff, rows[0], -2)
+    assert in_field(diff, f5) == {}
+    add_scaled(diff, rows[0], 7)
+    assert in_field(diff, f5) == {0: 2, 1: 1}
     # over Q the same rows are independent
     ech = Echelon(QQ)
     assert ech.insert(dict(rows[0])) and ech.insert(dict(rows[1]))
     assert kernel(rows, 2, QQ) == []
     assert Subspace.from_vectors(space, rows[:1], QQ).coords_of(rows[1]) is None
     diff = dict(rows[1])
-    vec_add_scaled(diff, rows[0], -2, QQ)
+    add_scaled(diff, rows[0], -2)
     assert diff == {1: -5}
 
 
@@ -185,7 +197,7 @@ def test_echelon_canonical_under_spanning_set_shuffles():
         for _ in range(6):
             out = {}
             for v in vecs:
-                vec_add_scaled(out, v, F(rng.randint(-3, 3)), QQ)
+                add_scaled(out, v, F(rng.randint(-3, 3)))
             mixed.append(out)
         mixed.extend(vecs)
         rng.shuffle(mixed)
@@ -266,7 +278,7 @@ def test_quotient_project_kills_sub_and_section_lifts():
     lifted = q.section(q.project(v))
     assert q.project(lifted) == q.project(v)
     diff = dict(lifted)
-    vec_add_scaled(diff, v, F(-1), QQ)
+    add_scaled(diff, v, F(-1))
     assert sub.contains(diff)
 
 
@@ -285,7 +297,7 @@ def test_subspace_membership_and_coordinates():
     coords = sub.coords_of(v)
     rebuilt = {}
     for idx, c in coords.items():
-        vec_add_scaled(rebuilt, sub.rows[idx], c, QQ)
+        add_scaled(rebuilt, sub.rows[idx], c)
     assert rebuilt == v
     assert sub.coords_of({0: F(1)}) is None
 
@@ -397,13 +409,13 @@ def test_no_float_in_hc1_or_h2_results(flag):
 
 def _full_scan_reduce(sub, vec):
     """Subspace.reduce as it was: scan every canonical row.  Over F_p the
-    sum is taken in Z (QQ reduces nothing) and reduced once, as the kernel
-    does, so a key that cancels mod p midway keeps its place."""
+    sum is taken in Z by add_scaled and reduced once, as the kernel does,
+    so a key that cancels mod p midway keeps its place."""
     out = dict(vec)
     for pc, row in zip(sub.pivot_cols, sub.rows):
         val = out.get(pc)
         if val:
-            vec_add_scaled(out, row, -val, QQ if sub.field.characteristic else sub.field)
+            add_scaled(out, row, -val)
     return in_field(out, sub.field)
 
 
@@ -414,8 +426,8 @@ def _full_scan_coords_of(sub, vec):
         val = out.get(pc)
         if val:
             coeffs[idx] = val
-            vec_add_scaled(out, row, -val, sub.field)
-    if out:
+            add_scaled(out, row, -val)
+    if in_field(out, sub.field):
         return None
     return coeffs
 
@@ -432,7 +444,8 @@ def _full_scan_rref_rows(ech):
             r2 = rows[c2]
             val = r2.get(c)
             if val:
-                vec_add_scaled(r2, row, -val, ech.field)
+                add_scaled(r2, row, -val)
+                rows[c2] = in_field(r2, ech.field)
     return [rows[c] for c in cols]
 
 
@@ -490,7 +503,8 @@ def test_support_driven_reduction_matches_full_scans(flag):
         for v in probes:
             mixed = {}
             for r in rows:
-                vec_add_scaled(mixed, r, _random_scalar(rng, field), field)
+                add_scaled(mixed, r, _random_scalar(rng, field))
+            mixed = in_field(mixed, field)
             assert sub.coords_of(mixed) == _full_scan_coords_of(sub, mixed)
             assert sub.contains(mixed)
 
@@ -592,8 +606,8 @@ class _HeapEchelon:
             row = dict(self.pivots[c])
             later = sorted((k for k in row if k != c and k in self.pivots), reverse=True)
             for c2 in later:
-                vec_add_scaled(row, rows[c2], -row[c2], self.field)
-            rows[c] = row
+                add_scaled(row, rows[c2], -row[c2])
+            rows[c] = in_field(row, self.field)
         return [rows[c] for c in cols]
 
 
@@ -619,7 +633,8 @@ def test_canonical_echelon_matches_the_heap_forward_echelon(flag):
         for _ in range(rng.randint(0, 4)):
             mixed = {}
             for v in rng.sample(vecs, min(len(vecs), 3)):
-                vec_add_scaled(mixed, v, _random_scalar(rng, field), field)
+                add_scaled(mixed, v, _random_scalar(rng, field))
+            mixed = in_field(mixed, field)
             if mixed:
                 vecs.append(mixed)
         probes = _random_vectors(rng, field, 6, ncols, density)
