@@ -42,6 +42,14 @@ negation of weights is reduced mod p before it is compared.  Its H2 basis
 is the one of the full complex: the canonical complement of the image
 inside the kernel splits by weight, and the blocks of nonzero weight
 contribute nothing.  An empty torus gives the full complex.
+
+The boundary stream.  d3 of a triple (i, j, k) is zero unless one of the
+brackets [e_i, e_j], [e_i, e_k], [e_j, e_k] is not, so ce_h2 visits every
+weight-zero triple (to count them) and calls d3_column only on those with
+a bracket key.  d3_column returns the column as (L2 position, value)
+terms, read off the bracket table and a table of wedges built once, and
+the image echelon reduces them term by term (linalg.Echelon.insert_terms):
+a column is never formed, and most of them reduce to zero.
 """
 from __future__ import annotations
 
@@ -50,7 +58,7 @@ from bisect import bisect_left
 from math import comb
 
 from .lie import LieSuperAlgebra, StructureError
-from .linalg import Echelon, GradedDim, GradedSpace, in_field, kernel, linear_apply
+from .linalg import Echelon, GradedDim, GradedSpace, kernel, linear_apply
 
 
 def lam2_dim_formula(gd: GradedDim) -> GradedDim:
@@ -126,6 +134,13 @@ class CEComplex:
         )
         parities = tuple((par[i] + par[j]) % 2 for (i, j) in pairs)
         self.lam2 = GradedSpace(labels, parities)
+        # ww[c][s] = wedge(s, c) for every s with e_s ^ e_c of weight zero,
+        # and None at s = c even; any other s is missing (KeyError)
+        ww = [{} if par[c] else {c: None} for c in range(g.dim)]
+        for i, j in pairs:
+            ww[j][i] = self.wedge(i, j)
+            ww[i][j] = self.wedge(j, i)
+        self._wedge_with = ww
 
     def wedge(self, t: int, c: int):
         """(index, sign) of e_t ^ e_c in the L2 basis, or None if zero;
@@ -165,38 +180,35 @@ class CEComplex:
                         continue
                     yield (i, j, k)
 
-    def d3_column(self, t) -> dict:
-        """d3 of the triple t; over F_p the column is summed in Z and
-        reduced once."""
+    def d3_column(self, t) -> list:
+        """d3 of the triple t as a list of (L2 position, value) terms whose
+        sum is the column: one term per bracket entry whose wedge is not
+        zero, so a position may repeat, and over F_p a value is a stored
+        coefficient or its negation, not reduced.  KeyError on a wedge of
+        nonzero weight.  ce_h2 calls it only on triples with a nonzero
+        bracket and reduces the terms into its echelon one by one, so the
+        column is never formed."""
         i, j, k = t
-        g = self.g
-        par = g.space.parities
-        out = {}
-
-        def add_wedge(tbl: dict, other: int, sign: int):
-            # sign (+1 or -1) and the wedge's own sign fold into one negation
+        br = self.g.brackets
+        par = self.g.space.parities
+        ww = self._wedge_with
+        terms = []
+        # [e_a, e_b] ^ e_c with sign: sign (+1 or -1) and the wedge's own
+        # sign fold into one negation
+        for a, b, c, sign in (
+            (i, j, k, 1),
+            (i, k, j, 1 if (par[j] and par[k]) else -1),
+            (j, k, i, -1 if (par[i] and ((par[j] + par[k]) % 2)) else 1),
+        ):
+            tbl = br.get((a, b))
+            if tbl is None:
+                continue
+            wc = ww[c]
             for s, v in tbl.items():
-                w = self.wedge(s, other)
-                if w is None:
-                    continue
-                pos, sgn = w
-                val = v if sgn == sign else -v
-                cur = out.get(pos)
-                if cur is None:
-                    out[pos] = val
-                else:
-                    nv = cur + val
-                    if nv:
-                        out[pos] = nv
-                    else:
-                        del out[pos]
-
-        add_wedge(g.bracket_basis(i, j), k, 1)
-        add_wedge(g.bracket_basis(i, k), j, 1 if (par[j] and par[k]) else -1)
-        add_wedge(g.bracket_basis(j, k), i, -1 if (par[i] and ((par[j] + par[k]) % 2)) else 1)
-        if g.field.characteristic:
-            out = in_field(out, g.field)
-        return out
+                w = wc[s]
+                if w is not None:
+                    terms.append((w[0], v if w[1] == sign else -v))
+        return terms
 
 
 class H2Result:
@@ -250,16 +262,20 @@ def ce_h2(g: LieSuperAlgebra, torus=()) -> H2Result:
     t0 = time.perf_counter()
     ech = Echelon(g.field)
     lam3_weight0_dim = 0
+    br = g.brackets
     for t in cx.iter_lam3_weight0():
         lam3_weight0_dim += 1
+        i, j, k = t
+        if (i, j) not in br and (i, k) not in br and (j, k) not in br:
+            continue  # all three brackets vanish: d3 of t is zero
         try:
-            col = cx.d3_column(t)
+            terms = cx.d3_column(t)
         except KeyError:  # a wedge with no weight-zero pair
             raise AssertionError(
                 "d3 leaves the weight-zero subcomplex at triple %r" % (t,)
             ) from None
-        if col:
-            ech.insert(col)
+        if terms:
+            ech.insert_terms(terms)
     im_pivots = set(ech.pivots)
     im = GradedDim.from_parities([lam2_par[c] for c in im_pivots])
     timings["boundaries_parity01"] = time.perf_counter() - t0
@@ -279,7 +295,10 @@ def ce_h2(g: LieSuperAlgebra, torus=()) -> H2Result:
         # exactly when im d3 lies in ker d2
         d2 = [cx.d2_column(k) for k in range(cx.lam2.dim)]
         for t in cx.iter_lam3_weight0():
-            if linear_apply(d2, cx.d3_column(t), g.field):
+            col = {}
+            for pos, v in cx.d3_column(t):
+                col[pos] = col.get(pos, 0) + v
+            if linear_apply(d2, col, g.field):
                 raise AssertionError("d2 o d3 != 0 at triple %r" % (t,))
         raise AssertionError(
             "rank bookkeeping broke: %s homology classes vs kernel %s minus image %s"

@@ -35,13 +35,16 @@ Vectors are summed by one accumulator, ``add_scaled``, exactly: over F_p
 the values are ints in [0, p) combined in Z, and a vector is reduced mod p
 once, by ``in_field``, where it is handed on (in characteristic 0 nothing
 needs reducing and that step is skipped).  The hot loops of ``_residue``,
-``_store`` and chevalley's ``d3_column`` inline the same accumulation;
+``Echelon.insert_terms`` and ``_store`` inline the same accumulation;
 ``_store`` reduces every entry it writes, because the rows it keeps are
-read by every later reduction.  Each kernel has one loop for all three
-fields, with that reduction as a step.  Every division goes through
-``field.invert``, so integer entries over Q never turn into floats, and
-stored rows keep an integral rational as an int, so the rows every
-reduction reads stay on int arithmetic.
+read by every later reduction.  ``Echelon.insert`` takes a formed vector;
+``Echelon.insert_terms`` is the term-wise entry, which reduces a list of
+(column, value) terms as their sum without forming it (chevalley.ce_h2
+hands it each d3 column so, and most of those columns die).  Each kernel
+has one loop for all three fields, with that reduction as a step.  Every
+division goes through ``field.invert``, so integer entries over Q never
+turn into floats, and stored rows keep an integral rational as an int, so
+the rows every reduction reads stay on int arithmetic.
 """
 from __future__ import annotations
 
@@ -273,6 +276,53 @@ class Echelon:
         if not work:
             return False
         _store(self.pivots, self._cols, work, self.field)
+        return True
+
+    def insert_terms(self, terms) -> bool:
+        """insert of the vector sum(v * e_c for c, v in terms), reduced term
+        by term without forming it; a column c may repeat.
+
+        A term off the pivots is accumulated as it is.  A term at pivot c
+        adds -v * (row_c - e_c): by linearity that is its share of the
+        residue, because row_c is monic at c and zero at every other pivot.
+        Over F_p the values are summed in Z and the residue is reduced once.
+        """
+        rows = self.pivots
+        out = {}
+        for c, v in terms:
+            if not v:
+                continue
+            row = rows.get(c)
+            if row is None:
+                cur = out.get(c)
+                if cur is None:
+                    out[c] = v
+                else:
+                    nv = cur + v
+                    if nv:
+                        out[c] = nv
+                    else:
+                        del out[c]
+                continue
+            neg = -v
+            # the row's value on the left, as in _residue
+            for k, x in row.items():
+                if k == c:
+                    continue
+                cur = out.get(k)
+                if cur is None:
+                    out[k] = x * neg
+                else:
+                    nv = x * neg + cur
+                    if nv:
+                        out[k] = nv
+                    else:
+                        del out[k]
+        if out and self.field.characteristic:
+            out = in_field(out, self.field)
+        if not out:
+            return False
+        _store(rows, self._cols, out, self.field)
         return True
 
     def reduce(self, vec: dict) -> dict:

@@ -2,18 +2,20 @@
 
 The program never calls these.  They are the independent or brute-force
 second routes the tests compare it against: the full L2 pair list and
-Chevalley-Eilenberg matrices, a standalone sparse-matrix rref, the Lie
-axioms on basis tuples, the center by a kernel, the supercommutator
-algebra of an associative algebra, the q_n(R) formula table by a full
-index scan, the gl_{m|n}(R) bracket table by a scan of every pair of basis
-vectors (the program has only the rule lie.GlRule), the rule evaluated on
-one pair (gl_rule_get) and the bilinear extension of a table or a rule
-(bracket_coords), build_q's block-realization check against that table,
-the all-pairs bracket scans of VerifiedHomomorphism.verify, induced_lie
-and quotient_lie, the pair-space relations from every triple, the tensor
-product tables by a scan of every index quadruple, the trace condition
-tr X in [R,R] as the kernel of a trace map, the cyclic side of the psq
-formula, and Q(i) arithmetic on pairs of rationals.
+Chevalley-Eilenberg matrices (a d3 column is CEComplex.d3_column's terms
+summed, and d3_by_wedges builds it from its definition as a dict), a
+standalone sparse-matrix rref, the Lie axioms on basis tuples, the center
+by a kernel, the supercommutator algebra of an associative algebra, the
+q_n(R) formula table by a full index scan, the gl_{m|n}(R) bracket table
+by a scan of every pair of basis vectors (the program has only the rule
+lie.GlRule), the rule evaluated on one pair (gl_rule_get) and the bilinear
+extension of a table or a rule (bracket_coords), build_q's
+block-realization check against that table, the all-pairs bracket scans of
+VerifiedHomomorphism.verify, induced_lie and quotient_lie, the pair-space
+relations from every triple, the tensor product tables by a scan of every
+index quadruple, the trace condition tr X in [R,R] as the kernel of a
+trace map, the cyclic side of the psq formula, and Q(i) arithmetic on
+pairs of rationals.
 
 A LieSuperAlgebra table holds each pair once, the keys (i, j) with i <= j.
 Every oracle above that builds a bracket table builds all of it, both
@@ -186,10 +188,47 @@ def d2_matrix(cx) -> SparseMatrix:
     return SparseMatrix(cx.g.dim, cx.lam2.dim, entries)
 
 
+def summed_terms(terms, field) -> dict:
+    """The vector sum(v * e_c for c, v in terms): a term list, as
+    CEComplex.d3_column gives it and Echelon.insert_terms takes it, summed
+    exactly and reduced into field, zeros dropped."""
+    out = {}
+    for c, v in terms:
+        out[c] = out.get(c, 0) + v
+    return in_field(out, field)
+
+
+def d3_vector(cx, t) -> dict:
+    """d3 of the triple t as a vector: CEComplex.d3_column's terms summed."""
+    return summed_terms(cx.d3_column(t), cx.g.field)
+
+
+def d3_by_wedges(cx, t) -> dict:
+    """d3 of the triple t by its definition, as the column was once built:
+    each bracket read through g.bracket_basis, wedged on by cx.wedge, summed
+    by add_scaled and reduced into the field.  KeyError on a wedge of
+    nonzero weight."""
+    i, j, k = t
+    g = cx.g
+    par = g.space.parities
+    out = {}
+    for a, b, c, sign in (
+        (i, j, k, 1),
+        (i, k, j, 1 if par[j] and par[k] else -1),
+        (j, k, i, -1 if par[i] and (par[j] + par[k]) % 2 else 1),
+    ):
+        # [e_a, e_b] ^ e_c = sum_s v e_s ^ e_c, and e_s ^ e_c = sgn * pair
+        for s, v in g.bracket_basis(a, b).items():
+            w = cx.wedge(s, c)
+            if w is not None:
+                add_scaled(out, {w[0]: v}, sign * w[1])
+    return in_field(out, g.field)
+
+
 def d3_matrix(cx) -> SparseMatrix:
     entries = {}
     for k, t in enumerate(iter_lam3(cx)):
-        for r, v in cx.d3_column(t).items():
+        for r, v in d3_vector(cx, t).items():
             entries[(r, k)] = v
     return SparseMatrix(cx.lam2.dim, lam3_dim_formula(cx.g.space.graded_dim), entries)
 
@@ -213,7 +252,7 @@ def h2_by_representatives(g: LieSuperAlgebra, torus=()):
     lam3_weight0_dim = 0
     for t in cx.iter_lam3_weight0():
         lam3_weight0_dim += 1
-        col = cx.d3_column(t)
+        col = d3_vector(cx, t)
         if col:
             ech.insert(col)
     im_odd = sum(par[c] for c in ech.pivots)

@@ -31,7 +31,9 @@ from queerhom.scenarios import ScenarioOptions, scenario_h2_main
 
 from oracles import (
     d2_matrix,
+    d3_by_wedges,
     d3_matrix,
+    d3_vector,
     gl_table,
     h2_by_representatives,
     iter_lam3,
@@ -138,7 +140,8 @@ def test_d3_column_on_three_even_generators():
     one = QQ.one
     heis = hand_written(space, {(0, 1): {2: one}, (1, 0): {2: -one}})
     cx = CEComplex(heis)
-    assert cx.d3_column((0, 1, 2)) == {}
+    assert cx.d3_column((0, 1, 2)) == []
+    assert d3_vector(cx, (0, 1, 2)) == {}
     assert cx.d2_column(cx.pair_pos[(0, 1)]) == {2: one}
 
 
@@ -331,10 +334,20 @@ def test_weight_zero_h2_of_block_algebra_equals_full_complex():
     assert r.stats["torus_rank"] == 3
 
 
-def test_empty_torus_streams_every_triple_in_order(monkeypatch):
-    g = sq_algebra(2, G1)
-    cx = CEComplex(g)
-    assert list(cx.iter_lam3_weight0()) == list(iter_lam3(cx))
+def _has_bracket(g, t):
+    i, j, k = t
+    return any(key in g.brackets for key in ((i, j), (i, k), (j, k)))
+
+
+@pytest.mark.parametrize("empty_torus", [False, True], ids=["weight-zero", "empty-torus"])
+@pytest.mark.parametrize("field", ["Q", "Fp:3"])
+def test_the_stream_reads_exactly_the_triples_with_a_bracket_in_order(field, empty_torus, monkeypatch):
+    g, torus = _acceptance_h2_input("sq", field)
+    if empty_torus:
+        torus = []
+    triples = list(CEComplex(g, torus).iter_lam3_weight0())
+    want = [t for t in triples if _has_bracket(g, t)]
+    assert 0 < len(want) < len(triples)
     streamed = []
     d3_column = CEComplex.d3_column
 
@@ -343,8 +356,39 @@ def test_empty_torus_streams_every_triple_in_order(monkeypatch):
         return d3_column(self, t)
 
     monkeypatch.setattr(CEComplex, "d3_column", recording)
-    ce_h2(g)
-    assert streamed == list(iter_lam3(cx))
+    r = ce_h2(g, torus=torus)
+    assert streamed == want
+    assert r.stats["lam3_weight0_dim"] == len(triples)
+
+
+@pytest.mark.parametrize(
+    "g", [sq_algebra(2, G1), build_q(2, G1), build_q(1, G1)], ids=["sq2-gr1", "q2-gr1", "q1-gr1"]
+)
+def test_every_skipped_triple_has_a_zero_column_in_the_full_complex(g):
+    cx = CEComplex(g)
+    d3 = d3_matrix(cx)
+    nonzero = {c for (_, c) in d3.entries}
+    skipped = [(c, t) for c, t in enumerate(iter_lam3(cx)) if not _has_bracket(g, t)]
+    assert skipped
+    for c, t in skipped:
+        assert c not in nonzero
+        assert d3_by_wedges(cx, t) == {}
+
+
+@pytest.mark.parametrize(
+    "kind,field,chains",
+    [("sq", f, "weight-zero") for f in ("Q", "Qi", "Fp:3", "Fp:5")]
+    + [("psq", "Fp:3", "weight-zero"), ("block", "Qi", "weight-zero"), ("sq", "Fp:5", "full")],
+)
+def test_d3_terms_sum_to_the_column_built_from_its_definition(kind, field, chains):
+    g, torus = _acceptance_h2_input(kind, field)
+    cx = CEComplex(g, torus if chains == "weight-zero" else [])
+    nonzero = 0
+    for t in cx.iter_lam3_weight0():
+        col = d3_vector(cx, t)
+        assert col == d3_by_wedges(cx, t), t
+        nonzero += bool(col)
+    assert nonzero > 100
 
 
 @pytest.mark.parametrize("field", ["Q", "Fp:3"])

@@ -19,7 +19,7 @@ from queerhom.linalg import (
 )
 from queerhom.scalars import QI, QQ, GaussianRational, parse_field_flag
 
-from oracles import SparseMatrix, rref
+from oracles import SparseMatrix, rref, summed_terms
 
 F = Fraction
 
@@ -655,6 +655,58 @@ def test_canonical_echelon_matches_the_heap_forward_echelon(flag):
             assert sorted(ech.pivots) == sorted(oracle.pivots)
             for p in probes + vecs[:2]:
                 assert ech.reduce(p) == oracle.reduce(p)
+
+
+def _random_terms(rng, field, ncols):
+    """(column, value) terms as chevalley's d3 stream hands them on: columns
+    repeat, values may be zero or cancel, and over F_p they are ints of
+    either sign, not reduced."""
+    p = field.characteristic
+    terms = []
+    for _ in range(rng.randint(0, 2 * ncols)):
+        c = rng.randrange(ncols)
+        v = rng.randint(-2 * p, 2 * p) if p else _random_scalar(rng, field)
+        terms.append((c, v))
+        if rng.random() < 0.2:
+            terms.append((c, -v))  # cancels the term just made
+    rng.shuffle(terms)
+    return terms
+
+
+@pytest.mark.parametrize("flag", ["Q", "Qi", "Fp:3", "Fp:5"])
+def test_insert_terms_matches_insert_of_the_summed_vector(flag):
+    field = parse_field_flag(flag)
+    rng = random.Random(4099)
+    kept = dropped = 0
+    for trial in range(60):
+        ncols = rng.randint(1, 12)
+        ech, oracle = Echelon(field), Echelon(field)
+        for _ in range(rng.randint(1, ncols + 6)):
+            terms = _random_terms(rng, field, ncols)
+            got = ech.insert_terms(terms)
+            assert got == oracle.insert(summed_terms(terms, field))
+            kept += got
+            dropped += not got
+            assert ech.pivots == oracle.pivots
+            assert_canonical_rref(ech.rref_rows())
+            assert ech._cols == oracle._cols
+    assert kept > 100 and dropped > 100
+
+
+@pytest.mark.parametrize("flag", ["Fp:3", "Fp:5"])
+def test_insert_terms_that_sum_to_a_multiple_of_p_store_nothing(flag):
+    field = parse_field_flag(flag)
+    p = field.characteristic
+    ech = Echelon(field)
+    # nonzero in Z, zero in F_p: off the pivots, then at and around one
+    assert not ech.insert_terms([(0, 1), (0, p - 1), (1, 2 * p)])
+    assert ech.pivots == {} and ech._cols == {}
+    assert ech.insert_terms([(0, 1), (2, 1)])
+    before = {c: dict(r) for c, r in ech.pivots.items()}, {c: set(s) for c, s in ech._cols.items()}
+    assert not ech.insert_terms([(0, p + 1), (2, 1), (2, p), (1, p)])
+    assert not ech.insert_terms([(0, 2), (2, p + 2)])
+    assert ech.rank == 1
+    assert (ech.pivots, ech._cols) == before
 
 
 def test_later_inserts_do_not_change_earlier_inputs_or_outputs():
