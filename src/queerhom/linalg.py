@@ -34,17 +34,19 @@ cyclic.build_shift_iso).
 Vectors are summed by one accumulator, ``add_scaled``, exactly: over F_p
 the values are ints in [0, p) combined in Z, and a vector is reduced mod p
 once, by ``in_field``, where it is handed on (in characteristic 0 nothing
-needs reducing and that step is skipped).  The hot loops of ``_residue``,
-``Echelon.insert_terms`` and ``_store`` inline the same accumulation;
-``_store`` reduces every entry it writes, because the rows it keeps are
-read by every later reduction.  ``Echelon.insert`` takes a formed vector;
-``Echelon.insert_terms`` is the term-wise entry, which reduces a list of
-(column, value) terms as their sum without forming it (chevalley.ce_h2
-hands it each d3 column so, and most of those columns die).  Each kernel
-has one loop for all three fields, with that reduction as a step.  Every
-division goes through ``field.invert``, so integer entries over Q never
-turn into floats, and stored rows keep an integral rational as an int, so
-the rows every reduction reads stay on int arithmetic.
+needs reducing and that step is skipped).  Every reduction is one walk,
+``_residue``, over (column, value) terms, which it reduces as their sum
+without forming it.  ``Echelon.insert``, ``Echelon.reduce``,
+``Subspace.reduce``, ``contains`` and ``coords_of`` hand it a vector's
+items; ``Echelon.insert_terms`` hands it a term list (chevalley.ce_h2 so
+hands it each d3 column, and most of those columns die).  The walk inlines
+add_scaled's accumulation, and so does the one other loop, ``_store``'s
+back-substitution, which reduces every entry it writes, because the rows
+it keeps are read by every later reduction.  Each kernel has one loop for
+all three fields, with that reduction as a step.  Every division goes
+through ``field.invert``, so integer entries over Q never turn into floats,
+and stored rows keep an integral rational as an int, so the rows every
+reduction reads stay on int arithmetic.
 """
 from __future__ import annotations
 
@@ -184,25 +186,40 @@ def linear_apply(columns, vec: dict, field) -> dict:
     return in_field(out, field) if field.characteristic else out
 
 
-def _residue(vec: dict, rows: dict, field):
-    """Split vec over canonical rows {pivot column: row}.
+def _residue(terms, rows: dict, field):
+    """sum(v * e_c for c, v in terms) reduced over canonical rows {pivot
+    column: row}, term by term, without forming it; a column c may repeat.
 
-    Returns (residue, cols): cols lists the pivot columns in vec's support,
-    increasing, and residue = vec - sum(vec[c] * rows[c] for c in cols).
-    Each row is monic and zero at every other pivot, so vec's own values are
-    the multiples, and the residue is zero at every pivot column.  Over F_p
-    the sum is taken in Z and reduced once at the end.
+    Returns (residue, hits), hits the (c, v) terms at pivot columns.  A term
+    off the pivots is accumulated as it is; a term at pivot c adds
+    -v * (row_c - e_c), its share by linearity, as row_c is monic at c and
+    zero at every other pivot, so the residue is zero at every pivot.  Over
+    F_p the values are summed in Z and the residue is reduced once.
     """
-    out = dict(vec)
-    if not all(out.values()):
-        out = {k: v for k, v in out.items() if v}
-    cols = [c for c in out if c in rows]
-    cols.sort()
-    # add_scaled inlined for the hot path, the row's value on the left:
-    # Fraction * int takes Fraction's fast path, int * Fraction does not.
-    for c in cols:
-        neg = -vec[c]
-        for k, x in rows[c].items():
+    out = {}
+    hits = []
+    for c, v in terms:
+        if not v:
+            continue
+        row = rows.get(c)
+        if row is None:
+            cur = out.get(c)
+            if cur is None:
+                out[c] = v
+            else:
+                nv = cur + v
+                if nv:
+                    out[c] = nv
+                else:
+                    del out[c]
+            continue
+        hits.append((c, v))
+        neg = -v
+        # add_scaled inlined, the row's value on the left: Fraction * int
+        # takes Fraction's fast path, int * Fraction does not.
+        for k, x in row.items():
+            if k == c:
+                continue
             cur = out.get(k)
             if cur is None:
                 out[k] = x * neg
@@ -212,9 +229,9 @@ def _residue(vec: dict, rows: dict, field):
                     out[k] = nv
                 else:
                     del out[k]
-    if field.characteristic:
+    if out and field.characteristic:
         out = in_field(out, field)
-    return out, cols
+    return out, hits
 
 
 def _store(rows: dict, index: dict, row: dict, field):
@@ -269,65 +286,21 @@ class Echelon:
 
     def insert(self, vec: dict) -> bool:
         """Reduce vec against the stored rows; keep the residue as a new row.
+        Returns True when vec enlarged the span; vec itself is not changed."""
+        return self.insert_terms(vec.items())
 
-        Returns True when vec enlarged the span.  vec itself is not changed.
-        """
-        work, _ = _residue(vec, self.pivots, self.field)
+    def insert_terms(self, terms) -> bool:
+        """insert of the vector sum(v * e_c for c, v in terms), reduced term
+        by term without forming it; a column c may repeat."""
+        work, _ = _residue(terms, self.pivots, self.field)
         if not work:
             return False
         _store(self.pivots, self._cols, work, self.field)
         return True
 
-    def insert_terms(self, terms) -> bool:
-        """insert of the vector sum(v * e_c for c, v in terms), reduced term
-        by term without forming it; a column c may repeat.
-
-        A term off the pivots is accumulated as it is.  A term at pivot c
-        adds -v * (row_c - e_c): by linearity that is its share of the
-        residue, because row_c is monic at c and zero at every other pivot.
-        Over F_p the values are summed in Z and the residue is reduced once.
-        """
-        rows = self.pivots
-        out = {}
-        for c, v in terms:
-            if not v:
-                continue
-            row = rows.get(c)
-            if row is None:
-                cur = out.get(c)
-                if cur is None:
-                    out[c] = v
-                else:
-                    nv = cur + v
-                    if nv:
-                        out[c] = nv
-                    else:
-                        del out[c]
-                continue
-            neg = -v
-            # the row's value on the left, as in _residue
-            for k, x in row.items():
-                if k == c:
-                    continue
-                cur = out.get(k)
-                if cur is None:
-                    out[k] = x * neg
-                else:
-                    nv = x * neg + cur
-                    if nv:
-                        out[k] = nv
-                    else:
-                        del out[k]
-        if out and self.field.characteristic:
-            out = in_field(out, self.field)
-        if not out:
-            return False
-        _store(rows, self._cols, out, self.field)
-        return True
-
     def reduce(self, vec: dict) -> dict:
         """Residue of vec modulo the current span; zero at every pivot column."""
-        return _residue(vec, self.pivots, self.field)[0]
+        return _residue(vec.items(), self.pivots, self.field)[0]
 
     def rref_rows(self):
         """Canonical rows, sorted by pivot column: copies of the stored rows,
@@ -378,18 +351,18 @@ class Subspace:
 
     def reduce(self, vec: dict) -> dict:
         """Residue modulo the subspace; support avoids all pivot columns."""
-        return _residue(vec, self._by_pivot, self.field)[0]
+        return _residue(vec.items(), self._by_pivot, self.field)[0]
 
     def contains(self, vec: dict) -> bool:
         return not self.reduce(vec)
 
     def coords_of(self, vec: dict):
         """Coefficients of vec over the canonical rows, or None if outside."""
-        out, cols = _residue(vec, self._by_pivot, self.field)
+        out, hits = _residue(vec.items(), self._by_pivot, self.field)
         if out:
             return None
         pivot_cols = self.pivot_cols
-        return {bisect_left(pivot_cols, c): vec[c] for c in cols}
+        return {bisect_left(pivot_cols, c): v for c, v in hits}
 
     def __eq__(self, other):
         return (

@@ -64,7 +64,7 @@ def load_algebra(path: str) -> SuperAlgebra:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: bad JSON, or an int too long to parse
         raise LoadError(["cannot read %s: %s" % (path, e)])
     if not isinstance(data, dict):
         raise LoadError(["top level must be an object"])
@@ -81,7 +81,7 @@ def load_algebra(path: str) -> SuperAlgebra:
     else:
         try:
             field = field_from_spec(scalars["kind"], scalars.get("characteristic"))
-        except (ScalarError, ValueError) as e:
+        except (ScalarError, ValueError) as e:  # ValueError: too many digits for int
             violations.append("scalars: %s" % e)
     if field is None:
         raise LoadError(violations)

@@ -390,7 +390,8 @@ QI = GaussianRationalField()
 
 
 def field_from_spec(kind: str, characteristic=None) -> Field:
-    """Build a field from the (kind, characteristic) pair used in JSON files."""
+    """Build a field from the (kind, characteristic) pair used in JSON files;
+    a characteristic is a JSON integer or a string of digits, nothing else."""
     if kind == "rationals":
         return QQ
     if kind == "gaussian-rationals":
@@ -398,7 +399,14 @@ def field_from_spec(kind: str, characteristic=None) -> Field:
     if kind == "prime-field":
         if characteristic is None:
             raise ScalarError("prime-field needs a characteristic")
-        return PrimeField(int(characteristic))
+        p = characteristic
+        if isinstance(p, str) and p.isascii() and p.isdigit():
+            p = int(p)
+        if type(p) is not int:  # a JSON true is a bool, not a number
+            raise ScalarError(
+                "characteristic must be an integer or a string of digits, got %r" % (p,)
+            )
+        return PrimeField(p)
     raise ScalarError("unknown scalar kind: %r" % kind)
 
 

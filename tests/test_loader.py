@@ -6,6 +6,7 @@ import os
 import pytest
 
 from queerhom.algebras import validate
+from queerhom.cli import main
 from queerhom.loader import LoadError, load_algebra
 from queerhom.linalg import GradedDim
 
@@ -74,9 +75,46 @@ def test_prime_field_requires_characteristic(tmp_path):
     doc["scalars"] = {"kind": "prime-field"}
     with pytest.raises(LoadError):
         load_algebra(write(tmp_path, doc))
-    doc["scalars"] = {"kind": "prime-field", "characteristic": 7}
-    A = load_algebra(write(tmp_path, doc))
-    assert A.field.name == "F_7"
+    for characteristic in (7, "7"):
+        doc["scalars"] = {"kind": "prime-field", "characteristic": characteristic}
+        A = load_algebra(write(tmp_path, doc))
+        assert A.field.name == "F_7"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[7]", '{"p": 7}', "1e400", "7.5", "3.0", "true", '"7.0"', '" 7"'],
+)
+def test_characteristic_that_is_not_an_integer_is_refused(tmp_path, text, capsys):
+    # only a JSON integer or a string of digits names a prime; the value is
+    # refused as it stands, not truncated, rounded or stripped
+    doc = grassmann_doc()
+    doc["scalars"] = {"kind": "prime-field", "characteristic": "@"}
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(doc).replace('"@"', text))
+    with pytest.raises(LoadError) as err:
+        load_algebra(str(path))
+    value = json.loads(text)
+    assert err.value.violations == [
+        "scalars: characteristic must be an integer or a string of digits, got %r" % (value,)
+    ]
+    assert main(["pair-relations", "--algebra", str(path)]) == 2
+    out, errout = capsys.readouterr()
+    assert out == ""
+    assert errout.startswith("error: algebra file") and repr(value) in errout
+
+
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_characteristic_too_long_to_parse_is_refused(tmp_path, quote):
+    # past Python's digit limit for int parsing (where there is one) json.load
+    # raises a plain ValueError on the number, not a JSONDecodeError, and
+    # int() raises one on the string
+    doc = grassmann_doc()
+    doc["scalars"] = {"kind": "prime-field", "characteristic": "@"}
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(doc).replace('"@"', quote + "7" * 5000 + quote))
+    with pytest.raises(LoadError):
+        load_algebra(str(path))
 
 
 def test_violations_are_aggregated(tmp_path):
