@@ -47,9 +47,11 @@ The boundary stream.  d3 of a triple (i, j, k) is zero unless one of the
 brackets [e_i, e_j], [e_i, e_k], [e_j, e_k] is not, so ce_h2 visits every
 weight-zero triple (to count them) and calls d3_column only on those with
 a bracket key.  d3_column returns the column as (L2 position, value)
-terms, read off the bracket table and a table of wedges built once, and
-the image echelon reduces them term by term (linalg.Echelon.insert_terms):
-a column is never formed, and most of them reduce to zero.
+terms, read off the bracket table and a table of wedges built once in one
+pass over the sorted L2 pairs, and the image echelon reduces them term by
+term (linalg.Echelon.insert_terms): a column is never formed, and most of
+them reduce to zero.  The table is the only record of where e_s ^ e_c
+lands in L2; the basis labels of L2 are the pairs themselves.
 """
 from __future__ import annotations
 
@@ -128,32 +130,17 @@ class CEComplex:
                 pairs.append((i, j))
         pairs.sort(key=lambda t: (par[t[0]] + par[t[1]], t))
         self.pairs = pairs
-        self.pair_pos = {t: k for k, t in enumerate(pairs)}
-        labels = tuple(
-            "%s∧%s" % (g.space.labels[i], g.space.labels[j]) for (i, j) in pairs
-        )
-        parities = tuple((par[i] + par[j]) % 2 for (i, j) in pairs)
-        self.lam2 = GradedSpace(labels, parities)
-        # ww[c][s] = wedge(s, c) for every s with e_s ^ e_c of weight zero,
-        # and None at s = c even; any other s is missing (KeyError)
+        self.lam2 = GradedSpace(pairs, ((par[i] + par[j]) % 2 for (i, j) in pairs))
+        # ww[c][s] = (position, sign) of e_s ^ e_c for every s with e_s ^ e_c
+        # of weight zero, and None at s = c even; any other s is missing
+        # (KeyError).  The k-th pair (i, j) is e_i ^ e_j, and
+        # e_j ^ e_i = -(-1)^{|i||j|} e_i ^ e_j: where that sign is +1 (i and j
+        # odd, an odd self-wedge among them) both directions share one tuple.
         ww = [{} if par[c] else {c: None} for c in range(g.dim)]
-        for i, j in pairs:
-            ww[j][i] = self.wedge(i, j)
-            ww[i][j] = self.wedge(j, i)
+        for k, (i, j) in enumerate(pairs):
+            ww[j][i] = fwd = (k, 1)
+            ww[i][j] = fwd if par[i] and par[j] else (k, -1)
         self._wedge_with = ww
-
-    def wedge(self, t: int, c: int):
-        """(index, sign) of e_t ^ e_c in the L2 basis, or None if zero;
-        KeyError if the pair has nonzero weight."""
-        par = self.g.space.parities
-        if t == c:
-            if par[t] == 0:
-                return None
-            return self.pair_pos[(t, t)], 1
-        if t < c:
-            return self.pair_pos[(t, c)], 1
-        sign = 1 if (par[t] and par[c]) else -1
-        return self.pair_pos[(c, t)], sign
 
     def d2_column(self, k: int) -> dict:
         """[e_i, e_j] for the k-th pair (i, j), as g stores it: not a copy."""

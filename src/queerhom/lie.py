@@ -519,18 +519,20 @@ def _coords_in(sub: Subspace, vec: dict) -> dict:
 
 
 def sq_torus(sq: LieSuperAlgebra):
-    """The diagonal torus of q_n(R) in the basis of sq = build_sq_lie(n, R)[1]."""
-    return (_coords_in(sq.subspace, h) for h in diagonal_torus(sq.ambient))
+    """The diagonal torus of q_n(R) in the basis of sq = build_sq_lie(n, R)[1],
+    as a list, so that it can be read more than once."""
+    return [_coords_in(sq.subspace, h) for h in diagonal_torus(sq.ambient)]
 
 
 def psq_torus(psq: LieSuperAlgebra):
-    """The diagonal torus in the basis of psq = build_psq_lie(n, R)."""
-    return (psq.quotient.project(h) for h in sq_torus(psq.ambient))
+    """The diagonal torus in the basis of psq = build_psq_lie(n, R), as a list."""
+    return [psq.quotient.project(h) for h in sq_torus(psq.ambient)]
 
 
 def block_torus(sl: LieSuperAlgebra, hom):
-    """The diagonal torus of hom.source mapped into the basis of sl = build_block_lie(hom)."""
-    return (_coords_in(sl.subspace, hom.apply(h)) for h in diagonal_torus(hom.source))
+    """The diagonal torus of hom.source mapped into the basis of
+    sl = build_block_lie(hom), as a list."""
+    return [_coords_in(sl.subspace, hom.apply(h)) for h in diagonal_torus(hom.source)]
 
 
 def build_sl(gl: GlRule) -> Subspace:

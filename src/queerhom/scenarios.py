@@ -10,8 +10,9 @@ The three homology scenarios (h2-main, psq-central, slnn-identity) compute
 both sides of one identity with independent machinery (Chevalley-Eilenberg
 on the Lie side, pair-space elimination on the cyclic side) and report
 agreement; nothing is taken on faith from the other side.  They share one
-H2 pipeline, _h2_side: budget check, build, graded-dimension check and
-ce_h2; each keeps only its own guards and its cyclic side.
+pipeline, _h2_side: budget check, cyclic side, build, graded-dimension
+check and ce_h2, in that order, so a budget SKIP computes neither side;
+each keeps only its own guards, its cyclic side and its build.
 """
 from __future__ import annotations
 
@@ -288,15 +289,17 @@ def scenario_kahler_oracle(opts: ScenarioOptions) -> Report:
     return report
 
 
-def _h2_side(report: Report, check: str, gd: GradedDim, budget, build):
-    """The Lie side of a homology scenario: (H2 dims, ranks note), or None.
+def _h2_side(report: Report, check: str, gd: GradedDim, budget, cyclic, build):
+    """Both sides of a homology scenario: (expected dims, H2 dims, ranks
+    note), or None.
 
     The budget (None: no cap) is decided on the dimension of the degree-3
-    chains, from the graded dimension gd alone, before anything is built;
-    over budget, the SKIP row for check is added and None returned.
-    Otherwise build() returns (algebra, torus), the algebra must have
-    graded dimension gd, and ce_h2 runs on it with that torus.  In the
-    note, ker and im are ranks in the weight-zero subcomplex.
+    chains, from the graded dimension gd alone, before either side is
+    computed; over budget, the SKIP row for check is added and None
+    returned.  Otherwise cyclic() returns the expected dims, timed as hc1,
+    then build() returns (algebra, torus), the algebra must have graded
+    dimension gd, and ce_h2 runs on it with that torus.  In the note, ker
+    and im are ranks in the weight-zero subcomplex.
     """
     lam3_dim = lam3_dim_formula(gd)
     if budget is not None and lam3_dim > budget:
@@ -304,6 +307,9 @@ def _h2_side(report: Report, check: str, gd: GradedDim, budget, build):
             check, "degree-3 chain space dimension %d exceeds budget %d" % (lam3_dim, budget)
         )
         return None
+    t0 = time.perf_counter()
+    expected = cyclic()
+    report.timings["hc1"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     g, torus = build()
     if g.space.graded_dim != gd:
@@ -322,7 +328,7 @@ def _h2_side(report: Report, check: str, gd: GradedDim, budget, build):
         "ker=(%(ker_rank_parity0)d|%(ker_rank_parity1)d) "
         "im=(%(im_rank_parity0)d|%(im_rank_parity1)d)" % h2.stats
     )
-    return h2.dims, note
+    return expected, h2.dims, note
 
 
 def _homology_inputs(opts: ScenarioOptions, R: SuperAlgebra):
@@ -336,20 +342,19 @@ def scenario_h2_main(opts: ScenarioOptions) -> Report:
     R, _ = resolve_algebra(opts)
     n = opts.n
     report = Report("h2-main", _homology_inputs(opts, R))
-    t0 = time.perf_counter()
-    hc = hc1(R)
-    report.timings["hc1"] = time.perf_counter() - t0
-    expected = hc.graded_dim.swap()
+
+    def cyclic():
+        return hc1(R).graded_dim.swap()
 
     def build():
         _, sq = build_sq_lie(n, R)
         return sq, sq_torus(sq)
 
     check = "h2-equals-shifted-cyclic"
-    side = _h2_side(report, check, sq_graded_dim(n, R), opts.budget, build)
+    side = _h2_side(report, check, sq_graded_dim(n, R), opts.budget, cyclic, build)
     if side is None:
         return report
-    dims, note = side
+    expected, dims, note = side
     if n >= 3:
         report.add_cmp(check, expected, dims, note)
     else:
@@ -374,18 +379,17 @@ def scenario_psq_central(opts: ScenarioOptions) -> Report:
     if n < 3:
         report.skip(check, "stated for n >= 3 only")
         return report
-    t0 = time.perf_counter()
-    hc = hc1(R)
-    expected = R.space.graded_dim + hc.graded_dim.swap()
-    report.timings["hc1"] = time.perf_counter() - t0
+
+    def cyclic():
+        return R.space.graded_dim + hc1(R).graded_dim.swap()
 
     def build():
         psq = build_psq_lie(n, R)
         return psq, psq_torus(psq)
 
-    side = _h2_side(report, check, psq_graded_dim(n, R), opts.budget, build)
+    side = _h2_side(report, check, psq_graded_dim(n, R), opts.budget, cyclic, build)
     if side is not None:
-        report.add_cmp(check, expected, *side)
+        report.add_cmp(check, *side)
     return report
 
 
@@ -406,17 +410,17 @@ def scenario_slnn_identity(opts: ScenarioOptions) -> Report:
     if n < 3:
         report.skip(check, "stated for n >= 3 only")
         return report
-    t0 = time.perf_counter()
-    hc_S = hc1(S)
     T = tensor(S, build_q1(S.field))
-    hc_T = hc1(T)
-    report.timings["hc1"] = time.perf_counter() - t0
-    report.add_cmp(
-        "shift-chain-consistent",
-        hc_S.graded_dim,
-        hc_T.graded_dim.swap(),
-        "double parity shift returns the cyclic side",
-    )
+
+    def cyclic():
+        hc_S = hc1(S).graded_dim
+        report.add_cmp(
+            "shift-chain-consistent",
+            hc_S,
+            hc1(T).graded_dim.swap(),
+            "double parity shift returns the cyclic side",
+        )
+        return hc_S
 
     def build():
         hom = iso_qQ1_to_glnn(n, S)
@@ -425,9 +429,9 @@ def scenario_slnn_identity(opts: ScenarioOptions) -> Report:
         return sl, block_torus(sl, hom)
 
     # the block algebra is the image of sq_n(T) under an isomorphism
-    side = _h2_side(report, check, sq_graded_dim(n, T), opts.budget, build)
+    side = _h2_side(report, check, sq_graded_dim(n, T), opts.budget, cyclic, build)
     if side is not None:
-        report.add_cmp(check, hc_S.graded_dim, *side)
+        report.add_cmp(check, *side)
     return report
 
 

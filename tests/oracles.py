@@ -3,9 +3,10 @@
 The program never calls these.  They are the independent or brute-force
 second routes the tests compare it against: the full L2 pair list and
 Chevalley-Eilenberg matrices (a d3 column is CEComplex.d3_column's terms
-summed, and d3_by_wedges builds it from its definition as a dict), a
-standalone sparse-matrix rref, the Lie axioms on basis tuples, the center
-by a kernel, the supercommutator algebra of an associative algebra, the
+summed, and d3_by_wedges builds it from its definition as a dict, with
+the wedge sign rule stated on its own in wedge), a standalone
+sparse-matrix rref, the Lie axioms on basis tuples, the center by a
+kernel, the supercommutator algebra of an associative algebra, the
 q_n(R) formula table by a full index scan, the gl_{m|n}(R) bracket table
 by a scan of every pair of basis vectors (the program has only the rule
 lie.GlRule), the rule evaluated on one pair (gl_rule_get) and the bilinear
@@ -203,11 +204,28 @@ def d3_vector(cx, t) -> dict:
     return summed_terms(cx.d3_column(t), cx.g.field)
 
 
-def d3_by_wedges(cx, t) -> dict:
+def lam2_positions(cx) -> dict:
+    """{(i, j): position} of cx's L2 basis, read off cx.pairs."""
+    return {t: k for k, t in enumerate(cx.pairs)}
+
+
+def wedge(pos, par, s, c):
+    """(position, sign) of e_s ^ e_c in the L2 basis whose pair positions
+    are pos, or None if it is zero; KeyError if the pair is not in pos.
+    par are the parities of g's basis.  The sign rule:
+    e_c ^ e_s = -(-1)^{|s||c|} e_s ^ e_c, so e_s ^ e_s = 0 for s even."""
+    if s == c:
+        return None if par[s] == 0 else (pos[(s, s)], 1)
+    if s < c:
+        return pos[(s, c)], 1
+    return pos[(c, s)], 1 if par[s] and par[c] else -1
+
+
+def d3_by_wedges(cx, pos, t) -> dict:
     """d3 of the triple t by its definition, as the column was once built:
-    each bracket read through g.bracket_basis, wedged on by cx.wedge, summed
-    by add_scaled and reduced into the field.  KeyError on a wedge of
-    nonzero weight."""
+    each bracket read through g.bracket_basis, wedged on by wedge with the
+    pair positions pos (lam2_positions(cx)), summed by add_scaled and
+    reduced into the field.  KeyError on a wedge of nonzero weight."""
     i, j, k = t
     g = cx.g
     par = g.space.parities
@@ -219,7 +237,7 @@ def d3_by_wedges(cx, t) -> dict:
     ):
         # [e_a, e_b] ^ e_c = sum_s v e_s ^ e_c, and e_s ^ e_c = sgn * pair
         for s, v in g.bracket_basis(a, b).items():
-            w = cx.wedge(s, c)
+            w = wedge(pos, par, s, c)
             if w is not None:
                 add_scaled(out, {w[0]: v}, sign * w[1])
     return in_field(out, g.field)

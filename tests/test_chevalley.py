@@ -39,7 +39,9 @@ from oracles import (
     iter_lam3,
     lam2_dim_formula,
     lam2_pairs,
+    lam2_positions,
     upper_half,
+    wedge,
 )
 
 BASE = build_builtin("base-field", QQ)
@@ -92,13 +94,14 @@ def test_wedge_sign_rules():
     g = build_q(1, G1)  # parities (0, 1, 1, 0)
     cx = CEComplex(g)
     par = g.space.parities
-    assert cx.wedge(0, 0) is None  # even self-wedge dies
-    pos, sgn = cx.wedge(1, 1)  # odd self-wedge survives
+    ww = cx._wedge_with  # ww[c][t]: e_t ^ e_c
+    assert ww[0][0] is None  # even self-wedge dies
+    pos, sgn = ww[1][1]  # odd self-wedge survives
     assert sgn == 1
     for t in range(g.dim):
         for c in range(t + 1, g.dim):
-            fwd = cx.wedge(t, c)
-            rev = cx.wedge(c, t)
+            fwd = ww[c][t]
+            rev = ww[t][c]
             assert fwd[0] == rev[0]
             want = 1 if (par[t] and par[c]) else -1
             assert rev[1] == fwd[1] * want
@@ -110,10 +113,31 @@ def test_wedge_positions_cover_basis_once():
     n = cx.g.dim
     for t in range(n):
         for c in range(t, n):
-            w = cx.wedge(t, c)
+            w = cx._wedge_with[c][t]
             if w is not None:
                 seen.add(w[0])
     assert seen == set(range(cx.lam2.dim))
+
+
+@pytest.mark.parametrize("empty_torus", [False, True], ids=["weight-zero", "empty-torus"])
+@pytest.mark.parametrize("field", ["Q", "Fp:3"])
+def test_wedge_table_is_the_sign_rule_on_every_pair_and_nothing_else(field, empty_torus):
+    g, torus = _acceptance_h2_input("sq", field)
+    cx = CEComplex(g, [] if empty_torus else torus)
+    pos = lam2_positions(cx)
+    par = g.space.parities
+    want = [{} for _ in range(g.dim)]
+    for c in range(g.dim):
+        if par[c] == 0:
+            assert wedge(pos, par, c, c) is None
+            want[c][c] = None  # an even self-wedge
+    for i, j in cx.pairs:
+        want[j][i] = wedge(pos, par, i, j)  # e_i ^ e_j
+        want[i][j] = wedge(pos, par, j, i)  # e_j ^ e_i
+        if par[i] and par[j]:  # equal signs: both directions hold one tuple
+            assert cx._wedge_with[i][j] is cx._wedge_with[j][i]
+    # both directions of every pair, the even self-wedges, and no other key
+    assert cx._wedge_with == want
 
 
 # --------------------------------------------------------------- boundaries
@@ -142,7 +166,7 @@ def test_d3_column_on_three_even_generators():
     cx = CEComplex(heis)
     assert cx.d3_column((0, 1, 2)) == []
     assert d3_vector(cx, (0, 1, 2)) == {}
-    assert cx.d2_column(cx.pair_pos[(0, 1)]) == {2: one}
+    assert cx.d2_column(cx.pairs.index((0, 1))) == {2: one}
 
 
 def test_heisenberg_h2():
@@ -198,7 +222,8 @@ def test_h2_of_traceless_two_by_two_vanishes():
 
 # ------------------------------------------------------- budget and stats
 # The budget caps the degree-3 chain space; the h2 scenarios decide it from
-# the graded dimension alone, before any algebra, torus or complex exists.
+# the graded dimension alone, before the cyclic side or any algebra, torus
+# or complex exists.
 
 
 def _h2_main_row(budget):
@@ -251,13 +276,14 @@ def test_basis_vectors_are_homogeneous_cycles():
     g = sq_algebra(2, G1)
     r = ce_h2(g)
     cx = CEComplex(g)
+    pos = lam2_positions(cx)
     d2 = d2_matrix(cx)
     assert len(r.basis) == r.dims.even + r.dims.odd
     assert [p for p, _ in r.basis] == [0] * r.dims.even + [1] * r.dims.odd
     for p, vec in r.basis:
         assert vec
-        assert all(cx.lam2.parities[cx.pair_pos[t]] == p for t in vec)
-        assert d2.apply({cx.pair_pos[t]: v for t, v in vec.items()}, g.field) == {}
+        assert all(cx.lam2.parities[pos[t]] == p for t in vec)
+        assert d2.apply({pos[t]: v for t, v in vec.items()}, g.field) == {}
 
 
 def test_d2_after_d3_is_checked_on_every_column():
@@ -295,7 +321,7 @@ def heisenberg():
 
 def sq3_with_torus(tag, field):
     _, sq = build_sq_lie(3, build_builtin(tag, parse_field_flag(field)))
-    return sq, list(sq_torus(sq))
+    return sq, sq_torus(sq)
 
 
 def assert_weight_zero_matches_full(g, torus):
@@ -322,7 +348,7 @@ def test_weight_zero_h2_of_sq3_equals_full_complex(tag, field):
 
 def test_weight_zero_h2_of_psq3_equals_full_complex():
     psq = build_psq_lie(3, G1)
-    r = assert_weight_zero_matches_full(psq, list(psq_torus(psq)))
+    r = assert_weight_zero_matches_full(psq, psq_torus(psq))
     # h_1 + h_2 + h_3 is the identity block, which the quotient kills
     assert r.stats["torus_rank"] == 2
 
@@ -330,7 +356,7 @@ def test_weight_zero_h2_of_psq3_equals_full_complex():
 def test_weight_zero_h2_of_block_algebra_equals_full_complex():
     hom = iso_qQ1_to_glnn(3, build_builtin("base-field", parse_field_flag("Qi")))
     sl = build_block_lie(hom)
-    r = assert_weight_zero_matches_full(sl, list(block_torus(sl, hom)))
+    r = assert_weight_zero_matches_full(sl, block_torus(sl, hom))
     assert r.stats["torus_rank"] == 3
 
 
@@ -366,13 +392,14 @@ def test_the_stream_reads_exactly_the_triples_with_a_bracket_in_order(field, emp
 )
 def test_every_skipped_triple_has_a_zero_column_in_the_full_complex(g):
     cx = CEComplex(g)
+    pos = lam2_positions(cx)
     d3 = d3_matrix(cx)
     nonzero = {c for (_, c) in d3.entries}
     skipped = [(c, t) for c, t in enumerate(iter_lam3(cx)) if not _has_bracket(g, t)]
     assert skipped
     for c, t in skipped:
         assert c not in nonzero
-        assert d3_by_wedges(cx, t) == {}
+        assert d3_by_wedges(cx, pos, t) == {}
 
 
 @pytest.mark.parametrize(
@@ -383,10 +410,11 @@ def test_every_skipped_triple_has_a_zero_column_in_the_full_complex(g):
 def test_d3_terms_sum_to_the_column_built_from_its_definition(kind, field, chains):
     g, torus = _acceptance_h2_input(kind, field)
     cx = CEComplex(g, torus if chains == "weight-zero" else [])
+    pos = lam2_positions(cx)
     nonzero = 0
     for t in cx.iter_lam3_weight0():
         col = d3_vector(cx, t)
-        assert col == d3_by_wedges(cx, t), t
+        assert col == d3_by_wedges(cx, pos, t), t
         nonzero += bool(col)
     assert nonzero > 100
 
@@ -431,12 +459,23 @@ def _acceptance_h2_input(kind, field):
     if kind == "block":
         hom = iso_qQ1_to_glnn(3, R)
         sl = build_block_lie(hom)
-        return sl, list(block_torus(sl, hom))
+        return sl, block_torus(sl, hom)
     if kind == "psq":
         psq = build_psq_lie(3, R)
-        return psq, list(psq_torus(psq))
+        return psq, psq_torus(psq)
     _, sq = build_sq_lie(3, R)
-    return sq, list(sq_torus(sq))
+    return sq, sq_torus(sq)
+
+
+@pytest.mark.parametrize("kind,field", [("sq", "Q"), ("psq", "Fp:3"), ("block", "Qi")])
+def test_one_torus_serves_two_ce_h2_calls(kind, field):
+    # a torus read up by the first call would leave the second one the
+    # full complex: the same H2, other stats
+    g, torus = _acceptance_h2_input(kind, field)
+    first, second = (ce_h2(g, torus=torus).stats for _ in range(2))
+    del first["timings"], second["timings"]
+    assert first["torus_rank"] > 0
+    assert second == first
 
 
 def _typed_basis(basis):

@@ -152,13 +152,13 @@ def test_budget_skip_text_for_grassmann2_at_n6_is_unchanged():
 
 
 def _no_build(*args, **kwargs):
-    raise AssertionError("built an algebra or a torus before the budget check")
+    raise AssertionError("built an algebra, a torus or the cyclic side before the budget check")
 
 
 def test_budget_skips_come_before_anything_is_built(monkeypatch):
     for name in (
         "build_sq_lie", "build_psq_lie", "iso_qQ1_to_glnn", "build_q",
-        "sq_torus", "psq_torus", "block_torus", "ce_h2",
+        "sq_torus", "psq_torus", "block_torus", "ce_h2", "hc1",
     ):
         monkeypatch.setattr(scenarios, name, _no_build)
     G2 = ScenarioOptions("builtin:grassmann(2)", n=6, budget=10)
