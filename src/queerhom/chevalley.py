@@ -13,8 +13,9 @@ elimination for both parities: d2 and d3 preserve parity, so every
 canonical row lies in the parity of its pivot column.  d2 o d3 = 0 is
 checked by the rank equation of the last step: dim(ker + im) - dim im,
 the number of classes read off, equals dim ker - dim im exactly when
-im d3 lies in ker d2.  Only when it fails are the d3 columns streamed
-again, to name the first triple whose column d2 does not kill.
+im d3 lies in ker d2 (on the streamed columns, see the boundary stream
+below).  Only when it fails are the d3 columns streamed again, to name the
+first triple whose column d2 does not kill.
 
 The canonical H2 basis is read off one echelon.  Streaming the d3 columns
 into it leaves the RREF of im d3, with pivot columns P.  Inserting any
@@ -43,24 +44,49 @@ is the one of the full complex: the canonical complement of the image
 inside the kernel splits by weight, and the blocks of nonzero weight
 contribute nothing.  An empty torus gives the full complex.
 
-The boundary stream.  d3 of a triple (i, j, k) is zero unless one of the
-brackets [e_i, e_j], [e_i, e_k], [e_j, e_k] is not, so ce_h2 visits every
-weight-zero triple (to count them) and calls d3_column only on those with
-a bracket key.  d3_column returns the column as (L2 position, value)
-terms, read off the bracket table and a table of wedges built once in one
-pass over the sorted L2 pairs, and the image echelon reduces them term by
-term (linalg.Echelon.insert_terms): a column is never formed, and most of
-them reduce to zero.  The table is the only record of where e_s ^ e_c
-lands in L2; the basis labels of L2 are the pairs themselves.
+The boundary stream.  If S generates g, then im d3 = d3(S ^ L2g).  With
+i_x = x ^ - and theta_x the adjoint action on chains, the Cartan identities
+theta_x = d i_x + i_x d and [theta_s, i_t] = i_[s,t] (Koszul signs
+throughout), and theta commuting with d, give for s in S and any 3-chain b
+theta_s d3(b) = d3(s ^ d3 b), as d2 d3 = 0: theta_s maps V = d3(S ^ L2g)
+into itself.  So if d3(t ^ L2g) lies in V, so does d3([s,t] ^ w), which
+is theta_s d3(t ^ w) minus or plus d3(t ^ theta_s w); the t with that
+property contain S and are closed under [S, -], so they are all of g
+(Chevalley-Eilenberg 1948; Fuks 1986, ch. 1).  S is made of basis
+vectors, which are weight vectors, so the weight-zero image is spanned by
+the weight-zero triples with a factor in S: the same subspace, the same
+RREF and the same canonical H2 basis.  CEComplex.generating_set picks S
+greedily from the bracket table, and iter_lam3_weight0 enumerates only
+those triples, from the weight buckets; their number lam3_weight0_dim is
+counted from the buckets' graded dimensions, not walked.
+
+d3 of a triple (i, j, k) is zero unless one of the brackets [e_i, e_j],
+[e_i, e_k], [e_j, e_k] is not, so ce_h2 calls d3_column only on the
+streamed triples with a bracket key.  d3_column returns the column as
+(L2 position, value) terms, read off the bracket table and a table of
+wedges built once in one pass over the sorted L2 pairs, and the image
+echelon reduces them term by term (linalg.Echelon.insert_terms): a column
+is never formed, and most of them reduce to zero.  The table is the only
+record of where e_s ^ e_c lands in L2; the basis labels of L2 are the
+pairs themselves.
+
+What the rank equation certifies is then J(s, y, z) = 0 on the streamed
+triples, where J(x, y, z) = d2 d3(x ^ y ^ z) is the super Jacobi sum.  With
+an empty torus that is all of super Jacobi: it says ad_s is a derivation
+for every s in S, the x whose ad_x is a derivation form a subalgebra, and
+S generates g.  With a torus it certifies J(s, y, z) = 0 on the weight-zero
+triples with a factor in S.  The failure rescan walks every weight-zero
+triple, in increasing order.
 """
 from __future__ import annotations
 
 import time
 from bisect import bisect_left
+from itertools import chain
 from math import comb
 
 from .lie import LieSuperAlgebra, StructureError
-from .linalg import Echelon, GradedDim, GradedSpace, kernel, linear_apply
+from .linalg import Echelon, GradedDim, GradedSpace, add_scaled, in_field, kernel, linear_apply
 
 
 def lam2_dim_formula(gd: GradedDim) -> GradedDim:
@@ -147,22 +173,112 @@ class CEComplex:
         i, j = self.pairs[k]
         return self.g.bracket_basis(i, j)
 
-    def iter_lam3_weight0(self):
-        """Sorted weight-zero triples (i, j, k), equalities only at odd indices;
-        every triple of L3 for an empty torus."""
+    def generating_set(self) -> list:
+        """A greedy generating set S of g, as sorted basis indices.
+
+        The basis vectors of nonzero weight are walked first, most bracket
+        keys first and ties by index, then every index; e_b is kept only if
+        it lies outside the subalgebra the kept ones generate, which is
+        their ad_S-closure, held in one Echelon and closed again after each
+        kept e_b.  The walk stops once the closure is g, so S generates g
+        exactly, whatever the torus (an empty one included).
+        """
+        g = self.g
+        dim = g.dim
+        one = g.field.one
+        keys = [0] * dim
+        for i, j in g.brackets:
+            keys[i] += 1
+            if i != j:
+                keys[j] += 1
+        first = sorted((b for b in range(dim) if any(self.weights[b])), key=lambda b: (-keys[b], b))
+
+        def ad(s, v):  # [e_s, v]
+            out = {}
+            for c, x in v.items():
+                add_scaled(out, g.bracket_basis(s, c), x)
+            return in_field(out, g.field)
+
+        closure = Echelon(g.field)
+        spanned = []  # vectors whose span is the closure
+        gens = []
+        for b in chain(first, range(dim)):
+            if closure.rank == dim:
+                break
+            e_b = {b: one}
+            if not closure.insert(e_b):
+                continue
+            gens.append(b)
+            # the old closure is closed under the old S; bracket it with e_b,
+            # and every new vector with all of S, until the closure is g
+            work = [((b,), v) for v in spanned] + [(tuple(gens), e_b)]
+            spanned.append(e_b)
+            while work and closure.rank < dim:
+                ss, v = work.pop()
+                for s in ss:
+                    w = ad(s, v)
+                    if w and closure.insert(w):
+                        spanned.append(w)
+                        work.append((tuple(gens), w))
+        return sorted(gens)
+
+    def lam3_weight0_dim(self) -> int:
+        """The number of weight-zero triples, counted from the weight buckets
+        without walking them: a sum over the weight multisets {a, b, c} with
+        a + b + c = 0 of lam3_dim_formula(B_a) (a = b = c), |L2(B_a)| |B_c|
+        (a = b != c, and likewise b = c) or |B_a| |B_b| |B_c|."""
+        par = self.g.space.parities
+        gds = [GradedDim.from_parities([par[b] for b in bucket]) for bucket in self._buckets]
+        count = 0
+        for a, third in enumerate(self._third):
+            for b in range(a, len(gds)):
+                c = third[b]
+                if c is None or c < b:
+                    continue
+                if a == b == c:
+                    count += lam3_dim_formula(gds[a])
+                elif a == b:
+                    count += sum(lam2_dim_formula(gds[a])) * sum(gds[c])
+                elif b == c:
+                    count += sum(gds[a]) * sum(lam2_dim_formula(gds[b]))
+                else:
+                    count += sum(gds[a]) * sum(gds[b]) * sum(gds[c])
+        return count
+
+    def iter_lam3_weight0(self, generators=None):
+        """Sorted weight-zero triples (i, j, k), equalities only at odd indices,
+        in increasing order; every triple of L3 for an empty torus.
+
+        Given generators, only the triples with a factor among them, in
+        decreasing order: where neither i nor j is a generator, k is drawn
+        from the generators in its weight bucket, so no other triple is
+        visited.  ce_h2 streams these, and the decreasing order keeps the
+        image echelon smaller than the increasing one does.
+        """
         par = self.g.space.parities
         n = self.g.dim
         wid = self.weight_id
-        for i in range(n):
+        buckets = self._buckets
+        if generators is None:
+            step = 1
+            in_s = [True] * n
+            s_buckets = buckets
+        else:
+            step = -1
+            in_s = [False] * n
+            for s in generators:
+                in_s[s] = True
+            s_buckets = [[b for b in bucket if in_s[b]] for bucket in buckets]
+        for i in range(n)[::step]:
             third = self._third[wid[i]]
-            for j in range(i, n):
+            for j in range(i, n)[::step]:
                 if i == j and par[i] == 0:
                     continue
                 c = third[wid[j]]
                 if c is None:
                     continue
-                ks = self._buckets[c]
-                for k in ks[bisect_left(ks, j):]:
+                ks = buckets[c] if in_s[i] or in_s[j] else s_buckets[c]
+                for k in ks[bisect_left(ks, j):][::step]:
                     if j == k and par[j] == 0:
                         continue
                     yield (i, j, k)
@@ -217,10 +333,12 @@ def ce_h2(g: LieSuperAlgebra, torus=()) -> H2Result:
     the image echelon after the kernel basis is inserted into it (see the
     module docstring).  Only the weight-zero subcomplex of `torus` is built;
     basis vectors are keyed by L2 pairs (i, j) either way.
-    torus is an iterable of coordinate vectors of g.  d2 o d3 = 0 is
-    asserted through the rank equation, which holds exactly when it does;
-    on failure the d3 columns are rescanned in stream order and the first
-    triple whose column d2 does not kill is named.
+    torus is an iterable of coordinate vectors of g.  Only the triples with
+    a factor in CEComplex.generating_set are streamed (see the module
+    docstring).  d2 o d3 = 0 on them is asserted through the rank
+    equation, which holds exactly when it does; on failure every
+    weight-zero triple is rescanned in increasing order and the first
+    whose column d2 does not kill is named.
     """
     torus = list(torus)
     cx = CEComplex(g, torus)
@@ -247,14 +365,15 @@ def ce_h2(g: LieSuperAlgebra, torus=()) -> H2Result:
     kd = GradedDim.from_parities([cx.lam2.parity_of_vec(v) for v in ker])
     timings["kernel_parity01"] = time.perf_counter() - t0
     t0 = time.perf_counter()
+    gens = cx.generating_set()
     ech = Echelon(g.field)
-    lam3_weight0_dim = 0
+    streamed = 0
     br = g.brackets
-    for t in cx.iter_lam3_weight0():
-        lam3_weight0_dim += 1
+    for t in cx.iter_lam3_weight0(gens):
         i, j, k = t
         if (i, j) not in br and (i, k) not in br and (j, k) not in br:
             continue  # all three brackets vanish: d3 of t is zero
+        streamed += 1
         try:
             terms = cx.d3_column(t)
         except KeyError:  # a wedge with no weight-zero pair
@@ -295,7 +414,9 @@ def ce_h2(g: LieSuperAlgebra, torus=()) -> H2Result:
     for p in (0, 1):
         stats["ker_rank_parity%d" % p] = kd[p]
         stats["im_rank_parity%d" % p] = im[p]
-    stats["lam3_weight0_dim"] = lam3_weight0_dim
+    stats["lam3_weight0_dim"] = cx.lam3_weight0_dim()
+    stats["generators"] = len(gens)
+    stats["lam3_streamed"] = streamed
     stats["h2"] = [dims.even, dims.odd]
     stats["timings"] = timings
     return H2Result(dims, basis, stats)

@@ -451,17 +451,23 @@ def build_sq_by_characterization(n: int, R: SuperAlgebra, q: LieSuperAlgebra) ->
     return sub
 
 
-def sq_graded_dim(n: int, R: SuperAlgebra) -> GradedDim:
-    """Graded dimension of sq_n(R), from n and R alone.
+def _sq_graded_dim(n: int, gd: GradedDim, comm: GradedDim) -> GradedDim:
+    """Graded dimension of sq_n(R) for R of graded dimension gd and [R,R]
+    of comm.
 
     The u-block is all of gl_n(R).  The w-block has parity shifted by one:
     its n^2 - n off-diagonal entries are free, and its diagonal is n copies
     of R with trace in [R,R], which leaves (n - 1) copies plus [R,R].
     """
-    a, b = R.space.graded_dim
-    c, d = commutator_subspace(R).graded_dim
+    a, b = gd
+    c, d = comm
     w = GradedDim((n * n - 1) * a + c, (n * n - 1) * b + d)
     return GradedDim(n * n * a, n * n * b) + w.swap()
+
+
+def sq_graded_dim(n: int, R: SuperAlgebra) -> GradedDim:
+    """Graded dimension of sq_n(R), from n and R alone."""
+    return _sq_graded_dim(n, R.space.graded_dim, commutator_subspace(R).graded_dim)
 
 
 def build_sq_lie(n: int, R: SuperAlgebra):
@@ -494,6 +500,18 @@ def build_psq_lie(n: int, R: SuperAlgebra):
 def psq_graded_dim(n: int, R: SuperAlgebra) -> GradedDim:
     """Graded dimension of psq_n(R): sq_n(R) minus the identity block R."""
     return sq_graded_dim(n, R) - R.space.graded_dim
+
+
+def block_graded_dim(n: int, S: SuperAlgebra) -> GradedDim:
+    """Graded dimension of the traceless block algebra over S, which is
+    sq_n(T) for T = S(x)Q1, from n and S alone: T is never built.
+
+    T = S(x)1 + S(x)nu, and [T,T] = S(x)1 + [S,S](x)nu: [a(x)1, b(x)nu] =
+    [a,b](x)nu, [a(x)nu, b(x)nu] lies in S(x)1, and [a(x)nu, 1(x)nu] = 2a(x)1,
+    with 2 invertible in every admissible field.  a(x)nu has parity |a| + 1.
+    """
+    gd = S.space.graded_dim
+    return _sq_graded_dim(n, gd + gd.swap(), gd + commutator_subspace(S).graded_dim.swap())
 
 
 def build_block_lie(hom) -> LieSuperAlgebra:

@@ -33,6 +33,7 @@ from .kahler import kahler_hc1_oracle
 from .lie import (
     StructureError,
     VerifiedHomomorphism,
+    block_graded_dim,
     block_torus,
     build_block_lie,
     build_psq_lie,
@@ -410,10 +411,10 @@ def scenario_slnn_identity(opts: ScenarioOptions) -> Report:
     if n < 3:
         report.skip(check, "stated for n >= 3 only")
         return report
-    T = tensor(S, build_q1(S.field))
 
     def cyclic():
         hc_S = hc1(S).graded_dim
+        T = tensor(S, build_q1(S.field))
         report.add_cmp(
             "shift-chain-consistent",
             hc_S,
@@ -428,8 +429,7 @@ def scenario_slnn_identity(opts: ScenarioOptions) -> Report:
         sl = build_block_lie(hom)
         return sl, block_torus(sl, hom)
 
-    # the block algebra is the image of sq_n(T) under an isomorphism
-    side = _h2_side(report, check, sq_graded_dim(n, T), opts.budget, cyclic, build)
+    side = _h2_side(report, check, block_graded_dim(n, S), opts.budget, cyclic, build)
     if side is not None:
         report.add_cmp(check, *side)
     return report

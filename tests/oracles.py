@@ -4,7 +4,9 @@ The program never calls these.  They are the independent or brute-force
 second routes the tests compare it against: the full L2 pair list and
 Chevalley-Eilenberg matrices (a d3 column is CEComplex.d3_column's terms
 summed, and d3_by_wedges builds it from its definition as a dict, with
-the wedge sign rule stated on its own in wedge), a standalone
+the wedge sign rule stated on its own in wedge), the image of d3 from
+every weight-zero triple, the subalgebra a set of vectors generates by its
+definition and ce_h2's greedy generating set on it, a standalone
 sparse-matrix rref, the Lie axioms on basis tuples, the center by a
 kernel, the supercommutator algebra of an associative algebra, the
 q_n(R) formula table by a full index scan, the gl_{m|n}(R) bracket table
@@ -28,6 +30,7 @@ have by construction.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from queerhom.algebras import SuperAlgebra, commutator_subspace
 # lam2_dim_formula is imported for the tests that read it from here
@@ -251,9 +254,52 @@ def d3_matrix(cx) -> SparseMatrix:
     return SparseMatrix(cx.lam2.dim, lam3_dim_formula(cx.g.space.graded_dim), entries)
 
 
+def generated_subalgebra(g: LieSuperAlgebra, vectors) -> Subspace:
+    """The subalgebra of g generated by vectors, by its definition: the span
+    V, then V + [V, V] over every pair of V's canonical rows through
+    bracket_coords, until the span stops growing."""
+    span = Subspace.from_vectors(g.space, vectors, g.field)
+    while True:
+        rows = span.rows
+        brackets = (bracket_coords(g, x, y) for x in rows for y in rows)
+        grown = Subspace.from_vectors(g.space, chain(rows, brackets), g.field)
+        if grown.dim == span.dim:
+            return span
+        span = grown
+
+
+def greedy_generators(g: LieSuperAlgebra, weights) -> list:
+    """The generating set CEComplex.generating_set chooses, by its rule run
+    on generated_subalgebra: the basis vectors of nonzero weight, most
+    bracket keys first and ties by index, then every index; e_b is kept
+    when it lies outside the subalgebra the kept ones generate."""
+    one = g.field.one
+    keys = [sum(b in key for key in g.brackets) for b in range(g.dim)]
+    first = sorted((b for b in range(g.dim) if any(weights[b])), key=lambda b: (-keys[b], b))
+    gens = []
+    span = generated_subalgebra(g, [])
+    for b in chain(first, range(g.dim)):
+        if not span.contains({b: one}):
+            gens.append(b)
+            span = generated_subalgebra(g, [{s: one} for s in gens])
+    return sorted(gens)
+
+
+def image_by_full_stream(cx) -> dict:
+    """The pivot dict of the RREF of im d3 on cx's chains: d3 of every triple
+    of the full walk, as its summed terms, inserted in walk order."""
+    ech = Echelon(cx.g.field)
+    for t in cx.iter_lam3_weight0():
+        col = d3_vector(cx, t)
+        if col:
+            ech.insert(col)
+    return ech.pivots
+
+
 def h2_by_representatives(g: LieSuperAlgebra, torus=()):
-    """(basis, stats without timings) of ce_h2(g, torus), with the quotient
-    as ce_h2 first computed it: the kernel of d2 brought to canonical rows,
+    """(basis, stats without timings) of ce_h2(g, torus), with the image
+    and the quotient as ce_h2 first computed them: every weight-zero d3
+    column streamed, the kernel of d2 brought to canonical rows,
     each row reduced modulo the image echelon, and every nonzero residue
     inserted into that echelon and into a second, representative echelon,
     whose canonical rows are the H2 basis."""
@@ -266,10 +312,14 @@ def h2_by_representatives(g: LieSuperAlgebra, torus=()):
     par = cx.lam2.parities
     null = kernel(d2_matrix(cx).rows_as_dicts(), cx.lam2.dim, field)
     ker = Subspace.from_vectors(cx.lam2, null, field)
+    gens = set(greedy_generators(g, cx.weights))
     ech = Echelon(field)
-    lam3_weight0_dim = 0
+    lam3_weight0_dim = streamed = 0
     for t in cx.iter_lam3_weight0():
         lam3_weight0_dim += 1
+        i, j, k = t
+        has_bracket = any(key in g.brackets for key in ((i, j), (i, k), (j, k)))
+        streamed += has_bracket and not gens.isdisjoint(t)
         col = d3_vector(cx, t)
         if col:
             ech.insert(col)
@@ -297,6 +347,8 @@ def h2_by_representatives(g: LieSuperAlgebra, torus=()):
         stats["ker_rank_parity%d" % p] = kd[p]
         stats["im_rank_parity%d" % p] = im[p]
     stats["lam3_weight0_dim"] = lam3_weight0_dim
+    stats["generators"] = len(gens)
+    stats["lam3_streamed"] = streamed
     stats["h2"] = [len(basis) - odd, odd]
     return basis, stats
 

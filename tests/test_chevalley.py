@@ -1,5 +1,6 @@
 """Degree-two homology of Lie superalgebras via the exterior complex."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -34,8 +35,11 @@ from oracles import (
     d3_by_wedges,
     d3_matrix,
     d3_vector,
+    generated_subalgebra,
     gl_table,
+    greedy_generators,
     h2_by_representatives,
+    image_by_full_stream,
     iter_lam3,
     lam2_dim_formula,
     lam2_pairs,
@@ -298,9 +302,10 @@ def test_d2_after_d3_is_checked_on_every_column():
 
 
 def test_the_rescan_names_the_first_failing_triple_in_stream_order():
-    # [w, z] = x and [x, y] = w: w^x^y and w^x^z are streamed first and
-    # d2 kills their columns; d2(d3(w^y^z)) = -[[w,z],y] = -w and
-    # d2(d3(x^y^z)) = [[x,y],z] = x do not vanish
+    # [w, z] = x and [x, y] = w: the rescan walks every triple in
+    # increasing order, w^x^y and w^x^z come first and d2 kills their
+    # columns; d2(d3(w^y^z)) = -[[w,z],y] = -w and d2(d3(x^y^z)) =
+    # [[x,y],z] = x do not vanish
     one = QQ.one
     space = GradedSpace(("w", "x", "y", "z"), (0, 0, 0, 0))
     brackets = {(0, 3): {1: one}, (3, 0): {1: -one}, (1, 2): {0: one}, (2, 1): {0: -one}}
@@ -368,12 +373,17 @@ def _has_bracket(g, t):
 @pytest.mark.parametrize("empty_torus", [False, True], ids=["weight-zero", "empty-torus"])
 @pytest.mark.parametrize("field", ["Q", "Fp:3"])
 def test_the_stream_reads_exactly_the_triples_with_a_bracket_in_order(field, empty_torus, monkeypatch):
+    # the triples of the full walk with a bracket key and a factor in the
+    # generating set, in decreasing order; the count is still the walk's
     g, torus = _acceptance_h2_input("sq", field)
     if empty_torus:
         torus = []
-    triples = list(CEComplex(g, torus).iter_lam3_weight0())
-    want = [t for t in triples if _has_bracket(g, t)]
-    assert 0 < len(want) < len(triples)
+    cx = CEComplex(g, torus)
+    gens = set(cx.generating_set())
+    triples = list(cx.iter_lam3_weight0())
+    want = [t for t in triples if _has_bracket(g, t) and not gens.isdisjoint(t)]
+    want.reverse()
+    assert 0 < len(want) < sum(_has_bracket(g, t) for t in triples)
     streamed = []
     d3_column = CEComplex.d3_column
 
@@ -385,6 +395,8 @@ def test_the_stream_reads_exactly_the_triples_with_a_bracket_in_order(field, emp
     r = ce_h2(g, torus=torus)
     assert streamed == want
     assert r.stats["lam3_weight0_dim"] == len(triples)
+    assert r.stats["lam3_streamed"] == len(want)
+    assert r.stats["generators"] == len(gens)
 
 
 @pytest.mark.parametrize(
@@ -498,9 +510,10 @@ def test_basis_and_stats_match_the_representative_echelon_oracle(kind, field, em
     assert r.dims == GradedDim(*stats["h2"])
 
 
-def test_ce_h2_builds_two_echelons_of_its_own(monkeypatch):
-    # the torus span and the image echelon, which ends as the RREF of the
-    # kernel; linalg.kernel's own echelon is made in linalg, not counted
+def test_ce_h2_builds_three_echelons_of_its_own(monkeypatch):
+    # the torus span, the generators' closure and the image echelon, which
+    # ends as the RREF of the kernel; linalg.kernel's own echelon is made in
+    # linalg, not counted
     made = []
 
     class Recording(linalg.Echelon):
@@ -511,7 +524,7 @@ def test_ce_h2_builds_two_echelons_of_its_own(monkeypatch):
     monkeypatch.setattr(chevalley, "Echelon", Recording)
     sq, torus = sq3_with_torus("grassmann(1)", "Q")
     ce_h2(sq, torus=torus)
-    assert len(made) == 2
+    assert len(made) == 3
 
 
 def test_a_passing_ce_h2_applies_d2_only_to_build_its_kernel(monkeypatch):
@@ -569,3 +582,135 @@ def test_odd_torus_element_is_rejected():
 def test_non_diagonal_torus_element_is_rejected():
     with pytest.raises(StructureError, match="diagonal"):
         ce_h2(heisenberg(), torus=[{0: QQ.one}])
+
+
+# ------------------------------------------------------ the generating set
+# ce_h2 streams only the triples with a factor in a generating set S of g:
+# im d3 = d3(S ^ L2g) by the Cartan identities, so the image echelon ends
+# as the same RREF.
+
+
+@functools.lru_cache(maxsize=None)
+def _h2_input(kind, field):
+    """_acceptance_h2_input, and sq_4(grassmann(2)) as "sq4-gr2"."""
+    if kind == "sq4-gr2":
+        _, sq = build_sq_lie(4, build_builtin("grassmann(2)", parse_field_flag(field)))
+        return sq, sq_torus(sq)
+    return _acceptance_h2_input(kind, field)
+
+
+IMAGE_CASES = [(k, f) for k in ("sq", "psq", "sq4-gr2") for f in ("Q", "Qi", "Fp:3", "Fp:5")] + [
+    ("block", f) for f in ("Qi", "Fp:5")  # the fields with a square root of -1
+]
+
+
+@pytest.mark.parametrize("empty_torus", [False, True], ids=["weight-zero", "empty-torus"])
+@pytest.mark.parametrize("kind,field", IMAGE_CASES)
+def test_the_generators_stream_gives_the_full_streams_image(kind, field, empty_torus, monkeypatch):
+    # the image echelon's pivot dict, taken when the first kernel vector is
+    # inserted, is the RREF of every weight-zero d3 column
+    g, torus = _h2_input(kind, field)
+    if empty_torus:
+        torus = []
+    made = []
+
+    class Recording(linalg.Echelon):
+        image = None
+
+        def __init__(self, field):
+            super().__init__(field)
+            made.append(self)
+
+        def insert(self, vec):
+            if self.image is None:
+                self.image = {c: dict(row) for c, row in self.pivots.items()}
+            return super().insert(vec)
+
+    monkeypatch.setattr(chevalley, "Echelon", Recording)
+    ce_h2(g, torus=torus)
+    (image,) = [ech.image for ech in made if ech.image]
+    assert image == image_by_full_stream(CEComplex(g, torus))
+
+
+@pytest.mark.parametrize("empty_torus", [False, True], ids=["weight-zero", "empty-torus"])
+@pytest.mark.parametrize("kind,field", [("sq", "Q"), ("psq", "Fp:3"), ("block", "Qi"), ("sq", "Fp:5")])
+def test_the_generating_set_generates_g(kind, field, empty_torus):
+    g, torus = _h2_input(kind, field)
+    cx = CEComplex(g, [] if empty_torus else torus)
+    gens = cx.generating_set()
+    assert gens == greedy_generators(g, cx.weights)
+    assert 0 < len(gens) < g.dim
+    assert generated_subalgebra(g, [{s: g.field.one} for s in gens]).dim == g.dim
+
+
+@pytest.mark.parametrize("empty_torus", [False, True], ids=["weight-zero", "empty-torus"])
+@pytest.mark.parametrize(
+    "kind,field",
+    [(k, f) for k in ("sq", "psq", "sq4-gr2") for f in ("Q", "Fp:3", "Fp:5")] + [("block", "Fp:5")],
+)
+def test_the_weight_zero_count_is_the_walks(kind, field, empty_torus):
+    # over F_3 weights that differ over Z collide, and the count follows
+    g, torus = _h2_input(kind, field)
+    cx = CEComplex(g, [] if empty_torus else torus)
+    count = cx.lam3_weight0_dim()
+    if empty_torus:
+        assert count == lam3_dim_formula(g.space.graded_dim)
+    if kind != "sq4-gr2" or not empty_torus:  # that walk is the formula's 317 812
+        assert count == sum(1 for _ in cx.iter_lam3_weight0())
+
+
+@pytest.mark.parametrize("z_first", [True, False], ids=["b-equals-c", "a-equals-b"])
+def test_the_weight_zero_count_with_two_equal_weights_is_the_walks(z_first):
+    # h acts by 1 on x, y, u (y and u odd) and by -2 on z: the weight
+    # multiset {1, 1, -2} takes the |L2(B_1)| |B_-2| term, which the sq tori
+    # never reach; z's place in the basis decides which two of the sorted
+    # weight ids coincide
+    one = QQ.one
+    labels = ("h", "z", "x", "y", "u") if z_first else ("h", "x", "y", "u", "z")
+    space = GradedSpace(labels, [0 if c in "hzx" else 1 for c in labels])
+    scale = {"z": -2 * one, "x": one, "y": one, "u": one}
+    g = LieSuperAlgebra(QQ, space, {(0, b): {b: scale[c]} for b, c in enumerate(labels) if b})
+    cx = CEComplex(g, [{0: one}])
+    count = sum(1 for _ in cx.iter_lam3_weight0())
+    assert count == cx.lam3_weight0_dim() == 5  # |L2(B_1)| = 3 + 2
+
+
+def test_a_jacobi_failure_off_the_generators_is_still_caught():
+    # a and b generate x = [a, b], y = [a, x] and z = [b, x]; [x, y] = y and
+    # [x, z] = x break the Jacobi identity at x ^ y ^ z, which has no factor
+    # in S = {a, b} and is not streamed.  The x whose ad_x is a derivation
+    # form a subalgebra, so with an empty torus the rank equation on the
+    # streamed triples holds exactly when Jacobi does, and the failure shows
+    # on them; the rescan walks every triple and names the first
+    one = QQ.one
+    space = GradedSpace(("a", "b", "x", "y", "z"), (0,) * 5)
+    brackets = {
+        (0, 1): {2: one}, (0, 2): {3: one}, (1, 2): {4: one},
+        (2, 3): {3: one}, (2, 4): {2: one},
+    }
+    g = LieSuperAlgebra(QQ, space, brackets)
+    cx = CEComplex(g)
+    assert cx.generating_set() == [0, 1]
+    assert d2_matrix(cx).apply(d3_vector(cx, (2, 3, 4)), QQ) == {3: -one}
+    with pytest.raises(AssertionError, match=r"^d2 o d3 != 0 at triple \(0, 1, 3\)$"):
+        ce_h2(g)
+
+
+def test_sq4_grassmann2_streams_at_most_3000_columns(monkeypatch):
+    # 18 516 weight-zero triples, 11 435 with a bracket key, 2 725 of them
+    # with a factor in the nine generators
+    calls = []
+    d3_column = CEComplex.d3_column
+
+    def counting(self, t):
+        calls.append(t)
+        return d3_column(self, t)
+
+    monkeypatch.setattr(CEComplex, "d3_column", counting)
+    g, torus = _h2_input("sq4-gr2", "Q")
+    r = ce_h2(g, torus=torus)
+    assert len(calls) <= 3000
+    assert r.stats["lam3_streamed"] == len(calls)
+    assert r.stats["generators"] == 9  # of 124 basis vectors
+    assert r.stats["lam3_weight0_dim"] == 18516
+    assert r.dims == GradedDim(2, 3)

@@ -4,9 +4,18 @@ skips, expected sides, and the sq/psq/block algebras they build."""
 import pytest
 
 from queerhom import scenarios
-from queerhom.algebras import build_builtin, build_grassmann, build_matrix, build_q1, tensor
+from queerhom.algebras import (
+    build_builtin,
+    build_grassmann,
+    build_matrix,
+    build_q1,
+    commutator_subspace,
+    tensor,
+)
+from queerhom.chevalley import lam3_dim_formula
 from queerhom.lie import (
     StructureError,
+    block_graded_dim,
     build_block_lie,
     build_psq_lie,
     build_sq_lie,
@@ -140,6 +149,27 @@ def test_block_algebra_has_the_dimension_of_sq_over_s_tensor_q1(tag):
     S = build_builtin(tag, parse_field_flag("Qi"))
     sl = build_block_lie(iso_qQ1_to_glnn(3, S))
     assert sl.space.graded_dim == sq_graded_dim(3, tensor(S, build_q1(S.field)))
+    assert block_graded_dim(3, S) == sl.space.graded_dim
+
+
+ALL_TAGS = [
+    "base-field", "q1", "grassmann(1)", "grassmann(2)", "truncated-poly(2)",
+    "monogenic(x^2-2)", "group-algebra(2)", "group-algebra(3)", "matrix(2)",
+    "square-zero-plane",
+]
+
+
+@pytest.mark.parametrize("field", ["Q", "Qi", "Fp:3", "Fp:5"])
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_block_graded_dim_is_sq_over_the_built_tensor_product(tag, field):
+    # gd([T,T]) = gd(S) + swap gd([S,S]) for T = S(x)Q1, 2 invertible
+    S = build_builtin(tag, parse_field_flag(field))
+    T = tensor(S, build_q1(S.field))
+    assert commutator_subspace(T).graded_dim == (
+        S.space.graded_dim + commutator_subspace(S).graded_dim.swap()
+    )
+    for n in (1, 3):
+        assert block_graded_dim(n, S) == sq_graded_dim(n, T)
 
 
 def test_budget_skip_text_for_grassmann2_at_n6_is_unchanged():
@@ -151,6 +181,18 @@ def test_budget_skip_text_for_grassmann2_at_n6_is_unchanged():
     assert row.note == "degree-3 chain space dimension 3817812 exceeds budget 10000"
 
 
+def test_an_slnn_budget_skip_builds_no_tensor_product(monkeypatch):
+    # grassmann(9)(x)Q1 has dimension 1024: its supercommutators alone took
+    # 0.75 s and 72.8 MB before the budget was decided from S
+    monkeypatch.setattr(scenarios, "tensor", _no_build)
+    opts = ScenarioOptions("builtin:grassmann(9)", n=3, field=parse_field_flag("Qi"), budget=10)
+    (row,) = scenario_slnn_identity(opts).rows
+    assert (row.check, row.status) == ("h2-equals-cyclic", "SKIP")
+    assert row.note == "degree-3 chain space dimension %d exceeds budget 10" % lam3_dim_formula(
+        block_graded_dim(3, build_grassmann(QQ, 9))
+    )
+
+
 def _no_build(*args, **kwargs):
     raise AssertionError("built an algebra, a torus or the cyclic side before the budget check")
 
@@ -158,7 +200,7 @@ def _no_build(*args, **kwargs):
 def test_budget_skips_come_before_anything_is_built(monkeypatch):
     for name in (
         "build_sq_lie", "build_psq_lie", "iso_qQ1_to_glnn", "build_q",
-        "sq_torus", "psq_torus", "block_torus", "ce_h2", "hc1",
+        "sq_torus", "psq_torus", "block_torus", "ce_h2", "hc1", "tensor",
     ):
         monkeypatch.setattr(scenarios, name, _no_build)
     G2 = ScenarioOptions("builtin:grassmann(2)", n=6, budget=10)
