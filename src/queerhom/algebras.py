@@ -19,26 +19,30 @@ table of a tensor product with the Koszul sign
 and lie.lie_tensor for brackets.  SuperAlgebra.supercommutator gives
 [e_a, e_b] = e_a e_b - (-1)^{|a||b|} e_b e_a; the commutator subspace
 [R, R] and the commutator map of cyclic.hc1 are built from it.
+
+A product table holds each distinct value once: koszul_tensor and the
+copy SuperAlgebra makes of the table it is given pool their values with
+linalg.pooled while that one table is built, so equal values are one
+shared dict, and stored values are read-only.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
 
-from .linalg import GradedDim, GradedSpace, Subspace, add_scaled, in_field
+from .linalg import GradedDim, GradedSpace, Subspace, add_scaled, in_field, pooled
 from .scalars import Field, ScalarError
 
 
-@dataclass
 class ValidationFailure:
-    kind: str  # grading | associativity | unit | structure
-    where: tuple
-    detail: str
+    def __init__(self, kind: str, where: tuple, detail: str):
+        self.kind = kind  # grading | associativity | unit | structure
+        self.where = where
+        self.detail = detail
 
 
-@dataclass
 class ValidationReport:
-    failures: list = dc_field(default_factory=list)
+    def __init__(self, failures=None):
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:
@@ -58,12 +62,18 @@ class ValidationReport:
 
 
 class SuperAlgebra:
-    """Associative superalgebra with a distinguished unit."""
+    """Associative superalgebra with a distinguished unit.
+
+    The product table is a copy of the one it is given, with empty values
+    dropped and equal values made one shared dict (module docstring), so
+    its values are read-only.
+    """
 
     def __init__(self, field: Field, space: GradedSpace, products: dict, unit: dict, name=""):
         self.field = field
         self.space = space
-        self.products = {k: dict(v) for k, v in products.items() if v}
+        pool = {}
+        self.products = {k: pooled(pool, dict(v)) for k, v in products.items() if v}
         self.unit = dict(unit)
         self.name = name or "algebra"
 
@@ -148,6 +158,10 @@ def koszul_tensor(
     then B's keys in increasing order.  Each target key t*dim B + s comes
     from one (t, s), and a product of nonzero scalars is nonzero, so no
     entry is accumulated or tested for zero; over F_p it is only reduced.
+    Values are pooled (module docstring).  A value depends only on the two
+    factor values and the sign, and the tables read here are pooled ones,
+    so each (factor, factor, sign), told apart by identity, is made and
+    pooled once.
     """
     p = field.characteristic
     db = B_space.dim
@@ -160,14 +174,20 @@ def koszul_tensor(
             parities.append((apar[x] + bpar[a]) % 2)
     b_items = sorted(B_table.items())
     table = {}
+    pool = {}
+    made = {}  # (id(txy), id(tab), sign) -> the value it gives
     for (x, y), txy in A_table.items():
         for (a, b), tab in b_items:
             neg = bpar[a] and apar[y]
-            out = {}
-            for t, c in txy.items():
-                for s, d in tab.items():
-                    v = -(c * d) if neg else c * d
-                    out[t * db + s] = v % p if p else v
+            src = (id(txy), id(tab), neg)
+            out = made.get(src)
+            if out is None:
+                out = {}
+                for t, c in txy.items():
+                    for s, d in tab.items():
+                        v = -(c * d) if neg else c * d
+                        out[t * db + s] = v % p if p else v
+                out = made[src] = pooled(pool, out)
             table[(x * db + a, y * db + b)] = out
     return GradedSpace(labels, parities), table
 

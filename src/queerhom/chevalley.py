@@ -193,10 +193,20 @@ class CEComplex:
                 keys[j] += 1
         first = sorted((b for b in range(dim) if any(self.weights[b])), key=lambda b: (-keys[b], b))
 
-        def ad(s, v):  # [e_s, v]
+        br = g.brackets
+        par = g.space.parities
+
+        def ad(s, v):  # [e_s, v], read off the stored key with its sign
             out = {}
             for c, x in v.items():
-                add_scaled(out, g.bracket_basis(s, c), x)
+                if s <= c:
+                    tbl = br.get((s, c))
+                else:
+                    tbl = br.get((c, s))
+                    if not (par[s] and par[c]):
+                        x = -x
+                if tbl:
+                    add_scaled(out, tbl, x)
             return in_field(out, g.field)
 
         closure = Echelon(g.field)

@@ -32,6 +32,7 @@ from .linalg import (
     in_field,
     kernel,
     linear_apply,
+    pooled,
 )
 from .lie import StructureError
 
@@ -162,8 +163,10 @@ def hc1(R: SuperAlgebra) -> HC1Result:
     relation subspace (which would make the induced map ill-defined).
     """
     pair = PairSpace(R)
-    # comm[key] is the supercommutator of the pair with that ambient key
-    comm = [R.supercommutator(a, b) for a in range(R.dim) for b in range(R.dim)]
+    # comm[key] is the supercommutator of the pair with that ambient key;
+    # equal columns are one dict, the many empty ones among them
+    pool = {}
+    comm = [pooled(pool, R.supercommutator(a, b)) for a in range(R.dim) for b in range(R.dim)]
     for row in pair.relations.rows:
         img = linear_apply(comm, row, R.field)
         if img:

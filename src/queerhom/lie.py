@@ -41,6 +41,13 @@ partners with j == k or l == i and the b with ab or ba a product key.
 lie_tensor keeps the i <= j keys of algebras.koszul_tensor, the one Koszul
 sign rule.
 
+Each table builder (the q formula, induced_lie, quotient_lie and
+koszul_tensor) pools its values while it builds one table, through
+linalg.pooled: equal values of that table are one dict object, so a table
+holds each distinct bracket once however many keys share it.  Stored values
+are therefore shared and read-only; nothing in the package changes one in
+place, and a caller that wants another value stores a new dict.
+
 The super Jacobi convention used throughout:
 (-1)^{|x||z|}[x,[y,z]] + (-1)^{|y||x|}[y,[z,x]] + (-1)^{|z||y|}[z,[x,y]] = 0.
 """
@@ -59,6 +66,7 @@ from .linalg import (
     add_scaled,
     in_field,
     linear_apply,
+    pooled,
     QuotientSpace,
 )
 from .scalars import ScalarError
@@ -76,7 +84,8 @@ class LieSuperAlgebra:
     empty values are dropped, the others are kept as they are, not copied,
     so each table is held once.  _q_formula_brackets, induced_lie,
     quotient_lie, and koszul_tensor through lie_tensor each hand over a
-    freshly built table.
+    freshly built table whose equal values are one shared dict (module
+    docstring): the values are read-only.
     """
 
     def __init__(self, field, space: GradedSpace, brackets: dict, name=""):
@@ -279,7 +288,10 @@ def _q_formula_brackets(n: int, R: SuperAlgebra) -> dict:
     [w,w] whose (i, j, a) comes no later than (k, l, b).  ab, ba, e and f are
     looked up once per (a, b), and indices are 0-based, u_ij(r) at
     (i n + j) dR + r and w_ij(r) one block further.  Each bracket is summed
-    exactly by add_scaled, then reduced once.
+    exactly by add_scaled, then reduced once.  A bracket depends only on
+    (a, b), its kind and the positions il and kj, not on j where only il
+    is set, nor on i where only kj is: it is made and pooled once for each
+    of those and read back for the other keys.
     """
     dR = R.dim
     rpar = R.space.parities
@@ -301,6 +313,8 @@ def _q_formula_brackets(n: int, R: SuperAlgebra) -> dict:
             row.append((b, products.get((a, b), {}), products.get((b, a), {}), kinds, uw))
         pairs.append(row)
     brackets = {}
+    pool = {}
+    made = {}  # (a, b, dx, dy, il, kj) -> the pooled value; dx, dy tell the kind
     for i in range(n):
         for j in range(n):
             for a in range(dR):
@@ -312,13 +326,17 @@ def _q_formula_brackets(n: int, R: SuperAlgebra) -> dict:
                         kj = (k * n + j) * dR if i == l else None
                         for b, ab, ba, kinds, uw in pairs[a]:
                             for dx, dy, dz, s1, s2 in kinds if x <= y + b else uw:
-                                out = {}
-                                if il is not None:
-                                    add_scaled(out, ab, s1, dz + il)
-                                if kj is not None:
-                                    add_scaled(out, ba, s2, dz + kj)
-                                if p:
-                                    out = in_field(out, R.field)
+                                src = (a, b, dx, dy, il, kj)
+                                out = made.get(src)
+                                if out is None:
+                                    out = {}
+                                    if il is not None:
+                                        add_scaled(out, ab, s1, dz + il)
+                                    if kj is not None:
+                                        add_scaled(out, ba, s2, dz + kj)
+                                    if p:
+                                        out = in_field(out, R.field)
+                                    out = made[src] = pooled(pool, out)
                                 if out:
                                     brackets[(dx + x, dy + y + b)] = out
     return brackets
@@ -397,13 +415,14 @@ def induced_lie(g: LieSuperAlgebra, sub: Subspace, name="") -> LieSuperAlgebra:
     space = GradedSpace(labels, parities)
     index = g.column_index(rows)
     brackets = {}
+    pool = {}
     for a, x in enumerate(rows):
         row = g.bracket_row(x, index, a)
         for b in sorted(row):
             coords = sub.coords_of(row[b])
             if coords is None:
                 raise StructureError("subspace is not closed under the bracket")
-            brackets[(a, b)] = coords
+            brackets[(a, b)] = pooled(pool, coords)
     out = LieSuperAlgebra(g.field, space, brackets, name=name or "sub(%s)" % g.name)
     out.ambient = g
     out.subspace = sub
@@ -761,12 +780,13 @@ def quotient_lie(g: LieSuperAlgebra, ideal: Subspace, name=""):
     sections = [quot.section({a: one}) for a in range(quot.dim)]
     index = g.column_index(sections)
     brackets = {}
+    pool = {}
     for a, x in enumerate(sections):
         row = g.bracket_row(x, index, a)
         for b in sorted(row):
             pr = quot.project(row[b])
             if pr:
-                brackets[(a, b)] = pr
+                brackets[(a, b)] = pooled(pool, pr)
     out_alg = LieSuperAlgebra(g.field, quot.space, brackets, name=name or "%s/ideal" % g.name)
     out_alg.quotient = quot
     out_alg.ambient = g

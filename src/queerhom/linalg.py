@@ -22,7 +22,9 @@ basis read off the RREF, one vector per free column: a span is brought to
 canonical rows only where its canonical basis is an output or is compared
 (cyclic.hc1 passes it to Subspace.from_vectors; chevalley.ce_h2 inserts it
 into its image echelon).  ``linear_apply`` (maps given by columns) is the
-one linear apply.
+one linear apply.  ``pooled`` makes the equal values of one table being
+built one shared dict, keeping value types apart; the bracket and product
+tables, and cyclic.hc1's commutator columns, store their values through it.
 
 A linear map known only on a spanning set is solved as its graph in one
 Echelon: each input (+) its image is inserted with the image coordinates
@@ -53,7 +55,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import NamedTuple
 
-from .scalars import as_int_if_integral
+from .scalars import GaussianRational, as_int_if_integral
 
 
 class GradingError(ValueError):
@@ -151,6 +153,34 @@ def in_field(vec: dict, field) -> dict:
     """
     p = field.characteristic
     return {k: r for k, v in vec.items() if (r := v % p if p else v)}
+
+
+def pooled(pool: dict, vec: dict) -> dict:
+    """vec, or the dict pool already holds with the same keys in the same
+    order and equal values of the same types, a Q(i) value's part types
+    included (1 and Fraction(1) stay apart).
+
+    A table builder keeps one pool while it builds one table and stores
+    what this returns, so equal values of that table are one dict object;
+    the pool is dropped with the builder.  The stored values are shared
+    and read-only: whoever needs another value stores a new dict.
+    """
+    key = tuple(vec.items())
+    hit = pool.setdefault(key, vec)
+    if hit is not vec:
+        # equal values may differ in type: such a vec gets its own entry,
+        # under a key that adds the types
+        for a, b in zip(hit.values(), vec.values()):
+            t = type(a)
+            if t is not type(b) or t is GaussianRational and _kind(a) != _kind(b):
+                return pool.setdefault((None, key, tuple(map(_kind, vec.values()))), vec)
+    return hit
+
+
+def _kind(v):
+    """The type of a scalar, with a Q(i) value's part types."""
+    t = type(v)
+    return (t, type(v.re), type(v.im)) if t is GaussianRational else t
 
 
 def add_scaled(dst: dict, src: dict, c, base=0) -> None:

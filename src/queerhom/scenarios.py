@@ -17,7 +17,6 @@ each keeps only its own guards, its cyclic side and its build.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 from .algebras import (
     SuperAlgebra,
@@ -62,16 +61,14 @@ class UsageError(ValueError):
     """Bad invocation: unknown scenario, unbuildable algebra, bad flags."""
 
 
-@dataclass
 class ScenarioOptions:
-    algebra_spec: str = "builtin:base-field"
-    n: int = 3
-    field: object = None
-    budget: object = None
+    """What one scenario run is asked for; field None means QQ."""
 
-    def __post_init__(self):
-        if self.field is None:
-            self.field = QQ
+    def __init__(self, algebra_spec="builtin:base-field", n=3, field=None, budget=None):
+        self.algebra_spec = algebra_spec
+        self.n = n
+        self.field = QQ if field is None else field
+        self.budget = budget
 
 
 def resolve_algebra(opts: ScenarioOptions):

@@ -643,6 +643,20 @@ def test_the_generating_set_generates_g(kind, field, empty_torus):
     assert generated_subalgebra(g, [{s: g.field.one} for s in gens]).dim == g.dim
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("field", ["Q", "Qi", "Fp:3", "Fp:5"])
+def test_the_generating_set_reads_each_mirrored_bracket_with_its_sign(field, n):
+    # generating_set reads [e_s, e_c] for s > c off the stored key (c, s)
+    # with the sign -(-1)^{|s||c|}; on sq_n(q1) a sign dropped or flipped
+    # there changes which basis vectors are kept
+    R = build_builtin("q1", parse_field_flag(field))
+    sq = build_sq_lie(n, R)[1]
+    cx = CEComplex(sq, sq_torus(sq))
+    gens = cx.generating_set()
+    assert gens == greedy_generators(sq, cx.weights)
+    assert generated_subalgebra(sq, [{s: sq.field.one} for s in gens]).dim == sq.dim
+
+
 @pytest.mark.parametrize("empty_torus", [False, True], ids=["weight-zero", "empty-torus"])
 @pytest.mark.parametrize(
     "kind,field",

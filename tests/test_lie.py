@@ -12,6 +12,7 @@ from queerhom.algebras import (
     build_q1,
     tensor,
 )
+from queerhom.chevalley import ce_h2
 from queerhom.cli import main
 from queerhom.lie import (
     GlRule,
@@ -31,10 +32,13 @@ from queerhom.lie import (
     iso_q_to_gl,
     iso_qQ1_to_glnn,
     lie_tensor,
+    psq_torus,
     quotient_lie,
+    sq_torus,
 )
+from queerhom.cyclic import hc1
 from queerhom.linalg import GradedDim, GradedSpace, Subspace, in_field
-from queerhom.scalars import QQ, ScalarError, parse_field_flag
+from queerhom.scalars import QQ, GaussianRational, ScalarError, parse_field_flag
 
 from oracles import (
     block_realization_columns,
@@ -191,9 +195,12 @@ def add_spurious_entry(table, qi, field):
 
 
 def flip_sign(table, qi, field):
-    tbl = table[(qi.u(1, 2, 0), qi.u(2, 1, 0))]
+    # a new dict for this key: stored values are shared by every key with an
+    # equal value, so flipping one in place would change them all
+    key = (qi.u(1, 2, 0), qi.u(2, 1, 0))
+    tbl = table[key]
     k = next(iter(tbl))
-    tbl[k] = -tbl[k]
+    table[key] = {**tbl, k: -tbl[k]}
 
 
 def _corrupt_formula(monkeypatch, mutate):
@@ -997,3 +1004,64 @@ def test_lie_tensor_rejects_noncommutative_coordinates():
     g = build_q(2, BASE)
     with pytest.raises(ValueError):
         lie_tensor(g, build_matrix(QQ, 2))
+
+
+# ------------------------------------------------------------ pooled values
+
+
+def _deep_kind(x):
+    return (type(x), type(x.re), type(x.im)) if type(x) is GaussianRational else type(x)
+
+
+def _deep_snapshot(table):
+    """Every key and entry of a table in order, with each value's type."""
+    return [(k, [(t, _deep_kind(c), c) for t, c in v.items()]) for k, v in table.items()]
+
+
+def _pooled_tables(flag):
+    """(name, table) for the tables of sq, psq, lie_tensor and tensor(R, Q1),
+    with the objects that read them."""
+    field = parse_field_flag(flag)
+    R = build_builtin("grassmann(1)", field)
+    psq = build_psq_lie(3, R)
+    sq = psq.ambient
+    gT = lie_tensor(build_q(2, build_builtin("base-field", field)), build_builtin("grassmann(2)", field))
+    S = tensor(build_builtin("grassmann(2)", field), build_q1(field))
+    tables = [
+        ("q", sq.ambient.brackets),
+        ("sq", sq.brackets),
+        ("psq", psq.brackets),
+        ("lie_tensor", gT.brackets),
+        ("tensor", S.products),
+    ]
+    return tables, sq, psq, gT, S
+
+
+@pytest.mark.parametrize("flag", ["Q", "Qi", "Fp:3"])
+def test_equal_values_in_one_table_are_one_object(flag):
+    tables = _pooled_tables(flag)[0]
+    for name, table in tables:
+        groups = {}
+        for v in table.values():
+            key = (tuple(v.items()), tuple(_deep_kind(c) for c in v.values()))
+            groups.setdefault(key, set()).add(id(v))
+        assert all(len(ids) == 1 for ids in groups.values()), name
+        # every table here repeats some value, so the pool is what shares it
+        assert len(groups) < len(table), name
+
+
+@pytest.mark.parametrize("flag", ["Q", "Qi", "Fp:3"])
+def test_shared_values_are_unchanged_by_the_code_that_reads_them(flag):
+    tables, sq, psq, gT, S = _pooled_tables(flag)
+    before = [_deep_snapshot(table) for _, table in tables]
+    ce_h2(sq, sq_torus(sq))
+    ce_h2(psq, psq_torus(psq))
+    ce_h2(gT)
+    for g in (sq.ambient, sq, psq, gT):
+        one = g.field.one
+        units = [{i: one} for i in range(g.dim)]
+        assert VerifiedHomomorphism(g, g, units).is_isomorphism
+        whole = Subspace.from_vectors(g.space, units, g.field)
+        induced_lie(g, whole)
+    hc1(S)
+    assert [_deep_snapshot(table) for _, table in tables] == before

@@ -17,6 +17,7 @@ from queerhom.linalg import (
     add_scaled,
     in_field,
     kernel,
+    pooled,
 )
 from queerhom.scalars import QI, QQ, GaussianRational, parse_field_flag
 
@@ -97,6 +98,26 @@ def test_add_scaled_drops_cancelled_entries():
     add_scaled(dst, {0: 3, 1: 2}, 2)
     assert dst == {0: 10, 1: 4}
     assert in_field(dst, f5) == {1: 4}
+
+
+def test_pool_shares_equal_values_and_keeps_value_types_apart():
+    pool = {}
+    first = pooled(pool, {0: 1, 2: F(1, 2)})
+    assert pooled(pool, {0: 1, 2: F(1, 2)}) is first
+    # an int and an equal integral Fraction are equal dict values with equal
+    # hashes, yet stay two values of two types
+    frac = pooled(pool, {0: F(1), 2: F(1, 2)})
+    assert frac is not first and type(frac[0]) is F and type(first[0]) is int
+    # the same entries in another key order are another value
+    assert pooled(pool, {2: F(1, 2), 0: 1}) is not first
+    # a Q(i) value with an int part and one with the equal Fraction part
+    g_int = pooled(pool, {0: GaussianRational(1, 2)})
+    g_frac = pooled(pool, {0: GaussianRational(F(1), 2)})
+    assert g_frac is not g_int and type(g_frac[0].re) is F
+    assert pooled(pool, {0: GaussianRational(1, 2)}) is g_int
+    # every empty value is one dict
+    empty = pooled(pool, {})
+    assert pooled(pool, {}) is empty
 
 
 def test_rref_identity_is_fixed_point():

@@ -215,8 +215,11 @@ def test_loop_iso_fails_on_a_corrupted_tensor_table(mutate, monkeypatch, capsys)
     def corrupted(g, R):
         gT = lie_tensor(g, R)
         if mutate == "sign-flip":
-            row = gT.brackets[min(gT.brackets)]
-            row[min(row)] = -row[min(row)]
+            # a new dict for this key: stored values are shared by every key
+            # with an equal value, so flipping one in place would change them all
+            key = min(gT.brackets)
+            row = gT.brackets[key]
+            gT.brackets[key] = {**row, min(row): -row[min(row)]}
         else:
             key = next(
                 (i, j) for i in range(gT.dim) for j in range(i + 1, gT.dim)
