@@ -10,22 +10,19 @@ The complex is  L3 --d3--> L2 --d2--> g  with the super exterior powers
 
 with x^y = -(-1)^{|x||y|} y^x.  H2 = ker d2 / im d3 is computed by one
 elimination for both parities: d2 and d3 preserve parity, so every
-canonical row lies in the parity of its pivot column.  d2 o d3 = 0 is
-checked by the rank equation of the last step: dim(ker + im) - dim im,
-the number of classes read off, equals dim ker - dim im exactly when
-im d3 lies in ker d2 (on the streamed columns, see the boundary stream
-below).  Only when it fails are the d3 columns streamed again, to name the
-first triple whose column d2 does not kill.
-
-The canonical H2 basis is read off one echelon.  Streaming the d3 columns
-into it leaves the RREF of im d3, with pivot columns P.  Inserting any
-basis of ker d2 after them (linalg.kernel's, which is not canonical)
-leaves the RREF of ker d2, in which every column of P is still a pivot.
-Its rows at the other pivots are zero at every column of P and span
-exactly the kernel vectors that are: a complement of im d3 in ker d2 that
-depends only on the two subspaces.  Being rows of one RREF, they are
-already its canonical basis, so neither the kernel nor the complement is
-brought to canonical form a second time.
+canonical row lies in the parity of its pivot column.  The canonical H2
+basis is read off L2 / im d3 by linalg.quotient_kernel, as cyclic.hc1
+reads HC1 off <R,R>.  Streaming the d3 columns into one echelon leaves
+RREF(im d3), with pivot columns P and the others N.  d2 must kill every
+row of it, which is d2 o d3 = 0 on the streamed columns (see the boundary
+stream below); if a row fails, the streamed triples are rescanned for the
+smallest whose column d2 does not kill.  As im d3 lies in ker d2, every
+column of P is a pivot of RREF(ker d2) too, whose rows at its other pivots
+are then zero on P and span ker d2 meet span(e_N): a complement of im d3
+in ker d2 that depends only on the two subspaces, and the canonical kernel
+of d2 on the columns N alone.  ker d2 itself is never spanned: in parity p
+its dimension is dim L2_p minus that of the span of d2's columns, and dim
+ker - dim im = dim H2 is a bookkeeping check.
 
 Weight-zero reduction.  ce_h2 takes a torus: even elements h_1..h_r whose
 adjoint action is diagonal on g's basis, checked exactly.  The weight of
@@ -70,13 +67,11 @@ is never formed, and most of them reduce to zero.  The table is the only
 record of where e_s ^ e_c lands in L2; the basis labels of L2 are the
 pairs themselves.
 
-What the rank equation certifies is then J(s, y, z) = 0 on the streamed
-triples, where J(x, y, z) = d2 d3(x ^ y ^ z) is the super Jacobi sum.  With
-an empty torus that is all of super Jacobi: it says ad_s is a derivation
+The row check so certifies J(s, y, z) = 0, for the super Jacobi sum
+J(x, y, z) = d2 d3(x ^ y ^ z), on the weight-zero triples with a factor in
+S.  With an empty torus that is all of super Jacobi: ad_s is a derivation
 for every s in S, the x whose ad_x is a derivation form a subalgebra, and
-S generates g.  With a torus it certifies J(s, y, z) = 0 on the weight-zero
-triples with a factor in S.  The failure rescan walks every weight-zero
-triple, in increasing order.
+S generates g.
 """
 from __future__ import annotations
 
@@ -86,7 +81,9 @@ from itertools import chain
 from math import comb
 
 from .lie import LieSuperAlgebra, StructureError
-from .linalg import Echelon, GradedDim, GradedSpace, add_scaled, in_field, kernel, linear_apply
+from .linalg import Echelon, GradedDim, GradedSpace, Subspace, add_scaled, in_field, quotient_kernel
+
+_ZERO = {}  # d2_column's zero column, read only
 
 
 def lam2_dim_formula(gd: GradedDim) -> GradedDim:
@@ -169,9 +166,9 @@ class CEComplex:
         self._wedge_with = ww
 
     def d2_column(self, k: int) -> dict:
-        """[e_i, e_j] for the k-th pair (i, j), as g stores it: not a copy."""
-        i, j = self.pairs[k]
-        return self.g.bracket_basis(i, j)
+        """[e_i, e_j] for the k-th pair (i, j), i <= j, as g stores it: not
+        a copy, and one shared empty dict wherever the bracket is zero."""
+        return self.g.brackets.get(self.pairs[k], _ZERO)
 
     def generating_set(self) -> list:
         """A greedy generating set S of g, as sorted basis indices.
@@ -255,40 +252,32 @@ class CEComplex:
                     count += sum(gds[a]) * sum(gds[b]) * sum(gds[c])
         return count
 
-    def iter_lam3_weight0(self, generators=None):
-        """Sorted weight-zero triples (i, j, k), equalities only at odd indices,
-        in increasing order; every triple of L3 for an empty torus.
-
-        Given generators, only the triples with a factor among them, in
-        decreasing order: where neither i nor j is a generator, k is drawn
-        from the generators in its weight bucket, so no other triple is
-        visited.  ce_h2 streams these, and the decreasing order keeps the
-        image echelon smaller than the increasing one does.
+    def iter_lam3_weight0(self, generators):
+        """The sorted weight-zero triples (i, j, k), equalities only at odd
+        indices, with a factor among generators, in decreasing order: where
+        neither i nor j is a generator, k is drawn from the generators in its
+        weight bucket, so no other triple is visited.  ce_h2 streams these,
+        and the decreasing order keeps the image echelon smaller than the
+        increasing one does.
         """
         par = self.g.space.parities
         n = self.g.dim
         wid = self.weight_id
         buckets = self._buckets
-        if generators is None:
-            step = 1
-            in_s = [True] * n
-            s_buckets = buckets
-        else:
-            step = -1
-            in_s = [False] * n
-            for s in generators:
-                in_s[s] = True
-            s_buckets = [[b for b in bucket if in_s[b]] for bucket in buckets]
-        for i in range(n)[::step]:
+        in_s = [False] * n
+        for s in generators:
+            in_s[s] = True
+        s_buckets = [[b for b in bucket if in_s[b]] for bucket in buckets]
+        for i in reversed(range(n)):
             third = self._third[wid[i]]
-            for j in range(i, n)[::step]:
+            for j in reversed(range(i, n)):
                 if i == j and par[i] == 0:
                     continue
                 c = third[wid[j]]
                 if c is None:
                     continue
                 ks = buckets[c] if in_s[i] or in_s[j] else s_buckets[c]
-                for k in ks[bisect_left(ks, j):][::step]:
+                for k in reversed(ks[bisect_left(ks, j):]):
                     if j == k and par[j] == 0:
                         continue
                     yield (i, j, k)
@@ -338,17 +327,14 @@ class H2Result:
 def ce_h2(g: LieSuperAlgebra, torus=()) -> H2Result:
     """H2(g) = ker d2 / im d3 with a canonical cycle basis, even classes first.
 
-    The basis is the canonical complement of im d3 inside ker d2: the rows
-    of the RREF of ker d2 at pivots that are not pivots of im d3, read off
-    the image echelon after the kernel basis is inserted into it (see the
-    module docstring).  Only the weight-zero subcomplex of `torus` is built;
-    basis vectors are keyed by L2 pairs (i, j) either way.
-    torus is an iterable of coordinate vectors of g.  Only the triples with
-    a factor in CEComplex.generating_set are streamed (see the module
-    docstring).  d2 o d3 = 0 on them is asserted through the rank
-    equation, which holds exactly when it does; on failure every
-    weight-zero triple is rescanned in increasing order and the first
-    whose column d2 does not kill is named.
+    The basis is the canonical kernel of d2 on the columns that are not
+    pivots of RREF(im d3), from linalg.quotient_kernel, which also checks
+    d2 on every row of that RREF (see the module docstring).  Only the
+    weight-zero subcomplex of `torus` is built; basis vectors are keyed by
+    L2 pairs (i, j) either way.  torus is an iterable of coordinate vectors
+    of g.  Only the triples with a factor in CEComplex.generating_set are
+    streamed; if d2 o d3 = 0 fails on them, the smallest triple whose column
+    d2 does not kill is named.
     """
     torus = list(torus)
     cx = CEComplex(g, torus)
@@ -362,28 +348,30 @@ def ce_h2(g: LieSuperAlgebra, torus=()) -> H2Result:
         "torus_rank": torus_span.rank,
         "algebra_dim": [g.space.graded_dim.even, g.space.graded_dim.odd],
     }
-    # one elimination for both parities; a canonical row's parity is its
-    # pivot column's (see the module docstring)
+    # three timed phases, each for both parities: the rank of d2 ("kernel"),
+    # the stream ("boundaries"), the row check and the kernel on N ("quotient")
     lam2_par = cx.lam2.parities
     timings = {}
     t0 = time.perf_counter()
-    rows = [{} for _ in range(g.dim)]
-    for k in range(cx.lam2.dim):
-        for r, v in cx.d2_column(k).items():
-            rows[r][k] = v
-    ker = kernel(rows, cx.lam2.dim, g.field)
-    kd = GradedDim.from_parities([cx.lam2.parity_of_vec(v) for v in ker])
+    # d2 maps L2 of parity p into g of parity p, so dim ker d2 in parity p is
+    # dim L2_p minus the graded dimension of the span of d2's columns in g
+    d2 = [cx.d2_column(k) for k in range(cx.lam2.dim)]
+    kd = cx.lam2.graded_dim - Subspace.from_vectors(g.space, d2, g.field).graded_dim
     timings["kernel_parity01"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     gens = cx.generating_set()
-    ech = Echelon(g.field)
-    streamed = 0
     br = g.brackets
-    for t in cx.iter_lam3_weight0(gens):
-        i, j, k = t
-        if (i, j) not in br and (i, k) not in br and (j, k) not in br:
-            continue  # all three brackets vanish: d3 of t is zero
-        streamed += 1
+
+    def streamed():
+        for t in cx.iter_lam3_weight0(gens):
+            i, j, k = t
+            if (i, j) in br or (i, k) in br or (j, k) in br:
+                yield t  # else all three brackets vanish: d3 of t is zero
+
+    ech = Echelon(g.field)
+    n_streamed = 0
+    for t in streamed():
+        n_streamed += 1
         try:
             terms = cx.d3_column(t)
         except KeyError:  # a wedge with no weight-zero pair
@@ -392,41 +380,34 @@ def ce_h2(g: LieSuperAlgebra, torus=()) -> H2Result:
             ) from None
         if terms:
             ech.insert_terms(terms)
-    im_pivots = set(ech.pivots)
-    im = GradedDim.from_parities([lam2_par[c] for c in im_pivots])
+    im = GradedDim.from_parities([lam2_par[c] for c in ech.pivots])
     timings["boundaries_parity01"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    # ech ends as the RREF of ker d2, and its rows at pivots the image did
-    # not have are the canonical complement (see the module docstring).  L2
-    # is ordered L²g0, g0(x)g1, S²g1, so the parities interleave: list the
-    # even classes first, each parity in pivot order.
-    for vec in ker:
-        ech.insert(vec)
-    pivots = ech.pivots
-    cols = sorted((c for c in pivots if c not in im_pivots), key=lambda c: (lam2_par[c], c))
-    basis = [(lam2_par[c], {cx.pairs[k]: v for k, v in pivots[c].items()}) for c in cols]
-    dims = GradedDim.from_parities([p for p, _ in basis])
-    if dims != kd - im:
-        # dims counts dim(ker + im) - dim im, which is dim ker - dim im
-        # exactly when im d3 lies in ker d2
-        d2 = [cx.d2_column(k) for k in range(cx.lam2.dim)]
-        for t in cx.iter_lam3_weight0():
+    bad, classes = quotient_kernel(Subspace(cx.lam2, ech), d2)
+    if bad is not None:
+        # bad is a combination of the streamed columns, so one of them fails
+        def d2_d3(t):
             col = {}
             for pos, v in cx.d3_column(t):
-                col[pos] = col.get(pos, 0) + v
-            if linear_apply(d2, col, g.field):
-                raise AssertionError("d2 o d3 != 0 at triple %r" % (t,))
-        raise AssertionError(
-            "rank bookkeeping broke: %s homology classes vs kernel %s minus image %s"
-            % (dims, kd, im)
-        )
+                add_scaled(col, d2[pos], v)
+            return in_field(col, g.field)
+
+        t = min(t for t in streamed() if d2_d3(t))
+        raise AssertionError("d2 o d3 != 0 at triple %r" % (t,))
+    # L2 is ordered L²g0, g0(x)g1, S²g1, so the parities interleave: list the
+    # even classes first, each parity in pivot order
+    classes.sort(key=lambda row: lam2_par[min(row)])
+    basis = [(lam2_par[min(row)], {cx.pairs[k]: v for k, v in row.items()}) for row in classes]
+    dims = GradedDim.from_parities([p for p, _ in basis])
+    if dims != kd - im:
+        raise AssertionError("rank bookkeeping broke: %s != %s - %s" % (dims, kd, im))
     timings["quotient_parity01"] = time.perf_counter() - t0
     for p in (0, 1):
         stats["ker_rank_parity%d" % p] = kd[p]
         stats["im_rank_parity%d" % p] = im[p]
     stats["lam3_weight0_dim"] = cx.lam3_weight0_dim()
     stats["generators"] = len(gens)
-    stats["lam3_streamed"] = streamed
+    stats["lam3_streamed"] = n_streamed
     stats["h2"] = [dims.even, dims.odd]
     stats["timings"] = timings
     return H2Result(dims, basis, stats)

@@ -30,9 +30,9 @@ from .linalg import (
     Subspace,
     add_scaled,
     in_field,
-    kernel,
     linear_apply,
     pooled,
+    quotient_kernel,
 )
 from .lie import StructureError
 
@@ -157,7 +157,8 @@ class HC1Result:
 
 
 def hc1(R: SuperAlgebra) -> HC1Result:
-    """Kernel of the induced commutator map on <R,R>.
+    """Kernel of the induced commutator map on <R,R>, by
+    linalg.quotient_kernel on the relation subspace.
 
     Raises StructureError if the ambient commutator map fails to kill the
     relation subspace (which would make the induced map ill-defined).
@@ -167,21 +168,14 @@ def hc1(R: SuperAlgebra) -> HC1Result:
     # equal columns are one dict, the many empty ones among them
     pool = {}
     comm = [pooled(pool, R.supercommutator(a, b)) for a in range(R.dim) for b in range(R.dim)]
-    for row in pair.relations.rows:
-        img = linear_apply(comm, row, R.field)
-        if img:
-            raise StructureError(
-                "commutator map is not well-defined on <%s,%s>: relation row "
-                "with leading %s has nonzero image" % (R.name, R.name, min(row))
-            )
-    rows = [{} for _ in range(R.dim)]
-    for col in range(pair.quot.dim):
-        rep = pair.quot.section({col: R.field.one})
-        img = linear_apply(comm, rep, R.field)
-        for r, v in img.items():
-            rows[r][col] = v
-    null = kernel(rows, pair.quot.dim, R.field)
-    return HC1Result(pair, Subspace.from_vectors(pair.quot.space, null, R.field))
+    bad, rows = quotient_kernel(pair.relations, comm)
+    if bad is not None:
+        raise StructureError(
+            "commutator map is not well-defined on <%s,%s>: relation row "
+            "with leading %s has nonzero image" % (R.name, R.name, min(bad))
+        )
+    classes = map(pair.quot.project, rows)
+    return HC1Result(pair, Subspace.from_vectors(pair.quot.space, classes, R.field))
 
 
 # ----------------------------------------------------------- h relations

@@ -17,14 +17,16 @@ modulo a subspace is the same walk over the vector's own support.  A
 Subspace is made only by spanning: Subspace.from_vectors streams vectors
 into one Echelon and the Subspace keeps that finished echelon's rows and
 pivot dict, so each row is held once and is canonical by construction,
-with nothing left to re-check.  ``kernel`` returns the plain null-space
-basis read off the RREF, one vector per free column: a span is brought to
-canonical rows only where its canonical basis is an output or is compared
-(cyclic.hc1 passes it to Subspace.from_vectors; chevalley.ce_h2 inserts it
-into its image echelon).  ``linear_apply`` (maps given by columns) is the
-one linear apply.  ``pooled`` makes the equal values of one table being
-built one shared dict, keeping value types apart; the bracket and product
-tables, and cyclic.hc1's commutator columns, store their values through it.
+with nothing left to re-check.  ``quotient_kernel`` is the canonical
+kernel of a map on an ambient space modulo a finished span: it checks the
+map on the span's rows, then runs ``kernel`` (the plain null-space basis
+read off the RREF, one vector per free column) on the span's non-pivot
+columns only and brings that small basis to canonical rows; cyclic.hc1
+reads HC1 and chevalley.ce_h2 reads H2 with it.  ``linear_apply`` (maps
+given by columns) is the one linear apply.  ``pooled`` makes the equal
+values of one table being built one shared dict, keeping value types
+apart; the bracket and product tables, and cyclic.hc1's commutator
+columns, store their values through it.
 
 A linear map known only on a spanning set is solved as its graph in one
 Echelon: each input (+) its image is inserted with the image coordinates
@@ -345,8 +347,8 @@ class Subspace:
     def __init__(self, space: GradedSpace, ech: Echelon):
         """The span of a finished Echelon, whose rows are canonical RREF by
         construction.  Its pivot dict is kept, not copied, so nothing may be
-        inserted into ech afterwards; Subspace.from_vectors is its one
-        caller in the package."""
+        inserted into ech afterwards (Subspace.from_vectors, and ce_h2's
+        image echelon once its stream ends)."""
         self.space = space
         self.field = ech.field
         self._by_pivot = ech.pivots
@@ -451,17 +453,14 @@ class QuotientSpace:
 def kernel(rows, dim: int, field) -> list:
     """A basis of the null space {v : M v = 0} of M on coordinates 0..dim-1.
 
-    rows are the rows of M.  One vector per free column f of M's RREF, in
-    increasing f: 1 at f, 0 at every other free column, and minus each
-    canonical row's entry at f at that row's pivot.  The basis depends only
-    on the row space, so the order of rows does not matter; it is not
-    canonical RREF, so a caller that outputs or compares the span passes it
-    through Subspace.from_vectors.
+    rows are the rows of M, in any order.  One vector per free column f of
+    M's RREF, in increasing f: 1 at f, 0 at every other free column, and
+    minus each canonical row's entry at f at that row's pivot; not
+    canonical RREF (quotient_kernel makes it so).
     """
     ech = Echelon(field)
     for row in rows:
-        if row:
-            ech.insert(row)
+        ech.insert(row)
     pivots = ech.pivots
     one = field.one
     p = field.characteristic
@@ -472,3 +471,27 @@ def kernel(rows, dim: int, field) -> list:
             if c != pc:
                 null[c][pc] = -v % p if p else -v
     return list(null.values())
+
+
+def quotient_kernel(span: Subspace, columns):
+    """(bad, rows): the kernel of the linear map with these columns
+    (indexable by every ambient coordinate) on the ambient space of span
+    modulo span.  bad is the first canonical row of span, in pivot order,
+    that the map does not kill, so that it is not well defined (rows is
+    then empty), or None.  rows are the canonical rows, in ambient
+    coordinates, of the map's kernel on the non-pivot columns N of span:
+    each class by its representative on N (QuotientSpace.section).
+    """
+    field = span.field
+    for row in span.rows:
+        if linear_apply(columns, row, field):
+            return row, []
+    free = [c for c in range(span.space.dim) if c not in span._by_pivot]
+    restricted = {}  # the rows of the map on N, columns numbered along N
+    for f, c in enumerate(free):
+        for r, v in columns[c].items():
+            restricted.setdefault(r, {})[f] = v
+    ech = Echelon(field)
+    for vec in kernel(restricted.values(), len(free), field):
+        ech.insert(vec)
+    return None, [{free[f]: v for f, v in ech.pivots[c].items()} for c in sorted(ech.pivots)]

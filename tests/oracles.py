@@ -4,9 +4,10 @@ The program never calls these.  They are the independent or brute-force
 second routes the tests compare it against: the full L2 pair list and
 Chevalley-Eilenberg matrices (a d3 column is CEComplex.d3_column's terms
 summed, and d3_by_wedges builds it from its definition as a dict, with
-the wedge sign rule stated on its own in wedge), the image of d3 from
-every weight-zero triple, the subalgebra a set of vectors generates by its
-definition and ce_h2's greedy generating set on it, a standalone
+the wedge sign rule stated on its own in wedge), the full walk of the
+weight-zero triples and the image of d3 from every one of them, the
+subalgebra a set of vectors generates by its definition and ce_h2's
+greedy generating set on it, a standalone
 sparse-matrix rref, the Lie axioms on basis tuples, the center by a
 kernel, the supercommutator algebra of an associative algebra, the
 q_n(R) formula table by a full index scan, the gl_{m|n}(R) bracket table
@@ -29,6 +30,7 @@ have by construction.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain
 
@@ -184,6 +186,29 @@ def iter_lam3(cx):
                 yield (i, j, k)
 
 
+def iter_lam3_weight0(cx):
+    """Every weight-zero triple (i, j, k) of cx in increasing order, drawn
+    from the weight buckets: the full walk, which CEComplex.iter_lam3_weight0
+    cuts down to the triples with a factor in a generating set (every triple
+    of L3 for an empty torus)."""
+    par = cx.g.space.parities
+    n = cx.g.dim
+    wid = cx.weight_id
+    for i in range(n):
+        third = cx._third[wid[i]]
+        for j in range(i, n):
+            if i == j and par[i] == 0:
+                continue
+            c = third[wid[j]]
+            if c is None:
+                continue
+            ks = cx._buckets[c]
+            for k in ks[bisect_left(ks, j):]:
+                if j == k and par[j] == 0:
+                    continue
+                yield (i, j, k)
+
+
 def d2_matrix(cx) -> SparseMatrix:
     entries = {}
     for k in range(cx.lam2.dim):
@@ -289,7 +314,7 @@ def image_by_full_stream(cx) -> dict:
     """The pivot dict of the RREF of im d3 on cx's chains: d3 of every triple
     of the full walk, as its summed terms, inserted in walk order."""
     ech = Echelon(cx.g.field)
-    for t in cx.iter_lam3_weight0():
+    for t in iter_lam3_weight0(cx):
         col = d3_vector(cx, t)
         if col:
             ech.insert(col)
@@ -315,7 +340,7 @@ def h2_by_representatives(g: LieSuperAlgebra, torus=()):
     gens = set(greedy_generators(g, cx.weights))
     ech = Echelon(field)
     lam3_weight0_dim = streamed = 0
-    for t in cx.iter_lam3_weight0():
+    for t in iter_lam3_weight0(cx):
         lam3_weight0_dim += 1
         i, j, k = t
         has_bracket = any(key in g.brackets for key in ((i, j), (i, k), (j, k)))

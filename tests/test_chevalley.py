@@ -41,6 +41,7 @@ from oracles import (
     h2_by_representatives,
     image_by_full_stream,
     iter_lam3,
+    iter_lam3_weight0,
     lam2_dim_formula,
     lam2_pairs,
     lam2_positions,
@@ -302,15 +303,15 @@ def test_d2_after_d3_is_checked_on_every_column():
 
 
 def test_the_rescan_names_the_first_failing_triple_in_stream_order():
-    # [w, z] = x and [x, y] = w: the rescan walks every triple in
-    # increasing order, w^x^y and w^x^z come first and d2 kills their
-    # columns; d2(d3(w^y^z)) = -[[w,z],y] = -w and d2(d3(x^y^z)) =
-    # [[x,y],z] = x do not vanish
+    # [w, z] = x and [x, y] = w: every basis vector is a generator, so all
+    # four triples are streamed and the rescan names the smallest that
+    # fails; d2 kills the columns of w^x^y and w^x^z, while d2(d3(w^y^z)) =
+    # -[[w,z],y] = -w and d2(d3(x^y^z)) = [[x,y],z] = x do not vanish
     one = QQ.one
     space = GradedSpace(("w", "x", "y", "z"), (0, 0, 0, 0))
     brackets = {(0, 3): {1: one}, (3, 0): {1: -one}, (1, 2): {0: one}, (2, 1): {0: -one}}
     g = hand_written(space, brackets)
-    assert list(CEComplex(g).iter_lam3_weight0()) == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    assert list(iter_lam3_weight0(CEComplex(g))) == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
     with pytest.raises(AssertionError, match=r"^d2 o d3 != 0 at triple \(0, 2, 3\)$"):
         ce_h2(g)
 
@@ -380,7 +381,7 @@ def test_the_stream_reads_exactly_the_triples_with_a_bracket_in_order(field, emp
         torus = []
     cx = CEComplex(g, torus)
     gens = set(cx.generating_set())
-    triples = list(cx.iter_lam3_weight0())
+    triples = list(iter_lam3_weight0(cx))
     want = [t for t in triples if _has_bracket(g, t) and not gens.isdisjoint(t)]
     want.reverse()
     assert 0 < len(want) < sum(_has_bracket(g, t) for t in triples)
@@ -424,7 +425,7 @@ def test_d3_terms_sum_to_the_column_built_from_its_definition(kind, field, chain
     cx = CEComplex(g, torus if chains == "weight-zero" else [])
     pos = lam2_positions(cx)
     nonzero = 0
-    for t in cx.iter_lam3_weight0():
+    for t in iter_lam3_weight0(cx):
         col = d3_vector(cx, t)
         assert col == d3_by_wedges(cx, pos, t), t
         nonzero += bool(col)
@@ -444,7 +445,9 @@ def test_weight_zero_triples_are_the_filtered_full_list(field):
         return tuple(x % p if p else x for x in sums)
 
     want = [t for t in iter_lam3(cx) if weight(t) == zero]
-    assert list(cx.iter_lam3_weight0()) == want
+    assert list(iter_lam3_weight0(cx)) == want
+    # with every basis vector a generator the stream is the same walk, reversed
+    assert list(cx.iter_lam3_weight0(range(sq.dim))) == want[::-1]
     assert cx.pairs == [t for t in lam2_pairs(sq) if weight(t) == zero]
 
 
@@ -511,9 +514,9 @@ def test_basis_and_stats_match_the_representative_echelon_oracle(kind, field, em
 
 
 def test_ce_h2_builds_three_echelons_of_its_own(monkeypatch):
-    # the torus span, the generators' closure and the image echelon, which
-    # ends as the RREF of the kernel; linalg.kernel's own echelon is made in
-    # linalg, not counted
+    # the torus span, the generators' closure and the image echelon; the
+    # span of d2's columns (Subspace.from_vectors) and the echelons of
+    # linalg.quotient_kernel and linalg.kernel are made in linalg, not counted
     made = []
 
     class Recording(linalg.Echelon):
@@ -528,7 +531,10 @@ def test_ce_h2_builds_three_echelons_of_its_own(monkeypatch):
 
 
 def test_a_passing_ce_h2_applies_d2_only_to_build_its_kernel(monkeypatch):
-    # d2 o d3 = 0 is decided by the rank equation, so no d3 column meets d2
+    # d2's columns are read once, for their rank and then for
+    # linalg.quotient_kernel, which checks d2 on the image rows and takes the
+    # kernel on the free columns; while that check passes no d3 column
+    # meets d2
     calls = []
     d2_column = CEComplex.d2_column
 
@@ -540,6 +546,24 @@ def test_a_passing_ce_h2_applies_d2_only_to_build_its_kernel(monkeypatch):
     sq, torus = sq3_with_torus("grassmann(1)", "Q")
     r = ce_h2(sq, torus=torus)
     assert sorted(calls) == list(range(r.stats["lam2_weight0_dim"]))
+
+
+def test_ce_h2_takes_its_kernel_on_the_free_columns_only(monkeypatch):
+    # the kernel of d2 is taken on the |N| columns that are not pivots of
+    # RREF(im d3), not on all of L2
+    dims = []
+    kernel = linalg.kernel
+
+    def recording(rows, dim, field):
+        dims.append(dim)
+        return kernel(rows, dim, field)
+
+    monkeypatch.setattr(linalg, "kernel", recording)
+    sq, torus = sq3_with_torus("grassmann(1)", "Q")
+    s = ce_h2(sq, torus=torus).stats
+    free = s["lam2_weight0_dim"] - s["im_rank_parity0"] - s["im_rank_parity1"]
+    assert dims == [free]
+    assert free < s["lam2_weight0_dim"] // 2
 
 
 def test_qi_echelon_rows_hold_int_parts_where_integral(monkeypatch):
@@ -607,28 +631,21 @@ IMAGE_CASES = [(k, f) for k in ("sq", "psq", "sq4-gr2") for f in ("Q", "Qi", "Fp
 @pytest.mark.parametrize("empty_torus", [False, True], ids=["weight-zero", "empty-torus"])
 @pytest.mark.parametrize("kind,field", IMAGE_CASES)
 def test_the_generators_stream_gives_the_full_streams_image(kind, field, empty_torus, monkeypatch):
-    # the image echelon's pivot dict, taken when the first kernel vector is
-    # inserted, is the RREF of every weight-zero d3 column
+    # the image span, taken when the stream ends and it goes to
+    # linalg.quotient_kernel, is the RREF of every weight-zero d3 column
     g, torus = _h2_input(kind, field)
     if empty_torus:
         torus = []
-    made = []
+    images = []
+    quotient_kernel = chevalley.quotient_kernel
 
-    class Recording(linalg.Echelon):
-        image = None
+    def recording(span, columns):
+        images.append(dict(zip(span.pivot_cols, span.rows)))
+        return quotient_kernel(span, columns)
 
-        def __init__(self, field):
-            super().__init__(field)
-            made.append(self)
-
-        def insert(self, vec):
-            if self.image is None:
-                self.image = {c: dict(row) for c, row in self.pivots.items()}
-            return super().insert(vec)
-
-    monkeypatch.setattr(chevalley, "Echelon", Recording)
+    monkeypatch.setattr(chevalley, "quotient_kernel", recording)
     ce_h2(g, torus=torus)
-    (image,) = [ech.image for ech in made if ech.image]
+    (image,) = images
     assert image == image_by_full_stream(CEComplex(g, torus))
 
 
@@ -670,7 +687,7 @@ def test_the_weight_zero_count_is_the_walks(kind, field, empty_torus):
     if empty_torus:
         assert count == lam3_dim_formula(g.space.graded_dim)
     if kind != "sq4-gr2" or not empty_torus:  # that walk is the formula's 317 812
-        assert count == sum(1 for _ in cx.iter_lam3_weight0())
+        assert count == sum(1 for _ in iter_lam3_weight0(cx))
 
 
 @pytest.mark.parametrize("z_first", [True, False], ids=["b-equals-c", "a-equals-b"])
@@ -685,7 +702,7 @@ def test_the_weight_zero_count_with_two_equal_weights_is_the_walks(z_first):
     scale = {"z": -2 * one, "x": one, "y": one, "u": one}
     g = LieSuperAlgebra(QQ, space, {(0, b): {b: scale[c]} for b, c in enumerate(labels) if b})
     cx = CEComplex(g, [{0: one}])
-    count = sum(1 for _ in cx.iter_lam3_weight0())
+    count = sum(1 for _ in iter_lam3_weight0(cx))
     assert count == cx.lam3_weight0_dim() == 5  # |L2(B_1)| = 3 + 2
 
 
@@ -693,9 +710,9 @@ def test_a_jacobi_failure_off_the_generators_is_still_caught():
     # a and b generate x = [a, b], y = [a, x] and z = [b, x]; [x, y] = y and
     # [x, z] = x break the Jacobi identity at x ^ y ^ z, which has no factor
     # in S = {a, b} and is not streamed.  The x whose ad_x is a derivation
-    # form a subalgebra, so with an empty torus the rank equation on the
-    # streamed triples holds exactly when Jacobi does, and the failure shows
-    # on them; the rescan walks every triple and names the first
+    # form a subalgebra, so with an empty torus d2 kills the streamed
+    # columns exactly when Jacobi holds, and the failure shows on them; the
+    # rescan walks the streamed triples and names the smallest that fails
     one = QQ.one
     space = GradedSpace(("a", "b", "x", "y", "z"), (0,) * 5)
     brackets = {

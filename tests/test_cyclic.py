@@ -13,6 +13,7 @@ from queerhom.cyclic import (
     check_h_relations,
     hc1,
 )
+from queerhom.lie import StructureError
 from queerhom.linalg import GradedDim, GradedSpace, GradingError, add_scaled, in_field
 from queerhom.scalars import QQ, parse_field_flag
 
@@ -242,6 +243,26 @@ def test_hc1_of_grassmann_line_is_spanned_by_lam_x_x():
     cls = pair.lam({1: QQ.one}, {1: QQ.one})
     assert h.subspace.contains(cls)
     assert h.subspace.dim == 1
+
+
+def test_hc1_names_the_first_relation_row_the_commutator_does_not_kill():
+    # e is the unit and xy = x is the only other product, so (xy)y = x while
+    # x(yy) = 0.  The cyclicity relation of (x, y, y) is xy(x)y + yy(x)x +
+    # yx(x)y = x(x)y, at key 1*3 + 2 = 5, and [x, y] = x.  The pairs at keys
+    # 0..4 (e(x)e, e(x)x, e(x)y, x(x)e, x(x)x) have zero commutator, so the
+    # first canonical relation row with a nonzero image leads at 5.
+    one = QQ.one
+    space = GradedSpace(("e", "x", "y"), (0, 0, 0))
+    unit = {(0, b): {b: one} for b in range(3)} | {(b, 0): {b: one} for b in range(3)}
+    R = SuperAlgebra(QQ, space, {**unit, (1, 2): {1: one}}, {0: one}, name="A")
+    assert R.supercommutator(1, 2) == {1: one}
+    assert PairSpace(R).relations.contains({5: one})
+    msg = (
+        r"^commutator map is not well-defined on <A,A>: relation row with "
+        r"leading 5 has nonzero image$"
+    )
+    with pytest.raises(StructureError, match=msg):
+        hc1(R)
 
 
 # ------------------------------------------------------------ relation rows
