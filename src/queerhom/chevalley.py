@@ -53,9 +53,11 @@ property contain S and are closed under [S, -], so they are all of g
 vectors, which are weight vectors, so the weight-zero image is spanned by
 the weight-zero triples with a factor in S: the same subspace, the same
 RREF and the same canonical H2 basis.  CEComplex.generating_set picks S
-greedily from the bracket table, and iter_lam3_weight0 enumerates only
-those triples, from the weight buckets; their number lam3_weight0_dim is
-counted from the buckets' graded dimensions, not walked.
+greedily from the bracket table by linalg.greedy_generators, the walk that
+also picks cyclic.PairSpace's generators of R under left multiplication,
+and iter_lam3_weight0 enumerates only those triples, from the weight
+buckets; their number lam3_weight0_dim is counted from the buckets' graded
+dimensions, not walked.
 
 d3 of a triple (i, j, k) is zero unless one of the brackets [e_i, e_j],
 [e_i, e_k], [e_j, e_k] is not, so ce_h2 calls d3_column only on the
@@ -81,7 +83,16 @@ from itertools import chain
 from math import comb
 
 from .lie import LieSuperAlgebra, StructureError
-from .linalg import Echelon, GradedDim, GradedSpace, Subspace, add_scaled, in_field, quotient_kernel
+from .linalg import (
+    Echelon,
+    GradedDim,
+    GradedSpace,
+    Subspace,
+    add_scaled,
+    greedy_generators,
+    in_field,
+    quotient_kernel,
+)
 
 _ZERO = {}  # d2_column's zero column, read only
 
@@ -171,18 +182,17 @@ class CEComplex:
         return self.g.brackets.get(self.pairs[k], _ZERO)
 
     def generating_set(self) -> list:
-        """A greedy generating set S of g, as sorted basis indices.
+        """A greedy generating set S of g, as sorted basis indices, from
+        linalg.greedy_generators under ad.
 
         The basis vectors of nonzero weight are walked first, most bracket
         keys first and ties by index, then every index; e_b is kept only if
         it lies outside the subalgebra the kept ones generate, which is
-        their ad_S-closure, held in one Echelon and closed again after each
-        kept e_b.  The walk stops once the closure is g, so S generates g
-        exactly, whatever the torus (an empty one included).
+        their ad_S-closure.  The walk stops once the closure is g, so S
+        generates g exactly, whatever the torus (an empty one included).
         """
         g = self.g
         dim = g.dim
-        one = g.field.one
         keys = [0] * dim
         for i, j in g.brackets:
             keys[i] += 1
@@ -206,28 +216,7 @@ class CEComplex:
                     add_scaled(out, tbl, x)
             return in_field(out, g.field)
 
-        closure = Echelon(g.field)
-        spanned = []  # vectors whose span is the closure
-        gens = []
-        for b in chain(first, range(dim)):
-            if closure.rank == dim:
-                break
-            e_b = {b: one}
-            if not closure.insert(e_b):
-                continue
-            gens.append(b)
-            # the old closure is closed under the old S; bracket it with e_b,
-            # and every new vector with all of S, until the closure is g
-            work = [((b,), v) for v in spanned] + [(tuple(gens), e_b)]
-            spanned.append(e_b)
-            while work and closure.rank < dim:
-                ss, v = work.pop()
-                for s in ss:
-                    w = ad(s, v)
-                    if w and closure.insert(w):
-                        spanned.append(w)
-                        work.append((tuple(gens), w))
-        return sorted(gens)
+        return greedy_generators(g.field, dim, chain(first, range(dim)), ad)
 
     def lam3_weight0_dim(self) -> int:
         """The number of weight-zero triples, counted from the weight buckets
@@ -395,9 +384,12 @@ def ce_h2(g: LieSuperAlgebra, torus=()) -> H2Result:
         t = min(t for t in streamed() if d2_d3(t))
         raise AssertionError("d2 o d3 != 0 at triple %r" % (t,))
     # L2 is ordered L²g0, g0(x)g1, S²g1, so the parities interleave: list the
-    # even classes first, each parity in pivot order
+    # even classes first, each parity in pivot order, and each vector's pairs
+    # in L2 order, not in the order the elimination left its keys
     classes.sort(key=lambda row: lam2_par[min(row)])
-    basis = [(lam2_par[min(row)], {cx.pairs[k]: v for k, v in row.items()}) for row in classes]
+    basis = [
+        (lam2_par[min(row)], {cx.pairs[k]: row[k] for k in sorted(row)}) for row in classes
+    ]
     dims = GradedDim.from_parities([p for p, _ in basis])
     if dims != kd - im:
         raise AssertionError("rank bookkeeping broke: %s != %s - %s" % (dims, kd, im))

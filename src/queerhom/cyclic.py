@@ -4,15 +4,35 @@ The pair space <R,R> is the quotient of R(x)R (parity of a(x)b is |a|+|b|)
 by the graded antisymmetry and cyclicity relations
 
     a(x)b + (-1)^{|a||b|} b(x)a
-    (-1)^{|a||c|} ab(x)c + (-1)^{|b||a|} bc(x)a + (-1)^{|c||b|} ca(x)b
+    r(a,b,c) = (-1)^{|a||c|} ab(x)c + (-1)^{|b||a|} bc(x)a + (-1)^{|c||b|} ca(x)b
 
-over homogeneous basis triples.  The cyclicity relation r(a,b,c) equals
-r(b,c,a) term by term, signs included, so it is generated once per rotation
-orbit, from the triples with a <= b and a <= c.  lam(a, b) is the class of
-a(x)b.
+over homogeneous basis pairs and triples.  lam(a, b) is the class of a(x)b.
 HC1(R) is the kernel of the induced map lam(a,b) -> [a,b], the
 supercommutator of SuperAlgebra.supercommutator; its well-definedness on
 the relation subspace is re-checked every time.
+
+The relation stream.  Not every triple is needed (Loday, Cyclic Homology,
+1992, ch. 1-2).  R must be associative: validate enforces it for algebra
+files, and the builtins and their tensor products are.
+  - Modulo antisymmetry, a(x)bc is -(-1)^{|a|(|b|+|c|)} bc(x)a, so
+    r(a,b,c) is (-1)^{|a||c|} b(a(x)b(x)c) for Hochschild's
+    b(a(x)b(x)c) = ab(x)c - a(x)bc + (-1)^{|c|(|a|+|b|)} ca(x)b.
+  - b o b = 0 on a(x)x(x)m(x)c writes b(a(x)xm(x)c) as a signed sum of
+    b(ax(x)m(x)c), b(a(x)x(x)mc) and b(ca(x)x(x)m), whose middles are m and
+    x.  Let S be basis vectors whose words of length >= 1 span R
+    (generating_set).  By induction on word length the middle slot may
+    range over S, and as r(a,b,c) = r(b,c,a) term by term, signs included,
+    so may any slot: with the antisymmetry vectors, the r(a,b,c) with a
+    factor in S span the relation subspace.  Each is formed once per
+    rotation orbit, from the triples with a <= b and a <= c; where neither
+    a nor b is in S, c is drawn from S.
+  - When the unit is a multiple of one basis vector e_u, r(u,b,c) is
+    bc(x)u and r(u,u,c) a nonzero multiple of c(x)u modulo antisymmetry.
+    So every triple containing u gives way to the relations r(u,u,c), one
+    for every c, each formed in its rotation with the smallest index
+    first: (u,u,c) for c >= u, (c,u,u) for c < u.
+The relation subspace, so its canonical rows, is the one every triple
+spans; the full scan is kept as a test oracle.
 
 For S = R(x)Q1 the class map is written h(x, y); check_h_relations
 verifies the mixing identities between h on S and lam on R, and
@@ -22,6 +42,8 @@ the h-columns, as its graph in one linalg.Echelon over <S,S> (+) <R,R>.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .algebras import SuperAlgebra, build_q1, tensor
 from .linalg import (
     Echelon,
@@ -29,6 +51,7 @@ from .linalg import (
     QuotientSpace,
     Subspace,
     add_scaled,
+    greedy_generators,
     in_field,
     linear_apply,
     pooled,
@@ -37,23 +60,42 @@ from .linalg import (
 from .lie import StructureError
 
 
+def generating_set(R: SuperAlgebra) -> list:
+    """A greedy set S of basis indices whose words of length >= 1 span R,
+    sorted, from linalg.greedy_generators under left multiplication: the
+    basis vectors are walked most product keys first, ties by index, and
+    e_b is kept only if it lies outside the span of the words in the kept
+    ones."""
+    keys = [0] * R.dim
+    for x, y in R.products:
+        keys[x] += 1
+        if x != y:
+            keys[y] += 1
+    order = sorted(range(R.dim), key=lambda b: (-keys[b], b))
+    one = R.field.one
+    return greedy_generators(R.field, R.dim, order, lambda s, v: R.mul_coords({s: one}, v))
+
+
 class PairSpace:
     """R(x)R modulo the graded antisymmetry and cyclicity relations.
 
-    Each cyclicity relation is invariant under rotating (a, b, c), so only
-    the triples whose first index is smallest are generated; the relation
-    subspace is the one the full d^3 scan spans.  A triple whose three
-    products are zero is not visited: when ab = 0 only the c with bc or ca
-    a product key are.  Each product table is scaled once to the keys t*d
-    of the pairs e_t(x)e_z, so a relation term is one add_scaled at base
-    z; a relation is summed exactly and reduced once.  A one-term relation
-    {k: c} at a k where an earlier one-term relation already put e_k in the
-    span is skipped: inserting it would change nothing.  The other
-    relations stream into Subspace.from_vectors in the same order, each
-    inserted as soon as it is formed, so no list of relation vectors is
-    held and the echelon's rows become the relation subspace's without a
-    copy.  A relation subspace that mixes parities (only a table that
-    breaks the grading gives one) is refused by QuotientSpace.
+    The relations are the antisymmetry vectors and the cyclicity relations
+    of the module docstring's stream: the triples with a <= b and a <= c
+    and a factor in generating_set(R), less those with the unit's index u
+    where the unit is a multiple of e_u, and r(u,u,c) for every c in their
+    place.  R must be associative; the relation subspace is then the one
+    every triple spans.  A triple whose three products are zero is not
+    visited: when ab = 0 only the c with bc or ca a product key are.  Each
+    product table is scaled once to the keys t*d of the pairs e_t(x)e_z,
+    so a relation term is one add_scaled at base z; a relation is summed
+    exactly and reduced once.  A one-term relation {k: c} at a k where an
+    earlier one-term relation already put e_k in the span is skipped:
+    inserting it would change nothing.  The other relations stream into
+    Subspace.from_vectors in the same order, each inserted as soon as it
+    is formed, so no list of relation vectors is held and the echelon's
+    rows become the relation subspace's without a copy.  A relation
+    subspace that mixes parities (only a table that breaks the grading
+    gives one) is refused by QuotientSpace.
     """
 
     def __init__(self, R: SuperAlgebra):
@@ -80,6 +122,14 @@ class PairSpace:
                         vec = in_field(vec, field)
                     if vec:
                         yield vec
+            # the unit's index u, or None; `rest` and `rest_s` are the indices
+            # and the generators other than u
+            u = next(iter(R.unit)) if len(R.unit) == 1 else None
+            in_s = [False] * d
+            for s in generating_set(R):
+                in_s[s] = True
+            rest = [c for c in range(d) if c != u]
+            rest_s = [c for c in rest if in_s[c]]
             # by_left[x][y] = by_right[y][x] = e_x e_y with its keys t scaled
             # to t*d, for each product key: the pair e_t(x)e_z is at t*d + z
             by_left = [{} for _ in range(d)]
@@ -91,8 +141,19 @@ class PairSpace:
                 for b in range(a, d):
                     ab = by_left[a].get(b)
                     b_left = by_left[b]
-                    # when ab = 0, only the c with bc or ca nonzero give a term
-                    cs = range(a, d) if ab else sorted(c for c in {*b_left, *a_right} if c >= a)
+                    if b == u:
+                        # r(u,u,c) for every c: at (u,u,c) for c >= u, (a,u,u) for a < u
+                        cs = range(u, d) if a == u else (u,)
+                    elif a == u:
+                        break  # every other triple with u gives way to r(u,u,c)
+                    elif ab:
+                        cs = rest if in_s[a] or in_s[b] else rest_s
+                        cs = cs[bisect_left(cs, a):]
+                    else:  # only the c with bc or ca nonzero give a term
+                        cs = sorted(
+                            c for c in {*b_left, *a_right}
+                            if c >= a and c != u and (in_s[a] or in_s[b] or in_s[c])
+                        )
                     for c in cs:
                         bc = b_left.get(c)
                         ca = a_right.get(c)

@@ -26,7 +26,10 @@ reads HC1 and chevalley.ce_h2 reads H2 with it.  ``linear_apply`` (maps
 given by columns) is the one linear apply.  ``pooled`` makes the equal
 values of one table being built one shared dict, keeping value types
 apart; the bracket and product tables, and cyclic.hc1's commutator
-columns, store their values through it.
+columns, store their values through it.  ``greedy_generators`` is the
+one walk that picks a generating set of basis vectors, closing their span
+under an action in one Echelon: chevalley.CEComplex.generating_set's for g
+under ad, and cyclic.PairSpace's for R under left multiplication.
 
 A linear map known only on a spanning set is solved as its graph in one
 Echelon: each input (+) its image is inserted with the image coordinates
@@ -448,6 +451,45 @@ class QuotientSpace:
 
     def __repr__(self):
         return "<QuotientSpace %s>" % (self.graded_dim,)
+
+
+def greedy_generators(field, dim: int, order, act) -> list:
+    """A greedy generating set S of a dim-dimensional algebra, as sorted
+    basis indices.
+
+    act(s, v) is the action of e_s on the vector v, in field: ad_{e_s}
+    for a Lie superalgebra, left multiplication by e_s for an associative
+    one.  The indices are walked in order; e_b is kept only if it lies
+    outside the closure of the kept ones, the smallest subspace that
+    contains S and is closed under act(s, -) for every s in S: the
+    subalgebra S generates, or the span of the words in S.  The closure is
+    held in one Echelon and closed again after each kept e_b, and the walk
+    stops once it is everything, so S generates exactly when order lists
+    every index.
+    """
+    one = field.one
+    closure = Echelon(field)
+    spanned = []  # vectors whose span is the closure
+    gens = []
+    for b in order:
+        if closure.rank == dim:
+            break
+        e_b = {b: one}
+        if not closure.insert(e_b):
+            continue
+        gens.append(b)
+        # the old closure is closed under the old S; act on it with e_b, and
+        # on every new vector with all of S, until the closure is closed
+        work = [((b,), v) for v in spanned] + [(tuple(gens), e_b)]
+        spanned.append(e_b)
+        while work and closure.rank < dim:
+            ss, v = work.pop()
+            for s in ss:
+                w = act(s, v)
+                if w and closure.insert(w):
+                    spanned.append(w)
+                    work.append((tuple(gens), w))
+    return sorted(gens)
 
 
 def kernel(rows, dim: int, field) -> list:

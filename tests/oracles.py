@@ -16,7 +16,9 @@ lie.GlRule), the rule evaluated on one pair (gl_rule_get) and the bilinear
 extension of a table or a rule (bracket_coords), build_q's
 block-realization check against that table, the all-pairs bracket scans of
 VerifiedHomomorphism.verify, induced_lie and quotient_lie, the pair-space
-relations from every triple, the tensor product tables by a scan of every
+relations from every triple, the span of the words in a set of vectors of
+an associative algebra by its definition and PairSpace's greedy
+generating set on it, the tensor product tables by a scan of every
 index quadruple, the trace condition tr X in [R,R] as the kernel of a
 trace map, the cyclic side of the psq formula, and Q(i) arithmetic on
 pairs of rationals.
@@ -797,6 +799,36 @@ def cyclic_relation(R: SuperAlgebra, a: int, b: int, c: int) -> dict:
         for t, v in R.products.get((x, y), {}).items():
             add_scaled(vec, {t * d + z: v}, -one if s else one)
     return in_field(vec, R.field)
+
+
+def words_span(R: SuperAlgebra, vectors) -> Subspace:
+    """The span of the words of length >= 1 in vectors of R, by its
+    definition: the span V, then V + VV over every pair of V's canonical
+    rows through mul_coords, until the span stops growing."""
+    span = Subspace.from_vectors(R.space, vectors, R.field)
+    while True:
+        rows = span.rows
+        products = (R.mul_coords(x, y) for x in rows for y in rows)
+        grown = Subspace.from_vectors(R.space, chain(rows, products), R.field)
+        if grown.dim == span.dim:
+            return span
+        span = grown
+
+
+def greedy_product_generators(R: SuperAlgebra) -> list:
+    """The generating set cyclic.generating_set chooses, by its rule run on
+    words_span: the basis vectors most product keys first, ties by index;
+    e_b is kept when it lies outside the span of the words in the kept
+    ones."""
+    one = R.field.one
+    keys = [sum(b in key for key in R.products) for b in range(R.dim)]
+    gens = []
+    span = words_span(R, [])
+    for b in sorted(range(R.dim), key=lambda b: (-keys[b], b)):
+        if not span.contains({b: one}):
+            gens.append(b)
+            span = words_span(R, [{s: one} for s in gens])
+    return sorted(gens)
 
 
 def pair_relations_full_scan(R: SuperAlgebra, space) -> Subspace:

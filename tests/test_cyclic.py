@@ -6,18 +6,31 @@ import tracemalloc
 import pytest
 
 from queerhom import cyclic, linalg
-from queerhom.algebras import SuperAlgebra, build_builtin, build_grassmann, build_q1, tensor
+from queerhom.algebras import (
+    SuperAlgebra,
+    build_builtin,
+    build_grassmann,
+    build_q1,
+    tensor,
+    validate,
+)
 from queerhom.cyclic import (
     PairSpace,
     build_shift_iso,
     check_h_relations,
+    generating_set,
     hc1,
 )
 from queerhom.lie import StructureError
 from queerhom.linalg import GradedDim, GradedSpace, GradingError, add_scaled, in_field
 from queerhom.scalars import QQ, parse_field_flag
 
-from oracles import cyclic_relation, pair_relations_full_scan
+from oracles import (
+    cyclic_relation,
+    greedy_product_generators,
+    pair_relations_full_scan,
+    words_span,
+)
 
 G1 = build_grassmann(QQ, 1)
 
@@ -44,22 +57,61 @@ def test_pair_space_quotient_dims(tag, _, quot_dim):
     assert pair.quot.dim == quot_dim
 
 
+def _unit_last(R):
+    """R with its basis vector e_0 moved to the last index: the builtins all
+    have the unit e_0, and this one has its unit at e_k, k = dim R - 1."""
+    d = R.dim
+    pos = [d - 1, *range(d - 1)]  # new index of old basis vector b
+    order = sorted(range(d), key=pos.__getitem__)
+    space = GradedSpace([R.space.labels[b] for b in order], [R.space.parities[b] for b in order])
+    products = {
+        (pos[x], pos[y]): {pos[t]: v for t, v in tbl.items()} for (x, y), tbl in R.products.items()
+    }
+    unit = {pos[b]: v for b, v in R.unit.items()}
+    return SuperAlgebra(R.field, space, products, unit, name=R.name + "-unit-last")
+
+
 def _with_tensor(tag, field):
-    R = build_builtin(tag, field)
+    if tag.endswith("-unit-last"):
+        R = _unit_last(build_builtin(tag[: -len("-unit-last")], field))
+    else:
+        R = build_builtin(tag, field)
     return R, tensor(R, build_q1(field))
 
 
+# every builtin family, one algebra whose unit is e_k with k > 0, and
+# matrix(3), whose unit E11 + E22 + E33 is no multiple of one basis vector
+PAIR_TAGS = [t for t, _, _ in HC1_TABLE] + ["grassmann(2)-unit-last", "matrix(3)"]
+
+
+def test_the_unit_last_inputs_are_valid_with_the_unit_at_e_k_for_k_above_0():
+    for A in _with_tensor("grassmann(2)-unit-last", QQ):
+        assert validate(A).ok
+        ((k, _),) = A.unit.items()
+        assert k > 0
+
+
 def _typed(rows):
-    return [[(k, type(v), v) for k, v in row.items()] for row in rows]
+    # key order inside a stored row follows its insertion history
+    return [sorted((k, type(v), v) for k, v in row.items()) for row in rows]
 
 
 @pytest.mark.parametrize("field", ["Q", "Fp:3", "Qi"])
-@pytest.mark.parametrize("tag", [t for t, _, _ in HC1_TABLE])
+@pytest.mark.parametrize("tag", PAIR_TAGS)
 def test_relation_subspace_equals_the_full_triple_scan(tag, field):
     for A in _with_tensor(tag, parse_field_flag(field)):
         pair = PairSpace(A)
         want = pair_relations_full_scan(A, pair.space)
         assert _typed(pair.relations.rows) == _typed(want.rows)
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:3", "Qi"])
+@pytest.mark.parametrize("tag", PAIR_TAGS)
+def test_the_generating_set_spans_r_by_words(tag, field):
+    for A in _with_tensor(tag, parse_field_flag(field)):
+        gens = generating_set(A)
+        assert gens == greedy_product_generators(A)
+        assert words_span(A, [{s: A.field.one} for s in gens]).dim == A.dim
 
 
 def test_a_table_that_breaks_the_grading_gives_a_mixed_relation_subspace():
@@ -72,9 +124,12 @@ def test_a_table_that_breaks_the_grading_gives_a_mixed_relation_subspace():
         PairSpace(bad)
 
 
-def _orbit_relations(R):
+def _streamed_relations(R):
     # the relations PairSpace forms, in its order: antisymmetry for a <= b,
-    # then cyclicity for a <= b, a <= c, each nonzero one
+    # then cyclicity for a <= b, a <= c, each nonzero one, on the triples
+    # with a factor in the generating set and without the unit's index u,
+    # and r(u, u, c) for every c, at (u, u, c) for c >= u and (c, u, u)
+    # for c < u
     d, par, one = R.dim, R.space.parities, R.field.one
     for a in range(d):
         for b in range(a, d):
@@ -83,17 +138,24 @@ def _orbit_relations(R):
             vec = in_field(vec, R.field)
             if vec:
                 yield vec
+    gens = set(generating_set(R))
+    (u,) = R.unit
     for a in range(d):
         for b in range(a, d):
             for c in range(a, d):
-                vec = cyclic_relation(R, a, b, c)
+                if u in (a, b, c):
+                    keep = b == u and (a == u or c == u)
+                else:
+                    keep = not gens.isdisjoint((a, b, c))
+                vec = cyclic_relation(R, a, b, c) if keep else None
                 if vec:
                     yield vec
 
 
-# Echelon.insert calls for PairSpace(grassmann(4)⊗q1); over Q it was 6 519
-# while every nonzero orbit relation went in, spanned one-term ones included
-PAIR_SPACE_INSERTS = {"Q": 4217, "Fp:3": 4216, "Qi": 4217}
+# Echelon.insert calls for PairSpace(grassmann(4)⊗q1), the generator walk's
+# 112 included; over Q it was 4 217 while every nonzero orbit relation went
+# in, and 6 519 before the spanned one-term ones were skipped
+PAIR_SPACE_INSERTS = {"Q": 2832, "Fp:3": 2831, "Qi": 2832}
 
 
 @pytest.mark.parametrize("field", ["Q", "Fp:3", "Qi"])
@@ -104,22 +166,25 @@ def test_pair_space_skips_only_relations_already_spanned(monkeypatch, field):
     insert = linalg.Echelon.insert
 
     def recording(self, vec):
-        inserted.append(dict(vec))
+        inserted.append((self, dict(vec)))
         return insert(self, vec)
 
     monkeypatch.setattr(linalg.Echelon, "insert", recording)
     pair = PairSpace(S)
     assert len(inserted) == PAIR_SPACE_INSERTS[field]
-    # the inserted relations are the orbit relations in order, less the
-    # skipped ones, and each skipped one is a one-term relation in the span
+    # the relations went into the echelon whose rows the relation subspace
+    # holds; they are the streamed relations in order, less the skipped
+    # ones, and each skipped one is a one-term relation in the span
+    first = pair.relations.pivot_cols[0]
+    relations = [v for ech, v in inserted if ech.pivots.get(first) is pair.relations.rows[0]]
     skipped = []
     pos = 0
-    for vec in _orbit_relations(S):
-        if pos < len(inserted) and inserted[pos] == vec:
+    for vec in _streamed_relations(S):
+        if pos < len(relations) and relations[pos] == vec:
             pos += 1
         else:
             skipped.append(vec)
-    assert pos == len(inserted)
+    assert pos == len(relations)
     assert skipped
     for vec in skipped:
         assert len(vec) == 1 and pair.relations.contains(vec)
