@@ -43,6 +43,7 @@ the h-columns, as its graph in one linalg.Echelon over <S,S> (+) <R,R>.
 from __future__ import annotations
 
 from bisect import bisect_left
+from typing import NamedTuple
 
 from .algebras import SuperAlgebra, build_q1, tensor
 from .linalg import (
@@ -319,22 +320,22 @@ def check_h_relations(R: SuperAlgebra) -> list:
 
 # -------------------------------------------------- the odd shift maps
 
-class OddIsoPair:
+class OddIsoPair(NamedTuple):
     """Mutually inverse odd maps between HC1(R(x)Q1) and HC1(R).
 
     phi sends a class written as sum of h(a_i(x)1, b_i(x)nu) to the sum of
-    lam(a_i, b_i); psi is the reverse.  All flags are recomputed exactly.
+    lam(a_i, b_i); psi is the reverse.  build_shift_iso recomputes every
+    flag exactly and makes the pair once.
     """
 
-    def __init__(self):
-        self.psi_kills_relations = None
-        self.psi_image_in_hc1 = None
-        self.phi_solvable = None
-        self.phi_well_defined = None
-        self.phi_image_in_hc1 = None
-        self.mutually_inverse = None
-        self.parity_flip = None
-        self.failures = []
+    psi_kills_relations: bool
+    psi_image_in_hc1: bool
+    phi_solvable: bool
+    phi_well_defined: bool
+    phi_image_in_hc1: bool
+    mutually_inverse: bool
+    parity_flip: bool
+    failures: list
 
 
 def build_shift_iso(hc_R: HC1Result, hc_S: HC1Result) -> OddIsoPair:
@@ -356,30 +357,28 @@ def build_shift_iso(hc_R: HC1Result, hc_S: HC1Result) -> OddIsoPair:
         raise ValueError("HC1 of %s is not over R(x)Q1 for R = %s" % (S.name, R.name))
     field = R.field
     one = field.one
-    out = OddIsoPair()
+    failures = []
 
     # psi on the ambient R(x)R: column a*d + b is h(a(x)1, b(x)nu), the class
     # of (a(x)1)(x)(b(x)nu) in <S,S>; psi must kill I_R.
     h_cols = [
         pair_S.class_of({(2 * a) * S.dim + (2 * b + 1): one}) for a in range(d) for b in range(d)
     ]
-    ok = True
+    psi_kills_relations = True
     for row in pair_R.relations.rows:
         if linear_apply(h_cols, row, field):
-            ok = False
-            out.failures.append("psi does not kill a relation row (leading %d)" % min(row))
-    out.psi_kills_relations = ok
+            psi_kills_relations = False
+            failures.append("psi does not kill a relation row (leading %d)" % min(row))
 
     # psi restricted to the canonical HC1(R) basis, through its representatives.
     psi_cols = []
-    ok = True
+    psi_image_in_hc1 = True
     for row in hc_R.subspace.rows:
         img = linear_apply(h_cols, pair_R.quot.section(row), field)
         psi_cols.append(img)
         if not hc_S.subspace.contains(img):
-            ok = False
-            out.failures.append("psi image leaves HC1 of the tensor algebra")
-    out.psi_image_in_hc1 = ok
+            psi_image_in_hc1 = False
+            failures.append("psi image leaves HC1 of the tensor algebra")
 
     # phi as its graph; the <R,R> coordinates start at dim <S,S>, so that
     # <S,S> columns pivot first.
@@ -390,63 +389,61 @@ def build_shift_iso(hc_R: HC1Result, hc_S: HC1Result) -> OddIsoPair:
         for k, v in pair_R.class_of({key: one}).items():
             vec[off + k] = v
         graph.insert(vec)
-    out.phi_well_defined = all(c < off for c in graph.pivots)
-    if not out.phi_well_defined:
-        out.failures.append("phi is ill-defined on a kernel combination of h-columns")
+    phi_well_defined = all(c < off for c in graph.pivots)
+    if not phi_well_defined:
+        failures.append("phi is ill-defined on a kernel combination of h-columns")
 
     # phi(y) is minus the <R,R> part of y (+) 0 reduced along the graph; an
     # <S,S> column left in the residue means y is no combination of h-columns.
     phi_cols = []
-    ok_solve = True
-    ok_image = True
+    phi_solvable = True
+    phi_image_in_hc1 = True
     for row in hc_S.subspace.rows:
         res = graph.reduce(row)
         if any(c < off for c in res):
-            ok_solve = False
-            out.failures.append("an HC1 class of the tensor algebra has no h-normal form")
+            phi_solvable = False
+            failures.append("an HC1 class of the tensor algebra has no h-normal form")
             phi_cols.append(None)
             continue
         img = in_field({c - off: -v for c, v in res.items()}, field)
         phi_cols.append(img)
         if not hc_R.subspace.contains(img):
-            ok_image = False
-            out.failures.append("phi image leaves HC1 of the coordinate algebra")
-    out.phi_solvable = ok_solve
-    out.phi_image_in_hc1 = ok_image
+            phi_image_in_hc1 = False
+            failures.append("phi image leaves HC1 of the coordinate algebra")
 
     # mutual inverse on the canonical bases, via subspace coordinates; phi
     # is solvable and both images lie in HC1, so no coords_of is None.
-    ok_inv = ok_solve and ok_image and out.psi_image_in_hc1
-    if ok_inv:
+    mutually_inverse = phi_solvable and phi_image_in_hc1 and psi_image_in_hc1
+    if mutually_inverse:
         for i, row in enumerate(hc_R.subspace.rows):
             back = linear_apply(phi_cols, hc_S.subspace.coords_of(psi_cols[i]), field)
             if back != row:
-                ok_inv = False
-                out.failures.append("phi(psi(x)) != x on basis vector %d" % i)
+                mutually_inverse = False
+                failures.append("phi(psi(x)) != x on basis vector %d" % i)
         for j, row in enumerate(hc_S.subspace.rows):
             back = linear_apply(psi_cols, hc_R.subspace.coords_of(phi_cols[j]), field)
             if back != row:
-                ok_inv = False
-                out.failures.append("psi(phi(y)) != y on basis vector %d" % j)
-    out.mutually_inverse = ok_inv
+                mutually_inverse = False
+                failures.append("psi(phi(y)) != y on basis vector %d" % j)
 
-    ok_par = True
+    parity_flip = True
     for i, row in enumerate(hc_R.subspace.rows):
         if not psi_cols[i]:
             continue
         p_src = pair_R.quot.space.parity_of_vec(row)
         p_img = pair_S.quot.space.parity_of_vec(psi_cols[i])
         if (p_src + p_img) % 2 != 1:
-            ok_par = False
-            out.failures.append("psi does not flip parity on basis vector %d" % i)
+            parity_flip = False
+            failures.append("psi does not flip parity on basis vector %d" % i)
     for j, row in enumerate(hc_S.subspace.rows):
         if phi_cols[j] is None or not phi_cols[j]:
             continue
         p_src = pair_S.quot.space.parity_of_vec(row)
         p_img = pair_R.quot.space.parity_of_vec(phi_cols[j])
         if (p_src + p_img) % 2 != 1:
-            ok_par = False
-            out.failures.append("phi does not flip parity on basis vector %d" % j)
-    out.parity_flip = ok_par
-    return out
-
+            parity_flip = False
+            failures.append("phi does not flip parity on basis vector %d" % j)
+    return OddIsoPair(
+        psi_kills_relations, psi_image_in_hc1, phi_solvable, phi_well_defined,
+        phi_image_in_hc1, mutually_inverse, parity_flip, failures,
+    )

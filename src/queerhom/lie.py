@@ -26,6 +26,11 @@ compares every ordered pair.  sq_n(R) is characterized as {(A,B) : tr B in
 that trace condition and build_sl's {X : tr X in [S,S]} are one rule,
 _trace_rule, placed at the w-block or at gl's entries.
 
+The builders of the three H2 inputs (build_sq_lie, build_psq_lie,
+build_block_lie) return (algebra, torus), the diagonal torus of q read in
+the algebra's basis inside the builder.  No algebra carries its ambient, so
+q_n(R) and its table are freed when a builder returns.
+
 Every bilinear scan (verify, induced_lie, quotient_lie) brackets a row
 at a time: bracket_row(x, index, first), one method of LieSuperAlgebra and
 GlRule, gives [x, columns[j]] for every j >= first with a nonzero bracket,
@@ -342,8 +347,31 @@ def _q_formula_brackets(n: int, R: SuperAlgebra) -> dict:
     return brackets
 
 
-def build_q(n: int, R: SuperAlgebra) -> LieSuperAlgebra:
-    """q_n(R) with basis u_ij(a), w_ij(a).
+class QueerLie(LieSuperAlgebra):
+    """q_n(R) with basis u_ij(a), w_ij(a) and the formula table, carrying
+    n as block_n, R as coord and its index bookkeeping as qindex."""
+
+    def __init__(self, n: int, R: SuperAlgebra):
+        if n < 1:
+            raise ValueError("need n >= 1")
+        rpar = R.space.parities
+        labels = []
+        parities = []
+        for kind in ("u", "w"):
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    for r in range(R.dim):
+                        labels.append("%s[%d,%d](%s)" % (kind, i, j, R.space.labels[r]))
+                        parities.append(rpar[r] if kind == "u" else (rpar[r] + 1) % 2)
+        space = GradedSpace(labels, parities)
+        super().__init__(R.field, space, _q_formula_brackets(n, R), name="q(%d;%s)" % (n, R.name))
+        self.block_n = n
+        self.coord = R
+        self.qindex = _QIndex(n, R.dim)
+
+
+def build_q(n: int, R: SuperAlgebra) -> QueerLie:
+    """q_n(R), checked against gl.
 
     The formula table is checked as a VerifiedHomomorphism into gl_{n|n}(R)
     along the block realization (module docstring), with the rule
@@ -352,32 +380,14 @@ def build_q(n: int, R: SuperAlgebra) -> LieSuperAlgebra:
     bracket exactly when the two sides agree; otherwise StructureError
     names the first pair where they differ.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    dR = R.dim
+    g = QueerLie(n, R)
     rpar = R.space.parities
-    qi = _QIndex(n, dR)
-    labels = []
-    parities = []
-    for kind in ("u", "w"):
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                for r in range(dR):
-                    labels.append("%s[%d,%d](%s)" % (kind, i, j, R.space.labels[r]))
-                    p = rpar[r] if kind == "u" else (rpar[r] + 1) % 2
-                    parities.append(p)
-    space = GradedSpace(labels, parities)
-    brackets = _q_formula_brackets(n, R)
-    g = LieSuperAlgebra(R.field, space, brackets, name="q(%d;%s)" % (n, R.name))
-    g.block_n = n
-    g.coord = R
-    g.qindex = qi
     rule = build_gl(n, n, R)
     idx = rule.entry_index
     one = R.field.one
     cols = []
     for t in range(g.dim):
-        kind, i, j, r = qi.unpack(t)
+        kind, i, j, r = g.qindex.unpack(t)
         sgn = R.field.from_int(-1 if rpar[r] else 1)
         if kind == "u":
             cols.append({idx(i, j, r): one, idx(n + i, n + j, r): sgn})
@@ -423,10 +433,7 @@ def induced_lie(g: LieSuperAlgebra, sub: Subspace, name="") -> LieSuperAlgebra:
             if coords is None:
                 raise StructureError("subspace is not closed under the bracket")
             brackets[(a, b)] = pooled(pool, coords)
-    out = LieSuperAlgebra(g.field, space, brackets, name=name or "sub(%s)" % g.name)
-    out.ambient = g
-    out.subspace = sub
-    return out
+    return LieSuperAlgebra(g.field, space, brackets, name=name or "sub(%s)" % g.name)
 
 
 def is_perfect(g: LieSuperAlgebra) -> bool:
@@ -489,31 +496,55 @@ def sq_graded_dim(n: int, R: SuperAlgebra) -> GradedDim:
     return _sq_graded_dim(n, R.space.graded_dim, commutator_subspace(R).graded_dim)
 
 
-def build_sq_lie(n: int, R: SuperAlgebra):
-    """(q_n(R), sq_n(R) as an algebra in its canonical basis)."""
+def diagonal_torus(q: QueerLie) -> list:
+    """h_k = u_kk(1) for k = 1..n in the coordinates of q = q_n(R)."""
+    unit = q.coord.unit
+    return [{q.qindex.u(k, k, r): v for r, v in unit.items()} for k in range(1, q.block_n + 1)]
+
+
+def _torus_in(sub: Subspace, torus: list) -> list:
+    """The torus elements, vectors of sub's ambient space, in the canonical
+    basis of sub; StructureError if one lies outside it."""
+    coords = [sub.coords_of(h) for h in torus]
+    if None in coords:
+        raise StructureError("torus element lies outside the algebra")
+    return coords
+
+
+def _sq_parts(n: int, R: SuperAlgebra):
+    """(q = q_n(R), its trace-characterized subspace sub, sq_n(R) =
+    induced_lie(q, sub), the diagonal torus of q in sq's basis)."""
     q = build_q(n, R)
     sub = build_sq_by_characterization(n, R, q)
     sq = induced_lie(q, sub, name="sq(%d;%s)" % (n, R.name))
-    return q, sq
+    return q, sub, sq, _torus_in(sub, diagonal_torus(q))
+
+
+def build_sq_lie(n: int, R: SuperAlgebra):
+    """(sq_n(R) in its canonical basis, the diagonal torus of q_n(R) in that
+    basis as a list).  Nothing returned refers to q_n(R)."""
+    _, _, sq, torus = _sq_parts(n, R)
+    return sq, torus
 
 
 def build_psq_lie(n: int, R: SuperAlgebra):
-    """sq_n(R) / (scalar multiples of the identity block), for
-    supercommutative R."""
+    """(psq_n(R) = sq_n(R) / (scalar multiples of the identity block), the
+    diagonal torus of q_n(R) projected into its basis), for supercommutative
+    R."""
     if commutator_subspace(R).dim != 0:
         raise ValueError("the central quotient needs supercommutative coordinates")
-    q, sq = build_sq_lie(n, R)
+    q, sub, sq, torus = _sq_parts(n, R)
     one = R.field.one
     ideal_vecs = []
     for r in range(R.dim):
         vec = {q.qindex.u(i, i, r): one for i in range(1, n + 1)}
-        coords = sq.subspace.coords_of(vec)
+        coords = sub.coords_of(vec)
         if coords is None:
             raise ValueError("identity block is not inside the derived algebra")
         ideal_vecs.append(coords)
     ideal = Subspace.from_vectors(sq.space, ideal_vecs, sq.field)
-    psq = quotient_lie(sq, ideal, name="psq(%d;%s)" % (n, R.name))
-    return psq
+    psq, quot = quotient_lie(sq, ideal, name="psq(%d;%s)" % (n, R.name))
+    return psq, [quot.project(h) for h in torus]
 
 
 def psq_graded_dim(n: int, R: SuperAlgebra) -> GradedDim:
@@ -533,43 +564,15 @@ def block_graded_dim(n: int, S: SuperAlgebra) -> GradedDim:
     return _sq_graded_dim(n, gd + gd.swap(), gd + commutator_subspace(S).graded_dim.swap())
 
 
-def build_block_lie(hom) -> LieSuperAlgebra:
-    """The traceless block algebra over S: the image of sq_n(S(x)Q1) under
-    hom = iso_qQ1_to_glnn(n, S)."""
+def build_block_lie(hom):
+    """(the traceless block algebra over S, the image of sq_n(S(x)Q1) under
+    hom = iso_qQ1_to_glnn(n, S); the image of the diagonal torus of
+    hom.source in its basis, as a list)."""
     q, gl = hom.source, hom.target
     n = q.block_n
-    sq_sub = build_sq_by_characterization(n, q.coord, q)
-    return induced_lie(gl, hom.map_subspace(sq_sub), name="sl(%d|%d;%s)" % (n, n, gl.coord.name))
-
-
-def diagonal_torus(q: LieSuperAlgebra) -> list:
-    """h_k = u_kk(1) for k = 1..n in the coordinates of q = q_n(R)."""
-    unit = q.coord.unit
-    return [{q.qindex.u(k, k, r): v for r, v in unit.items()} for k in range(1, q.block_n + 1)]
-
-
-def _coords_in(sub: Subspace, vec: dict) -> dict:
-    coords = sub.coords_of(vec)
-    if coords is None:
-        raise StructureError("torus element lies outside the algebra")
-    return coords
-
-
-def sq_torus(sq: LieSuperAlgebra):
-    """The diagonal torus of q_n(R) in the basis of sq = build_sq_lie(n, R)[1],
-    as a list, so that it can be read more than once."""
-    return [_coords_in(sq.subspace, h) for h in diagonal_torus(sq.ambient)]
-
-
-def psq_torus(psq: LieSuperAlgebra):
-    """The diagonal torus in the basis of psq = build_psq_lie(n, R), as a list."""
-    return [psq.quotient.project(h) for h in sq_torus(psq.ambient)]
-
-
-def block_torus(sl: LieSuperAlgebra, hom):
-    """The diagonal torus of hom.source mapped into the basis of
-    sl = build_block_lie(hom), as a list."""
-    return [_coords_in(sl.subspace, hom.apply(h)) for h in diagonal_torus(hom.source)]
+    sub = hom.map_subspace(build_sq_by_characterization(n, q.coord, q))
+    sl = induced_lie(gl, sub, name="sl(%d|%d;%s)" % (n, n, gl.coord.name))
+    return sl, _torus_in(sub, [hom.apply(h) for h in diagonal_torus(q)])
 
 
 def build_sl(gl: GlRule) -> Subspace:
@@ -758,13 +761,12 @@ def lie_tensor(g: LieSuperAlgebra, R: SuperAlgebra) -> LieSuperAlgebra:
 
 
 def quotient_lie(g: LieSuperAlgebra, ideal: Subspace, name=""):
-    """Quotient by a graded ideal; returns the quotient algebra.
+    """Quotient by a graded ideal: (the quotient algebra, its QuotientSpace).
 
     The ideal property [g, ideal] <= ideal is checked exactly first: the
     bracket_row of each basis vector e_i against the ideal's rows, and a
     failure names the i of the first failing (row, i).  The table comes
     from the bracket_row of each section a against the sections b >= a.
-    The returned algebra carries .quotient (the QuotientSpace).
     """
     one = g.field.one
     index = g.column_index(ideal.rows)
@@ -787,7 +789,4 @@ def quotient_lie(g: LieSuperAlgebra, ideal: Subspace, name=""):
             pr = quot.project(row[b])
             if pr:
                 brackets[(a, b)] = pooled(pool, pr)
-    out_alg = LieSuperAlgebra(g.field, quot.space, brackets, name=name or "%s/ideal" % g.name)
-    out_alg.quotient = quot
-    out_alg.ambient = g
-    return out_alg
+    return LieSuperAlgebra(g.field, quot.space, brackets, name=name or "%s/ideal" % g.name), quot

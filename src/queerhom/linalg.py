@@ -422,7 +422,6 @@ class QuotientSpace:
             raise ValueError("subspace lives in a different ambient space")
         if not sub.is_homogeneous():
             raise GradingError("quotient by a non-homogeneous subspace")
-        self.ambient = ambient
         self.sub = sub
         pivots = set(sub.pivot_cols)
         self.section_cols = tuple(c for c in range(ambient.dim) if c not in pivots)

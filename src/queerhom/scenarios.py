@@ -33,7 +33,6 @@ from .lie import (
     StructureError,
     VerifiedHomomorphism,
     block_graded_dim,
-    block_torus,
     build_block_lie,
     build_psq_lie,
     build_q,
@@ -47,9 +46,7 @@ from .lie import (
     iso_qQ1_to_glnn,
     lie_tensor,
     psq_graded_dim,
-    psq_torus,
     sq_graded_dim,
-    sq_torus,
 )
 from .linalg import GradedDim
 from .loader import LoadError, load_algebra
@@ -163,7 +160,7 @@ def scenario_sq1_abelian(opts: ScenarioOptions) -> Report:
     if commutator_subspace(R).dim != 0:
         report.skip("derived-of-sq1-vanishes", "needs supercommutative coordinates")
         return report
-    _, sq = build_sq_lie(1, R)
+    sq, _ = build_sq_lie(1, R)
     report.add_cmp(
         "derived-of-sq1-vanishes",
         GradedDim(0, 0),
@@ -344,12 +341,10 @@ def scenario_h2_main(opts: ScenarioOptions) -> Report:
     def cyclic():
         return hc1(R).graded_dim.swap()
 
-    def build():
-        _, sq = build_sq_lie(n, R)
-        return sq, sq_torus(sq)
-
     check = "h2-equals-shifted-cyclic"
-    side = _h2_side(report, check, sq_graded_dim(n, R), opts.budget, cyclic, build)
+    side = _h2_side(
+        report, check, sq_graded_dim(n, R), opts.budget, cyclic, lambda: build_sq_lie(n, R)
+    )
     if side is None:
         return report
     expected, dims, note = side
@@ -381,11 +376,9 @@ def scenario_psq_central(opts: ScenarioOptions) -> Report:
     def cyclic():
         return R.space.graded_dim + hc1(R).graded_dim.swap()
 
-    def build():
-        psq = build_psq_lie(n, R)
-        return psq, psq_torus(psq)
-
-    side = _h2_side(report, check, psq_graded_dim(n, R), opts.budget, cyclic, build)
+    side = _h2_side(
+        report, check, psq_graded_dim(n, R), opts.budget, cyclic, lambda: build_psq_lie(n, R)
+    )
     if side is not None:
         report.add_cmp(check, *side)
     return report
@@ -423,8 +416,7 @@ def scenario_slnn_identity(opts: ScenarioOptions) -> Report:
     def build():
         hom = iso_qQ1_to_glnn(n, S)
         report.add_flag("block-map-is-isomorphism", hom.is_isomorphism, hom.name)
-        sl = build_block_lie(hom)
-        return sl, block_torus(sl, hom)
+        return build_block_lie(hom)
 
     side = _h2_side(report, check, block_graded_dim(n, S), opts.budget, cyclic, build)
     if side is not None:

@@ -20,7 +20,8 @@ relations from every triple, the span of the words in a set of vectors of
 an associative algebra by its definition and PairSpace's greedy
 generating set on it, the tensor product tables by a scan of every
 index quadruple, the trace condition tr X in [R,R] as the kernel of a
-trace map, the cyclic side of the psq formula, and Q(i) arithmetic on
+trace map, the identity block of sq_n(R) that psq_n(R) divides by, the
+cyclic side of the psq formula, and Q(i) arithmetic on
 pairs of rationals.
 
 A LieSuperAlgebra table holds each pair once, the keys (i, j) with i <= j.
@@ -956,6 +957,19 @@ def center(g: LieSuperAlgebra) -> Subspace:
                     rows.append({})
                 rows[r][j] = v
     return Subspace.from_vectors(g.space, kernel(rows, g.dim, g.field), g.field)
+
+
+def identity_block(q: LieSuperAlgebra, sub: Subspace, sq: LieSuperAlgebra) -> Subspace:
+    """The identity block u_11(e_r) + ... + u_nn(e_r), for each basis vector
+    e_r of R, in the basis of sq = induced_lie(q, sub), q = q_n(R) and sub
+    its trace characterization: the ideal psq_n(R) is sq_n(R) modulo."""
+    one = q.field.one
+    n = q.block_n
+    vecs = [
+        sub.coords_of({q.qindex.u(i, i, r): one for i in range(1, n + 1)})
+        for r in range(q.coord.dim)
+    ]
+    return Subspace.from_vectors(sq.space, vecs, sq.field)
 
 
 # ------------------------------------------------------- tensor products

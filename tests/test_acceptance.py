@@ -283,7 +283,7 @@ def _constructed_family():
     yield build_q(2, g1)
     yield q3
     yield sq3
-    yield quotient_lie(sq3, center(sq3), name="psq3")
+    yield quotient_lie(sq3, center(sq3), name="psq3")[0]
     yield gl_table(2, 1, base)
     yield lie_tensor(build_q(2, base), g1)
 

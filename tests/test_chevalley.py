@@ -6,13 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from queerhom import chevalley, linalg, scenarios
+from queerhom import chevalley, lie, linalg, scenarios
 from queerhom.algebras import build_builtin, build_grassmann
 from queerhom.chevalley import CEComplex, ce_h2, lam3_dim_formula
 from queerhom.lie import (
     LieSuperAlgebra,
     StructureError,
-    block_torus,
     build_block_lie,
     build_gl,
     build_psq_lie,
@@ -22,11 +21,9 @@ from queerhom.lie import (
     build_sq_lie,
     induced_lie,
     iso_qQ1_to_glnn,
-    psq_torus,
     sq_graded_dim,
-    sq_torus,
 )
-from queerhom.linalg import GradedDim, GradedSpace
+from queerhom.linalg import GradedDim, GradedSpace, QuotientSpace
 from queerhom.scalars import QQ, parse_field_flag
 from queerhom.scenarios import ScenarioOptions, scenario_h2_main
 
@@ -39,6 +36,7 @@ from oracles import (
     gl_table,
     greedy_generators,
     h2_by_representatives,
+    identity_block,
     image_by_full_stream,
     iter_lam3,
     iter_lam3_weight0,
@@ -242,6 +240,8 @@ def _no_work(*args, **kwargs):
 
 
 def test_budget_rejects_large_chain_space_before_work(monkeypatch):
+    # build_sq_lie reads the torus too, so neither the algebra nor its
+    # torus is made before the budget is decided
     assert lam3_dim_formula(sq_algebra(3, BASE).space.graded_dim) == 816
     assert lam3_dim_formula(sq_graded_dim(3, BASE)) == 816
     for name in ("build_sq_lie", "ce_h2"):
@@ -259,11 +259,12 @@ def test_budget_allows_exact_fit():
 
 
 def test_budget_is_decided_before_the_torus_is_read(monkeypatch):
-    monkeypatch.setattr(scenarios, "sq_torus", _no_work)
+    # the builders read the torus through diagonal_torus; a skipped row
+    # never reaches it
+    monkeypatch.setattr(lie, "diagonal_torus", _no_work)
     row = _h2_main_row(100)
     assert row.status == "SKIP"
     assert "exceeds budget 100" in row.note
-
 
 
 def test_stats_account_for_kernel_minus_image():
@@ -326,8 +327,7 @@ def heisenberg():
 
 
 def sq3_with_torus(tag, field):
-    _, sq = build_sq_lie(3, build_builtin(tag, parse_field_flag(field)))
-    return sq, sq_torus(sq)
+    return build_sq_lie(3, build_builtin(tag, parse_field_flag(field)))
 
 
 def assert_weight_zero_matches_full(g, torus):
@@ -353,16 +353,14 @@ def test_weight_zero_h2_of_sq3_equals_full_complex(tag, field):
 
 
 def test_weight_zero_h2_of_psq3_equals_full_complex():
-    psq = build_psq_lie(3, G1)
-    r = assert_weight_zero_matches_full(psq, psq_torus(psq))
+    r = assert_weight_zero_matches_full(*build_psq_lie(3, G1))
     # h_1 + h_2 + h_3 is the identity block, which the quotient kills
     assert r.stats["torus_rank"] == 2
 
 
 def test_weight_zero_h2_of_block_algebra_equals_full_complex():
     hom = iso_qQ1_to_glnn(3, build_builtin("base-field", parse_field_flag("Qi")))
-    sl = build_block_lie(hom)
-    r = assert_weight_zero_matches_full(sl, block_torus(sl, hom))
+    r = assert_weight_zero_matches_full(*build_block_lie(hom))
     assert r.stats["torus_rank"] == 3
 
 
@@ -472,14 +470,42 @@ def _acceptance_h2_input(kind, field):
     slnn-identity paths at n = 3 over grassmann(1)."""
     R = build_builtin("grassmann(1)", parse_field_flag(field))
     if kind == "block":
-        hom = iso_qQ1_to_glnn(3, R)
-        sl = build_block_lie(hom)
-        return sl, block_torus(sl, hom)
+        return build_block_lie(iso_qQ1_to_glnn(3, R))
     if kind == "psq":
-        psq = build_psq_lie(3, R)
-        return psq, psq_torus(psq)
-    _, sq = build_sq_lie(3, R)
-    return sq, sq_torus(sq)
+        return build_psq_lie(3, R)
+    return build_sq_lie(3, R)
+
+
+def _diagonal_torus_by_hand(kind, field):
+    """The torus of _acceptance_h2_input(kind, field), from q, the trace
+    characterization and the quotient by the identity block built here."""
+    R = build_builtin("grassmann(1)", parse_field_flag(field))
+    if kind == "block":
+        hom = iso_qQ1_to_glnn(3, R)
+        q = hom.source
+        sub = hom.map_subspace(build_sq_by_characterization(3, q.coord, q))
+        lift = hom.apply
+    else:
+        q = build_q(3, R)
+        sub = build_sq_by_characterization(3, R, q)
+        lift = dict
+    unit = q.coord.unit
+    torus = [sub.coords_of(lift({q.qindex.u(k, k, r): v for r, v in unit.items()})) for k in (1, 2, 3)]
+    if kind != "psq":
+        return torus
+    sq = induced_lie(q, sub)
+    quot = QuotientSpace(sq.space, identity_block(q, sub, sq))
+    return [quot.project(h) for h in torus]
+
+
+@pytest.mark.parametrize(
+    "kind,field", [("sq", "Q"), ("sq", "Fp:3"), ("psq", "Q"), ("psq", "Fp:3"), ("block", "Qi")]
+)
+def test_each_builder_returns_the_diagonal_torus_in_its_basis(kind, field):
+    _, torus = _acceptance_h2_input(kind, field)
+    want = _diagonal_torus_by_hand(kind, field)
+    assert None not in want
+    assert torus == want
 
 
 @pytest.mark.parametrize("kind,field", [("sq", "Q"), ("psq", "Fp:3"), ("block", "Qi")])
@@ -632,8 +658,7 @@ def test_non_diagonal_torus_element_is_rejected():
 def _h2_input(kind, field):
     """_acceptance_h2_input, and sq_4(grassmann(2)) as "sq4-gr2"."""
     if kind == "sq4-gr2":
-        _, sq = build_sq_lie(4, build_builtin("grassmann(2)", parse_field_flag(field)))
-        return sq, sq_torus(sq)
+        return build_sq_lie(4, build_builtin("grassmann(2)", parse_field_flag(field)))
     return _acceptance_h2_input(kind, field)
 
 
@@ -683,8 +708,8 @@ def test_the_generating_set_reads_each_mirrored_bracket_with_its_sign(field, n):
     # with the sign -(-1)^{|s||c|}; on sq_n(q1) a sign dropped or flipped
     # there changes which basis vectors are kept
     R = build_builtin("q1", parse_field_flag(field))
-    sq = build_sq_lie(n, R)[1]
-    cx = CEComplex(sq, sq_torus(sq))
+    sq, torus = build_sq_lie(n, R)
+    cx = CEComplex(sq, torus)
     gens = cx.generating_set()
     assert gens == greedy_generators(sq, cx.weights)
     assert generated_subalgebra(sq, [{s: sq.field.one} for s in gens]).dim == sq.dim

@@ -136,3 +136,37 @@ def test_allowlisted_attributes_are_still_stored_and_unread():
     read = _read_attributes(modules)
     stored_unread = {key for key, attr in _stored_attributes(modules) if attr not in read}
     assert set(ALLOWED_UNREAD_ATTRIBUTES) <= stored_unread
+
+
+def _outside_stores(modules):
+    """'module:line attribute' for each attribute store that is not
+    self.<name> = ... in a method of a top-level class, self being the
+    method's first argument."""
+    allowed = set()
+    for tree in modules.values():
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for method in node.body:
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)) and method.args.args:
+                    me = method.args.args[0].arg
+                    allowed.update(
+                        id(sub)
+                        for sub in ast.walk(method)
+                        if isinstance(sub, ast.Attribute)
+                        and isinstance(sub.value, ast.Name)
+                        and sub.value.id == me
+                    )
+    for mod, tree in modules.items():
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store):
+                if id(sub) not in allowed:
+                    yield "%s:%d %s" % (mod, sub.lineno, sub.attr)
+            elif isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "setattr":
+                yield "%s:%d setattr" % (mod, sub.lineno)
+
+
+def test_every_attribute_is_set_by_its_own_class():
+    # an object is complete when its constructor returns: no module, function
+    # or other class stores an attribute on it afterwards
+    assert list(_outside_stores(_modules())) == []

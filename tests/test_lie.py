@@ -32,9 +32,7 @@ from queerhom.lie import (
     iso_q_to_gl,
     iso_qQ1_to_glnn,
     lie_tensor,
-    psq_torus,
     quotient_lie,
-    sq_torus,
 )
 from queerhom.cyclic import hc1
 from queerhom.linalg import GradedDim, GradedSpace, Subspace, in_field
@@ -50,6 +48,7 @@ from oracles import (
     gl_rule_get,
     gl_rule_keys,
     gl_table,
+    identity_block,
     induced_lie_full_scan,
     lie_from_assoc,
     lie_tensor_pair_scan,
@@ -545,7 +544,8 @@ def test_quotient_by_center_gives_psq3():
     q = build_q(3, BASE)
     sq = build_sq_by_characterization(3, BASE, q)
     s = induced_lie(q, sq, name="sq3")
-    ps = quotient_lie(s, center(s), name="psq3")
+    ps, quot = quotient_lie(s, center(s), name="psq3")
+    assert quot.space is ps.space
     assert ps.space.graded_dim == GradedDim(8, 8)
     assert check_lie(ps) is True
 
@@ -828,18 +828,35 @@ def test_bracket_basis_reads_the_signed_mirror(flag):
     assert signs == {1, -1}
 
 
+def _sq_oracle_inputs(n, R):
+    """(q_n(R), its trace characterization sub, sq = induced_lie(q, sub), the
+    identity block in sq's basis): the inputs of the sq and psq tables'
+    oracles, built here as build_sq_lie and build_psq_lie build them."""
+    q = build_q(n, R)
+    sub = build_sq_by_characterization(n, R, q)
+    sq = induced_lie(q, sub)
+    return q, sub, sq, identity_block(q, sub, sq)
+
+
+def _block_oracle_inputs(hom):
+    """(gl_{n|n}(S), the image of the trace characterization of q_n(S(x)Q1)
+    under hom = iso_qQ1_to_glnn(n, S)): the inputs of the block table's
+    oracle."""
+    q = hom.source
+    return hom.target, hom.map_subspace(build_sq_by_characterization(q.block_n, q.coord, q))
+
+
 def _built_tables(field):
     # (table, its oracle's upper half) for each builder of a LieSuperAlgebra
     R = build_builtin("grassmann(1)", field)
     q = build_q(2, R)
     yield q.brackets, q_formula_brackets_full_scan(2, R, q.qindex)
-    psq = build_psq_lie(2, R)
-    sq = psq.ambient
-    yield sq.brackets, induced_lie_full_scan(sq.ambient, sq.subspace)
-    yield psq.brackets, quotient_lie_full_scan(sq, psq.quotient.sub)
+    q, sub, sq, ideal = _sq_oracle_inputs(2, R)
+    yield build_sq_lie(2, R)[0].brackets, induced_lie_full_scan(q, sub)
+    yield build_psq_lie(2, R)[0].brackets, quotient_lie_full_scan(sq, ideal)
     if field.sqrt_minus_one() is not None:
-        sl = build_block_lie(iso_qQ1_to_glnn(2, R))
-        yield sl.brackets, induced_lie_full_scan(sl.ambient, sl.subspace)
+        hom = iso_qQ1_to_glnn(2, R)
+        yield build_block_lie(hom)[0].brackets, induced_lie_full_scan(*_block_oracle_inputs(hom))
     base = build_builtin("base-field", field)
     qk = build_q(2, base)
     yield lie_tensor(qk, R).brackets, lie_tensor_pair_scan(qk, R)
@@ -902,25 +919,23 @@ TABLE_INPUTS = [
 @pytest.mark.parametrize("field,n,tag", TABLE_INPUTS)
 def test_sq_and_psq_tables_equal_the_all_pairs_scan(field, n, tag):
     R = build_builtin(tag, parse_field_flag(field))
-    psq = build_psq_lie(n, R)
-    sq = psq.ambient
-    want = induced_lie_full_scan(sq.ambient, sq.subspace)
-    assert _typed_table(sq.brackets) == _typed_table(want)
-    want = quotient_lie_full_scan(sq, psq.quotient.sub)
-    assert _typed_table(psq.brackets) == _typed_table(want)
+    q, sub, sq, ideal = _sq_oracle_inputs(n, R)
+    want = induced_lie_full_scan(q, sub)
+    assert _typed_table(build_sq_lie(n, R)[0].brackets) == _typed_table(want)
+    want = quotient_lie_full_scan(sq, ideal)
+    assert _typed_table(build_psq_lie(n, R)[0].brackets) == _typed_table(want)
 
 
 @pytest.mark.parametrize("field,n,tag", [t for t in TABLE_INPUTS if t[0] != "Q"])
 def test_block_algebra_table_equals_the_all_pairs_scan(field, n, tag):
     R = build_builtin(tag, parse_field_flag(field))
-    sl = build_block_lie(iso_qQ1_to_glnn(n, R))
-    want = induced_lie_full_scan(sl.ambient, sl.subspace)
-    assert _typed_table(sl.brackets) == _typed_table(want)
+    hom = iso_qQ1_to_glnn(n, R)
+    want = induced_lie_full_scan(*_block_oracle_inputs(hom))
+    assert _typed_table(build_block_lie(hom)[0].brackets) == _typed_table(want)
 
 
 def test_non_ideal_and_unclosed_subspace_fail_as_in_the_all_pairs_scan():
-    _, sq = build_sq_lie(2, G1)
-    q = sq.ambient
+    q, _, sq, _ = _sq_oracle_inputs(2, G1)
     line = Subspace.from_vectors(sq.space, [{3: QQ.one}], QQ)
     with pytest.raises(StructureError) as got:
         quotient_lie(sq, line)
@@ -1019,22 +1034,23 @@ def _deep_snapshot(table):
 
 
 def _pooled_tables(flag):
-    """(name, table) for the tables of sq, psq, lie_tensor and tensor(R, Q1),
-    with the objects that read them."""
+    """(name, table) for the tables of q, sq, psq, lie_tensor and
+    tensor(R, Q1), with the algebras, the tori of sq and psq, and S."""
     field = parse_field_flag(flag)
     R = build_builtin("grassmann(1)", field)
-    psq = build_psq_lie(3, R)
-    sq = psq.ambient
+    q = build_q(3, R)
+    sq, sq_torus = build_sq_lie(3, R)
+    psq, psq_torus = build_psq_lie(3, R)
     gT = lie_tensor(build_q(2, build_builtin("base-field", field)), build_builtin("grassmann(2)", field))
     S = tensor(build_builtin("grassmann(2)", field), build_q1(field))
     tables = [
-        ("q", sq.ambient.brackets),
+        ("q", q.brackets),
         ("sq", sq.brackets),
         ("psq", psq.brackets),
         ("lie_tensor", gT.brackets),
         ("tensor", S.products),
     ]
-    return tables, sq, psq, gT, S
+    return tables, (q, sq, psq, gT), (sq_torus, psq_torus), S
 
 
 @pytest.mark.parametrize("flag", ["Q", "Qi", "Fp:3"])
@@ -1052,12 +1068,13 @@ def test_equal_values_in_one_table_are_one_object(flag):
 
 @pytest.mark.parametrize("flag", ["Q", "Qi", "Fp:3"])
 def test_shared_values_are_unchanged_by_the_code_that_reads_them(flag):
-    tables, sq, psq, gT, S = _pooled_tables(flag)
+    tables, algebras, (sq_torus, psq_torus), S = _pooled_tables(flag)
+    q, sq, psq, gT = algebras
     before = [_deep_snapshot(table) for _, table in tables]
-    ce_h2(sq, sq_torus(sq))
-    ce_h2(psq, psq_torus(psq))
+    ce_h2(sq, sq_torus)
+    ce_h2(psq, psq_torus)
     ce_h2(gT)
-    for g in (sq.ambient, sq, psq, gT):
+    for g in algebras:
         one = g.field.one
         units = [{i: one} for i in range(g.dim)]
         assert VerifiedHomomorphism(g, g, units).is_isomorphism

@@ -403,7 +403,7 @@ def test_no_float_in_hc1_or_h2_results(flag):
     from queerhom.algebras import build_builtin
     from queerhom.chevalley import ce_h2
     from queerhom.cyclic import hc1
-    from queerhom.lie import build_psq_lie, build_sq_lie, psq_torus, sq_torus
+    from queerhom.lie import build_psq_lie, build_sq_lie
 
     field = parse_field_flag(flag)
     seen = []
@@ -414,11 +414,11 @@ def test_no_float_in_hc1_or_h2_results(flag):
         _walk_scalars(h.pair.relations.rows, seen)
     for tag in ("grassmann(1)", "square-zero-plane"):
         R = build_builtin(tag, field)
-        _, sq = build_sq_lie(3, R)
-        r = ce_h2(sq, torus=sq_torus(sq))
+        sq, torus = build_sq_lie(3, R)
+        r = ce_h2(sq, torus=torus)
         _walk_scalars([v for _, v in r.basis], seen)
-        psq = build_psq_lie(3, R)
-        r = ce_h2(psq, torus=psq_torus(psq))
+        psq, torus = build_psq_lie(3, R)
+        r = ce_h2(psq, torus=torus)
         _walk_scalars([v for _, v in r.basis], seen)
         _walk_scalars(psq.brackets, seen)
     assert seen

@@ -182,7 +182,8 @@ def test_every_stored_prime_field_value_is_a_reduced_int(argv, flag, monkeypatch
     assert main(argv + ["--field", flag]) == 0
     assert "PASS" in capsys.readouterr().out
     p = int(flag[3:])
-    seen = {type(obj) for obj in made}
+    # by isinstance: q_n(R) is a QueerLie, a LieSuperAlgebra subclass
+    seen = {cls for obj in made for cls in kinds if isinstance(obj, cls)}
     assert {SuperAlgebra, Subspace, Echelon} <= seen
     if argv[0] == "hc1-shift":
         # phi's graph: its rows hold phi's values past the <S,S> coordinates

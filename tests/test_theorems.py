@@ -1,6 +1,9 @@
 """The homology scenarios (h2-main, psq-central, slnn-identity): gating,
 skips, expected sides, and the sq/psq/block algebras they build."""
 
+import gc
+import types
+
 import pytest
 
 from queerhom import scenarios
@@ -14,11 +17,15 @@ from queerhom.algebras import (
 )
 from queerhom.chevalley import lam3_dim_formula
 from queerhom.lie import (
+    LieSuperAlgebra,
     StructureError,
     block_graded_dim,
     build_block_lie,
     build_psq_lie,
+    build_q,
+    build_sq_by_characterization,
     build_sq_lie,
+    induced_lie,
     iso_qQ1_to_glnn,
     psq_graded_dim,
     sq_graded_dim,
@@ -39,20 +46,57 @@ G1 = build_grassmann(QQ, 1)
 
 
 def test_build_sq_lie_returns_algebra_in_canonical_basis():
-    q, sq = build_sq_lie(2, G1)
+    sq, torus = build_sq_lie(2, G1)
+    q = build_q(2, G1)
     assert q.space.graded_dim == GradedDim(8, 8)
     assert sq.space.graded_dim == GradedDim(7, 7)
-    assert sq.ambient is q
+    assert sq.space == induced_lie(q, build_sq_by_characterization(2, G1, q)).space
+    assert len(torus) == 2
 
 
 def test_build_psq_lie_dims():
-    psq = build_psq_lie(3, BASE)
+    psq, torus = build_psq_lie(3, BASE)
     assert psq.space.graded_dim == GradedDim(8, 8)
+    assert len(torus) == 3
 
 
 def test_build_psq_lie_rejects_noncommutative_coordinates():
     with pytest.raises(ValueError):
         build_psq_lie(3, build_matrix(QQ, 2))
+
+
+def _reachable_lie_algebras(root):
+    """Every LieSuperAlgebra reachable from root through gc.get_referents,
+    without entering a type or a module."""
+    seen = {id(root)}
+    stack = [root]
+    found = []
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, LieSuperAlgebra):
+            found.append(obj)
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen and not isinstance(ref, (type, types.ModuleType)):
+                seen.add(id(ref))
+                stack.append(ref)
+    return found
+
+
+H2_BUILDS = {
+    "sq": lambda: build_sq_lie(3, G1),
+    "psq": lambda: build_psq_lie(3, G1),
+    "block": lambda: build_block_lie(iso_qQ1_to_glnn(3, build_grassmann(parse_field_flag("Qi"), 1))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(H2_BUILDS))
+def test_h2_builder_keeps_no_other_algebra_alive(kind):
+    # q_n(R), its table and any intermediate algebra are freed when the
+    # builder returns, so ce_h2 runs beside the returned algebra alone
+    built = H2_BUILDS[kind]()
+    g, torus = built
+    assert isinstance(torus, list) and len(torus) == 3
+    assert _reachable_lie_algebras(built) == [g]
 
 
 @pytest.mark.parametrize(
@@ -134,20 +178,20 @@ def test_slnn_verification_skips_without_sqrt_minus_one():
 )
 def test_sq_graded_dim_formula_matches_the_built_algebra(tag, n):
     R = build_builtin(tag, QQ)
-    _, sq = build_sq_lie(n, R)
+    sq, _ = build_sq_lie(n, R)
     assert sq_graded_dim(n, R) == sq.space.graded_dim
 
 
 @pytest.mark.parametrize("tag", ["base-field", "grassmann(1)", "square-zero-plane"])
 def test_psq_graded_dim_formula_matches_the_built_algebra(tag):
     R = build_builtin(tag, QQ)
-    assert psq_graded_dim(3, R) == build_psq_lie(3, R).space.graded_dim
+    assert psq_graded_dim(3, R) == build_psq_lie(3, R)[0].space.graded_dim
 
 
 @pytest.mark.parametrize("tag", ["base-field", "grassmann(1)"])
 def test_block_algebra_has_the_dimension_of_sq_over_s_tensor_q1(tag):
     S = build_builtin(tag, parse_field_flag("Qi"))
-    sl = build_block_lie(iso_qQ1_to_glnn(3, S))
+    sl, _ = build_block_lie(iso_qQ1_to_glnn(3, S))
     assert sl.space.graded_dim == sq_graded_dim(3, tensor(S, build_q1(S.field)))
     assert block_graded_dim(3, S) == sl.space.graded_dim
 
@@ -199,8 +243,8 @@ def _no_build(*args, **kwargs):
 
 def test_budget_skips_come_before_anything_is_built(monkeypatch):
     for name in (
-        "build_sq_lie", "build_psq_lie", "iso_qQ1_to_glnn", "build_q",
-        "sq_torus", "psq_torus", "block_torus", "ce_h2", "hc1", "tensor",
+        "build_sq_lie", "build_psq_lie", "iso_qQ1_to_glnn", "build_block_lie",
+        "build_q", "ce_h2", "hc1", "tensor",
     ):
         monkeypatch.setattr(scenarios, name, _no_build)
     G2 = ScenarioOptions("builtin:grassmann(2)", n=6, budget=10)
