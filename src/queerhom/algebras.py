@@ -48,18 +48,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def summary(self, limit) -> str:
-        if self.ok:
-            return "valid"
-        lines = [
-            "%s at %s: %s" % (f.kind, f.where, f.detail)
-            for f in self.failures[:limit]
-        ]
-        extra = len(self.failures) - limit
-        if extra > 0:
-            lines.append("... and %d more" % extra)
-        return "\n".join(lines)
-
 
 class SuperAlgebra:
     """Associative superalgebra with a distinguished unit.

@@ -12,7 +12,8 @@ with x^y = -(-1)^{|x||y|} y^x.  H2 = ker d2 / im d3 is computed by one
 elimination for both parities: d2 and d3 preserve parity, so every
 canonical row lies in the parity of its pivot column.  The canonical H2
 basis is read off L2 / im d3 by linalg.quotient_kernel, as cyclic.hc1
-reads HC1 off <R,R>.  Streaming the d3 columns into one echelon leaves
+reads HC1 off <R,R>: each class by its canonical representative, in L2
+coordinates.  Streaming the d3 columns into one echelon leaves
 RREF(im d3), with pivot columns P and the others N.  d2 must kill every
 row of it, which is d2 o d3 = 0 on the streamed columns (see the boundary
 stream below); if a row fails, the streamed triples are rescanned for the
@@ -386,9 +387,9 @@ def ce_h2(g: LieSuperAlgebra, torus=()) -> H2Result:
     # L2 is ordered L²g0, g0(x)g1, S²g1, so the parities interleave: list the
     # even classes first, each parity in pivot order, and each vector's pairs
     # in L2 order, not in the order the elimination left its keys
-    classes.sort(key=lambda row: lam2_par[min(row)])
+    rows = sorted(classes.rows, key=lambda row: lam2_par[min(row)])
     basis = [
-        (lam2_par[min(row)], {cx.pairs[k]: row[k] for k in sorted(row)}) for row in classes
+        (lam2_par[min(row)], {cx.pairs[k]: row[k] for k in sorted(row)}) for row in rows
     ]
     dims = GradedDim.from_parities([p for p, _ in basis])
     if dims != kd - im:

@@ -6,10 +6,12 @@ by the graded antisymmetry and cyclicity relations
     a(x)b + (-1)^{|a||b|} b(x)a
     r(a,b,c) = (-1)^{|a||c|} ab(x)c + (-1)^{|b||a|} bc(x)a + (-1)^{|c||b|} ca(x)b
 
-over homogeneous basis pairs and triples.  lam(a, b) is the class of a(x)b.
-HC1(R) is the kernel of the induced map lam(a,b) -> [a,b], the
-supercommutator of SuperAlgebra.supercommutator; its well-definedness on
-the relation subspace is re-checked every time.
+over homogeneous basis pairs and triples.  lam(a, b) is the class of a(x)b,
+kept, like every class, as its canonical representative in R(x)R: its
+residue modulo the relation subspace.  HC1(R) is the kernel of the induced
+map lam(a,b) -> [a,b], the supercommutator of SuperAlgebra.supercommutator,
+spanned by such representatives; its well-definedness on the relation
+subspace is re-checked every time.
 
 The relation stream.  Not every triple is needed (Loday, Cyclic Homology,
 1992, ch. 1-2).  R must be associative: validate enforces it for algebra
@@ -49,7 +51,7 @@ from .algebras import SuperAlgebra, build_q1, tensor
 from .linalg import (
     Echelon,
     GradedSpace,
-    QuotientSpace,
+    GradingError,
     Subspace,
     add_scaled,
     greedy_generators,
@@ -96,7 +98,7 @@ class PairSpace:
     is formed, so no list of relation vectors is held and the echelon's
     rows become the relation subspace's without a copy.  A relation
     subspace that mixes parities (only a table that breaks the grading
-    gives one) is refused by QuotientSpace.
+    gives one) is refused with GradingError.
     """
 
     def __init__(self, R: SuperAlgebra):
@@ -183,7 +185,8 @@ class PairSpace:
                 yield vec
 
         self.relations = Subspace.from_vectors(self.space, spanning(relations()), field)
-        self.quot = QuotientSpace(self.space, self.relations)
+        if not self.relations.is_homogeneous():
+            raise GradingError("quotient by a non-homogeneous subspace")
 
     def tensor_vec(self, x: dict, y: dict) -> dict:
         """Coordinates of x(x)y in the ambient R(x)R (no sign: it is a pair,
@@ -198,14 +201,12 @@ class PairSpace:
         }
 
     def lam(self, x: dict, y: dict) -> dict:
-        """Class of x(x)y in <R,R>, as coordinates on the quotient basis."""
-        return self.quot.project(self.tensor_vec(x, y))
+        """Class of x(x)y in <R,R>, as its canonical representative in R(x)R."""
+        return self.relations.reduce(self.tensor_vec(x, y))
 
     def class_of(self, ambient_vec: dict) -> dict:
-        return self.quot.project(ambient_vec)
-
-    def describe_class(self, qvec: dict) -> str:
-        return self.quot.space.describe(qvec, self.field)
+        """Class of a vector of R(x)R, as its canonical representative."""
+        return self.relations.reduce(ambient_vec)
 
 
 class HC1Result:
@@ -220,7 +221,8 @@ class HC1Result:
 
 def hc1(R: SuperAlgebra) -> HC1Result:
     """Kernel of the induced commutator map on <R,R>, by
-    linalg.quotient_kernel on the relation subspace.
+    linalg.quotient_kernel on the relation subspace: a Subspace of R(x)R
+    whose rows are the canonical representatives of its basis classes.
 
     Raises StructureError if the ambient commutator map fails to kill the
     relation subspace (which would make the induced map ill-defined).
@@ -230,14 +232,13 @@ def hc1(R: SuperAlgebra) -> HC1Result:
     # equal columns are one dict, the many empty ones among them
     pool = {}
     comm = [pooled(pool, R.supercommutator(a, b)) for a in range(R.dim) for b in range(R.dim)]
-    bad, rows = quotient_kernel(pair.relations, comm)
+    bad, classes = quotient_kernel(pair.relations, comm)
     if bad is not None:
         raise StructureError(
             "commutator map is not well-defined on <%s,%s>: relation row "
             "with leading %s has nonzero image" % (R.name, R.name, min(bad))
         )
-    classes = map(pair.quot.project, rows)
-    return HC1Result(pair, Subspace.from_vectors(pair.quot.space, classes, R.field))
+    return HC1Result(pair, classes)
 
 
 # ----------------------------------------------------------- h relations
@@ -282,7 +283,7 @@ def check_h_relations(R: SuperAlgebra) -> list:
 
     def residue_row(check, inputs, amb_vec):
         res = pair.class_of(amb_vec)
-        note = "" if not res else "residue " + pair.describe_class(res)
+        note = "" if not res else "residue " + pair.space.describe(res, field)
         rows.append(RelationRow(check, inputs, not res, note))
 
     for a in range(d):
@@ -345,7 +346,9 @@ def build_shift_iso(hc_R: HC1Result, hc_S: HC1Result) -> OddIsoPair:
     the reverse assignment: every h(a(x)1, b(x)nu) (+) lam(a, b) goes into one
     Echelon, and phi is well defined exactly when no pivot lies in the <R,R>
     part (so a zero h-column with a nonzero lam(a, b) makes it ill-defined).
-    R and S are read from hc_R and hc_S, so neither is built again;
+    Every class is its canonical representative (PairSpace.class_of), in
+    R(x)R or S(x)S.  R and S are read from hc_R and hc_S, so neither is
+    built again;
     ValueError unless dim S = 2 dim R.
     """
     pair_R = hc_R.pair
@@ -370,19 +373,20 @@ def build_shift_iso(hc_R: HC1Result, hc_S: HC1Result) -> OddIsoPair:
             psi_kills_relations = False
             failures.append("psi does not kill a relation row (leading %d)" % min(row))
 
-    # psi restricted to the canonical HC1(R) basis, through its representatives.
+    # psi on the canonical HC1(R) basis, whose rows are representatives in R(x)R.
     psi_cols = []
     psi_image_in_hc1 = True
     for row in hc_R.subspace.rows:
-        img = linear_apply(h_cols, pair_R.quot.section(row), field)
+        img = linear_apply(h_cols, row, field)
         psi_cols.append(img)
         if not hc_S.subspace.contains(img):
             psi_image_in_hc1 = False
             failures.append("psi image leaves HC1 of the tensor algebra")
 
-    # phi as its graph; the <R,R> coordinates start at dim <S,S>, so that
-    # <S,S> columns pivot first.
-    off = pair_S.quot.dim
+    # phi as its graph; both parts are representatives in ambient coordinates,
+    # the <R,R> part offset past all of S(x)S, so that <S,S> columns pivot
+    # first.
+    off = pair_S.space.dim
     graph = Echelon(field)
     for key, h in enumerate(h_cols):
         vec = dict(h)
@@ -430,16 +434,16 @@ def build_shift_iso(hc_R: HC1Result, hc_S: HC1Result) -> OddIsoPair:
     for i, row in enumerate(hc_R.subspace.rows):
         if not psi_cols[i]:
             continue
-        p_src = pair_R.quot.space.parity_of_vec(row)
-        p_img = pair_S.quot.space.parity_of_vec(psi_cols[i])
+        p_src = pair_R.space.parity_of_vec(row)
+        p_img = pair_S.space.parity_of_vec(psi_cols[i])
         if (p_src + p_img) % 2 != 1:
             parity_flip = False
             failures.append("psi does not flip parity on basis vector %d" % i)
     for j, row in enumerate(hc_S.subspace.rows):
         if phi_cols[j] is None or not phi_cols[j]:
             continue
-        p_src = pair_S.quot.space.parity_of_vec(row)
-        p_img = pair_R.quot.space.parity_of_vec(phi_cols[j])
+        p_src = pair_S.space.parity_of_vec(row)
+        p_img = pair_R.space.parity_of_vec(phi_cols[j])
         if (p_src + p_img) % 2 != 1:
             parity_flip = False
             failures.append("phi does not flip parity on basis vector %d" % j)

@@ -39,10 +39,11 @@ built once per scan.  A table joins through each key (r, s) from both of
 its ends, the mirror with its sign; GlRule joins E_ij(a) with the column
 entries E_jl(b) and E_ki(b) for the b that R's product keys pair with a.
 No pair is evaluated apart and no pair with an empty bracket is visited.
-induced_lie and quotient_lie bracket row a only with the rows b >= a, so
-their tables, like the q formula table, are the i <= j half of the
-all-pairs scan's, key order included.  The q formula table visits only the
-partners with j == k or l == i and the b with ab or ba a product key.
+induced_lie and quotient_lie share one scan, _bracket_table, which
+brackets row a only with the rows b >= a, so their tables, like the q
+formula table, are the i <= j half of the all-pairs scan's, key order
+included.  The q formula table visits only the partners with j == k or
+l == i and the b with ab or ba a product key.
 lie_tensor keeps the i <= j keys of algebras.koszul_tensor, the one Koszul
 sign rule.
 
@@ -72,7 +73,6 @@ from .linalg import (
     in_field,
     linear_apply,
     pooled,
-    QuotientSpace,
 )
 from .scalars import ScalarError
 
@@ -413,9 +413,8 @@ def induced_lie(g: LieSuperAlgebra, sub: Subspace, name="") -> LieSuperAlgebra:
     """Lie structure on a bracket-closed subspace of g, a LieSuperAlgebra
     or a GlRule, in the subspace's canonical basis.
 
-    Each basis row a is bracketed with the rows b >= a in one
-    g.bracket_row, joined against a column_index of the rows; every pair it
-    leaves out has an empty bracket.
+    The table is _bracket_table of the canonical rows, each bracket read
+    by Subspace.coords_of; StructureError where one lies outside sub.
     """
     if sub.space != g.space:
         raise ValueError("subspace is not inside the algebra")
@@ -423,17 +422,31 @@ def induced_lie(g: LieSuperAlgebra, sub: Subspace, name="") -> LieSuperAlgebra:
     labels = tuple(g.space.labels[pc] for pc in sub.pivot_cols)
     parities = tuple(g.space.parity_of_vec(r) for r in rows)
     space = GradedSpace(labels, parities)
-    index = g.column_index(rows)
+
+    def coords(vec):
+        out = sub.coords_of(vec)
+        if out is None:
+            raise StructureError("subspace is not closed under the bracket")
+        return out
+
+    brackets = _bracket_table(g, rows, coords)
+    return LieSuperAlgebra(g.field, space, brackets, name=name or "sub(%s)" % g.name)
+
+
+def _bracket_table(g, vectors, read) -> dict:
+    """{(a, b): read([x_a, x_b]) for b >= a} for a list of vectors x of g,
+    a LieSuperAlgebra or a GlRule: each bracket read in a new basis, the
+    readings pooled.  x_a meets the x_b, b >= a, in one g.bracket_row
+    against a column_index of the list; every pair it leaves out has an
+    empty bracket."""
+    index = g.column_index(vectors)
     brackets = {}
     pool = {}
-    for a, x in enumerate(rows):
+    for a, x in enumerate(vectors):
         row = g.bracket_row(x, index, a)
         for b in sorted(row):
-            coords = sub.coords_of(row[b])
-            if coords is None:
-                raise StructureError("subspace is not closed under the bracket")
-            brackets[(a, b)] = pooled(pool, coords)
-    return LieSuperAlgebra(g.field, space, brackets, name=name or "sub(%s)" % g.name)
+            brackets[(a, b)] = pooled(pool, read(row[b]))
+    return brackets
 
 
 def is_perfect(g: LieSuperAlgebra) -> bool:
@@ -543,8 +556,8 @@ def build_psq_lie(n: int, R: SuperAlgebra):
             raise ValueError("identity block is not inside the derived algebra")
         ideal_vecs.append(coords)
     ideal = Subspace.from_vectors(sq.space, ideal_vecs, sq.field)
-    psq, quot = quotient_lie(sq, ideal, name="psq(%d;%s)" % (n, R.name))
-    return psq, [quot.project(h) for h in torus]
+    psq, project = quotient_lie(sq, ideal, name="psq(%d;%s)" % (n, R.name))
+    return psq, [project(h) for h in torus]
 
 
 def psq_graded_dim(n: int, R: SuperAlgebra) -> GradedDim:
@@ -761,12 +774,18 @@ def lie_tensor(g: LieSuperAlgebra, R: SuperAlgebra) -> LieSuperAlgebra:
 
 
 def quotient_lie(g: LieSuperAlgebra, ideal: Subspace, name=""):
-    """Quotient by a graded ideal: (the quotient algebra, its QuotientSpace).
+    """Quotient by a graded ideal: (the quotient algebra, project), project
+    sending a vector of g to the coordinates of its class.
 
     The ideal property [g, ideal] <= ideal is checked exactly first: the
     bracket_row of each basis vector e_i against the ideal's rows, and a
-    failure names the i of the first failing (row, i).  The table comes
-    from the bracket_row of each section a against the sections b >= a.
+    failure names the i of the first failing (row, i).  An ideal that mixes
+    parities is refused next, with GradingError.  The basis is the classes
+    of the e_c, c off the ideal's pivots, numbered from 0 in increasing c:
+    the one place that renumbers those columns, as a LieSuperAlgebra's
+    basis runs 0..dim-1.  project renumbers a vector's canonical
+    representative (Subspace.reduce) so, and reads each bracket of the
+    _bracket_table of the e_c.
     """
     one = g.field.one
     index = g.column_index(ideal.rows)
@@ -778,15 +797,18 @@ def quotient_lie(g: LieSuperAlgebra, ideal: Subspace, name=""):
     ]
     if fails:
         raise StructureError("subspace is not an ideal: fails at basis %d" % min(fails)[1])
-    quot = QuotientSpace(g.space, ideal)
-    sections = [quot.section({a: one}) for a in range(quot.dim)]
-    index = g.column_index(sections)
-    brackets = {}
-    pool = {}
-    for a, x in enumerate(sections):
-        row = g.bracket_row(x, index, a)
-        for b in sorted(row):
-            pr = quot.project(row[b])
-            if pr:
-                brackets[(a, b)] = pooled(pool, pr)
-    return LieSuperAlgebra(g.field, quot.space, brackets, name=name or "%s/ideal" % g.name), quot
+    if not ideal.is_homogeneous():
+        raise GradingError("quotient by a non-homogeneous subspace")
+    pivots = set(ideal.pivot_cols)
+    free = [c for c in range(g.dim) if c not in pivots]
+    col_of = {c: i for i, c in enumerate(free)}
+    space = GradedSpace(
+        tuple(g.space.labels[c] for c in free), tuple(g.space.parities[c] for c in free)
+    )
+
+    def project(vec):
+        return {col_of[c]: v for c, v in ideal.reduce(vec).items()}
+
+    brackets = _bracket_table(g, [{c: one} for c in free], project)
+    quotient = LieSuperAlgebra(g.field, space, brackets, name=name or "%s/ideal" % g.name)
+    return quotient, project

@@ -17,16 +17,19 @@ modulo a subspace is the same walk over the vector's own support.  A
 Subspace is made only by spanning: Subspace.from_vectors streams vectors
 into one Echelon and the Subspace keeps that finished echelon's rows and
 pivot dict, so each row is held once and is canonical by construction,
-with nothing left to re-check.  ``quotient_kernel`` is the canonical
-kernel of a map on an ambient space modulo a finished span: it checks the
-map on the span's rows, then runs ``kernel`` (the plain null-space basis
-read off the RREF, one vector per free column) on the span's non-pivot
-columns only and brings that small basis to canonical rows; cyclic.hc1
-reads HC1 and chevalley.ce_h2 reads H2 with it.  ``linear_apply`` (maps
-given by columns) is the one linear apply.  ``pooled`` makes the equal
-values of one table being built one shared dict, keeping value types
-apart; the bracket and product tables, and cyclic.hc1's commutator
-columns, store their values through it.  ``greedy_generators`` is the
+with nothing left to re-check.  A class modulo a span has one form: its
+canonical representative, the residue Subspace.reduce leaves, which is
+zero at the span's pivots and is written in ambient coordinates.
+``quotient_kernel`` is the canonical kernel of a map on an ambient space
+modulo a finished span: it checks the map on the span's rows, then runs
+``kernel`` (the plain null-space basis read off the RREF, one vector per
+free column) on the span's non-pivot columns only, numbers that small
+basis back to ambient columns and spans it in one Echelon, a Subspace of
+the ambient space; cyclic.hc1 reads HC1 and chevalley.ce_h2 reads H2 with
+it.  ``linear_apply`` (maps given by columns) is the one linear apply.
+``pooled`` makes the equal values of one table being built one shared
+dict, keeping value types apart; the bracket and product tables, and
+cyclic.hc1's commutator columns, store their values through it.  ``greedy_generators`` is the
 one walk that picks a generating set of basis vectors, closing their span
 under an action in one Echelon: chevalley.CEComplex.generating_set's for g
 under ad, and cyclic.PairSpace's for R under left multiplication.
@@ -414,44 +417,6 @@ class Subspace:
         return "<Subspace %s of dim-%d ambient>" % (len(self.rows), self.space.dim)
 
 
-class QuotientSpace:
-    """Ambient modulo a homogeneous subspace, coordinatized by non-pivot columns."""
-
-    def __init__(self, ambient: GradedSpace, sub: Subspace):
-        if sub.space != ambient:
-            raise ValueError("subspace lives in a different ambient space")
-        if not sub.is_homogeneous():
-            raise GradingError("quotient by a non-homogeneous subspace")
-        self.sub = sub
-        pivots = set(sub.pivot_cols)
-        self.section_cols = tuple(c for c in range(ambient.dim) if c not in pivots)
-        self._col_of = {c: i for i, c in enumerate(self.section_cols)}
-        self.space = GradedSpace(
-            tuple(ambient.labels[c] for c in self.section_cols),
-            tuple(ambient.parities[c] for c in self.section_cols),
-        )
-
-    @property
-    def graded_dim(self) -> GradedDim:
-        return self.space.graded_dim
-
-    @property
-    def dim(self):
-        return len(self.section_cols)
-
-    def project(self, vec: dict) -> dict:
-        """Class of an ambient vector in quotient coordinates."""
-        res = self.sub.reduce(vec)
-        return {self._col_of[c]: v for c, v in res.items()}
-
-    def section(self, qvec: dict) -> dict:
-        """Canonical ambient representative of a quotient vector."""
-        return {self.section_cols[c]: v for c, v in qvec.items()}
-
-    def __repr__(self):
-        return "<QuotientSpace %s>" % (self.graded_dim,)
-
-
 def greedy_generators(field, dim: int, order, act) -> list:
     """A greedy generating set S of a dim-dimensional algebra, as sorted
     basis indices.
@@ -515,24 +480,27 @@ def kernel(rows, dim: int, field) -> list:
 
 
 def quotient_kernel(span: Subspace, columns):
-    """(bad, rows): the kernel of the linear map with these columns
+    """(bad, classes): the kernel of the linear map with these columns
     (indexable by every ambient coordinate) on the ambient space of span
     modulo span.  bad is the first canonical row of span, in pivot order,
-    that the map does not kill, so that it is not well defined (rows is
-    then empty), or None.  rows are the canonical rows, in ambient
-    coordinates, of the map's kernel on the non-pivot columns N of span:
-    each class by its representative on N (QuotientSpace.section).
+    that the map does not kill, so that it is not well defined (classes is
+    then None), or None.  classes is the Subspace of span's ambient space
+    spanned by the map's kernel on the non-pivot columns N of span: each
+    class by its canonical representative on N, the residue modulo span
+    (Subspace.reduce) of any vector of the class.
     """
     field = span.field
     for row in span.rows:
         if linear_apply(columns, row, field):
-            return row, []
+            return row, None
     free = [c for c in range(span.space.dim) if c not in span._by_pivot]
     restricted = {}  # the rows of the map on N, columns numbered along N
     for f, c in enumerate(free):
         for r, v in columns[c].items():
             restricted.setdefault(r, {})[f] = v
+    # numbering N back to ambient columns keeps their order, so the rows are
+    # canonical in either numbering
     ech = Echelon(field)
     for vec in kernel(restricted.values(), len(free), field):
-        ech.insert(vec)
-    return None, [{free[f]: v for f, v in ech.pivots[c].items()} for c in sorted(ech.pivots)]
+        ech.insert({free[f]: v for f, v in vec.items()})
+    return None, Subspace(span.space, ech)

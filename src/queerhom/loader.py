@@ -172,5 +172,5 @@ def load_algebra(path: str) -> SuperAlgebra:
     A = SuperAlgebra(field, space, products, unit, name=name)
     rep = validate(A)
     if not rep.ok:
-        raise LoadError(rep.summary(MAX_VIOLATIONS).split("\n"))
+        raise LoadError("%s at %s: %s" % (f.kind, f.where, f.detail) for f in rep.failures)
     return A

@@ -21,8 +21,9 @@ an associative algebra by its definition and PairSpace's greedy
 generating set on it, the tensor product tables by a scan of every
 index quadruple, the trace condition tr X in [R,R] as the kernel of a
 trace map, the identity block of sq_n(R) that psq_n(R) divides by, the
-cyclic side of the psq formula, and Q(i) arithmetic on
-pairs of rationals.
+cyclic side of the psq formula, the quotient-coordinate route (a class
+in coordinates on the non-pivot columns numbered from 0, QuotientSpace,
+and HC1 computed in them), and Q(i) arithmetic on pairs of rationals.
 
 A LieSuperAlgebra table holds each pair once, the keys (i, j) with i <= j.
 Every oracle above that builds a bracket table builds all of it, both
@@ -40,7 +41,7 @@ from itertools import chain
 from queerhom.algebras import SuperAlgebra, commutator_subspace
 # lam2_dim_formula is imported for the tests that read it from here
 from queerhom.chevalley import CEComplex, lam2_dim_formula, lam3_dim_formula
-from queerhom.cyclic import hc1
+from queerhom.cyclic import PairSpace, hc1
 from queerhom.lie import (
     MAX_FAILURES,
     GlRule,
@@ -53,11 +54,11 @@ from queerhom.linalg import (
     GradedDim,
     GradedSpace,
     GradingError,
-    QuotientSpace,
     Subspace,
     add_scaled,
     in_field,
     kernel,
+    linear_apply,
 )
 from queerhom.scalars import GaussianRational
 
@@ -136,6 +137,65 @@ def rref(m: SparseMatrix, field):
             ech.insert(row)
     rows = ech.rref_rows()
     return SparseMatrix.from_rows(rows, m.ncols), ech.rank
+
+
+# ------------------------------------------------ quotient coordinates
+
+class QuotientSpace:
+    """Ambient modulo a homogeneous subspace, coordinatized by the
+    subspace's non-pivot columns numbered again from 0: the second
+    coordinate system for classes, which the program does without (it keeps
+    a class as its canonical representative, in ambient coordinates).
+    project and section change between the two."""
+
+    def __init__(self, ambient: GradedSpace, sub: Subspace):
+        if sub.space != ambient:
+            raise ValueError("subspace lives in a different ambient space")
+        if not sub.is_homogeneous():
+            raise GradingError("quotient by a non-homogeneous subspace")
+        self.sub = sub
+        pivots = set(sub.pivot_cols)
+        self.section_cols = tuple(c for c in range(ambient.dim) if c not in pivots)
+        self._col_of = {c: i for i, c in enumerate(self.section_cols)}
+        self.space = GradedSpace(
+            tuple(ambient.labels[c] for c in self.section_cols),
+            tuple(ambient.parities[c] for c in self.section_cols),
+        )
+
+    @property
+    def graded_dim(self) -> GradedDim:
+        return self.space.graded_dim
+
+    @property
+    def dim(self):
+        return len(self.section_cols)
+
+    def project(self, vec: dict) -> dict:
+        """Class of an ambient vector in quotient coordinates."""
+        res = self.sub.reduce(vec)
+        return {self._col_of[c]: v for c, v in res.items()}
+
+    def section(self, qvec: dict) -> dict:
+        """Canonical ambient representative of a quotient vector."""
+        return {self.section_cols[c]: v for c, v in qvec.items()}
+
+
+def hc1_in_quotient_coords(R: SuperAlgebra):
+    """(quot, HC1(R)) in quotient coordinates: quot is <R,R> as a
+    QuotientSpace of R(x)R, and HC1(R) the null space, by kernel and a
+    second elimination, of the commutator map on the section of each
+    quotient basis vector.  quot.section takes its rows to the canonical
+    representatives cyclic.hc1 keeps."""
+    field = R.field
+    pair = PairSpace(R)
+    quot = QuotientSpace(pair.space, pair.relations)
+    comm = [R.supercommutator(a, b) for a in range(R.dim) for b in range(R.dim)]
+    rows = [{} for _ in range(R.dim)]
+    for col in range(quot.dim):
+        for r, v in linear_apply(comm, quot.section({col: field.one}), field).items():
+            rows[r][col] = v
+    null = kernel(rows, quot.dim, field)
+    return quot, Subspace.from_vectors(quot.space, null, field)
 
 
 # ------------------------------------------- Q(i) as pairs of rationals

@@ -29,10 +29,11 @@ from queerhom.lie import (
     lie_tensor,
     quotient_lie,
 )
-from queerhom.linalg import Echelon, GradedDim, GradedSpace, QuotientSpace, Subspace
+from queerhom.linalg import Echelon, GradedDim, GradedSpace, Subspace
 from queerhom.scalars import QQ
 
 from oracles import (
+    QuotientSpace,
     SparseMatrix,
     center,
     check_lie,

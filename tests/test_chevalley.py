@@ -23,11 +23,12 @@ from queerhom.lie import (
     iso_qQ1_to_glnn,
     sq_graded_dim,
 )
-from queerhom.linalg import GradedDim, GradedSpace, QuotientSpace
+from queerhom.linalg import GradedDim, GradedSpace
 from queerhom.scalars import QQ, parse_field_flag
 from queerhom.scenarios import ScenarioOptions, scenario_h2_main
 
 from oracles import (
+    QuotientSpace,
     d2_matrix,
     d3_by_wedges,
     d3_matrix,

@@ -28,6 +28,7 @@ from queerhom.scalars import QQ, parse_field_flag
 from oracles import (
     cyclic_relation,
     greedy_product_generators,
+    hc1_in_quotient_coords,
     pair_relations_full_scan,
     words_span,
 )
@@ -54,7 +55,7 @@ HC1_TABLE = [
 @pytest.mark.parametrize("tag,_,quot_dim", HC1_TABLE, ids=[t for t, _, _ in HC1_TABLE])
 def test_pair_space_quotient_dims(tag, _, quot_dim):
     pair = PairSpace(build_builtin(tag, QQ))
-    assert pair.quot.dim == quot_dim
+    assert pair.space.dim - pair.relations.dim == quot_dim
 
 
 def _unit_last(R):
@@ -206,7 +207,7 @@ def test_pair_space_peaks_under_three_times_what_it_retains(field):
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert pair.quot.dim > 0
+    assert pair.space.dim - pair.relations.dim > 0
     assert peak - base < 1.6 * (held - base)
 
 
@@ -328,6 +329,23 @@ def test_hc1_names_the_first_relation_row_the_commutator_does_not_kill():
     )
     with pytest.raises(StructureError, match=msg):
         hc1(R)
+
+
+@pytest.mark.parametrize("field", ["Q", "Qi", "Fp:3"])
+@pytest.mark.parametrize("tag", [t for t, _, _ in HC1_TABLE])
+def test_hc1_keeps_each_class_as_its_canonical_representative(tag, field):
+    # each HC1 basis row lies on the columns off the relation pivots, so it
+    # is its own class_of, and the rows are the basis computed in quotient
+    # coordinates, mapped back by section
+    for A in _with_tensor(tag, parse_field_flag(field)):
+        h = hc1(A)
+        pair = h.pair
+        pivots = set(pair.relations.pivot_cols)
+        for row in h.subspace.rows:
+            assert row and not pivots & set(row)
+            assert pair.class_of(row) == row
+        quot, old = hc1_in_quotient_coords(A)
+        assert list(h.subspace.rows) == [quot.section(r) for r in old.rows]
 
 
 # ------------------------------------------------------------ relation rows

@@ -35,7 +35,7 @@ from queerhom.lie import (
     quotient_lie,
 )
 from queerhom.cyclic import hc1
-from queerhom.linalg import GradedDim, GradedSpace, Subspace, in_field
+from queerhom.linalg import GradedDim, GradedSpace, GradingError, Subspace, in_field
 from queerhom.scalars import QQ, GaussianRational, ScalarError, parse_field_flag
 
 from oracles import (
@@ -544,10 +544,30 @@ def test_quotient_by_center_gives_psq3():
     q = build_q(3, BASE)
     sq = build_sq_by_characterization(3, BASE, q)
     s = induced_lie(q, sq, name="sq3")
-    ps, quot = quotient_lie(s, center(s), name="psq3")
-    assert quot.space is ps.space
+    z = center(s)
+    ps, project = quotient_lie(s, z, name="psq3")
     assert ps.space.graded_dim == GradedDim(8, 8)
+    # project kills the center and numbers the other columns from 0 in order
+    assert all(project(row) == {} for row in z.rows)
+    free = [c for c in range(s.dim) if c not in z.pivot_cols]
+    assert [project({c: QQ.one}) for c in free] == [{i: QQ.one} for i in range(ps.dim)]
+    assert ps.space.labels == tuple(s.space.labels[c] for c in free)
     assert check_lie(ps) is True
+
+
+def test_quotient_refuses_a_non_homogeneous_ideal_after_the_ideal_check():
+    # in an abelian algebra every subspace is an ideal, so the line through
+    # a + b, a even and b odd, fails only the homogeneity refusal
+    g = LieSuperAlgebra(QQ, GradedSpace(("a", "b"), (0, 1)), {}, name="abelian")
+    mixed = Subspace.from_vectors(g.space, [{0: QQ.one, 1: QQ.one}], QQ)
+    with pytest.raises(GradingError, match="non-homogeneous"):
+        quotient_lie(g, mixed)
+    # the ideal check runs first: a subspace that is neither an ideal nor
+    # homogeneous is refused as a non-ideal
+    h = LieSuperAlgebra(QQ, GradedSpace(("a", "b", "c"), (0, 1, 1)), {(0, 1): {2: QQ.one}})
+    mixed = Subspace.from_vectors(h.space, [{0: QQ.one, 1: QQ.one}], QQ)
+    with pytest.raises(StructureError, match="not an ideal"):
+        quotient_lie(h, mixed)
 
 
 def test_quotient_rejects_non_ideal():

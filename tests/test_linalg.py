@@ -12,7 +12,6 @@ from queerhom.linalg import (
     GradedDim,
     GradedSpace,
     GradingError,
-    QuotientSpace,
     Subspace,
     add_scaled,
     in_field,
@@ -273,42 +272,22 @@ def test_supertrace_kernel_on_two_by_two_blocks():
     assert Subspace.from_vectors(space, null, QQ).graded_dim == GradedDim(1, 2)
 
 
-def test_quotient_additivity_random():
-    rng = random.Random(17)
-    for _ in range(20):
-        n = rng.randint(1, 7)
-        parities = [rng.randint(0, 1) for _ in range(n)]
-        space = GradedSpace(["v%d" % k for k in range(n)], parities)
-        # homogeneous spanning vectors keep the quotient graded
-        vecs = []
-        for _ in range(rng.randint(0, n)):
-            p = rng.randint(0, 1)
-            idxs = [i for i in range(n) if parities[i] == p]
-            vec = {i: F(rng.randint(-4, 4)) for i in idxs if rng.random() < 0.6}
-            vecs.append({k: v for k, v in vec.items() if v})
-        sub = Subspace.from_vectors(space, vecs, QQ)
-        q = QuotientSpace(space, sub)
-        assert sub.graded_dim + q.graded_dim == space.graded_dim
-
-
-def test_quotient_project_kills_sub_and_section_lifts():
+def test_reduce_is_the_canonical_representative_of_a_class():
+    # a class modulo a subspace is kept as its residue: zero at every pivot,
+    # the same for every vector of the class, and in the class
     space = GradedSpace(["a", "b", "c"], [0, 0, 0])
     sub = Subspace.from_vectors(space, [{0: F(1), 1: F(1)}], QQ)
-    q = QuotientSpace(space, sub)
-    assert q.project({0: F(1), 1: F(1)}) == {}
+    assert sub.reduce({0: F(1), 1: F(1)}) == {}
     v = {0: F(2), 2: F(5)}
-    lifted = q.section(q.project(v))
-    assert q.project(lifted) == q.project(v)
-    diff = dict(lifted)
+    rep = sub.reduce(v)
+    assert not set(rep) & set(sub.pivot_cols)
+    assert sub.reduce(rep) == rep
+    other = dict(v)
+    add_scaled(other, {0: F(1), 1: F(1)}, F(3))
+    assert sub.reduce(other) == rep
+    diff = dict(rep)
     add_scaled(diff, v, F(-1))
     assert sub.contains(diff)
-
-
-def test_quotient_rejects_inhomogeneous_subspace():
-    space = GradedSpace(["a", "b"], [0, 1])
-    sub = Subspace.from_vectors(space, [{0: F(1), 1: F(1)}], QQ)
-    with pytest.raises(GradingError):
-        QuotientSpace(space, sub)
 
 
 def test_subspace_membership_and_coordinates():
@@ -329,7 +308,6 @@ def test_graded_dim_dispatch():
     assert space.graded_dim == GradedDim(1, 1)
     sub = Subspace.from_vectors(space, [{1: F(1)}], QQ)
     assert sub.graded_dim == GradedDim(0, 1)
-    assert QuotientSpace(space, sub).graded_dim == GradedDim(1, 0)
 
 
 def test_echelon_rank_matches_rref():

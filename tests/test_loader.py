@@ -131,6 +131,35 @@ def test_violations_are_aggregated(tmp_path):
     assert len(err.value.violations) == 3
 
 
+def test_validation_failures_are_truncated_once(tmp_path):
+    # all even, unit e_0, e_i e_j = (i+2j) e_{(ij mod 3)+1} for i, j >= 1:
+    # 25 validation failures, of which the message shows the first 20
+    labels = ["e%d" % i for i in range(4)]
+    products = [
+        {"i": 0, "j": j, "coefficients": {labels[j]: "1"}} for j in range(4)
+    ] + [{"i": i, "j": 0, "coefficients": {labels[i]: "1"}} for i in range(1, 4)]
+    products += [
+        {"i": i, "j": j, "coefficients": {labels[i * j % 3 + 1]: str(i + 2 * j)}}
+        for i in range(1, 4)
+        for j in range(1, 4)
+    ]
+    doc = {
+        "name": "non-associative",
+        "scalars": {"kind": "rationals"},
+        "basis": [{"label": label, "parity": 0} for label in labels],
+        "unit": ["1", "0", "0", "0"],
+        "products": products,
+    }
+    with pytest.raises(LoadError) as err:
+        load_algebra(write(tmp_path, doc))
+    violations = err.value.violations
+    assert len(violations) == 25
+    assert not any(v.startswith("...") for v in violations)
+    text = str(err.value)
+    assert text.endswith("\n... and 5 more")
+    assert text.split("\n")[:-1] == violations[:20]
+
+
 def test_duplicate_labels_rejected(tmp_path):
     doc = grassmann_doc()
     doc["basis"][1]["label"] = "1"

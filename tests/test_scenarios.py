@@ -175,7 +175,7 @@ def test_every_stored_prime_field_value_is_a_reduced_int(argv, flag, monkeypatch
     def recording(hc_R, hc_S):
         start = len(made)
         iso = build_shift_iso(hc_R, hc_S)
-        graphs.extend((o, hc_S.pair.quot.dim) for o in made[start:] if isinstance(o, Echelon))
+        graphs.extend((o, hc_S.pair.space.dim) for o in made[start:] if isinstance(o, Echelon))
         return iso
 
     monkeypatch.setattr(scenarios, "build_shift_iso", recording)
