@@ -112,20 +112,17 @@ def lam3_dim_formula(gd: GradedDim) -> int:
 def torus_weights(g: LieSuperAlgebra, torus) -> list:
     """Weight of each basis vector of g: its ad-eigenvalues on the torus.
 
-    Raises StructureError unless every torus element is even and acts
-    diagonally on the basis.
+    [h, e_b] is g.ad(h, b), read off the table; raises StructureError
+    unless every torus element is even and acts diagonally on the basis.
     """
     par = g.space.parities
-    zero, one = g.field.zero, g.field.one
     weights = [[] for _ in range(g.dim)]
-    units = g.column_index([{b: one} for b in range(g.dim)])
     for t, h in enumerate(torus):
         if any(par[k] for k in h):
             raise StructureError("torus element %d is not even" % t)
-        row = g.bracket_row(h, units)  # {b: [h, e_b]}
         for b in range(g.dim):
-            img = row.get(b, {})
-            weights[b].append(img.get(b, zero))
+            img = g.ad(h, b)
+            weights[b].append(img.get(b, g.field.zero))
             if len(img) > (b in img):
                 raise StructureError(
                     "torus element %d does not act diagonally: [h, %s] leaves the line"
@@ -184,12 +181,14 @@ class CEComplex:
 
     def generating_set(self) -> list:
         """A greedy generating set S of g, as sorted basis indices, from
-        linalg.greedy_generators under ad.
+        linalg.greedy_generators under the action (s, v) -> g.ad(v, s).
 
         The basis vectors of nonzero weight are walked first, most bracket
         keys first and ties by index, then every index; e_b is kept only if
         it lies outside the subalgebra the kept ones generate, which is
-        their ad_S-closure.  The walk stops once the closure is g, so S
+        their ad_S-closure.  The walk's vectors are homogeneous, and [v,
+        e_s] = -(-1)^{|v||s|} [e_s, v], so reading [v, e_s] off the table
+        spans what ad_s does.  The walk stops once the closure is g, so S
         generates g exactly, whatever the torus (an empty one included).
         """
         g = self.g
@@ -200,24 +199,9 @@ class CEComplex:
             if i != j:
                 keys[j] += 1
         first = sorted((b for b in range(dim) if any(self.weights[b])), key=lambda b: (-keys[b], b))
-
-        br = g.brackets
-        par = g.space.parities
-
-        def ad(s, v):  # [e_s, v], read off the stored key with its sign
-            out = {}
-            for c, x in v.items():
-                if s <= c:
-                    tbl = br.get((s, c))
-                else:
-                    tbl = br.get((c, s))
-                    if not (par[s] and par[c]):
-                        x = -x
-                if tbl:
-                    add_scaled(out, tbl, x)
-            return in_field(out, g.field)
-
-        return greedy_generators(g.field, dim, chain(first, range(dim)), ad)
+        return greedy_generators(
+            g.field, dim, chain(first, range(dim)), lambda s, v: g.ad(v, s)
+        )
 
     def lam3_weight0_dim(self) -> int:
         """The number of weight-zero triples, counted from the weight buckets

@@ -31,19 +31,20 @@ build_block_lie) return (algebra, torus), the diagonal torus of q read in
 the algebra's basis inside the builder.  No algebra carries its ambient, so
 q_n(R) and its table are freed when a builder returns.
 
-Every bilinear scan (verify, induced_lie, quotient_lie) brackets a row
-at a time: bracket_row(x, index, first), one method of LieSuperAlgebra and
-GlRule, gives [x, columns[j]] for every j >= first with a nonzero bracket,
-from one join of x's entries with a column_index of the columns' entries
-built once per scan.  A table joins through each key (r, s) from both of
-its ends, the mirror with its sign; GlRule joins E_ij(a) with the column
+A bracket with a basis vector is read off the table: LieSuperAlgebra.ad(x,
+b) gives [x, e_b] key by key (torus weights, ad_S-closures, quotient_lie's
+ideal check).  The scans of other vectors (verify, induced_lie) bracket a
+row at a time: bracket_row(x, index, first), a method of LieSuperAlgebra
+and GlRule, gives [x, columns[j]] for every j >= first with a nonzero
+bracket, from one join of x's entries with a column_index of the columns'
+entries built once per scan.  A table joins through each key (r, s) from
+both ends, the mirror with its sign; GlRule joins E_ij(a) with the column
 entries E_jl(b) and E_ki(b) for the b that R's product keys pair with a.
-No pair is evaluated apart and no pair with an empty bracket is visited.
-induced_lie and quotient_lie share one scan, _bracket_table, which
-brackets row a only with the rows b >= a, so their tables, like the q
-formula table, are the i <= j half of the all-pairs scan's, key order
-included.  The q formula table visits only the partners with j == k or
-l == i and the b with ab or ba a product key.
+induced_lie brackets row a only with the rows b >= a, so its table, like
+quotient_lie's (g's keys off the ideal's pivots) and the q formula table,
+is the i <= j half of the all-pairs scan's, key order included.  The q
+formula table visits only the partners with j == k or l == i and the b
+with ab or ba a product key.
 lie_tensor keeps the i <= j keys of algebras.koszul_tensor, the one Koszul
 sign rule.
 
@@ -115,6 +116,24 @@ class LieSuperAlgebra:
             return tbl
         p = self.field.characteristic
         return {t: -c % p if p else -c for t, c in tbl.items()}
+
+    def ad(self, x: dict, b: int) -> dict:
+        """[x, e_b] for a vector x, read key by key off the table: a key
+        stored as (b, r) puts -(-1)^{|r||b|} on x's coefficient, so no stored
+        value is copied; the sum is exact and reduced into the field once."""
+        brackets, par = self.brackets, self.space.parities
+        odd_b = par[b]
+        out = {}
+        for r, c in x.items():
+            if r <= b:
+                tbl = brackets.get((r, b))
+            else:
+                tbl = brackets.get((b, r))
+                if not (odd_b and par[r]):
+                    c = -c
+            if tbl:
+                add_scaled(out, tbl, c)
+        return in_field(out, self.field) if self.field.characteristic else out
 
     def column_index(self, columns):
         """The index bracket_row joins against: for each r, one (hits, tbl,
@@ -413,8 +432,10 @@ def induced_lie(g: LieSuperAlgebra, sub: Subspace, name="") -> LieSuperAlgebra:
     """Lie structure on a bracket-closed subspace of g, a LieSuperAlgebra
     or a GlRule, in the subspace's canonical basis.
 
-    The table is _bracket_table of the canonical rows, each bracket read
-    by Subspace.coords_of; StructureError where one lies outside sub.
+    The table is {(a, b): [x_a, x_b] for b >= a} over the canonical rows
+    x, from one g.bracket_row of each x_a against a column_index of the
+    rows, each bracket read by Subspace.coords_of and the readings pooled;
+    StructureError where one lies outside sub.
     """
     if sub.space != g.space:
         raise ValueError("subspace is not inside the algebra")
@@ -422,31 +443,18 @@ def induced_lie(g: LieSuperAlgebra, sub: Subspace, name="") -> LieSuperAlgebra:
     labels = tuple(g.space.labels[pc] for pc in sub.pivot_cols)
     parities = tuple(g.space.parity_of_vec(r) for r in rows)
     space = GradedSpace(labels, parities)
-
-    def coords(vec):
-        out = sub.coords_of(vec)
-        if out is None:
-            raise StructureError("subspace is not closed under the bracket")
-        return out
-
-    brackets = _bracket_table(g, rows, coords)
-    return LieSuperAlgebra(g.field, space, brackets, name=name or "sub(%s)" % g.name)
-
-
-def _bracket_table(g, vectors, read) -> dict:
-    """{(a, b): read([x_a, x_b]) for b >= a} for a list of vectors x of g,
-    a LieSuperAlgebra or a GlRule: each bracket read in a new basis, the
-    readings pooled.  x_a meets the x_b, b >= a, in one g.bracket_row
-    against a column_index of the list; every pair it leaves out has an
-    empty bracket."""
-    index = g.column_index(vectors)
+    index = g.column_index(rows)
     brackets = {}
     pool = {}
-    for a, x in enumerate(vectors):
+    for a, x in enumerate(rows):
         row = g.bracket_row(x, index, a)
         for b in sorted(row):
-            brackets[(a, b)] = pooled(pool, read(row[b]))
-    return brackets
+            coords = sub.coords_of(row[b])
+            if coords is None:
+                raise StructureError("subspace is not closed under the bracket")
+            brackets[(a, b)] = pooled(pool, coords)
+    del index, pool  # freed before the algebra filters its own copy of the table
+    return LieSuperAlgebra(g.field, space, brackets, name=name or "sub(%s)" % g.name)
 
 
 def is_perfect(g: LieSuperAlgebra) -> bool:
@@ -777,26 +785,20 @@ def quotient_lie(g: LieSuperAlgebra, ideal: Subspace, name=""):
     """Quotient by a graded ideal: (the quotient algebra, project), project
     sending a vector of g to the coordinates of its class.
 
-    The ideal property [g, ideal] <= ideal is checked exactly first: the
-    bracket_row of each basis vector e_i against the ideal's rows, and a
-    failure names the i of the first failing (row, i).  An ideal that mixes
-    parities is refused next, with GradingError.  The basis is the classes
-    of the e_c, c off the ideal's pivots, numbered from 0 in increasing c:
-    the one place that renumbers those columns, as a LieSuperAlgebra's
-    basis runs 0..dim-1.  project renumbers a vector's canonical
-    representative (Subspace.reduce) so, and reads each bracket of the
-    _bracket_table of the e_c.
+    The ideal property is checked exactly first: g.ad(x, i) = [x, e_i] =
+    -(-1)^{|x||i|} [e_i, x] for each of the ideal's rows x and each index
+    i, and a failure names the i of the first failing (row, i).  An ideal
+    that mixes parities is refused next, with GradingError.  The basis is
+    the classes of the e_c, c off the ideal's pivots, numbered from 0 in
+    increasing c: the one place that renumbers those columns, as a
+    LieSuperAlgebra's basis runs 0..dim-1.  project renumbers a vector's
+    canonical representative (Subspace.reduce) so.  The table is g's keys
+    between such c, in g's key order, each value projected and pooled.
     """
-    one = g.field.one
-    index = g.column_index(ideal.rows)
-    fails = [
-        (r, i)
-        for i in range(g.dim)
-        for r, out in g.bracket_row({i: one}, index).items()
-        if not ideal.contains(out)
-    ]
-    if fails:
-        raise StructureError("subspace is not an ideal: fails at basis %d" % min(fails)[1])
+    for x in ideal.rows:
+        for i in range(g.dim):
+            if not ideal.contains(g.ad(x, i)):
+                raise StructureError("subspace is not an ideal: fails at basis %d" % i)
     if not ideal.is_homogeneous():
         raise GradingError("quotient by a non-homogeneous subspace")
     pivots = set(ideal.pivot_cols)
@@ -809,6 +811,11 @@ def quotient_lie(g: LieSuperAlgebra, ideal: Subspace, name=""):
     def project(vec):
         return {col_of[c]: v for c, v in ideal.reduce(vec).items()}
 
-    brackets = _bracket_table(g, [{c: one} for c in free], project)
+    pool = {}
+    brackets = {
+        (col_of[r], col_of[s]): pooled(pool, project(tbl))
+        for (r, s), tbl in g.brackets.items()
+        if r in col_of and s in col_of
+    }
     quotient = LieSuperAlgebra(g.field, space, brackets, name=name or "%s/ideal" % g.name)
     return quotient, project

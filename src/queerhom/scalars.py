@@ -389,6 +389,15 @@ QQ = RationalField()
 QI = GaussianRationalField()
 
 
+def _digits(text: str):
+    """text as an int if it is ASCII digits that int() reads (it caps their
+    number), else None: the digit rule of field_from_spec and parse_field_flag."""
+    try:
+        return int(text) if text.isascii() and text.isdigit() else None
+    except ValueError:  # past Python's limit on int digits
+        return None
+
+
 def field_from_spec(kind: str, characteristic=None) -> Field:
     """Build a field from the (kind, characteristic) pair used in JSON files;
     a characteristic is a JSON integer or a string of digits, nothing else."""
@@ -399,12 +408,11 @@ def field_from_spec(kind: str, characteristic=None) -> Field:
     if kind == "prime-field":
         if characteristic is None:
             raise ScalarError("prime-field needs a characteristic")
-        p = characteristic
-        if isinstance(p, str) and p.isascii() and p.isdigit():
-            p = int(p)
+        p = _digits(characteristic) if isinstance(characteristic, str) else characteristic
         if type(p) is not int:  # a JSON true is a bool, not a number
             raise ScalarError(
-                "characteristic must be an integer or a string of digits, got %r" % (p,)
+                "characteristic must be an integer or a string of digits, got %r"
+                % (characteristic,)
             )
         return PrimeField(p)
     raise ScalarError("unknown scalar kind: %r" % kind)
@@ -418,8 +426,8 @@ def parse_field_flag(flag: str) -> Field:
     if flag == "Qi":
         return QI
     if flag.startswith("Fp:"):
-        tail = flag[3:]
-        if not tail.isdigit():
+        p = _digits(flag[3:])
+        if p is None:
             raise ScalarError("bad prime in field flag: %r" % flag)
-        return PrimeField(int(tail))
+        return PrimeField(p)
     raise ScalarError("unknown field flag: %r (expected Q, Qi or Fp:P)" % flag)

@@ -72,7 +72,7 @@ def resolve_algebra(opts: ScenarioOptions):
     """(algebra, builtin tag or None).  File algebras carry their own field."""
     spec = opts.algebra_spec
     if spec.startswith("builtin:"):
-        tag = spec[len("builtin:"):]
+        tag = spec[len("builtin:"):].strip()
         try:
             return build_builtin(tag, opts.field), tag
         except (ValueError, ScalarError) as e:

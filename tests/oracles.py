@@ -6,8 +6,9 @@ Chevalley-Eilenberg matrices (a d3 column is CEComplex.d3_column's terms
 summed, and d3_by_wedges builds it from its definition as a dict, with
 the wedge sign rule stated on its own in wedge), the full walk of the
 weight-zero triples and the image of d3 from every one of them, the
-subalgebra a set of vectors generates by its definition and ce_h2's
-greedy generating set on it, a standalone
+torus weights by a row join against every unit vector, the subalgebra a
+set of vectors generates by its definition and ce_h2's greedy generating
+set on it, a standalone
 sparse-matrix rref, the Lie axioms on basis tuples, the center by a
 kernel, the supercommutator algebra of an associative algebra, the
 q_n(R) formula table by a full index scan, the gl_{m|n}(R) bracket table
@@ -340,6 +341,29 @@ def d3_matrix(cx) -> SparseMatrix:
         for r, v in d3_vector(cx, t).items():
             entries[(r, k)] = v
     return SparseMatrix(cx.lam2.dim, lam3_dim_formula(cx.g.space.graded_dim), entries)
+
+
+def torus_weights_by_unit_columns(g: LieSuperAlgebra, torus) -> list:
+    """chevalley.torus_weights by the row join: one bracket_row of each
+    torus element h against a column_index of all dim g unit vectors,
+    which gives [h, e_b] for every b at once, with the same refusals."""
+    par = g.space.parities
+    zero, one = g.field.zero, g.field.one
+    weights = [[] for _ in range(g.dim)]
+    units = g.column_index([{b: one} for b in range(g.dim)])
+    for t, h in enumerate(torus):
+        if any(par[k] for k in h):
+            raise StructureError("torus element %d is not even" % t)
+        row = g.bracket_row(h, units)  # {b: [h, e_b]}
+        for b in range(g.dim):
+            img = row.get(b, {})
+            weights[b].append(img.get(b, zero))
+            if len(img) > (b in img):
+                raise StructureError(
+                    "torus element %d does not act diagonally: [h, %s] leaves the line"
+                    % (t, g.space.labels[b])
+                )
+    return [tuple(w) for w in weights]
 
 
 def generated_subalgebra(g: LieSuperAlgebra, vectors) -> Subspace:

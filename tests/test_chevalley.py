@@ -8,7 +8,7 @@ import pytest
 
 from queerhom import chevalley, lie, linalg, scenarios
 from queerhom.algebras import build_builtin, build_grassmann
-from queerhom.chevalley import CEComplex, ce_h2, lam3_dim_formula
+from queerhom.chevalley import CEComplex, ce_h2, lam3_dim_formula, torus_weights
 from queerhom.lie import (
     LieSuperAlgebra,
     StructureError,
@@ -39,6 +39,7 @@ from oracles import (
     h2_by_representatives,
     identity_block,
     image_by_full_stream,
+    torus_weights_by_unit_columns,
     iter_lam3,
     iter_lam3_weight0,
     lam2_dim_formula,
@@ -714,6 +715,32 @@ def test_the_generating_set_reads_each_mirrored_bracket_with_its_sign(field, n):
     gens = cx.generating_set()
     assert gens == greedy_generators(sq, cx.weights)
     assert generated_subalgebra(sq, [{s: sq.field.one} for s in gens]).dim == sq.dim
+
+
+@pytest.mark.parametrize(
+    "kind,field", IMAGE_CASES + [("sq-q1", f) for f in ("Q", "Qi", "Fp:3", "Fp:5")]
+)
+def test_torus_weights_equal_the_unit_column_join(kind, field):
+    # torus_weights reads each [h, e_b] off the table by LieSuperAlgebra.ad;
+    # the oracle joins h with every unit vector.  sq_3(q1) has odd-odd keys,
+    # whose mirror sign is +1
+    if kind == "sq-q1":
+        g, torus = build_sq_lie(3, build_builtin("q1", parse_field_flag(field)))
+    else:
+        g, torus = _h2_input(kind, field)
+    got = torus_weights(g, torus)
+    want = torus_weights_by_unit_columns(g, torus)
+    assert [[(x, type(x)) for x in w] for w in got] == [[(x, type(x)) for x in w] for w in want]
+    assert any(any(w) for w in got)
+
+
+def test_torus_weights_refuse_as_the_unit_column_join():
+    for g, torus in [(build_q(1, G1), [{1: QQ.one}]), (heisenberg(), [{0: QQ.one}])]:
+        with pytest.raises(StructureError) as got:
+            torus_weights(g, torus)
+        with pytest.raises(StructureError) as want:
+            torus_weights_by_unit_columns(g, torus)
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("empty_torus", [False, True], ids=["weight-zero", "empty-torus"])

@@ -89,6 +89,17 @@ def test_bad_or_undecidable_prime_modulus_exits_two(modulus, capsys):
     assert err.startswith("error: modulus")
 
 
+@pytest.mark.parametrize(
+    "prime", ["²", "٣", "9" * 5000], ids=["superscript-2", "arabic-indic-3", "5000-digits"]
+)
+def test_non_ascii_or_oversized_prime_exits_two(prime, capsys):
+    # str.isdigit accepts the first two and int() refuses the last
+    code, out, err = run_main(["hc1-shift", "--field", "Fp:" + prime], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad prime in field flag")
+
+
 def test_unknown_scenario_exits_two(capsys):
     code, out, err = run_main(["does-not-exist"], capsys)
     assert code == 2

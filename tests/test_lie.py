@@ -848,6 +848,32 @@ def test_bracket_basis_reads_the_signed_mirror(flag):
     assert signs == {1, -1}
 
 
+@pytest.mark.parametrize("flag", ["Q", "Fp:5"])
+def test_ad_reads_a_mirrored_key_with_its_sign(flag):
+    # h even, x and y odd: [h, x] = x, [h, y] = -y, [x, x] = 2h, [x, y] = h.
+    # ad(v, b) = [v, e_b] reads the key (b, r) of an entry r > b with
+    # -(-1)^{|r||b|}: -1 on the even-odd key (0, 1), +1 on the odd-odd (1, 2)
+    field = parse_field_flag(flag)
+    one = field.one
+    neg = field.from_int(-1)
+    space = GradedSpace(("h", "x", "y"), (0, 1, 1))
+    table = {(0, 1): {1: one}, (0, 2): {2: neg}, (1, 1): {0: field.from_int(2)}, (1, 2): {0: one}}
+    g = LieSuperAlgebra(field, space, table)
+    stored = {k: dict(v) for k, v in table.items()}
+    three = field.from_int(3)
+    assert g.ad({1: three}, 0) == {1: field.from_int(-3)}  # [3x, h] = -3x
+    assert g.ad({2: three}, 1) == {0: three}  # [3y, x] = +3h
+    assert g.ad({0: one}, 2) == {2: neg}  # the stored key, read as it is
+    assert g.ad({1: one, 2: field.from_int(-2)}, 1) == {}  # 2h - 2h cancels
+    for v in ({0: one, 1: three}, {1: one, 2: three}, {2: neg}):
+        for b in range(3):
+            got = g.ad(v, b)
+            assert got == bracket_coords(g, v, {b: one})
+            if field.characteristic:
+                assert all(type(c) is int and 0 < c < 5 for c in got.values())
+    assert g.brackets == stored  # no stored value is changed in place
+
+
 def _sq_oracle_inputs(n, R):
     """(q_n(R), its trace characterization sub, sq = induced_lie(q, sub), the
     identity block in sq's basis): the inputs of the sq and psq tables'

@@ -90,10 +90,15 @@ def test_field_from_spec_matches_flag_parser():
 
 
 def test_parse_field_flag_rejects_unknown_text():
-    with pytest.raises(ScalarError):
-        parse_field_flag("R")
-    with pytest.raises(ScalarError):
-        parse_field_flag("Fp:")
+    # non-ASCII digits, which str.isdigit accepts, and a prime past the
+    # digit limit of int() are refused as ScalarError, as a file's
+    # characteristic is
+    for flag in ("R", "Fp:", "Fp:\u00b2", "Fp:\u0663", "Fp:" + "9" * 5000):
+        with pytest.raises(ScalarError):
+            parse_field_flag(flag)
+    for text in ("\u00b2", "\u0663", "9" * 5000):
+        with pytest.raises(ScalarError, match="string of digits"):
+            field_from_spec("prime-field", text)
 
 
 def _reducer(field):

@@ -234,3 +234,12 @@ def test_loop_iso_fails_on_a_corrupted_tensor_table(mutate, monkeypatch, capsys)
     out = capsys.readouterr().out
     assert code == 1
     assert "[FAIL] structure-constants-identical expected=yes computed=no" in out
+
+
+def test_kahler_oracle_gates_on_the_stripped_builtin_tag(capsys):
+    # build_builtin builds the algebra from the stripped tag, and the
+    # scenario's supported-family gate reads the same tag
+    code = main(["kahler-oracle", "--algebra", "builtin: truncated-poly(3)"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "[PASS] cyclic-equals-differential-forms" in out
