@@ -5,55 +5,49 @@ that hold each pair once: only keys with i <= j, and i == j only for an odd
 e_i.  [e_j, e_i] = -(-1)^{|i||j|} [e_i, e_j] is read off the key (i, j),
 reduced mod p over F_p, so every table is super antisymmetric by
 construction, and LieSuperAlgebra raises StructureError on any other key.
-The queer Lie superalgebra q_n(R) over a coordinate superalgebra R is built
-from the closed bracket formulas on the generators u_ij(a) (parity |a|) and
-w_ij(a) (parity |a|+1), and checked against its block realization in
-gl_{n|n}(R),
+gl_{m|n}(R) has one form, GlRule, the matrix-unit rule evaluated from R's
+products, which build_gl returns; no gl bracket table is built.  QueerRule
+reads q_n(R), with generators u_ij(a) (parity |a|) and w_ij(a) (parity
+|a|+1), inside gl_{n|n}(R) along the block realization
 
     u_ij(a) = E_ij(a) + (-1)^{|a|} E_{n+i,n+j}(a)
-    w_ij(a) = E_{i,n+j}(a) + (-1)^{|a|} E_{n+i,j}(a),
+    w_ij(a) = E_{i,n+j}(a) + (-1)^{|a|} E_{n+i,j}(a):
 
-as a VerifiedHomomorphism: unless it preserves every bracket exactly, the
-construction aborts.  gl_{m|n}(R) has one form, GlRule, the matrix-unit
-rule evaluated from R's products, which build_gl returns: it is the target
-of that check and of the isomorphisms into gl, and the ambient algebra of
-the traceless block algebra, and no gl bracket table is built.
-VerifiedHomomorphism.verify is the one place that compares a linear map
-with two bracket tables or rules.  Where the map preserves parity it
-compares each unordered pair once; otherwise, or where a pair differs, it
-compares every ordered pair.  sq_n(R) is characterized as {(A,B) : tr B in
-[R,R]} and must coincide with the derived subalgebra of q_n(R) for n >= 2;
-that trace condition and build_sl's {X : tr X in [S,S]} are one rule,
-_trace_rule, placed at the w-block or at gl's entries.
-
-The builders of the three H2 inputs (build_sq_lie, build_psq_lie,
-build_block_lie) return (algebra, torus), the diagonal torus of q read in
-the algebra's basis inside the builder.  No algebra carries its ambient, so
-q_n(R) and its table are freed when a builder returns.
+a bracket is taken in gl and read back off its top half, and one whose
+bottom half is not the sign-twisted top half raises StructureError, q's
+closure check.  The H2 inputs sq_n(R) and psq_n(R) are built on that rule.
+q's closed-formula table is written by build_q only for the scenarios that
+report on it (iso-queer-gl, qtogl-sqrt-1, loop-iso, perfectness), and
+checked against the rule's gl as a VerifiedHomomorphism, whose verify is
+the one place that compares a linear map with two bracket tables or rules.
+sq_n(R) is characterized as {(A,B) : tr B in [R,R]}; for n >= 2 it is
+[q, q], which scenario perfectness alone compares it with.  That trace
+condition and build_sl's {X : tr X in [S,S]} are one rule, _trace_rule,
+placed at the w-block or at gl's entries.  The builders of the three H2
+inputs (build_sq_lie, build_psq_lie, build_block_lie) return (algebra,
+torus), the diagonal torus of q in the algebra's basis; no algebra carries
+its ambient, which is freed when a builder returns.
 
 A bracket with a basis vector is read off the table: LieSuperAlgebra.ad(x,
 b) gives [x, e_b] key by key (torus weights, ad_S-closures, quotient_lie's
 ideal check).  The scans of other vectors (verify, induced_lie) bracket a
-row at a time: bracket_row(x, index, first), a method of LieSuperAlgebra
-and GlRule, gives [x, columns[j]] for every j >= first with a nonzero
-bracket, from one join of x's entries with a column_index of the columns'
-entries built once per scan.  A table joins through each key (r, s) from
-both ends, the mirror with its sign; GlRule joins E_ij(a) with the column
-entries E_jl(b) and E_ki(b) for the b that R's product keys pair with a.
-induced_lie brackets row a only with the rows b >= a, so its table, like
-quotient_lie's (g's keys off the ideal's pivots) and the q formula table,
-is the i <= j half of the all-pairs scan's, key order included.  The q
-formula table visits only the partners with j == k or l == i and the b
-with ab or ba a product key.
-lie_tensor keeps the i <= j keys of algebras.koszul_tensor, the one Koszul
-sign rule.
+row at a time: bracket_row(x, index, first), a method of LieSuperAlgebra,
+GlRule and QueerRule, gives [x, columns[j]] for every j >= first with a
+nonzero bracket, from one join of x's entries with a column_index of the
+columns' entries built once per scan.  A table joins through each key (r,
+s) from both ends, the mirror with its sign; GlRule joins E_ij(a) with the
+column entries E_jl(b) and E_ki(b) for the b that R's product keys pair
+with a; QueerRule joins the block matrices in gl.  induced_lie brackets row
+a only with the rows b >= a, so its table, like quotient_lie's (g's keys
+off the ideal's pivots) and the q formula table, is the i <= j half of the
+all-pairs scan's, key order included.  lie_tensor keeps the i <= j keys of
+algebras.koszul_tensor, the one Koszul sign rule.
 
 Each table builder (the q formula, induced_lie, quotient_lie and
-koszul_tensor) pools its values while it builds one table, through
-linalg.pooled: equal values of that table are one dict object, so a table
-holds each distinct bracket once however many keys share it.  Stored values
-are therefore shared and read-only; nothing in the package changes one in
-place, and a caller that wants another value stores a new dict.
+koszul_tensor) pools its values through linalg.pooled: equal values of one
+table are one dict object, shared and read-only; nothing in the package
+changes one in place, and a caller that wants another value stores a new
+dict.
 
 The super Jacobi convention used throughout:
 (-1)^{|x||z|}[x,[y,z]] + (-1)^{|y||x|}[y,[z,x]] + (-1)^{|z||y|}[z,[x,y]] = 0.
@@ -279,26 +273,75 @@ def build_gl(m: int, n: int, R: SuperAlgebra) -> GlRule:
     return GlRule(m, n, R)
 
 
-class _QIndex:
-    """Index bookkeeping for q_n(R): u-block then w-block."""
+class QueerRule:
+    """q_n(R) in q's basis and order, u_ij(a) at ((i-1) n + j-1) dR + a and
+    w_ij(a) one block further, bracketed in gl = build_gl(n, n, R) along the
+    block realization (module docstring), whose images are columns.  Like
+    GlRule it answers as an ambient (space, field, column_index and
+    bracket_row).  It carries its name, n as block_n, R as coord, and is
+    its own index bookkeeping (u, w, unpack), qindex, as a QueerLie's.
+    """
 
-    def __init__(self, n, dR):
-        self.n = n
-        self.dR = dR
+    def __init__(self, n: int, R: SuperAlgebra):
+        if n < 1:
+            raise ValueError("need n >= 1")
+        self.name = "q(%d;%s)" % (n, R.name)
+        self.block_n = n
+        self.coord = R
+        self.field = R.field
+        self.gl = gl = build_gl(n, n, R)
+        self.coord_dim = dR = R.dim
+        rpar = R.space.parities
+        idx, one = gl.entry_index, R.field.one
+        labels, parities, self.columns = [], [], []
+        for kind, odd, top, bot in (("u", 0, 0, n), ("w", 1, n, 0)):
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    for r in range(dR):
+                        labels.append("%s[%d,%d](%s)" % (kind, i, j, R.space.labels[r]))
+                        parities.append((rpar[r] + odd) % 2)
+                        sgn = R.field.from_int(-1 if rpar[r] else 1)
+                        self.columns.append({idx(i, top + j, r): one, idx(n + i, bot + j, r): sgn})
+        self.space = GradedSpace(labels, parities)
+        # the top entry of each column: the q index it reads back as
+        self._reading = {next(iter(col)): t for t, col in enumerate(self.columns)}
+
+    @property
+    def qindex(self):
+        return self
 
     def u(self, i, j, r):
-        return ((i - 1) * self.n + (j - 1)) * self.dR + r
+        return ((i - 1) * self.block_n + (j - 1)) * self.coord_dim + r
 
     def w(self, i, j, r):
-        return self.n * self.n * self.dR + ((i - 1) * self.n + (j - 1)) * self.dR + r
+        return self.block_n ** 2 * self.coord_dim + self.u(i, j, r)
 
     def unpack(self, t):
-        block = self.n * self.n * self.dR
-        kind = "u" if t < block else "w"
-        t = t % block
-        r = t % self.dR
-        ij = t // self.dR
-        return kind, ij // self.n + 1, ij % self.n + 1, r
+        kind, t = divmod(t, self.block_n ** 2 * self.coord_dim)
+        ij, r = divmod(t, self.coord_dim)
+        return "uw"[kind], ij // self.block_n + 1, ij % self.block_n + 1, r
+
+    def lift(self, x: dict) -> dict:
+        """x's block matrix in gl."""
+        return linear_apply(self.columns, x, self.field)
+
+    def column_index(self, columns):
+        """gl's column_index of the columns' lifts."""
+        return self.gl.column_index([self.lift(c) for c in columns])
+
+    def bracket_row(self, x: dict, index, first=0) -> dict:
+        """{j: [x, columns[j]]} for each j >= first with a nonzero bracket,
+        index = column_index(columns): gl's row of x's lift, each bracket
+        read off its top half (A B) in its own entry order; StructureError
+        where the bracket is not the lift of its reading."""
+        row = self.gl.bracket_row(self.lift(x), index, first)
+        reading = self._reading
+        for j, vec in row.items():
+            y = {reading[e]: c for e, c in vec.items() if e in reading}
+            if self.lift(y) != vec:
+                raise StructureError("%s: a bracket leaves the block form (A B; B A)" % self.name)
+            row[j] = y
+        return row
 
 
 def _q_formula_brackets(n: int, R: SuperAlgebra) -> dict:
@@ -367,52 +410,25 @@ def _q_formula_brackets(n: int, R: SuperAlgebra) -> dict:
 
 
 class QueerLie(LieSuperAlgebra):
-    """q_n(R) with basis u_ij(a), w_ij(a) and the formula table, carrying
-    n as block_n, R as coord and its index bookkeeping as qindex."""
+    """q_n(R) with the formula table in its rule's basis, carrying n as
+    block_n, R as coord and the rule, QueerRule(n, R), as qindex."""
 
     def __init__(self, n: int, R: SuperAlgebra):
-        if n < 1:
-            raise ValueError("need n >= 1")
-        rpar = R.space.parities
-        labels = []
-        parities = []
-        for kind in ("u", "w"):
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    for r in range(R.dim):
-                        labels.append("%s[%d,%d](%s)" % (kind, i, j, R.space.labels[r]))
-                        parities.append(rpar[r] if kind == "u" else (rpar[r] + 1) % 2)
-        space = GradedSpace(labels, parities)
-        super().__init__(R.field, space, _q_formula_brackets(n, R), name="q(%d;%s)" % (n, R.name))
+        rule = QueerRule(n, R)
+        super().__init__(R.field, rule.space, _q_formula_brackets(n, R), name=rule.name)
         self.block_n = n
         self.coord = R
-        self.qindex = _QIndex(n, R.dim)
+        self.qindex = rule
 
 
 def build_q(n: int, R: SuperAlgebra) -> QueerLie:
-    """q_n(R), checked against gl.
-
-    The formula table is checked as a VerifiedHomomorphism into gl_{n|n}(R)
-    along the block realization (module docstring), with the rule
-    build_gl(n, n, R) as the target: the check reads only the formula table
-    and R's products.  The map is injective, so it preserves every
-    bracket exactly when the two sides agree; otherwise StructureError
-    names the first pair where they differ.
+    """q_n(R), its formula table checked as a VerifiedHomomorphism into the
+    gl of its rule, QueerRule(n, R), along the rule's block columns.  The
+    map is injective, so it preserves every bracket exactly when the two
+    sides agree; otherwise StructureError names the first pair that differs.
     """
     g = QueerLie(n, R)
-    rpar = R.space.parities
-    rule = build_gl(n, n, R)
-    idx = rule.entry_index
-    one = R.field.one
-    cols = []
-    for t in range(g.dim):
-        kind, i, j, r = g.qindex.unpack(t)
-        sgn = R.field.from_int(-1 if rpar[r] else 1)
-        if kind == "u":
-            cols.append({idx(i, j, r): one, idx(n + i, n + j, r): sgn})
-        else:
-            cols.append({idx(i, n + j, r): one, idx(n + i, j, r): sgn})
-    hom = VerifiedHomomorphism(g, rule, cols)
+    hom = VerifiedHomomorphism(g, g.qindex.gl, g.qindex.columns)
     if not hom.bracket_preserving:
         raise StructureError(
             "structure constants disagree with the block realization: %s" % hom.failures[0]
@@ -429,8 +445,8 @@ def derived_subalgebra(g: LieSuperAlgebra) -> Subspace:
 
 
 def induced_lie(g: LieSuperAlgebra, sub: Subspace, name="") -> LieSuperAlgebra:
-    """Lie structure on a bracket-closed subspace of g, a LieSuperAlgebra
-    or a GlRule, in the subspace's canonical basis.
+    """Lie structure on a bracket-closed subspace of g, a LieSuperAlgebra,
+    a GlRule or a QueerRule, in the subspace's canonical basis.
 
     The table is {(a, b): [x_a, x_b] for b >= a} over the canonical rows
     x, from one g.bracket_row of each x_a against a column_index of the
@@ -481,21 +497,14 @@ def _trace_rule(R: SuperAlgebra, n: int, index):
         yield {index(1, 1, r): v for r, v in c.items()}
 
 
-def build_sq_by_characterization(n: int, R: SuperAlgebra, q: LieSuperAlgebra) -> Subspace:
-    """{(A,B) in q = q_n(R) : tr B in [R,R]} as a canonical subspace of q.
-
-    For n >= 2 it is compared with the derived subalgebra of q, as
-    canonical subspaces; StructureError if they differ.
-    """
+def build_sq_by_characterization(n: int, R: SuperAlgebra, q) -> Subspace:
+    """{(A,B) in q = q_n(R) : tr B in [R,R]} as a canonical subspace of q, a
+    QueerLie or a QueerRule.  For n >= 2 it is [q, q], as perfectness checks."""
     qi = q.qindex
     one = q.field.one
     ij = range(1, n + 1)
     units = ({qi.u(i, j, r): one} for i in ij for j in ij for r in range(R.dim))
-    sub = Subspace.from_vectors(q.space, chain(units, _trace_rule(R, n, qi.w)), q.field)
-    if n >= 2:
-        if sub != derived_subalgebra(q):
-            raise StructureError("trace characterization differs from the derived subalgebra")
-    return sub
+    return Subspace.from_vectors(q.space, chain(units, _trace_rule(R, n, qi.w)), q.field)
 
 
 def _sq_graded_dim(n: int, gd: GradedDim, comm: GradedDim) -> GradedDim:
@@ -517,33 +526,33 @@ def sq_graded_dim(n: int, R: SuperAlgebra) -> GradedDim:
     return _sq_graded_dim(n, R.space.graded_dim, commutator_subspace(R).graded_dim)
 
 
-def diagonal_torus(q: QueerLie) -> list:
-    """h_k = u_kk(1) for k = 1..n in the coordinates of q = q_n(R)."""
+def diagonal_torus(q) -> list:
+    """h_k = u_kk(1), k = 1..n, in the coordinates of q_n(R)'s QueerLie or QueerRule q."""
     unit = q.coord.unit
     return [{q.qindex.u(k, k, r): v for r, v in unit.items()} for k in range(1, q.block_n + 1)]
 
 
-def _torus_in(sub: Subspace, torus: list) -> list:
-    """The torus elements, vectors of sub's ambient space, in the canonical
-    basis of sub; StructureError if one lies outside it."""
-    coords = [sub.coords_of(h) for h in torus]
+def _coords_in(sub: Subspace, vecs: list) -> list:
+    """vecs, vectors of sub's ambient space, in the canonical basis of sub;
+    StructureError if one lies outside it."""
+    coords = [sub.coords_of(v) for v in vecs]
     if None in coords:
-        raise StructureError("torus element lies outside the algebra")
+        raise StructureError("a torus or identity-block vector lies outside the algebra")
     return coords
 
 
 def _sq_parts(n: int, R: SuperAlgebra):
-    """(q = q_n(R), its trace-characterized subspace sub, sq_n(R) =
+    """(q = QueerRule(n, R), its trace-characterized subspace sub, sq_n(R) =
     induced_lie(q, sub), the diagonal torus of q in sq's basis)."""
-    q = build_q(n, R)
+    q = QueerRule(n, R)
     sub = build_sq_by_characterization(n, R, q)
     sq = induced_lie(q, sub, name="sq(%d;%s)" % (n, R.name))
-    return q, sub, sq, _torus_in(sub, diagonal_torus(q))
+    return q, sub, sq, _coords_in(sub, diagonal_torus(q))
 
 
 def build_sq_lie(n: int, R: SuperAlgebra):
     """(sq_n(R) in its canonical basis, the diagonal torus of q_n(R) in that
-    basis as a list).  Nothing returned refers to q_n(R)."""
+    basis as a list).  Nothing returned refers to q_n(R)'s rule."""
     _, _, sq, torus = _sq_parts(n, R)
     return sq, torus
 
@@ -556,14 +565,8 @@ def build_psq_lie(n: int, R: SuperAlgebra):
         raise ValueError("the central quotient needs supercommutative coordinates")
     q, sub, sq, torus = _sq_parts(n, R)
     one = R.field.one
-    ideal_vecs = []
-    for r in range(R.dim):
-        vec = {q.qindex.u(i, i, r): one for i in range(1, n + 1)}
-        coords = sub.coords_of(vec)
-        if coords is None:
-            raise ValueError("identity block is not inside the derived algebra")
-        ideal_vecs.append(coords)
-    ideal = Subspace.from_vectors(sq.space, ideal_vecs, sq.field)
+    block = [{q.u(i, i, r): one for i in range(1, n + 1)} for r in range(R.dim)]
+    ideal = Subspace.from_vectors(sq.space, _coords_in(sub, block), sq.field)
     psq, project = quotient_lie(sq, ideal, name="psq(%d;%s)" % (n, R.name))
     return psq, [project(h) for h in torus]
 
@@ -593,7 +596,7 @@ def build_block_lie(hom):
     n = q.block_n
     sub = hom.map_subspace(build_sq_by_characterization(n, q.coord, q))
     sl = induced_lie(gl, sub, name="sl(%d|%d;%s)" % (n, n, gl.coord.name))
-    return sl, _torus_in(sub, [hom.apply(h) for h in diagonal_torus(q)])
+    return sl, _coords_in(sub, [hom.apply(h) for h in diagonal_torus(q)])
 
 
 def build_sl(gl: GlRule) -> Subspace:
@@ -612,8 +615,8 @@ class VerifiedHomomorphism:
     recomputed flags.  The target is a LieSuperAlgebra or a GlRule.
 
     columns[i] is the image of e_i.  The column dicts are kept as they are,
-    not copied, as LieSuperAlgebra keeps its table: build_q, iso_q_to_gl,
-    iso_qQ1_to_glnn and loop-iso each hand over fresh ones.
+    not copied, as LieSuperAlgebra keeps its table: build_q hands over its
+    rule's, iso_q_to_gl, iso_qQ1_to_glnn and loop-iso fresh ones.
     """
 
     def __init__(self, source: LieSuperAlgebra, target, columns, name=""):
@@ -744,30 +747,21 @@ def iso_qQ1_to_glnn(n: int, R: SuperAlgebra) -> VerifiedHomomorphism:
         raise ScalarError("field %s has no square root of -1" % field.name)
     S = tensor(R, build_q1(field))
     q = build_q(n, S)
-    gl = build_gl(n, n, R)
-    one = field.one
-    rpar = R.space.parities
+    rule = QueerRule(n, R)
     cols = []
     for t in range(q.dim):
         kind, i, j, s = q.qindex.unpack(t)
         r, nu_part = divmod(s, 2)
-        sgn = field.from_int(-1 if rpar[r] else 1)
-        if kind == "u" and nu_part == 0:
-            col = {gl.entry_index(i, j, r): one, gl.entry_index(n + i, n + j, r): sgn}
-        elif kind == "u" and nu_part == 1:
-            col = {gl.entry_index(i, n + j, r): one, gl.entry_index(n + i, j, r): sgn}
-        elif kind == "w" and nu_part == 0:
-            col = {
-                gl.entry_index(i, n + j, r): -i_val,
-                gl.entry_index(n + i, j, r): i_val * sgn,
-            }
-        else:
-            col = {
-                gl.entry_index(i, j, r): i_val,
-                gl.entry_index(n + i, n + j, r): -(i_val * sgn),
-            }
+        # u_ij(a(x)1) and u_ij(a(x)nu) go to the block columns of u_ij(a) and
+        # w_ij(a); w_ij(a(x)1) and w_ij(a(x)nu) to -i and i times those of
+        # w_ij(a) and u_ij(a) with the bottom entry's sign flipped
+        col = rule.columns[(rule.u if (kind == "u") == (nu_part == 0) else rule.w)(i, j, r)]
+        if kind == "w":
+            (top, _), (bottom, sgn) = col.items()
+            c = -i_val if nu_part == 0 else i_val
+            col = {top: c, bottom: -(c * sgn)}
         cols.append(in_field(col, field))
-    return VerifiedHomomorphism(q, gl, cols, name="q%d(%s)->gl(%d|%d;%s)" % (n, S.name, n, n, R.name))
+    return VerifiedHomomorphism(q, rule.gl, cols, name="q%d(%s)->gl(%d|%d;%s)" % (n, S.name, n, n, R.name))
 
 
 def lie_tensor(g: LieSuperAlgebra, R: SuperAlgebra) -> LieSuperAlgebra:

@@ -198,11 +198,17 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 
 
+def _shown(value) -> str:
+    """repr(value) for an error message, cut past 40 characters to its first 20 and its length."""
+    text = repr(value)
+    return text if len(text) <= 40 else "%s... (%d characters)" % (text[:20], len(text))
+
+
 def is_prime(n: int) -> bool:
     """Deterministic primality test; ScalarError for n it cannot decide exactly."""
     if n >= _MR_BOUND:
         raise ScalarError(
-            "modulus %d is too large: primality is decided only below %d" % (n, _MR_BOUND)
+            "modulus %s is too large: primality is decided only below %d" % (_shown(n), _MR_BOUND)
         )
     if n < 2:
         return False
@@ -411,8 +417,8 @@ def field_from_spec(kind: str, characteristic=None) -> Field:
         p = _digits(characteristic) if isinstance(characteristic, str) else characteristic
         if type(p) is not int:  # a JSON true is a bool, not a number
             raise ScalarError(
-                "characteristic must be an integer or a string of digits, got %r"
-                % (characteristic,)
+                "characteristic must be an integer or a string of digits, got %s"
+                % _shown(characteristic)
             )
         return PrimeField(p)
     raise ScalarError("unknown scalar kind: %r" % kind)
@@ -428,6 +434,6 @@ def parse_field_flag(flag: str) -> Field:
     if flag.startswith("Fp:"):
         p = _digits(flag[3:])
         if p is None:
-            raise ScalarError("bad prime in field flag: %r" % flag)
+            raise ScalarError("bad prime in field flag: %s" % _shown(flag))
         return PrimeField(p)
-    raise ScalarError("unknown field flag: %r (expected Q, Qi or Fp:P)" % flag)
+    raise ScalarError("unknown field flag: %s (expected Q, Qi or Fp:P)" % _shown(flag))

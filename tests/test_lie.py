@@ -176,7 +176,7 @@ FORMULA_INPUTS = [
 @pytest.mark.parametrize("n,tag,field", FORMULA_INPUTS)
 def test_q_formula_table_equals_the_full_scan_in_key_order(n, tag, field):
     R = build_builtin(tag, parse_field_flag(field))
-    qi = lie._QIndex(n, R.dim)
+    qi = lie.QueerRule(n, R)
     got = lie._q_formula_brackets(n, R)
     want = q_formula_brackets_full_scan(n, R, qi)
     assert [(k, list(v.items())) for k, v in got.items()] == [
@@ -207,7 +207,7 @@ def _corrupt_formula(monkeypatch, mutate):
 
     def corrupted(n, R):
         table = formula(n, R)
-        mutate(table, lie._QIndex(n, R.dim), R.field)
+        mutate(table, lie.QueerRule(n, R), R.field)
         return table
 
     monkeypatch.setattr(lie, "_q_formula_brackets", corrupted)
@@ -270,6 +270,35 @@ def test_rule_backed_block_check_equals_the_table_backed_check(
         pair = "(%s, %s)" % (labels[qi.u(i, j, 0)], labels[qi.u(k, l, 0)])
         assert table.failures[0] == "bracket not preserved on " + pair
         assert str(err.value).endswith(table.failures[0])
+
+
+@pytest.mark.parametrize("n,tag,field", FORMULA_INPUTS)
+def test_queer_rule_rows_equal_the_formula_table(n, tag, field):
+    # the rule brackets in gl and reads the top half back: [e_t, e_j] for
+    # every pair, in q's basis, equals the formula table's
+    R = build_builtin(tag, parse_field_flag(field))
+    q, rule = build_q(n, R), lie.QueerRule(n, R)
+    assert rule.space == q.space and rule.columns == q.qindex.columns
+    units = [{t: R.field.one} for t in range(q.dim)]
+    index = rule.column_index(units)
+    for t in range(q.dim):
+        want = {j: tbl for j in range(q.dim) if (tbl := q.bracket_basis(t, j))}
+        assert rule.bracket_row(units[t], index) == want
+
+
+def test_queer_rule_refuses_a_bracket_outside_the_block_form():
+    # u_12(1) lifted to E_12 - E_34 instead of E_12 + E_34: [u_21(1), u_12(1)]
+    # then has top half E_22 - E_11 and bottom half E_33 - E_44, not the
+    # sign-twisted top half E_44 - E_33
+    rule = lie.QueerRule(2, G1)
+    u12, u21 = rule.u(1, 2, 0), rule.u(2, 1, 0)
+    x = {u21: QQ.one}
+    got = rule.bracket_row(x, rule.column_index([{u12: QQ.one}]))
+    assert got == {0: {rule.u(2, 2, 0): QQ.one, rule.u(1, 1, 0): -QQ.one}}
+    top, bottom = rule.columns[u12]
+    rule.columns[u12] = {top: QQ.one, bottom: -QQ.one}
+    with pytest.raises(StructureError, match=r"leaves the block form"):
+        rule.bracket_row(x, rule.column_index([{u12: QQ.one}]))
 
 
 # ---------------------------------------------------------- frozen brackets

@@ -99,6 +99,16 @@ def test_parse_field_flag_rejects_unknown_text():
     for text in ("\u00b2", "\u0663", "9" * 5000):
         with pytest.raises(ScalarError, match="string of digits"):
             field_from_spec("prime-field", text)
+    # a refused prime or flag is echoed as its first 20 characters and its length
+    refusals = [(parse_field_flag, "Fp:" + "9" * k) for k in (300, 5000)]
+    refusals += [(parse_field_flag, "F" * 5000)]
+    refusals += [(lambda t: field_from_spec("prime-field", t), t) for t in ("9" * 300, "9" * 5000)]
+    refusals += [(lambda t: field_from_spec("prime-field", t), 10 ** 300)]
+    for parse, text in refusals:
+        with pytest.raises(ScalarError) as err:
+            parse(text)
+        msg = str(err.value)
+        assert len(msg) <= 120 and " characters)" in msg, msg
 
 
 def _reducer(field):

@@ -50,18 +50,36 @@ def test_no_scenario_builds_a_gl_table(monkeypatch):
 
 
 def test_perfectness_fails_when_the_derived_subalgebra_disagrees(monkeypatch, capsys):
-    derived_subalgebra = lie.derived_subalgebra
+    # perfectness is the one place sq is compared with [q, q]
+    derived_subalgebra = scenarios.derived_subalgebra
 
     def one_row_short(g):
         der = derived_subalgebra(g)
         return Subspace.from_vectors(der.space, der.rows[:-1], der.field)
 
-    monkeypatch.setattr(lie, "derived_subalgebra", one_row_short)
+    monkeypatch.setattr(scenarios, "derived_subalgebra", one_row_short)
     code = main(["perfectness", "--algebra", "builtin:grassmann(1)", "--n", "3"])
     out = capsys.readouterr().out
     assert code == 1
     assert "[FAIL] derived-equals-trace-characterization expected=yes computed=no" in out
     assert "trace characterization differs from the derived subalgebra" in out
+
+
+@pytest.mark.parametrize("name", ["h2-main", "psq-central"])
+@pytest.mark.parametrize("flag", ["Q", "Fp:5"])
+def test_the_h2_path_builds_no_q_table_and_verifies_no_map(name, flag, monkeypatch):
+    # sq and psq are built inside gl's rule (lie.QueerRule): q's formula
+    # table, its check against gl and the comparison with [q, q] belong to
+    # the scenarios that report on them
+    def refused(*args, **kwargs):
+        raise AssertionError("run on the H2 path")
+
+    monkeypatch.setattr(lie, "_q_formula_brackets", refused)
+    monkeypatch.setattr(lie, "derived_subalgebra", refused)
+    monkeypatch.setattr(scenarios, "derived_subalgebra", refused)
+    monkeypatch.setattr(VerifiedHomomorphism, "__init__", refused)
+    opts = ScenarioOptions("builtin:grassmann(1)", n=3, field=parse_field_flag(flag))
+    assert [r.status for r in run_scenario(name, opts).rows] == ["PASS"]
 
 
 def test_homology_scenarios_always_list_the_budget_and_the_others_refuse_one():
@@ -198,7 +216,8 @@ def test_every_stored_prime_field_value_is_a_reduced_int(argv, flag, monkeypatch
     elif argv[0] == "iso-queer-gl":
         assert {LieSuperAlgebra, VerifiedHomomorphism} <= seen
     elif argv[0] in ("h2-main", "psq-central"):
-        assert {LieSuperAlgebra, VerifiedHomomorphism, CEComplex, H2Result} <= seen
+        # sq is built inside gl's rule: no homomorphism is verified on this path
+        assert {LieSuperAlgebra, CEComplex, H2Result} <= seen
     values = [x for obj in made if not isinstance(obj, CEComplex) for x in _stored_scalars(obj)]
     # the two smallest inputs store 58-59 and 97-184 values
     assert len(values) > {"kahler-oracle": 50, "an-vanishing": 90}.get(argv[0], 200)
