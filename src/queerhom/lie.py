@@ -22,11 +22,13 @@ checked against the rule's gl as a VerifiedHomomorphism, whose verify is
 the one place that compares a linear map with two bracket tables or rules.
 sq_n(R) is characterized as {(A,B) : tr B in [R,R]}; for n >= 2 it is
 [q, q], which scenario perfectness alone compares it with.  That trace
-condition and build_sl's {X : tr X in [S,S]} are one rule, _trace_rule,
-placed at the w-block or at gl's entries.  The builders of the three H2
-inputs (build_sq_lie, build_psq_lie, build_block_lie) return (algebra,
-torus), the diagonal torus of q in the algebra's basis; no algebra carries
-its ambient, which is freed when a builder returns.
+condition and build_sl's {X in gl_{m|n}(S) : str X in [S,S]} are one rule,
+_trace_rule, at the w-block or at gl's entries; sl_{n|n}(S), the block
+algebra, is the image of sq_n(S(x)Q1) under iso_qQ1_to_glnn, and
+build_block_lie builds it on gl_{n|n}(S)'s rule, as the H2 builders build
+sq_n(R) and psq_n(R) on q's.  They return (algebra, torus), the diagonal
+torus of q (for sl_{n|n}, its image E_kk(1) + E_{n+k,n+k}(1)) in the
+algebra's basis; no algebra carries its ambient, freed when they return.
 
 A bracket with a basis vector is read off the table: LieSuperAlgebra.ad(x,
 b) gives [x, e_b] key by key (torus weights, ad_S-closures, quotient_lie's
@@ -185,8 +187,8 @@ class GlRule:
     with |E_ij(a)| = |i| + |j| + |a| and |i| = 0 for i <= m.  The rule
     answers where a LieSuperAlgebra is read as a target or an ambient
     algebra (space, field, column_index and bracket_row).  It carries its
-    name, its coordinate algebra coord with its dimension coord_dim, and
-    its size m + n.
+    name, its coordinate algebra coord with its dimension coord_dim, m
+    and its size m + n.
     """
 
     def __init__(self, m: int, n: int, R: SuperAlgebra):
@@ -194,6 +196,7 @@ class GlRule:
             raise ValueError("need m + n >= 1")
         N = m + n
         self.name = "gl(%d|%d;%s)" % (m, n, R.name)
+        self.m = m
         self.coord = R
         dR = R.dim
         rpar = R.space.parities
@@ -477,13 +480,14 @@ def is_perfect(g: LieSuperAlgebra) -> bool:
     return derived_subalgebra(g).dim == g.dim
 
 
-def _trace_rule(R: SuperAlgebra, n: int, index):
-    """Vectors spanning {X in gl_n(R) : tr X in [R,R]}, with the entry
-    X_ij = e_r at coordinate index(i, j, r): the off-diagonal units, the
-    differences E_ii(e_r) - E_11(e_r) for i >= 2, and E_11(c) for each row c
-    of [R,R].  They are independent, (n-1) dim R + dim [R,R] of them, and
-    every diagonal with trace in [R,R] is E_11 of its trace plus a sum of
-    the differences, so they span the condition exactly."""
+def _trace_rule(R: SuperAlgebra, n: int, m: int, index):
+    """Vectors spanning {X in gl_{m|n-m}(R) : str X in [R,R]}, the entry X_ij
+    = e_r at coordinate index(i, j, r), str E_ii(a) = a for i <= m and
+    -(-1)^{|a|} a for i > m (tr when m = n): the off-diagonal units, the
+    E_ii(e_r) -+ E_11(e_r), i >= 2, of supertrace zero, and E_11(c) for each
+    (homogeneous) canonical row c of [R,R].  They are independent, (n-1) dim
+    R + dim [R,R] of them, and every diagonal with supertrace in [R,R] is
+    E_11 of +-its supertrace plus a sum of the differences."""
     one = R.field.one
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -492,7 +496,9 @@ def _trace_rule(R: SuperAlgebra, n: int, index):
                     yield {index(i, j, r): one}
     for i in range(2, n + 1):
         for r in range(R.dim):
-            yield {index(i, i, r): one, index(1, 1, r): -one}
+            # E_ii(e_r) + E_11(e_r) where one of the two has str -e_r
+            s = one if (i > m) != (m < 1) and not R.space.parities[r] else -one
+            yield {index(i, i, r): one, index(1, 1, r): s}
     for c in commutator_subspace(R).rows:
         yield {index(1, 1, r): v for r, v in c.items()}
 
@@ -504,7 +510,7 @@ def build_sq_by_characterization(n: int, R: SuperAlgebra, q) -> Subspace:
     one = q.field.one
     ij = range(1, n + 1)
     units = ({qi.u(i, j, r): one} for i in ij for j in ij for r in range(R.dim))
-    return Subspace.from_vectors(q.space, chain(units, _trace_rule(R, n, qi.w)), q.field)
+    return Subspace.from_vectors(q.space, chain(units, _trace_rule(R, n, n, qi.w)), q.field)
 
 
 def _sq_graded_dim(n: int, gd: GradedDim, comm: GradedDim) -> GradedDim:
@@ -577,32 +583,31 @@ def psq_graded_dim(n: int, R: SuperAlgebra) -> GradedDim:
 
 
 def block_graded_dim(n: int, S: SuperAlgebra) -> GradedDim:
-    """Graded dimension of the traceless block algebra over S, which is
-    sq_n(T) for T = S(x)Q1, from n and S alone: T is never built.
-
-    T = S(x)1 + S(x)nu, and [T,T] = S(x)1 + [S,S](x)nu: [a(x)1, b(x)nu] =
-    [a,b](x)nu, [a(x)nu, b(x)nu] lies in S(x)1, and [a(x)nu, 1(x)nu] = 2a(x)1,
-    with 2 invertible in every admissible field.  a(x)nu has parity |a| + 1.
-    """
-    gd = S.space.graded_dim
-    return _sq_graded_dim(n, gd + gd.swap(), gd + commutator_subspace(S).graded_dim.swap())
+    """Graded dimension of sl_{n|n}(S), from n and S alone: gl_{n|n}(S) minus
+    S/[S,S], which the supertrace maps it onto parity by parity.  Each of
+    gl's 4 n^2 positions holds S, the diagonal blocks with S's parities and
+    the others shifted, so gl has dimension (2 n^2 dim S | 2 n^2 dim S)."""
+    d = 2 * n * n * S.dim
+    return GradedDim(d, d) - S.space.graded_dim + commutator_subspace(S).graded_dim
 
 
-def build_block_lie(hom):
-    """(the traceless block algebra over S, the image of sq_n(S(x)Q1) under
-    hom = iso_qQ1_to_glnn(n, S); the image of the diagonal torus of
-    hom.source in its basis, as a list)."""
-    q, gl = hom.source, hom.target
-    n = q.block_n
-    sub = hom.map_subspace(build_sq_by_characterization(n, q.coord, q))
-    sl = induced_lie(gl, sub, name="sl(%d|%d;%s)" % (n, n, gl.coord.name))
-    return sl, _coords_in(sub, [hom.apply(h) for h in diagonal_torus(q)])
+def build_block_lie(n: int, S: SuperAlgebra):
+    """(sl_{n|n}(S) = induced_lie of gl = build_gl(n, n, S) on build_sl(gl),
+    the torus E_kk(1) + E_{n+k,n+k}(1), k = 1..n, in its basis as a list).
+    sl_{n|n}(S) is the image of sq_n(S(x)Q1) under the square-root-of-minus-
+    one map into gl, and its torus the image of sq's diagonal torus u_kk(1)."""
+    gl = build_gl(n, n, S)
+    sub = build_sl(gl)
+    idx, unit = gl.entry_index, S.unit
+    torus = [{idx(i, i, r): v for r, v in unit.items() for i in (k, n + k)} for k in range(1, n + 1)]
+    return induced_lie(gl, sub, name="sl(%d|%d;%s)" % (n, n, S.name)), _coords_in(sub, torus)
 
 
 def build_sl(gl: GlRule) -> Subspace:
-    """{X in gl : tr X in [S,S]} as a canonical subspace of gl = build_gl(n, 0, S)."""
+    """{X in gl : str X in [S,S]} as a canonical subspace of gl =
+    build_gl(m, n, S), str as in _trace_rule (tr when n = 0)."""
     S = gl.coord
-    return Subspace.from_vectors(gl.space, _trace_rule(S, gl.size, gl.entry_index), S.field)
+    return Subspace.from_vectors(gl.space, _trace_rule(S, gl.size, gl.m, gl.entry_index), S.field)
 
 
 # ------------------------------------------------------------ homomorphisms

@@ -21,7 +21,7 @@ relations from every triple, the span of the words in a set of vectors of
 an associative algebra by its definition and PairSpace's greedy
 generating set on it, the tensor product tables by a scan of every
 index quadruple, the trace condition tr X in [R,R] as the kernel of a
-trace map, the identity block of sq_n(R) that psq_n(R) divides by, the
+trace or supertrace map, the identity block of sq_n(R) that psq_n(R) divides by, the
 cyclic side of the psq formula, the quotient-coordinate route (a class
 in coordinates on the non-pivot columns numbered from 0, QuotientSpace,
 and HC1 computed in them), and Q(i) arithmetic on pairs of rationals.
@@ -465,11 +465,12 @@ def h2_by_representatives(g: LieSuperAlgebra, torus=()):
     return basis, stats
 
 
-def trace_rule_by_kernel(R: SuperAlgebra, n: int, index):
+def trace_rule_by_kernel(R: SuperAlgebra, n: int, index, m=None):
     """Vectors spanning {X in gl_n(R) : tr X in [R,R]}, as lie._trace_rule
     first found them: the off-diagonal units, then the kernel of the trace
     map from the diagonal entries X_ii = e_r (at coordinate index(i, i, r))
-    into R/[R,R]."""
+    into R/[R,R].  With m, the supertrace of gl_{m|n-m}(R): X_ii = e_r
+    counts -(-1)^{|r|} e_r for i > m."""
     one = R.field.one
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -479,8 +480,12 @@ def trace_rule_by_kernel(R: SuperAlgebra, n: int, index):
     comm_q = QuotientSpace(R.space, commutator_subspace(R))
     diag = [index(i, i, r) for i in range(1, n + 1) for r in range(R.dim)]
     rows = [{} for _ in range(comm_q.dim)]
+    p = R.field.characteristic
     for d in range(len(diag)):
-        for qrow, v in comm_q.project({d % R.dim: one}).items():
+        i, r = divmod(d, R.dim)  # i 0-based
+        for qrow, v in comm_q.project({r: one}).items():
+            if m is not None and i >= m and not R.space.parities[r]:
+                v = -v % p if p else -v
             rows[qrow][d] = v
     for vec in kernel(rows, len(diag), R.field):
         yield {diag[d]: v for d, v in vec.items()}

@@ -361,8 +361,8 @@ def test_weight_zero_h2_of_psq3_equals_full_complex():
 
 
 def test_weight_zero_h2_of_block_algebra_equals_full_complex():
-    hom = iso_qQ1_to_glnn(3, build_builtin("base-field", parse_field_flag("Qi")))
-    r = assert_weight_zero_matches_full(*build_block_lie(hom))
+    S = build_builtin("base-field", parse_field_flag("Qi"))
+    r = assert_weight_zero_matches_full(*build_block_lie(3, S))
     assert r.stats["torus_rank"] == 3
 
 
@@ -472,7 +472,7 @@ def _acceptance_h2_input(kind, field):
     slnn-identity paths at n = 3 over grassmann(1)."""
     R = build_builtin("grassmann(1)", parse_field_flag(field))
     if kind == "block":
-        return build_block_lie(iso_qQ1_to_glnn(3, R))
+        return build_block_lie(3, R)
     if kind == "psq":
         return build_psq_lie(3, R)
     return build_sq_lie(3, R)

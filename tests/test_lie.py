@@ -541,6 +541,31 @@ def test_sq_and_sl_equal_the_trace_map_kernel(tag, flag):
         gl = build_gl(n, 0, R)
         by_kernel = trace_rule_by_kernel(R, n, gl.entry_index)
         assert build_sl(gl) == Subspace.from_vectors(gl.space, by_kernel, R.field), n
+        # gl_{m|n-m}: str E_ii(a) = a for i <= m and -(-1)^{|a|} a for i > m.
+        # At m = 0, and over q1 (whose [R,R] holds 1), str X and tr X lie in
+        # [R,R] together; the other cases tell them apart
+        for m in range(n):
+            gl = build_gl(m, n - m, R)
+            by_kernel = trace_rule_by_kernel(R, n, gl.entry_index, m)
+            assert build_sl(gl) == Subspace.from_vectors(gl.space, by_kernel, R.field), (m, n)
+
+
+SLNN_TAGS = [
+    "base-field", "grassmann(1)", "grassmann(2)", "truncated-poly(2)", "group-algebra(2)",
+    "matrix(2)", "square-zero-plane",
+]
+
+
+@pytest.mark.parametrize("flag", ["Qi", "Fp:5", "Fp:13"])
+@pytest.mark.parametrize("tag", SLNN_TAGS)
+def test_sl_nn_is_the_image_of_sq_under_the_sqrt_minus_one_map(tag, flag):
+    # sl_{n|n}(S), built on the supertrace rule, is the image of the trace
+    # characterization of q_n(S(x)Q1) under iso_qQ1_to_glnn(n, S)
+    S = build_builtin(tag, parse_field_flag(flag))
+    for n in (1, 2, 3):
+        gl, image = _block_oracle_inputs(iso_qQ1_to_glnn(n, S))
+        assert build_sl(build_gl(n, n, S)) == image, n
+        assert gl.space == image.space
 
 
 def test_sq1_keeps_only_the_u_block():
@@ -931,7 +956,7 @@ def _built_tables(field):
     yield build_psq_lie(2, R)[0].brackets, quotient_lie_full_scan(sq, ideal)
     if field.sqrt_minus_one() is not None:
         hom = iso_qQ1_to_glnn(2, R)
-        yield build_block_lie(hom)[0].brackets, induced_lie_full_scan(*_block_oracle_inputs(hom))
+        yield build_block_lie(2, R)[0].brackets, induced_lie_full_scan(*_block_oracle_inputs(hom))
     base = build_builtin("base-field", field)
     qk = build_q(2, base)
     yield lie_tensor(qk, R).brackets, lie_tensor_pair_scan(qk, R)
@@ -1006,7 +1031,7 @@ def test_block_algebra_table_equals_the_all_pairs_scan(field, n, tag):
     R = build_builtin(tag, parse_field_flag(field))
     hom = iso_qQ1_to_glnn(n, R)
     want = induced_lie_full_scan(*_block_oracle_inputs(hom))
-    assert _typed_table(build_block_lie(hom)[0].brackets) == _typed_table(want)
+    assert _typed_table(build_block_lie(n, R)[0].brackets) == _typed_table(want)
 
 
 def test_non_ideal_and_unclosed_subspace_fail_as_in_the_all_pairs_scan():

@@ -65,21 +65,43 @@ def test_perfectness_fails_when_the_derived_subalgebra_disagrees(monkeypatch, ca
     assert "trace characterization differs from the derived subalgebra" in out
 
 
-@pytest.mark.parametrize("name", ["h2-main", "psq-central"])
-@pytest.mark.parametrize("flag", ["Q", "Fp:5"])
-def test_the_h2_path_builds_no_q_table_and_verifies_no_map(name, flag, monkeypatch):
-    # sq and psq are built inside gl's rule (lie.QueerRule): q's formula
-    # table, its check against gl and the comparison with [q, q] belong to
-    # the scenarios that report on them
+H2_PATHS = [  # (field, scenario, algebra, number of PASS rows)
+    ("Q", "h2-main", "grassmann(1)", 1),
+    ("Q", "psq-central", "grassmann(1)", 1),
+    ("Fp:5", "h2-main", "grassmann(1)", 1),
+    ("Fp:5", "psq-central", "grassmann(1)", 1),
+    ("Qi", "slnn-identity", "base-field", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "flag,name,algebra,rows", H2_PATHS, ids=["%s-%s" % (f, name) for f, name, _, _ in H2_PATHS]
+)
+def test_the_h2_path_builds_no_q_table_and_verifies_no_map(flag, name, algebra, rows, monkeypatch):
+    # sq and psq are built inside gl's rule (lie.QueerRule) and sl_{n|n}(S)
+    # on gl's supertrace rule, one gl each: q's formula table, its check
+    # against gl, the square-root-of-minus-one map and the comparison with
+    # [q, q] belong to the scenarios that report on them
     def refused(*args, **kwargs):
         raise AssertionError("run on the H2 path")
 
     monkeypatch.setattr(lie, "_q_formula_brackets", refused)
     monkeypatch.setattr(lie, "derived_subalgebra", refused)
     monkeypatch.setattr(scenarios, "derived_subalgebra", refused)
+    monkeypatch.setattr(lie, "iso_qQ1_to_glnn", refused)
+    monkeypatch.setattr(scenarios, "iso_qQ1_to_glnn", refused)
     monkeypatch.setattr(VerifiedHomomorphism, "__init__", refused)
-    opts = ScenarioOptions("builtin:grassmann(1)", n=3, field=parse_field_flag(flag))
-    assert [r.status for r in run_scenario(name, opts).rows] == ["PASS"]
+    gls = []
+    build_gl = lie.build_gl
+
+    def counting(m, n, R):
+        gls.append((m, n))
+        return build_gl(m, n, R)
+
+    monkeypatch.setattr(lie, "build_gl", counting)
+    opts = ScenarioOptions("builtin:" + algebra, n=3, field=parse_field_flag(flag))
+    assert [r.status for r in run_scenario(name, opts).rows] == ["PASS"] * rows
+    assert gls == [(3, 3)]
 
 
 def test_homology_scenarios_always_list_the_budget_and_the_others_refuse_one():
@@ -103,7 +125,7 @@ H2_TIMINGS = [
 SHIFTED = "h2-equals-shifted-cyclic"
 COORDS = "h2-equals-coords-plus-shifted-cyclic"
 CYCLIC = "h2-equals-cyclic"
-SLNN_ROWS = [("shift-chain-consistent", "PASS"), ("block-map-is-isomorphism", "PASS")]
+SLNN_ROWS = [("shift-chain-consistent", "PASS")]
 
 
 @pytest.mark.parametrize(

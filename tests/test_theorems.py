@@ -26,7 +26,6 @@ from queerhom.lie import (
     build_sq_by_characterization,
     build_sq_lie,
     induced_lie,
-    iso_qQ1_to_glnn,
     psq_graded_dim,
     sq_graded_dim,
 )
@@ -85,7 +84,7 @@ def _reachable_lie_algebras(root):
 H2_BUILDS = {
     "sq": lambda: build_sq_lie(3, G1),
     "psq": lambda: build_psq_lie(3, G1),
-    "block": lambda: build_block_lie(iso_qQ1_to_glnn(3, build_grassmann(parse_field_flag("Qi"), 1))),
+    "block": lambda: build_block_lie(3, build_grassmann(parse_field_flag("Qi"), 1)),
 }
 
 
@@ -191,7 +190,7 @@ def test_psq_graded_dim_formula_matches_the_built_algebra(tag):
 @pytest.mark.parametrize("tag", ["base-field", "grassmann(1)"])
 def test_block_algebra_has_the_dimension_of_sq_over_s_tensor_q1(tag):
     S = build_builtin(tag, parse_field_flag("Qi"))
-    sl, _ = build_block_lie(iso_qQ1_to_glnn(3, S))
+    sl, _ = build_block_lie(3, S)
     assert sl.space.graded_dim == sq_graded_dim(3, tensor(S, build_q1(S.field)))
     assert block_graded_dim(3, S) == sl.space.graded_dim
 
